@@ -43,7 +43,7 @@ rwp = generate_trajectory(
 print(f"random waypoint: {len(rwp.entries)} dwell entries")
 
 # The center of mobility is the cell nearest the dwell-weighted mean
-# position. The annealed allocator searches for services around it.
+# position. The MuSIC allocator searches for services around it.
 print(f"\ncenter of mobility (manhattan): cell {center_of_mobility(walk, grid)}")
 print(f"center of mobility (waypoint):  cell {center_of_mobility(rwp, grid)}")
 

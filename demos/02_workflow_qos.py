@@ -17,7 +17,7 @@ each dimension into [0, 1], where 1 is the cheapest the envelope allows.
 """
 
 from tieralloc import (Loop, QoSExtrema, QoSTriple, aggregate_qos, leaf,
-                       normalize_workflow_qos, occurrences, par, seq,
+                       normalize_qos, occurrences, par, seq,
                        workflow_extrema)
 
 # An image-processing pipeline: filter and noise-cancel run in parallel,
@@ -67,8 +67,8 @@ print(f"envelope hi: price {ext.hi.price:.3f}, power {ext.hi.power:.0f}, "
 
 # Normalized QoS: 1 means the envelope's best value in that dimension,
 # 0 its worst. The fast plan wins delay, the slow plan wins price.
-n_fast = normalize_workflow_qos(q_fast, ext)
-n_slow = normalize_workflow_qos(q_slow, ext)
+n_fast = normalize_qos(q_fast, ext)
+n_slow = normalize_qos(q_slow, ext)
 print("\nnormalized (1 = best the envelope allows):")
 print(f"  all-fast: price {n_fast.price:.2f}, power {n_fast.power:.2f}, "
       f"delay {n_fast.delay:.2f}")

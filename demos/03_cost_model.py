@@ -9,17 +9,16 @@ and how many kilobytes move. The default tables are calibrated so that a
 """
 
 from tieralloc import (LOCAL, PUBLIC, THREEG, WIFI, ComputeProfile,
-                       InvocationContext, ProfileSet, service_delay,
-                       service_power, service_price)
+                       InvocationContext, ProfileSet, intercloud_hop_ms,
+                       service_delay, service_power, service_price)
 
 ps = ProfileSet.defaults()
 TWO_MB = 2048.0
 
 
-def transfer(link, tier, kb=TWO_MB, prev=None):
+def transfer(link, tier, kb=TWO_MB):
     return InvocationContext(user_cell=0, host_tier=tier, host_node=1,
-                             link=link, data_kb=kb, compute_ref="none",
-                             prev_host_node=prev)
+                             link=link, data_kb=kb, compute_ref="none")
 
 
 # The 2 MB matrix over links and tiers. WiFi to the local cloud is the
@@ -37,13 +36,13 @@ print(f"\n200 KB over wifi-local: {service_delay(transfer(WIFI, LOCAL, 200.0), p
 print(f"0 KB over 3g-public:    {service_delay(transfer(THREEG, PUBLIC, 0.0), ps):.1f} ms")
 
 # When consecutive workflow steps run on different cloud nodes, the
-# receiving invocation pays an inter-cloud hop on top of the access link.
-same_node = transfer(WIFI, LOCAL, prev=1)
-hop = transfer(WIFI, LOCAL, prev=2)
+# receiving step pays an inter-cloud hop on top of its access link. The
+# hop is free on the same node and whenever either step runs on the device.
+wifi_local = service_delay(transfer(WIFI, LOCAL), ps)
 print(f"\nwifi-local 2 MB, previous step on the same node: "
-      f"{service_delay(same_node, ps):.1f} ms")
+      f"{wifi_local + intercloud_hop_ms(1, 1, TWO_MB, ps):.1f} ms")
 print(f"wifi-local 2 MB, previous step on another node:  "
-      f"{service_delay(hop, ps):.1f} ms")
+      f"{wifi_local + intercloud_hop_ms(1, 2, TWO_MB, ps):.1f} ms")
 
 # Price has three parts: metered compute time, a billing class (storage
 # and streaming services bill per GB or per hour), and cellular data.

@@ -4,8 +4,8 @@ Comparing allocators on an enumerable instance
 
 At desk scale the exact optimum is enumerable, so every allocator can be
 scored as throughput: achieved utility as a percentage of the optimum.
-The annealed allocator searches candidate plans around each user's
-center of mobility; greedy picks the best normalized service for every
+MuSIC draws candidate plans around each user's center of mobility and
+keeps the best of them; greedy picks the best normalized service for every
 occurrence in isolation; rsa assigns uniformly at random among feasible
 candidates. The instance below is shaped so plans must span clouds and
 pay inter-cloud hops, which is exactly where one-step-at-a-time greedy
@@ -37,10 +37,10 @@ for alg in ("bruteforce", "music", "greedy", "rsa"):
     print(f"  {alg:<10} {np.mean(vals):6.1f}%  "
           f"(min {min(vals):5.1f}%, max {max(vals):5.1f}%)")
 
-# bruteforce scores 100% by construction; the annealed allocator should
-# sit between it and greedy, and random assignment far below.
+# bruteforce scores 100% by construction; MuSIC should sit between it
+# and greedy, and random assignment far below.
 music = np.mean(per_alg["music"])
 greedy = np.mean(per_alg["greedy"])
 rsa = np.mean(per_alg["rsa"])
-print(f"\nannealed beats greedy here: {music > greedy}")
+print(f"\nmusic beats greedy here:    {music > greedy}")
 print(f"greedy beats random:        {greedy > rsa}")

@@ -2,10 +2,10 @@
 
 Models a grid of cells with WiFi-covered local clouds and remote public
 instances, mobile users following seeded mobility traces, and workflows whose
-function occurrences must be mapped to service instances. Provides an
-annealed allocation heuristic centered on user mobility, random and greedy
-baselines, an exhaustive optimum for small instances, and a reproducible
-experiment harness.
+function occurrences must be mapped to service instances. Provides the
+MuSIC best-of-N allocation heuristic centered on user mobility, random and
+greedy baselines, an exhaustive optimum for small instances, and a
+reproducible experiment harness.
 """
 
 from .allocation import (AllocationResult, AnnealingParams, ConstraintVector,
@@ -33,9 +33,9 @@ from .model import (LOCAL, PUBLIC, THREEG, WIFI, Cell, CloudNode, LocationMap,
                     UserGroup, center_of_group_mobility, center_of_mobility,
                     trajectory_from_pairs)
 from .profiles import (ComputeProfile, InvocationContext, LinkProfile,
-                       PriceBook, ProfileSet, invocation_context,
-                       service_delay, service_power, service_price,
-                       service_qos)
+                       PriceBook, ProfileSet, intercloud_hop_ms,
+                       invocation_context, service_delay, service_power,
+                       service_price, service_qos)
 from .registry import CapacityLedger, RTree, ServiceDirectory
 from .scenario import (ALGORITHMS, Deployment, Population, Scenario,
                        WorkflowTemplate, build_deployment, build_population,
@@ -43,8 +43,7 @@ from .scenario import (ALGORITHMS, Deployment, Population, Scenario,
 from .workflow import (DIMS, And, ExecutionPlan, FunctionNode, LTW, LTWEntry,
                        Leaf, Loop, QoSExtrema, QoSTriple, Seq, Xor,
                        aggregate_qos, candidate_services, leaf, ltw_extrema,
-                       ltw_qos, normalize_ltw_qos, normalize_qos,
-                       normalize_service, normalize_workflow_qos, occurrences,
-                       par, seq, workflow_extrema, xor)
+                       ltw_qos, normalize_qos, normalize_service,
+                       occurrences, par, seq, workflow_extrema, xor)
 
 __version__ = "0.1.0"

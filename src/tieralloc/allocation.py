@@ -1,12 +1,12 @@
-"""Allocation algorithms: annealed search, random and greedy baselines, and
-the exhaustive optimum.
+"""Allocation algorithms: MuSIC's best-of-N search, random and greedy
+baselines, and the exhaustive optimum.
 
 Planning happens per user (or per group) around the center of mobility. The
 candidate search widens its radius in fixed steps; at each radius a plan is
 assembled by roulette-wheel selection over the candidates' total normalized
-QoS, then checked against the budget constraints. The annealer iterates such
-proposals, keeping the best plan seen and accepting worse intermediate plans
-with a temperature-scheduled Metropolis probability to escape local optima.
+QoS, then checked against the budget constraints and repaired per violated
+dimension. MuSIC draws max_iter + 1 such proposals independently and keeps
+the first one of highest utility.
 
 Utilities follow the minimum rule: a user's satisfaction is the worst of its
 normalized price / power / delay, the fleet objective is the mean over users
@@ -28,11 +28,12 @@ from .errors import (InvalidGroup, NoFeasibleCandidates,
                      TooLargeForEnumeration)
 from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
                     center_of_group_mobility, center_of_mobility)
-from .profiles import ProfileSet, invocation_context, service_qos
+from .profiles import (ProfileSet, intercloud_hop_ms, invocation_context,
+                       service_qos)
 from .registry import CapacityLedger, ServiceDirectory
 from .workflow import (DIMS, LTW, ExecutionPlan, Occurrence, QoSExtrema,
                        QoSTriple, ZERO_QOS, candidate_services, ltw_extrema,
-                       ltw_qos, normalize_ltw_qos, normalize_service,
+                       ltw_qos, normalize_qos, normalize_service,
                        occurrences, workflow_extrema)
 
 AvailabilityFn = Callable[[int], bool]
@@ -69,34 +70,23 @@ class ConstraintVector:
 
 @dataclass(frozen=True)
 class AnnealingParams:
-    """Knobs of the annealed allocator.
+    """Knobs of MuSIC's best-of-N search.
 
     radius_start_m and radius_step_m shape the widening candidate search
-    (radius = start + i * step for i < max_expansions). max_iter bounds the
-    proposal loop; t0 and alpha set the geometric cooling schedule. With
-    acceptance "always" every proposal is accepted regardless of quality.
+    (radius = start + i * step for i < max_expansions). Each target draws
+    max_iter + 1 independent proposals.
     """
 
     max_iter: int = 20
     radius_start_m: float = 200.0
     radius_step_m: float = 100.0
     max_expansions: int = 15
-    t0: float = 0.1
-    alpha: float = 0.9
-    acceptance: str = "metropolis"
 
     def __post_init__(self):
         if self.max_iter < 0 or self.max_expansions < 1:
             raise ValueError("need max_iter >= 0 and max_expansions >= 1")
         if self.radius_start_m < 0 or self.radius_step_m < 0:
             raise ValueError("radii must be >= 0")
-        if not 0 < self.alpha <= 1 or self.t0 <= 0:
-            raise ValueError("need t0 > 0 and 0 < alpha <= 1")
-        if self.acceptance not in ("metropolis", "always"):
-            raise ValueError(f"unknown acceptance rule {self.acceptance!r}")
-
-    def temperature(self, j: int) -> float:
-        return self.t0 * self.alpha ** j
 
 
 @dataclass
@@ -248,11 +238,11 @@ class UserInstance:
         if occ.prev is None:
             return ext
         prev_nodes = {self.directory.host_cloud(s) for s in e_cands[occ.prev]}
-        hop = self.profiles.intercloud.delay_ms_per_100kb * occ.fn.input_kb / 100.0
+        kb = occ.fn.input_kb
         lo_extra, hi_extra = math.inf, 0.0
         for sid in qos:
             node = self.directory.host_cloud(sid)
-            possible = {0.0 if (node is None or p is None or p == node) else hop
+            possible = {intercloud_hop_ms(node, p, kb, self.profiles)
                         for p in prev_nodes}
             lo_extra = min(lo_extra, min(possible))
             hi_extra = max(hi_extra, max(possible))
@@ -267,21 +257,16 @@ class UserInstance:
             self._center = self.grid.cell(cell).center
         return self._center
 
-    def _hop_delay(self, sid: int, prev_sid: Optional[int], kb: float) -> float:
-        if prev_sid is None:
-            return 0.0
-        node = self.directory.host_cloud(sid)
-        prev_node = self.directory.host_cloud(prev_sid)
-        if node is None or prev_node is None or node == prev_node:
-            return 0.0
-        return self.profiles.intercloud.delay_ms_per_100kb * kb / 100.0
-
     def evaluate(self, plan: ExecutionPlan) -> QoSTriple:
         """Raw LTW QoS of a plan, inter-cloud hops included."""
+        host = self.directory.host_cloud
 
         def cost(entry_idx, sid, occ_idx, fn, prev_sid):
             q = self.base[entry_idx][occ_idx][sid]
-            hop = self._hop_delay(sid, prev_sid, fn.input_kb)
+            if prev_sid is None:
+                return q
+            hop = intercloud_hop_ms(host(sid), host(prev_sid), fn.input_kb,
+                                    self.profiles)
             if hop:
                 q = QoSTriple(q.price, q.power, q.delay + hop)
             return q
@@ -289,7 +274,7 @@ class UserInstance:
         return ltw_qos(self.ltw, plan, cost)
 
     def normalized(self, plan: ExecutionPlan) -> QoSTriple:
-        return normalize_ltw_qos(self.evaluate(plan), self.extrema)
+        return normalize_qos(self.evaluate(plan), self.extrema)
 
     def utility(self, plan: ExecutionPlan) -> float:
         """Worst normalized dimension of the plan's LTW QoS, in [0, 1]."""
@@ -432,20 +417,20 @@ def find_service(instance: UserInstance, center: tuple[float, float],
         f"{params.max_expansions} radius expansions")
 
 
-# --- annealed allocation --------------------------------------------------------
+# --- MuSIC allocation ---------------------------------------------------------
 
 def music(target, constraints, params: AnnealingParams,
           rng: np.random.Generator,
           availability: Optional[AvailabilityFn] = None,
           ledger: Optional[CapacityLedger] = None) -> AllocationResult:
-    """Annealed plan search for one user or one group.
+    """Best-of-N plan search for one user or one group.
 
-    Draws proposals via find_service around the target's center of mobility
-    and walks them under Metropolis acceptance with a geometric temperature
-    schedule, returning the best plan seen. For a GroupInstance one proposal
-    re-plans every member and the objective is the group mean utility;
-    members of one proposal see each other's tentative capacity usage on top
-    of the shared ledger.
+    Draws max_iter + 1 independent proposals via find_service (roulette
+    selection with budget repair) around the target's center of mobility
+    and returns the first one of highest utility; infeasible proposals are
+    skipped. For a GroupInstance one proposal re-plans every member and the
+    objective is the group mean utility; members of one proposal see each
+    other's tentative capacity usage on top of the shared ledger.
     """
     single = isinstance(target, UserInstance)
     members = [target] if single else target.members
@@ -487,26 +472,16 @@ def music(target, constraints, params: AnnealingParams,
             return target.utility(plans[target.user.id])
         return target.utility(plans)
 
-    best_plans = cur_plans = None
-    best_val = cur_val = -math.inf
-    iterations = 0
-    for j in range(params.max_iter + 1):
+    best_plans = None
+    best_val = -math.inf
+    iterations = params.max_iter + 1
+    for _ in range(iterations):
         plans = propose()
-        iterations += 1
         if plans is None:
             continue
         val = objective(plans)
-        if cur_plans is None:
-            accept = True
-        elif val > cur_val or params.acceptance == "always":
-            accept = True
-        else:
-            accept = rng.random() < math.exp((val - cur_val)
-                                             / params.temperature(j))
-        if accept:
-            cur_plans, cur_val = plans, val
-            if val > best_val:
-                best_plans, best_val = plans, val
+        if val > best_val:
+            best_plans, best_val = plans, val
     if best_plans is None:
         return AllocationResult({}, 0.0, False, iterations,
                                 note="no feasible proposal")
@@ -679,11 +654,11 @@ def allocate_music(instances: Mapping[int, UserInstance],
                    groups: Optional[Sequence[UserGroup]] = None,
                    grid: Optional[LocationMap] = None,
                    availability: Optional[AvailabilityFn] = None) -> AllocationResult:
-    """Annealed allocation over the fleet.
+    """MuSIC allocation over the fleet.
 
-    Without groups each user anneals independently (its own center); with
-    groups each group anneals jointly around the group center. Targets are
-    processed in seeded random order and admit their capacity before the
+    Without groups each user runs its own best-of-N search (its own center);
+    with groups each group searches jointly around the group center. Targets
+    are processed in seeded random order and admit their capacity before the
     next target plans.
     """
     if groups is None:

@@ -5,8 +5,9 @@ Binary units throughout: 1 MB = 1024 KB, 1 GB = 1024 MB. The default link
 tables are anchored so the measured 2 MB (2048 KB) reference points come out
 exactly, e.g. 10.7421875 ms/100KB * 2048 KB = 220 ms.
 
-Delay of one invocation = compute time + link transfer + inter-cloud hop
-(only when the previous function in the chain ran on a different cloud).
+Delay of one invocation = compute time + link transfer. A sequence step
+whose predecessor ran on a different cloud also pays an inter-cloud hop
+(intercloud_hop_ms), charged by the plan evaluator.
 Power is what the device battery spends: on-device compute energy, or the
 radio energy of the transfer. Price combines time-billed cloud rates with
 per-GB traffic charges; local clouds are user-owned and bill nothing, while
@@ -140,10 +141,9 @@ class ProfileSet:
 class InvocationContext:
     """Everything needed to cost one service invocation.
 
-    link is None for on-device execution; prev_host_node carries the cloud id
-    of the preceding function's host so cloud-to-cloud hops can be charged.
-    The link must match coverage: WiFi only exists where an access point
-    covers the user's cell (build contexts via invocation_context).
+    link is None for on-device execution. The link must match coverage:
+    WiFi only exists where an access point covers the user's cell (build
+    contexts via invocation_context).
     """
 
     user_cell: int
@@ -152,7 +152,6 @@ class InvocationContext:
     link: Optional[str]
     data_kb: float
     compute_ref: str = "none"
-    prev_host_node: Optional[int] = None
 
     def __post_init__(self):
         if self.host_tier not in (DEVICE, LOCAL, PUBLIC):
@@ -166,8 +165,8 @@ class InvocationContext:
 
 
 def invocation_context(service: Service, user_cell: int, data_kb: float,
-                       grid: LocationMap, clouds: Mapping[int, CloudNode],
-                       prev_service: Optional[Service] = None) -> InvocationContext:
+                       grid: LocationMap, clouds: Mapping[int, CloudNode]
+                       ) -> InvocationContext:
     """Build the costing context for running service at the user's cell.
 
     Link choice: WiFi to a local cloud requires the cell to be covered by
@@ -184,13 +183,9 @@ def invocation_context(service: Service, user_cell: int, data_kb: float,
             link = WIFI if covered_by == node else THREEG
         else:
             link = WIFI if covered_by is not None else THREEG
-    prev_node = None
-    if prev_service is not None and not prev_service.on_device:
-        prev_node = prev_service.host_cloud
     return InvocationContext(user_cell=user_cell, host_tier=tier, host_node=node,
                              link=link, data_kb=data_kb,
-                             compute_ref=service.compute_ref,
-                             prev_host_node=prev_node)
+                             compute_ref=service.compute_ref)
 
 
 def _per100(rate: float, kb: float) -> float:
@@ -204,15 +199,25 @@ def compute_delay_ms(ctx: InvocationContext, profiles: ProfileSet) -> float:
 
 
 def service_delay(ctx: InvocationContext, profiles: ProfileSet) -> float:
-    """Total delay in ms: compute + link transfer + inter-cloud hop."""
+    """Total delay in ms: compute + link transfer."""
     delay = compute_delay_ms(ctx, profiles)
     if ctx.link is not None:
         delay += _per100(profiles.links[(ctx.link, ctx.host_tier)].delay_ms_per_100kb,
                          ctx.data_kb)
-    if (ctx.host_node is not None and ctx.prev_host_node is not None
-            and ctx.prev_host_node != ctx.host_node):
-        delay += _per100(profiles.intercloud.delay_ms_per_100kb, ctx.data_kb)
     return delay
+
+
+def intercloud_hop_ms(node: Optional[int], prev_node: Optional[int], kb: float,
+                      profiles: ProfileSet) -> float:
+    """Cloud-to-cloud forwarding delay of kb between consecutive steps.
+
+    node and prev_node are the host clouds of a step and of its predecessor
+    (None when on the device). Only a hop between two different clouds
+    costs anything.
+    """
+    if node is None or prev_node is None or node == prev_node:
+        return 0.0
+    return _per100(profiles.intercloud.delay_ms_per_100kb, kb)
 
 
 def service_power(ctx: InvocationContext, profiles: ProfileSet) -> float:

@@ -237,22 +237,6 @@ class RTree:
         self.last_visited = visited
         return out
 
-    def dump(self) -> str:
-        """Indented text rendering of the node MBRs, for inspection."""
-        lines: list[str] = []
-
-        def rec(node: _Node, depth: int):
-            kind = "leaf" if node.leaf else "node"
-            r = node.rect() if node.entries else (0.0, 0.0, 0.0, 0.0)
-            lines.append(f"{'  ' * depth}{kind} n={len(node.entries)} "
-                         f"mbr=({r[0]:.1f},{r[1]:.1f})-({r[2]:.1f},{r[3]:.1f})")
-            if not node.leaf:
-                for _, child in node.entries:
-                    rec(child, depth + 1)
-
-        rec(self.root, 0)
-        return "\n".join(lines)
-
     def check_invariants(self) -> None:
         """Assert structural soundness: uniform leaf depth, fanout bounds,
         parent MBRs covering children. Raises AssertionError on violation."""

@@ -211,7 +211,7 @@ class Scenario:
         if not isinstance(self.annealing, dict):
             bad("annealing", "must be a parameter mapping")
         known = {"max_iter", "max_expansions", "radius_start_cells",
-                 "radius_step_cells", "t0", "alpha", "acceptance"}
+                 "radius_step_cells"}
         for key in self.annealing:
             if key not in known:
                 bad("annealing", f"unknown parameter {key!r}")

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import (ExtremaMismatch, IncompletePlan, InvalidGroup,
-                     InvalidWorkflow, NoRealizingService)
+from .errors import (ExtremaMismatch, IncompletePlan, InvalidWorkflow,
+                     NoRealizingService)
 
 DIMS = ("price", "power", "delay")
 
@@ -316,17 +316,6 @@ def ltw_qos(ltw: LTW, plan: ExecutionPlan, cost_fn: EntryCostFn) -> QoSTriple:
     return total
 
 
-def group_qos(member_totals: Iterable[QoSTriple]) -> QoSTriple:
-    """Componentwise sum of the members' LTW totals."""
-    totals = list(member_totals)
-    if not totals:
-        raise InvalidGroup("group QoS over no members")
-    out = ZERO_QOS
-    for t in totals:
-        out = out + t
-    return out
-
-
 # --- normalization -----------------------------------------------------------
 
 def _normalize_dim(value: float, lo: float, hi: float, what: str) -> float:
@@ -352,16 +341,6 @@ def normalize_service(raw: QoSTriple, extrema: QoSExtrema) -> tuple[QoSTriple, f
     """
     n = normalize_qos(raw, extrema)
     return n, n.total()
-
-
-def normalize_workflow_qos(raw: QoSTriple, extrema: QoSExtrema) -> QoSTriple:
-    """Normalize a workflow aggregate against its plan-space extrema."""
-    return normalize_qos(raw, extrema)
-
-
-def normalize_ltw_qos(raw: QoSTriple, extrema: QoSExtrema) -> QoSTriple:
-    """Normalize a location-time workflow total against its extrema."""
-    return normalize_qos(raw, extrema)
 
 
 # --- extrema through the algebra ---------------------------------------------

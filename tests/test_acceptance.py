@@ -17,7 +17,7 @@ from tieralloc import (ConstraintVector, InvocationContext, LOCAL, Loop,
                        Scenario, THREEG, UserInstance, WIFI, aggregate_qos,
                        brute_force_optimal, build_deployment,
                        build_population, emit_results, leaf,
-                       normalize_service, normalize_workflow_qos,
+                       normalize_qos, normalize_service,
                        objective_from_plans, occurrences, par, roulette_index,
                        run_experiment, seq, service_delay, service_power,
                        workflow_extrema, xor)
@@ -112,7 +112,7 @@ def test_normalization_stays_in_unit_box_over_random_samples():
             plan[occ.index] = int(rng.integers(0, len(pool)))
         raw = aggregate_qos(node, plan,
                             lambda sid, occ, fn, prev: pools[occ][sid])
-        norm = normalize_workflow_qos(raw, workflow_extrema(node, ext_table))
+        norm = normalize_qos(raw, workflow_extrema(node, ext_table))
         for dim in DIM_NAMES:
             v = norm.get(dim)
             if not 0.0 <= v <= 1.0:

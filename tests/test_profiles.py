@@ -7,16 +7,16 @@ import pytest
 from tieralloc import (LOCAL, PUBLIC, THREEG, WIFI, CloudNode,
                        ComputeProfile, InvocationContext, LinkProfile,
                        LocationMap, PriceBook, ProfileSet, Service,
-                       invocation_context, service_delay, service_power,
-                       service_price, service_qos)
+                       intercloud_hop_ms, invocation_context, service_delay,
+                       service_power, service_price, service_qos)
 
 TWO_MB = 2048.0
 
 
-def _xfer(link, tier, kb=TWO_MB, **kw):
+def _xfer(link, tier, kb=TWO_MB):
     """Pure-transfer context (no compute cost)."""
     return InvocationContext(user_cell=0, host_tier=tier, host_node=1,
-                             link=link, data_kb=kb, compute_ref="none", **kw)
+                             link=link, data_kb=kb, compute_ref="none")
 
 
 # --- measured 2 MB reference points, exact -----------------------------------------
@@ -56,12 +56,13 @@ def test_slower_link_and_farther_tier_never_cost_less():
 
 def test_intercloud_hop_charged_only_across_cloud_nodes():
     ps = ProfileSet.defaults()
-    base = service_delay(_xfer(WIFI, LOCAL), ps)
-    same = service_delay(_xfer(WIFI, LOCAL, prev_host_node=1), ps)
-    hop = service_delay(_xfer(WIFI, LOCAL, prev_host_node=2), ps)
-    assert same == base  # staying on one cloud forwards nothing
-    assert hop == base + 20.0  # 0.9765625 ms/100KB * 2048 KB
-    assert service_power(_xfer(WIFI, LOCAL, prev_host_node=2), ps) == 15435.0
+    assert intercloud_hop_ms(2, 1, TWO_MB, ps) == 20.0  # 0.9765625 ms/100KB
+    assert intercloud_hop_ms(1, 1, TWO_MB, ps) == 0.0  # same cloud
+    assert intercloud_hop_ms(None, 1, TWO_MB, ps) == 0.0  # step on the device
+    assert intercloud_hop_ms(1, None, TWO_MB, ps) == 0.0  # predecessor on it
+    assert intercloud_hop_ms(2, 1, 0.0, ps) == 0.0
+    slow = ProfileSet.from_dict({"intercloud": {"delay_ms_per_100kb": 400.0}})
+    assert intercloud_hop_ms(2, 1, 100.0, slow) == 400.0
 
 
 # --- pricing -----------------------------------------------------------------------
@@ -158,11 +159,6 @@ def test_link_selection_follows_wifi_coverage():
 
     on_dev = invocation_context(dev, 2, 10.0, grid, clouds)
     assert (on_dev.host_tier, on_dev.host_node, on_dev.link) == ("device", None, None)
-
-    chained = invocation_context(pub, 0, 10.0, grid, clouds, prev_service=near)
-    assert chained.prev_host_node == 1
-    after_dev = invocation_context(pub, 0, 10.0, grid, clouds, prev_service=dev)
-    assert after_dev.prev_host_node is None
 
 
 # --- table overrides ----------------------------------------------------------------

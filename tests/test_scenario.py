@@ -44,6 +44,7 @@ def test_default_scenario_is_valid():
     ("fixed_dimension", "cost", "fixed_dimension"),
     ("enumeration_cap", 0, "enumeration_cap"),
     ("annealing", {"warp": 1}, "annealing"),
+    ("annealing", {"t0": 0.1}, "annealing"),
 ])
 def test_validation_errors_name_the_offending_field(field, value, named):
     with pytest.raises(ScenarioError, match=named):

@@ -7,9 +7,9 @@ import pytest
 
 from tieralloc import (ExecutionPlan, IncompletePlan, InvalidWorkflow, LTW,
                        LTWEntry, Loop, QoSExtrema, QoSTriple, aggregate_qos,
-                       leaf, ltw_extrema, ltw_qos, normalize_ltw_qos,
-                       normalize_qos, normalize_service, occurrences, par,
-                       seq, workflow_extrema, xor)
+                       leaf, ltw_extrema, ltw_qos, normalize_qos,
+                       normalize_service, occurrences, par, seq,
+                       workflow_extrema, xor)
 from tieralloc.errors import ExtremaMismatch
 from tieralloc.workflow import ZERO_QOS
 
@@ -255,7 +255,7 @@ def test_values_outside_the_envelope_raise():
 def test_ltw_normalization_clamps_float_slack():
     ext = QoSExtrema(lo=Q(0.0, 0.0, 0.0), hi=Q(1.0, 1.0, 1.0))
     eps = 1e-12
-    got = normalize_ltw_qos(Q(1.0 + eps, 0.0, 0.0), ext)
+    got = normalize_qos(Q(1.0 + eps, 0.0, 0.0), ext)
     assert got.price == 0.0
 
 
