@@ -15,10 +15,10 @@ from .allocation import (AllocationResult, AnnealingParams, ConstraintVector,
                          greedy_plan, music, objective_from_plans, random_plan,
                          roulette_index, roulette_pick, rsa_plan,
                          utility_group, utility_single)
-from .errors import (IdError, IncompletePlan, InvalidGroup, InvalidTrajectory,
-                     InvalidWorkflow, LedgerUnderflow, NoFeasibleCandidates,
-                     NoRealizingService, ScenarioError, TierAllocError,
-                     TooLargeForEnumeration, UndefinedGain,
+from .errors import (AdmissionRefused, IdError, IncompletePlan, InvalidGroup,
+                     InvalidTrajectory, InvalidWorkflow, LedgerUnderflow,
+                     NoFeasibleCandidates, NoRealizingService, ScenarioError,
+                     TierAllocError, TooLargeForEnumeration, UndefinedGain,
                      UndefinedThroughput)
 from .harness import (ALGORITHM_STREAMS, CSV_COLUMNS, MetricsRow, carry_plans,
                       compute_throughput, compute_two_tier_gain, emit_results,

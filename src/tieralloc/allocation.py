@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (InvalidGroup, NoFeasibleCandidates,
+from .errors import (AdmissionRefused, InvalidGroup, NoFeasibleCandidates,
                      TooLargeForEnumeration)
 from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
                     center_of_group_mobility, center_of_mobility)
@@ -118,6 +119,27 @@ def utility_group(member_normalized: Iterable[QoSTriple]) -> float:
     return float(np.mean(mins))
 
 
+def _roulette_wheel(weights) -> Optional[list[float]]:
+    """Cumulative slice ends of a roulette over weights, or None when every
+    weight is zero (the wheel then picks uniformly).
+
+    The sum must stay numpy's: from 8 weights on it adds pairwise, and a
+    sequential sum differs in the last bit often enough to flip picks.
+    """
+    arr = np.asarray(weights, dtype=float)
+    s = arr.sum()
+    if s == 0.0:
+        return None
+    return np.cumsum(arr / s).tolist()
+
+
+def _roulette_spin(cum: Optional[list[float]], n: int, draw: float) -> int:
+    """Index of n slices that a draw in [0, 1) lands on."""
+    if cum is None:
+        return min(int(draw * n), n - 1)
+    return min(bisect_right(cum, draw), n - 1)
+
+
 def roulette_index(totals: Sequence[float], draw: float) -> int:
     """Index selected by a roulette draw in [0, 1) over the given weights.
 
@@ -132,11 +154,7 @@ def roulette_index(totals: Sequence[float], draw: float) -> int:
     arr = np.asarray(totals, dtype=float)
     if np.any(arr < 0):
         raise ValueError("weights must be >= 0")
-    s = arr.sum()
-    if s == 0.0:
-        return min(int(draw * len(arr)), len(arr) - 1)
-    cum = np.cumsum(arr / s)
-    return min(int(np.searchsorted(cum, draw, side="right")), len(arr) - 1)
+    return _roulette_spin(_roulette_wheel(arr), len(arr), draw)
 
 
 def roulette_pick(weighted_ids: Sequence[tuple[int, float]],
@@ -320,10 +338,115 @@ class GroupInstance:
 
 # --- candidate search ---------------------------------------------------------
 
+class SearchMemo:
+    """Candidate-search state that the proposals of one target share.
+
+    find_service fills it lazily; later proposals reuse what earlier ones
+    built:
+    - near: range_query's local hits per (function, radius index);
+    - reach: per (user id, radius index), each occurrence's candidates in
+      reach as (entry, occurrence, [(id, gated)]) rows, or None when some
+      occurrence has none; gated ids still pass the availability filter on
+      every proposal, on-device ids never need to;
+    - wheels: per (user id, entry, occurrence, allowed ids), the ids in
+      roulette order (ascending total normalized QoS, then id) with their
+      cumulative weights;
+    - fits: per (user id, allowed ids), whether the optimistic
+      per-occurrence minima fit the user's budgets.
+    One memo serves one center, one AnnealingParams and one budget vector
+    per user, which is what a music() call holds fixed.
+    """
+
+    def __init__(self):
+        self.near: dict[tuple[str, int], frozenset[int]] = {}
+        self.reach: dict[tuple[int, int], Optional[list]] = {}
+        self.wheels: dict[tuple, tuple[list[int], Optional[list[float]]]] = {}
+        self.fits: dict[tuple, bool] = {}
+
+
+def _reach(instance: UserInstance, center: tuple[float, float],
+           params: AnnealingParams, i: int, memo: SearchMemo) -> Optional[list]:
+    """Candidates in reach at radius index i, before availability.
+
+    On-device services are always in reach and public ones at any radius;
+    local-cloud services must fall inside the radius.
+    """
+    key = (instance.user.id, i)
+    if key in memo.reach:
+        return memo.reach[key]
+    directory = instance.directory
+    radius = params.radius_start_m + i * params.radius_step_m
+    rows: Optional[list] = []
+    for e, occ, cands in instance.iter_occurrences():
+        fn = occ.fn.function_id
+        near = memo.near.get((fn, i))
+        if near is None:
+            near = memo.near[(fn, i)] = frozenset(
+                directory.range_query(center, radius, fn))
+        pairs = []
+        for sid in cands:
+            svc = directory.service(sid)
+            if svc.on_device:
+                pairs.append((sid, False))
+            elif instance.clouds[svc.host_cloud].tier != LOCAL or sid in near:
+                pairs.append((sid, True))
+        if not pairs:
+            rows = None
+            break
+        rows.append((e, occ.index, pairs))
+    memo.reach[key] = rows
+    return rows
+
+
+def _available(rows: list, ok: AvailabilityFn) -> Optional[tuple]:
+    """Per-occurrence tuples of the ids in reach that are available now, or
+    None when some occurrence has none."""
+    allowed = []
+    for _, _, pairs in rows:
+        ids = tuple([sid for sid, gated in pairs if not gated or ok(sid)])
+        if not ids:
+            return None
+        allowed.append(ids)
+    return tuple(allowed)
+
+
+def _optimistic_fit(instance: UserInstance, rows: list, allowed: tuple,
+                    constraints: ConstraintVector) -> bool:
+    """Whether the per-occurrence minima over the allowed ids, folded through
+    each entry's workflow, fit every budget."""
+    tables: list[dict[int, QoSExtrema]] = [{} for _ in instance.ltw.entries]
+    for (e, j, _), ids in zip(rows, allowed):
+        base = instance.base[e][j]
+        best = base[ids[0]]
+        for sid in ids[1:]:
+            best = best.emin(base[sid])
+        tables[e][j] = QoSExtrema(lo=best, hi=best)
+    lo = ZERO_QOS
+    for entry, table in zip(instance.ltw.entries, tables):
+        lo = lo + workflow_extrema(entry.workflow, table).lo
+    return all(lo.get(d) <= constraints.get(d) for d in DIMS)
+
+
+def _within(raw: QoSTriple, constraints: ConstraintVector) -> bool:
+    return all(raw.get(d) <= constraints.get(d) for d in DIMS)
+
+
+def _repair(instance: UserInstance, rows: list, allowed: tuple,
+            dim: str) -> ExecutionPlan:
+    """The plan of per-occurrence minima of one dimension, ties to the
+    lowest id."""
+    plan = ExecutionPlan()
+    for (e, j, _), ids in zip(rows, allowed):
+        base = instance.base[e][j]
+        plan.assignments[(e, j)] = min(ids, key=lambda s: (base[s].get(dim), s))
+    return plan
+
+
 def find_service(instance: UserInstance, center: tuple[float, float],
                  constraints: ConstraintVector, params: AnnealingParams,
                  rng: np.random.Generator,
-                 availability: Optional[AvailabilityFn] = None) -> ExecutionPlan:
+                 availability: Optional[AvailabilityFn] = None,
+                 memo: Optional[SearchMemo] = None) -> ExecutionPlan:
     """Assemble one candidate plan around a center point.
 
     Widens the search radius in steps (radius_start_m + i * radius_step_m,
@@ -331,86 +454,58 @@ def find_service(instance: UserInstance, center: tuple[float, float],
     ones at any radius; local-cloud services must fall inside the radius and
     pass the availability filter. At the first radius where every occurrence
     has a candidate and the optimistic per-dimension minima fit the budgets,
-    a plan is drawn by roulette over total normalized QoS. If the drawn plan
-    busts a budget, one deterministic repair per violated dimension (the
-    per-occurrence minimum of that dimension) is tried before widening.
+    a plan is drawn by roulette over total normalized QoS, one rng.random()
+    per occurrence. If the drawn plan busts a budget, one deterministic
+    repair per violated dimension (the per-occurrence minimum of that
+    dimension) is tried, in DIMS order, before widening.
+
+    memo carries the range queries, reach rows, roulette wheels and budget
+    fits across calls that share the center, params and budgets (see
+    SearchMemo); availability is applied afresh on every call. None means a
+    fresh memo, so a single call builds everything it needs itself.
 
     Raises NoFeasibleCandidates when every radius fails.
     """
     ok = availability or (lambda sid: True)
-    directory = instance.directory
-
-    def reachable(radius: float) -> Optional[list[list[list[int]]]]:
-        near: dict[str, set[int]] = {}
-        allowed: list[list[list[int]]] = []
-        for e, occs in enumerate(instance.occs):
-            row: list[list[int]] = []
-            for occ in occs:
-                fn = occ.fn.function_id
-                if fn not in near:
-                    near[fn] = set(directory.range_query(center, radius, fn))
-                ids = []
-                for sid in instance.cands[e][occ.index]:
-                    svc = directory.service(sid)
-                    if svc.on_device:
-                        ids.append(sid)
-                    elif instance.clouds[svc.host_cloud].tier == LOCAL:
-                        if sid in near[fn] and ok(sid):
-                            ids.append(sid)
-                    elif ok(sid):
-                        ids.append(sid)
-                if not ids:
-                    return None
-                row.append(ids)
-            allowed.append(row)
-        return allowed
-
-    def optimistic_fit(allowed) -> bool:
-        if not constraints.bounded():
-            return True
-        lo = ZERO_QOS
-        for e, entry in enumerate(instance.ltw.entries):
-            table = {}
-            for occ in instance.occs[e]:
-                best = None
-                for sid in allowed[e][occ.index]:
-                    t = instance.base[e][occ.index][sid]
-                    best = t if best is None else best.emin(t)
-                table[occ.index] = QoSExtrema(lo=best, hi=best)
-            lo = lo + workflow_extrema(entry.workflow, table).lo
-        return all(lo.get(d) <= constraints.get(d) for d in DIMS)
-
-    def within_budget(plan: ExecutionPlan) -> bool:
-        raw = instance.evaluate(plan)
-        return all(raw.get(d) <= constraints.get(d) for d in DIMS)
-
-    def repair(allowed, dim: str) -> ExecutionPlan:
-        plan = ExecutionPlan()
-        for e, occs in enumerate(instance.occs):
-            for occ in occs:
-                best = min(allowed[e][occ.index],
-                           key=lambda s: (instance.base[e][occ.index][s].get(dim), s))
-                plan.assignments[(e, occ.index)] = best
-        return plan
-
+    if memo is None:
+        memo = SearchMemo()
+    uid = instance.user.id
+    bounded = constraints.bounded()
     for i in range(params.max_expansions):
-        radius = params.radius_start_m + i * params.radius_step_m
-        allowed = reachable(radius)
-        if allowed is None or not optimistic_fit(allowed):
+        rows = _reach(instance, center, params, i, memo)
+        if rows is None:
             continue
+        allowed = _available(rows, ok)
+        if allowed is None:
+            continue
+        if bounded:
+            fit = memo.fits.get((uid, allowed))
+            if fit is None:
+                fit = memo.fits[(uid, allowed)] = _optimistic_fit(
+                    instance, rows, allowed, constraints)
+            if not fit:
+                continue
         plan = ExecutionPlan()
-        for e, occs in enumerate(instance.occs):
-            for occ in occs:
-                pairs = [(sid, instance.snorm[e][occ.index][sid])
-                         for sid in allowed[e][occ.index]]
-                plan.assignments[(e, occ.index)] = roulette_pick(pairs, rng)
-        if within_budget(plan):
+        for (e, j, _), ids in zip(rows, allowed):
+            wheel = memo.wheels.get((uid, e, j, ids))
+            if wheel is None:
+                snorm = instance.snorm[e][j]
+                order = sorted(ids, key=lambda s: (snorm[s], s))
+                wheel = memo.wheels[(uid, e, j, ids)] = (
+                    order, _roulette_wheel([snorm[s] for s in order]))
+            order, cum = wheel
+            plan.assignments[(e, j)] = order[
+                _roulette_spin(cum, len(order), rng.random())]
+        # QoSTriple values are finite, so unbounded budgets always hold
+        if not bounded:
             return plan
         raw = instance.evaluate(plan)
+        if _within(raw, constraints):
+            return plan
         for dim in DIMS:
             if raw.get(dim) > constraints.get(dim):
-                fixed = repair(allowed, dim)
-                if within_budget(fixed):
+                fixed = _repair(instance, rows, allowed, dim)
+                if _within(instance.evaluate(fixed), constraints):
                     return fixed
     raise NoFeasibleCandidates(
         f"user {instance.user.id}: no feasible plan within "
@@ -431,11 +526,17 @@ def music(target, constraints, params: AnnealingParams,
     skipped. For a GroupInstance one proposal re-plans every member and the
     objective is the group mean utility; members of one proposal see each
     other's tentative capacity usage on top of the shared ledger.
+
+    One SearchMemo serves every proposal of the call, so the range queries,
+    reach rows, roulette wheels and budget fits around the center are built
+    once and only the availability filter and the draws repeat. Members'
+    availability still depends on the earlier members of the same proposal.
     """
     single = isinstance(target, UserInstance)
     members = [target] if single else target.members
     center = target.center_point()
     shared_cv = constraints if isinstance(constraints, ConstraintVector) else None
+    memo = SearchMemo()
 
     def propose() -> Optional[dict[int, ExecutionPlan]]:
         usage: dict[int, int] = {}
@@ -455,7 +556,7 @@ def music(target, constraints, params: AnnealingParams,
         for m in members:
             try:
                 plan = find_service(m, center, constraints_for(constraints, m.user.id),
-                                    params, rng, avail)
+                                    params, rng, avail, memo)
             except NoFeasibleCandidates:
                 return None
             plans[m.user.id] = plan
@@ -586,7 +687,7 @@ def _admit_plan(instance: UserInstance, plan: ExecutionPlan,
         return
     for cid in sorted(instance.plan_clouds(plan)):
         if not ledger.try_admit(cid):
-            raise RuntimeError(f"cloud {cid} filled up mid-admission")
+            raise AdmissionRefused(f"cloud {cid} filled up mid-admission")
 
 
 def _compose_availability(base: Optional[AvailabilityFn],

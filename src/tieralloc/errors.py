@@ -41,6 +41,10 @@ class LedgerUnderflow(TierAllocError):
     """Release of a capacity slot that was never admitted."""
 
 
+class AdmissionRefused(TierAllocError):
+    """A capacity-bound cloud refused a plan that was checked to fit."""
+
+
 class TooLargeForEnumeration(TierAllocError):
     """Joint plan space exceeds the exhaustive-search cap."""
 

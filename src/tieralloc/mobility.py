@@ -19,7 +19,7 @@ cell or swapping its workflow for a fresh instance of another template.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

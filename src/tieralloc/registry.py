@@ -15,7 +15,7 @@ import threading
 from typing import Iterable, Mapping, Optional
 
 from .errors import IdError, LedgerUnderflow
-from .model import LOCAL, PUBLIC, CloudNode, LocationMap, Service
+from .model import LOCAL, CloudNode, LocationMap, Service
 
 Rect = tuple[float, float, float, float]
 

@@ -17,8 +17,10 @@ from tieralloc import (LOCAL, PUBLIC, AnnealingParams, CapacityLedger,
                        find_service, greedy_plan, leaf, music,
                        objective_from_plans, roulette_index, roulette_pick,
                        rsa_plan, seq, trajectory_from_pairs, utility_single)
-from tieralloc.allocation import utility_group
-from tieralloc.errors import InvalidGroup
+from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
+                                  _roulette_spin, _roulette_wheel,
+                                  utility_group)
+from tieralloc.errors import AdmissionRefused, InvalidGroup, TierAllocError
 
 UNLIMITED = ConstraintVector.unlimited()
 
@@ -69,6 +71,52 @@ def test_roulette_pick_orders_candidates_before_drawing():
     assert roulette_pick(pairs, rng) == 5
     rng = SimpleNamespace(random=lambda: 0.95)
     assert roulette_pick(pairs, rng) == 7
+
+
+def _searchsorted_index(weights, draw):
+    """roulette_index's arithmetic before the wheel was memoized."""
+    arr = np.asarray(weights, dtype=float)
+    s = arr.sum()
+    if s == 0.0:
+        return min(int(draw * len(arr)), len(arr) - 1)
+    cum = np.cumsum(arr / s)
+    return min(int(np.searchsorted(cum, draw, side="right")), len(arr) - 1)
+
+
+def test_memoized_wheel_matches_roulette_index_bit_for_bit():
+    rng = np.random.default_rng(11)
+    vectors = [rng.random(n) * rng.choice([1e-3, 1.0, 3.0])
+               for n in range(1, 13) for _ in range(60)]
+    vectors += [np.zeros(n) for n in (1, 2, 5, 8, 12)]
+    # from 8 weights numpy's pairwise sum differs from a sequential one in
+    # the last bit for some vectors; they must be among those checked
+    assert any(sum(v.tolist()) != v.sum() for v in vectors if len(v) >= 8)
+    for v in vectors:
+        cum = _roulette_wheel(v.tolist())
+        ref = np.cumsum(v / v.sum()) if v.sum() else []
+        # slice boundaries are where a last-bit difference flips the pick
+        draws = [d for d in (*ref, *np.nextafter(ref, 0.0), *rng.random(20))
+                 if 0.0 <= d < 1.0]
+        for d in draws:
+            expect = _searchsorted_index(v, float(d))
+            assert roulette_index(v.tolist(), float(d)) == expect
+            assert _roulette_spin(cum, len(v), float(d)) == expect
+
+
+def test_find_service_wheels_pick_as_roulette_pick_does():
+    dep, pop, instances = _fleet(users=3, seed=7)
+    memo = SearchMemo()
+    rng = np.random.default_rng(0)
+    for inst in instances.values():
+        find_service(inst, inst.center_point(), UNLIMITED, AnnealingParams(),
+                     rng, memo=memo)
+    assert memo.wheels
+    for (uid, e, j, ids), (order, cum) in memo.wheels.items():
+        pairs = [(sid, instances[uid].snorm[e][j][sid]) for sid in ids]
+        for d in rng.random(50):
+            draw = SimpleNamespace(random=lambda: float(d))
+            assert order[_roulette_spin(cum, len(order), float(d))] == \
+                roulette_pick(pairs, draw)
 
 
 # --- scalar utilities and constraints -------------------------------------------------
@@ -269,6 +317,83 @@ def test_music_returns_the_first_best_of_independent_proposals():
             assert res.utility == max(utils)
 
 
+def test_music_queries_each_radius_once_per_function():
+    inst = _instance("g")
+    calls = []
+    query = inst.directory.range_query
+
+    def counted(point, radius, function_id=None):
+        calls.append((function_id, radius))
+        return query(point, radius, function_id)
+
+    inst.directory.range_query = counted
+    not_cloud1 = lambda sid: sid != 200  # forces the search out to 310 m
+    res = music(inst, UNLIMITED, _params(max_iter=20), np.random.default_rng(4),
+                availability=not_cloud1)
+    assert res.plans[0].assignments == {(0, 0): 201}
+    assert sorted(calls) == [("g", 10.0), ("g", 110.0), ("g", 210.0),
+                             ("g", 310.0)]
+
+
+def _reference_group_music(target, constraints, params, rng, ledger):
+    """music() on a group as a loop of memo-less find_service calls."""
+    directory = target.members[0].directory
+    best, best_val = None, -math.inf
+    for _ in range(params.max_iter + 1):
+        usage = {}
+
+        def avail(sid):
+            node = directory.host_cloud(sid)
+            if node is None or not ledger.tracked(node):
+                return True
+            return ledger.capacity(node) - ledger.count(node) \
+                - usage.get(node, 0) > 0
+
+        plans = {}
+        try:
+            for m in target.members:
+                plan = find_service(m, target.center_point(), constraints,
+                                    params, rng, avail)
+                plans[m.user.id] = plan
+                for cid in m.plan_clouds(plan):
+                    usage[cid] = usage.get(cid, 0) + 1
+        except NoFeasibleCandidates:
+            continue
+        raws = [m.evaluate(plans[m.user.id]) for m in target.members]
+        if check_constraints(raws, constraints):
+            continue
+        val = target.utility(plans)
+        if val > best_val:
+            best, best_val = plans, val
+    return best, best_val
+
+
+def test_grouped_music_matches_memo_less_proposals_under_tight_capacity():
+    dep, pop, instances = _fleet(users=8, groups=2, seed=8)
+    locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
+    params = AnnealingParams(max_iter=15)
+    checked = 0
+    for grp in pop.groups:
+        target = GroupInstance(grp, [instances[u] for u in sorted(grp.members)],
+                               dep.grid)
+        for budget in (UNLIMITED, ConstraintVector(delay=15000.0),
+                       ConstraintVector(power=60000.0)):
+            for seed in range(4):
+                res = music(target, budget, params, np.random.default_rng(seed),
+                            ledger=CapacityLedger({c: 1 for c in locals_}))
+                plans, val = _reference_group_music(
+                    target, budget, params, np.random.default_rng(seed),
+                    CapacityLedger({c: 1 for c in locals_}))
+                assert res.feasible == (plans is not None)
+                if plans is None:
+                    continue
+                checked += 1
+                assert res.utility == val
+                assert {u: p.assignments for u, p in res.plans.items()} == \
+                    {u: p.assignments for u, p in plans.items()}
+    assert checked
+
+
 def test_music_respects_ledger_room():
     inst = _instance("g")
     ledger = CapacityLedger({1: 0, 2: 1})
@@ -359,6 +484,14 @@ def test_zero_local_capacity_pushes_work_off_the_locals():
         assert res.feasible
         for uid, plan in res.plans.items():
             assert instances[uid].plan_clouds(plan) == set()
+
+
+def test_admitting_into_a_full_cloud_is_a_package_error():
+    inst = _instance("f")
+    with pytest.raises(AdmissionRefused) as err:
+        _admit_plan(inst, ExecutionPlan({(0, 0): 100}), CapacityLedger({1: 0}))
+    assert isinstance(err.value, TierAllocError)
+    assert "cloud 1" in str(err.value)
 
 
 def test_sequential_admission_respects_capacity():
