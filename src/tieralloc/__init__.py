@@ -42,8 +42,8 @@ from .scenario import (ALGORITHMS, Deployment, Population, Scenario,
                        derive_rng, derive_seed, load_scenario, make_templates)
 from .workflow import (DIMS, And, ExecutionPlan, FunctionNode, LTW, LTWEntry,
                        Leaf, Loop, QoSExtrema, QoSTriple, Seq, Xor,
-                       aggregate_qos, candidate_services, leaf, ltw_extrema,
-                       ltw_qos, normalize_qos, normalize_service,
+                       aggregate_qos, candidate_services, fold_qos, leaf,
+                       ltw_extrema, normalize_qos, normalize_service,
                        occurrences, par, seq, workflow_extrema, xor)
 
 __version__ = "0.1.0"

@@ -25,22 +25,19 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (AdmissionRefused, InvalidGroup, NoFeasibleCandidates,
-                     TooLargeForEnumeration)
+from .errors import (AdmissionRefused, IncompletePlan, InvalidGroup,
+                     NoFeasibleCandidates, TooLargeForEnumeration)
 from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
                     center_of_group_mobility, center_of_mobility)
 from .profiles import (ProfileSet, intercloud_hop_ms, invocation_context,
                        service_qos)
 from .registry import CapacityLedger, ServiceDirectory
 from .workflow import (DIMS, LTW, ExecutionPlan, Occurrence, QoSExtrema,
-                       QoSTriple, ZERO_QOS, candidate_services, ltw_extrema,
-                       ltw_qos, normalize_qos, normalize_service,
-                       occurrences, workflow_extrema)
+                       QoSTriple, ZERO_QOS, candidate_services, fold_qos,
+                       ltw_extrema, normalize_qos, normalize_service,
+                       occurrences)
 
 AvailabilityFn = Callable[[int], bool]
-
-# drivers accept one shared budget vector or a per-user-id mapping
-Constraints = "ConstraintVector | Mapping[int, ConstraintVector]"
 
 
 def constraints_for(constraints, uid: int) -> "ConstraintVector":
@@ -276,27 +273,40 @@ class UserInstance:
         return self._center
 
     def evaluate(self, plan: ExecutionPlan) -> QoSTriple:
-        """Raw LTW QoS of a plan, inter-cloud hops included."""
+        """Raw LTW QoS of a plan: entry totals folded from per-occurrence
+        QoS, with the hop from each Seq predecessor, summed over entries."""
         host = self.directory.host_cloud
-
-        def cost(entry_idx, sid, occ_idx, fn, prev_sid):
-            q = self.base[entry_idx][occ_idx][sid]
-            if prev_sid is None:
-                return q
-            hop = intercloud_hop_ms(host(sid), host(prev_sid), fn.input_kb,
-                                    self.profiles)
-            if hop:
-                q = QoSTriple(q.price, q.power, q.delay + hop)
-            return q
-
-        return ltw_qos(self.ltw, plan, cost)
+        assigned = plan.assignments
+        total = ZERO_QOS
+        for e, (entry, occs) in enumerate(zip(self.ltw.entries, self.occs)):
+            base = self.base[e]
+            leaf_qos = []
+            for occ in occs:
+                sid = assigned.get((e, occ.index))
+                if sid is None:
+                    raise IncompletePlan(f"no assignment for occurrence "
+                                         f"{(e, occ.index)}")
+                q = base[occ.index][sid]
+                if occ.prev is not None:
+                    hop = intercloud_hop_ms(host(sid),
+                                            host(assigned[(e, occ.prev)]),
+                                            occ.fn.input_kb, self.profiles)
+                    if hop:
+                        q = QoSTriple(q.price, q.power, q.delay + hop)
+                leaf_qos.append(q)
+            total = total + fold_qos(entry.workflow, leaf_qos)
+        return total
 
     def normalized(self, plan: ExecutionPlan) -> QoSTriple:
         return normalize_qos(self.evaluate(plan), self.extrema)
 
+    def utility_of(self, raw: QoSTriple) -> float:
+        """Worst normalized dimension of a raw LTW QoS, in [0, 1]."""
+        return min(normalize_qos(raw, self.extrema).as_tuple())
+
     def utility(self, plan: ExecutionPlan) -> float:
         """Worst normalized dimension of the plan's LTW QoS, in [0, 1]."""
-        return min(self.normalized(plan).as_tuple())
+        return self.utility_of(self.evaluate(plan))
 
     def plan_clouds(self, plan: ExecutionPlan) -> set[int]:
         """Capacity-relevant (local) cloud ids the plan places work on."""
@@ -317,16 +327,14 @@ class UserInstance:
 class GroupInstance:
     """A user group planned jointly around its center of mobility."""
 
-    def __init__(self, group: UserGroup, members: Sequence[UserInstance],
-                 grid: LocationMap):
+    def __init__(self, group: UserGroup, members: Sequence[UserInstance]):
         if not members:
             raise InvalidGroup(f"group {group.id} has no member instances")
         self.group = group
         self.members = list(members)
-        self.grid = grid
         users = {m.user.id: m.user for m in members}
-        self._center_vec, self._center_cell = center_of_group_mobility(
-            group, users, grid)
+        self._center_vec, _ = center_of_group_mobility(group, users,
+                                                       members[0].grid)
 
     def center_point(self) -> tuple[float, float]:
         return (float(self._center_vec[0]), float(self._center_vec[1]))
@@ -412,18 +420,18 @@ def _available(rows: list, ok: AvailabilityFn) -> Optional[tuple]:
 
 def _optimistic_fit(instance: UserInstance, rows: list, allowed: tuple,
                     constraints: ConstraintVector) -> bool:
-    """Whether the per-occurrence minima over the allowed ids, folded through
-    each entry's workflow, fit every budget."""
-    tables: list[dict[int, QoSExtrema]] = [{} for _ in instance.ltw.entries]
+    """Whether the per-occurrence minima over the allowed ids (rows in entry,
+    preorder order), folded through each entry's workflow, fit every budget."""
+    minima: list[list[QoSTriple]] = [[] for _ in instance.ltw.entries]
     for (e, j, _), ids in zip(rows, allowed):
         base = instance.base[e][j]
         best = base[ids[0]]
         for sid in ids[1:]:
             best = best.emin(base[sid])
-        tables[e][j] = QoSExtrema(lo=best, hi=best)
+        minima[e].append(best)
     lo = ZERO_QOS
-    for entry, table in zip(instance.ltw.entries, tables):
-        lo = lo + workflow_extrema(entry.workflow, table).lo
+    for entry, leaf_qos in zip(instance.ltw.entries, minima):
+        lo = lo + fold_qos(entry.workflow, leaf_qos)
     return all(lo.get(d) <= constraints.get(d) for d in DIMS)
 
 
@@ -753,7 +761,6 @@ def allocate_music(instances: Mapping[int, UserInstance],
                    rng: np.random.Generator,
                    ledger: Optional[CapacityLedger] = None,
                    groups: Optional[Sequence[UserGroup]] = None,
-                   grid: Optional[LocationMap] = None,
                    availability: Optional[AvailabilityFn] = None) -> AllocationResult:
     """MuSIC allocation over the fleet.
 
@@ -765,8 +772,7 @@ def allocate_music(instances: Mapping[int, UserInstance],
     if groups is None:
         targets = [instances[uid] for uid in sorted(instances)]
     else:
-        g = grid or next(iter(instances.values())).grid
-        targets = [GroupInstance(grp, [instances[m] for m in sorted(grp.members)], g)
+        targets = [GroupInstance(grp, [instances[m] for m in sorted(grp.members)])
                    for grp in sorted(groups, key=lambda x: x.id)]
     order = rng.permutation(len(targets))
     plans: dict[int, ExecutionPlan] = {}
@@ -794,21 +800,26 @@ def allocate_music(instances: Mapping[int, UserInstance],
 
 # --- exhaustive optimum ----------------------------------------------------------
 
-def _plan_space(instance: UserInstance, cap: int) -> list[ExecutionPlan]:
-    keys, pools = [], []
+def _space_size(instance: UserInstance, cap: int) -> int:
+    """Size of a user's plan space from candidate counts; raises as it
+    exceeds cap."""
     count = 1
-    for e, occ, cands in instance.iter_occurrences():
-        keys.append((e, occ.index))
-        pools.append(cands)
+    for _, _, cands in instance.iter_occurrences():
         count *= len(cands)
         if count > cap:
             raise TooLargeForEnumeration(
                 f"user {instance.user.id}: plan space exceeds {cap}")
-    out = []
-    for combo in itertools.product(*pools):
-        plan = ExecutionPlan(dict(zip(keys, combo)))
-        out.append(plan)
-    return out
+    return count
+
+
+def _plan_space(instance: UserInstance, cap: int) -> list[ExecutionPlan]:
+    _space_size(instance, cap)
+    keys, pools = [], []
+    for e, occ, cands in instance.iter_occurrences():
+        keys.append((e, occ.index))
+        pools.append(cands)
+    return [ExecutionPlan(dict(zip(keys, combo)))
+            for combo in itertools.product(*pools)]
 
 
 def brute_force_optimal(instances: Mapping[int, UserInstance],
@@ -847,20 +858,20 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         utility = objective_from_plans(instances, plans, groups)
         return AllocationResult(plans, utility, True, examined)
 
-    spaces: dict[int, list[tuple[ExecutionPlan, QoSTriple, float, dict[int, int]]]] = {}
     total = 1
+    for uid in uids:
+        total *= _space_size(instances[uid], cap)
+        if total > cap:
+            raise TooLargeForEnumeration(f"joint plan space exceeds {cap}")
+    spaces: dict[int, list[tuple[ExecutionPlan, QoSTriple, float, dict[int, int]]]] = {}
     for uid in uids:
         inst = instances[uid]
         rows = []
         for plan in _plan_space(inst, cap):
             raw = inst.evaluate(plan)
-            util = inst.utility(plan)
             usage = {cid: 1 for cid in inst.plan_clouds(plan)}
-            rows.append((plan, raw, util, usage))
+            rows.append((plan, raw, inst.utility_of(raw), usage))
         spaces[uid] = rows
-        total *= len(rows)
-        if total > cap:
-            raise TooLargeForEnumeration(f"joint plan space exceeds {cap}")
 
     group_index: Optional[dict[int, int]] = None
     if groups is not None:

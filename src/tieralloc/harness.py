@@ -155,8 +155,9 @@ def carry_plans(result: AllocationResult,
         mapped = ExecutionPlan()
         for e, t_entry in enumerate(true_inst.ltw.entries):
             if pred_inst.ltw.entries[e].workflow is t_entry.workflow:
-                for occ_idx, sid in plan.for_entry(e).items():
-                    mapped.assignments[(e, occ_idx)] = sid
+                for occ in true_inst.occs[e]:
+                    mapped.assignments[(e, occ.index)] = \
+                        plan.assignments[(e, occ.index)]
             else:
                 for occ in true_inst.occs[e]:
                     mapped.assignments[(e, occ.index)] = _fallback_pick(
@@ -174,18 +175,15 @@ def carry_plans(result: AllocationResult,
 
 # --- per-repetition execution -----------------------------------------------------
 
-def _dispatch(alg: str, sc: Scenario, dep: Deployment,
+def _dispatch(alg: str, sc: Scenario,
               instances: Mapping[int, UserInstance], constraints,
               rng: np.random.Generator, ledger: CapacityLedger,
               groups, availability: Optional[AvailabilityFn]
               ) -> AllocationResult:
-    if alg == "music":
+    if alg in ("music", "gmusic"):
         return allocate_music(instances, constraints, sc.annealing_params(),
-                              rng, ledger=ledger, groups=None, grid=dep.grid,
-                              availability=availability)
-    if alg == "gmusic":
-        return allocate_music(instances, constraints, sc.annealing_params(),
-                              rng, ledger=ledger, groups=groups, grid=dep.grid,
+                              rng, ledger=ledger,
+                              groups=groups if alg == "gmusic" else None,
                               availability=availability)
     if alg == "rsa":
         return allocate_rsa(instances, constraints, rng, ledger, groups,
@@ -244,7 +242,7 @@ def _standard_rows(sc: Scenario, dep: Deployment, pop: Population,
         else:
             ledger = dep.fresh_ledger()
             rng = derive_rng(sc.seed, _ALLOCATION, rep, ALGORITHM_STREAMS[alg])
-            res = _dispatch(alg, sc, dep, predicted, sc.constraints(), rng,
+            res = _dispatch(alg, sc, predicted, sc.constraints(), rng,
                             ledger, pop.groups, None)
             effective = carry_plans(res, predicted, true, rng, ledger)
         utility = objective_from_plans(true, effective, pop.groups)
@@ -279,7 +277,7 @@ def _gain_rows(sc: Scenario, dep: Deployment, pop: Population,
     for alg in algorithms:
         base_ledger = dep.fresh_ledger()
         base_rng = derive_rng(sc.seed, _BASELINE, rep, ALGORITHM_STREAMS[alg])
-        base_res = _dispatch(alg, sc, dep, predicted,
+        base_res = _dispatch(alg, sc, predicted,
                              ConstraintVector.unlimited(), base_rng,
                              base_ledger, pop.groups, public_only)
         base_eff = carry_plans(base_res, predicted, true, base_rng,
@@ -290,7 +288,7 @@ def _gain_rows(sc: Scenario, dep: Deployment, pop: Population,
                    for uid, raw in base_raw.items()}
         ledger = dep.fresh_ledger()
         rng = derive_rng(sc.seed, _ALLOCATION, rep, ALGORITHM_STREAMS[alg])
-        res = _dispatch(alg, sc, dep, predicted, budgets, rng, ledger,
+        res = _dispatch(alg, sc, predicted, budgets, rng, ledger,
                         pop.groups, None)
         effective = carry_plans(res, predicted, true, rng, ledger)
         raws = {uid: true[uid].evaluate(p) for uid, p in effective.items()}

@@ -1,13 +1,17 @@
 """Workflows as composition trees and the QoS algebra over them.
 
 A workflow is a tree of Seq / And / Xor / Loop nodes over function leaves.
-Each leaf occurrence gets a service assignment; aggregation folds the
-per-occurrence QoS triples (price, power, delay) into workflow totals:
+Each leaf occurrence gets a service assignment and so a QoS triple (price,
+power, delay); fold_qos, the one walk that composes QoS, folds the triples
+into the workflow total:
 
     Seq   componentwise sum over children
     And   sum of price and power, max of delay (parallel branches)
     Xor   componentwise max over branches (worst case path)
     Loop  child total scaled by the iteration count
+
+A leaf's cost may depend on its Seq predecessor's service (the inter-cloud
+hop); occurrences() is the only code that resolves that predecessor.
 
 Normalization rescales each dimension into [0, 1] against extrema so that
 lower raw cost maps to higher normalized value.
@@ -180,8 +184,8 @@ class Occurrence:
 def occurrences(node: WorkflowNode) -> list[Occurrence]:
     """Leaf occurrences in preorder with their Seq predecessors.
 
-    Predecessor threading mirrors aggregate_qos: Seq hands the exit of each
-    child to the next, And/Xor fan the incoming predecessor out to every
+    This is the only code that threads predecessors: Seq hands the exit of
+    each child to the next, And/Xor fan the incoming predecessor out to every
     branch and expose no exit, Loop passes through its child's exit.
     """
     out: list[Occurrence] = []
@@ -207,54 +211,60 @@ def occurrences(node: WorkflowNode) -> list[Occurrence]:
     return out
 
 
+def fold_qos(node: WorkflowNode, leaf_qos: Sequence[QoSTriple]) -> QoSTriple:
+    """Fold per-occurrence QoS triples, one per leaf in preorder, into the
+    workflow total (Seq sum, And sum/max, Xor max, Loop scale)."""
+
+    def walk(n: WorkflowNode, idx: int) -> tuple[QoSTriple, int]:
+        if isinstance(n, Leaf):
+            return leaf_qos[idx], idx + 1
+        if isinstance(n, Seq):
+            total = ZERO_QOS
+            for child in n.children:
+                q, idx = walk(child, idx)
+                total = total + q
+            return total, idx
+        if isinstance(n, And):
+            price = power = delay = 0.0
+            for child in n.children:
+                q, idx = walk(child, idx)
+                price += q.price
+                power += q.power
+                delay = max(delay, q.delay)
+            return QoSTriple(price, power, delay), idx
+        if isinstance(n, Xor):
+            worst = ZERO_QOS
+            for child in n.children:
+                q, idx = walk(child, idx)
+                worst = worst.emax(q)
+            return worst, idx
+        if isinstance(n, Loop):
+            q, idx = walk(n.child, idx)
+            return q.scale(n.count), idx
+        raise InvalidWorkflow(f"unknown node type {type(n).__name__}")
+
+    return walk(node, 0)[0]
+
+
 CostFn = Callable[[int, int, FunctionNode, Optional[int]], QoSTriple]
 
 
 def aggregate_qos(node: WorkflowNode, plan: Mapping[int, int], cost_fn: CostFn) -> QoSTriple:
-    """Fold per-occurrence QoS into the workflow total.
+    """Workflow total of a plan under a per-occurrence cost function.
 
     plan maps leaf occurrence index (preorder) to a service id. cost_fn is
-    called as cost_fn(service_id, occurrence_index, function, prev_service_id)
-    where prev_service_id is the assignment of the preceding leaf in the same
-    Seq chain, or None.
+    called in preorder as cost_fn(service_id, occurrence_index, function,
+    prev_service_id), prev_service_id being the assignment of the preceding
+    leaf in the same Seq chain, or None.
     """
-
-    def walk(n: WorkflowNode, idx: int, prev: Optional[int]
-             ) -> tuple[QoSTriple, int, Optional[int]]:
-        if isinstance(n, Leaf):
-            if idx not in plan:
-                raise IncompletePlan(f"no assignment for occurrence {idx} "
-                                     f"({n.fn.function_id})")
-            sid = plan[idx]
-            q = cost_fn(sid, idx, n.fn, prev)
-            return q, idx + 1, sid
-        if isinstance(n, Seq):
-            total, cur = ZERO_QOS, prev
-            for child in n.children:
-                q, idx, cur = walk(child, idx, cur)
-                total = total + q
-            return total, idx, cur
-        if isinstance(n, And):
-            price = power = delay = 0.0
-            for child in n.children:
-                q, idx, _ = walk(child, idx, prev)
-                price += q.price
-                power += q.power
-                delay = max(delay, q.delay)
-            return QoSTriple(price, power, delay), idx, None
-        if isinstance(n, Xor):
-            worst = ZERO_QOS
-            for child in n.children:
-                q, idx, _ = walk(child, idx, prev)
-                worst = worst.emax(q)
-            return worst, idx, None
-        if isinstance(n, Loop):
-            q, idx, ex = walk(n.child, idx, prev)
-            return q.scale(n.count), idx, ex
-        raise InvalidWorkflow(f"unknown node type {type(n).__name__}")
-
-    total, _, _ = walk(node, 0, None)
-    return total
+    leaf_qos = []
+    for occ in occurrences(node):
+        if occ.index not in plan:
+            raise IncompletePlan(f"no assignment for occurrence {occ.index} "
+                                 f"({occ.fn.function_id})")
+        prev = None if occ.prev is None else plan[occ.prev]
+        leaf_qos.append(cost_fn(plan[occ.index], occ.index, occ.fn, prev))
+    return fold_qos(node, leaf_qos)
 
 
 # --- location-time workflows -------------------------------------------------
@@ -293,27 +303,8 @@ class ExecutionPlan:
 
     assignments: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def for_entry(self, entry_idx: int) -> dict[int, int]:
-        return {occ: sid for (e, occ), sid in self.assignments.items()
-                if e == entry_idx}
-
     def services(self) -> set[int]:
         return set(self.assignments.values())
-
-
-EntryCostFn = Callable[[int, int, int, FunctionNode, Optional[int]], QoSTriple]
-
-
-def ltw_qos(ltw: LTW, plan: ExecutionPlan, cost_fn: EntryCostFn) -> QoSTriple:
-    """Sum of entry workflow totals. cost_fn takes (entry_index, service_id,
-    occurrence_index, function, prev_service_id)."""
-    total = ZERO_QOS
-    for i, entry in enumerate(ltw.entries):
-        sub = plan.for_entry(i)
-        total = total + aggregate_qos(
-            entry.workflow, sub,
-            lambda sid, occ, fn, prev, _i=i: cost_fn(_i, sid, occ, fn, prev))
-    return total
 
 
 # --- normalization -----------------------------------------------------------
@@ -354,11 +345,8 @@ def workflow_extrema(node: WorkflowNode,
     min) any plan can reach.
     """
     occs = occurrences(node)
-    dummy = {o.index: -1 for o in occs}
-    hi = aggregate_qos(node, dummy,
-                       lambda sid, occ, fn, prev: per_occurrence[occ].hi)
-    lo = aggregate_qos(node, dummy,
-                       lambda sid, occ, fn, prev: per_occurrence[occ].lo)
+    hi = fold_qos(node, [per_occurrence[o.index].hi for o in occs])
+    lo = fold_qos(node, [per_occurrence[o.index].lo for o in occs])
     return QoSExtrema(lo=lo, hi=hi)
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from tieralloc import (LOCAL, PUBLIC, AnnealingParams, CapacityLedger,
-                       CloudNode, ConstraintVector, ExecutionPlan, LTW,
+                       CloudNode, ConstraintVector, ExecutionPlan,
+                       IncompletePlan, LTW,
                        LTWEntry, LocationMap, MobileUser, NoFeasibleCandidates,
                        ProfileSet, Scenario, Service, ServiceDirectory,
                        TooLargeForEnumeration, UserGroup, UserInstance,
@@ -266,6 +267,27 @@ def test_evaluate_charges_the_hop_only_between_two_clouds():
     assert extra_delay(100, 300) == 0.0  # second step on the device
 
 
+def test_evaluate_sums_entries_and_charges_hops_within_an_entry():
+    from tieralloc import QoSTriple as Q
+    grid, directory, user = _world()
+    wf = seq(leaf("f", 2048.0), leaf("g", 2048.0))
+    ltw = LTW((LTWEntry(0, 60.0, wf), LTWEntry(3, 30.0, wf)))
+    inst = UserInstance(user, ltw, directory, ProfileSet.defaults(), grid)
+    # entry 0 crosses from cloud 1 to cloud 2; entry 1 stays on cloud 1,
+    # so only a hop across the entry boundary (cloud 2 -> cloud 1) could
+    # charge it anything
+    plan = ExecutionPlan({(0, 0): 100, (0, 1): 201, (1, 0): 100, (1, 1): 200})
+    b = inst.base
+    hopped = Q(b[0][1][201].price, b[0][1][201].power,
+               b[0][1][201].delay + 20.0)
+    assert b[0][0][100] != b[1][0][100]  # entries are costed at their cells
+    assert inst.evaluate(plan) == (b[0][0][100] + hopped) + \
+        (b[1][0][100] + b[1][1][200])
+    del plan.assignments[(1, 1)]
+    with pytest.raises(IncompletePlan):
+        inst.evaluate(plan)
+
+
 def test_greedy_choice_is_invariant_to_rescaling_a_dimension():
     grid, directory, user = _world()
     ltw = LTW((LTWEntry(0, 60.0, seq(leaf("f", 2048.0), leaf("g", 1024.0))),))
@@ -374,8 +396,7 @@ def test_grouped_music_matches_memo_less_proposals_under_tight_capacity():
     params = AnnealingParams(max_iter=15)
     checked = 0
     for grp in pop.groups:
-        target = GroupInstance(grp, [instances[u] for u in sorted(grp.members)],
-                               dep.grid)
+        target = GroupInstance(grp, [instances[u] for u in sorted(grp.members)])
         for budget in (UNLIMITED, ConstraintVector(delay=15000.0),
                        ConstraintVector(power=60000.0)):
             for seed in range(4):
@@ -461,6 +482,23 @@ def test_decomposed_and_joint_enumeration_agree():
             instances[uid].utility(slow.plans[uid]), rel=1e-12)
 
 
+def test_joint_space_over_the_cap_is_refused_before_any_evaluation(
+        monkeypatch):
+    dep, pop, instances = _fleet(users=3, seed=1)
+    sizes = [math.prod(len(c) for _, _, c in instances[u].iter_occurrences())
+             for u in sorted(instances)]
+    assert min(sizes) > 1
+    calls = []
+    evaluate = UserInstance.evaluate
+    monkeypatch.setattr(UserInstance, "evaluate",
+                        lambda self, plan: calls.append(1) or evaluate(self, plan))
+    # every user's own space fits; the first two together do not
+    with pytest.raises(TooLargeForEnumeration, match="joint"):
+        brute_force_optimal(instances, ConstraintVector(price=1e9),
+                            cap=sizes[0] * sizes[1] - 1)
+    assert calls == []
+
+
 def test_enumeration_cap_is_enforced():
     dep, pop, instances = _fleet(users=4, seed=2)
     with pytest.raises(TooLargeForEnumeration):
@@ -528,8 +566,7 @@ def test_grouped_annealing_plans_every_member():
     dep, pop, instances = _fleet(users=6, groups=2, seed=6)
     assert pop.groups is not None and len(pop.groups) == 2
     res = allocate_music(instances, UNLIMITED, AnnealingParams(max_iter=5),
-                         np.random.default_rng(8), groups=pop.groups,
-                         grid=dep.grid)
+                         np.random.default_rng(8), groups=pop.groups)
     assert res.feasible
     assert set(res.plans) == set(instances)
     grouped = objective_from_plans(instances, res.plans, pop.groups)

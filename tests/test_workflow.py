@@ -5,9 +5,13 @@ import math
 
 import pytest
 
-from tieralloc import (ExecutionPlan, IncompletePlan, InvalidWorkflow, LTW,
-                       LTWEntry, Loop, QoSExtrema, QoSTriple, aggregate_qos,
-                       leaf, ltw_extrema, ltw_qos, normalize_qos,
+import numpy as np
+
+from tieralloc import (And, ExecutionPlan, IncompletePlan, InvalidWorkflow,
+                       LTW, LTWEntry, Leaf, Loop, QoSExtrema, QoSTriple,
+                       Scenario, Seq, UserInstance, Xor, aggregate_qos,
+                       build_deployment, build_population, fold_qos,
+                       intercloud_hop_ms, leaf, ltw_extrema, normalize_qos,
                        normalize_service, occurrences, par, seq,
                        workflow_extrema, xor)
 from tieralloc.errors import ExtremaMismatch
@@ -184,22 +188,168 @@ def test_ltw_extrema_sum_entry_envelopes():
     assert got.hi == Q(8.0, 12.0, 16.0)
 
 
-# --- plan evaluation over location-time workflows ----------------------------------
+# --- the fold against the recursive callback walk it replaced ---------------------
 
-def test_ltw_qos_sums_entries_and_passes_entry_context():
-    wf = seq(leaf("a", 1.0), leaf("b", 1.0))
-    ltw = LTW((LTWEntry(3, 60.0, wf), LTWEntry(5, 30.0, wf)))
-    plan = ExecutionPlan({(0, 0): 7, (0, 1): 8, (1, 0): 7, (1, 1): 9})
-    calls = []
+def _reference_walk(node, plan, cost_fn):
+    """aggregate_qos as one recursive walk that threads Seq predecessors and
+    folds in the same pass; the oracle for occurrences() + fold_qos."""
 
-    def cost(entry_idx, sid, occ_idx, fn, prev_sid):
-        calls.append((entry_idx, sid, occ_idx, prev_sid))
-        return Q(1.0, 0.0, float(entry_idx))
+    def walk(n, idx, prev):
+        if isinstance(n, Leaf):
+            if idx not in plan:
+                raise IncompletePlan(f"no assignment for occurrence {idx}")
+            sid = plan[idx]
+            return cost_fn(sid, idx, n.fn, prev), idx + 1, sid
+        if isinstance(n, Seq):
+            total, cur = ZERO_QOS, prev
+            for child in n.children:
+                q, idx, cur = walk(child, idx, cur)
+                total = total + q
+            return total, idx, cur
+        if isinstance(n, And):
+            price = power = delay = 0.0
+            for child in n.children:
+                q, idx, _ = walk(child, idx, prev)
+                price += q.price
+                power += q.power
+                delay = max(delay, q.delay)
+            return Q(price, power, delay), idx, None
+        if isinstance(n, Xor):
+            worst = ZERO_QOS
+            for child in n.children:
+                q, idx, _ = walk(child, idx, prev)
+                worst = worst.emax(q)
+            return worst, idx, None
+        if isinstance(n, Loop):
+            q, idx, ex = walk(n.child, idx, prev)
+            return q.scale(n.count), idx, ex
+        raise InvalidWorkflow(f"unknown node type {type(n).__name__}")
 
-    got = ltw_qos(ltw, plan, cost)
-    assert got == Q(4.0, 0.0, 2.0)
-    assert calls == [(0, 7, 0, None), (0, 8, 1, 7),
-                     (1, 7, 0, None), (1, 9, 1, 7)]
+    return walk(node, 0, None)[0]
+
+
+_FUNCTIONS = ("image-filter", "noise-cancel", "ocr", "text-to-speech",
+              "transcode", "stream", "download", "edit", "upload")
+
+
+def _random_tree(rng, depth=0):
+    """A random Seq/And/Xor/Loop tree, at most four composite levels deep."""
+    if depth == 4 or (depth > 0 and rng.random() < 0.3):
+        return leaf(str(rng.choice(_FUNCTIONS)), float(rng.uniform(64.0, 4096.0)))
+    kind = int(rng.integers(4))
+    kids = tuple(_random_tree(rng, depth + 1)
+                 for _ in range(int(rng.integers(2, 4))))
+    if kind == 3:
+        return Loop(kids[0], count=int(rng.integers(1, 5)))
+    return (Seq, And, Xor)[kind](kids)
+
+
+def _kinds(node):
+    """Composite node types occurring in a tree."""
+    if isinstance(node, Leaf):
+        return set()
+    kids = (node.child,) if isinstance(node, Loop) else node.children
+    return {type(node)}.union(*(_kinds(k) for k in kids))
+
+
+def _random_q(rng):
+    return Q(*(float(rng.random() * 10.0 ** rng.integers(-3, 4))
+               for _ in range(3)))
+
+
+def test_aggregate_and_extrema_equal_the_reference_walk_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    seen_kinds = set()
+    for _ in range(300):
+        wf = _random_tree(rng)
+        seen_kinds |= _kinds(wf)
+        n = len(occurrences(wf))
+        table = {o: {s: _random_q(rng) for s in range(3)} for o in range(n)}
+        plan = {o: int(rng.integers(3)) for o in range(n)}
+
+        def cost(sid, occ_idx, fn, prev_sid, calls):
+            calls.append((sid, occ_idx, fn, prev_sid))
+            q = table[occ_idx][sid]
+            if prev_sid is None:
+                return q
+            # depends on the predecessor's service, as the hop does
+            return Q(q.price, q.power + 0.1 * prev_sid,
+                     q.delay + 0.01 * fn.input_kb * (prev_sid != sid))
+
+        got_calls, ref_calls = [], []
+        got = aggregate_qos(wf, plan, lambda *a: cost(*a, got_calls))
+        ref = _reference_walk(wf, plan, lambda *a: cost(*a, ref_calls))
+        assert got == ref
+        assert got_calls == ref_calls
+
+        per_occ = {o: QoSExtrema(lo=t[0].emin(t[1]).emin(t[2]),
+                                 hi=t[0].emax(t[1]).emax(t[2]))
+                   for o, t in table.items()}
+        dummy = {o: -1 for o in range(n)}
+        assert workflow_extrema(wf, per_occ) == QoSExtrema(
+            lo=_reference_walk(wf, dummy, lambda s, o, f, p: per_occ[o].lo),
+            hi=_reference_walk(wf, dummy, lambda s, o, f, p: per_occ[o].hi))
+    assert seen_kinds == {Seq, And, Xor, Loop}
+
+
+def test_fold_qos_reads_one_triple_per_leaf_in_preorder():
+    wf = seq(leaf("a", 1.0), xor(leaf("b", 1.0), leaf("c", 1.0)))
+    got = fold_qos(wf, [Q(1.0, 2.0, 3.0), Q(4.0, 1.0, 1.0), Q(2.0, 5.0, 0.5)])
+    assert got == Q(5.0, 7.0, 4.0)
+
+
+def _reference_evaluate(inst, plan):
+    """UserInstance.evaluate as per-entry reference walks with the hop cost."""
+    host = inst.directory.host_cloud
+    total = ZERO_QOS
+    for i, entry in enumerate(inst.ltw.entries):
+        sub = {occ: sid for (e, occ), sid in plan.assignments.items() if e == i}
+
+        def cost(sid, occ_idx, fn, prev_sid, _i=i):
+            q = inst.base[_i][occ_idx][sid]
+            if prev_sid is None:
+                return q
+            hop = intercloud_hop_ms(host(sid), host(prev_sid), fn.input_kb,
+                                    inst.profiles)
+            if hop:
+                q = Q(q.price, q.power, q.delay + hop)
+            return q
+
+        total = total + _reference_walk(entry.workflow, sub, cost)
+    return total
+
+
+def test_evaluate_equals_the_reference_walk_on_xor_and_loop_entries():
+    sc = Scenario(scenario_id="fold", grid_width=6, grid_height=6,
+                  local_clouds=3, public_instances=1, users=2,
+                  duration_s=120.0, seed=5,
+                  template_mix={"text_recognition": 0.4, "video_stream": 0.3,
+                                "file_sync": 0.3})
+    dep = build_deployment(sc)
+    user = build_population(sc, dep, 0).users[0]
+    rng = np.random.default_rng(9)
+    hops = 0
+    for _ in range(20):
+        entries = []
+        while not entries or not (set().union(*(_kinds(e.workflow) for e in entries))
+                                  >= {Xor, Loop}):
+            entries.append(LTWEntry(int(rng.integers(36)), 60.0,
+                                    _random_tree(rng)))
+        inst = UserInstance(user, LTW(tuple(entries)), dep.directory,
+                            dep.profiles, dep.grid)
+        for _ in range(10):
+            plan = ExecutionPlan({
+                (e, occ.index): cands[int(rng.integers(len(cands)))]
+                for e, occ, cands in inst.iter_occurrences()})
+            assert inst.evaluate(plan) == _reference_evaluate(inst, plan)
+            assert 0.0 <= inst.utility(plan) <= 1.0
+            hops += sum(
+                1 for e, occ, _ in inst.iter_occurrences()
+                if occ.prev is not None and intercloud_hop_ms(
+                    dep.directory.host_cloud(plan.assignments[(e, occ.index)]),
+                    dep.directory.host_cloud(plan.assignments[(e, occ.prev)]),
+                    occ.fn.input_kb, dep.profiles) > 0)
+    assert hops > 0
 
 
 def test_empty_ltw_is_rejected():
