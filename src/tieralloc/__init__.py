@@ -12,9 +12,9 @@ from .allocation import (AllocationResult, AnnealingParams, ConstraintVector,
                          GroupInstance, UserInstance, allocate_greedy,
                          allocate_music, allocate_rsa, brute_force_optimal,
                          check_constraints, constraints_for, find_service,
-                         greedy_plan, music, objective_from_plans, random_plan,
-                         roulette_index, roulette_pick, rsa_plan,
-                         utility_group, utility_single)
+                         fleet_utility, greedy_plan, music,
+                         objective_from_plans, random_plan, roulette_index,
+                         roulette_pick, rsa_plan)
 from .errors import (AdmissionRefused, IdError, IncompletePlan, InvalidGroup,
                      InvalidTrajectory, InvalidWorkflow, LedgerUnderflow,
                      NoFeasibleCandidates, NoRealizingService, ScenarioError,
@@ -43,7 +43,7 @@ from .scenario import (ALGORITHMS, Deployment, Population, Scenario,
 from .workflow import (DIMS, And, ExecutionPlan, FunctionNode, LTW, LTWEntry,
                        Leaf, Loop, QoSExtrema, QoSTriple, Seq, Xor,
                        aggregate_qos, candidate_services, fold_qos, leaf,
-                       ltw_extrema, normalize_qos, normalize_service,
-                       occurrences, par, seq, workflow_extrema, xor)
+                       normalize_qos, normalize_service, occurrences, par,
+                       seq, workflow_extrema, xor)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Container, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .profiles import (ProfileSet, intercloud_hop_ms, invocation_context,
 from .registry import CapacityLedger, ServiceDirectory
 from .workflow import (DIMS, LTW, ExecutionPlan, Occurrence, QoSExtrema,
                        QoSTriple, ZERO_QOS, candidate_services, fold_qos,
-                       ltw_extrema, normalize_qos, normalize_service,
-                       occurrences)
+                       normalize_qos, normalize_service, occurrences)
 
 AvailabilityFn = Callable[[int], bool]
 
@@ -60,6 +59,14 @@ class ConstraintVector:
 
     def bounded(self) -> bool:
         return any(math.isfinite(self.get(d)) for d in DIMS)
+
+    def violated(self, raw: QoSTriple) -> list[str]:
+        """Dimensions, in DIMS order, on which raw QoS exceeds its budget."""
+        return [d for d in DIMS if raw.get(d) > self.get(d)]
+
+    def admits(self, raw: QoSTriple) -> bool:
+        """Whether raw QoS fits every budget, boundary inclusive."""
+        return not self.violated(raw)
 
     @classmethod
     def unlimited(cls) -> "ConstraintVector":
@@ -100,20 +107,22 @@ class AllocationResult:
 
 # --- scalar utilities ---------------------------------------------------------
 
-def utility_single(normalized: Iterable[QoSTriple]) -> float:
-    """Mean over users of the worst normalized dimension, in [0, 1]."""
-    mins = [min(t.as_tuple()) for t in normalized]
-    if not mins:
-        raise ValueError("utility over no users")
-    return float(np.mean(mins))
+def fleet_utility(utils: Mapping[int, float], users: Sequence[int],
+                  groups: Optional[Sequence[UserGroup]] = None) -> float:
+    """Fleet objective from per-user utilities; a user without one scores 0.
 
-
-def utility_group(member_normalized: Iterable[QoSTriple]) -> float:
-    """Group satisfaction: mean over members of their worst dimension."""
-    mins = [min(t.as_tuple()) for t in member_normalized]
-    if not mins:
-        raise InvalidGroup("utility over an empty group")
-    return float(np.mean(mins))
+    Ungrouped: the mean over users, in the given order. Grouped: the mean
+    over groups, in the given order, of the mean over members by id.
+    """
+    if groups is None:
+        if not users:
+            raise ValueError("objective over no users")
+        return float(np.mean([utils.get(u, 0.0) for u in users]))
+    if not groups:
+        raise InvalidGroup("objective over no groups")
+    return float(np.mean([
+        float(np.mean([utils.get(u, 0.0) for u in sorted(g.members)]))
+        for g in groups]))
 
 
 def _roulette_wheel(weights) -> Optional[list[float]]:
@@ -190,6 +199,29 @@ def check_constraints(per_user_raw: Sequence[QoSTriple],
     return out
 
 
+def room_for(directory: ServiceDirectory, ledger: Optional[CapacityLedger],
+             base: Optional[AvailabilityFn] = None,
+             usage: Optional[Mapping[int, int]] = None,
+             held: Container[int] = frozenset()) -> AvailabilityFn:
+    """Availability: the base filter, then room on the host cloud.
+
+    A service has room when its cloud is untracked, is already held by the
+    caller, or has a free slot in the ledger beyond the tentative usage
+    (cloud id -> users placed on it, read on every call).
+    """
+    def ok(sid: int) -> bool:
+        if base is not None and not base(sid):
+            return False
+        if ledger is None:
+            return True
+        node = directory.host_cloud(sid)
+        if node is None or not ledger.tracked(node) or node in held:
+            return True
+        taken = usage.get(node, 0) if usage else 0
+        return ledger.capacity(node) - ledger.count(node) - taken > 0
+    return ok
+
+
 # --- cached per-user planning context ----------------------------------------
 
 class UserInstance:
@@ -214,13 +246,14 @@ class UserInstance:
         self.cands: list[list[list[int]]] = []
         self.base: list[list[dict[int, QoSTriple]]] = []
         self.snorm: list[list[dict[int, float]]] = []
-        env_tables: list[dict[int, QoSExtrema]] = []
+        lo_total = hi_total = ZERO_QOS
         for entry in ltw.entries:
             occs = occurrences(entry.workflow)
             e_cands: list[list[int]] = []
             e_base: list[dict[int, QoSTriple]] = []
             e_snorm: list[dict[int, float]] = []
-            env: dict[int, QoSExtrema] = {}
+            env_lo: list[QoSTriple] = []
+            env_hi: list[QoSTriple] = []
             for occ in occs:
                 ids = candidate_services(occ.fn.function_id, user, directory)
                 qos = {}
@@ -237,13 +270,18 @@ class UserInstance:
                 e_base.append(qos)
                 e_snorm.append({sid: normalize_service(t, ext)[1]
                                 for sid, t in qos.items()})
-                env[occ.index] = self._hop_envelope(occ, qos, e_cands, ext)
+                env = self._hop_envelope(occ, qos, e_cands, ext)
+                env_lo.append(env.lo)
+                env_hi.append(env.hi)
             self.occs.append(occs)
             self.cands.append(e_cands)
             self.base.append(e_base)
             self.snorm.append(e_snorm)
-            env_tables.append(env)
-        self.extrema = ltw_extrema(ltw, env_tables)
+            # every fold rule is monotone per dimension, so folding the
+            # envelopes bounds what any plan of the entry can reach
+            lo_total = lo_total + fold_qos(entry.workflow, env_lo)
+            hi_total = hi_total + fold_qos(entry.workflow, env_hi)
+        self.extrema = QoSExtrema(lo=lo_total, hi=hi_total)
         self._center: Optional[tuple[float, float]] = None
 
     def _hop_envelope(self, occ: Occurrence, qos: dict[int, QoSTriple],
@@ -297,9 +335,6 @@ class UserInstance:
             total = total + fold_qos(entry.workflow, leaf_qos)
         return total
 
-    def normalized(self, plan: ExecutionPlan) -> QoSTriple:
-        return normalize_qos(self.evaluate(plan), self.extrema)
-
     def utility_of(self, raw: QoSTriple) -> float:
         """Worst normalized dimension of a raw LTW QoS, in [0, 1]."""
         return min(normalize_qos(raw, self.extrema).as_tuple())
@@ -340,8 +375,10 @@ class GroupInstance:
         return (float(self._center_vec[0]), float(self._center_vec[1]))
 
     def utility(self, plans: Mapping[int, ExecutionPlan]) -> float:
-        return utility_group([m.normalized(plans[m.user.id])
-                              for m in self.members])
+        """Mean over members of their utility."""
+        return fleet_utility({m.user.id: m.utility(plans[m.user.id])
+                              for m in self.members},
+                             [m.user.id for m in self.members])
 
 
 # --- candidate search ---------------------------------------------------------
@@ -432,11 +469,7 @@ def _optimistic_fit(instance: UserInstance, rows: list, allowed: tuple,
     lo = ZERO_QOS
     for entry, leaf_qos in zip(instance.ltw.entries, minima):
         lo = lo + fold_qos(entry.workflow, leaf_qos)
-    return all(lo.get(d) <= constraints.get(d) for d in DIMS)
-
-
-def _within(raw: QoSTriple, constraints: ConstraintVector) -> bool:
-    return all(raw.get(d) <= constraints.get(d) for d in DIMS)
+    return constraints.admits(lo)
 
 
 def _repair(instance: UserInstance, rows: list, allowed: tuple,
@@ -454,8 +487,10 @@ def find_service(instance: UserInstance, center: tuple[float, float],
                  constraints: ConstraintVector, params: AnnealingParams,
                  rng: np.random.Generator,
                  availability: Optional[AvailabilityFn] = None,
-                 memo: Optional[SearchMemo] = None) -> ExecutionPlan:
-    """Assemble one candidate plan around a center point.
+                 memo: Optional[SearchMemo] = None
+                 ) -> tuple[ExecutionPlan, QoSTriple]:
+    """Assemble one candidate plan around a center point; returns the plan
+    and its raw LTW QoS.
 
     Widens the search radius in steps (radius_start_m + i * radius_step_m,
     i < max_expansions). On-device services are always in reach and public
@@ -465,7 +500,8 @@ def find_service(instance: UserInstance, center: tuple[float, float],
     a plan is drawn by roulette over total normalized QoS, one rng.random()
     per occurrence. If the drawn plan busts a budget, one deterministic
     repair per violated dimension (the per-occurrence minimum of that
-    dimension) is tried, in DIMS order, before widening.
+    dimension) is tried, in DIMS order, before widening. Each plan drawn or
+    repaired is evaluated once.
 
     memo carries the range queries, reach rows, roulette wheels and budget
     fits across calls that share the center, params and budgets (see
@@ -504,17 +540,15 @@ def find_service(instance: UserInstance, center: tuple[float, float],
             order, cum = wheel
             plan.assignments[(e, j)] = order[
                 _roulette_spin(cum, len(order), rng.random())]
-        # QoSTriple values are finite, so unbounded budgets always hold
-        if not bounded:
-            return plan
         raw = instance.evaluate(plan)
-        if _within(raw, constraints):
-            return plan
-        for dim in DIMS:
-            if raw.get(dim) > constraints.get(dim):
-                fixed = _repair(instance, rows, allowed, dim)
-                if _within(instance.evaluate(fixed), constraints):
-                    return fixed
+        # QoSTriple values are finite, so unbounded budgets always hold
+        if not bounded or constraints.admits(raw):
+            return plan, raw
+        for dim in constraints.violated(raw):
+            fixed = _repair(instance, rows, allowed, dim)
+            fixed_raw = instance.evaluate(fixed)
+            if constraints.admits(fixed_raw):
+                return fixed, fixed_raw
     raise NoFeasibleCandidates(
         f"user {instance.user.id}: no feasible plan within "
         f"{params.max_expansions} radius expansions")
@@ -533,7 +567,9 @@ def music(target, constraints, params: AnnealingParams,
     and returns the first one of highest utility; infeasible proposals are
     skipped. For a GroupInstance one proposal re-plans every member and the
     objective is the group mean utility; members of one proposal see each
-    other's tentative capacity usage on top of the shared ledger.
+    other's tentative capacity usage on top of the shared ledger. Proposals
+    are scored, and a group's shared budget checked, from the raw QoS that
+    find_service returns with each plan.
 
     One SearchMemo serves every proposal of the call, so the range queries,
     reach rows, roulette wheels and budget fits around the center are built
@@ -544,51 +580,40 @@ def music(target, constraints, params: AnnealingParams,
     members = [target] if single else target.members
     center = target.center_point()
     shared_cv = constraints if isinstance(constraints, ConstraintVector) else None
+    uids = [m.user.id for m in members]
     memo = SearchMemo()
 
-    def propose() -> Optional[dict[int, ExecutionPlan]]:
+    def propose() -> Optional[tuple[dict[int, ExecutionPlan], list[QoSTriple]]]:
         usage: dict[int, int] = {}
-
-        def avail(sid: int) -> bool:
-            if availability is not None and not availability(sid):
-                return False
-            if ledger is None:
-                return True
-            node = members[0].directory.host_cloud(sid)
-            if node is None or not ledger.tracked(node):
-                return True
-            return (ledger.capacity(node) - ledger.count(node)
-                    - usage.get(node, 0)) > 0
-
+        avail = room_for(members[0].directory, ledger, availability, usage)
         plans: dict[int, ExecutionPlan] = {}
+        raws: list[QoSTriple] = []
         for m in members:
             try:
-                plan = find_service(m, center, constraints_for(constraints, m.user.id),
-                                    params, rng, avail, memo)
+                plan, raw = find_service(
+                    m, center, constraints_for(constraints, m.user.id),
+                    params, rng, avail, memo)
             except NoFeasibleCandidates:
                 return None
             plans[m.user.id] = plan
+            raws.append(raw)
             for cid in m.plan_clouds(plan):
                 usage[cid] = usage.get(cid, 0) + 1
         if not single and shared_cv is not None and shared_cv.bounded():
-            raws = [m.evaluate(plans[m.user.id]) for m in members]
             if check_constraints(raws, shared_cv):
                 return None
-        return plans
-
-    def objective(plans: Mapping[int, ExecutionPlan]) -> float:
-        if single:
-            return target.utility(plans[target.user.id])
-        return target.utility(plans)
+        return plans, raws
 
     best_plans = None
     best_val = -math.inf
     iterations = params.max_iter + 1
     for _ in range(iterations):
-        plans = propose()
-        if plans is None:
+        proposal = propose()
+        if proposal is None:
             continue
-        val = objective(plans)
+        plans, raws = proposal
+        val = fleet_utility({m.user.id: m.utility_of(raw)
+                             for m, raw in zip(members, raws)}, uids)
         if val > best_val:
             best_plans, best_val = plans, val
     if best_plans is None:
@@ -631,13 +656,12 @@ def rsa_plan(instance: UserInstance, constraints: ConstraintVector,
              max_tries: int = 50) -> ExecutionPlan:
     """Random selection with admission: resample until budgets fit.
 
-    Returns the last sample when every try busts a budget; the caller sees
-    the violation through its own constraint check.
+    After max_tries samples it returns the last one, which can break a
+    budget; the caller sees the violation through its own constraint check.
     """
     plan = random_plan(instance, rng, availability)
     for _ in range(max_tries - 1):
-        raw = instance.evaluate(plan)
-        if all(raw.get(d) <= constraints.get(d) for d in DIMS):
+        if constraints.admits(instance.evaluate(plan)):
             break
         plan = random_plan(instance, rng, availability)
     return plan
@@ -645,7 +669,10 @@ def rsa_plan(instance: UserInstance, constraints: ConstraintVector,
 
 def greedy_plan(instance: UserInstance,
                 availability: Optional[AvailabilityFn] = None) -> ExecutionPlan:
-    """Highest total normalized QoS per occurrence, ties to the lowest id."""
+    """Highest total normalized QoS per occurrence, ties to the lowest id.
+
+    Budgets play no part: the plan can break any of them.
+    """
     plan = ExecutionPlan()
     for e, occ_idx, ids in _allowed_candidates(instance, availability):
         norms = instance.snorm[e][occ_idx]
@@ -661,32 +688,11 @@ def objective_from_plans(instances: Mapping[int, UserInstance],
     """Fleet objective of concrete plans; users without a plan score 0.
 
     Ungrouped: mean over users of the worst normalized dimension. Grouped:
-    mean over groups of the member mean.
+    mean over groups of the member mean (see fleet_utility).
     """
-    def user_util(uid: int) -> float:
-        if uid not in plans:
-            return 0.0
-        return instances[uid].utility(plans[uid])
-
-    if groups is None:
-        if not instances:
-            raise ValueError("objective over no users")
-        return float(np.mean([user_util(u) for u in sorted(instances)]))
-    if not groups:
-        raise InvalidGroup("objective over no groups")
-    per_group = [float(np.mean([user_util(u) for u in sorted(g.members)]))
-                 for g in groups]
-    return float(np.mean(per_group))
-
-
-def _ledger_availability(directory: ServiceDirectory,
-                         ledger: Optional[CapacityLedger]) -> AvailabilityFn:
-    def ok(sid: int) -> bool:
-        if ledger is None:
-            return True
-        node = directory.host_cloud(sid)
-        return node is None or ledger.has_room(node)
-    return ok
+    utils = {uid: inst.utility(plans[uid])
+             for uid, inst in instances.items() if uid in plans}
+    return fleet_utility(utils, sorted(instances), groups)
 
 
 def _admit_plan(instance: UserInstance, plan: ExecutionPlan,
@@ -696,13 +702,6 @@ def _admit_plan(instance: UserInstance, plan: ExecutionPlan,
     for cid in sorted(instance.plan_clouds(plan)):
         if not ledger.try_admit(cid):
             raise AdmissionRefused(f"cloud {cid} filled up mid-admission")
-
-
-def _compose_availability(base: Optional[AvailabilityFn],
-                          room: AvailabilityFn) -> AvailabilityFn:
-    if base is None:
-        return room
-    return lambda sid: base(sid) and room(sid)
 
 
 def _sequential(instances: Mapping[int, UserInstance], plan_fn,
@@ -717,8 +716,7 @@ def _sequential(instances: Mapping[int, UserInstance], plan_fn,
     notes = []
     for uid in order:
         inst = instances[uid]
-        avail = _compose_availability(
-            availability, _ledger_availability(inst.directory, ledger))
+        avail = room_for(inst.directory, ledger, availability)
         try:
             plan = plan_fn(inst, avail)
         except NoFeasibleCandidates as exc:
@@ -736,7 +734,8 @@ def allocate_rsa(instances: Mapping[int, UserInstance],
                  ledger: Optional[CapacityLedger] = None,
                  groups: Optional[Sequence[UserGroup]] = None,
                  availability: Optional[AvailabilityFn] = None) -> AllocationResult:
-    """Random-selection baseline over the fleet."""
+    """Random-selection baseline over the fleet; see rsa_plan for how a
+    user's plan can still break its budget."""
     return _sequential(
         instances,
         lambda inst, avail: rsa_plan(inst, constraints_for(constraints, inst.user.id),
@@ -749,7 +748,11 @@ def allocate_greedy(instances: Mapping[int, UserInstance],
                     ledger: Optional[CapacityLedger] = None,
                     groups: Optional[Sequence[UserGroup]] = None,
                     availability: Optional[AvailabilityFn] = None) -> AllocationResult:
-    """Greedy argmax baseline over the fleet (rng orders the users only)."""
+    """Greedy argmax baseline over the fleet (rng orders the users only).
+
+    constraints is accepted for a uniform signature and ignored: greedy
+    plans are budget-blind.
+    """
     return _sequential(
         instances,
         lambda inst, avail: greedy_plan(inst, avail),
@@ -844,6 +847,7 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         for cid, cap in ledger.capacities().items())
     if not constraints.bounded() and not caps_bind:
         plans: dict[int, ExecutionPlan] = {}
+        utils: dict[int, float] = {}
         examined = 0
         for uid in uids:
             inst = instances[uid]
@@ -854,62 +858,48 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
                 u = inst.utility(plan)
                 if u > best_u:
                     best, best_u = plan, u
-            plans[uid] = best
-        utility = objective_from_plans(instances, plans, groups)
-        return AllocationResult(plans, utility, True, examined)
+            plans[uid], utils[uid] = best, best_u
+        return AllocationResult(plans, fleet_utility(utils, uids, groups),
+                                True, examined)
 
     total = 1
     for uid in uids:
         total *= _space_size(instances[uid], cap)
         if total > cap:
             raise TooLargeForEnumeration(f"joint plan space exceeds {cap}")
-    spaces: dict[int, list[tuple[ExecutionPlan, QoSTriple, float, dict[int, int]]]] = {}
+    spaces: dict[int, list[tuple[ExecutionPlan, QoSTriple, float, set[int]]]] = {}
     for uid in uids:
         inst = instances[uid]
         rows = []
         for plan in _plan_space(inst, cap):
             raw = inst.evaluate(plan)
-            usage = {cid: 1 for cid in inst.plan_clouds(plan)}
-            rows.append((plan, raw, inst.utility_of(raw), usage))
+            rows.append((plan, raw, inst.utility_of(raw),
+                         inst.plan_clouds(plan)))
         spaces[uid] = rows
 
+    by_id = None if groups is None else sorted(groups, key=lambda x: x.id)
     group_index: Optional[dict[int, int]] = None
-    if groups is not None:
+    if by_id is not None:
         group_index = {}
-        for gi, g in enumerate(sorted(groups, key=lambda x: x.id)):
+        for gi, g in enumerate(by_id):
             for m in g.members:
                 group_index[m] = gi
 
     def feasible(chosen: Sequence[tuple]) -> bool:
-        if ledger is not None:
-            usage: dict[int, int] = {}
-            for row in chosen:
-                for cid, n in row[3].items():
-                    usage[cid] = usage.get(cid, 0) + n
-            for cid, n in usage.items():
-                if ledger.tracked(cid) and n > ledger.capacity(cid):
-                    return False
-        if constraints.bounded():
-            if group_index is None:
-                raws = [row[1] for row in chosen]
-                if check_constraints(raws, constraints):
-                    return False
-            else:
-                by_group: dict[int, list[QoSTriple]] = {}
-                for uid, row in zip(uids, chosen):
-                    by_group.setdefault(group_index[uid], []).append(row[1])
-                for raws in by_group.values():
-                    if check_constraints(raws, constraints):
-                        return False
-        return True
-
-    def score(chosen: Sequence[tuple]) -> float:
-        utils = {uid: row[2] for uid, row in zip(uids, chosen)}
-        if groups is None:
-            return float(np.mean([utils[u] for u in uids]))
-        per_group = [float(np.mean([utils[m] for m in sorted(g.members)]))
-                     for g in sorted(groups, key=lambda x: x.id)]
-        return float(np.mean(per_group))
+        usage: dict[int, int] = {}
+        for row in chosen:
+            for cid in row[3]:
+                usage[cid] = usage.get(cid, 0) + 1
+        if group_index is None:
+            return not check_constraints([row[1] for row in chosen],
+                                         constraints, usage, ledger)
+        if check_constraints([], constraints, usage, ledger):
+            return False
+        by_group: dict[int, list[QoSTriple]] = {}
+        for uid, row in zip(uids, chosen):
+            by_group.setdefault(group_index[uid], []).append(row[1])
+        return not any(check_constraints(raws, constraints)
+                       for raws in by_group.values())
 
     best_combo, best_val = None, -math.inf
     examined = 0
@@ -917,7 +907,8 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         examined += 1
         if not feasible(chosen):
             continue
-        val = score(chosen)
+        val = fleet_utility({uid: row[2] for uid, row in zip(uids, chosen)},
+                            uids, by_id)
         if val > best_val:
             best_combo, best_val = chosen, val
     if best_combo is None:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .allocation import (AvailabilityFn, AllocationResult, ConstraintVector,
                          UserInstance, allocate_greedy, allocate_music,
-                         allocate_rsa, brute_force_optimal,
-                         objective_from_plans)
+                         allocate_rsa, brute_force_optimal, fleet_utility,
+                         room_for)
 from .errors import (ScenarioError, TooLargeForEnumeration, UndefinedGain,
                      UndefinedThroughput)
 from .registry import CapacityLedger
@@ -114,18 +114,9 @@ def _fallback_pick(inst: UserInstance, entry: int, occ_idx: int,
     planned assignment cannot cover. Falls back to the full candidate set when
     everything is full (the request must run somewhere)."""
     cands = inst.cands[entry][occ_idx]
-
-    def usable(sid: int) -> bool:
-        if inst.directory.service(sid).on_device:
-            return True
-        if availability is not None and not availability(sid):
-            return False
-        node = inst.directory.host_cloud(sid)
-        if node is None or ledger is None or not ledger.tracked(node):
-            return True
-        return node in held or ledger.has_room(node)
-
-    ids = [sid for sid in cands if usable(sid)] or cands
+    svc = inst.directory.service
+    ok = room_for(inst.directory, ledger, availability, held=held)
+    ids = [sid for sid in cands if svc(sid).on_device or ok(sid)] or cands
     return ids[int(rng.integers(len(ids)))]
 
 
@@ -214,6 +205,13 @@ def _metrics_row(sc: Scenario, alg: str, rep: int, utility: float,
         fixed_dimension=sc.fixed_dimension or "", seed=sc.seed)
 
 
+def _fleet_score(true: Mapping[int, UserInstance],
+                 raws: Mapping[int, QoSTriple], groups) -> float:
+    """Fleet objective of the effective plans, from their raw QoS."""
+    return fleet_utility({uid: true[uid].utility_of(r)
+                          for uid, r in raws.items()}, sorted(true), groups)
+
+
 def _enumerate_optimal(sc: Scenario, dep: Deployment,
                        true: Mapping[int, UserInstance],
                        groups) -> Optional[AllocationResult]:
@@ -245,11 +243,11 @@ def _standard_rows(sc: Scenario, dep: Deployment, pop: Population,
             res = _dispatch(alg, sc, predicted, sc.constraints(), rng,
                             ledger, pop.groups, None)
             effective = carry_plans(res, predicted, true, rng, ledger)
-        utility = objective_from_plans(true, effective, pop.groups)
+        raws = {uid: true[uid].evaluate(p) for uid, p in effective.items()}
+        utility = _fleet_score(true, raws, pop.groups)
         throughput = None
         if opt is not None and opt.utility > 0:
             throughput = compute_throughput(utility, opt.utility)
-        raws = {uid: true[uid].evaluate(p) for uid, p in effective.items()}
         rows.append(_metrics_row(sc, alg, rep, utility, throughput, raws))
     return rows
 
@@ -301,7 +299,7 @@ def _gain_rows(sc: Scenario, dep: Deployment, pop: Population,
             gains = compute_two_tier_gain(treat_mean, base_mean, fixed)
             gains[fixed] = gain_pct(treat_mean.get(fixed),
                                     base_mean.get(fixed))
-        utility = objective_from_plans(true, effective, pop.groups)
+        utility = _fleet_score(true, raws, pop.groups)
         rows.append(_metrics_row(sc, alg, rep, utility, None, raws, gains))
     return rows
 

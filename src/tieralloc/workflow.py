@@ -350,19 +350,6 @@ def workflow_extrema(node: WorkflowNode,
     return QoSExtrema(lo=lo, hi=hi)
 
 
-def ltw_extrema(ltw: LTW,
-                per_entry_occurrence: Sequence[Mapping[int, QoSExtrema]]) -> QoSExtrema:
-    """Sum the per-entry workflow extrema over a location-time workflow."""
-    if len(per_entry_occurrence) != len(ltw.entries):
-        raise ValueError("one occurrence-extrema table required per entry")
-    lo, hi = ZERO_QOS, ZERO_QOS
-    for entry, table in zip(ltw.entries, per_entry_occurrence):
-        ext = workflow_extrema(entry.workflow, table)
-        lo = lo + ext.lo
-        hi = hi + ext.hi
-    return QoSExtrema(lo=lo, hi=hi)
-
-
 def candidate_services(function_id: str, user, directory) -> list[int]:
     """Ids of all services realizing a function for this user: the user's
     own on-device services plus every cloud-hosted instance in the registry.

@@ -15,12 +15,12 @@ from tieralloc import (LOCAL, PUBLIC, AnnealingParams, CapacityLedger,
                        allocate_greedy, allocate_music, allocate_rsa,
                        brute_force_optimal, build_deployment,
                        build_population, check_constraints, constraints_for,
-                       find_service, greedy_plan, leaf, music,
+                       find_service, fleet_utility, greedy_plan, leaf, music,
                        objective_from_plans, roulette_index, roulette_pick,
-                       rsa_plan, seq, trajectory_from_pairs, utility_single)
+                       rsa_plan, seq, trajectory_from_pairs)
+from tieralloc import allocation
 from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
-                                  _roulette_spin, _roulette_wheel,
-                                  utility_group)
+                                  _roulette_spin, _roulette_wheel, room_for)
 from tieralloc.errors import AdmissionRefused, InvalidGroup, TierAllocError
 
 UNLIMITED = ConstraintVector.unlimited()
@@ -124,13 +124,16 @@ def test_find_service_wheels_pick_as_roulette_pick_does():
 
 def test_fleet_utility_is_mean_of_worst_dimensions():
     from tieralloc import QoSTriple as Q
-    vals = [Q(0.2, 0.9, 0.5), Q(0.8, 0.4, 0.6)]
-    assert utility_single(vals) == pytest.approx(0.3)
-    assert utility_group(vals) == pytest.approx(0.3)
+    worst = {uid: min(t.as_tuple())
+             for uid, t in enumerate([Q(0.2, 0.9, 0.5), Q(0.8, 0.4, 0.6)])}
+    assert fleet_utility(worst, [0, 1]) == pytest.approx(0.3)
+    assert fleet_utility(worst, [0, 1, 2]) == pytest.approx(0.2)  # 2 scores 0
+    groups = [UserGroup(0, frozenset({0, 1})), UserGroup(1, frozenset({2}))]
+    assert fleet_utility(worst, [0, 1, 2], groups) == pytest.approx(0.15)
     with pytest.raises(ValueError):
-        utility_single([])
+        fleet_utility({}, [])
     with pytest.raises(InvalidGroup):
-        utility_group([])
+        fleet_utility(worst, [0, 1], [])
 
 
 def test_budget_check_bounds_the_mean_boundary_inclusive():
@@ -210,9 +213,10 @@ def test_find_service_widens_radius_until_a_local_is_reachable():
     rng = np.random.default_rng(0)
     # cloud 1 sits on the center; block it so only cloud 2 at 300 m remains
     not_cloud1 = lambda sid: sid != 200
-    plan = find_service(inst, inst.center_point(), UNLIMITED,
-                        _params(max_expansions=4), rng, not_cloud1)
+    plan, raw = find_service(inst, inst.center_point(), UNLIMITED,
+                             _params(max_expansions=4), rng, not_cloud1)
     assert plan.assignments == {(0, 0): 201}
+    assert raw == inst.evaluate(plan)
     # radii 10, 110, 210 never reach 300 m
     with pytest.raises(NoFeasibleCandidates):
         find_service(inst, inst.center_point(), UNLIMITED,
@@ -223,14 +227,14 @@ def test_public_and_device_services_ignore_the_radius():
     inst = _instance("f")
     rng = np.random.default_rng(1)
     only_public = lambda sid: sid == 102
-    plan = find_service(inst, inst.center_point(), UNLIMITED,
-                        _params(max_expansions=1), rng, only_public)
+    plan, _ = find_service(inst, inst.center_point(), UNLIMITED,
+                           _params(max_expansions=1), rng, only_public)
     assert plan.assignments == {(0, 0): 102}
 
     dev = _instance("g", device_g=True)
     nothing = lambda sid: False  # availability never filters on-device runs
-    plan = find_service(dev, dev.center_point(), UNLIMITED,
-                        _params(max_expansions=1), rng, nothing)
+    plan, _ = find_service(dev, dev.center_point(), UNLIMITED,
+                           _params(max_expansions=1), rng, nothing)
     assert plan.assignments == {(0, 0): 300}
 
 
@@ -239,9 +243,10 @@ def test_budget_repair_falls_back_to_the_cheapest_candidate():
     rng = np.random.default_rng(2)
     # only service 100 is free; any roulette draw must be repaired to it
     for _ in range(10):
-        plan = find_service(inst, inst.center_point(),
-                            ConstraintVector(price=0.0), _params(), rng)
+        plan, raw = find_service(inst, inst.center_point(),
+                                 ConstraintVector(price=0.0), _params(), rng)
         assert plan.assignments == {(0, 0): 100}
+        assert raw == inst.evaluate(plan)
     with pytest.raises(NoFeasibleCandidates):
         find_service(inst, inst.center_point(), ConstraintVector(delay=1.0),
                      _params(), rng)
@@ -288,6 +293,28 @@ def test_evaluate_sums_entries_and_charges_hops_within_an_entry():
         inst.evaluate(plan)
 
 
+def test_user_extrema_sum_entry_envelopes():
+    grid, directory, user = _world()
+    wf = seq(leaf("f", 2048.0), leaf("g", 2048.0))
+    e0, e1 = LTWEntry(0, 60.0, wf), LTWEntry(1, 30.0, wf)  # cell 1: no WiFi
+
+    def instance(*entries):
+        return UserInstance(user, LTW(entries), directory,
+                            ProfileSet.defaults(), grid)
+
+    one, other, both = (instance(e0).extrema, instance(e1).extrema,
+                        instance(e0, e1).extrema)
+    assert one != other
+    assert both.lo == one.lo + other.lo
+    assert both.hi == one.hi + other.hi
+    # the envelope holds every plan, inter-cloud hops included
+    inst = instance(e0)
+    for f in inst.cands[0][0]:
+        for g in inst.cands[0][1]:
+            raw = inst.evaluate(ExecutionPlan({(0, 0): f, (0, 1): g}))
+            assert one.lo.emin(raw) == one.lo and one.hi.emax(raw) == one.hi
+
+
 def test_greedy_choice_is_invariant_to_rescaling_a_dimension():
     grid, directory, user = _world()
     ltw = LTW((LTWEntry(0, 60.0, seq(leaf("f", 2048.0), leaf("g", 1024.0))),))
@@ -330,13 +357,58 @@ def test_music_returns_the_first_best_of_independent_proposals():
             res = music(inst, UNLIMITED, params, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
             draws = [find_service(inst, inst.center_point(), UNLIMITED,
-                                  params, rng)
+                                  params, rng)[0]
                      for _ in range(k + 1)]
             utils = [inst.utility(p) for p in draws]
             first_best = draws[utils.index(max(utils))]
             assert res.iterations == k + 1
             assert res.plans[0].assignments == first_best.assignments
             assert res.utility == max(utils)
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that logs its first argument."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(first, *args, **kwargs):
+        calls.append(first)
+        return fn(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
+    inst = _instance("f")
+    delays = {sid: q.delay for sid, q in inst.base[0][0].items()}
+    assert min(delays, key=delays.get) == 100
+    # the fastest service meets the delay budget exactly, so every draw
+    # either fits or is repaired to it; a proposal is one draw
+    budget = ConstraintVector(delay=delays[100])
+    spins = _counted(monkeypatch, allocation, "_roulette_spin")
+    repairs = _counted(monkeypatch, allocation, "_repair")
+    evaluated = _counted(monkeypatch, UserInstance, "evaluate")
+    res = music(inst, budget, _params(max_iter=30), np.random.default_rng(9))
+    assert res.feasible and res.plans[0].assignments == {(0, 0): 100}
+    assert len(spins) == 31  # one occurrence per draw
+    assert repairs
+    assert len(evaluated) == len(spins) + len(repairs)
+
+
+def test_grouped_music_scores_and_budgets_from_one_evaluation(monkeypatch):
+    dep, pop, instances = _fleet(users=6, groups=2, seed=6)
+    grp = pop.groups[0]
+    target = GroupInstance(grp, [instances[u] for u in sorted(grp.members)])
+    # a shared budget no member's draw breaks: no repairs, yet the group
+    # mean is still checked on every proposal
+    budget = ConstraintVector(delay=1e12)
+    repairs = _counted(monkeypatch, allocation, "_repair")
+    evaluated = _counted(monkeypatch, UserInstance, "evaluate")
+    res = music(target, budget, AnnealingParams(max_iter=9),
+                np.random.default_rng(3))
+    assert res.feasible and not repairs
+    assert sorted(m.user.id for m in evaluated) == sorted([*grp.members] * 10)
 
 
 def test_music_queries_each_radius_once_per_function():
@@ -374,8 +446,8 @@ def _reference_group_music(target, constraints, params, rng, ledger):
         plans = {}
         try:
             for m in target.members:
-                plan = find_service(m, target.center_point(), constraints,
-                                    params, rng, avail)
+                plan, _ = find_service(m, target.center_point(), constraints,
+                                       params, rng, avail)
                 plans[m.user.id] = plan
                 for cid in m.plan_clouds(plan):
                     usage[cid] = usage.get(cid, 0) + 1
@@ -488,10 +560,7 @@ def test_joint_space_over_the_cap_is_refused_before_any_evaluation(
     sizes = [math.prod(len(c) for _, _, c in instances[u].iter_occurrences())
              for u in sorted(instances)]
     assert min(sizes) > 1
-    calls = []
-    evaluate = UserInstance.evaluate
-    monkeypatch.setattr(UserInstance, "evaluate",
-                        lambda self, plan: calls.append(1) or evaluate(self, plan))
+    calls = _counted(monkeypatch, UserInstance, "evaluate")
     # every user's own space fits; the first two together do not
     with pytest.raises(TooLargeForEnumeration, match="joint"):
         brute_force_optimal(instances, ConstraintVector(price=1e9),
@@ -571,3 +640,148 @@ def test_grouped_annealing_plans_every_member():
     assert set(res.plans) == set(instances)
     grouped = objective_from_plans(instances, res.plans, pop.groups)
     assert res.utility == pytest.approx(grouped)
+
+
+# --- one fleet score and one room test, against the code they replaced ------------------
+
+def _old_objective_from_plans(instances, plans, groups=None):
+    """objective_from_plans before fleet_utility."""
+    def user_util(uid):
+        if uid not in plans:
+            return 0.0
+        return instances[uid].utility(plans[uid])
+
+    if groups is None:
+        if not instances:
+            raise ValueError("objective over no users")
+        return float(np.mean([user_util(u) for u in sorted(instances)]))
+    if not groups:
+        raise InvalidGroup("objective over no groups")
+    per_group = [float(np.mean([user_util(u) for u in sorted(g.members)]))
+                 for g in groups]
+    return float(np.mean(per_group))
+
+
+def _old_exhaustive_score(uids, groups, utils):
+    """brute_force_optimal's score closure before fleet_utility."""
+    if groups is None:
+        return float(np.mean([utils[u] for u in uids]))
+    per_group = [float(np.mean([utils[m] for m in sorted(g.members)]))
+                 for g in sorted(groups, key=lambda x: x.id)]
+    return float(np.mean(per_group))
+
+
+def test_fleet_utility_equals_the_old_objective_and_exhaustive_score():
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        uids = sorted(rng.choice(60, int(rng.integers(1, 25)),
+                                 replace=False).tolist())
+        pool = [0.0, 1.0, 1 / 3, 0.1, 0.7]
+        utils = {u: float(rng.random()) if rng.random() < 0.7
+                 else pool[int(rng.integers(len(pool)))] for u in uids}
+        planned = {u: utils[u] for u in uids if rng.random() < 0.75}
+        # a plan stands for its utility
+        instances = {u: SimpleNamespace(utility=lambda plan: plan)
+                     for u in uids}
+        shuffled = [uids[i] for i in rng.permutation(len(uids))]
+        k = int(rng.integers(1, len(uids) + 1))
+        groups = [UserGroup(int(gid), frozenset(shuffled[i::k]))
+                  for i, gid in enumerate(rng.permutation(100)[:k])]
+        assert fleet_utility(planned, uids) == \
+            _old_objective_from_plans(instances, planned)
+        assert fleet_utility(planned, uids, groups) == \
+            _old_objective_from_plans(instances, planned, groups)
+        by_id = sorted(groups, key=lambda x: x.id)
+        assert fleet_utility(utils, uids) == \
+            _old_exhaustive_score(uids, None, utils)
+        assert fleet_utility(utils, uids, by_id) == \
+            _old_exhaustive_score(uids, groups, utils)
+
+
+def _old_music_avail(directory, availability, ledger, usage):
+    """music()'s avail closure before room_for."""
+    def avail(sid):
+        if availability is not None and not availability(sid):
+            return False
+        if ledger is None:
+            return True
+        node = directory.host_cloud(sid)
+        if node is None or not ledger.tracked(node):
+            return True
+        return (ledger.capacity(node) - ledger.count(node)
+                - usage.get(node, 0)) > 0
+    return avail
+
+
+def _old_sequential_avail(directory, ledger, availability):
+    """_compose_availability(availability, _ledger_availability(...))."""
+    def room(sid):
+        if ledger is None:
+            return True
+        node = directory.host_cloud(sid)
+        return node is None or ledger.has_room(node)
+    if availability is None:
+        return room
+    return lambda sid: availability(sid) and room(sid)
+
+
+def _old_fallback_pick(inst, entry, occ_idx, held, ledger, availability, rng):
+    """harness._fallback_pick before room_for."""
+    cands = inst.cands[entry][occ_idx]
+
+    def usable(sid):
+        if inst.directory.service(sid).on_device:
+            return True
+        if availability is not None and not availability(sid):
+            return False
+        node = inst.directory.host_cloud(sid)
+        if node is None or ledger is None or not ledger.tracked(node):
+            return True
+        return node in held or ledger.has_room(node)
+
+    ids = [sid for sid in cands if usable(sid)] or cands
+    return ids[int(rng.integers(len(ids)))]
+
+
+def test_room_for_equals_the_room_tests_it_replaced():
+    from tieralloc.harness import _fallback_pick
+    dep, pop, instances = _fleet(users=4, seed=9)
+    directory = dep.directory
+    sids = sorted({s for inst in instances.values()
+                   for _, _, cands in inst.iter_occurrences() for s in cands})
+    assert any(directory.service(s).on_device for s in sids)
+    clouds = sorted(dep.clouds)
+    rng = np.random.default_rng(5)
+
+    def subset(items, p):
+        return {x for x in items if rng.random() < p}
+
+    for _ in range(300):
+        ledger = None
+        if rng.random() < 0.85:
+            ledger = CapacityLedger({c: int(rng.integers(0, 4))
+                                     for c in subset(clouds, 0.8)})
+            for c in clouds:
+                for _ in range(int(rng.integers(0, 4))):
+                    ledger.try_admit(c)
+        usage = {c: int(rng.integers(0, 3)) for c in subset(clouds, 0.5)}
+        held = subset(clouds, 0.3)
+        blocked = subset(sids, 0.3)
+        base = None if rng.random() < 0.3 else (lambda s: s not in blocked)
+
+        new = room_for(directory, ledger, base, usage)
+        old = _old_music_avail(directory, base, ledger, usage)
+        assert [new(s) for s in sids] == [old(s) for s in sids]
+        new = room_for(directory, ledger, base)
+        old = _old_sequential_avail(directory, ledger, base)
+        assert [new(s) for s in sids] == [old(s) for s in sids]
+        # every index the rng could draw picks the same id, so the
+        # filtered candidate lists are equal
+        for inst in instances.values():
+            for e, occ, cands in inst.iter_occurrences():
+                for i in range(len(cands)):
+                    draw = SimpleNamespace(integers=lambda n: min(i, n - 1))
+                    assert _fallback_pick(inst, e, occ.index, held, ledger,
+                                          base, draw) == \
+                        _old_fallback_pick(inst, e, occ.index, held, ledger,
+                                           base, draw)

@@ -204,6 +204,33 @@ def test_uncertain_predictions_still_produce_full_rows():
         assert row.mean_delay_ms > 0.0
 
 
+@pytest.mark.parametrize("fixed", [None, "delay"])
+def test_rows_evaluate_each_effective_plan_once(monkeypatch, fixed):
+    from tieralloc import build_deployment, build_population, harness
+    sc = _scenario(algorithm="greedy", users=6, uncertainty_pct=50.0,
+                   repetitions=1, enumeration_cap=1, fixed_dimension=fixed)
+    dep = build_deployment(sc)
+    pop = build_population(sc, dep, 0)
+    true = harness._user_instances(dep, pop, pop.true_ltws)
+    predicted = harness._user_instances(dep, pop, pop.predicted_ltws)
+    carried = []
+    carry = harness.carry_plans
+    monkeypatch.setattr(harness, "carry_plans",
+                        lambda *a, **k: carried.append(carry(*a, **k))
+                        or carried[-1])
+    scored = []
+    evaluate = UserInstance.evaluate
+    monkeypatch.setattr(UserInstance, "evaluate", lambda self, plan: (
+        scored.append(self.user.id) if self is true[self.user.id] else None,
+        evaluate(self, plan))[1])
+    rows_fn = harness._gain_rows if fixed else harness._standard_rows
+    rows = rows_fn(sc, dep, pop, true, predicted, ["greedy"], 0)
+    assert len(rows) == 1 and len(carried) == (2 if fixed else 1)
+    # allocation evaluates the predicted instances; each plan that runs is
+    # evaluated on its true instance once, for the metrics and the utility
+    assert sorted(scored) == sorted(u for eff in carried for u in eff)
+
+
 # --- serialization ----------------------------------------------------------------------
 
 def _row(**kw):

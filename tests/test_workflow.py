@@ -11,7 +11,7 @@ from tieralloc import (And, ExecutionPlan, IncompletePlan, InvalidWorkflow,
                        LTW, LTWEntry, Leaf, Loop, QoSExtrema, QoSTriple,
                        Scenario, Seq, UserInstance, Xor, aggregate_qos,
                        build_deployment, build_population, fold_qos,
-                       intercloud_hop_ms, leaf, ltw_extrema, normalize_qos,
+                       intercloud_hop_ms, leaf, normalize_qos,
                        normalize_service, occurrences, par, seq,
                        workflow_extrema, xor)
 from tieralloc.errors import ExtremaMismatch
@@ -176,16 +176,6 @@ def test_workflow_extrema_match_plan_enumeration():
     for dim in ("price", "power", "delay"):
         assert folded.lo.get(dim) == pytest.approx(brute.lo.get(dim))
         assert folded.hi.get(dim) == pytest.approx(brute.hi.get(dim))
-
-
-def test_ltw_extrema_sum_entry_envelopes():
-    wf = seq(leaf("a", 1.0), leaf("b", 1.0))
-    ext = QoSExtrema(lo=Q(1.0, 1.0, 1.0), hi=Q(2.0, 3.0, 4.0))
-    ltw = LTW((LTWEntry(0, 60.0, wf), LTWEntry(1, 60.0, wf)))
-    tables = [{0: ext, 1: ext}, {0: ext, 1: ext}]
-    got = ltw_extrema(ltw, tables)
-    assert got.lo == Q(4.0, 4.0, 4.0)
-    assert got.hi == Q(8.0, 12.0, 16.0)
 
 
 # --- the fold against the recursive callback walk it replaced ---------------------
