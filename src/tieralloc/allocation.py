@@ -29,12 +29,12 @@ from .errors import (AdmissionRefused, IncompletePlan, InvalidGroup,
                      NoFeasibleCandidates, TooLargeForEnumeration)
 from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
                     center_of_group_mobility, center_of_mobility)
-from .profiles import (ProfileSet, intercloud_hop_ms, invocation_context,
-                       service_qos)
+from .profiles import (ProfileSet, candidate_qos, intercloud_hop_ms,
+                       intercloud_ms)
 from .registry import CapacityLedger, ServiceDirectory
 from .workflow import (DIMS, LTW, ExecutionPlan, Occurrence, QoSExtrema,
                        QoSTriple, ZERO_QOS, candidate_services, fold_qos,
-                       normalize_qos, normalize_service, occurrences)
+                       normalize_qos, occurrences, trusted_qos)
 
 AvailabilityFn = Callable[[int], bool]
 
@@ -96,10 +96,16 @@ class AnnealingParams:
 
 @dataclass
 class AllocationResult:
-    """Outcome of one allocation: plans by user id plus the objective."""
+    """Outcome of one allocation: plans by user id plus the objective.
+
+    utility is the objective that chose the plans (music, the exhaustive
+    optimum). The fleet drivers leave it None: their plans are scored by the
+    caller, on whatever instances the plans end up running against (see
+    objective_from_plans).
+    """
 
     plans: dict[int, ExecutionPlan]
-    utility: float
+    utility: Optional[float]
     feasible: bool
     iterations: int = 0
     note: str = ""
@@ -224,6 +230,28 @@ def room_for(directory: ServiceDirectory, ledger: Optional[CapacityLedger],
 
 # --- cached per-user planning context ----------------------------------------
 
+def _hop_extremes(hosts: set[Optional[int]], prev_hosts: set[Optional[int]],
+                  kb: float, profiles: ProfileSet) -> tuple[float, float]:
+    """Least and greatest inter-cloud hop delay of kb over every pair of a
+    candidate's host and a predecessor candidate's host (None: on the
+    device), the greatest being at least 0.0.
+
+    A pair pays nothing when either side is on the device or both share a
+    cloud, and otherwise the one value intercloud_ms(kb).
+    """
+    clouds, prev_clouds = hosts - {None}, prev_hosts - {None}
+    free = (None in hosts or None in prev_hosts
+            or not clouds.isdisjoint(prev_clouds))
+    paid = (bool(clouds) and bool(prev_clouds)
+            and not (len(clouds) == 1 and clouds == prev_clouds))
+    extras = []
+    if free:
+        extras.append(0.0)
+    if paid:
+        extras.append(intercloud_ms(kb, profiles))
+    return min(extras), max(0.0, max(extras))
+
+
 class UserInstance:
     """One user's location-time workflow with cached candidate QoS.
 
@@ -246,33 +274,47 @@ class UserInstance:
         self.cands: list[list[list[int]]] = []
         self.base: list[list[dict[int, QoSTriple]]] = []
         self.snorm: list[list[dict[int, float]]] = []
+        host, service = directory.host_cloud, directory.service
         lo_total = hi_total = ZERO_QOS
         for entry in ltw.entries:
             occs = occurrences(entry.workflow)
+            covered_by = grid.cell(entry.cell_id).wifi_covered_by
             e_cands: list[list[int]] = []
             e_base: list[dict[int, QoSTriple]] = []
             e_snorm: list[dict[int, float]] = []
+            e_hosts: list[set[Optional[int]]] = []
             env_lo: list[QoSTriple] = []
             env_hi: list[QoSTriple] = []
             for occ in occs:
+                kb = occ.fn.input_kb
                 ids = candidate_services(occ.fn.function_id, user, directory)
-                qos = {}
-                for sid in ids:
-                    svc = directory.service(sid)
-                    ctx = invocation_context(svc, entry.cell_id, occ.fn.input_kb,
-                                             grid, self.clouds)
-                    qos[sid] = service_qos(ctx, profiles)
-                lo = hi = next(iter(qos.values()))
-                for t in qos.values():
-                    lo, hi = lo.emin(t), hi.emax(t)
-                ext = QoSExtrema(lo=lo, hi=hi)
+                rows = [candidate_qos(service(sid), covered_by, kb, self.clouds,
+                                      profiles) for sid in ids]
+                prices = [q.price for q in rows]
+                powers = [q.power for q in rows]
+                delays = [q.delay for q in rows]
+                lo_p, lo_w, lo_d = min(prices), min(powers), min(delays)
+                hi_p, hi_w, hi_d = max(prices), max(powers), max(delays)
+                span_p, span_w, span_d = hi_p - lo_p, hi_w - lo_w, hi_d - lo_d
+                # total normalized QoS within the candidate set; each ratio
+                # already lies in [0, 1], since lo <= value <= hi
+                snorm = {}
+                for sid, p, w, d in zip(ids, prices, powers, delays):
+                    n_p = (hi_p - p) / span_p if span_p else 1.0
+                    n_w = (hi_w - w) / span_w if span_w else 1.0
+                    n_d = (hi_d - d) / span_d if span_d else 1.0
+                    snorm[sid] = math.sqrt(n_p ** 2 + n_w ** 2 + n_d ** 2)
+                hosts = {host(sid) for sid in ids}
+                lo_hop = hi_hop = 0.0
+                if occ.prev is not None:
+                    lo_hop, hi_hop = _hop_extremes(hosts, e_hosts[occ.prev],
+                                                   kb, profiles)
+                env_lo.append(trusted_qos(lo_p, lo_w, lo_d + lo_hop))
+                env_hi.append(trusted_qos(hi_p, hi_w, hi_d + hi_hop))
                 e_cands.append(ids)
-                e_base.append(qos)
-                e_snorm.append({sid: normalize_service(t, ext)[1]
-                                for sid, t in qos.items()})
-                env = self._hop_envelope(occ, qos, e_cands, ext)
-                env_lo.append(env.lo)
-                env_hi.append(env.hi)
+                e_base.append(dict(zip(ids, rows)))
+                e_snorm.append(snorm)
+                e_hosts.append(hosts)
             self.occs.append(occs)
             self.cands.append(e_cands)
             self.base.append(e_base)
@@ -283,25 +325,6 @@ class UserInstance:
             hi_total = hi_total + fold_qos(entry.workflow, env_hi)
         self.extrema = QoSExtrema(lo=lo_total, hi=hi_total)
         self._center: Optional[tuple[float, float]] = None
-
-    def _hop_envelope(self, occ: Occurrence, qos: dict[int, QoSTriple],
-                      e_cands: list[list[int]], ext: QoSExtrema) -> QoSExtrema:
-        """Occurrence envelope widened by the possible inter-cloud hop delay
-        given the predecessor occurrence's candidates."""
-        if occ.prev is None:
-            return ext
-        prev_nodes = {self.directory.host_cloud(s) for s in e_cands[occ.prev]}
-        kb = occ.fn.input_kb
-        lo_extra, hi_extra = math.inf, 0.0
-        for sid in qos:
-            node = self.directory.host_cloud(sid)
-            possible = {intercloud_hop_ms(node, p, kb, self.profiles)
-                        for p in prev_nodes}
-            lo_extra = min(lo_extra, min(possible))
-            hi_extra = max(hi_extra, max(possible))
-        return QoSExtrema(
-            lo=QoSTriple(ext.lo.price, ext.lo.power, ext.lo.delay + lo_extra),
-            hi=QoSTriple(ext.hi.price, ext.hi.power, ext.hi.delay + hi_extra))
 
     def center_point(self) -> tuple[float, float]:
         """Center of mobility of this user's trajectory, in meters."""
@@ -330,7 +353,7 @@ class UserInstance:
                                             host(assigned[(e, occ.prev)]),
                                             occ.fn.input_kb, self.profiles)
                     if hop:
-                        q = QoSTriple(q.price, q.power, q.delay + hop)
+                        q = trusted_qos(q.price, q.power, q.delay + hop)
                 leaf_qos.append(q)
             total = total + fold_qos(entry.workflow, leaf_qos)
         return total
@@ -707,7 +730,6 @@ def _admit_plan(instance: UserInstance, plan: ExecutionPlan,
 def _sequential(instances: Mapping[int, UserInstance], plan_fn,
                 rng: np.random.Generator,
                 ledger: Optional[CapacityLedger],
-                groups: Optional[Sequence[UserGroup]],
                 availability: Optional[AvailabilityFn] = None) -> AllocationResult:
     """Allocate per user in seeded random order, admitting capacity as we go."""
     uids = sorted(instances)
@@ -724,8 +746,7 @@ def _sequential(instances: Mapping[int, UserInstance], plan_fn,
             continue
         plans[uid] = plan
         _admit_plan(inst, plan, ledger)
-    utility = objective_from_plans(instances, plans, groups)
-    return AllocationResult(plans, utility, len(plans) == len(instances),
+    return AllocationResult(plans, None, len(plans) == len(instances),
                             iterations=len(order), note="; ".join(notes))
 
 
@@ -735,12 +756,13 @@ def allocate_rsa(instances: Mapping[int, UserInstance],
                  groups: Optional[Sequence[UserGroup]] = None,
                  availability: Optional[AvailabilityFn] = None) -> AllocationResult:
     """Random-selection baseline over the fleet; see rsa_plan for how a
-    user's plan can still break its budget."""
+    user's plan can still break its budget. groups is accepted for a
+    uniform signature: users plan one by one."""
     return _sequential(
         instances,
         lambda inst, avail: rsa_plan(inst, constraints_for(constraints, inst.user.id),
                                      rng, avail),
-        rng, ledger, groups, availability)
+        rng, ledger, availability)
 
 
 def allocate_greedy(instances: Mapping[int, UserInstance],
@@ -750,13 +772,13 @@ def allocate_greedy(instances: Mapping[int, UserInstance],
                     availability: Optional[AvailabilityFn] = None) -> AllocationResult:
     """Greedy argmax baseline over the fleet (rng orders the users only).
 
-    constraints is accepted for a uniform signature and ignored: greedy
-    plans are budget-blind.
+    constraints and groups are accepted for a uniform signature and
+    ignored: greedy plans are budget-blind and made user by user.
     """
     return _sequential(
         instances,
         lambda inst, avail: greedy_plan(inst, avail),
-        rng, ledger, groups, availability)
+        rng, ledger, availability)
 
 
 def allocate_music(instances: Mapping[int, UserInstance],
@@ -796,8 +818,7 @@ def allocate_music(instances: Mapping[int, UserInstance],
             plan = res.plans[m.user.id]
             plans[m.user.id] = plan
             _admit_plan(m, plan, ledger)
-    utility = objective_from_plans(instances, plans, groups)
-    return AllocationResult(plans, utility, all_feasible, iterations,
+    return AllocationResult(plans, None, all_feasible, iterations,
                             note="; ".join(notes))
 
 

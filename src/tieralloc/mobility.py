@@ -11,6 +11,15 @@ emit a Trajectory of (cell, dwell seconds) visits:
                    turn left/right with 0.25 each, renormalized where walls
                    remove options.
 
+A leg (one walk between two cell centers) is walked whole: a scalar loop
+counts its 1 s strides, sequential float adds give the positions, and once
+the trajectory is complete one vectorized floor-and-clamp maps every
+position to its cell and numpy run-length encodes the cells. The positions
+and so the visits equal those of a stride-by-stride walk bit for bit, and
+the random draws come in the same order: per leg the target (or heading,
+drawn with weighted_pick, which consumes the stream like Generator.choice),
+the speed and, for random waypoint, the pause.
+
 Uncertainty perturbs a predicted location-time workflow: each entry is
 independently rewritten with the given probability, moving it to a different
 cell or swapping its workflow for a fresh instance of another template.
@@ -18,7 +27,10 @@ cell or swapping its workflow for a fresh instance of another template.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Sequence
 
 import numpy as np
@@ -66,37 +78,63 @@ class UncertaintySpec:
             raise ValueError(f"unknown uncertainty mode {self.mode!r}")
 
 
-def _compress(cell_ids: Sequence[int]) -> Trajectory:
-    entries: list[TrajectoryEntry] = []
-    run_cell, run_len = cell_ids[0], 0
-    for cid in cell_ids:
-        if cid == run_cell:
-            run_len += 1
-        else:
-            entries.append(TrajectoryEntry(run_cell, float(run_len)))
-            run_cell, run_len = cid, 1
-    entries.append(TrajectoryEntry(run_cell, float(run_len)))
-    return Trajectory(tuple(entries))
+def choice_cdf(p: Sequence[float]) -> list[float]:
+    """The cumulative wheel Generator.choice(len(p), p=p) searches, built
+    the way numpy builds it: cdf = p.cumsum(); cdf /= cdf[-1]."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
-def _walk_steps(pos: np.ndarray, target: np.ndarray, speed: float) -> list[np.ndarray]:
-    """Positions after each 1 s step walking straight at speed, clamping on
-    arrival. Returns an empty list when already there."""
-    out = []
-    delta = target - pos
-    dist = float(np.hypot(*delta))
+def weighted_pick(cdf: Sequence[float], rng: np.random.Generator) -> int:
+    """Index drawn from a choice_cdf(p) wheel.
+
+    Equals rng.choice(len(p), p=p) in the index and in the stream: both
+    take one double from rng.random() and search the wheel to its right.
+    """
+    return bisect_right(cdf, rng.random())
+
+
+@lru_cache(maxsize=None)
+def _turn_cdf(weights: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(choice_cdf(np.array(weights) / sum(weights)))
+
+
+def _leg(x: float, y: float, tx: float, ty: float, speed: float
+         ) -> tuple[list[float], list[float]]:
+    """Coordinates after each 1 s step walking straight from (x, y) to
+    (tx, ty) at speed; the last step stops on the target. Empty when
+    already there.
+
+    The scalar dist -= speed loop counts the strides and each coordinate is
+    a run of sequential float adds, so every position equals the one a
+    stride-by-stride walk reaches.
+    """
+    dx, dy = tx - x, ty - y
+    dist = float(np.hypot(dx, dy))
     if dist == 0.0:
-        return out
-    step = delta / dist * speed
-    while dist > 0.0:
-        if speed >= dist:
-            pos = target
-            dist = 0.0
-        else:
-            pos = pos + step
-            dist -= speed
-        out.append(pos)
-    return out
+        return [], []
+    strides = 0
+    rest = dist
+    while speed < rest:
+        rest -= speed
+        strides += 1
+    sx, sy = dx / dist * speed, dy / dist * speed
+    xs = list(accumulate(repeat(sx, strides), initial=x))
+    ys = list(accumulate(repeat(sy, strides), initial=y))
+    return xs[1:] + [tx], ys[1:] + [ty]
+
+
+def _trajectory(grid: LocationMap, xs: list[float], ys: list[float]
+                ) -> Trajectory:
+    """Run-length encoded cells of the 1 s positions."""
+    ids = grid.cell_ids_at(np.array(xs), np.array(ys))
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(ids)) + 1,
+                             [len(ids)]))
+    return Trajectory(tuple(
+        TrajectoryEntry(cell, float(dwell))
+        for cell, dwell in zip(ids[bounds[:-1]].tolist(),
+                               np.diff(bounds).tolist())))
 
 
 def generate_random_waypoint(params: MobilityParams, grid: LocationMap) -> Trajectory:
@@ -104,29 +142,24 @@ def generate_random_waypoint(params: MobilityParams, grid: LocationMap) -> Traje
     rng = np.random.default_rng(params.seed)
     steps = max(1, int(round(params.duration_s)))
     centers = grid.centers()
-    pos = centers[rng.integers(len(centers))].copy()
+    x, y = centers[rng.integers(len(centers))].tolist()
     if len(centers) == 1:
         return Trajectory((TrajectoryEntry(0, float(steps)),))
-    cells: list[int] = []
-    pause_left = 0
-    leg: list[np.ndarray] = []
-    while len(cells) < steps:
-        cells.append(grid.cell_at(pos[0], pos[1]).id)
-        if pause_left > 0:
-            pause_left -= 1
-            continue
-        if not leg:
-            # at a waypoint: draw the next target (never the current cell)
-            cur = grid.cell_at(pos[0], pos[1]).id
+    xs, ys = [x], [y]
+    while len(xs) < steps:
+        # at a waypoint: draw the next target (never the current cell)
+        cur = grid.cell_at(x, y).id
+        target_cell = int(rng.integers(len(centers)))
+        while target_cell == cur:
             target_cell = int(rng.integers(len(centers)))
-            while target_cell == cur:
-                target_cell = int(rng.integers(len(centers)))
-            speed = rng.uniform(params.speed_min, params.speed_max)
-            leg = _walk_steps(pos, centers[target_cell], speed)
-        pos = leg.pop(0)
-        if not leg:
-            pause_left = int(round(rng.uniform(0.0, params.pause_max_s)))
-    return _compress(cells)
+        speed = rng.uniform(params.speed_min, params.speed_max)
+        tx, ty = centers[target_cell].tolist()
+        leg_x, leg_y = _leg(x, y, tx, ty, speed)
+        pause = int(round(rng.uniform(0.0, params.pause_max_s)))
+        xs += leg_x + [tx] * pause
+        ys += leg_y + [ty] * pause
+        x, y = tx, ty
+    return _trajectory(grid, xs[:steps], ys[:steps])
 
 
 _TURNS = ((0.5, lambda d: d),                       # straight
@@ -146,36 +179,35 @@ def generate_manhattan(params: MobilityParams, grid: LocationMap) -> Trajectory:
     def in_grid(col: int, row: int) -> bool:
         return 0 <= col < grid.width and 0 <= row < grid.height
 
+    centers = grid.centers()
     col = int(rng.integers(grid.width))
     row = int(rng.integers(grid.height))
     options = [d for d in ((1, 0), (-1, 0), (0, 1), (0, -1))
                if in_grid(col + d[0], row + d[1])]
     heading = options[rng.integers(len(options))]
-    pos = grid.centers()[row * grid.width + col].copy()
-    cells: list[int] = []
-    leg: list[np.ndarray] = []
-    while len(cells) < steps:
-        cells.append(grid.cell_at(pos[0], pos[1]).id)
-        if not leg:
-            # at an intersection: pick the next heading, then the next lane
-            col = int(pos[0] / grid.cell_size_m)
-            row = int(pos[1] / grid.cell_size_m)
-            moves, weights = [], []
-            for w, rot in _TURNS:
-                d = rot(heading)
-                if in_grid(col + d[0], row + d[1]):
-                    moves.append(d)
-                    weights.append(w)
-            if not moves:
-                moves, weights = [(-heading[0], -heading[1])], [1.0]
-            probs = np.array(weights) / sum(weights)
-            heading = moves[rng.choice(len(moves), p=probs)]
-            target = grid.centers()[(row + heading[1]) * grid.width
-                                    + (col + heading[0])]
-            speed = rng.uniform(params.speed_min, params.speed_max)
-            leg = _walk_steps(pos, target, speed)
-        pos = leg.pop(0)
-    return _compress(cells)
+    x, y = centers[row * grid.width + col].tolist()
+    xs, ys = [x], [y]
+    while len(xs) < steps:
+        # at an intersection: pick the next heading, then the next lane
+        col = int(x / grid.cell_size_m)
+        row = int(y / grid.cell_size_m)
+        moves, weights = [], []
+        for w, rot in _TURNS:
+            d = rot(heading)
+            if in_grid(col + d[0], row + d[1]):
+                moves.append(d)
+                weights.append(w)
+        if not moves:
+            moves, weights = [(-heading[0], -heading[1])], [1.0]
+        heading = moves[weighted_pick(_turn_cdf(tuple(weights)), rng)]
+        tx, ty = centers[(row + heading[1]) * grid.width
+                         + (col + heading[0])].tolist()
+        speed = rng.uniform(params.speed_min, params.speed_max)
+        leg_x, leg_y = _leg(x, y, tx, ty, speed)
+        xs += leg_x
+        ys += leg_y
+        x, y = tx, ty
+    return _trajectory(grid, xs[:steps], ys[:steps])
 
 
 _GENERATORS = {RANDOM_WAYPOINT: generate_random_waypoint,

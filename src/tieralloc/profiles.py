@@ -164,6 +164,20 @@ class InvocationContext:
             raise ValueError("data size must be >= 0")
 
 
+def _route(service: Service, covered_by: Optional[int],
+           clouds: Mapping[int, CloudNode]
+           ) -> tuple[str, Optional[int], Optional[str]]:
+    """Host tier, host cloud and link of running service from a cell whose
+    WiFi access point belongs to cloud covered_by (None: no coverage)."""
+    if service.on_device:
+        return DEVICE, None, None
+    node = service.host_cloud
+    tier = clouds[node].tier
+    if tier == LOCAL:
+        return tier, node, WIFI if covered_by == node else THREEG
+    return tier, node, WIFI if covered_by is not None else THREEG
+
+
 def invocation_context(service: Service, user_cell: int, data_kb: float,
                        grid: LocationMap, clouds: Mapping[int, CloudNode]
                        ) -> InvocationContext:
@@ -173,16 +187,8 @@ def invocation_context(service: Service, user_cell: int, data_kb: float,
     that cloud's own access point; WiFi to the public cloud requires any
     coverage; 3G is the fallback everywhere.
     """
-    covered_by = grid.cell(user_cell).wifi_covered_by
-    if service.on_device:
-        tier, node, link = DEVICE, None, None
-    else:
-        node = service.host_cloud
-        tier = clouds[node].tier
-        if tier == LOCAL:
-            link = WIFI if covered_by == node else THREEG
-        else:
-            link = WIFI if covered_by is not None else THREEG
+    tier, node, link = _route(service, grid.cell(user_cell).wifi_covered_by,
+                              clouds)
     return InvocationContext(user_cell=user_cell, host_tier=tier, host_node=node,
                              link=link, data_kb=data_kb,
                              compute_ref=service.compute_ref)
@@ -192,19 +198,72 @@ def _per100(rate: float, kb: float) -> float:
     return rate * kb / 100.0
 
 
-def compute_delay_ms(ctx: InvocationContext, profiles: ProfileSet) -> float:
-    """Processing time of the invocation on its host."""
-    return _per100(profiles.compute_profile(ctx.compute_ref).delay_ms_per_100kb,
-                   ctx.data_kb)
+def _cost(tier: str, link: Optional[str], compute_ref: str, kb: float,
+          profiles: ProfileSet) -> tuple[float, float, float]:
+    """(price, power, delay) of one invocation; the only costing code.
+
+    Delay is compute time plus link transfer. Power is on-device compute
+    energy, or the radio energy of the transfer. Price: on-device is free.
+    Public clouds bill their rate on compute time plus per-GB transfer
+    (storage-class services add the storage rate). Local clouds are
+    user-owned and bill nothing. Any 3G transfer additionally pays the
+    cellular plan rate per GB.
+    """
+    comp = profiles.compute_profile(compute_ref)
+    compute_ms = _per100(comp.delay_ms_per_100kb, kb)
+    if tier == DEVICE:
+        return 0.0, _per100(comp.energy_mj_per_100kb, kb), compute_ms
+    transfer = profiles.links[(link, tier)]
+    price = 0.0
+    gb = kb / KB_PER_GB
+    book = profiles.price
+    if tier == PUBLIC:
+        rate = (book.streaming_usd_per_hour if comp.billing == BILL_STREAMING
+                else book.public_compute_usd_per_hour)
+        price += rate * (compute_ms / MS_PER_HOUR)
+        price += book.transfer_usd_per_gb * gb
+        if comp.billing == BILL_STORAGE:
+            price += book.storage_usd_per_gb * gb
+    if link == THREEG:
+        price += book.cellular_usd_per_gb * gb
+    return (price, _per100(transfer.energy_mj_per_100kb, kb),
+            compute_ms + _per100(transfer.delay_ms_per_100kb, kb))
+
+
+def candidate_qos(service: Service, covered_by: Optional[int], kb: float,
+                  clouds: Mapping[int, CloudNode],
+                  profiles: ProfileSet) -> QoSTriple:
+    """(price, power, delay) of running service on kb from a cell whose WiFi
+    access point belongs to cloud covered_by; the same floats service_qos
+    gives for that invocation's context. Checked like any QoSTriple."""
+    tier, _, link = _route(service, covered_by, clouds)
+    return QoSTriple(*_cost(tier, link, service.compute_ref, kb, profiles))
+
+
+def _context_cost(ctx: InvocationContext,
+                  profiles: ProfileSet) -> tuple[float, float, float]:
+    return _cost(ctx.host_tier, ctx.link, ctx.compute_ref, ctx.data_kb,
+                 profiles)
+
+
+def service_qos(ctx: InvocationContext, profiles: ProfileSet) -> QoSTriple:
+    """(price, power, delay) of one invocation under the given tables."""
+    return QoSTriple(*_context_cost(ctx, profiles))
+
+
+def service_price(ctx: InvocationContext, profiles: ProfileSet) -> float:
+    """Monetary cost in USD of one invocation."""
+    return _context_cost(ctx, profiles)[0]
+
+
+def service_power(ctx: InvocationContext, profiles: ProfileSet) -> float:
+    """Device battery energy in mJ: radio transfer or on-device compute."""
+    return _context_cost(ctx, profiles)[1]
 
 
 def service_delay(ctx: InvocationContext, profiles: ProfileSet) -> float:
     """Total delay in ms: compute + link transfer."""
-    delay = compute_delay_ms(ctx, profiles)
-    if ctx.link is not None:
-        delay += _per100(profiles.links[(ctx.link, ctx.host_tier)].delay_ms_per_100kb,
-                         ctx.data_kb)
-    return delay
+    return _context_cost(ctx, profiles)[2]
 
 
 def intercloud_hop_ms(node: Optional[int], prev_node: Optional[int], kb: float,
@@ -217,47 +276,9 @@ def intercloud_hop_ms(node: Optional[int], prev_node: Optional[int], kb: float,
     """
     if node is None or prev_node is None or node == prev_node:
         return 0.0
+    return intercloud_ms(kb, profiles)
+
+
+def intercloud_ms(kb: float, profiles: ProfileSet) -> float:
+    """Delay of forwarding kb from one cloud to a different one."""
     return _per100(profiles.intercloud.delay_ms_per_100kb, kb)
-
-
-def service_power(ctx: InvocationContext, profiles: ProfileSet) -> float:
-    """Device battery energy in mJ: radio transfer or on-device compute."""
-    if ctx.link is None:
-        return _per100(profiles.compute_profile(ctx.compute_ref).energy_mj_per_100kb,
-                       ctx.data_kb)
-    return _per100(profiles.links[(ctx.link, ctx.host_tier)].energy_mj_per_100kb,
-                   ctx.data_kb)
-
-
-def service_price(ctx: InvocationContext, profiles: ProfileSet) -> float:
-    """Monetary cost in USD of one invocation.
-
-    On-device is free. Public clouds bill their rate on compute time plus
-    per-GB transfer (storage-class services add the storage rate). Local
-    clouds are user-owned and bill nothing. Any 3G transfer additionally
-    pays the cellular plan rate per GB.
-    """
-    if ctx.host_tier == DEVICE:
-        return 0.0
-    price = 0.0
-    gb = ctx.data_kb / KB_PER_GB
-    comp = profiles.compute_profile(ctx.compute_ref)
-    if ctx.host_tier == PUBLIC:
-        hours = compute_delay_ms(ctx, profiles) / MS_PER_HOUR
-        rate = (profiles.price.streaming_usd_per_hour
-                if comp.billing == BILL_STREAMING
-                else profiles.price.public_compute_usd_per_hour)
-        price += rate * hours
-        price += profiles.price.transfer_usd_per_gb * gb
-        if comp.billing == BILL_STORAGE:
-            price += profiles.price.storage_usd_per_gb * gb
-    if ctx.link == THREEG:
-        price += profiles.price.cellular_usd_per_gb * gb
-    return price
-
-
-def service_qos(ctx: InvocationContext, profiles: ProfileSet) -> QoSTriple:
-    """(price, power, delay) of one invocation under the given tables."""
-    return QoSTriple(price=service_price(ctx, profiles),
-                     power=service_power(ctx, profiles),
-                     delay=service_delay(ctx, profiles))

@@ -11,7 +11,6 @@ the configured capacity.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterable, Mapping, Optional
 
 from .errors import IdError, LedgerUnderflow
@@ -335,7 +334,10 @@ class ServiceDirectory:
 
 
 class CapacityLedger:
-    """Admission counts per capacity-bound cloud, safe under concurrent use."""
+    """Admission counts per capacity-bound cloud.
+
+    It holds no lock: the allocators use a ledger from one thread.
+    """
 
     def __init__(self, capacities: Mapping[int, int]):
         for cid, cap in capacities.items():
@@ -343,7 +345,6 @@ class CapacityLedger:
                 raise ValueError(f"negative capacity for cloud {cid}")
         self._caps = dict(capacities)
         self._counts = {cid: 0 for cid in capacities}
-        self._lock = threading.Lock()
 
     @classmethod
     def for_clouds(cls, clouds: Mapping[int, CloudNode]) -> "CapacityLedger":
@@ -370,22 +371,20 @@ class CapacityLedger:
         return self._counts[cloud_id] < self._caps[cloud_id]
 
     def try_admit(self, cloud_id: int) -> bool:
-        """Atomically claim one slot; False when the cloud is full."""
+        """Claim one slot; False when the cloud is full."""
         if cloud_id not in self._caps:
             return True
-        with self._lock:
-            if self._counts[cloud_id] >= self._caps[cloud_id]:
-                return False
-            self._counts[cloud_id] += 1
-            return True
+        if self._counts[cloud_id] >= self._caps[cloud_id]:
+            return False
+        self._counts[cloud_id] += 1
+        return True
 
     def release(self, cloud_id: int) -> None:
         if cloud_id not in self._caps:
             return
-        with self._lock:
-            if self._counts[cloud_id] == 0:
-                raise LedgerUnderflow(f"release on empty ledger for cloud {cloud_id}")
-            self._counts[cloud_id] -= 1
+        if self._counts[cloud_id] == 0:
+            raise LedgerUnderflow(f"release on empty ledger for cloud {cloud_id}")
+        self._counts[cloud_id] -= 1
 
     def full_clouds(self) -> set[int]:
         return {cid for cid, n in self._counts.items() if n >= self._caps[cid]}

@@ -20,8 +20,8 @@ import numpy as np
 from .allocation import AnnealingParams, ConstraintVector
 from .errors import ScenarioError
 from .mobility import (BOTH, LOCATION, MANHATTAN, RANDOM_WAYPOINT, SERVICE,
-                       MobilityParams, UncertaintySpec, generate_trajectory,
-                       inject_uncertainty)
+                       MobilityParams, UncertaintySpec, choice_cdf,
+                       generate_trajectory, inject_uncertainty, weighted_pick)
 from .model import (LOCAL, PUBLIC, CloudNode, LocationMap, MobileUser,
                     Service, Trajectory, UserGroup)
 from .profiles import (BILL_COMPUTE, BILL_STORAGE, BILL_STREAMING,
@@ -399,7 +399,7 @@ def build_population(sc: Scenario, dep: Deployment, rep: int) -> Population:
     templates = dep.templates
     names = sorted(sc.template_mix)
     weights = np.array([sc.template_mix[n] for n in names], dtype=float)
-    weights = weights / weights.sum()
+    template_cdf = choice_cdf(weights / weights.sum())
     by_name = {t.name: t for t in templates}
 
     users: dict[int, MobileUser] = {}
@@ -417,7 +417,7 @@ def build_population(sc: Scenario, dep: Deployment, rep: int) -> Population:
         entries = []
         for idx in _pick_entries(traj, sc.workflows_per_user):
             te = traj.entries[idx]
-            tpl = by_name[names[int(wf_rng.choice(len(names), p=weights))]]
+            tpl = by_name[names[weighted_pick(template_cdf, wf_rng)]]
             entries.append(LTWEntry(cell_id=te.cell_id, window_s=te.dwell_s,
                                     workflow=tpl.instantiate(wf_rng),
                                     template=tpl.name))

@@ -29,9 +29,16 @@ from .errors import (ExtremaMismatch, IncompletePlan, InvalidWorkflow,
 DIMS = ("price", "power", "delay")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QoSTriple:
-    """Non-negative (price USD, power mJ, delay ms) vector."""
+    """Non-negative (price USD, power mJ, delay ms) vector.
+
+    Numbers are validated where they enter: the public constructor rejects
+    a negative or non-finite component, and every candidate's cost row is
+    built through it. The arithmetic below (sums, scaling, componentwise
+    min/max) and fold_qos / normalize_qos build their results with
+    trusted_qos, which skips the check: their inputs already passed it.
+    """
 
     price: float
     power: float
@@ -44,22 +51,22 @@ class QoSTriple:
                 raise ValueError(f"{dim} must be finite and >= 0, got {v}")
 
     def __add__(self, other: "QoSTriple") -> "QoSTriple":
-        return QoSTriple(self.price + other.price,
-                         self.power + other.power,
-                         self.delay + other.delay)
+        return trusted_qos(self.price + other.price,
+                           self.power + other.power,
+                           self.delay + other.delay)
 
     def scale(self, k: float) -> "QoSTriple":
-        return QoSTriple(self.price * k, self.power * k, self.delay * k)
+        return trusted_qos(self.price * k, self.power * k, self.delay * k)
 
     def emax(self, other: "QoSTriple") -> "QoSTriple":
-        return QoSTriple(max(self.price, other.price),
-                         max(self.power, other.power),
-                         max(self.delay, other.delay))
+        return trusted_qos(max(self.price, other.price),
+                           max(self.power, other.power),
+                           max(self.delay, other.delay))
 
     def emin(self, other: "QoSTriple") -> "QoSTriple":
-        return QoSTriple(min(self.price, other.price),
-                         min(self.power, other.power),
-                         min(self.delay, other.delay))
+        return trusted_qos(min(self.price, other.price),
+                           min(self.power, other.power),
+                           min(self.delay, other.delay))
 
     def get(self, dim: str) -> float:
         if dim not in DIMS:
@@ -72,6 +79,22 @@ class QoSTriple:
     def total(self) -> float:
         """Euclidean length of the vector."""
         return math.sqrt(self.price ** 2 + self.power ** 2 + self.delay ** 2)
+
+
+_new_triple = object.__new__
+_set_price = QoSTriple.price.__set__
+_set_power = QoSTriple.power.__set__
+_set_delay = QoSTriple.delay.__set__
+
+
+def trusted_qos(price: float, power: float, delay: float) -> QoSTriple:
+    """A QoSTriple built without the entry check, for arithmetic on
+    triples that already passed it. Writes the slots directly."""
+    q = _new_triple(QoSTriple)
+    _set_price(q, price)
+    _set_power(q, power)
+    _set_delay(q, delay)
+    return q
 
 
 ZERO_QOS = QoSTriple(0.0, 0.0, 0.0)
@@ -231,7 +254,7 @@ def fold_qos(node: WorkflowNode, leaf_qos: Sequence[QoSTriple]) -> QoSTriple:
                 price += q.price
                 power += q.power
                 delay = max(delay, q.delay)
-            return QoSTriple(price, power, delay), idx
+            return trusted_qos(price, power, delay), idx
         if isinstance(n, Xor):
             worst = ZERO_QOS
             for child in n.children:
@@ -321,7 +344,7 @@ def _normalize_dim(value: float, lo: float, hi: float, what: str) -> float:
 
 def normalize_qos(raw: QoSTriple, extrema: QoSExtrema) -> QoSTriple:
     """Map raw QoS into [0, 1] per dimension, higher meaning better."""
-    return QoSTriple(*(_normalize_dim(raw.get(d), extrema.lo.get(d),
+    return trusted_qos(*(_normalize_dim(raw.get(d), extrema.lo.get(d),
                                       extrema.hi.get(d), d) for d in DIMS))
 
 

@@ -1,13 +1,16 @@
 """Allocators: selection mechanics, constraint handling, optimum dominance."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tieralloc import (LOCAL, PUBLIC, AnnealingParams, CapacityLedger,
-                       CloudNode, ConstraintVector, ExecutionPlan,
+                       CloudNode, ComputeProfile, ConstraintVector,
+                       ExecutionPlan, QoSExtrema, QoSTriple,
                        IncompletePlan, LTW,
                        LTWEntry, LocationMap, MobileUser, NoFeasibleCandidates,
                        ProfileSet, Scenario, Service, ServiceDirectory,
@@ -15,15 +18,18 @@ from tieralloc import (LOCAL, PUBLIC, AnnealingParams, CapacityLedger,
                        allocate_greedy, allocate_music, allocate_rsa,
                        brute_force_optimal, build_deployment,
                        build_population, check_constraints, constraints_for,
-                       find_service, fleet_utility, greedy_plan, leaf, music,
-                       objective_from_plans, roulette_index, roulette_pick,
-                       rsa_plan, seq, trajectory_from_pairs)
+                       candidate_services, find_service, fleet_utility,
+                       fold_qos, greedy_plan, intercloud_hop_ms, leaf,
+                       load_scenario, music, normalize_service,
+                       objective_from_plans, occurrences, roulette_index,
+                       roulette_pick, rsa_plan, seq, trajectory_from_pairs)
 from tieralloc import allocation
 from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
                                   _roulette_spin, _roulette_wheel, room_for)
 from tieralloc.errors import AdmissionRefused, InvalidGroup, TierAllocError
 
 UNLIMITED = ConstraintVector.unlimited()
+DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 # --- roulette selection --------------------------------------------------------------
@@ -541,7 +547,8 @@ def test_no_heuristic_beats_the_enumerated_optimum():
                                    np.random.default_rng(3))):
         res = runner()
         assert res.feasible
-        assert res.utility <= best.utility + 1e-9
+        assert res.utility is None
+        assert objective_from_plans(instances, res.plans) <= best.utility + 1e-9
 
 
 def test_decomposed_and_joint_enumeration_agree():
@@ -638,8 +645,12 @@ def test_grouped_annealing_plans_every_member():
                          np.random.default_rng(8), groups=pop.groups)
     assert res.feasible
     assert set(res.plans) == set(instances)
+    assert res.utility is None
     grouped = objective_from_plans(instances, res.plans, pop.groups)
-    assert res.utility == pytest.approx(grouped)
+    members = [np.mean([instances[m].utility(res.plans[m])
+                        for m in sorted(g.members)]) for g in pop.groups]
+    assert grouped == pytest.approx(np.mean(members))
+    assert 0.0 < grouped <= 1.0
 
 
 # --- one fleet score and one room test, against the code they replaced ------------------
@@ -785,3 +796,168 @@ def test_room_for_equals_the_room_tests_it_replaced():
                                           base, draw) == \
                         _old_fallback_pick(inst, e, occ.index, held, ledger,
                                            base, draw)
+
+
+# --- candidate costing against the per-candidate code it replaced -----------------------
+
+def _old_service_qos(svc, cell, kb, grid, profiles, clouds):
+    """A candidate's cost as invocation_context and service_price /
+    service_power / service_delay once computed it, operation for
+    operation, checked by the public QoSTriple constructor."""
+    covered_by = grid.cell(cell).wifi_covered_by
+    if svc.on_device:
+        tier, link = "device", None
+    else:
+        tier = clouds[svc.host_cloud].tier
+        if tier == LOCAL:
+            link = "wifi" if covered_by == svc.host_cloud else "3g"
+        else:
+            link = "wifi" if covered_by is not None else "3g"
+    comp = profiles.compute_profile(svc.compute_ref)
+    compute = comp.delay_ms_per_100kb * kb / 100.0
+    delay = compute
+    if link is not None:
+        delay += profiles.links[(link, tier)].delay_ms_per_100kb * kb / 100.0
+    if link is None:
+        power = comp.energy_mj_per_100kb * kb / 100.0
+    else:
+        power = profiles.links[(link, tier)].energy_mj_per_100kb * kb / 100.0
+    price = 0.0
+    if tier != "device":
+        gb = kb / (1024.0 * 1024.0)
+        book = profiles.price
+        if tier == PUBLIC:
+            hours = compute / 3.6e6
+            rate = (book.streaming_usd_per_hour if comp.billing == "streaming"
+                    else book.public_compute_usd_per_hour)
+            price += rate * hours
+            price += book.transfer_usd_per_gb * gb
+            if comp.billing == "storage":
+                price += book.storage_usd_per_gb * gb
+        if link == "3g":
+            price += book.cellular_usd_per_gb * gb
+    return QoSTriple(price=price, power=power, delay=delay)
+
+
+def _old_tables(inst):
+    """base, snorm and extrema as UserInstance once built them: a checked
+    triple and a normalize_service triple per candidate, emin/emax for the
+    occurrence envelope, and the hop envelope from intercloud_hop_ms over
+    every pair of candidate hosts."""
+    user, directory, profiles = inst.user, inst.directory, inst.profiles
+    base, snorm = [], []
+    lo_total = hi_total = QoSTriple(0.0, 0.0, 0.0)
+    for entry in inst.ltw.entries:
+        e_cands, e_base, e_snorm, env_lo, env_hi = [], [], [], [], []
+        for occ in occurrences(entry.workflow):
+            ids = candidate_services(occ.fn.function_id, user, directory)
+            qos = {sid: _old_service_qos(directory.service(sid), entry.cell_id,
+                                         occ.fn.input_kb, inst.grid, profiles,
+                                         directory.clouds)
+                   for sid in ids}
+            lo = hi = next(iter(qos.values()))
+            for t in qos.values():
+                lo, hi = lo.emin(t), hi.emax(t)
+            ext = QoSExtrema(lo=lo, hi=hi)
+            e_cands.append(ids)
+            e_base.append(qos)
+            e_snorm.append({sid: normalize_service(t, ext)[1]
+                            for sid, t in qos.items()})
+            if occ.prev is not None:
+                prev_nodes = {directory.host_cloud(s) for s in e_cands[occ.prev]}
+                lo_extra, hi_extra = math.inf, 0.0
+                for sid in qos:
+                    possible = {intercloud_hop_ms(directory.host_cloud(sid), p,
+                                                  occ.fn.input_kb, profiles)
+                                for p in prev_nodes}
+                    lo_extra = min(lo_extra, min(possible))
+                    hi_extra = max(hi_extra, max(possible))
+                lo = QoSTriple(lo.price, lo.power, lo.delay + lo_extra)
+                hi = QoSTriple(hi.price, hi.power, hi.delay + hi_extra)
+            env_lo.append(lo)
+            env_hi.append(hi)
+        base.append(e_base)
+        snorm.append(e_snorm)
+        lo_total = lo_total + fold_qos(entry.workflow, env_lo)
+        hi_total = hi_total + fold_qos(entry.workflow, env_hi)
+    return base, snorm, QoSExtrema(lo=lo_total, hi=hi_total)
+
+
+def _assert_tables_equal_the_old_costing(inst):
+    base, snorm, extrema = _old_tables(inst)
+    assert inst.base == base
+    assert inst.snorm == snorm
+    assert inst.extrema == extrema
+
+
+def test_candidate_tables_equal_the_old_per_candidate_costing():
+    desk = load_scenario(DEMO_SCENARIOS / "desk.json")
+    rng = np.random.default_rng(21)
+    checked = 0
+    for k in range(12):
+        seed = int(rng.integers(2**31))
+        if k % 2:
+            sc = replace(desk, seed=seed)
+        else:  # default scale, with device services and mispredictions
+            sc = Scenario(users=4, repetitions=1, uncertainty_pct=50.0,
+                          seed=seed)
+        dep = build_deployment(sc)
+        pop = build_population(sc, dep, 0)
+        for uid in pop.users:
+            for ltw in (pop.true_ltws[uid], pop.predicted_ltws[uid]):
+                _assert_tables_equal_the_old_costing(UserInstance(
+                    pop.users[uid], ltw, dep.directory, dep.profiles, dep.grid))
+                checked += 1
+    assert checked == 108
+
+
+def test_snorm_squares_like_the_scalar_reference():
+    # public compute at 86.12 ms/100KB gives service 102 a normalized price
+    # x with x ** 2 != x * x, and its total differs in the last bit: a total
+    # that squares with numpy (x * x) fails here
+    grid, directory, user = _world()
+    profiles = ProfileSet.defaults()
+    profiles.compute["public"] = ComputeProfile(86.12)
+    inst = UserInstance(user, LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),)),
+                        directory, profiles, grid)
+    _assert_tables_equal_the_old_costing(inst)
+    rows = inst.base[0][0]
+    norm = []
+    for dim in ("price", "power", "delay"):
+        values = [q.get(dim) for q in rows.values()]
+        lo, hi = min(values), max(values)
+        norm.append((hi - rows[102].get(dim)) / (hi - lo))
+    p, w, d = norm
+    assert p ** 2 != p * p
+    assert inst.snorm[0][0][102] == math.sqrt(p ** 2 + w ** 2 + d ** 2)
+    assert inst.snorm[0][0][102] != float(np.sqrt(np.sum(np.array(norm) ** 2)))
+
+
+def test_hop_extremes_equal_the_envelope_over_every_host_pair():
+    profiles = ProfileSet.defaults()
+    rng = np.random.default_rng(5)
+    pool = (None, 1, 2, 3)  # None: on the device
+    for _ in range(400):
+        hosts, prev = [{h for h in pool if rng.random() < 0.4}
+                       or {pool[int(rng.integers(len(pool)))]}
+                       for _ in range(2)]
+        kb = float(rng.uniform(1.0, 4096.0))
+        lo, hi = math.inf, 0.0
+        for node in hosts:
+            possible = {intercloud_hop_ms(node, p, kb, profiles) for p in prev}
+            lo, hi = min(lo, min(possible)), max(hi, max(possible))
+        assert allocation._hop_extremes(hosts, prev, kb, profiles) == (lo, hi)
+
+
+def test_candidate_rows_are_checked_where_they_enter():
+    grid, directory, user = _world()
+    ltw = LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),))
+    negative = ProfileSet.defaults()
+    negative.compute["public"] = ComputeProfile(-100.0)
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        UserInstance(user, ltw, directory, negative, grid)
+    not_a_number = ProfileSet.defaults()
+    not_a_number.price = replace(not_a_number.price,
+                                 transfer_usd_per_gb=math.nan)
+    with pytest.raises(ValueError, match="price must be finite"):
+        UserInstance(user, ltw, directory, not_a_number, grid)

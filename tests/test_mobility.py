@@ -7,7 +7,8 @@ from tieralloc import (LTW, LTWEntry, LocationMap, MobilityParams,
                        UncertaintySpec, generate_manhattan,
                        generate_random_waypoint, generate_trajectory,
                        inject_uncertainty, leaf, seq)
-from tieralloc.mobility import _walk_steps
+from tieralloc.mobility import _leg, choice_cdf, weighted_pick
+from tieralloc.model import Trajectory, TrajectoryEntry
 
 GRID = LocationMap(10, 10, 50.0)
 
@@ -52,16 +53,166 @@ def test_single_cell_grid_yields_one_stationary_entry(model):
 
 
 def test_walk_steps_cover_the_leg_in_one_second_strides():
-    pos = np.array([0.0, 0.0])
-    steps = _walk_steps(pos, np.array([10.0, 0.0]), speed=3.0)
-    assert [tuple(p) for p in steps] == [(3.0, 0.0), (6.0, 0.0), (9.0, 0.0),
-                                         (10.0, 0.0)]
-    steps = _walk_steps(pos, np.array([10.0, 0.0]), speed=5.0)
-    assert [tuple(p) for p in steps] == [(5.0, 0.0), (10.0, 0.0)]
+    assert _leg(0.0, 0.0, 10.0, 0.0, speed=3.0) == ([3.0, 6.0, 9.0, 10.0],
+                                                     [0.0, 0.0, 0.0, 0.0])
+    assert _leg(0.0, 0.0, 10.0, 0.0, speed=5.0) == ([5.0, 10.0], [0.0, 0.0])
     # overshoot clamps to the target in a single stride
-    steps = _walk_steps(pos, np.array([2.0, 0.0]), speed=9.0)
-    assert [tuple(p) for p in steps] == [(2.0, 0.0)]
-    assert _walk_steps(pos, np.array([0.0, 0.0]), speed=5.0) == []
+    assert _leg(0.0, 0.0, 2.0, 0.0, speed=9.0) == ([2.0], [0.0])
+    assert _leg(0.0, 0.0, 0.0, 0.0, speed=5.0) == ([], [])
+
+
+# --- whole-leg walks against the stride-by-stride walk they replaced -----------------
+
+def _ref_walk_steps(pos, target, speed):
+    """Positions after each 1 s step, as the generators once stepped them."""
+    out = []
+    delta = target - pos
+    dist = float(np.hypot(*delta))
+    if dist == 0.0:
+        return out
+    step = delta / dist * speed
+    while dist > 0.0:
+        if speed >= dist:
+            pos = target
+            dist = 0.0
+        else:
+            pos = pos + step
+            dist -= speed
+        out.append(pos)
+    return out
+
+
+def _ref_compress(cell_ids):
+    entries = []
+    run_cell, run_len = cell_ids[0], 0
+    for cid in cell_ids:
+        if cid == run_cell:
+            run_len += 1
+        else:
+            entries.append(TrajectoryEntry(run_cell, float(run_len)))
+            run_cell, run_len = cid, 1
+    entries.append(TrajectoryEntry(run_cell, float(run_len)))
+    return Trajectory(tuple(entries))
+
+
+def _ref_random_waypoint(params, grid):
+    """Random waypoint one step at a time: cell_at per step, leg.pop(0)."""
+    rng = np.random.default_rng(params.seed)
+    steps = max(1, int(round(params.duration_s)))
+    centers = grid.centers()
+    pos = centers[rng.integers(len(centers))].copy()
+    if len(centers) == 1:
+        return Trajectory((TrajectoryEntry(0, float(steps)),))
+    cells, pause_left, leg = [], 0, []
+    while len(cells) < steps:
+        cells.append(grid.cell_at(pos[0], pos[1]).id)
+        if pause_left > 0:
+            pause_left -= 1
+            continue
+        if not leg:
+            cur = grid.cell_at(pos[0], pos[1]).id
+            target_cell = int(rng.integers(len(centers)))
+            while target_cell == cur:
+                target_cell = int(rng.integers(len(centers)))
+            speed = rng.uniform(params.speed_min, params.speed_max)
+            leg = _ref_walk_steps(pos, centers[target_cell], speed)
+        pos = leg.pop(0)
+        if not leg:
+            pause_left = int(round(rng.uniform(0.0, params.pause_max_s)))
+    return _ref_compress(cells)
+
+
+def _ref_manhattan(params, grid):
+    """Manhattan one step at a time, turning with Generator.choice."""
+    turns = ((0.5, lambda d: d), (0.25, lambda d: (-d[1], d[0])),
+             (0.25, lambda d: (d[1], -d[0])))
+    rng = np.random.default_rng(params.seed)
+    steps = max(1, int(round(params.duration_s)))
+    if len(grid) == 1:
+        return Trajectory((TrajectoryEntry(0, float(steps)),))
+
+    def in_grid(col, row):
+        return 0 <= col < grid.width and 0 <= row < grid.height
+
+    col = int(rng.integers(grid.width))
+    row = int(rng.integers(grid.height))
+    options = [d for d in ((1, 0), (-1, 0), (0, 1), (0, -1))
+               if in_grid(col + d[0], row + d[1])]
+    heading = options[rng.integers(len(options))]
+    pos = grid.centers()[row * grid.width + col].copy()
+    cells, leg = [], []
+    while len(cells) < steps:
+        cells.append(grid.cell_at(pos[0], pos[1]).id)
+        if not leg:
+            col = int(pos[0] / grid.cell_size_m)
+            row = int(pos[1] / grid.cell_size_m)
+            moves, weights = [], []
+            for w, rot in turns:
+                d = rot(heading)
+                if in_grid(col + d[0], row + d[1]):
+                    moves.append(d)
+                    weights.append(w)
+            if not moves:
+                moves, weights = [(-heading[0], -heading[1])], [1.0]
+            probs = np.array(weights) / sum(weights)
+            heading = moves[rng.choice(len(moves), p=probs)]
+            target = grid.centers()[(row + heading[1]) * grid.width
+                                    + (col + heading[0])]
+            speed = rng.uniform(params.speed_min, params.speed_max)
+            leg = _ref_walk_steps(pos, target, speed)
+        pos = leg.pop(0)
+    return _ref_compress(cells)
+
+
+@pytest.mark.parametrize("width,height", [(15, 15), (6, 6), (1, 5), (3, 1),
+                                          (7, 4)])
+def test_whole_leg_walks_equal_the_stride_by_stride_reference(width, height):
+    rng = np.random.default_rng(width * 100 + height)
+    cases = 0
+    for size in (100.0, 50.0, 33.3, 77.7):
+        grid = LocationMap(width, height, size)
+        for k in range(12):
+            speed_min = float(rng.uniform(0.5, 15.0))
+            speed_max = (speed_min if k % 4 == 0
+                         else speed_min + float(rng.uniform(0.0, 15.0)))
+            pause = 0.0 if k % 3 == 0 else float(rng.uniform(0.0, 20.0))
+            duration = float(rng.integers(1, 400))
+            seed = int(rng.integers(2**31))
+            for model, ref in (("random_waypoint", _ref_random_waypoint),
+                               ("manhattan", _ref_manhattan)):
+                params = MobilityParams(model, duration_s=duration,
+                                        speed_min=speed_min,
+                                        speed_max=speed_max,
+                                        pause_max_s=pause, seed=seed)
+                got = generate_trajectory(params, grid)
+                assert got.entries == ref(params, grid).entries, params
+                assert all(type(e.cell_id) is int for e in got.entries)
+                cases += 1
+    assert cases == 96
+
+
+def _turn_weight_subsets():
+    weights = (0.5, 0.25, 0.25)
+    subsets = [tuple(w for w, keep in zip(weights, mask) if keep)
+               for mask in np.ndindex(2, 2, 2) if any(mask)]
+    return subsets + [(1.0,)]
+
+
+def test_weighted_pick_draws_like_generator_choice():
+    mixes = [np.array(w) / sum(w) for w in _turn_weight_subsets()]
+    rng = np.random.default_rng(11)
+    for _ in range(200):  # random template mixes, zero weights included
+        w = rng.random(int(rng.integers(1, 6)))
+        w[rng.random(len(w)) < 0.3] = 0.0
+        if w.sum() > 0:
+            mixes.append(w / w.sum())
+    for i, p in enumerate(mixes):
+        cdf = choice_cdf(p)
+        ours, theirs = np.random.default_rng(i), np.random.default_rng(i)
+        for _ in range(50):
+            assert weighted_pick(cdf, ours) == theirs.choice(len(p), p=p)
+        # both consumed the same stretch of the stream
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_manhattan_moves_along_lanes_between_adjacent_cells():
