@@ -29,12 +29,12 @@ from .errors import (AdmissionRefused, IncompletePlan, InvalidGroup,
                      NoFeasibleCandidates, TooLargeForEnumeration)
 from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
                     center_of_group_mobility, center_of_mobility)
-from .profiles import (ProfileSet, candidate_qos, intercloud_hop_ms,
-                       intercloud_ms)
+from .profiles import ProfileSet, candidate_rows, intercloud_ms
 from .registry import CapacityLedger, ServiceDirectory
-from .workflow import (DIMS, LTW, ExecutionPlan, Occurrence, QoSExtrema,
-                       QoSTriple, ZERO_QOS, candidate_services, fold_qos,
-                       normalize_qos, occurrences, trusted_qos)
+from .workflow import (DIMS, LTW, ExecutionPlan, FoldFn, LeafCost, Occurrence,
+                       QoSExtrema, QoSTriple, WorkflowNode, ZERO_QOS,
+                       _normalize_dim, candidate_services, compile_fold,
+                       fold_qos, occurrences, trusted_qos)
 
 AvailabilityFn = Callable[[int], bool]
 
@@ -107,7 +107,6 @@ class AllocationResult:
     plans: dict[int, ExecutionPlan]
     utility: Optional[float]
     feasible: bool
-    iterations: int = 0
     note: str = ""
 
 
@@ -123,6 +122,8 @@ def fleet_utility(utils: Mapping[int, float], users: Sequence[int],
     if groups is None:
         if not users:
             raise ValueError("objective over no users")
+        if len(users) == 1:  # the mean of one value is that value
+            return float(utils.get(users[0], 0.0))
         return float(np.mean([utils.get(u, 0.0) for u in users]))
     if not groups:
         raise InvalidGroup("objective over no groups")
@@ -205,27 +206,37 @@ def check_constraints(per_user_raw: Sequence[QoSTriple],
     return out
 
 
-def room_for(directory: ServiceDirectory, ledger: Optional[CapacityLedger],
-             base: Optional[AvailabilityFn] = None,
-             usage: Optional[Mapping[int, int]] = None,
-             held: Container[int] = frozenset()) -> AvailabilityFn:
-    """Availability: the base filter, then room on the host cloud.
+_NO_CLOUDS: frozenset[int] = frozenset()
 
-    A service has room when its cloud is untracked, is already held by the
-    caller, or has a free slot in the ledger beyond the tentative usage
-    (cloud id -> users placed on it, read on every call).
+
+def clouds_without_room(ledger: Optional[CapacityLedger],
+                        usage: Optional[Mapping[int, int]] = None,
+                        held: Container[int] = _NO_CLOUDS) -> frozenset[int]:
+    """The room rule: the clouds a candidate cannot be placed on.
+
+    A candidate's room depends only on its host cloud. A tracked cloud has
+    none when capacity - count - tentative usage (cloud id -> users placed
+    on it) is <= 0, unless the caller already holds it; untracked clouds,
+    and every cloud without a ledger, always have room.
     """
-    def ok(sid: int) -> bool:
-        if base is not None and not base(sid):
-            return False
-        if ledger is None:
-            return True
-        node = directory.host_cloud(sid)
-        if node is None or not ledger.tracked(node) or node in held:
-            return True
-        taken = usage.get(node, 0) if usage else 0
-        return ledger.capacity(node) - ledger.count(node) - taken > 0
-    return ok
+    if ledger is None:
+        return _NO_CLOUDS
+    taken = usage or {}
+    return frozenset([cid for cid, cap in ledger.capacities().items()
+                      if cap - ledger.count(cid) - taken.get(cid, 0) <= 0
+                      and cid not in held])
+
+
+def with_room(ids: Sequence[int], hosts: Mapping[int, Optional[int]],
+              blocked: Container[int],
+              availability: Optional[AvailabilityFn] = None) -> list[int]:
+    """The ids, in order, that may run: on the device (host None), or
+    passing the availability filter on a host cloud outside blocked (see
+    clouds_without_room)."""
+    return [sid for sid in ids
+            if (node := hosts[sid]) is None
+            or (node not in blocked
+                and (availability is None or availability(sid)))]
 
 
 # --- cached per-user planning context ----------------------------------------
@@ -252,6 +263,78 @@ def _hop_extremes(hosts: set[Optional[int]], prev_hosts: set[Optional[int]],
     return min(extras), max(0.0, max(extras))
 
 
+class _EntryTables:
+    """One LTW entry's planning tables.
+
+    They depend only on the user, the entry's workflow object and the WiFi
+    owner of its cell, so instances of one user can share them. Per
+    occurrence, in preorder: the realizing candidate ids, their raw QoS
+    rows, their total normalized QoS within the set, and a step (occurrence
+    index, rows, predecessor index, hop) for the plan evaluator. The
+    predecessor index is None when the occurrence has no Seq predecessor or
+    the hop costs nothing; hop is intercloud_ms(kb), paid only between two
+    different clouds. lo and hi are the entry's folded envelopes.
+    """
+
+    __slots__ = ("workflow", "covered_by", "occs", "cands", "base", "snorm",
+                 "steps", "fold", "lo", "hi")
+
+    def __init__(self, user: MobileUser, workflow: WorkflowNode,
+                 covered_by: Optional[int], directory: ServiceDirectory,
+                 profiles: ProfileSet):
+        self.workflow = workflow
+        self.covered_by = covered_by
+        self.occs = occurrences(workflow)
+        self.cands: list[list[int]] = []
+        self.base: list[dict[int, QoSTriple]] = []
+        self.snorm: list[dict[int, float]] = []
+        self.steps: list[tuple[int, dict[int, QoSTriple], Optional[int],
+                               float]] = []
+        service, hosts = directory.service, directory.hosts
+        occ_hosts: list[set[Optional[int]]] = []
+        env_lo: list[LeafCost] = []
+        env_hi: list[LeafCost] = []
+        for occ in self.occs:
+            kb = occ.fn.input_kb
+            ids = candidate_services(occ.fn.function_id, user, directory)
+            rows = candidate_rows([service(sid) for sid in ids], covered_by,
+                                  kb, directory.clouds, profiles)
+            prices = [q.price for q in rows]
+            powers = [q.power for q in rows]
+            delays = [q.delay for q in rows]
+            lo_p, lo_w, lo_d = min(prices), min(powers), min(delays)
+            hi_p, hi_w, hi_d = max(prices), max(powers), max(delays)
+            span_p, span_w, span_d = hi_p - lo_p, hi_w - lo_w, hi_d - lo_d
+            # total normalized QoS within the candidate set; each ratio
+            # already lies in [0, 1], since lo <= value <= hi
+            snorm = {}
+            for sid, p, w, d in zip(ids, prices, powers, delays):
+                n_p = (hi_p - p) / span_p if span_p else 1.0
+                n_w = (hi_w - w) / span_w if span_w else 1.0
+                n_d = (hi_d - d) / span_d if span_d else 1.0
+                snorm[sid] = math.sqrt(n_p ** 2 + n_w ** 2 + n_d ** 2)
+            occ_hosts.append({hosts[sid] for sid in ids})
+            lo_hop = hi_hop = hop = 0.0
+            if occ.prev is not None:
+                lo_hop, hi_hop = _hop_extremes(occ_hosts[-1],
+                                               occ_hosts[occ.prev], kb,
+                                               profiles)
+                hop = intercloud_ms(kb, profiles)
+            env_lo.append((lo_p, lo_w, lo_d + lo_hop))
+            env_hi.append((hi_p, hi_w, hi_d + hi_hop))
+            table = dict(zip(ids, rows))
+            self.cands.append(ids)
+            self.base.append(table)
+            self.snorm.append(snorm)
+            self.steps.append((occ.index, table,
+                               occ.prev if hop else None, hop))
+        self.fold: FoldFn = compile_fold(workflow)
+        # every fold rule is monotone per dimension, so folding the
+        # envelopes bounds what any plan of the entry can reach
+        self.lo = self.fold(env_lo)
+        self.hi = self.fold(env_hi)
+
+
 class UserInstance:
     """One user's location-time workflow with cached candidate QoS.
 
@@ -259,71 +342,57 @@ class UserInstance:
     candidate's raw QoS at the entry's cell, its total normalized QoS within
     that candidate set, and envelope extrema for whole-LTW normalization.
     Within one entry, occurrence indices equal preorder positions, so all
-    tables are plain lists indexed [entry][occurrence].
+    tables are plain lists indexed [entry][occurrence]. Each entry's tables
+    (see _EntryTables) hold its compiled fold and hop values, so evaluate
+    and utility_of work on plain floats.
+
+    share is another instance of the same user (same directory and
+    profiles), typically the true one of a mispredicted user: an entry with
+    the same workflow object and the same WiFi owner at its cell takes that
+    instance's tables instead of costing them again.
     """
 
     def __init__(self, user: MobileUser, ltw: LTW, directory: ServiceDirectory,
-                 profiles: ProfileSet, grid: LocationMap):
+                 profiles: ProfileSet, grid: LocationMap,
+                 share: Optional["UserInstance"] = None):
+        if share is not None and (share.user is not user
+                                  or share.directory is not directory
+                                  or share.profiles is not profiles):
+            raise ValueError("shared tables must come from an instance of "
+                             "the same user, directory and profiles")
         self.user = user
         self.ltw = ltw
         self.directory = directory
         self.profiles = profiles
         self.grid = grid
         self.clouds = directory.clouds
-        self.occs: list[list[Occurrence]] = []
-        self.cands: list[list[list[int]]] = []
-        self.base: list[list[dict[int, QoSTriple]]] = []
-        self.snorm: list[list[dict[int, float]]] = []
-        host, service = directory.host_cloud, directory.service
-        lo_total = hi_total = ZERO_QOS
-        for entry in ltw.entries:
-            occs = occurrences(entry.workflow)
+        self.hosts = directory.hosts
+        self.entries: list[_EntryTables] = []
+        shared = share.entries if share is not None else []
+        lo_p = lo_w = lo_d = hi_p = hi_w = hi_d = 0.0
+        for e, entry in enumerate(ltw.entries):
             covered_by = grid.cell(entry.cell_id).wifi_covered_by
-            e_cands: list[list[int]] = []
-            e_base: list[dict[int, QoSTriple]] = []
-            e_snorm: list[dict[int, float]] = []
-            e_hosts: list[set[Optional[int]]] = []
-            env_lo: list[QoSTriple] = []
-            env_hi: list[QoSTriple] = []
-            for occ in occs:
-                kb = occ.fn.input_kb
-                ids = candidate_services(occ.fn.function_id, user, directory)
-                rows = [candidate_qos(service(sid), covered_by, kb, self.clouds,
-                                      profiles) for sid in ids]
-                prices = [q.price for q in rows]
-                powers = [q.power for q in rows]
-                delays = [q.delay for q in rows]
-                lo_p, lo_w, lo_d = min(prices), min(powers), min(delays)
-                hi_p, hi_w, hi_d = max(prices), max(powers), max(delays)
-                span_p, span_w, span_d = hi_p - lo_p, hi_w - lo_w, hi_d - lo_d
-                # total normalized QoS within the candidate set; each ratio
-                # already lies in [0, 1], since lo <= value <= hi
-                snorm = {}
-                for sid, p, w, d in zip(ids, prices, powers, delays):
-                    n_p = (hi_p - p) / span_p if span_p else 1.0
-                    n_w = (hi_w - w) / span_w if span_w else 1.0
-                    n_d = (hi_d - d) / span_d if span_d else 1.0
-                    snorm[sid] = math.sqrt(n_p ** 2 + n_w ** 2 + n_d ** 2)
-                hosts = {host(sid) for sid in ids}
-                lo_hop = hi_hop = 0.0
-                if occ.prev is not None:
-                    lo_hop, hi_hop = _hop_extremes(hosts, e_hosts[occ.prev],
-                                                   kb, profiles)
-                env_lo.append(trusted_qos(lo_p, lo_w, lo_d + lo_hop))
-                env_hi.append(trusted_qos(hi_p, hi_w, hi_d + hi_hop))
-                e_cands.append(ids)
-                e_base.append(dict(zip(ids, rows)))
-                e_snorm.append(snorm)
-                e_hosts.append(hosts)
-            self.occs.append(occs)
-            self.cands.append(e_cands)
-            self.base.append(e_base)
-            self.snorm.append(e_snorm)
-            # every fold rule is monotone per dimension, so folding the
-            # envelopes bounds what any plan of the entry can reach
-            lo_total = lo_total + fold_qos(entry.workflow, env_lo)
-            hi_total = hi_total + fold_qos(entry.workflow, env_hi)
-        self.extrema = QoSExtrema(lo=lo_total, hi=hi_total)
+            tables = shared[e] if e < len(shared) else None
+            if (tables is None or tables.workflow is not entry.workflow
+                    or tables.covered_by != covered_by):
+                tables = _EntryTables(user, entry.workflow, covered_by,
+                                      directory, profiles)
+            self.entries.append(tables)
+            lo_p += tables.lo[0]
+            lo_w += tables.lo[1]
+            lo_d += tables.lo[2]
+            hi_p += tables.hi[0]
+            hi_w += tables.hi[1]
+            hi_d += tables.hi[2]
+        self.occs: list[list[Occurrence]] = [t.occs for t in self.entries]
+        self.cands: list[list[list[int]]] = [t.cands for t in self.entries]
+        self.base: list[list[dict[int, QoSTriple]]] = [
+            t.base for t in self.entries]
+        self.snorm: list[list[dict[int, float]]] = [
+            t.snorm for t in self.entries]
+        self.extrema = QoSExtrema(lo=trusted_qos(lo_p, lo_w, lo_d),
+                                  hi=trusted_qos(hi_p, hi_w, hi_d))
+        self._bounds = (lo_p, hi_p, lo_w, hi_w, lo_d, hi_d)
         self._center: Optional[tuple[float, float]] = None
 
     def center_point(self) -> tuple[float, float]:
@@ -335,32 +404,39 @@ class UserInstance:
 
     def evaluate(self, plan: ExecutionPlan) -> QoSTriple:
         """Raw LTW QoS of a plan: entry totals folded from per-occurrence
-        QoS, with the hop from each Seq predecessor, summed over entries."""
-        host = self.directory.host_cloud
+        QoS, with the hop from each Seq predecessor on a different cloud,
+        summed over entries."""
         assigned = plan.assignments
-        total = ZERO_QOS
-        for e, (entry, occs) in enumerate(zip(self.ltw.entries, self.occs)):
-            base = self.base[e]
-            leaf_qos = []
-            for occ in occs:
-                sid = assigned.get((e, occ.index))
+        hosts = self.hosts
+        price = power = delay = 0.0
+        for e, tables in enumerate(self.entries):
+            leaves = []
+            for j, rows, prev, hop in tables.steps:
+                sid = assigned.get((e, j))
                 if sid is None:
                     raise IncompletePlan(f"no assignment for occurrence "
-                                         f"{(e, occ.index)}")
-                q = base[occ.index][sid]
-                if occ.prev is not None:
-                    hop = intercloud_hop_ms(host(sid),
-                                            host(assigned[(e, occ.prev)]),
-                                            occ.fn.input_kb, self.profiles)
-                    if hop:
-                        q = trusted_qos(q.price, q.power, q.delay + hop)
-                leaf_qos.append(q)
-            total = total + fold_qos(entry.workflow, leaf_qos)
-        return total
+                                         f"{(e, j)}")
+                q = rows[sid]
+                if prev is not None:
+                    node = hosts[sid]
+                    prev_node = hosts[assigned[(e, prev)]]
+                    if (node is not None and prev_node is not None
+                            and node != prev_node):
+                        leaves.append((q.price, q.power, q.delay + hop))
+                        continue
+                leaves.append((q.price, q.power, q.delay))
+            p, w, d = tables.fold(leaves)
+            price += p
+            power += w
+            delay += d
+        return trusted_qos(price, power, delay)
 
     def utility_of(self, raw: QoSTriple) -> float:
         """Worst normalized dimension of a raw LTW QoS, in [0, 1]."""
-        return min(normalize_qos(raw, self.extrema).as_tuple())
+        lo_p, hi_p, lo_w, hi_w, lo_d, hi_d = self._bounds
+        return min(_normalize_dim(raw.price, lo_p, hi_p, "price"),
+                   _normalize_dim(raw.power, lo_w, hi_w, "power"),
+                   _normalize_dim(raw.delay, lo_d, hi_d, "delay"))
 
     def utility(self, plan: ExecutionPlan) -> float:
         """Worst normalized dimension of the plan's LTW QoS, in [0, 1]."""
@@ -370,7 +446,7 @@ class UserInstance:
         """Capacity-relevant (local) cloud ids the plan places work on."""
         out = set()
         for sid in plan.services():
-            node = self.directory.host_cloud(sid)
+            node = self.hosts[sid]
             if node is not None and self.clouds[node].tier == LOCAL:
                 out.add(node)
         return out
@@ -413,23 +489,27 @@ class SearchMemo:
     built:
     - near: range_query's local hits per (function, radius index);
     - reach: per (user id, radius index), each occurrence's candidates in
-      reach as (entry, occurrence, [(id, gated)]) rows, or None when some
-      occurrence has none; gated ids still pass the availability filter on
-      every proposal, on-device ids never need to;
+      reach as (entry, occurrence, ids) rows, or None when some occurrence
+      has none;
+    - allowed: per (user id, radius index, blocked clouds), None when that
+      radius is skipped (some occurrence has no candidate with room, or the
+      optimistic per-occurrence minima break a budget), else the allowed ids
+      per occurrence with their roulette wheels. The blocked clouds are the
+      room rule's set for the call (see clouds_without_room), so proposals
+      that see the same full clouds share one entry;
     - wheels: per (user id, entry, occurrence, allowed ids), the ids in
       roulette order (ascending total normalized QoS, then id) with their
-      cumulative weights;
-    - fits: per (user id, allowed ids), whether the optimistic
-      per-occurrence minima fit the user's budgets.
-    One memo serves one center, one AnnealingParams and one budget vector
-    per user, which is what a music() call holds fixed.
+      cumulative weights.
+    One memo serves one center, one AnnealingParams, one budget vector per
+    user and one availability filter, which is what a music() call holds
+    fixed.
     """
 
     def __init__(self):
         self.near: dict[tuple[str, int], frozenset[int]] = {}
         self.reach: dict[tuple[int, int], Optional[list]] = {}
+        self.allowed: dict[tuple, Optional[tuple[tuple, list]]] = {}
         self.wheels: dict[tuple, tuple[list[int], Optional[list[float]]]] = {}
-        self.fits: dict[tuple, bool] = {}
 
 
 def _reach(instance: UserInstance, center: tuple[float, float],
@@ -443,6 +523,7 @@ def _reach(instance: UserInstance, center: tuple[float, float],
     if key in memo.reach:
         return memo.reach[key]
     directory = instance.directory
+    hosts, clouds = instance.hosts, instance.clouds
     radius = params.radius_start_m + i * params.radius_step_m
     rows: Optional[list] = []
     for e, occ, cands in instance.iter_occurrences():
@@ -451,31 +532,46 @@ def _reach(instance: UserInstance, center: tuple[float, float],
         if near is None:
             near = memo.near[(fn, i)] = frozenset(
                 directory.range_query(center, radius, fn))
-        pairs = []
-        for sid in cands:
-            svc = directory.service(sid)
-            if svc.on_device:
-                pairs.append((sid, False))
-            elif instance.clouds[svc.host_cloud].tier != LOCAL or sid in near:
-                pairs.append((sid, True))
-        if not pairs:
+        ids = [sid for sid in cands
+               if (node := hosts[sid]) is None or clouds[node].tier != LOCAL
+               or sid in near]
+        if not ids:
             rows = None
             break
-        rows.append((e, occ.index, pairs))
+        rows.append((e, occ.index, ids))
     memo.reach[key] = rows
     return rows
 
 
-def _available(rows: list, ok: AvailabilityFn) -> Optional[tuple]:
-    """Per-occurrence tuples of the ids in reach that are available now, or
-    None when some occurrence has none."""
+def _allowed(instance: UserInstance, rows: list,
+             availability: Optional[AvailabilityFn], blocked: frozenset[int],
+             constraints: ConstraintVector,
+             memo: SearchMemo) -> Optional[tuple[tuple, list]]:
+    """The ids in reach with room per occurrence and their roulette wheels,
+    or None when some occurrence has none or the optimistic minima over them
+    break a budget."""
+    hosts = instance.hosts
     allowed = []
-    for _, _, pairs in rows:
-        ids = tuple([sid for sid, gated in pairs if not gated or ok(sid)])
-        if not ids:
+    for _, _, ids in rows:
+        ok = tuple(with_room(ids, hosts, blocked, availability))
+        if not ok:
             return None
-        allowed.append(ids)
-    return tuple(allowed)
+        allowed.append(ok)
+    allowed = tuple(allowed)
+    if constraints.bounded() and not _optimistic_fit(instance, rows, allowed,
+                                                     constraints):
+        return None
+    uid = instance.user.id
+    wheels = []
+    for (e, j, _), ids in zip(rows, allowed):
+        wheel = memo.wheels.get((uid, e, j, ids))
+        if wheel is None:
+            snorm = instance.snorm[e][j]
+            order = sorted(ids, key=lambda s: (snorm[s], s))
+            wheel = memo.wheels[(uid, e, j, ids)] = (
+                order, _roulette_wheel([snorm[s] for s in order]))
+        wheels.append(wheel)
+    return allowed, wheels
 
 
 def _optimistic_fit(instance: UserInstance, rows: list, allowed: tuple,
@@ -506,34 +602,41 @@ def _repair(instance: UserInstance, rows: list, allowed: tuple,
     return plan
 
 
+_UNSEEN = object()
+
+
 def find_service(instance: UserInstance, center: tuple[float, float],
                  constraints: ConstraintVector, params: AnnealingParams,
                  rng: np.random.Generator,
                  availability: Optional[AvailabilityFn] = None,
-                 memo: Optional[SearchMemo] = None
+                 memo: Optional[SearchMemo] = None,
+                 blocked: frozenset[int] = _NO_CLOUDS
                  ) -> tuple[ExecutionPlan, QoSTriple]:
     """Assemble one candidate plan around a center point; returns the plan
     and its raw LTW QoS.
 
     Widens the search radius in steps (radius_start_m + i * radius_step_m,
     i < max_expansions). On-device services are always in reach and public
-    ones at any radius; local-cloud services must fall inside the radius and
-    pass the availability filter. At the first radius where every occurrence
-    has a candidate and the optimistic per-dimension minima fit the budgets,
-    a plan is drawn by roulette over total normalized QoS, one rng.random()
-    per occurrence. If the drawn plan busts a budget, one deterministic
-    repair per violated dimension (the per-occurrence minimum of that
-    dimension) is tried, in DIMS order, before widening. Each plan drawn or
-    repaired is evaluated once.
+    ones at any radius; local-cloud services must fall inside the radius.
+    Availability is resolved per cloud: a cloud-hosted candidate must pass
+    the availability filter and sit on a cloud outside blocked, the clouds
+    without room for this call (see clouds_without_room). At the first
+    radius where every occurrence has a candidate and the optimistic
+    per-dimension minima fit the budgets, a plan is drawn by roulette over
+    total normalized QoS, with one rng.random(n) call for the n occurrences
+    (the same doubles as n scalar draws). If the drawn plan busts a budget,
+    one deterministic repair per violated dimension (the per-occurrence
+    minimum of that dimension) is tried, in DIMS order, before widening.
+    Each plan drawn or repaired is evaluated once.
 
-    memo carries the range queries, reach rows, roulette wheels and budget
-    fits across calls that share the center, params and budgets (see
-    SearchMemo); availability is applied afresh on every call. None means a
-    fresh memo, so a single call builds everything it needs itself.
+    memo carries the range queries, reach rows, allowed ids, roulette wheels
+    and budget fits across calls that share the center, params, budgets and
+    availability filter (see SearchMemo); allowed ids are keyed by blocked.
+    None means a fresh memo, so a single call builds everything it needs
+    itself.
 
     Raises NoFeasibleCandidates when every radius fails.
     """
-    ok = availability or (lambda sid: True)
     if memo is None:
         memo = SearchMemo()
     uid = instance.user.id
@@ -542,27 +645,18 @@ def find_service(instance: UserInstance, center: tuple[float, float],
         rows = _reach(instance, center, params, i, memo)
         if rows is None:
             continue
-        allowed = _available(rows, ok)
-        if allowed is None:
+        key = (uid, i, blocked)
+        found = memo.allowed.get(key, _UNSEEN)
+        if found is _UNSEEN:
+            found = memo.allowed[key] = _allowed(instance, rows, availability,
+                                                 blocked, constraints, memo)
+        if found is None:
             continue
-        if bounded:
-            fit = memo.fits.get((uid, allowed))
-            if fit is None:
-                fit = memo.fits[(uid, allowed)] = _optimistic_fit(
-                    instance, rows, allowed, constraints)
-            if not fit:
-                continue
-        plan = ExecutionPlan()
-        for (e, j, _), ids in zip(rows, allowed):
-            wheel = memo.wheels.get((uid, e, j, ids))
-            if wheel is None:
-                snorm = instance.snorm[e][j]
-                order = sorted(ids, key=lambda s: (snorm[s], s))
-                wheel = memo.wheels[(uid, e, j, ids)] = (
-                    order, _roulette_wheel([snorm[s] for s in order]))
-            order, cum = wheel
-            plan.assignments[(e, j)] = order[
-                _roulette_spin(cum, len(order), rng.random())]
+        allowed, wheels = found
+        draws = rng.random(len(wheels)).tolist()
+        plan = ExecutionPlan({
+            (e, j): order[_roulette_spin(cum, len(order), draw)]
+            for (e, j, _), (order, cum), draw in zip(rows, wheels, draws)})
         raw = instance.evaluate(plan)
         # QoSTriple values are finite, so unbounded budgets always hold
         if not bounded or constraints.admits(raw):
@@ -595,9 +689,11 @@ def music(target, constraints, params: AnnealingParams,
     find_service returns with each plan.
 
     One SearchMemo serves every proposal of the call, so the range queries,
-    reach rows, roulette wheels and budget fits around the center are built
-    once and only the availability filter and the draws repeat. Members'
-    availability still depends on the earlier members of the same proposal.
+    reach rows, allowed ids, roulette wheels and budget fits around the
+    center are built once and only the draws repeat. Before each member's
+    search the room rule gives the clouds without room. The ledger holds
+    still during the call, so only the tentative usage of earlier members
+    of the same proposal can change that set.
     """
     single = isinstance(target, UserInstance)
     members = [target] if single else target.members
@@ -605,17 +701,18 @@ def music(target, constraints, params: AnnealingParams,
     shared_cv = constraints if isinstance(constraints, ConstraintVector) else None
     uids = [m.user.id for m in members]
     memo = SearchMemo()
+    no_room = clouds_without_room(ledger)
 
     def propose() -> Optional[tuple[dict[int, ExecutionPlan], list[QoSTriple]]]:
         usage: dict[int, int] = {}
-        avail = room_for(members[0].directory, ledger, availability, usage)
         plans: dict[int, ExecutionPlan] = {}
         raws: list[QoSTriple] = []
         for m in members:
             try:
                 plan, raw = find_service(
                     m, center, constraints_for(constraints, m.user.id),
-                    params, rng, avail, memo)
+                    params, rng, availability, memo,
+                    clouds_without_room(ledger, usage) if usage else no_room)
             except NoFeasibleCandidates:
                 return None
             plans[m.user.id] = plan
@@ -629,8 +726,7 @@ def music(target, constraints, params: AnnealingParams,
 
     best_plans = None
     best_val = -math.inf
-    iterations = params.max_iter + 1
-    for _ in range(iterations):
+    for _ in range(params.max_iter + 1):
         proposal = propose()
         if proposal is None:
             continue
@@ -640,22 +736,20 @@ def music(target, constraints, params: AnnealingParams,
         if val > best_val:
             best_plans, best_val = plans, val
     if best_plans is None:
-        return AllocationResult({}, 0.0, False, iterations,
-                                note="no feasible proposal")
-    return AllocationResult(dict(best_plans), best_val, True, iterations)
+        return AllocationResult({}, 0.0, False, note="no feasible proposal")
+    return AllocationResult(dict(best_plans), best_val, True)
 
 
 # --- baseline per-user selectors ----------------------------------------------
 
 def _allowed_candidates(instance: UserInstance,
-                        availability: Optional[AvailabilityFn]
+                        availability: Optional[AvailabilityFn],
+                        blocked: frozenset[int]
                         ) -> list[tuple[int, int, list[int]]]:
     """(entry, occurrence, allowed ids) rows; raises when a set runs empty."""
-    ok = availability or (lambda sid: True)
     out = []
     for e, occ, cands in instance.iter_occurrences():
-        svc = instance.directory.service
-        ids = [sid for sid in cands if svc(sid).on_device or ok(sid)]
+        ids = with_room(cands, instance.hosts, blocked, availability)
         if not ids:
             raise NoFeasibleCandidates(
                 f"user {instance.user.id}: no available candidate for "
@@ -665,10 +759,13 @@ def _allowed_candidates(instance: UserInstance,
 
 
 def random_plan(instance: UserInstance, rng: np.random.Generator,
-                availability: Optional[AvailabilityFn] = None) -> ExecutionPlan:
-    """Uniform random choice per occurrence among available candidates."""
+                availability: Optional[AvailabilityFn] = None,
+                blocked: frozenset[int] = _NO_CLOUDS) -> ExecutionPlan:
+    """Uniform random choice per occurrence among available candidates
+    (blocked: clouds without room, see clouds_without_room)."""
     plan = ExecutionPlan()
-    for e, occ_idx, ids in _allowed_candidates(instance, availability):
+    for e, occ_idx, ids in _allowed_candidates(instance, availability,
+                                               blocked):
         plan.assignments[(e, occ_idx)] = ids[int(rng.integers(len(ids)))]
     return plan
 
@@ -676,28 +773,32 @@ def random_plan(instance: UserInstance, rng: np.random.Generator,
 def rsa_plan(instance: UserInstance, constraints: ConstraintVector,
              rng: np.random.Generator,
              availability: Optional[AvailabilityFn] = None,
-             max_tries: int = 50) -> ExecutionPlan:
+             max_tries: int = 50,
+             blocked: frozenset[int] = _NO_CLOUDS) -> ExecutionPlan:
     """Random selection with admission: resample until budgets fit.
 
     After max_tries samples it returns the last one, which can break a
     budget; the caller sees the violation through its own constraint check.
     """
-    plan = random_plan(instance, rng, availability)
+    plan = random_plan(instance, rng, availability, blocked)
     for _ in range(max_tries - 1):
         if constraints.admits(instance.evaluate(plan)):
             break
-        plan = random_plan(instance, rng, availability)
+        plan = random_plan(instance, rng, availability, blocked)
     return plan
 
 
 def greedy_plan(instance: UserInstance,
-                availability: Optional[AvailabilityFn] = None) -> ExecutionPlan:
-    """Highest total normalized QoS per occurrence, ties to the lowest id.
+                availability: Optional[AvailabilityFn] = None,
+                blocked: frozenset[int] = _NO_CLOUDS) -> ExecutionPlan:
+    """Highest total normalized QoS per occurrence, ties to the lowest id,
+    among available candidates (blocked: clouds without room).
 
     Budgets play no part: the plan can break any of them.
     """
     plan = ExecutionPlan()
-    for e, occ_idx, ids in _allowed_candidates(instance, availability):
+    for e, occ_idx, ids in _allowed_candidates(instance, availability,
+                                               blocked):
         norms = instance.snorm[e][occ_idx]
         plan.assignments[(e, occ_idx)] = max(ids, key=lambda s: (norms[s], -s))
     return plan
@@ -731,23 +832,25 @@ def _sequential(instances: Mapping[int, UserInstance], plan_fn,
                 rng: np.random.Generator,
                 ledger: Optional[CapacityLedger],
                 availability: Optional[AvailabilityFn] = None) -> AllocationResult:
-    """Allocate per user in seeded random order, admitting capacity as we go."""
+    """Allocate per user in seeded random order, admitting capacity as we go.
+
+    plan_fn(instance, availability, blocked) plans one user, blocked being
+    the clouds without room at that user's turn."""
     uids = sorted(instances)
     order = [uids[i] for i in rng.permutation(len(uids))]
     plans: dict[int, ExecutionPlan] = {}
     notes = []
     for uid in order:
         inst = instances[uid]
-        avail = room_for(inst.directory, ledger, availability)
         try:
-            plan = plan_fn(inst, avail)
+            plan = plan_fn(inst, availability, clouds_without_room(ledger))
         except NoFeasibleCandidates as exc:
             notes.append(str(exc))
             continue
         plans[uid] = plan
         _admit_plan(inst, plan, ledger)
     return AllocationResult(plans, None, len(plans) == len(instances),
-                            iterations=len(order), note="; ".join(notes))
+                            note="; ".join(notes))
 
 
 def allocate_rsa(instances: Mapping[int, UserInstance],
@@ -760,8 +863,9 @@ def allocate_rsa(instances: Mapping[int, UserInstance],
     uniform signature: users plan one by one."""
     return _sequential(
         instances,
-        lambda inst, avail: rsa_plan(inst, constraints_for(constraints, inst.user.id),
-                                     rng, avail),
+        lambda inst, avail, blocked: rsa_plan(
+            inst, constraints_for(constraints, inst.user.id), rng, avail,
+            blocked=blocked),
         rng, ledger, availability)
 
 
@@ -775,10 +879,7 @@ def allocate_greedy(instances: Mapping[int, UserInstance],
     constraints and groups are accepted for a uniform signature and
     ignored: greedy plans are budget-blind and made user by user.
     """
-    return _sequential(
-        instances,
-        lambda inst, avail: greedy_plan(inst, avail),
-        rng, ledger, availability)
+    return _sequential(instances, greedy_plan, rng, ledger, availability)
 
 
 def allocate_music(instances: Mapping[int, UserInstance],
@@ -803,12 +904,10 @@ def allocate_music(instances: Mapping[int, UserInstance],
     plans: dict[int, ExecutionPlan] = {}
     notes = []
     all_feasible = True
-    iterations = 0
     for idx in order:
         target = targets[idx]
         res = music(target, constraints, params, rng,
                     availability=availability, ledger=ledger)
-        iterations += res.iterations
         if not res.feasible:
             all_feasible = False
             notes.append(res.note)
@@ -818,8 +917,7 @@ def allocate_music(instances: Mapping[int, UserInstance],
             plan = res.plans[m.user.id]
             plans[m.user.id] = plan
             _admit_plan(m, plan, ledger)
-    return AllocationResult(plans, None, all_feasible, iterations,
-                            note="; ".join(notes))
+    return AllocationResult(plans, None, all_feasible, note="; ".join(notes))
 
 
 # --- exhaustive optimum ----------------------------------------------------------
@@ -869,19 +967,16 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
     if not constraints.bounded() and not caps_bind:
         plans: dict[int, ExecutionPlan] = {}
         utils: dict[int, float] = {}
-        examined = 0
         for uid in uids:
             inst = instances[uid]
-            space = _plan_space(inst, cap)
-            examined += len(space)
             best, best_u = None, -math.inf
-            for plan in space:
+            for plan in _plan_space(inst, cap):
                 u = inst.utility(plan)
                 if u > best_u:
                     best, best_u = plan, u
             plans[uid], utils[uid] = best, best_u
         return AllocationResult(plans, fleet_utility(utils, uids, groups),
-                                True, examined)
+                                True)
 
     total = 1
     for uid in uids:
@@ -923,9 +1018,7 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
                        for raws in by_group.values())
 
     best_combo, best_val = None, -math.inf
-    examined = 0
     for chosen in itertools.product(*(spaces[uid] for uid in uids)):
-        examined += 1
         if not feasible(chosen):
             continue
         val = fleet_utility({uid: row[2] for uid, row in zip(uids, chosen)},
@@ -933,7 +1026,7 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         if val > best_val:
             best_combo, best_val = chosen, val
     if best_combo is None:
-        return AllocationResult({}, 0.0, False, examined,
+        return AllocationResult({}, 0.0, False,
                                 note="no feasible joint assignment")
     plans = {uid: row[0] for uid, row in zip(uids, best_combo)}
-    return AllocationResult(plans, best_val, True, examined)
+    return AllocationResult(plans, best_val, True)

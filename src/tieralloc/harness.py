@@ -18,8 +18,8 @@ import numpy as np
 
 from .allocation import (AvailabilityFn, AllocationResult, ConstraintVector,
                          UserInstance, allocate_greedy, allocate_music,
-                         allocate_rsa, brute_force_optimal, fleet_utility,
-                         room_for)
+                         allocate_rsa, brute_force_optimal,
+                         clouds_without_room, fleet_utility, with_room)
 from .errors import (ScenarioError, TooLargeForEnumeration, UndefinedGain,
                      UndefinedThroughput)
 from .registry import CapacityLedger
@@ -107,16 +107,15 @@ def _user_instances(dep: Deployment, pop: Population,
 
 
 def _fallback_pick(inst: UserInstance, entry: int, occ_idx: int,
-                   held: set[int], ledger: Optional[CapacityLedger],
+                   blocked: frozenset[int],
                    availability: Optional[AvailabilityFn],
                    rng: np.random.Generator) -> int:
-    """Uniform seeded pick among candidates with capacity, for occurrences the
+    """Uniform seeded pick among candidates with capacity (blocked: the
+    clouds without room, see clouds_without_room), for occurrences the
     planned assignment cannot cover. Falls back to the full candidate set when
     everything is full (the request must run somewhere)."""
     cands = inst.cands[entry][occ_idx]
-    svc = inst.directory.service
-    ok = room_for(inst.directory, ledger, availability, held=held)
-    ids = [sid for sid in cands if svc(sid).on_device or ok(sid)] or cands
+    ids = with_room(cands, inst.hosts, blocked, availability) or cands
     return ids[int(rng.integers(len(ids)))]
 
 
@@ -143,6 +142,7 @@ def carry_plans(result: AllocationResult,
             effective[uid] = plan
             continue
         held = pred_inst.plan_clouds(plan)
+        blocked = clouds_without_room(ledger, held=held)
         mapped = ExecutionPlan()
         for e, t_entry in enumerate(true_inst.ltw.entries):
             if pred_inst.ltw.entries[e].workflow is t_entry.workflow:
@@ -152,8 +152,7 @@ def carry_plans(result: AllocationResult,
             else:
                 for occ in true_inst.occs[e]:
                     mapped.assignments[(e, occ.index)] = _fallback_pick(
-                        true_inst, e, occ.index, held, ledger, availability,
-                        rng)
+                        true_inst, e, occ.index, blocked, availability, rng)
         effective[uid] = mapped
         if ledger is not None:
             used = true_inst.plan_clouds(mapped)
@@ -320,7 +319,8 @@ def run_experiment(sc: Scenario) -> list[MetricsRow]:
         predicted = {
             uid: (true[uid] if pop.predicted_ltws[uid] is pop.true_ltws[uid]
                   else UserInstance(pop.users[uid], pop.predicted_ltws[uid],
-                                    dep.directory, dep.profiles, dep.grid))
+                                    dep.directory, dep.profiles, dep.grid,
+                                    share=true[uid]))
             for uid in sorted(pop.users)}
         if sc.fixed_dimension:
             rows.extend(_gain_rows(sc, dep, pop, true, predicted, algorithms,

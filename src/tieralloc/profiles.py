@@ -16,11 +16,12 @@ any 3G transfer pays the cellular data plan rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .model import LOCAL, PUBLIC, THREEG, WIFI, CloudNode, LocationMap, Service
-from .workflow import QoSTriple
+from .workflow import QoSTriple, trusted_qos
 
 KB_PER_MB = 1024.0
 KB_PER_GB = 1024.0 * 1024.0
@@ -230,14 +231,26 @@ def _cost(tier: str, link: Optional[str], compute_ref: str, kb: float,
             compute_ms + _per100(transfer.delay_ms_per_100kb, kb))
 
 
-def candidate_qos(service: Service, covered_by: Optional[int], kb: float,
-                  clouds: Mapping[int, CloudNode],
-                  profiles: ProfileSet) -> QoSTriple:
-    """(price, power, delay) of running service on kb from a cell whose WiFi
-    access point belongs to cloud covered_by; the same floats service_qos
-    gives for that invocation's context. Checked like any QoSTriple."""
-    tier, _, link = _route(service, covered_by, clouds)
-    return QoSTriple(*_cost(tier, link, service.compute_ref, kb, profiles))
+def candidate_rows(services: Sequence[Service], covered_by: Optional[int],
+                   kb: float, clouds: Mapping[int, CloudNode],
+                   profiles: ProfileSet) -> list[QoSTriple]:
+    """(price, power, delay) of running each service on kb from a cell whose
+    WiFi access point belongs to cloud covered_by; the same floats
+    service_qos gives for each invocation's context.
+
+    The rows are checked where they enter, as one occurrence: when every
+    component is finite and none is negative they are built without a
+    per-row check; otherwise each row goes through the QoSTriple
+    constructor, so the first bad row raises its ValueError.
+    """
+    costs = []
+    for service in services:
+        tier, _, link = _route(service, covered_by, clouds)
+        costs.append(_cost(tier, link, service.compute_ref, kb, profiles))
+    flat = [v for row in costs for v in row]
+    if all(map(math.isfinite, flat)) and min(flat, default=0.0) >= 0:
+        return [trusted_qos(*row) for row in costs]
+    return [QoSTriple(*row) for row in costs]
 
 
 def _context_cost(ctx: InvocationContext,

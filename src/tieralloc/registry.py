@@ -263,12 +263,14 @@ class ServiceDirectory:
 
     Local-cloud services live in the R-tree keyed by their cloud's cell
     center; public services and per-user device services are side tables.
+    hosts maps each service id to its host cloud, or None on a device.
     """
 
     def __init__(self, grid: LocationMap, clouds: Mapping[int, CloudNode]):
         self.grid = grid
         self.clouds = dict(clouds)
         self.services: dict[int, Service] = {}
+        self.hosts: dict[int, Optional[int]] = {}
         self.tree = RTree()
         self._local: dict[str, list[int]] = {}
         self._public: dict[str, list[int]] = {}
@@ -292,11 +294,13 @@ class ServiceDirectory:
             else:
                 self._public.setdefault(service.function_id, []).append(service.id)
         self.services[service.id] = service
+        self.hosts[service.id] = service.host_cloud
 
     def remove(self, service_id: int) -> None:
         svc = self.services.pop(service_id, None)
         if svc is None:
             raise IdError(f"unknown service id {service_id}")
+        del self.hosts[service_id]
         if svc.on_device:
             self._device[(svc.host_user, svc.function_id)].remove(service_id)
         elif self.clouds[svc.host_cloud].tier == LOCAL:
@@ -309,7 +313,7 @@ class ServiceDirectory:
         return self.services[service_id]
 
     def host_cloud(self, service_id: int) -> Optional[int]:
-        return self.services[service_id].host_cloud
+        return self.hosts[service_id]
 
     def cloud_services_for(self, function_id: str) -> list[int]:
         """Every cloud-hosted instance of the function, local then public."""

@@ -2,7 +2,7 @@
 
 A workflow is a tree of Seq / And / Xor / Loop nodes over function leaves.
 Each leaf occurrence gets a service assignment and so a QoS triple (price,
-power, delay); fold_qos, the one walk that composes QoS, folds the triples
+power, delay); fold_qos, the one fold that composes QoS, folds the triples
 into the workflow total:
 
     Seq   componentwise sum over children
@@ -10,8 +10,11 @@ into the workflow total:
     Xor   componentwise max over branches (worst case path)
     Loop  child total scaled by the iteration count
 
-A leaf's cost may depend on its Seq predecessor's service (the inter-cloud
-hop); occurrences() is the only code that resolves that predecessor.
+fold_qos compiles each workflow shape into one Python function once
+(compile_fold), so a plan evaluator folds plain floats without walking the
+tree. A leaf's cost may depend on its Seq predecessor's service (the
+inter-cloud hop); occurrences() is the only code that resolves that
+predecessor.
 
 Normalization rescales each dimension into [0, 1] against extrema so that
 lower raw cost maps to higher normalized value.
@@ -234,39 +237,90 @@ def occurrences(node: WorkflowNode) -> list[Occurrence]:
     return out
 
 
+def workflow_shape(node: WorkflowNode) -> tuple:
+    """What fold_qos depends on in a tree: the node kinds, the child counts
+    and the Loop counts, without the data sizes. Trees of one shape fold
+    alike."""
+    if isinstance(node, Leaf):
+        return ()
+    if isinstance(node, Seq):
+        return ("seq", *map(workflow_shape, node.children))
+    if isinstance(node, And):
+        return ("and", *map(workflow_shape, node.children))
+    if isinstance(node, Xor):
+        return ("xor", *map(workflow_shape, node.children))
+    if isinstance(node, Loop):
+        return ("loop", node.count, workflow_shape(node.child))
+    raise InvalidWorkflow(f"unknown node type {type(node).__name__}")
+
+
+LeafCost = tuple[float, float, float]
+FoldFn = Callable[[Sequence[LeafCost]], LeafCost]
+
+# compiled folds by shape, filled as shapes are first folded
+_FOLDS: dict[tuple, FoldFn] = {}
+
+
+def _fold_source(shape: tuple) -> str:
+    """Python source of the fold of one shape: one statement per composite
+    node, each accumulator starting at 0.0 and taking its children in
+    order, so every float operation is the one the rules define."""
+    lines: list[str] = []
+    n_leaves = 0
+
+    def emit(s: tuple) -> tuple[str, str, str]:
+        nonlocal n_leaves
+        if not s:
+            i = n_leaves
+            n_leaves += 1
+            return f"p{i}", f"w{i}", f"d{i}"
+        if s[0] == "loop":
+            dims = [f"{x} * {s[1]}" for x in emit(s[2])]
+        else:
+            kids = [emit(k) for k in s[1:]]
+            dims = []
+            for dim in range(3):
+                acc = "0.0"
+                for kid in kids:
+                    if s[0] == "xor" or (s[0] == "and" and dim == 2):
+                        acc = f"max({acc}, {kid[dim]})"
+                    else:
+                        acc = f"{acc} + {kid[dim]}"
+                dims.append(acc)
+        t = len(lines)
+        lines.append(f"    P{t}, W{t}, D{t} = {dims[0]}, {dims[1]}, {dims[2]}")
+        return f"P{t}", f"W{t}", f"D{t}"
+
+    p, w, d = emit(shape)
+    unpack = "".join(f"(p{i}, w{i}, d{i}), " for i in range(n_leaves))
+    return "\n".join(["def fold(leaves):", f"    {unpack}= leaves", *lines,
+                      f"    return ({p}, {w}, {d})"]) + "\n"
+
+
+def compile_fold(node: WorkflowNode) -> FoldFn:
+    """The fold of node's shape as one compiled function: it maps per-leaf
+    (price, power, delay) tuples, one per leaf in preorder, to the workflow
+    total. Each shape compiles once, on its first fold."""
+    shape = workflow_shape(node)
+    fold = _FOLDS.get(shape)
+    if fold is None:
+        namespace: dict = {}
+        exec(_fold_source(shape), namespace)
+        fold = _FOLDS[shape] = namespace["fold"]
+    return fold
+
+
 def fold_qos(node: WorkflowNode, leaf_qos: Sequence[QoSTriple]) -> QoSTriple:
     """Fold per-occurrence QoS triples, one per leaf in preorder, into the
-    workflow total (Seq sum, And sum/max, Xor max, Loop scale)."""
+    workflow total (Seq sum, And sum/max, Xor max, Loop scale).
 
-    def walk(n: WorkflowNode, idx: int) -> tuple[QoSTriple, int]:
-        if isinstance(n, Leaf):
-            return leaf_qos[idx], idx + 1
-        if isinstance(n, Seq):
-            total = ZERO_QOS
-            for child in n.children:
-                q, idx = walk(child, idx)
-                total = total + q
-            return total, idx
-        if isinstance(n, And):
-            price = power = delay = 0.0
-            for child in n.children:
-                q, idx = walk(child, idx)
-                price += q.price
-                power += q.power
-                delay = max(delay, q.delay)
-            return trusted_qos(price, power, delay), idx
-        if isinstance(n, Xor):
-            worst = ZERO_QOS
-            for child in n.children:
-                q, idx = walk(child, idx)
-                worst = worst.emax(q)
-            return worst, idx
-        if isinstance(n, Loop):
-            q, idx = walk(n.child, idx)
-            return q.scale(n.count), idx
-        raise InvalidWorkflow(f"unknown node type {type(n).__name__}")
-
-    return walk(node, 0)[0]
+    The fold runs compiled per workflow shape (see compile_fold):
+    accumulators start at 0.0, Seq sums, And sums price and power and takes
+    max(delay, q), Xor takes max(acc, q) per dimension, Loop scales by its
+    count.
+    """
+    return trusted_qos(*compile_fold(node)(
+        [(q.price, q.power, q.delay) for q in leaf_qos]))
 
 
 CostFn = Callable[[int, int, FunctionNode, Optional[int]], QoSTriple]

@@ -25,7 +25,8 @@ from tieralloc import (LOCAL, PUBLIC, AnnealingParams, CapacityLedger,
                        roulette_pick, rsa_plan, seq, trajectory_from_pairs)
 from tieralloc import allocation
 from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
-                                  _roulette_spin, _roulette_wheel, room_for)
+                                  _roulette_spin, _roulette_wheel,
+                                  clouds_without_room, with_room)
 from tieralloc.errors import AdmissionRefused, InvalidGroup, TierAllocError
 
 UNLIMITED = ConstraintVector.unlimited()
@@ -321,6 +322,43 @@ def test_user_extrema_sum_entry_envelopes():
             assert one.lo.emin(raw) == one.lo and one.hi.emax(raw) == one.hi
 
 
+def test_predicted_instances_share_the_true_entry_tables():
+    grid, directory, user = _world(device_g=True)
+    profiles = ProfileSet.defaults()
+    wf, other = seq(leaf("f", 2048.0), leaf("g", 1024.0)), leaf("f", 512.0)
+    # cells 0 and 3 sit under the WiFi of clouds 1 and 2; 1 and 2 have none
+    true_ltw = LTW((LTWEntry(0, 60.0, wf), LTWEntry(1, 30.0, wf),
+                    LTWEntry(3, 30.0, other), LTWEntry(0, 20.0, wf)))
+    pred_ltw = LTW((LTWEntry(0, 60.0, wf),      # as predicted: shared
+                    LTWEntry(2, 30.0, wf),      # moved, still no WiFi: shared
+                    LTWEntry(0, 30.0, other),   # moved under cloud 1: rebuilt
+                    # an equal tree, but another workflow object: rebuilt
+                    LTWEntry(0, 20.0,
+                             seq(leaf("f", 2048.0), leaf("g", 1024.0)))))
+    true = UserInstance(user, true_ltw, directory, profiles, grid)
+    pred = UserInstance(user, pred_ltw, directory, profiles, grid, share=true)
+    fresh = UserInstance(user, pred_ltw, directory, profiles, grid)
+    tables = ("occs", "cands", "base", "snorm")
+    for e in (0, 1):
+        assert pred.entries[e] is true.entries[e]
+        for name in tables:
+            assert getattr(pred, name)[e] is getattr(true, name)[e]
+    for e in (2, 3):
+        assert pred.entries[e] is not true.entries[e]
+    for name in tables:
+        assert getattr(pred, name) == getattr(fresh, name)
+    for got, built in zip(pred.entries, fresh.entries):
+        assert got.steps == built.steps and got.fold is built.fold
+        assert (got.lo, got.hi) == (built.lo, built.hi)
+    assert pred.extrema == fresh.extrema
+    _assert_tables_equal_the_old_costing(pred)
+    plan = greedy_plan(pred)
+    assert pred.evaluate(plan) == fresh.evaluate(plan)
+    stranger = MobileUser(1, user.trajectory)
+    with pytest.raises(ValueError, match="same user"):
+        UserInstance(stranger, pred_ltw, directory, profiles, grid, share=true)
+
+
 def test_greedy_choice_is_invariant_to_rescaling_a_dimension():
     grid, directory, user = _world()
     ltw = LTW((LTWEntry(0, 60.0, seq(leaf("f", 2048.0), leaf("g", 1024.0))),))
@@ -338,40 +376,6 @@ def test_greedy_choice_is_invariant_to_rescaling_a_dimension():
 
 # --- MuSIC best-of-N search -----------------------------------------------------------
 
-def test_music_zero_iterations_takes_the_first_proposal():
-    inst = _instance("f")
-    res = music(inst, UNLIMITED, _params(max_iter=0), np.random.default_rng(3))
-    assert res.feasible
-    assert res.iterations == 1
-    assert set(res.plans) == {0}
-    assert res.utility == pytest.approx(inst.utility(res.plans[0]))
-
-
-def test_music_best_seen_never_degrades_with_more_iterations():
-    inst = _instance("f")
-    short = music(inst, UNLIMITED, _params(max_iter=0), np.random.default_rng(7))
-    long = music(inst, UNLIMITED, _params(max_iter=40), np.random.default_rng(7))
-    assert long.utility >= short.utility - 1e-12
-
-
-def test_music_returns_the_first_best_of_independent_proposals():
-    dep, pop, instances = _fleet(users=2)
-    inst = instances[0]
-    for seed in range(10):
-        for k in (0, 3, 25):
-            params = AnnealingParams(max_iter=k)
-            res = music(inst, UNLIMITED, params, np.random.default_rng(seed))
-            rng = np.random.default_rng(seed)
-            draws = [find_service(inst, inst.center_point(), UNLIMITED,
-                                  params, rng)[0]
-                     for _ in range(k + 1)]
-            utils = [inst.utility(p) for p in draws]
-            first_best = draws[utils.index(max(utils))]
-            assert res.iterations == k + 1
-            assert res.plans[0].assignments == first_best.assignments
-            assert res.utility == max(utils)
-
-
 def _counted(monkeypatch, owner, name):
     """Replace owner.name by a wrapper that logs its first argument."""
     calls = []
@@ -383,6 +387,49 @@ def _counted(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def test_music_zero_iterations_takes_the_first_proposal(monkeypatch):
+    inst = _instance("f")
+    proposals = _counted(monkeypatch, allocation, "find_service")
+    res = music(inst, UNLIMITED, _params(max_iter=0), np.random.default_rng(3))
+    assert res.feasible
+    assert len(proposals) == 1
+    assert set(res.plans) == {0}
+    assert res.utility == pytest.approx(inst.utility(res.plans[0]))
+
+
+def test_music_best_seen_never_degrades_with_more_iterations(monkeypatch):
+    inst = _instance("f")
+    proposals = _counted(monkeypatch, allocation, "find_service")
+    short = music(inst, UNLIMITED, _params(max_iter=0), np.random.default_rng(7))
+    assert len(proposals) == 1
+    long = music(inst, UNLIMITED, _params(max_iter=40), np.random.default_rng(7))
+    assert len(proposals) == 1 + 41
+    assert long.utility >= short.utility - 1e-12
+
+
+def test_music_returns_the_first_best_of_independent_proposals(monkeypatch):
+    dep, pop, instances = _fleet(users=2)
+    inst = instances[0]
+    # music's own searches go through the module; the reference draws below
+    # call the function imported before the patch
+    proposals = _counted(monkeypatch, allocation, "find_service")
+    for seed in range(10):
+        for k in (0, 3, 25):
+            params = AnnealingParams(max_iter=k)
+            before = len(proposals)
+            res = music(inst, UNLIMITED, params, np.random.default_rng(seed))
+            assert len(proposals) - before == k + 1
+            rng = np.random.default_rng(seed)
+            draws = [find_service(inst, inst.center_point(), UNLIMITED,
+                                  params, rng)[0]
+                     for _ in range(k + 1)]
+            assert len(proposals) - before == k + 1
+            utils = [inst.utility(p) for p in draws]
+            first_best = draws[utils.index(max(utils))]
+            assert res.plans[0].assignments == first_best.assignments
+            assert res.utility == max(utils)
 
 
 def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
@@ -709,52 +756,84 @@ def test_fleet_utility_equals_the_old_objective_and_exhaustive_score():
             _old_exhaustive_score(uids, groups, utils)
 
 
-def _old_music_avail(directory, availability, ledger, usage):
-    """music()'s avail closure before room_for."""
-    def avail(sid):
-        if availability is not None and not availability(sid):
+def _old_room_for(directory, ledger, base=None, usage=None, held=frozenset()):
+    """room_for, the per-candidate room test before room was decided per
+    cloud."""
+    def ok(sid):
+        if base is not None and not base(sid):
             return False
         if ledger is None:
             return True
         node = directory.host_cloud(sid)
-        if node is None or not ledger.tracked(node):
+        if node is None or not ledger.tracked(node) or node in held:
             return True
-        return (ledger.capacity(node) - ledger.count(node)
-                - usage.get(node, 0)) > 0
-    return avail
+        taken = usage.get(node, 0) if usage else 0
+        return ledger.capacity(node) - ledger.count(node) - taken > 0
+    return ok
 
 
-def _old_sequential_avail(directory, ledger, availability):
-    """_compose_availability(availability, _ledger_availability(...))."""
-    def room(sid):
-        if ledger is None:
-            return True
-        node = directory.host_cloud(sid)
-        return node is None or ledger.has_room(node)
-    if availability is None:
-        return room
-    return lambda sid: availability(sid) and room(sid)
+def _old_reach(instance, center, params, i):
+    """_reach before room was decided per cloud, memo-less: (entry,
+    occurrence, [(id, gated)]) rows, on-device ids never gated."""
+    directory = instance.directory
+    radius = params.radius_start_m + i * params.radius_step_m
+    rows = []
+    for e, occ, cands in instance.iter_occurrences():
+        near = set(directory.range_query(center, radius, occ.fn.function_id))
+        pairs = []
+        for sid in cands:
+            svc = directory.service(sid)
+            if svc.on_device:
+                pairs.append((sid, False))
+            elif directory.clouds[svc.host_cloud].tier != LOCAL or sid in near:
+                pairs.append((sid, True))
+        if not pairs:
+            return None
+        rows.append((e, occ.index, pairs))
+    return rows
+
+
+def _old_available(rows, ok):
+    """_available before room was decided per cloud."""
+    allowed = []
+    for _, _, pairs in rows:
+        ids = tuple([sid for sid, gated in pairs if not gated or ok(sid)])
+        if not ids:
+            return None
+        allowed.append(ids)
+    return tuple(allowed)
 
 
 def _old_fallback_pick(inst, entry, occ_idx, held, ledger, availability, rng):
-    """harness._fallback_pick before room_for."""
+    """harness._fallback_pick with the per-candidate room test."""
     cands = inst.cands[entry][occ_idx]
-
-    def usable(sid):
-        if inst.directory.service(sid).on_device:
-            return True
-        if availability is not None and not availability(sid):
-            return False
-        node = inst.directory.host_cloud(sid)
-        if node is None or ledger is None or not ledger.tracked(node):
-            return True
-        return node in held or ledger.has_room(node)
-
-    ids = [sid for sid in cands if usable(sid)] or cands
+    svc = inst.directory.service
+    ok = _old_room_for(inst.directory, ledger, availability, held=held)
+    ids = [sid for sid in cands if svc(sid).on_device or ok(sid)] or cands
     return ids[int(rng.integers(len(ids)))]
 
 
+def _random_room_case(rng, clouds, sids):
+    """A random ledger (or None), tentative usage, held clouds and blocked
+    ids for a base filter."""
+    def subset(items, p):
+        return {x for x in items if rng.random() < p}
+
+    ledger = None
+    if rng.random() < 0.85:
+        ledger = CapacityLedger({c: int(rng.integers(0, 4))
+                                 for c in subset(clouds, 0.8)})
+        for c in clouds:
+            for _ in range(int(rng.integers(0, 4))):
+                ledger.try_admit(c)
+    usage = {c: int(rng.integers(0, 3)) for c in subset(clouds, 0.5)}
+    return ledger, usage, subset(clouds, 0.3), subset(sids, 0.3)
+
+
 def test_room_for_equals_the_room_tests_it_replaced():
+    """The per-cloud room rule against the per-candidate room test: the
+    search memo's allowed ids, the baselines' candidate filter and the
+    carry-over fallback."""
     from tieralloc.harness import _fallback_pick
     dep, pop, instances = _fleet(users=4, seed=9)
     directory = dep.directory
@@ -762,40 +841,155 @@ def test_room_for_equals_the_room_tests_it_replaced():
                    for _, _, cands in inst.iter_occurrences() for s in cands})
     assert any(directory.service(s).on_device for s in sids)
     clouds = sorted(dep.clouds)
+    params = AnnealingParams(radius_start_m=0.0, radius_step_m=150.0,
+                             max_expansions=5)
     rng = np.random.default_rng(5)
+    compared = blocked_seen = 0
+    for _ in range(60):
+        blocked_ids = {s for s in sids if rng.random() < 0.3}
+        base = None if rng.random() < 0.3 else (lambda s: s not in blocked_ids)
+        # one memo per user and base filter, shared by ledgers that block
+        # different clouds, as in one music() call
+        memos = {uid: SearchMemo() for uid in instances}
+        for _ in range(5):
+            ledger, usage, held, _ = _random_room_case(rng, clouds, sids)
+            blocked = clouds_without_room(ledger, usage)
+            blocked_seen += bool(blocked)
+            ok = _old_room_for(directory, ledger, base, usage)
+            for uid, inst in instances.items():
+                center, memo = inst.center_point(), memos[uid]
+                for i in range(params.max_expansions):
+                    rows = allocation._reach(inst, center, params, i, memo)
+                    old_rows = _old_reach(inst, center, params, i)
+                    assert (rows is None) == (old_rows is None)
+                    if rows is None:
+                        continue
+                    try:
+                        find_service(inst, center, UNLIMITED, params,
+                                     np.random.default_rng(0), base, memo,
+                                     blocked)
+                    except NoFeasibleCandidates:
+                        pass
+                    key = (inst.user.id, i, blocked)
+                    if key not in memo.allowed:
+                        # an earlier radius already held a plan
+                        assert i > 0
+                        continue
+                    found = memo.allowed[key]
+                    assert (found[0] if found else None) == \
+                        _old_available(old_rows, ok)
+                    compared += 1
+            # the baselines' filter (no tentative usage, nothing held)
+            ok = _old_room_for(directory, ledger, base)
+            assert with_room(sids, directory.hosts,
+                             clouds_without_room(ledger), base) == \
+                [s for s in sids if directory.service(s).on_device or ok(s)]
+            # every index the rng could draw picks the same id, so the
+            # filtered candidate lists are equal
+            blocked = clouds_without_room(ledger, held=held)
+            for inst in instances.values():
+                for e, occ, cands in inst.iter_occurrences():
+                    for k in range(len(cands)):
+                        draw = SimpleNamespace(integers=lambda n: min(k, n - 1))
+                        assert _fallback_pick(inst, e, occ.index, blocked,
+                                              base, draw) == \
+                            _old_fallback_pick(inst, e, occ.index, held,
+                                               ledger, base, draw)
+    assert compared > 1000 and blocked_seen > 100
 
-    def subset(items, p):
-        return {x for x in items if rng.random() < p}
 
-    for _ in range(300):
-        ledger = None
-        if rng.random() < 0.85:
-            ledger = CapacityLedger({c: int(rng.integers(0, 4))
-                                     for c in subset(clouds, 0.8)})
-            for c in clouds:
-                for _ in range(int(rng.integers(0, 4))):
-                    ledger.try_admit(c)
-        usage = {c: int(rng.integers(0, 3)) for c in subset(clouds, 0.5)}
-        held = subset(clouds, 0.3)
-        blocked = subset(sids, 0.3)
-        base = None if rng.random() < 0.3 else (lambda s: s not in blocked)
+def _reference_find_service(instance, center, constraints, params, rng, ok):
+    """find_service before room was decided per cloud and draws came in one
+    call: memo-less, every gated id through an availability callable, one
+    scalar rng.random() per occurrence. Also returns the radius index used
+    and whether the plan is a repair."""
+    bounded = constraints.bounded()
+    for i in range(params.max_expansions):
+        rows = _old_reach(instance, center, params, i)
+        if rows is None:
+            continue
+        allowed = _old_available(rows, ok)
+        if allowed is None:
+            continue
+        if bounded and not allocation._optimistic_fit(instance, rows, allowed,
+                                                      constraints):
+            continue
+        plan = ExecutionPlan()
+        for (e, j, _), ids in zip(rows, allowed):
+            snorm = instance.snorm[e][j]
+            order = sorted(ids, key=lambda s: (snorm[s], s))
+            plan.assignments[(e, j)] = order[roulette_index(
+                [snorm[s] for s in order], rng.random())]
+        raw = instance.evaluate(plan)
+        if not bounded or constraints.admits(raw):
+            return plan, raw, i, False
+        for dim in constraints.violated(raw):
+            fixed = allocation._repair(instance, rows, allowed, dim)
+            fixed_raw = instance.evaluate(fixed)
+            if constraints.admits(fixed_raw):
+                return fixed, fixed_raw, i, True
+    raise NoFeasibleCandidates("no feasible plan")
 
-        new = room_for(directory, ledger, base, usage)
-        old = _old_music_avail(directory, base, ledger, usage)
-        assert [new(s) for s in sids] == [old(s) for s in sids]
-        new = room_for(directory, ledger, base)
-        old = _old_sequential_avail(directory, ledger, base)
-        assert [new(s) for s in sids] == [old(s) for s in sids]
-        # every index the rng could draw picks the same id, so the
-        # filtered candidate lists are equal
-        for inst in instances.values():
-            for e, occ, cands in inst.iter_occurrences():
-                for i in range(len(cands)):
-                    draw = SimpleNamespace(integers=lambda n: min(i, n - 1))
-                    assert _fallback_pick(inst, e, occ.index, held, ledger,
-                                          base, draw) == \
-                        _old_fallback_pick(inst, e, occ.index, held, ledger,
-                                           base, draw)
+
+def test_find_service_draws_like_the_scalar_reference():
+    """Plans, raw QoS and the generator state after each call equal the
+    scalar-draw reference on the widen, repair and infeasible paths."""
+    dep, pop, instances = _fleet(users=4, seed=9)
+    directory = dep.directory
+    sids = sorted({s for inst in instances.values()
+                   for _, _, cands in inst.iter_occurrences() for s in cands})
+    clouds = sorted(dep.clouds)
+    params = AnnealingParams(radius_start_m=0.0, radius_step_m=150.0,
+                             max_expansions=5)
+    rng = np.random.default_rng(17)
+    paths = {"widen": 0, "repair": 0, "infeasible": 0}
+    for case in range(40):
+        inst = instances[sorted(instances)[case % len(instances)]]
+        center = inst.center_point()
+        # a budget from just below the least to well inside the envelope
+        dim = ("price", "power", "delay")[case % 3]
+        lo, hi = inst.extrema.lo.get(dim), inst.extrema.hi.get(dim)
+        budget = (UNLIMITED if case % 4 == 0 else ConstraintVector(
+            **{dim: lo + float(rng.uniform(-0.02, 0.8)) * (hi - lo)}))
+        blocked_ids = {s for s in sids if rng.random() < 0.25}
+        base = None if case % 5 == 0 else (lambda s: s not in blocked_ids)
+        memo = SearchMemo()
+        seed = int(rng.integers(2**32))
+        got_rng, ref_rng = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+        for _ in range(6):
+            ledger, usage, _, _ = _random_room_case(rng, clouds, sids)
+            ok = _old_room_for(directory, ledger, base, usage)
+            try:
+                ref = _reference_find_service(inst, center, budget, params,
+                                              ref_rng, ok)
+            except NoFeasibleCandidates:
+                ref = None
+                paths["infeasible"] += 1
+            try:
+                got = find_service(inst, center, budget, params, got_rng,
+                                   base, memo,
+                                   clouds_without_room(ledger, usage))
+            except NoFeasibleCandidates:
+                got = None
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                plan, raw, i, repaired = ref
+                paths["widen"] += i > 0
+                paths["repair"] += repaired
+                assert got[0].assignments == plan.assignments
+                assert got[1] == raw
+    assert min(paths.values()) > 5, paths
+
+
+def test_one_draw_call_equals_scalar_draws():
+    for seed in range(20):
+        for n in (1, 2, 7, 33):
+            one, many = (np.random.default_rng(seed),
+                         np.random.default_rng(seed))
+            assert one.random(n).tolist() == [many.random() for _ in range(n)]
+            assert one.bit_generator.state == many.bit_generator.state
 
 
 # --- candidate costing against the per-candidate code it replaced -----------------------

@@ -127,6 +127,24 @@ def test_carry_redraw_respects_availability_and_survives_full_clouds():
     assert out[0].assignments[(0, 0)] in (100, 101, 102)
 
 
+def test_carry_redraw_may_reuse_the_clouds_the_plan_holds():
+    instance = _carry_world()
+    predicted = instance(LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),)))
+    true = instance(LTW((LTWEntry(0, 60.0, leaf("f", 1024.0)),)))
+    res = AllocationResult({0: ExecutionPlan({(0, 0): 100})}, 1.0, True)
+    picks = set()
+    for seed in range(20):
+        # the plan holds cloud 1's only slot; another user fills cloud 2
+        ledger = CapacityLedger({1: 1, 2: 1})
+        assert ledger.try_admit(1) and ledger.try_admit(2)
+        out = carry_plans(res, {0: predicted}, {0: true},
+                          np.random.default_rng(seed), ledger)
+        picks.add(out[0].assignments[(0, 0)])
+        assert (ledger.count(1), ledger.count(2)) == (
+            int(out[0].assignments[(0, 0)] == 100), 1)
+    assert picks == {100, 102}
+
+
 # --- experiment runs ----------------------------------------------------------------------
 
 def _scenario(**kw):

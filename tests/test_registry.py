@@ -112,6 +112,7 @@ def test_directory_views_split_by_tier_and_function():
     assert d.device_services_for(4, "sync") == []
     assert d.host_cloud(12) == 9
     assert d.host_cloud(14) is None
+    assert d.hosts == {10: 1, 11: 2, 12: 9, 13: 3, 14: None}
     assert d.service(13).function_id == "sync"
 
 
@@ -134,6 +135,7 @@ def test_directory_remove_updates_every_view():
     assert d.range_query((15.0, 15.0), 1.0) == []
     d.remove(14)
     assert d.device_services_for(4, "ocr") == []
+    assert d.hosts == {10: 1, 12: 9, 13: 3}
     with pytest.raises(IdError):
         d.remove(11)
     with pytest.raises(IdError):

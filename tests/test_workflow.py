@@ -15,7 +15,7 @@ from tieralloc import (And, ExecutionPlan, IncompletePlan, InvalidWorkflow,
                        normalize_service, occurrences, par, seq,
                        workflow_extrema, xor)
 from tieralloc.errors import ExtremaMismatch
-from tieralloc.workflow import ZERO_QOS
+from tieralloc.workflow import ZERO_QOS, compile_fold
 
 Q = QoSTriple
 
@@ -178,7 +178,41 @@ def test_workflow_extrema_match_plan_enumeration():
         assert folded.hi.get(dim) == pytest.approx(brute.hi.get(dim))
 
 
-# --- the fold against the recursive callback walk it replaced ---------------------
+# --- the fold against the recursive walks it replaced -----------------------------
+
+def _reference_fold(node, leaf_qos):
+    """fold_qos as the recursive walk it was before folds were compiled."""
+
+    def walk(n, idx):
+        if isinstance(n, Leaf):
+            return leaf_qos[idx], idx + 1
+        if isinstance(n, Seq):
+            total = ZERO_QOS
+            for child in n.children:
+                q, idx = walk(child, idx)
+                total = total + q
+            return total, idx
+        if isinstance(n, And):
+            price = power = delay = 0.0
+            for child in n.children:
+                q, idx = walk(child, idx)
+                price += q.price
+                power += q.power
+                delay = max(delay, q.delay)
+            return Q(price, power, delay), idx
+        if isinstance(n, Xor):
+            worst = ZERO_QOS
+            for child in n.children:
+                q, idx = walk(child, idx)
+                worst = worst.emax(q)
+            return worst, idx
+        if isinstance(n, Loop):
+            q, idx = walk(n.child, idx)
+            return q.scale(n.count), idx
+        raise InvalidWorkflow(f"unknown node type {type(n).__name__}")
+
+    return walk(node, 0)[0]
+
 
 def _reference_walk(node, plan, cost_fn):
     """aggregate_qos as one recursive walk that threads Seq predecessors and
@@ -266,6 +300,12 @@ def test_aggregate_and_extrema_equal_the_reference_walk_bit_for_bit():
             return Q(q.price, q.power + 0.1 * prev_sid,
                      q.delay + 0.01 * fn.input_kb * (prev_sid != sid))
 
+        leaves = [_random_q(rng) for _ in range(n)]
+        ref = _reference_fold(wf, leaves)
+        assert fold_qos(wf, leaves) == ref
+        assert compile_fold(wf)([q.as_tuple() for q in leaves]) == \
+            ref.as_tuple()
+
         got_calls, ref_calls = [], []
         got = aggregate_qos(wf, plan, lambda *a: cost(*a, got_calls))
         ref = _reference_walk(wf, plan, lambda *a: cost(*a, ref_calls))
@@ -280,6 +320,27 @@ def test_aggregate_and_extrema_equal_the_reference_walk_bit_for_bit():
             lo=_reference_walk(wf, dummy, lambda s, o, f, p: per_occ[o].lo),
             hi=_reference_walk(wf, dummy, lambda s, o, f, p: per_occ[o].hi))
     assert seen_kinds == {Seq, And, Xor, Loop}
+
+
+def test_compiled_folds_are_shared_by_shape_only():
+    def tree(count=2, kids=2, inner=par, kb=1.0):
+        body = inner(*(leaf(f"f{k}", kb * (k + 1)) for k in range(kids)))
+        return seq(leaf("a", kb), Loop(body, count=count))
+
+    base = tree()
+    # same kinds, child counts and Loop counts: one compiled fold, whatever
+    # the functions and data sizes
+    assert compile_fold(tree(kb=64.0)) is compile_fold(base)
+    leaves = [Q(1.5, 2.25, 3.0), Q(0.1, 0.7, 9.5), Q(4.0, 0.3, 2.5)]
+    others = [tree(count=3), tree(kids=3), tree(inner=xor),
+              seq(Loop(par(leaf("b", 1.0), leaf("c", 1.0)), count=2),
+                  leaf("a", 1.0))]
+    for other in others:
+        assert compile_fold(other) is not compile_fold(base)
+        given = leaves + [Q(2.0, 2.0, 2.0)] * (len(occurrences(other)) - 3)
+        assert fold_qos(other, given) == _reference_fold(other, given)
+    assert fold_qos(base, leaves) == _reference_fold(base, leaves)
+    assert fold_qos(others[0], leaves) != fold_qos(base, leaves)
 
 
 def test_fold_qos_reads_one_triple_per_leaf_in_preorder():
