@@ -21,7 +21,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Container, Mapping, Optional, Sequence
+from typing import Container, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -32,11 +32,9 @@ from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
 from .profiles import ProfileSet, candidate_rows, intercloud_ms
 from .registry import CapacityLedger, ServiceDirectory
 from .workflow import (DIMS, LTW, ExecutionPlan, FoldFn, LeafCost, Occurrence,
-                       QoSExtrema, QoSTriple, WorkflowNode, ZERO_QOS,
-                       _normalize_dim, candidate_services, compile_fold,
-                       fold_qos, occurrences, trusted_qos)
-
-AvailabilityFn = Callable[[int], bool]
+                       QoSExtrema, QoSTriple, WorkflowNode, _normalize_dim,
+                       candidate_services, compile_fold, occurrences,
+                       trusted_qos)
 
 
 def constraints_for(constraints, uid: int) -> "ConstraintVector":
@@ -228,15 +226,11 @@ def clouds_without_room(ledger: Optional[CapacityLedger],
 
 
 def with_room(ids: Sequence[int], hosts: Mapping[int, Optional[int]],
-              blocked: Container[int],
-              availability: Optional[AvailabilityFn] = None) -> list[int]:
-    """The ids, in order, that may run: on the device (host None), or
-    passing the availability filter on a host cloud outside blocked (see
-    clouds_without_room)."""
+              blocked: Container[int]) -> list[int]:
+    """The ids, in order, that may run: on the device (host None), or on a
+    host cloud outside blocked (see clouds_without_room)."""
     return [sid for sid in ids
-            if (node := hosts[sid]) is None
-            or (node not in blocked
-                and (availability is None or availability(sid)))]
+            if (node := hosts[sid]) is None or node not in blocked]
 
 
 # --- cached per-user planning context ----------------------------------------
@@ -500,9 +494,8 @@ class SearchMemo:
     - wheels: per (user id, entry, occurrence, allowed ids), the ids in
       roulette order (ascending total normalized QoS, then id) with their
       cumulative weights.
-    One memo serves one center, one AnnealingParams, one budget vector per
-    user and one availability filter, which is what a music() call holds
-    fixed.
+    One memo serves one center, one AnnealingParams and one budget vector
+    per user, which is what a music() call holds fixed.
     """
 
     def __init__(self):
@@ -514,7 +507,7 @@ class SearchMemo:
 
 def _reach(instance: UserInstance, center: tuple[float, float],
            params: AnnealingParams, i: int, memo: SearchMemo) -> Optional[list]:
-    """Candidates in reach at radius index i, before availability.
+    """Candidates in reach at radius index i, before the room rule.
 
     On-device services are always in reach and public ones at any radius;
     local-cloud services must fall inside the radius.
@@ -543,8 +536,7 @@ def _reach(instance: UserInstance, center: tuple[float, float],
     return rows
 
 
-def _allowed(instance: UserInstance, rows: list,
-             availability: Optional[AvailabilityFn], blocked: frozenset[int],
+def _allowed(instance: UserInstance, rows: list, blocked: frozenset[int],
              constraints: ConstraintVector,
              memo: SearchMemo) -> Optional[tuple[tuple, list]]:
     """The ids in reach with room per occurrence and their roulette wheels,
@@ -553,7 +545,7 @@ def _allowed(instance: UserInstance, rows: list,
     hosts = instance.hosts
     allowed = []
     for _, _, ids in rows:
-        ok = tuple(with_room(ids, hosts, blocked, availability))
+        ok = tuple(with_room(ids, hosts, blocked))
         if not ok:
             return None
         allowed.append(ok)
@@ -578,17 +570,20 @@ def _optimistic_fit(instance: UserInstance, rows: list, allowed: tuple,
                     constraints: ConstraintVector) -> bool:
     """Whether the per-occurrence minima over the allowed ids (rows in entry,
     preorder order), folded through each entry's workflow, fit every budget."""
-    minima: list[list[QoSTriple]] = [[] for _ in instance.ltw.entries]
+    minima: list[list[LeafCost]] = [[] for _ in instance.entries]
     for (e, j, _), ids in zip(rows, allowed):
         base = instance.base[e][j]
-        best = base[ids[0]]
-        for sid in ids[1:]:
-            best = best.emin(base[sid])
-        minima[e].append(best)
-    lo = ZERO_QOS
-    for entry, leaf_qos in zip(instance.ltw.entries, minima):
-        lo = lo + fold_qos(entry.workflow, leaf_qos)
-    return constraints.admits(lo)
+        qs = [base[sid] for sid in ids]
+        minima[e].append((min([q.price for q in qs]),
+                          min([q.power for q in qs]),
+                          min([q.delay for q in qs])))
+    price = power = delay = 0.0
+    for tables, leaves in zip(instance.entries, minima):
+        p, w, d = tables.fold(leaves)
+        price += p
+        power += w
+        delay += d
+    return constraints.admits(trusted_qos(price, power, delay))
 
 
 def _repair(instance: UserInstance, rows: list, allowed: tuple,
@@ -608,7 +603,6 @@ _UNSEEN = object()
 def find_service(instance: UserInstance, center: tuple[float, float],
                  constraints: ConstraintVector, params: AnnealingParams,
                  rng: np.random.Generator,
-                 availability: Optional[AvailabilityFn] = None,
                  memo: Optional[SearchMemo] = None,
                  blocked: frozenset[int] = _NO_CLOUDS
                  ) -> tuple[ExecutionPlan, QoSTriple]:
@@ -618,22 +612,21 @@ def find_service(instance: UserInstance, center: tuple[float, float],
     Widens the search radius in steps (radius_start_m + i * radius_step_m,
     i < max_expansions). On-device services are always in reach and public
     ones at any radius; local-cloud services must fall inside the radius.
-    Availability is resolved per cloud: a cloud-hosted candidate must pass
-    the availability filter and sit on a cloud outside blocked, the clouds
-    without room for this call (see clouds_without_room). At the first
-    radius where every occurrence has a candidate and the optimistic
-    per-dimension minima fit the budgets, a plan is drawn by roulette over
-    total normalized QoS, with one rng.random(n) call for the n occurrences
-    (the same doubles as n scalar draws). If the drawn plan busts a budget,
-    one deterministic repair per violated dimension (the per-occurrence
-    minimum of that dimension) is tried, in DIMS order, before widening.
-    Each plan drawn or repaired is evaluated once.
+    Room is decided per cloud: a cloud-hosted candidate must sit on a cloud
+    outside blocked, the clouds without room for this call (see
+    clouds_without_room). At the first radius where every occurrence has a
+    candidate and the optimistic per-dimension minima fit the budgets, a
+    plan is drawn by roulette over total normalized QoS, with one
+    rng.random(n) call for the n occurrences (the same doubles as n scalar
+    draws). If the drawn plan busts a budget, one deterministic repair per
+    violated dimension (the per-occurrence minimum of that dimension) is
+    tried, in DIMS order, before widening. Each plan drawn or repaired is
+    evaluated once.
 
     memo carries the range queries, reach rows, allowed ids, roulette wheels
-    and budget fits across calls that share the center, params, budgets and
-    availability filter (see SearchMemo); allowed ids are keyed by blocked.
-    None means a fresh memo, so a single call builds everything it needs
-    itself.
+    and budget fits across calls that share the center, params and budgets
+    (see SearchMemo); allowed ids are keyed by blocked. None means a fresh
+    memo, so a single call builds everything it needs itself.
 
     Raises NoFeasibleCandidates when every radius fails.
     """
@@ -648,8 +641,8 @@ def find_service(instance: UserInstance, center: tuple[float, float],
         key = (uid, i, blocked)
         found = memo.allowed.get(key, _UNSEEN)
         if found is _UNSEEN:
-            found = memo.allowed[key] = _allowed(instance, rows, availability,
-                                                 blocked, constraints, memo)
+            found = memo.allowed[key] = _allowed(instance, rows, blocked,
+                                                 constraints, memo)
         if found is None:
             continue
         allowed, wheels = found
@@ -675,7 +668,6 @@ def find_service(instance: UserInstance, center: tuple[float, float],
 
 def music(target, constraints, params: AnnealingParams,
           rng: np.random.Generator,
-          availability: Optional[AvailabilityFn] = None,
           ledger: Optional[CapacityLedger] = None) -> AllocationResult:
     """Best-of-N plan search for one user or one group.
 
@@ -707,18 +699,19 @@ def music(target, constraints, params: AnnealingParams,
         usage: dict[int, int] = {}
         plans: dict[int, ExecutionPlan] = {}
         raws: list[QoSTriple] = []
-        for m in members:
+        for k, m in enumerate(members, 1):
             try:
                 plan, raw = find_service(
                     m, center, constraints_for(constraints, m.user.id),
-                    params, rng, availability, memo,
+                    params, rng, memo,
                     clouds_without_room(ledger, usage) if usage else no_room)
             except NoFeasibleCandidates:
                 return None
             plans[m.user.id] = plan
             raws.append(raw)
-            for cid in m.plan_clouds(plan):
-                usage[cid] = usage.get(cid, 0) + 1
+            if k < len(members):  # only later members read the usage
+                for cid in m.plan_clouds(plan):
+                    usage[cid] = usage.get(cid, 0) + 1
         if not single and shared_cv is not None and shared_cv.bounded():
             if check_constraints(raws, shared_cv):
                 return None
@@ -742,14 +735,12 @@ def music(target, constraints, params: AnnealingParams,
 
 # --- baseline per-user selectors ----------------------------------------------
 
-def _allowed_candidates(instance: UserInstance,
-                        availability: Optional[AvailabilityFn],
-                        blocked: frozenset[int]
+def _allowed_candidates(instance: UserInstance, blocked: frozenset[int]
                         ) -> list[tuple[int, int, list[int]]]:
     """(entry, occurrence, allowed ids) rows; raises when a set runs empty."""
     out = []
     for e, occ, cands in instance.iter_occurrences():
-        ids = with_room(cands, instance.hosts, blocked, availability)
+        ids = with_room(cands, instance.hosts, blocked)
         if not ids:
             raise NoFeasibleCandidates(
                 f"user {instance.user.id}: no available candidate for "
@@ -759,37 +750,32 @@ def _allowed_candidates(instance: UserInstance,
 
 
 def random_plan(instance: UserInstance, rng: np.random.Generator,
-                availability: Optional[AvailabilityFn] = None,
                 blocked: frozenset[int] = _NO_CLOUDS) -> ExecutionPlan:
     """Uniform random choice per occurrence among available candidates
     (blocked: clouds without room, see clouds_without_room)."""
     plan = ExecutionPlan()
-    for e, occ_idx, ids in _allowed_candidates(instance, availability,
-                                               blocked):
+    for e, occ_idx, ids in _allowed_candidates(instance, blocked):
         plan.assignments[(e, occ_idx)] = ids[int(rng.integers(len(ids)))]
     return plan
 
 
 def rsa_plan(instance: UserInstance, constraints: ConstraintVector,
-             rng: np.random.Generator,
-             availability: Optional[AvailabilityFn] = None,
-             max_tries: int = 50,
+             rng: np.random.Generator, max_tries: int = 50,
              blocked: frozenset[int] = _NO_CLOUDS) -> ExecutionPlan:
     """Random selection with admission: resample until budgets fit.
 
     After max_tries samples it returns the last one, which can break a
     budget; the caller sees the violation through its own constraint check.
     """
-    plan = random_plan(instance, rng, availability, blocked)
+    plan = random_plan(instance, rng, blocked)
     for _ in range(max_tries - 1):
         if constraints.admits(instance.evaluate(plan)):
             break
-        plan = random_plan(instance, rng, availability, blocked)
+        plan = random_plan(instance, rng, blocked)
     return plan
 
 
 def greedy_plan(instance: UserInstance,
-                availability: Optional[AvailabilityFn] = None,
                 blocked: frozenset[int] = _NO_CLOUDS) -> ExecutionPlan:
     """Highest total normalized QoS per occurrence, ties to the lowest id,
     among available candidates (blocked: clouds without room).
@@ -797,8 +783,7 @@ def greedy_plan(instance: UserInstance,
     Budgets play no part: the plan can break any of them.
     """
     plan = ExecutionPlan()
-    for e, occ_idx, ids in _allowed_candidates(instance, availability,
-                                               blocked):
+    for e, occ_idx, ids in _allowed_candidates(instance, blocked):
         norms = instance.snorm[e][occ_idx]
         plan.assignments[(e, occ_idx)] = max(ids, key=lambda s: (norms[s], -s))
     return plan
@@ -830,12 +815,11 @@ def _admit_plan(instance: UserInstance, plan: ExecutionPlan,
 
 def _sequential(instances: Mapping[int, UserInstance], plan_fn,
                 rng: np.random.Generator,
-                ledger: Optional[CapacityLedger],
-                availability: Optional[AvailabilityFn] = None) -> AllocationResult:
+                ledger: Optional[CapacityLedger]) -> AllocationResult:
     """Allocate per user in seeded random order, admitting capacity as we go.
 
-    plan_fn(instance, availability, blocked) plans one user, blocked being
-    the clouds without room at that user's turn."""
+    plan_fn(instance, blocked) plans one user, blocked being the clouds
+    without room at that user's turn."""
     uids = sorted(instances)
     order = [uids[i] for i in rng.permutation(len(uids))]
     plans: dict[int, ExecutionPlan] = {}
@@ -843,7 +827,7 @@ def _sequential(instances: Mapping[int, UserInstance], plan_fn,
     for uid in order:
         inst = instances[uid]
         try:
-            plan = plan_fn(inst, availability, clouds_without_room(ledger))
+            plan = plan_fn(inst, clouds_without_room(ledger))
         except NoFeasibleCandidates as exc:
             notes.append(str(exc))
             continue
@@ -855,39 +839,31 @@ def _sequential(instances: Mapping[int, UserInstance], plan_fn,
 
 def allocate_rsa(instances: Mapping[int, UserInstance],
                  constraints, rng: np.random.Generator,
-                 ledger: Optional[CapacityLedger] = None,
-                 groups: Optional[Sequence[UserGroup]] = None,
-                 availability: Optional[AvailabilityFn] = None) -> AllocationResult:
-    """Random-selection baseline over the fleet; see rsa_plan for how a
-    user's plan can still break its budget. groups is accepted for a
-    uniform signature: users plan one by one."""
+                 ledger: Optional[CapacityLedger] = None) -> AllocationResult:
+    """Random-selection baseline over the fleet, user by user; see rsa_plan
+    for how a user's plan can still break its budget."""
     return _sequential(
         instances,
-        lambda inst, avail, blocked: rsa_plan(
-            inst, constraints_for(constraints, inst.user.id), rng, avail,
+        lambda inst, blocked: rsa_plan(
+            inst, constraints_for(constraints, inst.user.id), rng,
             blocked=blocked),
-        rng, ledger, availability)
+        rng, ledger)
 
 
 def allocate_greedy(instances: Mapping[int, UserInstance],
-                    constraints: ConstraintVector, rng: np.random.Generator,
-                    ledger: Optional[CapacityLedger] = None,
-                    groups: Optional[Sequence[UserGroup]] = None,
-                    availability: Optional[AvailabilityFn] = None) -> AllocationResult:
-    """Greedy argmax baseline over the fleet (rng orders the users only).
-
-    constraints and groups are accepted for a uniform signature and
-    ignored: greedy plans are budget-blind and made user by user.
-    """
-    return _sequential(instances, greedy_plan, rng, ledger, availability)
+                    rng: np.random.Generator,
+                    ledger: Optional[CapacityLedger] = None) -> AllocationResult:
+    """Greedy argmax baseline over the fleet, user by user (rng orders the
+    users only). Greedy plans are budget-blind."""
+    return _sequential(instances, greedy_plan, rng, ledger)
 
 
 def allocate_music(instances: Mapping[int, UserInstance],
                    constraints, params: AnnealingParams,
                    rng: np.random.Generator,
                    ledger: Optional[CapacityLedger] = None,
-                   groups: Optional[Sequence[UserGroup]] = None,
-                   availability: Optional[AvailabilityFn] = None) -> AllocationResult:
+                   groups: Optional[Sequence[UserGroup]] = None
+                   ) -> AllocationResult:
     """MuSIC allocation over the fleet.
 
     Without groups each user runs its own best-of-N search (its own center);
@@ -906,8 +882,7 @@ def allocate_music(instances: Mapping[int, UserInstance],
     all_feasible = True
     for idx in order:
         target = targets[idx]
-        res = music(target, constraints, params, rng,
-                    availability=availability, ledger=ledger)
+        res = music(target, constraints, params, rng, ledger=ledger)
         if not res.feasible:
             all_feasible = False
             notes.append(res.note)
@@ -1019,11 +994,10 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
 
     best_combo, best_val = None, -math.inf
     for chosen in itertools.product(*(spaces[uid] for uid in uids)):
-        if not feasible(chosen):
-            continue
+        # only a combination that would beat the best needs the check
         val = fleet_utility({uid: row[2] for uid, row in zip(uids, chosen)},
                             uids, by_id)
-        if val > best_val:
+        if val > best_val and feasible(chosen):
             best_combo, best_val = chosen, val
     if best_combo is None:
         return AllocationResult({}, 0.0, False,

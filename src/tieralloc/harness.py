@@ -16,10 +16,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .allocation import (AvailabilityFn, AllocationResult, ConstraintVector,
-                         UserInstance, allocate_greedy, allocate_music,
-                         allocate_rsa, brute_force_optimal,
-                         clouds_without_room, fleet_utility, with_room)
+from .allocation import (AllocationResult, ConstraintVector, UserInstance,
+                         allocate_greedy, allocate_music, allocate_rsa,
+                         brute_force_optimal, clouds_without_room,
+                         fleet_utility, with_room)
 from .errors import (ScenarioError, TooLargeForEnumeration, UndefinedGain,
                      UndefinedThroughput)
 from .registry import CapacityLedger
@@ -107,15 +107,13 @@ def _user_instances(dep: Deployment, pop: Population,
 
 
 def _fallback_pick(inst: UserInstance, entry: int, occ_idx: int,
-                   blocked: frozenset[int],
-                   availability: Optional[AvailabilityFn],
-                   rng: np.random.Generator) -> int:
+                   blocked: frozenset[int], rng: np.random.Generator) -> int:
     """Uniform seeded pick among candidates with capacity (blocked: the
     clouds without room, see clouds_without_room), for occurrences the
     planned assignment cannot cover. Falls back to the full candidate set when
     everything is full (the request must run somewhere)."""
     cands = inst.cands[entry][occ_idx]
-    ids = with_room(cands, inst.hosts, blocked, availability) or cands
+    ids = with_room(cands, inst.hosts, blocked) or cands
     return ids[int(rng.integers(len(ids)))]
 
 
@@ -123,9 +121,7 @@ def carry_plans(result: AllocationResult,
                 predicted: Mapping[int, UserInstance],
                 true: Mapping[int, UserInstance],
                 rng: np.random.Generator,
-                ledger: Optional[CapacityLedger],
-                availability: Optional[AvailabilityFn] = None
-                ) -> dict[int, ExecutionPlan]:
+                ledger: Optional[CapacityLedger]) -> dict[int, ExecutionPlan]:
     """Map planned assignments onto the true workflows for scoring.
 
     Entries whose predicted workflow object survives into the true one keep
@@ -152,7 +148,7 @@ def carry_plans(result: AllocationResult,
             else:
                 for occ in true_inst.occs[e]:
                     mapped.assignments[(e, occ.index)] = _fallback_pick(
-                        true_inst, e, occ.index, blocked, availability, rng)
+                        true_inst, e, occ.index, blocked, rng)
         effective[uid] = mapped
         if ledger is not None:
             used = true_inst.plan_clouds(mapped)
@@ -168,19 +164,15 @@ def carry_plans(result: AllocationResult,
 def _dispatch(alg: str, sc: Scenario,
               instances: Mapping[int, UserInstance], constraints,
               rng: np.random.Generator, ledger: CapacityLedger,
-              groups, availability: Optional[AvailabilityFn]
-              ) -> AllocationResult:
+              groups) -> AllocationResult:
     if alg in ("music", "gmusic"):
         return allocate_music(instances, constraints, sc.annealing_params(),
                               rng, ledger=ledger,
-                              groups=groups if alg == "gmusic" else None,
-                              availability=availability)
+                              groups=groups if alg == "gmusic" else None)
     if alg == "rsa":
-        return allocate_rsa(instances, constraints, rng, ledger, groups,
-                            availability)
+        return allocate_rsa(instances, constraints, rng, ledger)
     if alg == "greedy":
-        return allocate_greedy(instances, constraints, rng, ledger, groups,
-                               availability)
+        return allocate_greedy(instances, rng, ledger)
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
@@ -240,7 +232,7 @@ def _standard_rows(sc: Scenario, dep: Deployment, pop: Population,
             ledger = dep.fresh_ledger()
             rng = derive_rng(sc.seed, _ALLOCATION, rep, ALGORITHM_STREAMS[alg])
             res = _dispatch(alg, sc, predicted, sc.constraints(), rng,
-                            ledger, pop.groups, None)
+                            ledger, pop.groups)
             effective = carry_plans(res, predicted, true, rng, ledger)
         raws = {uid: true[uid].evaluate(p) for uid, p in effective.items()}
         utility = _fleet_score(true, raws, pop.groups)
@@ -266,19 +258,22 @@ def _gain_rows(sc: Scenario, dep: Deployment, pop: Population,
     """Fixed-dimension study: a public-only baseline pass sets per-user
     budgets on the fixed dimension, then the two-tier pass must hold that
     dimension while the other two improve. Gains compare the fleet mean QoS
-    of the two passes."""
+    of the two passes.
+
+    The baseline pass runs against a ledger in which every local cloud has
+    capacity 0, so the room rule keeps its work on the public cloud and the
+    devices, as it keeps work off any full cloud."""
     fixed = sc.fixed_dimension
-    local_sids = dep.local_service_ids()
-    public_only: AvailabilityFn = lambda sid: sid not in local_sids
+    no_locals = dict.fromkeys(dep.fresh_ledger().capacities(), 0)
     rows = []
     for alg in algorithms:
-        base_ledger = dep.fresh_ledger()
+        base_ledger = CapacityLedger(no_locals)
         base_rng = derive_rng(sc.seed, _BASELINE, rep, ALGORITHM_STREAMS[alg])
         base_res = _dispatch(alg, sc, predicted,
                              ConstraintVector.unlimited(), base_rng,
-                             base_ledger, pop.groups, public_only)
+                             base_ledger, pop.groups)
         base_eff = carry_plans(base_res, predicted, true, base_rng,
-                               base_ledger, public_only)
+                               base_ledger)
         base_raw = {uid: true[uid].evaluate(p) for uid, p in base_eff.items()}
 
         budgets = {uid: ConstraintVector(**{fixed: raw.get(fixed)})
@@ -286,7 +281,7 @@ def _gain_rows(sc: Scenario, dep: Deployment, pop: Population,
         ledger = dep.fresh_ledger()
         rng = derive_rng(sc.seed, _ALLOCATION, rep, ALGORITHM_STREAMS[alg])
         res = _dispatch(alg, sc, predicted, budgets, rng, ledger,
-                        pop.groups, None)
+                        pop.groups)
         effective = carry_plans(res, predicted, true, rng, ledger)
         raws = {uid: true[uid].evaluate(p) for uid, p in effective.items()}
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -289,14 +289,6 @@ class Deployment:
 
     def fresh_ledger(self) -> CapacityLedger:
         return CapacityLedger.for_clouds(self.clouds)
-
-    def local_service_ids(self) -> set[int]:
-        out = set()
-        for sid, svc in self.directory.services.items():
-            if svc.host_cloud is not None and \
-                    self.clouds[svc.host_cloud].tier == LOCAL:
-                out.add(sid)
-        return out
 
 
 def build_deployment(sc: Scenario) -> Deployment:

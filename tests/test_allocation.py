@@ -1,5 +1,6 @@
 """Allocators: selection mechanics, constraint handling, optimum dominance."""
 
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -218,30 +219,32 @@ def test_greedy_picks_the_dominating_service():
 def test_find_service_widens_radius_until_a_local_is_reachable():
     inst = _instance("g")
     rng = np.random.default_rng(0)
-    # cloud 1 sits on the center; block it so only cloud 2 at 300 m remains
-    not_cloud1 = lambda sid: sid != 200
+    # cloud 1 sits on the center; close it so only cloud 2 at 300 m remains
+    closed = frozenset({1})
     plan, raw = find_service(inst, inst.center_point(), UNLIMITED,
-                             _params(max_expansions=4), rng, not_cloud1)
+                             _params(max_expansions=4), rng, blocked=closed)
     assert plan.assignments == {(0, 0): 201}
     assert raw == inst.evaluate(plan)
     # radii 10, 110, 210 never reach 300 m
     with pytest.raises(NoFeasibleCandidates):
         find_service(inst, inst.center_point(), UNLIMITED,
-                     _params(max_expansions=3), rng, not_cloud1)
+                     _params(max_expansions=3), rng, blocked=closed)
 
 
 def test_public_and_device_services_ignore_the_radius():
     inst = _instance("f")
     rng = np.random.default_rng(1)
-    only_public = lambda sid: sid == 102
+    # both local clouds closed: the public service is in reach at radius 10
     plan, _ = find_service(inst, inst.center_point(), UNLIMITED,
-                           _params(max_expansions=1), rng, only_public)
+                           _params(max_expansions=1), rng,
+                           blocked=frozenset({1, 2}))
     assert plan.assignments == {(0, 0): 102}
 
     dev = _instance("g", device_g=True)
-    nothing = lambda sid: False  # availability never filters on-device runs
+    # the room rule never filters on-device runs, even with every cloud closed
     plan, _ = find_service(dev, dev.center_point(), UNLIMITED,
-                           _params(max_expansions=1), rng, nothing)
+                           _params(max_expansions=1), rng,
+                           blocked=frozenset({1, 2, 9}))
     assert plan.assignments == {(0, 0): 300}
 
 
@@ -474,33 +477,28 @@ def test_music_queries_each_radius_once_per_function():
         return query(point, radius, function_id)
 
     inst.directory.range_query = counted
-    not_cloud1 = lambda sid: sid != 200  # forces the search out to 310 m
+    # cloud 1 has no room, which forces the search out to 310 m
     res = music(inst, UNLIMITED, _params(max_iter=20), np.random.default_rng(4),
-                availability=not_cloud1)
+                ledger=CapacityLedger({1: 0}))
     assert res.plans[0].assignments == {(0, 0): 201}
     assert sorted(calls) == [("g", 10.0), ("g", 110.0), ("g", 210.0),
                              ("g", 310.0)]
 
 
 def _reference_group_music(target, constraints, params, rng, ledger):
-    """music() on a group as a loop of memo-less find_service calls."""
-    directory = target.members[0].directory
+    """music() on a group as a loop of memo-less find_service calls, each
+    blocking the clouds the ledger and earlier members leave without room."""
     best, best_val = None, -math.inf
     for _ in range(params.max_iter + 1):
         usage = {}
-
-        def avail(sid):
-            node = directory.host_cloud(sid)
-            if node is None or not ledger.tracked(node):
-                return True
-            return ledger.capacity(node) - ledger.count(node) \
-                - usage.get(node, 0) > 0
-
         plans = {}
         try:
             for m in target.members:
+                full = frozenset(
+                    c for c, cap in ledger.capacities().items()
+                    if cap - ledger.count(c) - usage.get(c, 0) <= 0)
                 plan, _ = find_service(m, target.center_point(), constraints,
-                                       params, rng, avail)
+                                       params, rng, blocked=full)
                 plans[m.user.id] = plan
                 for cid in m.plan_clouds(plan):
                     usage[cid] = usage.get(cid, 0) + 1
@@ -589,7 +587,7 @@ def test_no_heuristic_beats_the_enumerated_optimum():
     params = AnnealingParams()
     for runner in (
             lambda: allocate_rsa(instances, UNLIMITED, np.random.default_rng(1)),
-            lambda: allocate_greedy(instances, UNLIMITED, np.random.default_rng(2)),
+            lambda: allocate_greedy(instances, np.random.default_rng(2)),
             lambda: allocate_music(instances, UNLIMITED, params,
                                    np.random.default_rng(3))):
         res = runner()
@@ -606,6 +604,42 @@ def test_decomposed_and_joint_enumeration_agree():
     for uid in instances:
         assert instances[uid].utility(fast.plans[uid]) == pytest.approx(
             instances[uid].utility(slow.plans[uid]), rel=1e-12)
+
+
+def test_joint_enumeration_returns_the_first_best_feasible_combination():
+    # both users' unconstrained optima use local cloud 1
+    dep, pop, instances = _fleet(users=2, seed=0)
+    uids = sorted(instances)
+    locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
+    free = brute_force_optimal(instances, UNLIMITED)
+    rows = [[(p, instances[u].evaluate(p), instances[u].utility(p),
+              instances[u].plan_clouds(p))
+             for p in allocation._plan_space(instances[u], 10**6)]
+            for u in uids]
+    # a delay budget halfway between the least fleet mean and the
+    # unconstrained optimum's, and one slot per local cloud
+    least = np.mean([min(r[1].delay for r in space) for space in rows])
+    reached = np.mean([instances[u].evaluate(free.plans[u]).delay
+                       for u in uids])
+    budget = ConstraintVector(delay=0.5 * (least + reached))
+    ledger = CapacityLedger({cid: 1 for cid in locals_})
+    best, best_val, beaten = None, -math.inf, 0
+    for combo in itertools.product(*rows):
+        val = float(np.mean([r[2] for r in combo]))
+        usage = {}
+        for r in combo:
+            for cid in r[3]:
+                usage[cid] = usage.get(cid, 0) + 1
+        if check_constraints([r[1] for r in combo], budget, usage, ledger):
+            beaten += val > free.utility - 1e-12
+            continue
+        if val > best_val:
+            best, best_val = combo, val
+    assert beaten and best is not None  # the constraints bind
+    res = brute_force_optimal(instances, budget, ledger)
+    assert res.feasible and res.utility == best_val
+    assert [res.plans[u].assignments for u in uids] == \
+        [r[0].assignments for r in best]
 
 
 def test_joint_space_over_the_cap_is_refused_before_any_evaluation(
@@ -635,8 +669,8 @@ def test_zero_local_capacity_pushes_work_off_the_locals():
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
     for make_ledger, run in (
             (lambda: CapacityLedger({cid: 0 for cid in locals_}),
-             lambda lg: allocate_greedy(instances, UNLIMITED,
-                                        np.random.default_rng(4), ledger=lg)),
+             lambda lg: allocate_greedy(instances, np.random.default_rng(4),
+                                        ledger=lg)),
             (lambda: CapacityLedger({cid: 0 for cid in locals_}),
              lambda lg: allocate_music(instances, UNLIMITED, AnnealingParams(),
                                        np.random.default_rng(5), ledger=lg))):
@@ -659,8 +693,7 @@ def test_sequential_admission_respects_capacity():
     dep, pop, instances = _fleet(users=4, seed=4)
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
     ledger = CapacityLedger({cid: 1 for cid in locals_})
-    res = allocate_greedy(instances, UNLIMITED, np.random.default_rng(6),
-                          ledger=ledger)
+    res = allocate_greedy(instances, np.random.default_rng(6), ledger=ledger)
     assert res.feasible
     for cid in locals_:
         assert ledger.count(cid) <= 1
@@ -813,9 +846,8 @@ def _old_fallback_pick(inst, entry, occ_idx, held, ledger, availability, rng):
     return ids[int(rng.integers(len(ids)))]
 
 
-def _random_room_case(rng, clouds, sids):
-    """A random ledger (or None), tentative usage, held clouds and blocked
-    ids for a base filter."""
+def _random_room_case(rng, clouds):
+    """A random ledger (or None), tentative usage and held clouds."""
     def subset(items, p):
         return {x for x in items if rng.random() < p}
 
@@ -827,7 +859,7 @@ def _random_room_case(rng, clouds, sids):
             for _ in range(int(rng.integers(0, 4))):
                 ledger.try_admit(c)
     usage = {c: int(rng.integers(0, 3)) for c in subset(clouds, 0.5)}
-    return ledger, usage, subset(clouds, 0.3), subset(sids, 0.3)
+    return ledger, usage, subset(clouds, 0.3)
 
 
 def test_room_for_equals_the_room_tests_it_replaced():
@@ -846,14 +878,17 @@ def test_room_for_equals_the_room_tests_it_replaced():
     rng = np.random.default_rng(5)
     compared = blocked_seen = 0
     for _ in range(60):
-        blocked_ids = {s for s in sids if rng.random() < 0.3}
-        base = None if rng.random() < 0.3 else (lambda s: s not in blocked_ids)
-        # one memo per user and base filter, shared by ledgers that block
-        # different clouds, as in one music() call
+        # closed clouds stand for the old per-candidate base filter
+        closed = frozenset(c for c in clouds if rng.random() < 0.3)
+        if rng.random() < 0.3:
+            closed = frozenset()
+        base = lambda s: directory.hosts[s] not in closed
+        # one memo per user and set of closed clouds, shared by ledgers that
+        # block different clouds, as in one music() call
         memos = {uid: SearchMemo() for uid in instances}
         for _ in range(5):
-            ledger, usage, held, _ = _random_room_case(rng, clouds, sids)
-            blocked = clouds_without_room(ledger, usage)
+            ledger, usage, held = _random_room_case(rng, clouds)
+            blocked = clouds_without_room(ledger, usage) | closed
             blocked_seen += bool(blocked)
             ok = _old_room_for(directory, ledger, base, usage)
             for uid, inst in instances.items():
@@ -866,8 +901,7 @@ def test_room_for_equals_the_room_tests_it_replaced():
                         continue
                     try:
                         find_service(inst, center, UNLIMITED, params,
-                                     np.random.default_rng(0), base, memo,
-                                     blocked)
+                                     np.random.default_rng(0), memo, blocked)
                     except NoFeasibleCandidates:
                         pass
                     key = (inst.user.id, i, blocked)
@@ -882,17 +916,17 @@ def test_room_for_equals_the_room_tests_it_replaced():
             # the baselines' filter (no tentative usage, nothing held)
             ok = _old_room_for(directory, ledger, base)
             assert with_room(sids, directory.hosts,
-                             clouds_without_room(ledger), base) == \
+                             clouds_without_room(ledger) | closed) == \
                 [s for s in sids if directory.service(s).on_device or ok(s)]
             # every index the rng could draw picks the same id, so the
             # filtered candidate lists are equal
-            blocked = clouds_without_room(ledger, held=held)
+            blocked = clouds_without_room(ledger, held=held) | closed
             for inst in instances.values():
                 for e, occ, cands in inst.iter_occurrences():
                     for k in range(len(cands)):
                         draw = SimpleNamespace(integers=lambda n: min(k, n - 1))
                         assert _fallback_pick(inst, e, occ.index, blocked,
-                                              base, draw) == \
+                                              draw) == \
                             _old_fallback_pick(inst, e, occ.index, held,
                                                ledger, base, draw)
     assert compared > 1000 and blocked_seen > 100
@@ -936,9 +970,8 @@ def test_find_service_draws_like_the_scalar_reference():
     scalar-draw reference on the widen, repair and infeasible paths."""
     dep, pop, instances = _fleet(users=4, seed=9)
     directory = dep.directory
-    sids = sorted({s for inst in instances.values()
-                   for _, _, cands in inst.iter_occurrences() for s in cands})
     clouds = sorted(dep.clouds)
+    local_clouds = [c for c in clouds if dep.clouds[c].tier == LOCAL]
     params = AnnealingParams(radius_start_m=0.0, radius_step_m=150.0,
                              max_expansions=5)
     rng = np.random.default_rng(17)
@@ -951,14 +984,18 @@ def test_find_service_draws_like_the_scalar_reference():
         lo, hi = inst.extrema.lo.get(dim), inst.extrema.hi.get(dim)
         budget = (UNLIMITED if case % 4 == 0 else ConstraintVector(
             **{dim: lo + float(rng.uniform(-0.02, 0.8)) * (hi - lo)}))
-        blocked_ids = {s for s in sids if rng.random() < 0.25}
-        base = None if case % 5 == 0 else (lambda s: s not in blocked_ids)
+        # closed local clouds, as in the public-only pass, stand for the old
+        # per-candidate base filter
+        closed = frozenset(c for c in local_clouds if rng.random() < 0.25)
+        if case % 5 == 0:
+            closed = frozenset()
+        base = lambda s: directory.hosts[s] not in closed
         memo = SearchMemo()
         seed = int(rng.integers(2**32))
         got_rng, ref_rng = (np.random.default_rng(seed),
                             np.random.default_rng(seed))
         for _ in range(6):
-            ledger, usage, _, _ = _random_room_case(rng, clouds, sids)
+            ledger, usage, _ = _random_room_case(rng, clouds)
             ok = _old_room_for(directory, ledger, base, usage)
             try:
                 ref = _reference_find_service(inst, center, budget, params,
@@ -968,8 +1005,8 @@ def test_find_service_draws_like_the_scalar_reference():
                 paths["infeasible"] += 1
             try:
                 got = find_service(inst, center, budget, params, got_rng,
-                                   base, memo,
-                                   clouds_without_room(ledger, usage))
+                                   memo,
+                                   clouds_without_room(ledger, usage) | closed)
             except NoFeasibleCandidates:
                 got = None
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state

@@ -31,6 +31,9 @@ GROUPED = dict(scenario_id="group-trend", users=100, local_capacity=8,
                groups=20, repetitions=1, seed=7, enumeration_cap=1)
 GAIN = dict(scenario_id="gain-study", users=10, algorithm="music",
             fixed_dimension="delay", repetitions=2, seed=0)
+# the sequential baselines' public-only pass, with mispredicted requests
+GAIN_SEQ = dict(scenario_id="gain-study", users=10, fixed_dimension="price",
+                uncertainty_pct=30.0, repetitions=2, seed=0)
 DEFAULT = dict(repetitions=1, enumeration_cap=1)
 
 GOLDEN = {
@@ -42,6 +45,10 @@ GOLDEN = {
              "99ac09b65181a20ce964cb4d642c15499b00934d6c4fdc398193efe725a3f342"),
     "default": (DEFAULT,
                 "e0bd20514d1feba90c980043c6e7feff8a70e9a521e06bfda9e3831152c0e051"),
+    "gain-rsa": (dict(GAIN_SEQ, algorithm="rsa"),
+                 "b4755db7d3c3d4caf96cddc26a9ddf10b15451e8bae379d82e5eef206d2cb447"),
+    "gain-greedy": (dict(GAIN_SEQ, algorithm="greedy"),
+                    "4a51c7e12a2b40c4caa1b556525d2a6c1b0168e7a2d79b00f9fb527aba2f0c95"),
 }
 
 # reads {name: scenario kwargs} on stdin, prints {name: sha256} on stdout

@@ -113,17 +113,18 @@ def test_carry_redraw_respects_availability_and_survives_full_clouds():
     plan = ExecutionPlan({(0, 0): 102})
     res = AllocationResult({0: plan}, 1.0, True)
 
-    no_local_2 = lambda sid: sid != 101
-    out = carry_plans(res, {0: predicted}, {0: true},
-                      np.random.default_rng(2), None, no_local_2)
-    assert out[0].assignments[(0, 0)] in (100, 102)
+    # local cloud 2 is closed: it has no room at all
+    for seed in range(20):
+        out = carry_plans(res, {0: predicted}, {0: true},
+                          np.random.default_rng(seed),
+                          CapacityLedger({1: 1, 2: 0}))
+        assert out[0].assignments[(0, 0)] in (100, 102)
 
-    # with everything filtered the request still runs somewhere
-    ledger = CapacityLedger({1: 1, 2: 1})
+    # with every cloud closed or full the request still runs somewhere
+    ledger = CapacityLedger({1: 1, 2: 1, 9: 0})
     assert ledger.try_admit(1) and ledger.try_admit(2)  # other users fill up
-    nothing = lambda sid: False
     out = carry_plans(res, {0: predicted}, {0: true},
-                      np.random.default_rng(3), ledger, nothing)
+                      np.random.default_rng(3), ledger)
     assert out[0].assignments[(0, 0)] in (100, 101, 102)
 
 
