@@ -21,7 +21,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Container, Mapping, Optional, Sequence
+from typing import AbstractSet, Container, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,12 +29,13 @@ from .errors import (AdmissionRefused, IncompletePlan, InvalidGroup,
                      NoFeasibleCandidates, TooLargeForEnumeration)
 from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
                     center_of_group_mobility, center_of_mobility)
-from .profiles import ProfileSet, candidate_rows, intercloud_ms
+from .profiles import (ProfileSet, Rates, candidate_rows, intercloud_ms,
+                       service_rates)
 from .registry import CapacityLedger, ServiceDirectory
 from .workflow import (DIMS, LTW, ExecutionPlan, FoldFn, LeafCost, Occurrence,
-                       QoSExtrema, QoSTriple, WorkflowNode, _normalize_dim,
-                       candidate_services, compile_fold, occurrences,
-                       trusted_qos)
+                       QoSExtrema, QoSTriple, WorkflowNode, candidate_services,
+                       compile_fold, dim_bounds, normalize_within,
+                       occurrences, trusted_qos)
 
 
 def constraints_for(constraints, uid: int) -> "ConstraintVector":
@@ -52,11 +53,16 @@ class ConstraintVector:
     power: float = math.inf
     delay: float = math.inf
 
+    def __post_init__(self):
+        # the vector is frozen, so whether it bounds anything is fixed
+        object.__setattr__(self, "_bounded",
+                           any(math.isfinite(self.get(d)) for d in DIMS))
+
     def get(self, dim: str) -> float:
         return getattr(self, dim)
 
     def bounded(self) -> bool:
-        return any(math.isfinite(self.get(d)) for d in DIMS)
+        return self._bounded
 
     def violated(self, raw: QoSTriple) -> list[str]:
         """Dimensions, in DIMS order, on which raw QoS exceeds its budget."""
@@ -235,7 +241,8 @@ def with_room(ids: Sequence[int], hosts: Mapping[int, Optional[int]],
 
 # --- cached per-user planning context ----------------------------------------
 
-def _hop_extremes(hosts: set[Optional[int]], prev_hosts: set[Optional[int]],
+def _hop_extremes(hosts: AbstractSet[Optional[int]],
+                  prev_hosts: AbstractSet[Optional[int]],
                   kb: float, profiles: ProfileSet) -> tuple[float, float]:
     """Least and greatest inter-cloud hop delay of kb over every pair of a
     candidate's host and a predecessor candidate's host (None: on the
@@ -257,45 +264,103 @@ def _hop_extremes(hosts: set[Optional[int]], prev_hosts: set[Optional[int]],
     return min(extras), max(0.0, max(extras))
 
 
+class CostMemo:
+    """What the planning tables of one population share.
+
+    - per (function id, user id): the candidate ids (candidate_services)
+      and the set of their host clouds (None: on the device);
+    - per cloud service id and WiFi owner of the entry's cell, and per
+      device service id (a device run uses no link, so coverage plays no
+      part): the service's resolved cost (profiles.service_rates).
+
+    Each entry is read from the directory and the profile set when it is
+    first needed, and is right only while they do not change. So one memo
+    serves one population, the true and the predicted instances of one
+    repetition, and is dropped once they are built.
+    """
+
+    __slots__ = ("directory", "profiles", "candidates", "host_sets", "rates")
+
+    def __init__(self, directory: ServiceDirectory, profiles: ProfileSet):
+        self.directory = directory
+        self.profiles = profiles
+        self.candidates: dict[tuple[str, int],
+                              tuple[list[int], frozenset[Optional[int]]]] = {}
+        self.host_sets: dict[frozenset[Optional[int]],
+                             frozenset[Optional[int]]] = {}
+        # keyed by (service id, WiFi owner) for cloud services, by service
+        # id for device services
+        self.rates: dict[object, Rates] = {}
+
+    def candidates_of(self, function_id: str, user: MobileUser
+                      ) -> tuple[list[int], frozenset[Optional[int]]]:
+        """The user's candidate ids for the function and their host set."""
+        key = (function_id, user.id)
+        found = self.candidates.get(key)
+        if found is None:
+            ids = candidate_services(function_id, user, self.directory)
+            hosts = self.directory.hosts
+            # few distinct host sets exist; keep one object of each
+            host_set = frozenset([hosts[sid] for sid in ids])
+            host_set = self.host_sets.setdefault(host_set, host_set)
+            found = self.candidates[key] = (ids, host_set)
+        return found
+
+    def rates_of(self, ids: list[int], covered_by: Optional[int]
+                 ) -> list[Rates]:
+        """The resolved cost of each id, run from a cell whose WiFi access
+        point belongs to cloud covered_by (None: no coverage)."""
+        directory, known = self.directory, self.rates
+        hosts = directory.hosts
+        out = []
+        for sid in ids:
+            key = sid if hosts[sid] is None else (sid, covered_by)
+            rates = known.get(key)
+            if rates is None:
+                rates = known[key] = service_rates(
+                    directory.service(sid), covered_by, directory.clouds,
+                    self.profiles)
+            out.append(rates)
+        return out
+
+
 class _EntryTables:
     """One LTW entry's planning tables.
 
     They depend only on the user, the entry's workflow object and the WiFi
     owner of its cell, so instances of one user can share them. Per
     occurrence, in preorder: the realizing candidate ids, their raw QoS
-    rows, their total normalized QoS within the set, and a step (occurrence
-    index, rows, predecessor index, hop) for the plan evaluator. The
-    predecessor index is None when the occurrence has no Seq predecessor or
-    the hop costs nothing; hop is intercloud_ms(kb), paid only between two
-    different clouds. lo and hi are the entry's folded envelopes.
+    rows as plain (price, power, delay) float tuples, their total
+    normalized QoS within the set, and a step (occurrence index, rows,
+    predecessor index, hop) for the plan evaluator. The predecessor index
+    is None when the occurrence has no Seq predecessor or the hop costs
+    nothing; hop is intercloud_ms(kb), paid only between two different
+    clouds. lo and hi are the entry's folded envelopes. Candidate ids and
+    resolved costs come from the population's CostMemo.
     """
 
     __slots__ = ("workflow", "covered_by", "occs", "cands", "base", "snorm",
                  "steps", "fold", "lo", "hi")
 
     def __init__(self, user: MobileUser, workflow: WorkflowNode,
-                 covered_by: Optional[int], directory: ServiceDirectory,
-                 profiles: ProfileSet):
+                 covered_by: Optional[int], memo: CostMemo):
         self.workflow = workflow
         self.covered_by = covered_by
         self.occs = occurrences(workflow)
         self.cands: list[list[int]] = []
-        self.base: list[dict[int, QoSTriple]] = []
+        self.base: list[dict[int, LeafCost]] = []
         self.snorm: list[dict[int, float]] = []
-        self.steps: list[tuple[int, dict[int, QoSTriple], Optional[int],
+        self.steps: list[tuple[int, dict[int, LeafCost], Optional[int],
                                float]] = []
-        service, hosts = directory.service, directory.hosts
-        occ_hosts: list[set[Optional[int]]] = []
+        profiles = memo.profiles
+        occ_hosts: list[frozenset[Optional[int]]] = []
         env_lo: list[LeafCost] = []
         env_hi: list[LeafCost] = []
         for occ in self.occs:
             kb = occ.fn.input_kb
-            ids = candidate_services(occ.fn.function_id, user, directory)
-            rows = candidate_rows([service(sid) for sid in ids], covered_by,
-                                  kb, directory.clouds, profiles)
-            prices = [q.price for q in rows]
-            powers = [q.power for q in rows]
-            delays = [q.delay for q in rows]
+            ids, hosts = memo.candidates_of(occ.fn.function_id, user)
+            rows, (prices, powers, delays) = candidate_rows(
+                memo.rates_of(ids, covered_by), kb)
             lo_p, lo_w, lo_d = min(prices), min(powers), min(delays)
             hi_p, hi_w, hi_d = max(prices), max(powers), max(delays)
             span_p, span_w, span_d = hi_p - lo_p, hi_w - lo_w, hi_d - lo_d
@@ -307,11 +372,10 @@ class _EntryTables:
                 n_w = (hi_w - w) / span_w if span_w else 1.0
                 n_d = (hi_d - d) / span_d if span_d else 1.0
                 snorm[sid] = math.sqrt(n_p ** 2 + n_w ** 2 + n_d ** 2)
-            occ_hosts.append({hosts[sid] for sid in ids})
+            occ_hosts.append(hosts)
             lo_hop = hi_hop = hop = 0.0
             if occ.prev is not None:
-                lo_hop, hi_hop = _hop_extremes(occ_hosts[-1],
-                                               occ_hosts[occ.prev], kb,
+                lo_hop, hi_hop = _hop_extremes(hosts, occ_hosts[occ.prev], kb,
                                                profiles)
                 hop = intercloud_ms(kb, profiles)
             env_lo.append((lo_p, lo_w, lo_d + lo_hop))
@@ -333,27 +397,38 @@ class UserInstance:
     """One user's location-time workflow with cached candidate QoS.
 
     Precomputes, per function occurrence: the realizing candidate set, each
-    candidate's raw QoS at the entry's cell, its total normalized QoS within
-    that candidate set, and envelope extrema for whole-LTW normalization.
-    Within one entry, occurrence indices equal preorder positions, so all
-    tables are plain lists indexed [entry][occurrence]. Each entry's tables
-    (see _EntryTables) hold its compiled fold and hop values, so evaluate
-    and utility_of work on plain floats.
+    candidate's raw QoS at the entry's cell as a plain (price, power, delay)
+    float tuple, its total normalized QoS within that candidate set, and
+    envelope extrema for whole-LTW normalization. Within one entry,
+    occurrence indices equal preorder positions, so all tables are plain
+    lists indexed [entry][occurrence]. Each entry's tables (see
+    _EntryTables) hold its compiled fold and hop values, so evaluate and
+    utility_of work on plain floats.
 
     share is another instance of the same user (same directory and
     profiles), typically the true one of a mispredicted user: an entry with
     the same workflow object and the same WiFi owner at its cell takes that
     instance's tables instead of costing them again.
+
+    memo is the CostMemo of the population being built, over the same
+    directory and profiles; it lives for that one population and no
+    instance keeps it. None builds a memo for this instance alone.
     """
 
     def __init__(self, user: MobileUser, ltw: LTW, directory: ServiceDirectory,
                  profiles: ProfileSet, grid: LocationMap,
-                 share: Optional["UserInstance"] = None):
+                 share: Optional["UserInstance"] = None,
+                 memo: Optional[CostMemo] = None):
         if share is not None and (share.user is not user
                                   or share.directory is not directory
                                   or share.profiles is not profiles):
             raise ValueError("shared tables must come from an instance of "
                              "the same user, directory and profiles")
+        if memo is None:
+            memo = CostMemo(directory, profiles)
+        elif memo.directory is not directory or memo.profiles is not profiles:
+            raise ValueError("a cost memo serves one directory and one "
+                             "profile set")
         self.user = user
         self.ltw = ltw
         self.directory = directory
@@ -369,8 +444,7 @@ class UserInstance:
             tables = shared[e] if e < len(shared) else None
             if (tables is None or tables.workflow is not entry.workflow
                     or tables.covered_by != covered_by):
-                tables = _EntryTables(user, entry.workflow, covered_by,
-                                      directory, profiles)
+                tables = _EntryTables(user, entry.workflow, covered_by, memo)
             self.entries.append(tables)
             lo_p += tables.lo[0]
             lo_w += tables.lo[1]
@@ -380,13 +454,14 @@ class UserInstance:
             hi_d += tables.hi[2]
         self.occs: list[list[Occurrence]] = [t.occs for t in self.entries]
         self.cands: list[list[list[int]]] = [t.cands for t in self.entries]
-        self.base: list[list[dict[int, QoSTriple]]] = [
+        self.base: list[list[dict[int, LeafCost]]] = [
             t.base for t in self.entries]
         self.snorm: list[list[dict[int, float]]] = [
             t.snorm for t in self.entries]
         self.extrema = QoSExtrema(lo=trusted_qos(lo_p, lo_w, lo_d),
                                   hi=trusted_qos(hi_p, hi_w, hi_d))
-        self._bounds = (lo_p, hi_p, lo_w, hi_w, lo_d, hi_d)
+        self._bounds = (dim_bounds(lo_p, hi_p), dim_bounds(lo_w, hi_w),
+                        dim_bounds(lo_d, hi_d))
         self._center: Optional[tuple[float, float]] = None
 
     def center_point(self) -> tuple[float, float]:
@@ -416,9 +491,9 @@ class UserInstance:
                     prev_node = hosts[assigned[(e, prev)]]
                     if (node is not None and prev_node is not None
                             and node != prev_node):
-                        leaves.append((q.price, q.power, q.delay + hop))
+                        leaves.append((q[0], q[1], q[2] + hop))
                         continue
-                leaves.append((q.price, q.power, q.delay))
+                leaves.append(q)
             p, w, d = tables.fold(leaves)
             price += p
             power += w
@@ -427,10 +502,10 @@ class UserInstance:
 
     def utility_of(self, raw: QoSTriple) -> float:
         """Worst normalized dimension of a raw LTW QoS, in [0, 1]."""
-        lo_p, hi_p, lo_w, hi_w, lo_d, hi_d = self._bounds
-        return min(_normalize_dim(raw.price, lo_p, hi_p, "price"),
-                   _normalize_dim(raw.power, lo_w, hi_w, "power"),
-                   _normalize_dim(raw.delay, lo_d, hi_d, "delay"))
+        price, power, delay = self._bounds
+        return min(normalize_within(raw.price, price, "price"),
+                   normalize_within(raw.power, power, "power"),
+                   normalize_within(raw.delay, delay, "delay"))
 
     def utility(self, plan: ExecutionPlan) -> float:
         """Worst normalized dimension of the plan's LTW QoS, in [0, 1]."""
@@ -573,10 +648,8 @@ def _optimistic_fit(instance: UserInstance, rows: list, allowed: tuple,
     minima: list[list[LeafCost]] = [[] for _ in instance.entries]
     for (e, j, _), ids in zip(rows, allowed):
         base = instance.base[e][j]
-        qs = [base[sid] for sid in ids]
-        minima[e].append((min([q.price for q in qs]),
-                          min([q.power for q in qs]),
-                          min([q.delay for q in qs])))
+        prices, powers, delays = zip(*[base[sid] for sid in ids])
+        minima[e].append((min(prices), min(powers), min(delays)))
     price = power = delay = 0.0
     for tables, leaves in zip(instance.entries, minima):
         p, w, d = tables.fold(leaves)
@@ -590,10 +663,11 @@ def _repair(instance: UserInstance, rows: list, allowed: tuple,
             dim: str) -> ExecutionPlan:
     """The plan of per-occurrence minima of one dimension, ties to the
     lowest id."""
+    k = DIMS.index(dim)
     plan = ExecutionPlan()
     for (e, j, _), ids in zip(rows, allowed):
         base = instance.base[e][j]
-        plan.assignments[(e, j)] = min(ids, key=lambda s: (base[s].get(dim), s))
+        plan.assignments[(e, j)] = min(ids, key=lambda s: (base[s][k], s))
     return plan
 
 
@@ -919,6 +993,48 @@ def _plan_space(instance: UserInstance, cap: int) -> list[ExecutionPlan]:
             for combo in itertools.product(*pools)]
 
 
+_SCORE_CHUNK = 1 << 16
+
+
+def _joint_scores(utils: Sequence[Sequence[float]], users: Sequence[int],
+                  groups: Optional[Sequence[UserGroup]] = None) -> np.ndarray:
+    """fleet_utility of every combination of one utility per user (utils[i]
+    lists users[i]'s), in itertools.product order.
+
+    Combinations are scored in chunks of a C-contiguous (combinations x
+    users) array. np.mean along axis 1 of such an array equals np.mean of
+    each row, so every score is the float fleet_utility returns: the mean
+    over users, or over groups (in the given order) of the mean over
+    members by id.
+    """
+    if not users:
+        return np.array([fleet_utility({}, users, groups)])
+    if groups is not None and not groups:
+        raise InvalidGroup("objective over no groups")
+    sizes = [len(u) for u in utils]
+    columns = [np.asarray(u, dtype=float) for u in utils]
+    index = {uid: i for i, uid in enumerate(users)}
+    total = math.prod(sizes)
+    scores = np.empty(total)
+    for start in range(0, total, _SCORE_CHUNK):
+        picks = np.unravel_index(np.arange(start, min(start + _SCORE_CHUNK,
+                                                      total)), sizes)
+        table = np.empty((len(picks[0]), len(users)))
+        for i, (column, pick) in enumerate(zip(columns, picks)):
+            table[:, i] = column[pick]
+        if groups is None:
+            chunk = table[:, 0] if len(users) == 1 else table.mean(axis=1)
+        else:
+            # a member without an instance scores 0, as in fleet_utility
+            chunk = np.stack([
+                np.stack([table[:, index[m]] if m in index
+                          else np.zeros(len(table))
+                          for m in sorted(g.members)], axis=1).mean(axis=1)
+                for g in groups], axis=1).mean(axis=1)
+        scores[start:start + len(chunk)] = chunk
+    return scores
+
+
 def brute_force_optimal(instances: Mapping[int, UserInstance],
                         constraints: ConstraintVector,
                         ledger: Optional[CapacityLedger] = None,
@@ -928,10 +1044,12 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
 
     When budgets are unconstrained and capacity cannot bind, users decompose
     and each is optimized independently (per-user spaces still respect cap).
-    Otherwise the joint product space is enumerated, skipping assignments
-    that break capacity, and budget means are checked over the fleet (per
-    group when groups are given). Raises TooLargeForEnumeration when the
-    space to enumerate exceeds cap.
+    Otherwise every combination of the joint product space is scored at
+    once (see _joint_scores), and the combinations are checked in
+    descending score order, ties in product order, until one keeps every
+    capacity and the budget means over the fleet (per group when groups
+    are given): the first best feasible combination. Raises
+    TooLargeForEnumeration when the space to enumerate exceeds cap.
     """
     if not isinstance(constraints, ConstraintVector):
         raise ValueError("exhaustive search takes one shared constraint vector")
@@ -992,15 +1110,16 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         return not any(check_constraints(raws, constraints)
                        for raws in by_group.values())
 
-    best_combo, best_val = None, -math.inf
-    for chosen in itertools.product(*(spaces[uid] for uid in uids)):
-        # only a combination that would beat the best needs the check
-        val = fleet_utility({uid: row[2] for uid, row in zip(uids, chosen)},
-                            uids, by_id)
-        if val > best_val and feasible(chosen):
-            best_combo, best_val = chosen, val
-    if best_combo is None:
-        return AllocationResult({}, 0.0, False,
-                                note="no feasible joint assignment")
-    plans = {uid: row[0] for uid, row in zip(uids, best_combo)}
-    return AllocationResult(plans, best_val, True)
+    sizes = [len(spaces[uid]) for uid in uids]
+    scores = _joint_scores([[row[2] for row in spaces[uid]] for uid in uids],
+                           uids, by_id)
+    # the first feasible combination in descending score order, ties in
+    # product order: the first best feasible one
+    for k in np.argsort(-scores, kind="stable"):
+        chosen = tuple(spaces[uid][i] for uid, i in
+                       zip(uids, np.unravel_index(k, sizes)))
+        if feasible(chosen):
+            plans = {uid: row[0] for uid, row in zip(uids, chosen)}
+            return AllocationResult(plans, float(scores[k]), True)
+    return AllocationResult({}, 0.0, False, note="no feasible joint assignment")
+

@@ -16,10 +16,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .allocation import (AllocationResult, ConstraintVector, UserInstance,
-                         allocate_greedy, allocate_music, allocate_rsa,
-                         brute_force_optimal, clouds_without_room,
-                         fleet_utility, with_room)
+from .allocation import (AllocationResult, ConstraintVector, CostMemo,
+                         UserInstance, allocate_greedy, allocate_music,
+                         allocate_rsa, brute_force_optimal,
+                         clouds_without_room, fleet_utility, with_room)
 from .errors import (ScenarioError, TooLargeForEnumeration, UndefinedGain,
                      UndefinedThroughput)
 from .registry import CapacityLedger
@@ -100,10 +100,29 @@ def compute_two_tier_gain(two_tier: QoSTriple, public_only: QoSTriple,
 # --- plan execution -------------------------------------------------------------
 
 def _user_instances(dep: Deployment, pop: Population,
-                    ltws: Mapping[int, "object"]) -> dict[int, UserInstance]:
+                    ltws: Mapping[int, "object"],
+                    memo: Optional[CostMemo] = None
+                    ) -> dict[int, UserInstance]:
     return {uid: UserInstance(pop.users[uid], ltws[uid], dep.directory,
-                              dep.profiles, dep.grid)
+                              dep.profiles, dep.grid, memo=memo)
             for uid in sorted(pop.users)}
+
+
+def _population_instances(dep: Deployment, pop: Population
+                          ) -> tuple[dict[int, UserInstance],
+                                     dict[int, UserInstance]]:
+    """The true and the predicted instances of one population. One
+    CostMemo serves both and is dropped on return; a predicted instance
+    shares the true one's entry tables where it can."""
+    memo = CostMemo(dep.directory, dep.profiles)
+    true = _user_instances(dep, pop, pop.true_ltws, memo)
+    predicted = {
+        uid: (true[uid] if pop.predicted_ltws[uid] is pop.true_ltws[uid]
+              else UserInstance(pop.users[uid], pop.predicted_ltws[uid],
+                                dep.directory, dep.profiles, dep.grid,
+                                share=true[uid], memo=memo))
+        for uid in sorted(pop.users)}
+    return true, predicted
 
 
 def _fallback_pick(inst: UserInstance, entry: int, occ_idx: int,
@@ -310,13 +329,7 @@ def run_experiment(sc: Scenario) -> list[MetricsRow]:
     rows: list[MetricsRow] = []
     for rep in range(sc.repetitions):
         pop = build_population(sc, dep, rep)
-        true = _user_instances(dep, pop, pop.true_ltws)
-        predicted = {
-            uid: (true[uid] if pop.predicted_ltws[uid] is pop.true_ltws[uid]
-                  else UserInstance(pop.users[uid], pop.predicted_ltws[uid],
-                                    dep.directory, dep.profiles, dep.grid,
-                                    share=true[uid]))
-            for uid in sorted(pop.users)}
+        true, predicted = _population_instances(dep, pop)
         if sc.fixed_dimension:
             rows.extend(_gain_rows(sc, dep, pop, true, predicted, algorithms,
                                    rep))

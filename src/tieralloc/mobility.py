@@ -95,6 +95,13 @@ def weighted_pick(cdf: Sequence[float], rng: np.random.Generator) -> int:
     return bisect_right(cdf, rng.random())
 
 
+def uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """rng.uniform(lo, hi) without numpy's per-call argument handling: the
+    same double (lo + (hi - lo) * the next random double) from the same
+    draw of the stream."""
+    return lo + (hi - lo) * rng.random()
+
+
 @lru_cache(maxsize=None)
 def _turn_cdf(weights: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(choice_cdf(np.array(weights) / sum(weights)))
@@ -111,7 +118,13 @@ def _leg(x: float, y: float, tx: float, ty: float, speed: float
     stride-by-stride walk reaches.
     """
     dx, dy = tx - x, ty - y
-    dist = float(np.hypot(dx, dy))
+    # hypot(d, +-0.0) is |d| exactly; only a diagonal leg needs the call
+    if dy == 0.0:
+        dist = abs(dx)
+    elif dx == 0.0:
+        dist = abs(dy)
+    else:
+        dist = float(np.hypot(dx, dy))
     if dist == 0.0:
         return [], []
     strides = 0
@@ -152,10 +165,10 @@ def generate_random_waypoint(params: MobilityParams, grid: LocationMap) -> Traje
         target_cell = int(rng.integers(len(centers)))
         while target_cell == cur:
             target_cell = int(rng.integers(len(centers)))
-        speed = rng.uniform(params.speed_min, params.speed_max)
+        speed = uniform(rng, params.speed_min, params.speed_max)
         tx, ty = centers[target_cell].tolist()
         leg_x, leg_y = _leg(x, y, tx, ty, speed)
-        pause = int(round(rng.uniform(0.0, params.pause_max_s)))
+        pause = int(round(uniform(rng, 0.0, params.pause_max_s)))
         xs += leg_x + [tx] * pause
         ys += leg_y + [ty] * pause
         x, y = tx, ty
@@ -202,7 +215,7 @@ def generate_manhattan(params: MobilityParams, grid: LocationMap) -> Trajectory:
         heading = moves[weighted_pick(_turn_cdf(tuple(weights)), rng)]
         tx, ty = centers[(row + heading[1]) * grid.width
                          + (col + heading[0])].tolist()
-        speed = rng.uniform(params.speed_min, params.speed_max)
+        speed = uniform(rng, params.speed_min, params.speed_max)
         leg_x, leg_y = _leg(x, y, tx, ty, speed)
         xs += leg_x
         ys += leg_y

@@ -12,16 +12,21 @@ Power is what the device battery spends: on-device compute energy, or the
 radio energy of the transfer. Price combines time-billed cloud rates with
 per-GB traffic charges; local clouds are user-owned and bill nothing, while
 any 3G transfer pays the cellular data plan rate.
+
+Costing has two steps: _rates resolves what one (tier, link, compute
+profile) charges per unit into a plain tuple, and _costs applies resolved
+rates to a data size. Every cost goes through that pair, so a planning
+table can resolve each service once and still get the same floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import LOCAL, PUBLIC, THREEG, WIFI, CloudNode, LocationMap, Service
-from .workflow import QoSTriple, trusted_qos
+from .workflow import LeafCost, QoSTriple
 
 KB_PER_MB = 1024.0
 KB_PER_GB = 1024.0 * 1024.0
@@ -195,62 +200,108 @@ def invocation_context(service: Service, user_cell: int, data_kb: float,
                              compute_ref=service.compute_ref)
 
 
-def _per100(rate: float, kb: float) -> float:
-    return rate * kb / 100.0
+# A resolved cost, what the costing formula needs of one (tier, link,
+# compute profile): (compute ms per 100 KB, energy mJ per 100 KB -- the
+# device's compute energy or the link's radio energy --, link ms per 100 KB
+# or None on the device, hourly USD rate on compute time or None, per-GB USD
+# rates in the order they are added)
+Rates = tuple[float, float, Optional[float], Optional[float],
+              tuple[float, ...]]
+
+
+def _rates(tier: str, link: Optional[str], compute_ref: str,
+           profiles: ProfileSet) -> Rates:
+    """The resolve step of the costing formula (see _costs).
+
+    Public clouds bill their hourly rate on compute time plus per-GB
+    transfer (storage-class services add the storage rate). Local clouds
+    are user-owned and bill nothing. Any 3G transfer additionally pays the
+    cellular plan rate per GB. On-device runs are free.
+    """
+    comp = profiles.compute_profile(compute_ref)
+    if tier == DEVICE:
+        return (comp.delay_ms_per_100kb, comp.energy_mj_per_100kb, None, None,
+                ())
+    transfer = profiles.links[(link, tier)]
+    book = profiles.price
+    hourly = None
+    per_gb: list[float] = []
+    if tier == PUBLIC:
+        hourly = (book.streaming_usd_per_hour if comp.billing == BILL_STREAMING
+                  else book.public_compute_usd_per_hour)
+        per_gb.append(book.transfer_usd_per_gb)
+        if comp.billing == BILL_STORAGE:
+            per_gb.append(book.storage_usd_per_gb)
+    if link == THREEG:
+        per_gb.append(book.cellular_usd_per_gb)
+    return (comp.delay_ms_per_100kb, transfer.energy_mj_per_100kb,
+            transfer.delay_ms_per_100kb, hourly, tuple(per_gb))
+
+
+def service_rates(service: Service, covered_by: Optional[int],
+                  clouds: Mapping[int, CloudNode],
+                  profiles: ProfileSet) -> Rates:
+    """Resolved cost of running service from a cell whose WiFi access point
+    belongs to cloud covered_by (None: no coverage)."""
+    tier, _, link = _route(service, covered_by, clouds)
+    return _rates(tier, link, service.compute_ref, profiles)
+
+
+def _costs(rates: Iterable[Rates], kb: float) -> list[LeafCost]:
+    """(price, power, delay) of one invocation on kb per resolved cost; the
+    arithmetic step of the only costing formula (see _rates).
+
+    Delay is compute time plus link transfer. Power is on-device compute
+    energy, or the radio energy of the transfer. Price starts at 0.0 and
+    adds the hourly rate times the compute hours, then each per-GB rate
+    times the GB moved, in order. Per-100 KB tables scale as rate * kb /
+    100.0.
+    """
+    gb = kb / KB_PER_GB
+    out = []
+    for comp_ms, energy, link_ms, hourly, per_gb in rates:
+        compute_ms = comp_ms * kb / 100.0
+        if link_ms is None:
+            out.append((0.0, energy * kb / 100.0, compute_ms))
+            continue
+        price = 0.0
+        if hourly is not None:
+            price += hourly * (compute_ms / MS_PER_HOUR)
+        for rate in per_gb:
+            price += rate * gb
+        out.append((price, energy * kb / 100.0,
+                    compute_ms + link_ms * kb / 100.0))
+    return out
 
 
 def _cost(tier: str, link: Optional[str], compute_ref: str, kb: float,
-          profiles: ProfileSet) -> tuple[float, float, float]:
-    """(price, power, delay) of one invocation; the only costing code.
-
-    Delay is compute time plus link transfer. Power is on-device compute
-    energy, or the radio energy of the transfer. Price: on-device is free.
-    Public clouds bill their rate on compute time plus per-GB transfer
-    (storage-class services add the storage rate). Local clouds are
-    user-owned and bill nothing. Any 3G transfer additionally pays the
-    cellular plan rate per GB.
-    """
-    comp = profiles.compute_profile(compute_ref)
-    compute_ms = _per100(comp.delay_ms_per_100kb, kb)
-    if tier == DEVICE:
-        return 0.0, _per100(comp.energy_mj_per_100kb, kb), compute_ms
-    transfer = profiles.links[(link, tier)]
-    price = 0.0
-    gb = kb / KB_PER_GB
-    book = profiles.price
-    if tier == PUBLIC:
-        rate = (book.streaming_usd_per_hour if comp.billing == BILL_STREAMING
-                else book.public_compute_usd_per_hour)
-        price += rate * (compute_ms / MS_PER_HOUR)
-        price += book.transfer_usd_per_gb * gb
-        if comp.billing == BILL_STORAGE:
-            price += book.storage_usd_per_gb * gb
-    if link == THREEG:
-        price += book.cellular_usd_per_gb * gb
-    return (price, _per100(transfer.energy_mj_per_100kb, kb),
-            compute_ms + _per100(transfer.delay_ms_per_100kb, kb))
+          profiles: ProfileSet) -> LeafCost:
+    """(price, power, delay) of one invocation (see _rates and _costs)."""
+    return _costs((_rates(tier, link, compute_ref, profiles),), kb)[0]
 
 
-def candidate_rows(services: Sequence[Service], covered_by: Optional[int],
-                   kb: float, clouds: Mapping[int, CloudNode],
-                   profiles: ProfileSet) -> list[QoSTriple]:
-    """(price, power, delay) of running each service on kb from a cell whose
-    WiFi access point belongs to cloud covered_by; the same floats
-    service_qos gives for each invocation's context.
+def candidate_rows(rates: Sequence[Rates], kb: float
+                   ) -> tuple[list[LeafCost], tuple[tuple[float, ...], ...]]:
+    """(price, power, delay) of running each resolved cost on kb, as plain
+    float triples (the same floats service_qos gives for each invocation's
+    context), and the same numbers as (prices, powers, delays) columns.
 
     The rows are checked where they enter, as one occurrence: when every
-    component is finite and none is negative they are built without a
+    component is finite and none is negative they are returned without a
     per-row check; otherwise each row goes through the QoSTriple
     constructor, so the first bad row raises its ValueError.
     """
-    costs = []
-    for service in services:
-        tier, _, link = _route(service, covered_by, clouds)
-        costs.append(_cost(tier, link, service.compute_ref, kb, profiles))
-    flat = [v for row in costs for v in row]
-    if all(map(math.isfinite, flat)) and min(flat, default=0.0) >= 0:
-        return [trusted_qos(*row) for row in costs]
-    return [QoSTriple(*row) for row in costs]
+    rows = _costs(rates, kb)
+    columns = tuple(zip(*rows))
+    prices, powers, delays = columns
+    # a NaN or an infinity makes the sum non-finite (so can an overflow of
+    # finite values, which then only costs the per-row check); without
+    # them min is exact
+    if not (math.isfinite(sum(prices) + sum(powers) + sum(delays))
+            and min(prices) >= 0 and min(powers) >= 0 and min(delays) >= 0):
+        for row in rows:
+            QoSTriple(*row)
+    return rows, columns
 
 
 def _context_cost(ctx: InvocationContext,
@@ -294,4 +345,4 @@ def intercloud_hop_ms(node: Optional[int], prev_node: Optional[int], kb: float,
 
 def intercloud_ms(kb: float, profiles: ProfileSet) -> float:
     """Delay of forwarding kb from one cloud to a different one."""
-    return _per100(profiles.intercloud.delay_ms_per_100kb, kb)
+    return profiles.intercloud.delay_ms_per_100kb * kb / 100.0

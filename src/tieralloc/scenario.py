@@ -21,7 +21,8 @@ from .allocation import AnnealingParams, ConstraintVector
 from .errors import ScenarioError
 from .mobility import (BOTH, LOCATION, MANHATTAN, RANDOM_WAYPOINT, SERVICE,
                        MobilityParams, UncertaintySpec, choice_cdf,
-                       generate_trajectory, inject_uncertainty, weighted_pick)
+                       generate_trajectory, inject_uncertainty, uniform,
+                       weighted_pick)
 from .model import (LOCAL, PUBLIC, CloudNode, LocationMap, MobileUser,
                     Service, Trajectory, UserGroup)
 from .profiles import (BILL_COMPUTE, BILL_STORAGE, BILL_STREAMING,
@@ -48,7 +49,7 @@ class WorkflowTemplate:
     kb_max: float = 5120.0
 
     def instantiate(self, rng: np.random.Generator) -> WorkflowNode:
-        base = float(rng.uniform(self.kb_min, self.kb_max))
+        base = uniform(rng, self.kb_min, self.kb_max)
         return self.build(base)
 
 
@@ -291,6 +292,25 @@ class Deployment:
         return CapacityLedger.for_clouds(self.clouds)
 
 
+def wifi_association(centers: np.ndarray, cloud_cells: Sequence[int],
+                     radius: float) -> dict[int, int]:
+    """Cell id -> index into cloud_cells of the access point a cell uses:
+    the nearest one within radius (+ 1e-9) of its center, the lowest index
+    on ties; cells no access point reaches are left out.
+
+    One np.hypot over the (cells x access points) center differences, and
+    argmin per cell, which takes the first of equal distances.
+    """
+    if not len(cloud_cells):
+        return {}
+    diff = centers[:, None, :] - centers[list(cloud_cells)][None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    reached = dist <= radius + 1e-9
+    nearest = np.where(reached, dist, np.inf).argmin(axis=1)
+    covered = np.flatnonzero(reached.any(axis=1))
+    return dict(zip(covered.tolist(), nearest[covered].tolist()))
+
+
 def build_deployment(sc: Scenario) -> Deployment:
     """Generate grid, clouds, coverage, catalog, and cost tables."""
     rng = derive_rng(sc.seed, _STRUCTURE)
@@ -308,18 +328,8 @@ def build_deployment(sc: Scenario) -> Deployment:
     for j in range(sc.public_instances):
         clouds[sc.local_clouds + j] = CloudNode(id=sc.local_clouds + j, tier=PUBLIC)
 
-    # cells associate with the nearest covering access point (lowest id ties)
-    wifi: dict[int, int] = {}
-    centers = base_grid.centers()
-    for cid in range(n_cells):
-        best, best_d = None, math.inf
-        for i, cell in enumerate(cloud_cells):
-            d = float(np.hypot(*(centers[cid] - centers[cell])))
-            if d <= radius + 1e-9 and d < best_d:
-                best, best_d = i, d
-        if best is not None:
-            wifi[cid] = best
-    grid = base_grid.with_wifi(wifi)
+    grid = base_grid.with_wifi(wifi_association(base_grid.centers(),
+                                                cloud_cells, radius))
 
     profiles = ProfileSet.from_dict(sc.profiles) if sc.profiles \
         else ProfileSet.defaults()
@@ -328,7 +338,7 @@ def build_deployment(sc: Scenario) -> Deployment:
     directory = ServiceDirectory(grid, clouds)
 
     def jitter() -> float:
-        return float(rng.uniform(1.0 - sc.compute_jitter, 1.0 + sc.compute_jitter))
+        return uniform(rng, 1.0 - sc.compute_jitter, 1.0 + sc.compute_jitter)
 
     sid = 0
 

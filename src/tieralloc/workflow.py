@@ -37,10 +37,12 @@ class QoSTriple:
     """Non-negative (price USD, power mJ, delay ms) vector.
 
     Numbers are validated where they enter: the public constructor rejects
-    a negative or non-finite component, and every candidate's cost row is
-    built through it. The arithmetic below (sums, scaling, componentwise
-    min/max) and fold_qos / normalize_qos build their results with
-    trusted_qos, which skips the check: their inputs already passed it.
+    a negative or non-finite component, and candidate cost rows, kept as
+    plain (price, power, delay) tuples, pass the same rule where they are
+    costed (profiles.candidate_rows). The arithmetic below (sums, scaling,
+    componentwise min/max) and fold_qos / normalize_qos build their results
+    with trusted_qos, which skips the check: their inputs already passed
+    it.
     """
 
     price: float
@@ -386,20 +388,34 @@ class ExecutionPlan:
 
 # --- normalization -----------------------------------------------------------
 
-def _normalize_dim(value: float, lo: float, hi: float, what: str) -> float:
-    rng = hi - lo
-    if rng == 0:
-        return 1.0
+DimBounds = tuple[float, float, float, float, float]
+
+
+def dim_bounds(lo: float, hi: float) -> DimBounds:
+    """What normalizing one dimension against [lo, hi] needs: (lo, hi,
+    span, lowest and highest accepted value). Values may stray outside
+    [lo, hi] by a relative float slack of 1e-9."""
     slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-    if value < lo - slack or value > hi + slack:
+    return lo, hi, hi - lo, lo - slack, hi + slack
+
+
+def normalize_within(value: float, bounds: DimBounds, what: str) -> float:
+    """value mapped into [0, 1] against dim_bounds(lo, hi), higher meaning
+    lower cost; 1.0 when the span is 0. Raises ExtremaMismatch beyond the
+    slack."""
+    lo, hi, span, low, high = bounds
+    if span == 0:
+        return 1.0
+    if value < low or value > high:
         raise ExtremaMismatch(f"{what}={value} outside [{lo}, {hi}]")
-    return min(1.0, max(0.0, (hi - value) / rng))
+    return min(1.0, max(0.0, (hi - value) / span))
 
 
 def normalize_qos(raw: QoSTriple, extrema: QoSExtrema) -> QoSTriple:
     """Map raw QoS into [0, 1] per dimension, higher meaning better."""
-    return trusted_qos(*(_normalize_dim(raw.get(d), extrema.lo.get(d),
-                                      extrema.hi.get(d), d) for d in DIMS))
+    return trusted_qos(*(normalize_within(
+        raw.get(d), dim_bounds(extrema.lo.get(d), extrema.hi.get(d)), d)
+        for d in DIMS))
 
 
 def normalize_service(raw: QoSTriple, extrema: QoSExtrema) -> tuple[QoSTriple, float]:

@@ -12,9 +12,10 @@ import pytest
 from tieralloc import (LOCAL, PUBLIC, AnnealingParams, CapacityLedger,
                        CloudNode, ComputeProfile, ConstraintVector,
                        ExecutionPlan, QoSExtrema, QoSTriple,
-                       IncompletePlan, LTW,
+                       IncompletePlan, LTW, LinkProfile,
                        LTWEntry, LocationMap, MobileUser, NoFeasibleCandidates,
-                       ProfileSet, Scenario, Service, ServiceDirectory,
+                       PriceBook, ProfileSet, Scenario, Service,
+                       ServiceDirectory,
                        TooLargeForEnumeration, UserGroup, UserInstance,
                        allocate_greedy, allocate_music, allocate_rsa,
                        brute_force_optimal, build_deployment,
@@ -22,13 +23,15 @@ from tieralloc import (LOCAL, PUBLIC, AnnealingParams, CapacityLedger,
                        candidate_services, find_service, fleet_utility,
                        fold_qos, greedy_plan, intercloud_hop_ms, leaf,
                        load_scenario, music, normalize_service,
-                       objective_from_plans, occurrences, roulette_index,
-                       roulette_pick, rsa_plan, seq, trajectory_from_pairs)
+                       objective_from_plans, occurrences, par,
+                       roulette_index, roulette_pick, rsa_plan, seq,
+                       trajectory_from_pairs)
 from tieralloc import allocation
 from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
                                   _roulette_spin, _roulette_wheel,
                                   clouds_without_room, with_room)
-from tieralloc.errors import AdmissionRefused, InvalidGroup, TierAllocError
+from tieralloc.errors import (AdmissionRefused, ExtremaMismatch, InvalidGroup,
+                              TierAllocError)
 
 UNLIMITED = ConstraintVector.unlimited()
 DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -271,7 +274,8 @@ def test_evaluate_charges_the_hop_only_between_two_clouds():
     def extra_delay(f_sid, g_sid):
         plan = ExecutionPlan({(0, 0): f_sid, (0, 1): g_sid})
         raw = inst.evaluate(plan)
-        bare = inst.base[0][0][f_sid] + inst.base[0][1][g_sid]
+        bare = (QoSTriple(*inst.base[0][0][f_sid])
+                + QoSTriple(*inst.base[0][1][g_sid]))
         assert (raw.price, raw.power) == (bare.price, bare.power)
         return raw.delay - bare.delay
 
@@ -292,7 +296,7 @@ def test_evaluate_sums_entries_and_charges_hops_within_an_entry():
     # so only a hop across the entry boundary (cloud 2 -> cloud 1) could
     # charge it anything
     plan = ExecutionPlan({(0, 0): 100, (0, 1): 201, (1, 0): 100, (1, 1): 200})
-    b = inst.base
+    b = _triples(inst.base)
     hopped = Q(b[0][1][201].price, b[0][1][201].power,
                b[0][1][201].delay + 20.0)
     assert b[0][0][100] != b[1][0][100]  # entries are costed at their cells
@@ -437,7 +441,7 @@ def test_music_returns_the_first_best_of_independent_proposals(monkeypatch):
 
 def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
     inst = _instance("f")
-    delays = {sid: q.delay for sid, q in inst.base[0][0].items()}
+    delays = {sid: QoSTriple(*q).delay for sid, q in inst.base[0][0].items()}
     assert min(delays, key=delays.get) == 100
     # the fastest service meets the delay budget exactly, so every draw
     # either fits or is repaired to it; a proposal is one draw
@@ -1114,9 +1118,15 @@ def _old_tables(inst):
     return base, snorm, QoSExtrema(lo=lo_total, hi=hi_total)
 
 
+def _triples(base):
+    """base[e][j][sid] rows, read as QoSTriples."""
+    return [[{sid: QoSTriple(*row) for sid, row in rows.items()}
+             for rows in entry] for entry in base]
+
+
 def _assert_tables_equal_the_old_costing(inst):
     base, snorm, extrema = _old_tables(inst)
-    assert inst.base == base
+    assert _triples(inst.base) == base
     assert inst.snorm == snorm
     assert inst.extrema == extrema
 
@@ -1152,7 +1162,7 @@ def test_snorm_squares_like_the_scalar_reference():
     inst = UserInstance(user, LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),)),
                         directory, profiles, grid)
     _assert_tables_equal_the_old_costing(inst)
-    rows = inst.base[0][0]
+    rows = _triples(inst.base)[0][0]
     norm = []
     for dim in ("price", "power", "delay"):
         values = [q.get(dim) for q in rows.values()]
@@ -1192,3 +1202,242 @@ def test_candidate_rows_are_checked_where_they_enter():
                                  transfer_usd_per_gb=math.nan)
     with pytest.raises(ValueError, match="price must be finite"):
         UserInstance(user, ltw, directory, not_a_number, grid)
+
+
+# --- one cost memo per population ------------------------------------------------------
+
+def _random_profiles(rng):
+    """A ProfileSet with every table drawn at random, and compute profiles
+    of every billing class for each service the world below deploys."""
+    def draw(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    profiles = ProfileSet.defaults()
+    for key in list(profiles.links):
+        profiles.links[key] = LinkProfile(draw(0.1, 400.0), draw(0.0, 2e3))
+    profiles.intercloud = LinkProfile(draw(0.0, 50.0))
+    profiles.price = PriceBook(*(draw(0.0, 30.0) for _ in range(5)))
+    billings = ("compute", "streaming", "storage")
+    for ref in range(40):
+        profiles.compute[f"r{ref}"] = ComputeProfile(
+            draw(0.0, 200.0), draw(0.0, 200.0),
+            billing=billings[int(rng.integers(3))])
+    return profiles
+
+
+def _random_cost_world(rng, profiles):
+    """8x2 cells; local clouds 1 (cell 0) and 2 (cell 15) cover the cells
+    next to them, public clouds 7 and 8 sit outside; functions a, b, c run
+    on some clouds and on some users' devices, with service ids that
+    interleave the two kinds."""
+    grid = LocationMap(8, 2, 100.0, wifi={0: 1, 1: 1, 8: 1, 15: 2, 14: 2})
+    clouds = {1: CloudNode(1, LOCAL, location=0, capacity=3),
+              2: CloudNode(2, LOCAL, location=15, capacity=3),
+              7: CloudNode(7, PUBLIC), 8: CloudNode(8, PUBLIC)}
+    directory = ServiceDirectory(grid, clouds)
+    ids = iter(rng.permutation(200).tolist())
+    refs = list(profiles.compute)
+
+    def ref():
+        return refs[int(rng.integers(len(refs)))]
+
+    for fn in "abc":
+        for cid in clouds:
+            if cid in (7, 8) or rng.random() < 0.7:
+                directory.insert(Service(next(ids), fn, host_cloud=cid,
+                                         compute_ref=ref()))
+    users = []
+    for uid in range(4):
+        own = set()
+        for fn in "abc":
+            for _ in range(int(rng.integers(0, 3))):
+                sid = next(ids)
+                directory.insert(Service(sid, fn, host_user=uid,
+                                         compute_ref=ref()))
+                own.add(sid)
+        users.append(MobileUser(uid, trajectory_from_pairs([(0, 60.0)]),
+                                device_services=frozenset(own)))
+    return grid, directory, users
+
+
+def _random_ltw(rng):
+    def kb():
+        return float(rng.uniform(1.0, 5000.0))
+
+    def fn():
+        return "abc"[int(rng.integers(3))]
+
+    shapes = (lambda: seq(leaf(fn(), kb()), leaf(fn(), kb())),
+              lambda: par(leaf(fn(), kb()), leaf(fn(), kb())),
+              lambda: seq(par(leaf("a", kb()), leaf("b", kb())),
+                          leaf("c", kb())),
+              lambda: leaf(fn(), kb()))
+    # covered (by cloud 1 or 2) and uncovered cells alike
+    return LTW(tuple(LTWEntry(int(rng.choice([0, 1, 8, 15, 14, 3, 5, 11])),
+                              30.0, shapes[int(rng.integers(4))]())
+                     for _ in range(int(rng.integers(2, 6)))))
+
+
+def test_shared_cost_memo_tables_equal_fresh_builds_and_the_old_costing():
+    rng = np.random.default_rng(23)
+    rows = 0
+    for _ in range(25):
+        profiles = _random_profiles(rng)
+        grid, directory, users = _random_cost_world(rng, profiles)
+        memo = allocation.CostMemo(directory, profiles)
+        for user in users:
+            for _ in range(2):
+                ltw = _random_ltw(rng)
+                inst = UserInstance(user, ltw, directory, profiles, grid,
+                                    memo=memo)
+                fresh = UserInstance(user, ltw, directory, profiles, grid)
+                for name in ("cands", "base", "snorm", "extrema"):
+                    assert getattr(inst, name) == getattr(fresh, name)
+                for got, built in zip(inst.entries, fresh.entries):
+                    assert got.steps == built.steps
+                    assert (got.lo, got.hi) == (built.lo, built.hi)
+                _assert_tables_equal_the_old_costing(inst)
+                rows += sum(len(t) for entry in inst.base for t in entry)
+        # every kind of (service, WiFi owner) was costed
+        keys = memo.rates.keys()
+        assert any(type(k) is int for k in keys)
+        assert {k[1] for k in keys if type(k) is tuple} == {None, 1, 2}
+    assert rows > 2000
+    other = ProfileSet.defaults()
+    with pytest.raises(ValueError, match="one profile set"):
+        UserInstance(users[0], ltw, directory, other, grid, memo=memo)
+
+
+def test_joint_scores_equal_fleet_utility_per_combination(monkeypatch):
+    rng = np.random.default_rng(4)
+    # chunks of 7 combinations, so chunk boundaries fall inside the product
+    monkeypatch.setattr(allocation, "_SCORE_CHUNK", 7)
+    for case in range(60):
+        n_users = int(rng.integers(1, 12))
+        users = sorted(rng.choice(30, size=n_users, replace=False).tolist())
+        sizes = [int(rng.integers(1, 4)) for _ in users]
+        while math.prod(sizes) > 300:
+            sizes[sizes.index(max(sizes))] -= 1
+        utils = [rng.random(n).tolist() for n in sizes]
+        groups = None
+        if case % 2:
+            cut = sorted(rng.choice(range(1, n_users + 1),
+                                    size=min(n_users, int(rng.integers(1, 5))),
+                                    replace=False).tolist())
+            bounds = [0] + cut[:-1] + [n_users]
+            groups = [UserGroup(g, frozenset(users[a:b]))
+                      for g, (a, b) in enumerate(zip(bounds, bounds[1:]))
+                      if b > a]
+            if case % 4 == 1:  # a member without a utility scores 0
+                groups.append(UserGroup(len(groups), frozenset({99, users[0]})))
+        got = allocation._joint_scores(utils, users, groups).tolist()
+        expect = [fleet_utility(dict(zip(users, combo)), users, groups)
+                  for combo in itertools.product(*utils)]
+        assert got == expect
+    with pytest.raises(InvalidGroup):
+        allocation._joint_scores([[0.5]], [0], [])
+    with pytest.raises(ValueError):
+        allocation._joint_scores([], [])
+
+
+def test_joint_enumeration_keeps_the_first_of_tied_feasible_maxima():
+    grid, directory, user = _world()
+    # two public services with one compute profile cost the same, so
+    # plans that swap one for the other tie
+    directory.insert(Service(103, "f", host_cloud=9, compute_ref="public"))
+    other = MobileUser(1, trajectory_from_pairs([(1, 60.0)]))
+    ltw = LTW((LTWEntry(1, 60.0, leaf("f", 2048.0)),))
+    instances = {u.id: UserInstance(u, ltw, directory, ProfileSet.defaults(),
+                                    grid)
+                 for u in (user, other)}
+    # one slot on cloud 1 and none on cloud 2
+    ledger = CapacityLedger({1: 1, 2: 0})
+    budget = ConstraintVector(price=1e9)
+    uids = sorted(instances)
+    spaces = [[(p, instances[u].evaluate(p), instances[u].utility(p),
+                instances[u].plan_clouds(p))
+               for p in allocation._plan_space(instances[u], 10**6)]
+              for u in uids]
+    best, best_val, ties = None, -math.inf, 0
+    for combo in itertools.product(*spaces):
+        usage = {}
+        for r in combo:
+            for cid in r[3]:
+                usage[cid] = usage.get(cid, 0) + 1
+        if check_constraints([r[1] for r in combo], budget, usage, ledger):
+            continue
+        val = fleet_utility({u: r[2] for u, r in zip(uids, combo)}, uids)
+        ties += val == best_val
+        if val > best_val:
+            best, best_val, ties = combo, val, 0
+    assert ties >= 1  # a later feasible combination ties the first best
+    res = brute_force_optimal(instances, budget, ledger)
+    assert res.feasible and res.utility == best_val
+    assert [res.plans[u].assignments for u in uids] == \
+        [r[0].assignments for r in best]
+
+
+def test_bounded_is_decided_once_per_frozen_vector():
+    rng = np.random.default_rng(2)
+    values = (math.inf, 0.0, 1.5, 1e300)
+    for _ in range(50):
+        kw = {d: values[int(rng.integers(4))] for d in ("price", "power",
+                                                        "delay")}
+        cv = ConstraintVector(**kw)
+        expect = any(math.isfinite(v) for v in kw.values())
+        assert cv.bounded() is expect
+        assert replace(cv, price=math.inf).bounded() is \
+            (math.isfinite(kw["power"]) or math.isfinite(kw["delay"]))
+        assert cv == ConstraintVector(**kw) and hash(cv) == hash(
+            ConstraintVector(**kw))
+    assert not UNLIMITED.bounded()
+
+
+def _old_normalize_dim(value, lo, hi, what):
+    """utility_of's per-dimension rule as it was computed per call."""
+    rng = hi - lo
+    if rng == 0:
+        return 1.0
+    slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+    if value < lo - slack or value > hi + slack:
+        raise ExtremaMismatch(f"{what}={value} outside [{lo}, {hi}]")
+    return min(1.0, max(0.0, (hi - value) / rng))
+
+
+def _old_utility_of(inst, raw):
+    lo, hi = inst.extrema.lo, inst.extrema.hi
+    return min(_old_normalize_dim(raw.get(d), lo.get(d), hi.get(d), d)
+               for d in ("price", "power", "delay"))
+
+
+def test_utility_of_equals_the_per_call_normalization():
+    rng = np.random.default_rng(6)
+    dep, pop, instances = _fleet(users=4, seed=3)
+    # one candidate per occurrence: every span is 0
+    single = _instance("g")
+    single.directory.remove(201)
+    single = UserInstance(single.user, single.ltw, single.directory,
+                          single.profiles, single.grid)
+    checked = raised = 0
+    for inst in [*instances.values(), single]:
+        lo, hi = inst.extrema.lo.as_tuple(), inst.extrema.hi.as_tuple()
+        for _ in range(300):
+            t = rng.uniform(-0.2, 1.2, 3)
+            # values near the edges probe the slack
+            if rng.random() < 0.3:
+                t = np.round(t)
+                t += rng.choice([-1, 1], 3) * rng.choice([0.0, 1e-12, 1e-6], 3)
+            raw = QoSTriple(*(max(0.0, a + (b - a) * x)
+                              for a, b, x in zip(lo, hi, t.tolist())))
+            try:
+                expect = _old_utility_of(inst, raw)
+            except ExtremaMismatch as exc:
+                with pytest.raises(ExtremaMismatch) as got:
+                    inst.utility_of(raw)
+                assert str(got.value) == str(exc)
+                raised += 1
+                continue
+            assert inst.utility_of(raw) == expect
+            checked += 1
+    assert checked > 500 and raised > 100
+    assert single.utility_of(QoSTriple(1e9, 1e9, 1e9)) == 1.0

@@ -7,7 +7,7 @@ from tieralloc import (LTW, LTWEntry, LocationMap, MobilityParams,
                        UncertaintySpec, generate_manhattan,
                        generate_random_waypoint, generate_trajectory,
                        inject_uncertainty, leaf, seq)
-from tieralloc.mobility import _leg, choice_cdf, weighted_pick
+from tieralloc.mobility import _leg, choice_cdf, uniform, weighted_pick
 from tieralloc.model import Trajectory, TrajectoryEntry
 
 GRID = LocationMap(10, 10, 50.0)
@@ -59,6 +59,41 @@ def test_walk_steps_cover_the_leg_in_one_second_strides():
     # overshoot clamps to the target in a single stride
     assert _leg(0.0, 0.0, 2.0, 0.0, speed=9.0) == ([2.0], [0.0])
     assert _leg(0.0, 0.0, 0.0, 0.0, speed=5.0) == ([], [])
+
+
+def test_uniform_draws_like_generator_uniform():
+    bounds = ((1.0, 10.0), (0.0, 10.0), (0.0, 0.0), (0.5, 0.5),
+              (3.3, 17.9), (1e-3, 2e3))
+    for seed, (lo, hi) in enumerate(bounds):
+        ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [uniform(ours, lo, hi) for _ in range(15000)]
+        assert got == [numpy.uniform(lo, hi) for _ in range(15000)]
+        assert ours.bit_generator.state == numpy.bit_generator.state
+
+
+def test_axis_aligned_legs_measure_like_hypot():
+    rng = np.random.default_rng(8)
+    for k in range(2000):
+        x, y = (float(v) for v in rng.uniform(-500.0, 500.0, 2))
+        d = float(rng.uniform(-300.0, 300.0)) if k % 10 else 0.0
+        speed = float(rng.uniform(0.5, 15.0))
+        for tx, ty in ((x + d, y), (x, y + d)):
+            # the reference leg: np.hypot distance, the same stride loop
+            dx, dy = tx - x, ty - y
+            dist = float(np.hypot(dx, dy))
+            if dist == 0.0:
+                assert _leg(x, y, tx, ty, speed) == ([], [])
+                continue
+            steps, rest = [], dist
+            px, py = x, y
+            while speed < rest:
+                rest -= speed
+                px += dx / dist * speed
+                py += dy / dist * speed
+                steps.append((px, py))
+            steps.append((tx, ty))
+            leg_x, leg_y = _leg(x, y, tx, ty, speed)
+            assert list(zip(leg_x, leg_y)) == steps
 
 
 # --- whole-leg walks against the stride-by-stride walk they replaced -----------------

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from tieralloc import (LOCAL, PUBLIC, Scenario, ScenarioError,
+from tieralloc import (LOCAL, PUBLIC, LocationMap, Scenario, ScenarioError,
                        build_deployment, build_population, derive_rng,
                        derive_seed, load_scenario, make_templates, occurrences)
+from tieralloc.scenario import wifi_association
 
 
 def _collect_functions(node):
@@ -186,6 +187,54 @@ def test_wifi_coverage_maps_cells_to_the_nearest_access_point():
         else:
             best = min(reachable, key=lambda c: (reachable[c], c))
             assert cell.wifi_covered_by == best
+
+
+def _reference_wifi(centers, cloud_cells, radius):
+    """build_deployment's association loop before it was vectorized: one
+    np.hypot per (cell, access point), the strictly nearer one wins."""
+    wifi = {}
+    for cid in range(len(centers)):
+        best, best_d = None, math.inf
+        for i, cell in enumerate(cloud_cells):
+            d = float(np.hypot(*(centers[cid] - centers[cell])))
+            if d <= radius + 1e-9 and d < best_d:
+                best, best_d = i, d
+        if best is not None:
+            wifi[cid] = best
+    return wifi
+
+
+def test_wifi_association_equals_the_per_pair_loop():
+    rng = np.random.default_rng(17)
+    ties = 0
+    for k in range(100):
+        width, height = int(rng.integers(1, 31)), int(rng.integers(1, 21))
+        if k < 4:
+            width, height = ((1, 5), (30, 20), (5, 1), (7, 7))[k]
+        cell_size = float(rng.choice([1.0, 33.3, 50.0, 100.0]))
+        grid = LocationMap(width, height, cell_size)
+        n = width * height
+        n_clouds = 0 if k % 10 == 0 else int(rng.integers(1, min(n, 12) + 1))
+        cloud_cells = sorted(rng.choice(n, size=n_clouds,
+                                        replace=False).tolist())
+        radius = 0.0 if k % 7 == 0 else float(rng.uniform(0.0, 3.7))
+        radius *= cell_size
+        centers = grid.centers()
+        got = wifi_association(centers, cloud_cells, radius)
+        assert got == _reference_wifi(centers, cloud_cells, radius)
+        assert list(got) == sorted(got)
+        assert all(type(c) is int and type(i) is int for c, i in got.items())
+        # cells halfway between two access points: the lower index wins
+        for cell, i in got.items():
+            d = [math.dist(centers[cell], centers[c]) for c in cloud_cells]
+            ties += d.count(d[i]) > 1
+    assert ties > 0
+    # two access points at equal distance from the middle cell of a strip
+    strip = LocationMap(3, 1, 10.0)
+    assert wifi_association(strip.centers(), [2, 0], 10.0) == \
+        {0: 1, 1: 0, 2: 0}
+    assert wifi_association(strip.centers(), [], 10.0) == {}
+    assert wifi_association(strip.centers(), [1], 0.0) == {1: 0}
 
 
 def test_deployment_is_seed_deterministic():
