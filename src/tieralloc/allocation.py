@@ -32,8 +32,8 @@ from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
 from .profiles import (ProfileSet, Rates, candidate_rows, intercloud_ms,
                        service_rates)
 from .registry import CapacityLedger, ServiceDirectory
-from .workflow import (DIMS, LTW, ExecutionPlan, FoldFn, LeafCost, Occurrence,
-                       QoSExtrema, QoSTriple, WorkflowNode, candidate_services,
+from .workflow import (DIMS, LTW, ExecutionPlan, FoldFn, LeafCost, QoSExtrema,
+                       QoSTriple, WorkflowNode, candidate_services,
                        compile_fold, dim_bounds, normalize_within,
                        occurrences, trusted_qos)
 
@@ -271,7 +271,9 @@ class CostMemo:
       and the set of their host clouds (None: on the device);
     - per cloud service id and WiFi owner of the entry's cell, and per
       device service id (a device run uses no link, so coverage plays no
-      part): the service's resolved cost (profiles.service_rates).
+      part): the service's resolved cost (profiles.service_rates);
+    - per (user id, workflow object, WiFi owner of the entry's cell): the
+      entry's planning tables (see tables_of).
 
     Each entry is read from the directory and the profile set when it is
     first needed, and is right only while they do not change. So one memo
@@ -279,7 +281,8 @@ class CostMemo:
     repetition, and is dropped once they are built.
     """
 
-    __slots__ = ("directory", "profiles", "candidates", "host_sets", "rates")
+    __slots__ = ("directory", "profiles", "candidates", "host_sets", "rates",
+                 "tables")
 
     def __init__(self, directory: ServiceDirectory, profiles: ProfileSet):
         self.directory = directory
@@ -291,6 +294,22 @@ class CostMemo:
         # keyed by (service id, WiFi owner) for cloud services, by service
         # id for device services
         self.rates: dict[object, Rates] = {}
+        self.tables: dict[tuple[int, int, Optional[int]], _EntryTables] = {}
+
+    def tables_of(self, user: MobileUser, workflow: WorkflowNode,
+                  covered_by: Optional[int]) -> "_EntryTables":
+        """The planning tables of the user's entry running workflow from a
+        cell whose WiFi access point belongs to cloud covered_by (None: no
+        coverage). Entries of the same user, workflow object and WiFi owner
+        share one object, in one instance or across the true and the
+        predicted ones. The tables hold their workflow, so its id cannot
+        name another object while the memo lives."""
+        key = (user.id, id(workflow), covered_by)
+        tables = self.tables.get(key)
+        if tables is None:
+            tables = self.tables[key] = _EntryTables(user, workflow,
+                                                     covered_by, self)
+        return tables
 
     def candidates_of(self, function_id: str, user: MobileUser
                       ) -> tuple[list[int], frozenset[Optional[int]]]:
@@ -328,24 +347,23 @@ class _EntryTables:
     """One LTW entry's planning tables.
 
     They depend only on the user, the entry's workflow object and the WiFi
-    owner of its cell, so instances of one user can share them. Per
-    occurrence, in preorder: the realizing candidate ids, their raw QoS
-    rows as plain (price, power, delay) float tuples, their total
-    normalized QoS within the set, and a step (occurrence index, rows,
-    predecessor index, hop) for the plan evaluator. The predecessor index
-    is None when the occurrence has no Seq predecessor or the hop costs
-    nothing; hop is intercloud_ms(kb), paid only between two different
-    clouds. lo and hi are the entry's folded envelopes. Candidate ids and
-    resolved costs come from the population's CostMemo.
+    owner of its cell, and the population's CostMemo keeps one object per
+    such key (see CostMemo.tables_of). Per occurrence, in preorder: the
+    realizing candidate ids, their raw QoS rows as plain (price, power,
+    delay) float tuples, their total normalized QoS within the set, and a
+    step (occurrence index, rows, predecessor index, hop) for the plan
+    evaluator. The predecessor index is None when the occurrence has no Seq
+    predecessor or the hop costs nothing; hop is intercloud_ms(kb), paid
+    only between two different clouds. lo and hi are the entry's folded
+    envelopes. Candidate ids and resolved costs come from the CostMemo.
     """
 
-    __slots__ = ("workflow", "covered_by", "occs", "cands", "base", "snorm",
-                 "steps", "fold", "lo", "hi")
+    __slots__ = ("workflow", "occs", "cands", "base", "snorm", "steps",
+                 "fold", "lo", "hi")
 
     def __init__(self, user: MobileUser, workflow: WorkflowNode,
                  covered_by: Optional[int], memo: CostMemo):
         self.workflow = workflow
-        self.covered_by = covered_by
         self.occs = occurrences(workflow)
         self.cands: list[list[int]] = []
         self.base: list[dict[int, LeafCost]] = []
@@ -396,34 +414,25 @@ class _EntryTables:
 class UserInstance:
     """One user's location-time workflow with cached candidate QoS.
 
-    Precomputes, per function occurrence: the realizing candidate set, each
-    candidate's raw QoS at the entry's cell as a plain (price, power, delay)
-    float tuple, its total normalized QoS within that candidate set, and
-    envelope extrema for whole-LTW normalization. Within one entry,
-    occurrence indices equal preorder positions, so all tables are plain
-    lists indexed [entry][occurrence]. Each entry's tables (see
-    _EntryTables) hold its compiled fold and hop values, so evaluate and
-    utility_of work on plain floats.
-
-    share is another instance of the same user (same directory and
-    profiles), typically the true one of a mispredicted user: an entry with
-    the same workflow object and the same WiFi owner at its cell takes that
-    instance's tables instead of costing them again.
+    entries[e] holds entry e's planning tables (see _EntryTables): per
+    function occurrence, in preorder (occurrence indices equal preorder
+    positions), the realizing candidate ids, each candidate's raw QoS at
+    the entry's cell as a plain (price, power, delay) float tuple and its
+    total normalized QoS within that candidate set; and the entry's
+    compiled fold, hop values and envelope. So a table is read as
+    entries[e].<table>[j], and evaluate and utility_of work on plain
+    floats. extrema sums the entry envelopes for whole-LTW normalization.
 
     memo is the CostMemo of the population being built, over the same
     directory and profiles; it lives for that one population and no
-    instance keeps it. None builds a memo for this instance alone.
+    instance keeps it. Instances built through one memo share the tables
+    of entries with the same user, workflow object and WiFi owner at the
+    cell. None builds a memo for this instance alone.
     """
 
     def __init__(self, user: MobileUser, ltw: LTW, directory: ServiceDirectory,
                  profiles: ProfileSet, grid: LocationMap,
-                 share: Optional["UserInstance"] = None,
                  memo: Optional[CostMemo] = None):
-        if share is not None and (share.user is not user
-                                  or share.directory is not directory
-                                  or share.profiles is not profiles):
-            raise ValueError("shared tables must come from an instance of "
-                             "the same user, directory and profiles")
         if memo is None:
             memo = CostMemo(directory, profiles)
         elif memo.directory is not directory or memo.profiles is not profiles:
@@ -437,14 +446,10 @@ class UserInstance:
         self.clouds = directory.clouds
         self.hosts = directory.hosts
         self.entries: list[_EntryTables] = []
-        shared = share.entries if share is not None else []
         lo_p = lo_w = lo_d = hi_p = hi_w = hi_d = 0.0
-        for e, entry in enumerate(ltw.entries):
-            covered_by = grid.cell(entry.cell_id).wifi_covered_by
-            tables = shared[e] if e < len(shared) else None
-            if (tables is None or tables.workflow is not entry.workflow
-                    or tables.covered_by != covered_by):
-                tables = _EntryTables(user, entry.workflow, covered_by, memo)
+        for entry in ltw.entries:
+            tables = memo.tables_of(
+                user, entry.workflow, grid.cell(entry.cell_id).wifi_covered_by)
             self.entries.append(tables)
             lo_p += tables.lo[0]
             lo_w += tables.lo[1]
@@ -452,12 +457,6 @@ class UserInstance:
             hi_p += tables.hi[0]
             hi_w += tables.hi[1]
             hi_d += tables.hi[2]
-        self.occs: list[list[Occurrence]] = [t.occs for t in self.entries]
-        self.cands: list[list[list[int]]] = [t.cands for t in self.entries]
-        self.base: list[list[dict[int, LeafCost]]] = [
-            t.base for t in self.entries]
-        self.snorm: list[list[dict[int, float]]] = [
-            t.snorm for t in self.entries]
         self.extrema = QoSExtrema(lo=trusted_qos(lo_p, lo_w, lo_d),
                                   hi=trusted_qos(hi_p, hi_w, hi_d))
         self._bounds = (dim_bounds(lo_p, hi_p), dim_bounds(lo_w, hi_w),
@@ -522,9 +521,9 @@ class UserInstance:
 
     def iter_occurrences(self):
         """Yields (entry_idx, occurrence, candidate_ids) over the LTW."""
-        for e, occs in enumerate(self.occs):
-            for occ in occs:
-                yield e, occ, self.cands[e][occ.index]
+        for e, tables in enumerate(self.entries):
+            for occ, cands in zip(tables.occs, tables.cands):
+                yield e, occ, cands
 
 
 class GroupInstance:
@@ -557,43 +556,39 @@ class SearchMemo:
     find_service fills it lazily; later proposals reuse what earlier ones
     built:
     - near: range_query's local hits per (function, radius index);
-    - reach: per (user id, radius index), each occurrence's candidates in
-      reach as (entry, occurrence, ids) rows, or None when some occurrence
-      has none;
-    - allowed: per (user id, radius index, blocked clouds), None when that
-      radius is skipped (some occurrence has no candidate with room, or the
-      optimistic per-occurrence minima break a budget), else the allowed ids
-      per occurrence with their roulette wheels. The blocked clouds are the
-      room rule's set for the call (see clouds_without_room), so proposals
-      that see the same full clouds share one entry;
-    - wheels: per (user id, entry, occurrence, allowed ids), the ids in
-      roulette order (ascending total normalized QoS, then id) with their
-      cumulative weights.
+    - radii: per (user id, radius index, blocked clouds), None when that
+      radius is skipped, else its table (see _radius). The blocked clouds
+      are the room rule's set for the call (see clouds_without_room), so
+      proposals that see the same full clouds share one table.
     One memo serves one center, one AnnealingParams and one budget vector
     per user, which is what a music() call holds fixed.
     """
 
     def __init__(self):
         self.near: dict[tuple[str, int], frozenset[int]] = {}
-        self.reach: dict[tuple[int, int], Optional[list]] = {}
-        self.allowed: dict[tuple, Optional[tuple[tuple, list]]] = {}
-        self.wheels: dict[tuple, tuple[list[int], Optional[list[float]]]] = {}
+        self.radii: dict[tuple[int, int, frozenset[int]],
+                         Optional[list[tuple]]] = {}
 
 
-def _reach(instance: UserInstance, center: tuple[float, float],
-           params: AnnealingParams, i: int, memo: SearchMemo) -> Optional[list]:
-    """Candidates in reach at radius index i, before the room rule.
+def _radius(instance: UserInstance, center: tuple[float, float],
+            params: AnnealingParams, i: int, blocked: frozenset[int],
+            constraints: ConstraintVector,
+            memo: SearchMemo) -> Optional[list[tuple]]:
+    """The search table at radius index i for the clouds without room in
+    blocked: per occurrence, in entry and preorder order, (entry,
+    occurrence, allowed ids, the ids in roulette order -- ascending total
+    normalized QoS, then id --, their cumulative weights).
 
     On-device services are always in reach and public ones at any radius;
-    local-cloud services must fall inside the radius.
+    local-cloud services must fall inside the radius. An id in reach is
+    allowed when it has room (see with_room). None when some occurrence has
+    no id in reach or none allowed, or when the optimistic minima over the
+    allowed ids break a budget (see _optimistic_fit).
     """
-    key = (instance.user.id, i)
-    if key in memo.reach:
-        return memo.reach[key]
     directory = instance.directory
     hosts, clouds = instance.hosts, instance.clouds
     radius = params.radius_start_m + i * params.radius_step_m
-    rows: Optional[list] = []
+    reach = []
     for e, occ, cands in instance.iter_occurrences():
         fn = occ.fn.function_id
         near = memo.near.get((fn, i))
@@ -604,54 +599,39 @@ def _reach(instance: UserInstance, center: tuple[float, float],
                if (node := hosts[sid]) is None or clouds[node].tier != LOCAL
                or sid in near]
         if not ids:
-            rows = None
-            break
-        rows.append((e, occ.index, ids))
-    memo.reach[key] = rows
-    return rows
-
-
-def _allowed(instance: UserInstance, rows: list, blocked: frozenset[int],
-             constraints: ConstraintVector,
-             memo: SearchMemo) -> Optional[tuple[tuple, list]]:
-    """The ids in reach with room per occurrence and their roulette wheels,
-    or None when some occurrence has none or the optimistic minima over them
-    break a budget."""
-    hosts = instance.hosts
-    allowed = []
-    for _, _, ids in rows:
-        ok = tuple(with_room(ids, hosts, blocked))
-        if not ok:
             return None
-        allowed.append(ok)
-    allowed = tuple(allowed)
-    if constraints.bounded() and not _optimistic_fit(instance, rows, allowed,
+        reach.append((e, occ.index, ids))
+    # every occurrence's reach is settled before the room rule, so which
+    # ranges are queried does not depend on blocked
+    table = []
+    for e, j, ids in reach:
+        allowed = tuple(with_room(ids, hosts, blocked))
+        if not allowed:
+            return None
+        table.append((e, j, allowed))
+    if constraints.bounded() and not _optimistic_fit(instance, table,
                                                      constraints):
         return None
-    uid = instance.user.id
-    wheels = []
-    for (e, j, _), ids in zip(rows, allowed):
-        wheel = memo.wheels.get((uid, e, j, ids))
-        if wheel is None:
-            snorm = instance.snorm[e][j]
-            order = sorted(ids, key=lambda s: (snorm[s], s))
-            wheel = memo.wheels[(uid, e, j, ids)] = (
-                order, _roulette_wheel([snorm[s] for s in order]))
-        wheels.append(wheel)
-    return allowed, wheels
+    for k, (e, j, allowed) in enumerate(table):
+        snorm = instance.entries[e].snorm[j]
+        order = sorted(allowed, key=lambda s: (snorm[s], s))
+        table[k] = (e, j, allowed, order,
+                    _roulette_wheel([snorm[s] for s in order]))
+    return table
 
 
-def _optimistic_fit(instance: UserInstance, rows: list, allowed: tuple,
+def _optimistic_fit(instance: UserInstance, table: list[tuple],
                     constraints: ConstraintVector) -> bool:
-    """Whether the per-occurrence minima over the allowed ids (rows in entry,
-    preorder order), folded through each entry's workflow, fit every budget."""
-    minima: list[list[LeafCost]] = [[] for _ in instance.entries]
-    for (e, j, _), ids in zip(rows, allowed):
-        base = instance.base[e][j]
+    """Whether the per-occurrence minima over a search table's allowed ids,
+    folded through each entry's workflow, fit every budget."""
+    entries = instance.entries
+    minima: list[list[LeafCost]] = [[] for _ in entries]
+    for e, j, ids, *_ in table:
+        base = entries[e].base[j]
         prices, powers, delays = zip(*[base[sid] for sid in ids])
         minima[e].append((min(prices), min(powers), min(delays)))
     price = power = delay = 0.0
-    for tables, leaves in zip(instance.entries, minima):
+    for tables, leaves in zip(entries, minima):
         p, w, d = tables.fold(leaves)
         price += p
         power += w
@@ -659,14 +639,14 @@ def _optimistic_fit(instance: UserInstance, rows: list, allowed: tuple,
     return constraints.admits(trusted_qos(price, power, delay))
 
 
-def _repair(instance: UserInstance, rows: list, allowed: tuple,
+def _repair(instance: UserInstance, table: list[tuple],
             dim: str) -> ExecutionPlan:
-    """The plan of per-occurrence minima of one dimension, ties to the
-    lowest id."""
+    """The plan of per-occurrence minima of one dimension over a search
+    table's allowed ids, ties to the lowest id."""
     k = DIMS.index(dim)
     plan = ExecutionPlan()
-    for (e, j, _), ids in zip(rows, allowed):
-        base = instance.base[e][j]
+    for e, j, ids, *_ in table:
+        base = instance.entries[e].base[j]
         plan.assignments[(e, j)] = min(ids, key=lambda s: (base[s][k], s))
     return plan
 
@@ -697,10 +677,11 @@ def find_service(instance: UserInstance, center: tuple[float, float],
     tried, in DIMS order, before widening. Each plan drawn or repaired is
     evaluated once.
 
-    memo carries the range queries, reach rows, allowed ids, roulette wheels
-    and budget fits across calls that share the center, params and budgets
-    (see SearchMemo); allowed ids are keyed by blocked. None means a fresh
-    memo, so a single call builds everything it needs itself.
+    memo carries the range queries and the search table of each radius
+    across calls that share the center, params and budgets (see SearchMemo
+    and _radius); a table is built only when no earlier call with the same
+    blocked clouds built it. None means a fresh memo, so a single call
+    builds everything it needs itself.
 
     Raises NoFeasibleCandidates when every radius fails.
     """
@@ -709,27 +690,23 @@ def find_service(instance: UserInstance, center: tuple[float, float],
     uid = instance.user.id
     bounded = constraints.bounded()
     for i in range(params.max_expansions):
-        rows = _reach(instance, center, params, i, memo)
-        if rows is None:
-            continue
         key = (uid, i, blocked)
-        found = memo.allowed.get(key, _UNSEEN)
-        if found is _UNSEEN:
-            found = memo.allowed[key] = _allowed(instance, rows, blocked,
-                                                 constraints, memo)
-        if found is None:
+        table = memo.radii.get(key, _UNSEEN)
+        if table is _UNSEEN:
+            table = memo.radii[key] = _radius(instance, center, params, i,
+                                              blocked, constraints, memo)
+        if table is None:
             continue
-        allowed, wheels = found
-        draws = rng.random(len(wheels)).tolist()
+        draws = rng.random(len(table)).tolist()
         plan = ExecutionPlan({
             (e, j): order[_roulette_spin(cum, len(order), draw)]
-            for (e, j, _), (order, cum), draw in zip(rows, wheels, draws)})
+            for (e, j, _, order, cum), draw in zip(table, draws)})
         raw = instance.evaluate(plan)
         # QoSTriple values are finite, so unbounded budgets always hold
         if not bounded or constraints.admits(raw):
             return plan, raw
         for dim in constraints.violated(raw):
-            fixed = _repair(instance, rows, allowed, dim)
+            fixed = _repair(instance, table, dim)
             fixed_raw = instance.evaluate(fixed)
             if constraints.admits(fixed_raw):
                 return fixed, fixed_raw
@@ -754,12 +731,12 @@ def music(target, constraints, params: AnnealingParams,
     are scored, and a group's shared budget checked, from the raw QoS that
     find_service returns with each plan.
 
-    One SearchMemo serves every proposal of the call, so the range queries,
-    reach rows, allowed ids, roulette wheels and budget fits around the
-    center are built once and only the draws repeat. Before each member's
-    search the room rule gives the clouds without room. The ledger holds
-    still during the call, so only the tentative usage of earlier members
-    of the same proposal can change that set.
+    One SearchMemo serves every proposal of the call, so the range queries
+    around the center, and each member's search table per radius and set
+    of clouds without room, are built once and only the draws repeat.
+    Before each member's search the room rule gives the clouds without
+    room. The ledger holds still during the call, so only the tentative
+    usage of earlier members of the same proposal can change that set.
     """
     single = isinstance(target, UserInstance)
     members = [target] if single else target.members
@@ -858,7 +835,7 @@ def greedy_plan(instance: UserInstance,
     """
     plan = ExecutionPlan()
     for e, occ_idx, ids in _allowed_candidates(instance, blocked):
-        norms = instance.snorm[e][occ_idx]
+        norms = instance.entries[e].snorm[occ_idx]
         plan.assignments[(e, occ_idx)] = max(ids, key=lambda s: (norms[s], -s))
     return plan
 
@@ -1055,8 +1032,8 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         raise ValueError("exhaustive search takes one shared constraint vector")
     uids = sorted(instances)
     caps_bind = ledger is not None and any(
-        cap - ledger.count(cid) < len(uids)
-        for cid, cap in ledger.capacities().items())
+        capacity - ledger.count(cid) < len(uids)
+        for cid, capacity in ledger.capacities().items())
     if not constraints.bounded() and not caps_bind:
         plans: dict[int, ExecutionPlan] = {}
         utils: dict[int, float] = {}

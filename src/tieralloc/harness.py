@@ -112,15 +112,17 @@ def _population_instances(dep: Deployment, pop: Population
                           ) -> tuple[dict[int, UserInstance],
                                      dict[int, UserInstance]]:
     """The true and the predicted instances of one population. One
-    CostMemo serves both and is dropped on return; a predicted instance
-    shares the true one's entry tables where it can."""
+    CostMemo serves both and is dropped on return, so a predicted entry
+    takes the tables that a true entry of the same user, workflow object
+    and WiFi owner already built; a user whose whole LTW was predicted
+    right shares its true instance."""
     memo = CostMemo(dep.directory, dep.profiles)
     true = _user_instances(dep, pop, pop.true_ltws, memo)
     predicted = {
         uid: (true[uid] if pop.predicted_ltws[uid] is pop.true_ltws[uid]
               else UserInstance(pop.users[uid], pop.predicted_ltws[uid],
                                 dep.directory, dep.profiles, dep.grid,
-                                share=true[uid], memo=memo))
+                                memo=memo))
         for uid in sorted(pop.users)}
     return true, predicted
 
@@ -131,7 +133,7 @@ def _fallback_pick(inst: UserInstance, entry: int, occ_idx: int,
     clouds without room, see clouds_without_room), for occurrences the
     planned assignment cannot cover. Falls back to the full candidate set when
     everything is full (the request must run somewhere)."""
-    cands = inst.cands[entry][occ_idx]
+    cands = inst.entries[entry].cands[occ_idx]
     ids = with_room(cands, inst.hosts, blocked) or cands
     return ids[int(rng.integers(len(ids)))]
 
@@ -160,12 +162,13 @@ def carry_plans(result: AllocationResult,
         blocked = clouds_without_room(ledger, held=held)
         mapped = ExecutionPlan()
         for e, t_entry in enumerate(true_inst.ltw.entries):
+            occs = true_inst.entries[e].occs
             if pred_inst.ltw.entries[e].workflow is t_entry.workflow:
-                for occ in true_inst.occs[e]:
+                for occ in occs:
                     mapped.assignments[(e, occ.index)] = \
                         plan.assignments[(e, occ.index)]
             else:
-                for occ in true_inst.occs[e]:
+                for occ in occs:
                     mapped.assignments[(e, occ.index)] = _fallback_pick(
                         true_inst, e, occ.index, blocked, rng)
         effective[uid] = mapped
@@ -180,19 +183,26 @@ def carry_plans(result: AllocationResult,
 
 # --- per-repetition execution -----------------------------------------------------
 
-def _dispatch(alg: str, sc: Scenario,
-              instances: Mapping[int, UserInstance], constraints,
-              rng: np.random.Generator, ledger: CapacityLedger,
-              groups) -> AllocationResult:
+def _pass(alg: str, sc: Scenario, pop: Population,
+          true: Mapping[int, UserInstance],
+          predicted: Mapping[int, UserInstance], constraints,
+          rng: np.random.Generator,
+          ledger: CapacityLedger) -> dict[int, QoSTriple]:
+    """One placement pass: alg plans the predicted instances, the plans are
+    carried over onto the true workflows (see carry_plans), and each placed
+    user's raw QoS on its true instance is returned by user id."""
     if alg in ("music", "gmusic"):
-        return allocate_music(instances, constraints, sc.annealing_params(),
-                              rng, ledger=ledger,
-                              groups=groups if alg == "gmusic" else None)
-    if alg == "rsa":
-        return allocate_rsa(instances, constraints, rng, ledger)
-    if alg == "greedy":
-        return allocate_greedy(instances, rng, ledger)
-    raise ValueError(f"unknown algorithm {alg!r}")
+        res = allocate_music(predicted, constraints, sc.annealing_params(),
+                             rng, ledger=ledger,
+                             groups=pop.groups if alg == "gmusic" else None)
+    elif alg == "rsa":
+        res = allocate_rsa(predicted, constraints, rng, ledger)
+    elif alg == "greedy":
+        res = allocate_greedy(predicted, rng, ledger)
+    else:
+        raise ValueError(f"unknown algorithm {alg!r}")
+    effective = carry_plans(res, predicted, true, rng, ledger)
+    return {uid: true[uid].evaluate(p) for uid, p in effective.items()}
 
 
 def _metrics_row(sc: Scenario, alg: str, rep: int, utility: float,
@@ -246,14 +256,12 @@ def _standard_rows(sc: Scenario, dep: Deployment, pop: Population,
                         f"scenario {sc.scenario_id!r}: joint plan space "
                         f"exceeds {sc.enumeration_cap}")
                 continue
-            effective = opt.plans
+            raws = {uid: true[uid].evaluate(p) for uid, p in opt.plans.items()}
         else:
-            ledger = dep.fresh_ledger()
-            rng = derive_rng(sc.seed, _ALLOCATION, rep, ALGORITHM_STREAMS[alg])
-            res = _dispatch(alg, sc, predicted, sc.constraints(), rng,
-                            ledger, pop.groups)
-            effective = carry_plans(res, predicted, true, rng, ledger)
-        raws = {uid: true[uid].evaluate(p) for uid, p in effective.items()}
+            raws = _pass(alg, sc, pop, true, predicted, sc.constraints(),
+                         derive_rng(sc.seed, _ALLOCATION, rep,
+                                    ALGORITHM_STREAMS[alg]),
+                         dep.fresh_ledger())
         utility = _fleet_score(true, raws, pop.groups)
         throughput = None
         if opt is not None and opt.utility > 0:
@@ -286,23 +294,16 @@ def _gain_rows(sc: Scenario, dep: Deployment, pop: Population,
     no_locals = dict.fromkeys(dep.fresh_ledger().capacities(), 0)
     rows = []
     for alg in algorithms:
-        base_ledger = CapacityLedger(no_locals)
-        base_rng = derive_rng(sc.seed, _BASELINE, rep, ALGORITHM_STREAMS[alg])
-        base_res = _dispatch(alg, sc, predicted,
-                             ConstraintVector.unlimited(), base_rng,
-                             base_ledger, pop.groups)
-        base_eff = carry_plans(base_res, predicted, true, base_rng,
-                               base_ledger)
-        base_raw = {uid: true[uid].evaluate(p) for uid, p in base_eff.items()}
-
+        stream = ALGORITHM_STREAMS[alg]
+        base_raw = _pass(alg, sc, pop, true, predicted,
+                         ConstraintVector.unlimited(),
+                         derive_rng(sc.seed, _BASELINE, rep, stream),
+                         CapacityLedger(no_locals))
         budgets = {uid: ConstraintVector(**{fixed: raw.get(fixed)})
                    for uid, raw in base_raw.items()}
-        ledger = dep.fresh_ledger()
-        rng = derive_rng(sc.seed, _ALLOCATION, rep, ALGORITHM_STREAMS[alg])
-        res = _dispatch(alg, sc, predicted, budgets, rng, ledger,
-                        pop.groups)
-        effective = carry_plans(res, predicted, true, rng, ledger)
-        raws = {uid: true[uid].evaluate(p) for uid, p in effective.items()}
+        raws = _pass(alg, sc, pop, true, predicted, budgets,
+                     derive_rng(sc.seed, _ALLOCATION, rep, stream),
+                     dep.fresh_ledger())
 
         shared = sorted(set(base_raw) & set(raws))
         gains = {}

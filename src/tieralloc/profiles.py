@@ -274,12 +274,6 @@ def _costs(rates: Iterable[Rates], kb: float) -> list[LeafCost]:
     return out
 
 
-def _cost(tier: str, link: Optional[str], compute_ref: str, kb: float,
-          profiles: ProfileSet) -> LeafCost:
-    """(price, power, delay) of one invocation (see _rates and _costs)."""
-    return _costs((_rates(tier, link, compute_ref, profiles),), kb)[0]
-
-
 def candidate_rows(rates: Sequence[Rates], kb: float
                    ) -> tuple[list[LeafCost], tuple[tuple[float, ...], ...]]:
     """(price, power, delay) of running each resolved cost on kb, as plain
@@ -304,10 +298,10 @@ def candidate_rows(rates: Sequence[Rates], kb: float
     return rows, columns
 
 
-def _context_cost(ctx: InvocationContext,
-                  profiles: ProfileSet) -> tuple[float, float, float]:
-    return _cost(ctx.host_tier, ctx.link, ctx.compute_ref, ctx.data_kb,
-                 profiles)
+def _context_cost(ctx: InvocationContext, profiles: ProfileSet) -> LeafCost:
+    """(price, power, delay) of one invocation (see _rates and _costs)."""
+    return _costs((_rates(ctx.host_tier, ctx.link, ctx.compute_ref,
+                          profiles),), ctx.data_kb)[0]
 
 
 def service_qos(ctx: InvocationContext, profiles: ProfileSet) -> QoSTriple:

@@ -122,9 +122,12 @@ def test_find_service_wheels_pick_as_roulette_pick_does():
     for inst in instances.values():
         find_service(inst, inst.center_point(), UNLIMITED, AnnealingParams(),
                      rng, memo=memo)
-    assert memo.wheels
-    for (uid, e, j, ids), (order, cum) in memo.wheels.items():
-        pairs = [(sid, instances[uid].snorm[e][j][sid]) for sid in ids]
+    tables = [(uid, row) for (uid, _, _), table in memo.radii.items()
+              if table is not None for row in table]
+    assert tables
+    for uid, (e, j, ids, order, cum) in tables:
+        pairs = [(sid, instances[uid].entries[e].snorm[j][sid])
+                 for sid in ids]
         for d in rng.random(50):
             draw = SimpleNamespace(random=lambda: float(d))
             assert order[_roulette_spin(cum, len(order), float(d))] == \
@@ -274,8 +277,8 @@ def test_evaluate_charges_the_hop_only_between_two_clouds():
     def extra_delay(f_sid, g_sid):
         plan = ExecutionPlan({(0, 0): f_sid, (0, 1): g_sid})
         raw = inst.evaluate(plan)
-        bare = (QoSTriple(*inst.base[0][0][f_sid])
-                + QoSTriple(*inst.base[0][1][g_sid]))
+        bare = (QoSTriple(*inst.entries[0].base[0][f_sid])
+                + QoSTriple(*inst.entries[0].base[1][g_sid]))
         assert (raw.price, raw.power) == (bare.price, bare.power)
         return raw.delay - bare.delay
 
@@ -296,7 +299,7 @@ def test_evaluate_sums_entries_and_charges_hops_within_an_entry():
     # so only a hop across the entry boundary (cloud 2 -> cloud 1) could
     # charge it anything
     plan = ExecutionPlan({(0, 0): 100, (0, 1): 201, (1, 0): 100, (1, 1): 200})
-    b = _triples(inst.base)
+    b = _triples(inst)
     hopped = Q(b[0][1][201].price, b[0][1][201].power,
                b[0][1][201].delay + 20.0)
     assert b[0][0][100] != b[1][0][100]  # entries are costed at their cells
@@ -323,8 +326,8 @@ def test_user_extrema_sum_entry_envelopes():
     assert both.hi == one.hi + other.hi
     # the envelope holds every plan, inter-cloud hops included
     inst = instance(e0)
-    for f in inst.cands[0][0]:
-        for g in inst.cands[0][1]:
+    for f in inst.entries[0].cands[0]:
+        for g in inst.entries[0].cands[1]:
             raw = inst.evaluate(ExecutionPlan({(0, 0): f, (0, 1): g}))
             assert one.lo.emin(raw) == one.lo and one.hi.emax(raw) == one.hi
 
@@ -342,28 +345,36 @@ def test_predicted_instances_share_the_true_entry_tables():
                     # an equal tree, but another workflow object: rebuilt
                     LTWEntry(0, 20.0,
                              seq(leaf("f", 2048.0), leaf("g", 1024.0)))))
-    true = UserInstance(user, true_ltw, directory, profiles, grid)
-    pred = UserInstance(user, pred_ltw, directory, profiles, grid, share=true)
+    memo = allocation.CostMemo(directory, profiles)
+    true = UserInstance(user, true_ltw, directory, profiles, grid, memo=memo)
+    pred = UserInstance(user, pred_ltw, directory, profiles, grid, memo=memo)
     fresh = UserInstance(user, pred_ltw, directory, profiles, grid)
     tables = ("occs", "cands", "base", "snorm")
     for e in (0, 1):
         assert pred.entries[e] is true.entries[e]
-        for name in tables:
-            assert getattr(pred, name)[e] is getattr(true, name)[e]
     for e in (2, 3):
-        assert pred.entries[e] is not true.entries[e]
-    for name in tables:
-        assert getattr(pred, name) == getattr(fresh, name)
+        assert all(pred.entries[e] is not t for t in true.entries)
+    # entries of one instance share too: same workflow object, same cell
+    assert true.entries[3] is true.entries[0]
     for got, built in zip(pred.entries, fresh.entries):
+        for name in tables:
+            assert getattr(got, name) == getattr(built, name)
         assert got.steps == built.steps and got.fold is built.fold
         assert (got.lo, got.hi) == (built.lo, built.hi)
     assert pred.extrema == fresh.extrema
     _assert_tables_equal_the_old_costing(pred)
     plan = greedy_plan(pred)
     assert pred.evaluate(plan) == fresh.evaluate(plan)
+    # another user given the same workflow object at the same cell builds
+    # its own tables: its device services make them differ
     stranger = MobileUser(1, user.trajectory)
-    with pytest.raises(ValueError, match="same user"):
-        UserInstance(stranger, pred_ltw, directory, profiles, grid, share=true)
+    theirs = UserInstance(stranger, pred_ltw, directory, profiles, grid,
+                          memo=memo)
+    alone = UserInstance(stranger, pred_ltw, directory, profiles, grid)
+    for e, mine in enumerate(theirs.entries):
+        assert all(mine is not t for t in (*true.entries, *pred.entries))
+        assert mine.base == alone.entries[e].base
+    assert theirs.entries[0].base != pred.entries[0].base
 
 
 def test_greedy_choice_is_invariant_to_rescaling_a_dimension():
@@ -441,7 +452,8 @@ def test_music_returns_the_first_best_of_independent_proposals(monkeypatch):
 
 def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
     inst = _instance("f")
-    delays = {sid: QoSTriple(*q).delay for sid, q in inst.base[0][0].items()}
+    delays = {sid: QoSTriple(*q).delay
+              for sid, q in inst.entries[0].base[0].items()}
     assert min(delays, key=delays.get) == 100
     # the fastest service meets the delay budget exactly, so every draw
     # either fits or is repaired to it; a proposal is one draw
@@ -469,6 +481,33 @@ def test_grouped_music_scores_and_budgets_from_one_evaluation(monkeypatch):
                 np.random.default_rng(3))
     assert res.feasible and not repairs
     assert sorted(m.user.id for m in evaluated) == sorted([*grp.members] * 10)
+
+
+def test_grouped_music_builds_each_search_table_once(monkeypatch):
+    dep, pop, instances = _fleet(users=6, groups=2, seed=6)
+    grp = pop.groups[0]
+    target = GroupInstance(grp, [instances[u] for u in sorted(grp.members)])
+    # one slot per local cloud, so a member's tentative usage fills clouds
+    # for the members after it and the blocked sets vary across proposals
+    ledger = CapacityLedger({cid: 1 for cid, node in dep.clouds.items()
+                             if node.tier == LOCAL})
+    built = []
+    radius = allocation._radius
+
+    def counted(instance, center, params, i, blocked, *rest):
+        built.append((instance.user.id, i, blocked))
+        return radius(instance, center, params, i, blocked, *rest)
+
+    monkeypatch.setattr(allocation, "_radius", counted)
+    searches = _counted(monkeypatch, allocation, "find_service")
+    res = music(target, UNLIMITED, AnnealingParams(max_iter=19),
+                np.random.default_rng(3), ledger=ledger)
+    assert res.feasible
+    assert len(built) == len(set(built))
+    assert len({blocked for _, _, blocked in built}) > 1
+    # later searches of a member with the same blocked clouds reuse tables
+    assert len(searches) == 20 * len(grp.members)
+    assert len(searches) > len({(uid, b) for uid, _, b in built})
 
 
 def test_music_queries_each_radius_once_per_function():
@@ -843,7 +882,7 @@ def _old_available(rows, ok):
 
 def _old_fallback_pick(inst, entry, occ_idx, held, ledger, availability, rng):
     """harness._fallback_pick with the per-candidate room test."""
-    cands = inst.cands[entry][occ_idx]
+    cands = inst.entries[entry].cands[occ_idx]
     svc = inst.directory.service
     ok = _old_room_for(inst.directory, ledger, availability, held=held)
     ids = [sid for sid in cands if svc(sid).on_device or ok(sid)] or cands
@@ -897,25 +936,25 @@ def test_room_for_equals_the_room_tests_it_replaced():
             ok = _old_room_for(directory, ledger, base, usage)
             for uid, inst in instances.items():
                 center, memo = inst.center_point(), memos[uid]
+                try:
+                    find_service(inst, center, UNLIMITED, params,
+                                 np.random.default_rng(0), memo, blocked)
+                except NoFeasibleCandidates:
+                    pass
+                stopped = False
                 for i in range(params.max_expansions):
-                    rows = allocation._reach(inst, center, params, i, memo)
+                    key = (uid, i, blocked)
+                    if key not in memo.radii:
+                        # find_service drew its plan at an earlier radius
+                        assert stopped
+                        continue
+                    table = memo.radii[key]
+                    stopped = table is not None
                     old_rows = _old_reach(inst, center, params, i)
-                    assert (rows is None) == (old_rows is None)
-                    if rows is None:
-                        continue
-                    try:
-                        find_service(inst, center, UNLIMITED, params,
-                                     np.random.default_rng(0), memo, blocked)
-                    except NoFeasibleCandidates:
-                        pass
-                    key = (inst.user.id, i, blocked)
-                    if key not in memo.allowed:
-                        # an earlier radius already held a plan
-                        assert i > 0
-                        continue
-                    found = memo.allowed[key]
-                    assert (found[0] if found else None) == \
-                        _old_available(old_rows, ok)
+                    assert (None if table is None else
+                            tuple(row[2] for row in table)) == \
+                        (None if old_rows is None
+                         else _old_available(old_rows, ok))
                     compared += 1
             # the baselines' filter (no tentative usage, nothing held)
             ok = _old_room_for(directory, ledger, base)
@@ -936,6 +975,30 @@ def test_room_for_equals_the_room_tests_it_replaced():
     assert compared > 1000 and blocked_seen > 100
 
 
+def _old_optimistic_fit(instance, rows, allowed, constraints):
+    """_optimistic_fit over reach rows and allowed ids: the per-occurrence
+    minima folded through each entry's workflow, summed over entries."""
+    minima = [[] for _ in instance.entries]
+    for (e, j, _), ids in zip(rows, allowed):
+        base = instance.entries[e].base[j]
+        minima[e].append(QoSTriple(*(min(base[sid][k] for sid in ids)
+                                     for k in range(3))))
+    total = QoSTriple(0.0, 0.0, 0.0)
+    for entry, leaves in zip(instance.ltw.entries, minima):
+        total = total + fold_qos(entry.workflow, leaves)
+    return constraints.admits(total)
+
+
+def _old_repair(instance, rows, allowed, dim):
+    """_repair over reach rows and allowed ids."""
+    k = ("price", "power", "delay").index(dim)
+    plan = ExecutionPlan()
+    for (e, j, _), ids in zip(rows, allowed):
+        base = instance.entries[e].base[j]
+        plan.assignments[(e, j)] = min(ids, key=lambda s: (base[s][k], s))
+    return plan
+
+
 def _reference_find_service(instance, center, constraints, params, rng, ok):
     """find_service before room was decided per cloud and draws came in one
     call: memo-less, every gated id through an availability callable, one
@@ -949,12 +1012,12 @@ def _reference_find_service(instance, center, constraints, params, rng, ok):
         allowed = _old_available(rows, ok)
         if allowed is None:
             continue
-        if bounded and not allocation._optimistic_fit(instance, rows, allowed,
-                                                      constraints):
+        if bounded and not _old_optimistic_fit(instance, rows, allowed,
+                                               constraints):
             continue
         plan = ExecutionPlan()
         for (e, j, _), ids in zip(rows, allowed):
-            snorm = instance.snorm[e][j]
+            snorm = instance.entries[e].snorm[j]
             order = sorted(ids, key=lambda s: (snorm[s], s))
             plan.assignments[(e, j)] = order[roulette_index(
                 [snorm[s] for s in order], rng.random())]
@@ -962,7 +1025,7 @@ def _reference_find_service(instance, center, constraints, params, rng, ok):
         if not bounded or constraints.admits(raw):
             return plan, raw, i, False
         for dim in constraints.violated(raw):
-            fixed = allocation._repair(instance, rows, allowed, dim)
+            fixed = _old_repair(instance, rows, allowed, dim)
             fixed_raw = instance.evaluate(fixed)
             if constraints.admits(fixed_raw):
                 return fixed, fixed_raw, i, True
@@ -1118,16 +1181,16 @@ def _old_tables(inst):
     return base, snorm, QoSExtrema(lo=lo_total, hi=hi_total)
 
 
-def _triples(base):
-    """base[e][j][sid] rows, read as QoSTriples."""
+def _triples(inst):
+    """entries[e].base[j][sid] rows, read as QoSTriples."""
     return [[{sid: QoSTriple(*row) for sid, row in rows.items()}
-             for rows in entry] for entry in base]
+             for rows in tables.base] for tables in inst.entries]
 
 
 def _assert_tables_equal_the_old_costing(inst):
     base, snorm, extrema = _old_tables(inst)
-    assert _triples(inst.base) == base
-    assert inst.snorm == snorm
+    assert _triples(inst) == base
+    assert [tables.snorm for tables in inst.entries] == snorm
     assert inst.extrema == extrema
 
 
@@ -1162,7 +1225,7 @@ def test_snorm_squares_like_the_scalar_reference():
     inst = UserInstance(user, LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),)),
                         directory, profiles, grid)
     _assert_tables_equal_the_old_costing(inst)
-    rows = _triples(inst.base)[0][0]
+    rows = _triples(inst)[0][0]
     norm = []
     for dim in ("price", "power", "delay"):
         values = [q.get(dim) for q in rows.values()]
@@ -1170,8 +1233,9 @@ def test_snorm_squares_like_the_scalar_reference():
         norm.append((hi - rows[102].get(dim)) / (hi - lo))
     p, w, d = norm
     assert p ** 2 != p * p
-    assert inst.snorm[0][0][102] == math.sqrt(p ** 2 + w ** 2 + d ** 2)
-    assert inst.snorm[0][0][102] != float(np.sqrt(np.sum(np.array(norm) ** 2)))
+    snorm = inst.entries[0].snorm[0]
+    assert snorm[102] == math.sqrt(p ** 2 + w ** 2 + d ** 2)
+    assert snorm[102] != float(np.sqrt(np.sum(np.array(norm) ** 2)))
 
 
 def test_hop_extremes_equal_the_envelope_over_every_host_pair():
@@ -1291,13 +1355,15 @@ def test_shared_cost_memo_tables_equal_fresh_builds_and_the_old_costing():
                 inst = UserInstance(user, ltw, directory, profiles, grid,
                                     memo=memo)
                 fresh = UserInstance(user, ltw, directory, profiles, grid)
-                for name in ("cands", "base", "snorm", "extrema"):
-                    assert getattr(inst, name) == getattr(fresh, name)
+                assert inst.extrema == fresh.extrema
                 for got, built in zip(inst.entries, fresh.entries):
+                    for name in ("cands", "base", "snorm"):
+                        assert getattr(got, name) == getattr(built, name)
                     assert got.steps == built.steps
                     assert (got.lo, got.hi) == (built.lo, built.hi)
                 _assert_tables_equal_the_old_costing(inst)
-                rows += sum(len(t) for entry in inst.base for t in entry)
+                rows += sum(len(t) for tables in inst.entries
+                            for t in tables.base)
         # every kind of (service, WiFi owner) was costed
         keys = memo.rates.keys()
         assert any(type(k) is int for k in keys)

@@ -357,7 +357,7 @@ def _reference_evaluate(inst, plan):
         sub = {occ: sid for (e, occ), sid in plan.assignments.items() if e == i}
 
         def cost(sid, occ_idx, fn, prev_sid, _i=i):
-            q = Q(*inst.base[_i][occ_idx][sid])
+            q = Q(*inst.entries[_i].base[occ_idx][sid])
             if prev_sid is None:
                 return q
             hop = intercloud_hop_ms(host(sid), host(prev_sid), fn.input_kb,
