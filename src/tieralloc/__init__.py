@@ -14,7 +14,7 @@ from .allocation import (AllocationResult, AnnealingParams, ConstraintVector,
                          check_constraints, constraints_for, find_service,
                          fleet_utility, greedy_plan, music,
                          objective_from_plans, random_plan, roulette_index,
-                         roulette_pick, rsa_plan)
+                         rsa_plan)
 from .errors import (AdmissionRefused, IdError, IncompletePlan, InvalidGroup,
                      InvalidTrajectory, InvalidWorkflow, LedgerUnderflow,
                      NoFeasibleCandidates, NoRealizingService, ScenarioError,
@@ -30,8 +30,7 @@ from .mobility import (MANHATTAN, RANDOM_WAYPOINT, MobilityParams,
                        inject_uncertainty)
 from .model import (LOCAL, PUBLIC, THREEG, WIFI, Cell, CloudNode, LocationMap,
                     MobileUser, Service, Trajectory, TrajectoryEntry,
-                    UserGroup, center_of_group_mobility, center_of_mobility,
-                    trajectory_from_pairs)
+                    UserGroup, center_of_group_mobility, center_of_mobility)
 from .profiles import (ComputeProfile, InvocationContext, LinkProfile,
                        PriceBook, ProfileSet, intercloud_hop_ms,
                        invocation_context, service_delay, service_power,

@@ -42,7 +42,7 @@ def constraints_for(constraints, uid: int) -> "ConstraintVector":
     """Resolve a shared or per-user budget specification for one user."""
     if isinstance(constraints, ConstraintVector):
         return constraints
-    return constraints.get(uid, ConstraintVector.unlimited())
+    return constraints.get(uid, _NO_BUDGETS)
 
 
 @dataclass(frozen=True)
@@ -54,19 +54,20 @@ class ConstraintVector:
     delay: float = math.inf
 
     def __post_init__(self):
-        # the vector is frozen, so whether it bounds anything is fixed
-        object.__setattr__(self, "_bounded",
-                           any(math.isfinite(self.get(d)) for d in DIMS))
+        # the vector is frozen, so its finite budgets are fixed; a finite
+        # raw value never exceeds an infinite one
+        object.__setattr__(self, "_finite", tuple(
+            (d, self.get(d)) for d in DIMS if math.isfinite(self.get(d))))
 
     def get(self, dim: str) -> float:
         return getattr(self, dim)
 
     def bounded(self) -> bool:
-        return self._bounded
+        return bool(self._finite)
 
     def violated(self, raw: QoSTriple) -> list[str]:
         """Dimensions, in DIMS order, on which raw QoS exceeds its budget."""
-        return [d for d in DIMS if raw.get(d) > self.get(d)]
+        return [d for d, budget in self._finite if getattr(raw, d) > budget]
 
     def admits(self, raw: QoSTriple) -> bool:
         """Whether raw QoS fits every budget, boundary inclusive."""
@@ -75,6 +76,9 @@ class ConstraintVector:
     @classmethod
     def unlimited(cls) -> "ConstraintVector":
         return cls()
+
+
+_NO_BUDGETS = ConstraintVector.unlimited()
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,9 @@ def fleet_utility(utils: Mapping[int, float], users: Sequence[int],
 
 
 def _roulette_wheel(weights) -> Optional[list[float]]:
-    """Cumulative slice ends of a roulette over weights, or None when every
-    weight is zero (the wheel then picks uniformly).
+    """Inner slice ends of a roulette over weights: the cumulative sums of
+    the normalized weights but the last. None when every weight is zero
+    (the wheel then picks uniformly).
 
     The sum must stay numpy's: from 8 weights on it adds pairwise, and a
     sequential sum differs in the last bit often enough to flip picks.
@@ -147,14 +152,16 @@ def _roulette_wheel(weights) -> Optional[list[float]]:
     s = arr.sum()
     if s == 0.0:
         return None
-    return np.cumsum(arr / s).tolist()
+    return np.cumsum(arr / s).tolist()[:-1]
 
 
 def _roulette_spin(cum: Optional[list[float]], n: int, draw: float) -> int:
-    """Index of n slices that a draw in [0, 1) lands on."""
+    """Index of n slices that a draw in [0, 1) lands on. Without the last
+    slice end, a draw past the rounded end of the wheel lands in the last
+    slice."""
     if cum is None:
         return min(int(draw * n), n - 1)
-    return min(bisect_right(cum, draw), n - 1)
+    return bisect_right(cum, draw)
 
 
 def roulette_index(totals: Sequence[float], draw: float) -> int:
@@ -172,15 +179,6 @@ def roulette_index(totals: Sequence[float], draw: float) -> int:
     if np.any(arr < 0):
         raise ValueError("weights must be >= 0")
     return _roulette_spin(_roulette_wheel(arr), len(arr), draw)
-
-
-def roulette_pick(weighted_ids: Sequence[tuple[int, float]],
-                  rng: np.random.Generator) -> int:
-    """Roulette-wheel pick over (id, total) pairs, sorted by ascending total
-    so better candidates own proportionally larger slices."""
-    ordered = sorted(weighted_ids, key=lambda p: (p[1], p[0]))
-    idx = roulette_index([w for _, w in ordered], rng.random())
-    return ordered[idx][0]
 
 
 def check_constraints(per_user_raw: Sequence[QoSTriple],
@@ -423,6 +421,12 @@ class UserInstance:
     entries[e].<table>[j], and evaluate and utility_of work on plain
     floats. extrema sums the entry envelopes for whole-LTW normalization.
 
+    A plan is scored as a pick list: one service id per occurrence, in
+    iter_occurrences order (entry by entry, preorder within an entry), so
+    entry e's occurrence j sits at position base + j, base being the
+    occurrence count of the entries before e. size is the list's length.
+    picks_of and plan_of convert from and to an ExecutionPlan.
+
     memo is the CostMemo of the population being built, over the same
     directory and profiles; it lives for that one population and no
     instance keeps it. Instances built through one memo share the tables
@@ -446,11 +450,13 @@ class UserInstance:
         self.clouds = directory.clouds
         self.hosts = directory.hosts
         self.entries: list[_EntryTables] = []
+        self.size = 0
         lo_p = lo_w = lo_d = hi_p = hi_w = hi_d = 0.0
         for entry in ltw.entries:
             tables = memo.tables_of(
                 user, entry.workflow, grid.cell(entry.cell_id).wifi_covered_by)
             self.entries.append(tables)
+            self.size += len(tables.steps)
             lo_p += tables.lo[0]
             lo_w += tables.lo[1]
             lo_d += tables.lo[2]
@@ -470,24 +476,26 @@ class UserInstance:
             self._center = self.grid.cell(cell).center
         return self._center
 
-    def evaluate(self, plan: ExecutionPlan) -> QoSTriple:
-        """Raw LTW QoS of a plan: entry totals folded from per-occurrence
+    def evaluate(self, picks: Sequence[int]) -> QoSTriple:
+        """Raw LTW QoS of a pick list (one service id per occurrence, in
+        iter_occurrences order): entry totals folded from per-occurrence
         QoS, with the hop from each Seq predecessor on a different cloud,
-        summed over entries."""
-        assigned = plan.assignments
+        summed over entries. Raises IncompletePlan unless the list holds
+        size picks."""
+        if len(picks) != self.size:
+            raise IncompletePlan(f"{len(picks)} picks for {self.size} "
+                                 f"occurrences")
         hosts = self.hosts
         price = power = delay = 0.0
-        for e, tables in enumerate(self.entries):
+        base = 0
+        for tables in self.entries:
             leaves = []
             for j, rows, prev, hop in tables.steps:
-                sid = assigned.get((e, j))
-                if sid is None:
-                    raise IncompletePlan(f"no assignment for occurrence "
-                                         f"{(e, j)}")
+                sid = picks[base + j]
                 q = rows[sid]
                 if prev is not None:
                     node = hosts[sid]
-                    prev_node = hosts[assigned[(e, prev)]]
+                    prev_node = hosts[picks[base + prev]]
                     if (node is not None and prev_node is not None
                             and node != prev_node):
                         leaves.append((q[0], q[1], q[2] + hop))
@@ -497,7 +505,28 @@ class UserInstance:
             price += p
             power += w
             delay += d
+            base += len(leaves)
         return trusted_qos(price, power, delay)
+
+    def picks_of(self, plan: ExecutionPlan) -> list[int]:
+        """The plan as a pick list (see evaluate); raises IncompletePlan at
+        the first occurrence the plan leaves unassigned."""
+        assigned = plan.assignments
+        picks = []
+        for e, tables in enumerate(self.entries):
+            for j in range(len(tables.steps)):
+                sid = assigned.get((e, j))
+                if sid is None:
+                    raise IncompletePlan(f"no assignment for occurrence "
+                                         f"{(e, j)}")
+                picks.append(sid)
+        return picks
+
+    def plan_of(self, picks: Sequence[int]) -> ExecutionPlan:
+        """The ExecutionPlan of a pick list."""
+        keys = [(e, j) for e, tables in enumerate(self.entries)
+                for j in range(len(tables.steps))]
+        return ExecutionPlan(dict(zip(keys, picks)))
 
     def utility_of(self, raw: QoSTriple) -> float:
         """Worst normalized dimension of a raw LTW QoS, in [0, 1]."""
@@ -508,16 +537,20 @@ class UserInstance:
 
     def utility(self, plan: ExecutionPlan) -> float:
         """Worst normalized dimension of the plan's LTW QoS, in [0, 1]."""
-        return self.utility_of(self.evaluate(plan))
+        return self.utility_of(self.evaluate(self.picks_of(plan)))
 
-    def plan_clouds(self, plan: ExecutionPlan) -> set[int]:
-        """Capacity-relevant (local) cloud ids the plan places work on."""
+    def local_clouds(self, picks: Sequence[int]) -> set[int]:
+        """Capacity-relevant (local) cloud ids a pick list places work on."""
         out = set()
-        for sid in plan.services():
+        for sid in picks:
             node = self.hosts[sid]
             if node is not None and self.clouds[node].tier == LOCAL:
                 out.add(node)
         return out
+
+    def plan_clouds(self, plan: ExecutionPlan) -> set[int]:
+        """Capacity-relevant (local) cloud ids the plan places work on."""
+        return self.local_clouds(self.picks_of(plan))
 
     def iter_occurrences(self):
         """Yields (entry_idx, occurrence, candidate_ids) over the LTW."""
@@ -640,15 +673,15 @@ def _optimistic_fit(instance: UserInstance, table: list[tuple],
 
 
 def _repair(instance: UserInstance, table: list[tuple],
-            dim: str) -> ExecutionPlan:
-    """The plan of per-occurrence minima of one dimension over a search
+            dim: str) -> list[int]:
+    """The picks of per-occurrence minima of one dimension over a search
     table's allowed ids, ties to the lowest id."""
     k = DIMS.index(dim)
-    plan = ExecutionPlan()
+    picks = []
     for e, j, ids, *_ in table:
         base = instance.entries[e].base[j]
-        plan.assignments[(e, j)] = min(ids, key=lambda s: (base[s][k], s))
-    return plan
+        picks.append(min(ids, key=lambda s: (base[s][k], s)))
+    return picks
 
 
 _UNSEEN = object()
@@ -659,9 +692,9 @@ def find_service(instance: UserInstance, center: tuple[float, float],
                  rng: np.random.Generator,
                  memo: Optional[SearchMemo] = None,
                  blocked: frozenset[int] = _NO_CLOUDS
-                 ) -> tuple[ExecutionPlan, QoSTriple]:
-    """Assemble one candidate plan around a center point; returns the plan
-    and its raw LTW QoS.
+                 ) -> tuple[list[int], QoSTriple]:
+    """Assemble one candidate plan around a center point; returns its pick
+    list (see UserInstance.evaluate) and its raw LTW QoS.
 
     Widens the search radius in steps (radius_start_m + i * radius_step_m,
     i < max_expansions). On-device services are always in reach and public
@@ -698,13 +731,15 @@ def find_service(instance: UserInstance, center: tuple[float, float],
         if table is None:
             continue
         draws = rng.random(len(table)).tolist()
-        plan = ExecutionPlan({
-            (e, j): order[_roulette_spin(cum, len(order), draw)]
-            for (e, j, _, order, cum), draw in zip(table, draws)})
-        raw = instance.evaluate(plan)
+        # the weighted case of _roulette_spin, inlined: a call per
+        # occurrence is a large share of a proposal's cost
+        picks = [order[bisect_right(cum, draw) if cum is not None
+                       else _roulette_spin(cum, len(order), draw)]
+                 for (_, _, _, order, cum), draw in zip(table, draws)]
+        raw = instance.evaluate(picks)
         # QoSTriple values are finite, so unbounded budgets always hold
         if not bounded or constraints.admits(raw):
-            return plan, raw
+            return picks, raw
         for dim in constraints.violated(raw):
             fixed = _repair(instance, table, dim)
             fixed_raw = instance.evaluate(fixed)
@@ -727,9 +762,10 @@ def music(target, constraints, params: AnnealingParams,
     and returns the first one of highest utility; infeasible proposals are
     skipped. For a GroupInstance one proposal re-plans every member and the
     objective is the group mean utility; members of one proposal see each
-    other's tentative capacity usage on top of the shared ledger. Proposals
-    are scored, and a group's shared budget checked, from the raw QoS that
-    find_service returns with each plan.
+    other's tentative capacity usage, read from their pick lists, on top of
+    the shared ledger. Proposals are scored, and a group's shared budget
+    checked, from the raw QoS that find_service returns with each pick
+    list; only the winning proposal becomes ExecutionPlans, one per member.
 
     One SearchMemo serves every proposal of the call, so the range queries
     around the center, and each member's search table per radius and set
@@ -746,42 +782,44 @@ def music(target, constraints, params: AnnealingParams,
     memo = SearchMemo()
     no_room = clouds_without_room(ledger)
 
-    def propose() -> Optional[tuple[dict[int, ExecutionPlan], list[QoSTriple]]]:
+    def propose() -> Optional[tuple[list[list[int]], list[QoSTriple]]]:
         usage: dict[int, int] = {}
-        plans: dict[int, ExecutionPlan] = {}
+        picks: list[list[int]] = []
         raws: list[QoSTriple] = []
         for k, m in enumerate(members, 1):
             try:
-                plan, raw = find_service(
+                mine, raw = find_service(
                     m, center, constraints_for(constraints, m.user.id),
                     params, rng, memo,
                     clouds_without_room(ledger, usage) if usage else no_room)
             except NoFeasibleCandidates:
                 return None
-            plans[m.user.id] = plan
+            picks.append(mine)
             raws.append(raw)
             if k < len(members):  # only later members read the usage
-                for cid in m.plan_clouds(plan):
+                for cid in m.local_clouds(mine):
                     usage[cid] = usage.get(cid, 0) + 1
         if not single and shared_cv is not None and shared_cv.bounded():
             if check_constraints(raws, shared_cv):
                 return None
-        return plans, raws
+        return picks, raws
 
-    best_plans = None
+    best_picks = None
     best_val = -math.inf
     for _ in range(params.max_iter + 1):
         proposal = propose()
         if proposal is None:
             continue
-        plans, raws = proposal
+        picks, raws = proposal
         val = fleet_utility({m.user.id: m.utility_of(raw)
                              for m, raw in zip(members, raws)}, uids)
         if val > best_val:
-            best_plans, best_val = plans, val
-    if best_plans is None:
+            best_picks, best_val = picks, val
+    if best_picks is None:
         return AllocationResult({}, 0.0, False, note="no feasible proposal")
-    return AllocationResult(dict(best_plans), best_val, True)
+    return AllocationResult({m.user.id: m.plan_of(mine)
+                             for m, mine in zip(members, best_picks)},
+                            best_val, True)
 
 
 # --- baseline per-user selectors ----------------------------------------------
@@ -820,7 +858,7 @@ def rsa_plan(instance: UserInstance, constraints: ConstraintVector,
     """
     plan = random_plan(instance, rng, blocked)
     for _ in range(max_tries - 1):
-        if constraints.admits(instance.evaluate(plan)):
+        if constraints.admits(instance.evaluate(instance.picks_of(plan))):
             break
         plan = random_plan(instance, rng, blocked)
     return plan
@@ -960,14 +998,10 @@ def _space_size(instance: UserInstance, cap: int) -> int:
     return count
 
 
-def _plan_space(instance: UserInstance, cap: int) -> list[ExecutionPlan]:
-    _space_size(instance, cap)
-    keys, pools = [], []
-    for e, occ, cands in instance.iter_occurrences():
-        keys.append((e, occ.index))
-        pools.append(cands)
-    return [ExecutionPlan(dict(zip(keys, combo)))
-            for combo in itertools.product(*pools)]
+def _pools(instance: UserInstance) -> list[list[int]]:
+    """Candidate ids per occurrence; the product of the pools, in
+    itertools.product order, is the user's plan space as pick tuples."""
+    return [cands for _, _, cands in instance.iter_occurrences()]
 
 
 _SCORE_CHUNK = 1 << 16
@@ -1039,12 +1073,14 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         utils: dict[int, float] = {}
         for uid in uids:
             inst = instances[uid]
+            _space_size(inst, cap)
             best, best_u = None, -math.inf
-            for plan in _plan_space(inst, cap):
-                u = inst.utility(plan)
+            evaluate, utility_of = inst.evaluate, inst.utility_of
+            for picks in itertools.product(*_pools(inst)):
+                u = utility_of(evaluate(picks))
                 if u > best_u:
-                    best, best_u = plan, u
-            plans[uid], utils[uid] = best, best_u
+                    best, best_u = picks, u
+            plans[uid], utils[uid] = inst.plan_of(best), best_u
         return AllocationResult(plans, fleet_utility(utils, uids, groups),
                                 True)
 
@@ -1053,14 +1089,15 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         total *= _space_size(instances[uid], cap)
         if total > cap:
             raise TooLargeForEnumeration(f"joint plan space exceeds {cap}")
-    spaces: dict[int, list[tuple[ExecutionPlan, QoSTriple, float, set[int]]]] = {}
+    spaces: dict[int, list[tuple[tuple[int, ...], QoSTriple, float,
+                                 set[int]]]] = {}
     for uid in uids:
         inst = instances[uid]
         rows = []
-        for plan in _plan_space(inst, cap):
-            raw = inst.evaluate(plan)
-            rows.append((plan, raw, inst.utility_of(raw),
-                         inst.plan_clouds(plan)))
+        for picks in itertools.product(*_pools(inst)):
+            raw = inst.evaluate(picks)
+            rows.append((picks, raw, inst.utility_of(raw),
+                         inst.local_clouds(picks)))
         spaces[uid] = rows
 
     by_id = None if groups is None else sorted(groups, key=lambda x: x.id)
@@ -1096,7 +1133,8 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         chosen = tuple(spaces[uid][i] for uid, i in
                        zip(uids, np.unravel_index(k, sizes)))
         if feasible(chosen):
-            plans = {uid: row[0] for uid, row in zip(uids, chosen)}
+            plans = {uid: instances[uid].plan_of(row[0])
+                     for uid, row in zip(uids, chosen)}
             return AllocationResult(plans, float(scores[k]), True)
     return AllocationResult({}, 0.0, False, note="no feasible joint assignment")
 

@@ -44,7 +44,11 @@ CSV_COLUMNS = ("scenario_id", "algorithm", "users", "groups",
 
 @dataclass
 class MetricsRow:
-    """One algorithm x repetition result, one-to-one with the CSV schema."""
+    """One algorithm x repetition result, one-to-one with the CSV schema.
+
+    A metric left None is a blank CSV cell: throughput_pct without a proven
+    optimum, the mean_* columns when no user got a plan, the gains outside
+    a fixed-dimension study."""
 
     scenario_id: str
     algorithm: str
@@ -54,21 +58,14 @@ class MetricsRow:
     repetition: int
     utility: float
     throughput_pct: Optional[float] = None
-    mean_delay_ms: float = 0.0
-    mean_power_mj: float = 0.0
-    mean_price_usd: float = 0.0
+    mean_delay_ms: Optional[float] = None
+    mean_power_mj: Optional[float] = None
+    mean_price_usd: Optional[float] = None
     gain_price_pct: Optional[float] = None
     gain_power_pct: Optional[float] = None
     gain_delay_pct: Optional[float] = None
     fixed_dimension: str = ""
     seed: int = 0
-
-    def as_record(self) -> tuple:
-        return (self.scenario_id, self.algorithm, self.users, self.groups,
-                self.uncertainty_pct, self.repetition, self.utility,
-                self.throughput_pct, self.mean_delay_ms, self.mean_power_mj,
-                self.mean_price_usd, self.gain_price_pct, self.gain_power_pct,
-                self.gain_delay_pct, self.fixed_dimension, self.seed)
 
 
 # --- derived metrics ------------------------------------------------------------
@@ -160,20 +157,17 @@ def carry_plans(result: AllocationResult,
             continue
         held = pred_inst.plan_clouds(plan)
         blocked = clouds_without_room(ledger, held=held)
-        mapped = ExecutionPlan()
+        picks = []
         for e, t_entry in enumerate(true_inst.ltw.entries):
             occs = true_inst.entries[e].occs
             if pred_inst.ltw.entries[e].workflow is t_entry.workflow:
-                for occ in occs:
-                    mapped.assignments[(e, occ.index)] = \
-                        plan.assignments[(e, occ.index)]
+                picks += [plan.assignments[(e, occ.index)] for occ in occs]
             else:
-                for occ in occs:
-                    mapped.assignments[(e, occ.index)] = _fallback_pick(
-                        true_inst, e, occ.index, blocked, rng)
-        effective[uid] = mapped
+                picks += [_fallback_pick(true_inst, e, occ.index, blocked, rng)
+                          for occ in occs]
+        effective[uid] = true_inst.plan_of(picks)
         if ledger is not None:
-            used = true_inst.plan_clouds(mapped)
+            used = true_inst.local_clouds(picks)
             for cid in sorted(held - used):
                 ledger.release(cid)
             for cid in sorted(used - held):
@@ -202,16 +196,19 @@ def _pass(alg: str, sc: Scenario, pop: Population,
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
     effective = carry_plans(res, predicted, true, rng, ledger)
-    return {uid: true[uid].evaluate(p) for uid, p in effective.items()}
+    return {uid: true[uid].evaluate(true[uid].picks_of(p))
+            for uid, p in effective.items()}
 
 
 def _metrics_row(sc: Scenario, alg: str, rep: int, utility: float,
                  throughput: Optional[float],
                  raws: Mapping[int, QoSTriple],
                  gains: Optional[Mapping[str, float]] = None) -> MetricsRow:
-    def mean(dim: str) -> float:
+    def mean(dim: str) -> Optional[float]:
+        """Mean raw QoS over the placed users; None (a blank cell) when no
+        user got a plan."""
         vals = [r.get(dim) for r in raws.values()]
-        return float(np.mean(vals)) if vals else 0.0
+        return float(np.mean(vals)) if vals else None
 
     gains = gains or {}
     return MetricsRow(
@@ -256,7 +253,8 @@ def _standard_rows(sc: Scenario, dep: Deployment, pop: Population,
                         f"scenario {sc.scenario_id!r}: joint plan space "
                         f"exceeds {sc.enumeration_cap}")
                 continue
-            raws = {uid: true[uid].evaluate(p) for uid, p in opt.plans.items()}
+            raws = {uid: true[uid].evaluate(true[uid].picks_of(p))
+                    for uid, p in opt.plans.items()}
         else:
             raws = _pass(alg, sc, pop, true, predicted, sc.constraints(),
                          derive_rng(sc.seed, _ALLOCATION, rep,

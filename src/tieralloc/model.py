@@ -10,7 +10,7 @@ dwell-weighted mean of the positions they visit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -171,10 +171,6 @@ class Trajectory:
 
     def duration(self) -> float:
         return sum(e.dwell_s for e in self.entries)
-
-
-def trajectory_from_pairs(pairs: Iterable[tuple[int, float]]) -> Trajectory:
-    return Trajectory(tuple(TrajectoryEntry(c, d) for c, d in pairs))
 
 
 @dataclass(frozen=True)

@@ -320,9 +320,6 @@ class ServiceDirectory:
         return sorted(self._local.get(function_id, ())) + \
             sorted(self._public.get(function_id, ()))
 
-    def public_services_for(self, function_id: str) -> list[int]:
-        return sorted(self._public.get(function_id, ()))
-
     def device_services_for(self, user_id: int, function_id: str) -> list[int]:
         return sorted(self._device.get((user_id, function_id), ()))
 

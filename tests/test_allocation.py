@@ -9,13 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tieralloc import (LOCAL, PUBLIC, AnnealingParams, CapacityLedger,
+from tieralloc import (LOCAL, PUBLIC, And, AnnealingParams, CapacityLedger,
                        CloudNode, ComputeProfile, ConstraintVector,
                        ExecutionPlan, QoSExtrema, QoSTriple,
-                       IncompletePlan, LTW, LinkProfile,
+                       IncompletePlan, LTW, LinkProfile, Loop,
                        LTWEntry, LocationMap, MobileUser, NoFeasibleCandidates,
-                       PriceBook, ProfileSet, Scenario, Service,
-                       ServiceDirectory,
+                       PriceBook, ProfileSet, Scenario, Seq, Service,
+                       ServiceDirectory, Trajectory, TrajectoryEntry, Xor,
                        TooLargeForEnumeration, UserGroup, UserInstance,
                        allocate_greedy, allocate_music, allocate_rsa,
                        brute_force_optimal, build_deployment,
@@ -24,8 +24,7 @@ from tieralloc import (LOCAL, PUBLIC, AnnealingParams, CapacityLedger,
                        fold_qos, greedy_plan, intercloud_hop_ms, leaf,
                        load_scenario, music, normalize_service,
                        objective_from_plans, occurrences, par,
-                       roulette_index, roulette_pick, rsa_plan, seq,
-                       trajectory_from_pairs)
+                       roulette_index, rsa_plan, seq, xor)
 from tieralloc import allocation
 from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
                                   _roulette_spin, _roulette_wheel,
@@ -35,6 +34,11 @@ from tieralloc.errors import (AdmissionRefused, ExtremaMismatch, InvalidGroup,
 
 UNLIMITED = ConstraintVector.unlimited()
 DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+
+def trajectory_from_pairs(pairs):
+    """A trajectory of (cell id, dwell seconds) visits."""
+    return Trajectory(tuple(TrajectoryEntry(c, d) for c, d in pairs))
 
 
 # --- roulette selection --------------------------------------------------------------
@@ -73,6 +77,14 @@ def test_roulette_input_validation():
         roulette_index([1.0], 1.0)
     with pytest.raises(ValueError):
         roulette_index([1.0, -0.5], 0.5)
+
+
+def roulette_pick(weighted_ids, rng):
+    """Roulette-wheel pick over (id, total) pairs, sorted by ascending total
+    so better candidates own proportionally larger slices."""
+    ordered = sorted(weighted_ids, key=lambda p: (p[1], p[0]))
+    idx = roulette_index([w for _, w in ordered], rng.random())
+    return ordered[idx][0]
 
 
 def test_roulette_pick_orders_candidates_before_drawing():
@@ -227,10 +239,10 @@ def test_find_service_widens_radius_until_a_local_is_reachable():
     rng = np.random.default_rng(0)
     # cloud 1 sits on the center; close it so only cloud 2 at 300 m remains
     closed = frozenset({1})
-    plan, raw = find_service(inst, inst.center_point(), UNLIMITED,
-                             _params(max_expansions=4), rng, blocked=closed)
-    assert plan.assignments == {(0, 0): 201}
-    assert raw == inst.evaluate(plan)
+    picks, raw = find_service(inst, inst.center_point(), UNLIMITED,
+                              _params(max_expansions=4), rng, blocked=closed)
+    assert picks == [201]
+    assert raw == inst.evaluate(picks)
     # radii 10, 110, 210 never reach 300 m
     with pytest.raises(NoFeasibleCandidates):
         find_service(inst, inst.center_point(), UNLIMITED,
@@ -241,17 +253,17 @@ def test_public_and_device_services_ignore_the_radius():
     inst = _instance("f")
     rng = np.random.default_rng(1)
     # both local clouds closed: the public service is in reach at radius 10
-    plan, _ = find_service(inst, inst.center_point(), UNLIMITED,
-                           _params(max_expansions=1), rng,
-                           blocked=frozenset({1, 2}))
-    assert plan.assignments == {(0, 0): 102}
+    picks, _ = find_service(inst, inst.center_point(), UNLIMITED,
+                            _params(max_expansions=1), rng,
+                            blocked=frozenset({1, 2}))
+    assert picks == [102]
 
     dev = _instance("g", device_g=True)
     # the room rule never filters on-device runs, even with every cloud closed
-    plan, _ = find_service(dev, dev.center_point(), UNLIMITED,
-                           _params(max_expansions=1), rng,
-                           blocked=frozenset({1, 2, 9}))
-    assert plan.assignments == {(0, 0): 300}
+    picks, _ = find_service(dev, dev.center_point(), UNLIMITED,
+                            _params(max_expansions=1), rng,
+                            blocked=frozenset({1, 2, 9}))
+    assert picks == [300]
 
 
 def test_budget_repair_falls_back_to_the_cheapest_candidate():
@@ -259,10 +271,10 @@ def test_budget_repair_falls_back_to_the_cheapest_candidate():
     rng = np.random.default_rng(2)
     # only service 100 is free; any roulette draw must be repaired to it
     for _ in range(10):
-        plan, raw = find_service(inst, inst.center_point(),
-                                 ConstraintVector(price=0.0), _params(), rng)
-        assert plan.assignments == {(0, 0): 100}
-        assert raw == inst.evaluate(plan)
+        picks, raw = find_service(inst, inst.center_point(),
+                                  ConstraintVector(price=0.0), _params(), rng)
+        assert picks == [100]
+        assert raw == inst.evaluate(picks)
     with pytest.raises(NoFeasibleCandidates):
         find_service(inst, inst.center_point(), ConstraintVector(delay=1.0),
                      _params(), rng)
@@ -275,8 +287,7 @@ def test_evaluate_charges_the_hop_only_between_two_clouds():
     inst = UserInstance(user, ltw, directory, ProfileSet.defaults(), grid)
 
     def extra_delay(f_sid, g_sid):
-        plan = ExecutionPlan({(0, 0): f_sid, (0, 1): g_sid})
-        raw = inst.evaluate(plan)
+        raw = inst.evaluate([f_sid, g_sid])
         bare = (QoSTriple(*inst.entries[0].base[0][f_sid])
                 + QoSTriple(*inst.entries[0].base[1][g_sid]))
         assert (raw.price, raw.power) == (bare.price, bare.power)
@@ -303,11 +314,18 @@ def test_evaluate_sums_entries_and_charges_hops_within_an_entry():
     hopped = Q(b[0][1][201].price, b[0][1][201].power,
                b[0][1][201].delay + 20.0)
     assert b[0][0][100] != b[1][0][100]  # entries are costed at their cells
-    assert inst.evaluate(plan) == (b[0][0][100] + hopped) + \
+    assert inst.picks_of(plan) == [100, 201, 100, 200]
+    assert inst.evaluate(inst.picks_of(plan)) == (b[0][0][100] + hopped) + \
         (b[1][0][100] + b[1][1][200])
+    with pytest.raises(IncompletePlan, match="3 picks for 4 occurrences"):
+        inst.evaluate([100, 201, 100])
     del plan.assignments[(1, 1)]
+    with pytest.raises(IncompletePlan, match=r"occurrence \(1, 1\)"):
+        inst.picks_of(plan)
     with pytest.raises(IncompletePlan):
-        inst.evaluate(plan)
+        inst.utility(plan)
+    with pytest.raises(IncompletePlan):
+        inst.plan_clouds(plan)
 
 
 def test_user_extrema_sum_entry_envelopes():
@@ -328,7 +346,7 @@ def test_user_extrema_sum_entry_envelopes():
     inst = instance(e0)
     for f in inst.entries[0].cands[0]:
         for g in inst.entries[0].cands[1]:
-            raw = inst.evaluate(ExecutionPlan({(0, 0): f, (0, 1): g}))
+            raw = inst.evaluate([f, g])
             assert one.lo.emin(raw) == one.lo and one.hi.emax(raw) == one.hi
 
 
@@ -363,8 +381,8 @@ def test_predicted_instances_share_the_true_entry_tables():
         assert (got.lo, got.hi) == (built.lo, built.hi)
     assert pred.extrema == fresh.extrema
     _assert_tables_equal_the_old_costing(pred)
-    plan = greedy_plan(pred)
-    assert pred.evaluate(plan) == fresh.evaluate(plan)
+    picks = pred.picks_of(greedy_plan(pred))
+    assert pred.evaluate(picks) == fresh.evaluate(picks)
     # another user given the same workflow object at the same cell builds
     # its own tables: its device services make them differ
     stranger = MobileUser(1, user.trajectory)
@@ -444,9 +462,9 @@ def test_music_returns_the_first_best_of_independent_proposals(monkeypatch):
                                   params, rng)[0]
                      for _ in range(k + 1)]
             assert len(proposals) - before == k + 1
-            utils = [inst.utility(p) for p in draws]
+            utils = [inst.utility_of(inst.evaluate(p)) for p in draws]
             first_best = draws[utils.index(max(utils))]
-            assert res.plans[0].assignments == first_best.assignments
+            assert inst.picks_of(res.plans[0]) == first_best
             assert res.utility == max(utils)
 
 
@@ -458,14 +476,14 @@ def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
     # the fastest service meets the delay budget exactly, so every draw
     # either fits or is repaired to it; a proposal is one draw
     budget = ConstraintVector(delay=delays[100])
-    spins = _counted(monkeypatch, allocation, "_roulette_spin")
+    draws = _counted(monkeypatch, allocation, "find_service")
     repairs = _counted(monkeypatch, allocation, "_repair")
     evaluated = _counted(monkeypatch, UserInstance, "evaluate")
     res = music(inst, budget, _params(max_iter=30), np.random.default_rng(9))
     assert res.feasible and res.plans[0].assignments == {(0, 0): 100}
-    assert len(spins) == 31  # one occurrence per draw
+    assert len(draws) == 31  # every proposal fits at its first radius
     assert repairs
-    assert len(evaluated) == len(spins) + len(repairs)
+    assert len(evaluated) == len(draws) + len(repairs)
 
 
 def test_grouped_music_scores_and_budgets_from_one_evaluation(monkeypatch):
@@ -540,14 +558,15 @@ def _reference_group_music(target, constraints, params, rng, ledger):
                 full = frozenset(
                     c for c, cap in ledger.capacities().items()
                     if cap - ledger.count(c) - usage.get(c, 0) <= 0)
-                plan, _ = find_service(m, target.center_point(), constraints,
-                                       params, rng, blocked=full)
-                plans[m.user.id] = plan
-                for cid in m.plan_clouds(plan):
+                picks, _ = find_service(m, target.center_point(),
+                                        constraints, params, rng, blocked=full)
+                plans[m.user.id] = m.plan_of(picks)
+                for cid in m.plan_clouds(plans[m.user.id]):
                     usage[cid] = usage.get(cid, 0) + 1
         except NoFeasibleCandidates:
             continue
-        raws = [m.evaluate(plans[m.user.id]) for m in target.members]
+        raws = [m.evaluate(m.picks_of(plans[m.user.id]))
+                for m in target.members]
         if check_constraints(raws, constraints):
             continue
         val = target.utility(plans)
@@ -649,20 +668,34 @@ def test_decomposed_and_joint_enumeration_agree():
             instances[uid].utility(slow.plans[uid]), rel=1e-12)
 
 
+def _raw(inst, plan):
+    return inst.evaluate(inst.picks_of(plan))
+
+
+def _plan_rows(inst):
+    """(plan, raw QoS, utility, local clouds) of every plan of the user's
+    space, in itertools.product order over the occurrences' candidates."""
+    keys, pools = [], []
+    for e, occ, cands in inst.iter_occurrences():
+        keys.append((e, occ.index))
+        pools.append(cands)
+    plans = [ExecutionPlan(dict(zip(keys, combo)))
+             for combo in itertools.product(*pools)]
+    return [(p, _raw(inst, p), inst.utility(p), inst.plan_clouds(p))
+            for p in plans]
+
+
 def test_joint_enumeration_returns_the_first_best_feasible_combination():
     # both users' unconstrained optima use local cloud 1
     dep, pop, instances = _fleet(users=2, seed=0)
     uids = sorted(instances)
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
     free = brute_force_optimal(instances, UNLIMITED)
-    rows = [[(p, instances[u].evaluate(p), instances[u].utility(p),
-              instances[u].plan_clouds(p))
-             for p in allocation._plan_space(instances[u], 10**6)]
-            for u in uids]
+    rows = [_plan_rows(instances[u]) for u in uids]
     # a delay budget halfway between the least fleet mean and the
     # unconstrained optimum's, and one slot per local cloud
     least = np.mean([min(r[1].delay for r in space) for space in rows])
-    reached = np.mean([instances[u].evaluate(free.plans[u]).delay
+    reached = np.mean([_raw(instances[u], free.plans[u]).delay
                        for u in uids])
     budget = ConstraintVector(delay=0.5 * (least + reached))
     ledger = CapacityLedger({cid: 1 for cid in locals_})
@@ -1021,12 +1054,12 @@ def _reference_find_service(instance, center, constraints, params, rng, ok):
             order = sorted(ids, key=lambda s: (snorm[s], s))
             plan.assignments[(e, j)] = order[roulette_index(
                 [snorm[s] for s in order], rng.random())]
-        raw = instance.evaluate(plan)
+        raw = _raw(instance, plan)
         if not bounded or constraints.admits(raw):
             return plan, raw, i, False
         for dim in constraints.violated(raw):
             fixed = _old_repair(instance, rows, allowed, dim)
-            fixed_raw = instance.evaluate(fixed)
+            fixed_raw = _raw(instance, fixed)
             if constraints.admits(fixed_raw):
                 return fixed, fixed_raw, i, True
     raise NoFeasibleCandidates("no feasible plan")
@@ -1082,7 +1115,7 @@ def test_find_service_draws_like_the_scalar_reference():
                 plan, raw, i, repaired = ref
                 paths["widen"] += i > 0
                 paths["repair"] += repaired
-                assert got[0].assignments == plan.assignments
+                assert inst.plan_of(got[0]) == plan
                 assert got[1] == raw
     assert min(paths.values()) > 5, paths
 
@@ -1420,10 +1453,7 @@ def test_joint_enumeration_keeps_the_first_of_tied_feasible_maxima():
     ledger = CapacityLedger({1: 1, 2: 0})
     budget = ConstraintVector(price=1e9)
     uids = sorted(instances)
-    spaces = [[(p, instances[u].evaluate(p), instances[u].utility(p),
-                instances[u].plan_clouds(p))
-               for p in allocation._plan_space(instances[u], 10**6)]
-              for u in uids]
+    spaces = [_plan_rows(instances[u]) for u in uids]
     best, best_val, ties = None, -math.inf, 0
     for combo in itertools.product(*spaces):
         usage = {}
@@ -1507,3 +1537,254 @@ def test_utility_of_equals_the_per_call_normalization():
             checked += 1
     assert checked > 500 and raised > 100
     assert single.utility_of(QoSTriple(1e9, 1e9, 1e9)) == 1.0
+
+
+# --- pick lists against the ExecutionPlan search they replaced --------------------------
+
+def _dict_evaluate(inst, plan):
+    """UserInstance.evaluate as it read an ExecutionPlan keyed by (entry,
+    occurrence), before plans became pick lists."""
+    assigned = plan.assignments
+    hosts = inst.hosts
+    price = power = delay = 0.0
+    for e, tables in enumerate(inst.entries):
+        leaves = []
+        for j, rows, prev, hop in tables.steps:
+            sid = assigned.get((e, j))
+            if sid is None:
+                raise IncompletePlan(f"no assignment for occurrence {(e, j)}")
+            q = rows[sid]
+            if prev is not None:
+                node = hosts[sid]
+                prev_node = hosts[assigned[(e, prev)]]
+                if (node is not None and prev_node is not None
+                        and node != prev_node):
+                    leaves.append((q[0], q[1], q[2] + hop))
+                    continue
+            leaves.append(q)
+        p, w, d = tables.fold(leaves)
+        price += p
+        power += w
+        delay += d
+    return QoSTriple(price, power, delay)
+
+
+def _random_composite_ltw(rng):
+    """An LTW over the random cost world's functions whose entries nest
+    Seq, And, Xor and Loop nodes."""
+    def kb():
+        return float(rng.uniform(1.0, 5000.0))
+
+    def fn():
+        return "abc"[int(rng.integers(3))]
+
+    def tree(depth=0):
+        if depth == 3 or (depth and rng.random() < 0.35):
+            return leaf(fn(), kb())
+        kids = [tree(depth + 1) for _ in range(int(rng.integers(2, 4)))]
+        kind = int(rng.integers(4))
+        if kind == 3:
+            return Loop(seq(*kids), count=int(rng.integers(1, 4)))
+        return (seq, par, xor)[kind](*kids)
+
+    return LTW(tuple(LTWEntry(int(rng.choice([0, 1, 8, 15, 14, 3])), 30.0,
+                              tree())
+                     for _ in range(int(rng.integers(1, 4)))))
+
+
+def _paid_hops(inst, plan):
+    """How many occurrences of the plan pay the hop from their Seq
+    predecessor: both run on clouds, and on different ones."""
+    hosts, paid = inst.hosts, 0
+    for e, tables in enumerate(inst.entries):
+        for j, _, prev, _ in tables.steps:
+            if prev is not None:
+                node = hosts[plan.assignments[(e, j)]]
+                before = hosts[plan.assignments[(e, prev)]]
+                paid += None not in (node, before) and node != before
+    return paid
+
+
+def test_positional_evaluate_equals_the_dict_keyed_evaluate():
+    rng = np.random.default_rng(31)
+    paid = 0
+    kinds = set()
+    for _ in range(15):
+        profiles = _random_profiles(rng)
+        grid, directory, users = _random_cost_world(rng, profiles)
+        for user in users:
+            ltw = _random_composite_ltw(rng)
+            kinds |= {type(e.workflow) for e in ltw.entries}
+            inst = UserInstance(user, ltw, directory, profiles, grid)
+            for _ in range(10):
+                plan = ExecutionPlan({
+                    (e, occ.index): cands[int(rng.integers(len(cands)))]
+                    for e, occ, cands in inst.iter_occurrences()})
+                picks = inst.picks_of(plan)
+                assert inst.evaluate(picks) == _dict_evaluate(inst, plan)
+                assert inst.evaluate(tuple(picks)) == inst.evaluate(picks)
+                paid += _paid_hops(inst, plan)
+    assert paid > 50
+    assert kinds >= {Seq, And, Xor, Loop}
+
+
+def _dict_violated(constraints, raw):
+    return [d for d in ("price", "power", "delay")
+            if raw.get(d) > constraints.get(d)]
+
+
+def _dict_local_clouds(inst, plan):
+    return {inst.hosts[s] for s in plan.services()
+            if inst.hosts[s] is not None
+            and inst.clouds[inst.hosts[s]].tier == LOCAL}
+
+
+def _dict_find_service(instance, center, constraints, params, rng, memo,
+                       blocked, paths):
+    """find_service as it drew ExecutionPlans, each pick recomputed from
+    the candidates' weights with numpy; counts the radius index of each
+    plan and whether it was repaired into paths."""
+    uid = instance.user.id
+    for i in range(params.max_expansions):
+        key = (uid, i, blocked)
+        if key not in memo.radii:
+            memo.radii[key] = allocation._radius(
+                instance, center, params, i, blocked, constraints, memo)
+        table = memo.radii[key]
+        if table is None:
+            continue
+        draws = rng.random(len(table)).tolist()
+        plan = ExecutionPlan()
+        for (e, j, _, order, _), draw in zip(table, draws):
+            snorm = instance.entries[e].snorm[j]
+            plan.assignments[(e, j)] = order[_searchsorted_index(
+                [snorm[s] for s in order], draw)]
+        raw = _dict_evaluate(instance, plan)
+        paths["widen"] += i > 0
+        if not _dict_violated(constraints, raw):
+            return plan, raw
+        for dim in _dict_violated(constraints, raw):
+            k = ("price", "power", "delay").index(dim)
+            fixed = ExecutionPlan()
+            for e, j, ids, *_ in table:
+                base = instance.entries[e].base[j]
+                fixed.assignments[(e, j)] = min(
+                    ids, key=lambda s: (base[s][k], s))
+            fixed_raw = _dict_evaluate(instance, fixed)
+            if not _dict_violated(constraints, fixed_raw):
+                paths["repair"] += 1
+                return fixed, fixed_raw
+    paths["infeasible"] += 1
+    raise NoFeasibleCandidates("no feasible plan")
+
+
+def _dict_music(target, constraints, params, rng, ledger, paths):
+    """music() as it scored ExecutionPlan proposals."""
+    single = isinstance(target, UserInstance)
+    members = [target] if single else target.members
+    center = target.center_point()
+    shared = constraints if isinstance(constraints, ConstraintVector) else None
+    memo = SearchMemo()
+    best, best_val = None, -math.inf
+    for _ in range(params.max_iter + 1):
+        usage, plans, raws = {}, {}, []
+        try:
+            for m in members:
+                blocked = clouds_without_room(ledger, usage)
+                paths["filled"] += blocked != clouds_without_room(ledger)
+                plan, raw = _dict_find_service(
+                    m, center, constraints_for(constraints, m.user.id),
+                    params, rng, memo, blocked, paths)
+                plans[m.user.id] = plan
+                raws.append(raw)
+                for cid in _dict_local_clouds(m, plan):
+                    usage[cid] = usage.get(cid, 0) + 1
+        except NoFeasibleCandidates:
+            continue
+        if not single and shared is not None and shared.bounded() and \
+                check_constraints(raws, shared):
+            continue
+        val = fleet_utility({m.user.id: m.utility_of(raw)
+                             for m, raw in zip(members, raws)},
+                            [m.user.id for m in members])
+        if val > best_val:
+            best, best_val = plans, val
+    return best, best_val
+
+
+def test_music_on_pick_lists_equals_the_execution_plan_search():
+    """Plans, utility and the generator state after each call equal the
+    ExecutionPlan reference, for users and groups, shared and per-user
+    budgets, and ledgers that leave the locals no room or one slot."""
+    dep, pop, instances = _fleet(users=8, groups=2, seed=8)
+    locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
+    params = AnnealingParams(max_iter=6, radius_start_m=150.0,
+                             radius_step_m=150.0, max_expansions=5)
+    singles = [instances[u] for u in sorted(instances)]
+    groups = [GroupInstance(g, [instances[u] for u in sorted(g.members)])
+              for g in pop.groups]
+    rng = np.random.default_rng(41)
+    # filled: a member's search saw clouds that earlier members filled
+    paths = {"widen": 0, "repair": 0, "infeasible": 0, "filled": 0}
+    compared = {"single": 0, "group": 0}
+    for case in range(48):
+        target = groups[case % 2] if case % 3 == 0 else singles[case % 8]
+        members = [target] if isinstance(target, UserInstance) \
+            else target.members
+        dim = ("price", "power", "delay")[case % 3]
+        lo = min(m.extrema.lo.get(dim) for m in members)
+        hi = max(m.extrema.hi.get(dim) for m in members)
+
+        def budget():
+            return ConstraintVector(**{dim: lo + float(rng.uniform(
+                0.0, 0.6)) * (hi - lo)})
+
+        kind = case // 4 % 3
+        constraints = (UNLIMITED, budget(),
+                       {m.user.id: budget() for m in members})[kind]
+        room = (None, 0, 1)[case % 4 % 3]
+
+        def ledger():
+            return None if room is None else CapacityLedger(
+                {cid: room for cid in locals_})
+
+        seed = int(rng.integers(2**32))
+        got_rng, ref_rng = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+        res = music(target, constraints, params, got_rng, ledger=ledger())
+        plans, val = _dict_music(target, constraints, params, ref_rng,
+                                 ledger(), paths)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert res.feasible == (plans is not None)
+        if plans is None:
+            assert res.plans == {} and res.utility == 0.0
+            continue
+        assert res.plans == plans
+        assert res.utility == val
+        compared["single" if target in singles else "group"] += 1
+    assert min(paths.values()) > 3 and min(compared.values()) > 5, \
+        (paths, compared)
+
+
+def test_music_builds_one_execution_plan_per_member(monkeypatch):
+    dep, pop, instances = _fleet(users=6, groups=2, seed=6)
+    built = []
+
+    class CountedPlan(ExecutionPlan):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(allocation, "ExecutionPlan", CountedPlan)
+    targets = [instances[u] for u in sorted(instances)] + [
+        GroupInstance(g, [instances[u] for u in sorted(g.members)])
+        for g in pop.groups]
+    for target in targets:
+        for budget in (UNLIMITED, ConstraintVector(delay=15000.0)):
+            del built[:]
+            res = music(target, budget, AnnealingParams(max_iter=9),
+                        np.random.default_rng(2))
+            assert res.feasible
+            assert len(built) == len(res.plans)
+            assert sorted(map(id, built)) == \
+                sorted(map(id, res.plans.values()))

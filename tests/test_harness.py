@@ -1,6 +1,7 @@
 """Harness: derived metrics, plan carrying, experiment runs, serialization."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -10,13 +11,19 @@ import pytest
 from tieralloc import (CSV_COLUMNS, AllocationResult, CapacityLedger,
                        CloudNode, ExecutionPlan, LTW, LTWEntry, LocationMap,
                        MetricsRow, MobileUser, ProfileSet, Scenario,
-                       ScenarioError, Service, ServiceDirectory, UserInstance,
-                       carry_plans, compute_throughput, compute_two_tier_gain,
+                       ScenarioError, Service, ServiceDirectory, Trajectory,
+                       TrajectoryEntry, UserInstance, carry_plans,
+                       compute_throughput, compute_two_tier_gain,
                        emit_results, gain_pct, leaf, rows_to_csv,
-                       rows_to_table, run_experiment, summarize,
-                       trajectory_from_pairs)
+                       rows_to_table, run_experiment, summarize)
 from tieralloc.errors import (TooLargeForEnumeration, UndefinedGain,
                               UndefinedThroughput)
+
+
+def trajectory_from_pairs(pairs):
+    """A trajectory of (cell id, dwell seconds) visits."""
+    return Trajectory(tuple(TrajectoryEntry(c, d) for c, d in pairs))
+
 
 LOCAL = "local"
 PUBLIC = "public"
@@ -223,6 +230,24 @@ def test_uncertain_predictions_still_produce_full_rows():
         assert row.mean_delay_ms > 0.0
 
 
+def test_rows_without_a_placed_user_leave_the_means_blank():
+    # a delay budget that no group of 4 meets: every target is infeasible
+    rows = run_experiment(Scenario(scenario_id="empty", users=12, groups=3,
+                                   algorithm="gmusic", budget_delay=9000.0,
+                                   repetitions=2, seed=0))
+    assert len(rows) == 2
+    for row in rows:
+        assert row.utility == 0.0
+        assert (row.mean_delay_ms, row.mean_power_mj,
+                row.mean_price_usd) == (None, None, None)
+    lines = rows_to_csv(rows).splitlines()
+    for line in lines[1:]:
+        record = dict(zip(CSV_COLUMNS, next(csv.reader([line]))))
+        assert record["utility"] == "0.000000"
+        assert record["mean_delay_ms"] == record["mean_power_mj"] == \
+            record["mean_price_usd"] == ""
+
+
 @pytest.mark.parametrize("fixed", [None, "delay"])
 def test_rows_evaluate_each_effective_plan_once(monkeypatch, fixed):
     from tieralloc import build_deployment, build_population, harness
@@ -265,14 +290,15 @@ def _row(**kw):
 
 def test_record_order_matches_the_schema():
     row = _row()
-    record = dict(zip(CSV_COLUMNS, row.as_record()))
+    assert [f.name for f in dataclasses.fields(row)] == list(CSV_COLUMNS)
+    record = dict(zip(CSV_COLUMNS, dataclasses.astuple(row)))
     assert record["scenario_id"] == "s"
     assert record["algorithm"] == "music"
     assert record["users"] == 5
     assert record["utility"] == 0.75
     assert record["gain_price_pct"] is None
     assert record["seed"] == 7
-    assert len(CSV_COLUMNS) == len(row.as_record()) == 16
+    assert len(CSV_COLUMNS) == len(dataclasses.astuple(row)) == 16
 
 
 def test_csv_fixes_metric_precision_and_blanks_missing_values():

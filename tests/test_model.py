@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from tieralloc import (CloudNode, InvalidGroup, InvalidTrajectory,
-                       LocationMap, MobileUser, Service, UserGroup,
-                       center_of_group_mobility, center_of_mobility,
-                       trajectory_from_pairs)
+                       LocationMap, MobileUser, Service, Trajectory,
+                       TrajectoryEntry, UserGroup, center_of_group_mobility,
+                       center_of_mobility)
 from tieralloc.model import mean_position
+
+
+def trajectory_from_pairs(pairs):
+    """A trajectory of (cell id, dwell seconds) visits."""
+    return Trajectory(tuple(TrajectoryEntry(c, d) for c, d in pairs))
 
 
 def test_grid_is_row_major_with_half_cell_centers():

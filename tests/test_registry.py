@@ -106,7 +106,8 @@ def test_directory_views_split_by_tier_and_function():
     grid, d = _directory()
     assert len(d) == 5
     assert d.cloud_services_for("ocr") == [10, 11, 12]  # locals first, then public
-    assert d.public_services_for("ocr") == [12]
+    assert [s for s in d.cloud_services_for("ocr")
+            if d.clouds[d.host_cloud(s)].tier == PUBLIC] == [12]
     assert d.cloud_services_for("sync") == [13]
     assert d.device_services_for(4, "ocr") == [14]
     assert d.device_services_for(4, "sync") == []

@@ -380,6 +380,7 @@ def test_evaluate_equals_the_reference_walk_on_xor_and_loop_entries():
     user = build_population(sc, dep, 0).users[0]
     rng = np.random.default_rng(9)
     hops = 0
+    seen = set()
     for _ in range(20):
         entries = []
         while not entries or not (set().union(*(_kinds(e.workflow) for e in entries))
@@ -388,11 +389,14 @@ def test_evaluate_equals_the_reference_walk_on_xor_and_loop_entries():
                                     _random_tree(rng)))
         inst = UserInstance(user, LTW(tuple(entries)), dep.directory,
                             dep.profiles, dep.grid)
+        seen |= set().union(*(_kinds(e.workflow) for e in entries))
         for _ in range(10):
             plan = ExecutionPlan({
                 (e, occ.index): cands[int(rng.integers(len(cands)))]
                 for e, occ, cands in inst.iter_occurrences()})
-            assert inst.evaluate(plan) == _reference_evaluate(inst, plan)
+            picks = inst.picks_of(plan)
+            assert inst.plan_of(picks) == plan
+            assert inst.evaluate(picks) == _reference_evaluate(inst, plan)
             assert 0.0 <= inst.utility(plan) <= 1.0
             hops += sum(
                 1 for e, occ, _ in inst.iter_occurrences()
@@ -400,7 +404,7 @@ def test_evaluate_equals_the_reference_walk_on_xor_and_loop_entries():
                     dep.directory.host_cloud(plan.assignments[(e, occ.index)]),
                     dep.directory.host_cloud(plan.assignments[(e, occ.prev)]),
                     occ.fn.input_kb, dep.profiles) > 0)
-    assert hops > 0
+    assert hops > 0 and seen >= {And, Xor, Loop}
 
 
 def test_empty_ltw_is_rejected():
