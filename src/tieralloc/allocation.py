@@ -512,21 +512,17 @@ class UserInstance:
         """The plan as a pick list (see evaluate); raises IncompletePlan at
         the first occurrence the plan leaves unassigned."""
         assigned = plan.assignments
-        picks = []
-        for e, tables in enumerate(self.entries):
-            for j in range(len(tables.steps)):
-                sid = assigned.get((e, j))
-                if sid is None:
-                    raise IncompletePlan(f"no assignment for occurrence "
-                                         f"{(e, j)}")
-                picks.append(sid)
-        return picks
+        try:
+            return [assigned[(e, occ.index)]
+                    for e, occ, _ in self.iter_occurrences()]
+        except KeyError as exc:
+            raise IncompletePlan(f"no assignment for occurrence "
+                                 f"{exc.args[0]}") from None
 
     def plan_of(self, picks: Sequence[int]) -> ExecutionPlan:
         """The ExecutionPlan of a pick list."""
-        keys = [(e, j) for e, tables in enumerate(self.entries)
-                for j in range(len(tables.steps))]
-        return ExecutionPlan(dict(zip(keys, picks)))
+        return ExecutionPlan({(e, occ.index): sid for (e, occ, _), sid
+                              in zip(self.iter_occurrences(), picks)})
 
     def utility_of(self, raw: QoSTriple) -> float:
         """Worst normalized dimension of a raw LTW QoS, in [0, 1]."""
