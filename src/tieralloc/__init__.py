@@ -39,10 +39,10 @@ from .registry import CapacityLedger, RTree, ServiceDirectory
 from .scenario import (ALGORITHMS, Deployment, Population, Scenario,
                        WorkflowTemplate, build_deployment, build_population,
                        derive_rng, derive_seed, load_scenario, make_templates)
-from .workflow import (DIMS, And, ExecutionPlan, FunctionNode, LTW, LTWEntry,
-                       Leaf, Loop, QoSExtrema, QoSTriple, Seq, Xor,
-                       aggregate_qos, candidate_services, fold_qos, leaf,
-                       normalize_qos, normalize_service, occurrences, par,
-                       seq, workflow_extrema, xor)
+from .workflow import (DIMS, And, FunctionNode, LTW, LTWEntry, Leaf, Loop,
+                       QoSExtrema, QoSTriple, Seq, Xor, aggregate_qos,
+                       candidate_services, fold_qos, leaf, normalize_qos,
+                       normalize_service, occurrences, par, seq,
+                       workflow_extrema, xor)
 
 __version__ = "0.1.0"

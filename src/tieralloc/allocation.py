@@ -32,10 +32,9 @@ from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
 from .profiles import (ProfileSet, Rates, candidate_rows, intercloud_ms,
                        service_rates)
 from .registry import CapacityLedger, ServiceDirectory
-from .workflow import (DIMS, LTW, ExecutionPlan, FoldFn, LeafCost, QoSExtrema,
-                       QoSTriple, WorkflowNode, candidate_services,
-                       compile_fold, dim_bounds, normalize_within,
-                       occurrences, trusted_qos)
+from .workflow import (DIMS, LTW, FoldFn, LeafCost, QoSExtrema, QoSTriple,
+                       WorkflowNode, candidate_services, compile_fold,
+                       dim_bounds, normalize_within, occurrences, trusted_qos)
 
 
 def constraints_for(constraints, uid: int) -> "ConstraintVector":
@@ -106,13 +105,15 @@ class AnnealingParams:
 class AllocationResult:
     """Outcome of one allocation: plans by user id plus the objective.
 
+    A plan is a pick tuple: one service id per occurrence of the user's
+    instance, in iter_occurrences order (see UserInstance.evaluate).
     utility is the objective that chose the plans (music, the exhaustive
     optimum). The fleet drivers leave it None: their plans are scored by the
     caller, on whatever instances the plans end up running against (see
     objective_from_plans).
     """
 
-    plans: dict[int, ExecutionPlan]
+    plans: dict[int, tuple[int, ...]]
     utility: Optional[float]
     feasible: bool
     note: str = ""
@@ -421,11 +422,11 @@ class UserInstance:
     entries[e].<table>[j], and evaluate and utility_of work on plain
     floats. extrema sums the entry envelopes for whole-LTW normalization.
 
-    A plan is scored as a pick list: one service id per occurrence, in
+    A plan is a pick list: one service id per occurrence, in
     iter_occurrences order (entry by entry, preorder within an entry), so
     entry e's occurrence j sits at position base + j, base being the
     occurrence count of the entries before e. size is the list's length.
-    picks_of and plan_of convert from and to an ExecutionPlan.
+    Allocators return plans as pick tuples.
 
     memo is the CostMemo of the population being built, over the same
     directory and profiles; it lives for that one population and no
@@ -508,22 +509,6 @@ class UserInstance:
             base += len(leaves)
         return trusted_qos(price, power, delay)
 
-    def picks_of(self, plan: ExecutionPlan) -> list[int]:
-        """The plan as a pick list (see evaluate); raises IncompletePlan at
-        the first occurrence the plan leaves unassigned."""
-        assigned = plan.assignments
-        try:
-            return [assigned[(e, occ.index)]
-                    for e, occ, _ in self.iter_occurrences()]
-        except KeyError as exc:
-            raise IncompletePlan(f"no assignment for occurrence "
-                                 f"{exc.args[0]}") from None
-
-    def plan_of(self, picks: Sequence[int]) -> ExecutionPlan:
-        """The ExecutionPlan of a pick list."""
-        return ExecutionPlan({(e, occ.index): sid for (e, occ, _), sid
-                              in zip(self.iter_occurrences(), picks)})
-
     def utility_of(self, raw: QoSTriple) -> float:
         """Worst normalized dimension of a raw LTW QoS, in [0, 1]."""
         price, power, delay = self._bounds
@@ -531,9 +516,9 @@ class UserInstance:
                    normalize_within(raw.power, power, "power"),
                    normalize_within(raw.delay, delay, "delay"))
 
-    def utility(self, plan: ExecutionPlan) -> float:
-        """Worst normalized dimension of the plan's LTW QoS, in [0, 1]."""
-        return self.utility_of(self.evaluate(self.picks_of(plan)))
+    def utility(self, picks: Sequence[int]) -> float:
+        """Worst normalized dimension of a pick list's LTW QoS, in [0, 1]."""
+        return self.utility_of(self.evaluate(picks))
 
     def local_clouds(self, picks: Sequence[int]) -> set[int]:
         """Capacity-relevant (local) cloud ids a pick list places work on."""
@@ -543,10 +528,6 @@ class UserInstance:
             if node is not None and self.clouds[node].tier == LOCAL:
                 out.add(node)
         return out
-
-    def plan_clouds(self, plan: ExecutionPlan) -> set[int]:
-        """Capacity-relevant (local) cloud ids the plan places work on."""
-        return self.local_clouds(self.picks_of(plan))
 
     def iter_occurrences(self):
         """Yields (entry_idx, occurrence, candidate_ids) over the LTW."""
@@ -569,12 +550,6 @@ class GroupInstance:
 
     def center_point(self) -> tuple[float, float]:
         return (float(self._center_vec[0]), float(self._center_vec[1]))
-
-    def utility(self, plans: Mapping[int, ExecutionPlan]) -> float:
-        """Mean over members of their utility."""
-        return fleet_utility({m.user.id: m.utility(plans[m.user.id])
-                              for m in self.members},
-                             [m.user.id for m in self.members])
 
 
 # --- candidate search ---------------------------------------------------------
@@ -761,7 +736,7 @@ def music(target, constraints, params: AnnealingParams,
     other's tentative capacity usage, read from their pick lists, on top of
     the shared ledger. Proposals are scored, and a group's shared budget
     checked, from the raw QoS that find_service returns with each pick
-    list; only the winning proposal becomes ExecutionPlans, one per member.
+    list; the winning proposal's lists become the members' pick tuples.
 
     One SearchMemo serves every proposal of the call, so the range queries
     around the center, and each member's search table per radius and set
@@ -813,7 +788,7 @@ def music(target, constraints, params: AnnealingParams,
             best_picks, best_val = picks, val
     if best_picks is None:
         return AllocationResult({}, 0.0, False, note="no feasible proposal")
-    return AllocationResult({m.user.id: m.plan_of(mine)
+    return AllocationResult({m.user.id: tuple(mine)
                              for m, mine in zip(members, best_picks)},
                             best_val, True)
 
@@ -822,7 +797,8 @@ def music(target, constraints, params: AnnealingParams,
 
 def _allowed_candidates(instance: UserInstance, blocked: frozenset[int]
                         ) -> list[tuple[int, int, list[int]]]:
-    """(entry, occurrence, allowed ids) rows; raises when a set runs empty."""
+    """(entry, occurrence, allowed ids) rows in iter_occurrences order;
+    raises when a set runs empty."""
     out = []
     for e, occ, cands in instance.iter_occurrences():
         ids = with_room(cands, instance.hosts, blocked)
@@ -835,18 +811,16 @@ def _allowed_candidates(instance: UserInstance, blocked: frozenset[int]
 
 
 def random_plan(instance: UserInstance, rng: np.random.Generator,
-                blocked: frozenset[int] = _NO_CLOUDS) -> ExecutionPlan:
+                blocked: frozenset[int] = _NO_CLOUDS) -> tuple[int, ...]:
     """Uniform random choice per occurrence among available candidates
     (blocked: clouds without room, see clouds_without_room)."""
-    plan = ExecutionPlan()
-    for e, occ_idx, ids in _allowed_candidates(instance, blocked):
-        plan.assignments[(e, occ_idx)] = ids[int(rng.integers(len(ids)))]
-    return plan
+    return tuple([ids[int(rng.integers(len(ids)))]
+                  for _, _, ids in _allowed_candidates(instance, blocked)])
 
 
 def rsa_plan(instance: UserInstance, constraints: ConstraintVector,
              rng: np.random.Generator, max_tries: int = 50,
-             blocked: frozenset[int] = _NO_CLOUDS) -> ExecutionPlan:
+             blocked: frozenset[int] = _NO_CLOUDS) -> tuple[int, ...]:
     """Random selection with admission: resample until budgets fit.
 
     After max_tries samples it returns the last one, which can break a
@@ -854,30 +828,30 @@ def rsa_plan(instance: UserInstance, constraints: ConstraintVector,
     """
     plan = random_plan(instance, rng, blocked)
     for _ in range(max_tries - 1):
-        if constraints.admits(instance.evaluate(instance.picks_of(plan))):
+        if constraints.admits(instance.evaluate(plan)):
             break
         plan = random_plan(instance, rng, blocked)
     return plan
 
 
 def greedy_plan(instance: UserInstance,
-                blocked: frozenset[int] = _NO_CLOUDS) -> ExecutionPlan:
+                blocked: frozenset[int] = _NO_CLOUDS) -> tuple[int, ...]:
     """Highest total normalized QoS per occurrence, ties to the lowest id,
     among available candidates (blocked: clouds without room).
 
     Budgets play no part: the plan can break any of them.
     """
-    plan = ExecutionPlan()
+    picks = []
     for e, occ_idx, ids in _allowed_candidates(instance, blocked):
         norms = instance.entries[e].snorm[occ_idx]
-        plan.assignments[(e, occ_idx)] = max(ids, key=lambda s: (norms[s], -s))
-    return plan
+        picks.append(max(ids, key=lambda s: (norms[s], -s)))
+    return tuple(picks)
 
 
 # --- fleet drivers --------------------------------------------------------------
 
 def objective_from_plans(instances: Mapping[int, UserInstance],
-                         plans: Mapping[int, ExecutionPlan],
+                         plans: Mapping[int, Sequence[int]],
                          groups: Optional[Sequence[UserGroup]] = None) -> float:
     """Fleet objective of concrete plans; users without a plan score 0.
 
@@ -889,11 +863,11 @@ def objective_from_plans(instances: Mapping[int, UserInstance],
     return fleet_utility(utils, sorted(instances), groups)
 
 
-def _admit_plan(instance: UserInstance, plan: ExecutionPlan,
+def _admit_plan(instance: UserInstance, plan: Sequence[int],
                 ledger: Optional[CapacityLedger]) -> None:
     if ledger is None:
         return
-    for cid in sorted(instance.plan_clouds(plan)):
+    for cid in sorted(instance.local_clouds(plan)):
         if not ledger.try_admit(cid):
             raise AdmissionRefused(f"cloud {cid} filled up mid-admission")
 
@@ -907,7 +881,7 @@ def _sequential(instances: Mapping[int, UserInstance], plan_fn,
     without room at that user's turn."""
     uids = sorted(instances)
     order = [uids[i] for i in rng.permutation(len(uids))]
-    plans: dict[int, ExecutionPlan] = {}
+    plans: dict[int, tuple[int, ...]] = {}
     notes = []
     for uid in order:
         inst = instances[uid]
@@ -962,7 +936,7 @@ def allocate_music(instances: Mapping[int, UserInstance],
         targets = [GroupInstance(grp, [instances[m] for m in sorted(grp.members)])
                    for grp in sorted(groups, key=lambda x: x.id)]
     order = rng.permutation(len(targets))
-    plans: dict[int, ExecutionPlan] = {}
+    plans: dict[int, tuple[int, ...]] = {}
     notes = []
     all_feasible = True
     for idx in order:
@@ -1065,7 +1039,7 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         capacity - ledger.count(cid) < len(uids)
         for cid, capacity in ledger.capacities().items())
     if not constraints.bounded() and not caps_bind:
-        plans: dict[int, ExecutionPlan] = {}
+        plans: dict[int, tuple[int, ...]] = {}
         utils: dict[int, float] = {}
         for uid in uids:
             inst = instances[uid]
@@ -1076,7 +1050,7 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
                 u = utility_of(evaluate(picks))
                 if u > best_u:
                     best, best_u = picks, u
-            plans[uid], utils[uid] = inst.plan_of(best), best_u
+            plans[uid], utils[uid] = best, best_u
         return AllocationResult(plans, fleet_utility(utils, uids, groups),
                                 True)
 
@@ -1129,8 +1103,7 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         chosen = tuple(spaces[uid][i] for uid, i in
                        zip(uids, np.unravel_index(k, sizes)))
         if feasible(chosen):
-            plans = {uid: instances[uid].plan_of(row[0])
-                     for uid, row in zip(uids, chosen)}
+            plans = {uid: row[0] for uid, row in zip(uids, chosen)}
             return AllocationResult(plans, float(scores[k]), True)
     return AllocationResult({}, 0.0, False, note="no feasible joint assignment")
 

@@ -25,7 +25,7 @@ from .errors import (ScenarioError, TooLargeForEnumeration, UndefinedGain,
 from .registry import CapacityLedger
 from .scenario import (Deployment, Population, Scenario, build_deployment,
                        build_population, derive_rng)
-from .workflow import DIMS, ExecutionPlan, QoSTriple
+from .workflow import DIMS, QoSTriple
 
 # RNG stream tags: phase 2 draws drive allocation, phase 3 the public-only
 # baseline pass of a fixed-dimension study; each algorithm owns a fixed lane
@@ -139,33 +139,37 @@ def carry_plans(result: AllocationResult,
                 predicted: Mapping[int, UserInstance],
                 true: Mapping[int, UserInstance],
                 rng: np.random.Generator,
-                ledger: Optional[CapacityLedger]) -> dict[int, ExecutionPlan]:
-    """Map planned assignments onto the true workflows for scoring.
+                ledger: Optional[CapacityLedger]) -> dict[int, tuple[int, ...]]:
+    """Map planned pick tuples onto the true workflows for scoring.
 
     Entries whose predicted workflow object survives into the true one keep
-    their assignments (a mispredicted location leaves the plan executable,
-    just at different cost). Entries whose workflow was mispredicted are
+    their picks (a mispredicted location leaves the plan executable, just
+    at different cost); they sit in the predicted tuple at the predicted
+    instance's offsets. Entries whose workflow was mispredicted are
     re-drawn uniformly at run time among capacity-available candidates.
     Ledger slots are moved to match what actually runs.
     """
-    effective: dict[int, ExecutionPlan] = {}
+    effective: dict[int, tuple[int, ...]] = {}
     for uid in sorted(result.plans):
         pred_inst, true_inst = predicted[uid], true[uid]
         plan = result.plans[uid]
         if pred_inst.ltw is true_inst.ltw:
             effective[uid] = plan
             continue
-        held = pred_inst.plan_clouds(plan)
+        held = pred_inst.local_clouds(plan)
         blocked = clouds_without_room(ledger, held=held)
-        picks = []
-        for e, t_entry in enumerate(true_inst.ltw.entries):
-            occs = true_inst.entries[e].occs
-            if pred_inst.ltw.entries[e].workflow is t_entry.workflow:
-                picks += [plan.assignments[(e, occ.index)] for occ in occs]
+        picks: list[int] = []
+        base = 0
+        for e, (p_tables, t_tables) in enumerate(
+                zip(pred_inst.entries, true_inst.entries, strict=True)):
+            n = len(p_tables.occs)
+            if p_tables.workflow is t_tables.workflow:
+                picks += plan[base:base + n]
             else:
                 picks += [_fallback_pick(true_inst, e, occ.index, blocked, rng)
-                          for occ in occs]
-        effective[uid] = true_inst.plan_of(picks)
+                          for occ in t_tables.occs]
+            base += n
+        effective[uid] = tuple(picks)
         if ledger is not None:
             used = true_inst.local_clouds(picks)
             for cid in sorted(held - used):
@@ -196,8 +200,7 @@ def _pass(alg: str, sc: Scenario, pop: Population,
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
     effective = carry_plans(res, predicted, true, rng, ledger)
-    return {uid: true[uid].evaluate(true[uid].picks_of(p))
-            for uid, p in effective.items()}
+    return {uid: true[uid].evaluate(p) for uid, p in effective.items()}
 
 
 def _metrics_row(sc: Scenario, alg: str, rep: int, utility: float,
@@ -253,7 +256,7 @@ def _standard_rows(sc: Scenario, dep: Deployment, pop: Population,
                         f"scenario {sc.scenario_id!r}: joint plan space "
                         f"exceeds {sc.enumeration_cap}")
                 continue
-            raws = {uid: true[uid].evaluate(true[uid].picks_of(p))
+            raws = {uid: true[uid].evaluate(p)
                     for uid, p in opt.plans.items()}
         else:
             raws = _pass(alg, sc, pop, true, predicted, sc.constraints(),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -94,6 +95,12 @@ def make_templates(names: Sequence[str], kb_min: float,
     return out
 
 
+# fields that count something; Scenario.validate refuses a non-integer value
+_INTEGER_FIELDS = ("grid_width", "grid_height", "local_clouds",
+                   "local_capacity", "public_instances", "users", "groups",
+                   "workflows_per_user", "repetitions", "enumeration_cap")
+
+
 @dataclass
 class Scenario:
     """Complete experiment description; field names are the JSON schema."""
@@ -142,6 +149,9 @@ class Scenario:
         def bad(name, why):
             raise ScenarioError(f"{name}: {why}")
 
+        for name in _INTEGER_FIELDS:
+            if not isinstance(getattr(self, name), numbers.Integral):
+                bad(name, "must be an integer")
         if self.grid_width < 1 or self.grid_height < 1:
             bad("grid_width/grid_height", "must be >= 1")
         if self.cell_size_m <= 0:
@@ -213,9 +223,17 @@ class Scenario:
             bad("annealing", "must be a parameter mapping")
         known = {"max_iter", "max_expansions", "radius_start_cells",
                  "radius_step_cells"}
-        for key in self.annealing:
+        for key, v in self.annealing.items():
             if key not in known:
                 bad("annealing", f"unknown parameter {key!r}")
+            if key.startswith("max_") and not isinstance(v, numbers.Integral):
+                bad("annealing", f"{key} must be an integer")
+            if not isinstance(v, numbers.Real):
+                bad("annealing", f"{key} must be a number")
+        try:
+            self.annealing_params()
+        except ValueError as exc:
+            bad("annealing", str(exc))
 
     def constraints(self) -> ConstraintVector:
         def v(x):

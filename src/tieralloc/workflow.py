@@ -23,7 +23,7 @@ lower raw cost maps to higher normalized value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (ExtremaMismatch, IncompletePlan, InvalidWorkflow,
@@ -374,16 +374,6 @@ class LTW:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass
-class ExecutionPlan:
-    """Service assignments keyed by (entry index, occurrence index)."""
-
-    assignments: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def services(self) -> set[int]:
-        return set(self.assignments.values())
 
 
 # --- normalization -----------------------------------------------------------

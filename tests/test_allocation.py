@@ -11,8 +11,8 @@ import pytest
 
 from tieralloc import (LOCAL, PUBLIC, And, AnnealingParams, CapacityLedger,
                        CloudNode, ComputeProfile, ConstraintVector,
-                       ExecutionPlan, QoSExtrema, QoSTriple,
-                       IncompletePlan, LTW, LinkProfile, Loop,
+                       QoSExtrema, QoSTriple, IncompletePlan, LTW,
+                       LinkProfile, Loop,
                        LTWEntry, LocationMap, MobileUser, NoFeasibleCandidates,
                        PriceBook, ProfileSet, Scenario, Seq, Service,
                        ServiceDirectory, Trajectory, TrajectoryEntry, Xor,
@@ -230,8 +230,7 @@ def _params(**kw):
 def test_greedy_picks_the_dominating_service():
     inst = _instance("f")
     # service 100: wifi + own local cloud beats the others on all dimensions
-    plan = greedy_plan(inst)
-    assert plan.assignments == {(0, 0): 100}
+    assert greedy_plan(inst) == (100,)
 
 
 def test_find_service_widens_radius_until_a_local_is_reachable():
@@ -309,23 +308,20 @@ def test_evaluate_sums_entries_and_charges_hops_within_an_entry():
     # entry 0 crosses from cloud 1 to cloud 2; entry 1 stays on cloud 1,
     # so only a hop across the entry boundary (cloud 2 -> cloud 1) could
     # charge it anything
-    plan = ExecutionPlan({(0, 0): 100, (0, 1): 201, (1, 0): 100, (1, 1): 200})
+    plan = (100, 201, 100, 200)
     b = _triples(inst)
     hopped = Q(b[0][1][201].price, b[0][1][201].power,
                b[0][1][201].delay + 20.0)
     assert b[0][0][100] != b[1][0][100]  # entries are costed at their cells
-    assert inst.picks_of(plan) == [100, 201, 100, 200]
-    assert inst.evaluate(inst.picks_of(plan)) == (b[0][0][100] + hopped) + \
+    assert inst.evaluate(plan) == (b[0][0][100] + hopped) + \
         (b[1][0][100] + b[1][1][200])
+    assert inst.local_clouds(plan) == {1, 2}
     with pytest.raises(IncompletePlan, match="3 picks for 4 occurrences"):
-        inst.evaluate([100, 201, 100])
-    del plan.assignments[(1, 1)]
-    with pytest.raises(IncompletePlan, match=r"occurrence \(1, 1\)"):
-        inst.picks_of(plan)
+        inst.evaluate(plan[:3])
+    with pytest.raises(IncompletePlan, match="5 picks for 4 occurrences"):
+        inst.evaluate(plan + (100,))
     with pytest.raises(IncompletePlan):
-        inst.utility(plan)
-    with pytest.raises(IncompletePlan):
-        inst.plan_clouds(plan)
+        inst.utility(plan[:3])
 
 
 def test_user_extrema_sum_entry_envelopes():
@@ -381,7 +377,7 @@ def test_predicted_instances_share_the_true_entry_tables():
         assert (got.lo, got.hi) == (built.lo, built.hi)
     assert pred.extrema == fresh.extrema
     _assert_tables_equal_the_old_costing(pred)
-    picks = pred.picks_of(greedy_plan(pred))
+    picks = greedy_plan(pred)
     assert pred.evaluate(picks) == fresh.evaluate(picks)
     # another user given the same workflow object at the same cell builds
     # its own tables: its device services make them differ
@@ -407,7 +403,7 @@ def test_greedy_choice_is_invariant_to_rescaling_a_dimension():
         scaled_tables.compute[ref] = type(comp)(
             comp.delay_ms_per_100kb * 3.0, comp.energy_mj_per_100kb, comp.billing)
     scaled = UserInstance(user, ltw, directory, scaled_tables, grid)
-    assert greedy_plan(base).assignments == greedy_plan(scaled).assignments
+    assert greedy_plan(base) == greedy_plan(scaled)
 
 
 # --- MuSIC best-of-N search -----------------------------------------------------------
@@ -464,7 +460,7 @@ def test_music_returns_the_first_best_of_independent_proposals(monkeypatch):
             assert len(proposals) - before == k + 1
             utils = [inst.utility_of(inst.evaluate(p)) for p in draws]
             first_best = draws[utils.index(max(utils))]
-            assert inst.picks_of(res.plans[0]) == first_best
+            assert res.plans[0] == tuple(first_best)
             assert res.utility == max(utils)
 
 
@@ -480,7 +476,7 @@ def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
     repairs = _counted(monkeypatch, allocation, "_repair")
     evaluated = _counted(monkeypatch, UserInstance, "evaluate")
     res = music(inst, budget, _params(max_iter=30), np.random.default_rng(9))
-    assert res.feasible and res.plans[0].assignments == {(0, 0): 100}
+    assert res.feasible and res.plans[0] == (100,)
     assert len(draws) == 31  # every proposal fits at its first radius
     assert repairs
     assert len(evaluated) == len(draws) + len(repairs)
@@ -541,7 +537,7 @@ def test_music_queries_each_radius_once_per_function():
     # cloud 1 has no room, which forces the search out to 310 m
     res = music(inst, UNLIMITED, _params(max_iter=20), np.random.default_rng(4),
                 ledger=CapacityLedger({1: 0}))
-    assert res.plans[0].assignments == {(0, 0): 201}
+    assert res.plans[0] == (201,)
     assert sorted(calls) == [("g", 10.0), ("g", 110.0), ("g", 210.0),
                              ("g", 310.0)]
 
@@ -560,16 +556,17 @@ def _reference_group_music(target, constraints, params, rng, ledger):
                     if cap - ledger.count(c) - usage.get(c, 0) <= 0)
                 picks, _ = find_service(m, target.center_point(),
                                         constraints, params, rng, blocked=full)
-                plans[m.user.id] = m.plan_of(picks)
-                for cid in m.plan_clouds(plans[m.user.id]):
+                plans[m.user.id] = tuple(picks)
+                for cid in m.local_clouds(picks):
                     usage[cid] = usage.get(cid, 0) + 1
         except NoFeasibleCandidates:
             continue
-        raws = [m.evaluate(m.picks_of(plans[m.user.id]))
-                for m in target.members]
+        raws = [m.evaluate(plans[m.user.id]) for m in target.members]
         if check_constraints(raws, constraints):
             continue
-        val = target.utility(plans)
+        val = fleet_utility({m.user.id: m.utility(plans[m.user.id])
+                             for m in target.members},
+                            [m.user.id for m in target.members])
         if val > best_val:
             best, best_val = plans, val
     return best, best_val
@@ -595,8 +592,7 @@ def test_grouped_music_matches_memo_less_proposals_under_tight_capacity():
                     continue
                 checked += 1
                 assert res.utility == val
-                assert {u: p.assignments for u, p in res.plans.items()} == \
-                    {u: p.assignments for u, p in plans.items()}
+                assert res.plans == plans
     assert checked
 
 
@@ -605,7 +601,7 @@ def test_music_respects_ledger_room():
     ledger = CapacityLedger({1: 0, 2: 1})
     res = music(inst, UNLIMITED, _params(), np.random.default_rng(5),
                 ledger=ledger)
-    assert res.plans[0].assignments == {(0, 0): 201}
+    assert res.plans[0] == (201,)
 
 
 def test_music_reports_infeasible_when_nothing_fits():
@@ -668,21 +664,12 @@ def test_decomposed_and_joint_enumeration_agree():
             instances[uid].utility(slow.plans[uid]), rel=1e-12)
 
 
-def _raw(inst, plan):
-    return inst.evaluate(inst.picks_of(plan))
-
-
 def _plan_rows(inst):
     """(plan, raw QoS, utility, local clouds) of every plan of the user's
     space, in itertools.product order over the occurrences' candidates."""
-    keys, pools = [], []
-    for e, occ, cands in inst.iter_occurrences():
-        keys.append((e, occ.index))
-        pools.append(cands)
-    plans = [ExecutionPlan(dict(zip(keys, combo)))
-             for combo in itertools.product(*pools)]
-    return [(p, _raw(inst, p), inst.utility(p), inst.plan_clouds(p))
-            for p in plans]
+    pools = [cands for _, _, cands in inst.iter_occurrences()]
+    return [(p, inst.evaluate(p), inst.utility(p), inst.local_clouds(p))
+            for p in itertools.product(*pools)]
 
 
 def test_joint_enumeration_returns_the_first_best_feasible_combination():
@@ -695,7 +682,7 @@ def test_joint_enumeration_returns_the_first_best_feasible_combination():
     # a delay budget halfway between the least fleet mean and the
     # unconstrained optimum's, and one slot per local cloud
     least = np.mean([min(r[1].delay for r in space) for space in rows])
-    reached = np.mean([_raw(instances[u], free.plans[u]).delay
+    reached = np.mean([instances[u].evaluate(free.plans[u]).delay
                        for u in uids])
     budget = ConstraintVector(delay=0.5 * (least + reached))
     ledger = CapacityLedger({cid: 1 for cid in locals_})
@@ -714,8 +701,7 @@ def test_joint_enumeration_returns_the_first_best_feasible_combination():
     assert beaten and best is not None  # the constraints bind
     res = brute_force_optimal(instances, budget, ledger)
     assert res.feasible and res.utility == best_val
-    assert [res.plans[u].assignments for u in uids] == \
-        [r[0].assignments for r in best]
+    assert [res.plans[u] for u in uids] == [r[0] for r in best]
 
 
 def test_joint_space_over_the_cap_is_refused_before_any_evaluation(
@@ -754,13 +740,13 @@ def test_zero_local_capacity_pushes_work_off_the_locals():
         res = run(ledger)
         assert res.feasible
         for uid, plan in res.plans.items():
-            assert instances[uid].plan_clouds(plan) == set()
+            assert instances[uid].local_clouds(plan) == set()
 
 
 def test_admitting_into_a_full_cloud_is_a_package_error():
     inst = _instance("f")
     with pytest.raises(AdmissionRefused) as err:
-        _admit_plan(inst, ExecutionPlan({(0, 0): 100}), CapacityLedger({1: 0}))
+        _admit_plan(inst, (100,), CapacityLedger({1: 0}))
     assert isinstance(err.value, TierAllocError)
     assert "cloud 1" in str(err.value)
 
@@ -1023,20 +1009,22 @@ def _old_optimistic_fit(instance, rows, allowed, constraints):
 
 
 def _old_repair(instance, rows, allowed, dim):
-    """_repair over reach rows and allowed ids."""
+    """_repair over reach rows and allowed ids, as a plan keyed by (entry,
+    occurrence index)."""
     k = ("price", "power", "delay").index(dim)
-    plan = ExecutionPlan()
+    plan = {}
     for (e, j, _), ids in zip(rows, allowed):
         base = instance.entries[e].base[j]
-        plan.assignments[(e, j)] = min(ids, key=lambda s: (base[s][k], s))
+        plan[(e, j)] = min(ids, key=lambda s: (base[s][k], s))
     return plan
 
 
 def _reference_find_service(instance, center, constraints, params, rng, ok):
     """find_service before room was decided per cloud and draws came in one
     call: memo-less, every gated id through an availability callable, one
-    scalar rng.random() per occurrence. Also returns the radius index used
-    and whether the plan is a repair."""
+    scalar rng.random() per occurrence, plans keyed by (entry, occurrence
+    index). Also returns the radius index used and whether the plan is a
+    repair."""
     bounded = constraints.bounded()
     for i in range(params.max_expansions):
         rows = _old_reach(instance, center, params, i)
@@ -1048,18 +1036,18 @@ def _reference_find_service(instance, center, constraints, params, rng, ok):
         if bounded and not _old_optimistic_fit(instance, rows, allowed,
                                                constraints):
             continue
-        plan = ExecutionPlan()
+        plan = {}
         for (e, j, _), ids in zip(rows, allowed):
             snorm = instance.entries[e].snorm[j]
             order = sorted(ids, key=lambda s: (snorm[s], s))
-            plan.assignments[(e, j)] = order[roulette_index(
+            plan[(e, j)] = order[roulette_index(
                 [snorm[s] for s in order], rng.random())]
-        raw = _raw(instance, plan)
+        raw = _dict_evaluate(instance, plan)
         if not bounded or constraints.admits(raw):
             return plan, raw, i, False
         for dim in constraints.violated(raw):
             fixed = _old_repair(instance, rows, allowed, dim)
-            fixed_raw = _raw(instance, fixed)
+            fixed_raw = _dict_evaluate(instance, fixed)
             if constraints.admits(fixed_raw):
                 return fixed, fixed_raw, i, True
     raise NoFeasibleCandidates("no feasible plan")
@@ -1115,7 +1103,7 @@ def test_find_service_draws_like_the_scalar_reference():
                 plan, raw, i, repaired = ref
                 paths["widen"] += i > 0
                 paths["repair"] += repaired
-                assert inst.plan_of(got[0]) == plan
+                assert _keyed(inst, got[0]) == plan
                 assert got[1] == raw
     assert min(paths.values()) > 5, paths
 
@@ -1469,8 +1457,7 @@ def test_joint_enumeration_keeps_the_first_of_tied_feasible_maxima():
     assert ties >= 1  # a later feasible combination ties the first best
     res = brute_force_optimal(instances, budget, ledger)
     assert res.feasible and res.utility == best_val
-    assert [res.plans[u].assignments for u in uids] == \
-        [r[0].assignments for r in best]
+    assert [res.plans[u] for u in uids] == [r[0] for r in best]
 
 
 def test_bounded_is_decided_once_per_frozen_vector():
@@ -1539,24 +1526,29 @@ def test_utility_of_equals_the_per_call_normalization():
     assert single.utility_of(QoSTriple(1e9, 1e9, 1e9)) == 1.0
 
 
-# --- pick lists against the ExecutionPlan search they replaced --------------------------
+# --- pick lists against the dict-keyed search they replaced -----------------------------
+
+def _keyed(inst, picks):
+    """A pick list as a plan keyed by (entry, occurrence index)."""
+    return {(e, occ.index): sid
+            for (e, occ, _), sid in zip(inst.iter_occurrences(), picks)}
+
 
 def _dict_evaluate(inst, plan):
-    """UserInstance.evaluate as it read an ExecutionPlan keyed by (entry,
-    occurrence), before plans became pick lists."""
-    assigned = plan.assignments
+    """UserInstance.evaluate as it read a plan keyed by (entry, occurrence
+    index), before plans became pick lists."""
     hosts = inst.hosts
     price = power = delay = 0.0
     for e, tables in enumerate(inst.entries):
         leaves = []
         for j, rows, prev, hop in tables.steps:
-            sid = assigned.get((e, j))
+            sid = plan.get((e, j))
             if sid is None:
                 raise IncompletePlan(f"no assignment for occurrence {(e, j)}")
             q = rows[sid]
             if prev is not None:
                 node = hosts[sid]
-                prev_node = hosts[assigned[(e, prev)]]
+                prev_node = hosts[plan[(e, prev)]]
                 if (node is not None and prev_node is not None
                         and node != prev_node):
                     leaves.append((q[0], q[1], q[2] + hop))
@@ -1599,8 +1591,8 @@ def _paid_hops(inst, plan):
     for e, tables in enumerate(inst.entries):
         for j, _, prev, _ in tables.steps:
             if prev is not None:
-                node = hosts[plan.assignments[(e, j)]]
-                before = hosts[plan.assignments[(e, prev)]]
+                node = hosts[plan[(e, j)]]
+                before = hosts[plan[(e, prev)]]
                 paid += None not in (node, before) and node != before
     return paid
 
@@ -1617,12 +1609,13 @@ def test_positional_evaluate_equals_the_dict_keyed_evaluate():
             kinds |= {type(e.workflow) for e in ltw.entries}
             inst = UserInstance(user, ltw, directory, profiles, grid)
             for _ in range(10):
-                plan = ExecutionPlan({
-                    (e, occ.index): cands[int(rng.integers(len(cands)))]
-                    for e, occ, cands in inst.iter_occurrences()})
-                picks = inst.picks_of(plan)
+                plan = {(e, occ.index): cands[int(rng.integers(len(cands)))]
+                        for e, occ, cands in inst.iter_occurrences()}
+                picks = tuple(plan[(e, occ.index)]
+                              for e, occ, _ in inst.iter_occurrences())
+                assert _keyed(inst, picks) == plan
                 assert inst.evaluate(picks) == _dict_evaluate(inst, plan)
-                assert inst.evaluate(tuple(picks)) == inst.evaluate(picks)
+                assert inst.evaluate(list(picks)) == inst.evaluate(picks)
                 paid += _paid_hops(inst, plan)
     assert paid > 50
     assert kinds >= {Seq, And, Xor, Loop}
@@ -1634,16 +1627,17 @@ def _dict_violated(constraints, raw):
 
 
 def _dict_local_clouds(inst, plan):
-    return {inst.hosts[s] for s in plan.services()
+    return {inst.hosts[s] for s in plan.values()
             if inst.hosts[s] is not None
             and inst.clouds[inst.hosts[s]].tier == LOCAL}
 
 
 def _dict_find_service(instance, center, constraints, params, rng, memo,
                        blocked, paths):
-    """find_service as it drew ExecutionPlans, each pick recomputed from
-    the candidates' weights with numpy; counts the radius index of each
-    plan and whether it was repaired into paths."""
+    """find_service as it drew plans keyed by (entry, occurrence index),
+    each pick recomputed from the candidates' weights with numpy; counts
+    the radius index of each plan and whether it was repaired into
+    paths."""
     uid = instance.user.id
     for i in range(params.max_expansions):
         key = (uid, i, blocked)
@@ -1654,10 +1648,10 @@ def _dict_find_service(instance, center, constraints, params, rng, memo,
         if table is None:
             continue
         draws = rng.random(len(table)).tolist()
-        plan = ExecutionPlan()
+        plan = {}
         for (e, j, _, order, _), draw in zip(table, draws):
             snorm = instance.entries[e].snorm[j]
-            plan.assignments[(e, j)] = order[_searchsorted_index(
+            plan[(e, j)] = order[_searchsorted_index(
                 [snorm[s] for s in order], draw)]
         raw = _dict_evaluate(instance, plan)
         paths["widen"] += i > 0
@@ -1665,10 +1659,10 @@ def _dict_find_service(instance, center, constraints, params, rng, memo,
             return plan, raw
         for dim in _dict_violated(constraints, raw):
             k = ("price", "power", "delay").index(dim)
-            fixed = ExecutionPlan()
+            fixed = {}
             for e, j, ids, *_ in table:
                 base = instance.entries[e].base[j]
-                fixed.assignments[(e, j)] = min(
+                fixed[(e, j)] = min(
                     ids, key=lambda s: (base[s][k], s))
             fixed_raw = _dict_evaluate(instance, fixed)
             if not _dict_violated(constraints, fixed_raw):
@@ -1679,7 +1673,7 @@ def _dict_find_service(instance, center, constraints, params, rng, memo,
 
 
 def _dict_music(target, constraints, params, rng, ledger, paths):
-    """music() as it scored ExecutionPlan proposals."""
+    """music() as it scored proposals keyed by (entry, occurrence index)."""
     single = isinstance(target, UserInstance)
     members = [target] if single else target.members
     center = target.center_point()
@@ -1714,7 +1708,7 @@ def _dict_music(target, constraints, params, rng, ledger, paths):
 
 def test_music_on_pick_lists_equals_the_execution_plan_search():
     """Plans, utility and the generator state after each call equal the
-    ExecutionPlan reference, for users and groups, shared and per-user
+    dict-keyed reference, for users and groups, shared and per-user
     budgets, and ledgers that leave the locals no room or one slot."""
     dep, pop, instances = _fleet(users=8, groups=2, seed=8)
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
@@ -1759,32 +1753,29 @@ def test_music_on_pick_lists_equals_the_execution_plan_search():
         if plans is None:
             assert res.plans == {} and res.utility == 0.0
             continue
-        assert res.plans == plans
+        assert {u: _keyed(instances[u], p)
+                for u, p in res.plans.items()} == plans
         assert res.utility == val
         compared["single" if target in singles else "group"] += 1
     assert min(paths.values()) > 3 and min(compared.values()) > 5, \
         (paths, compared)
 
 
-def test_music_builds_one_execution_plan_per_member(monkeypatch):
+def test_music_returns_one_pick_tuple_per_member():
     dep, pop, instances = _fleet(users=6, groups=2, seed=6)
-    built = []
-
-    class CountedPlan(ExecutionPlan):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(allocation, "ExecutionPlan", CountedPlan)
     targets = [instances[u] for u in sorted(instances)] + [
         GroupInstance(g, [instances[u] for u in sorted(g.members)])
         for g in pop.groups]
     for target in targets:
+        members = [target] if isinstance(target, UserInstance) \
+            else target.members
         for budget in (UNLIMITED, ConstraintVector(delay=15000.0)):
-            del built[:]
             res = music(target, budget, AnnealingParams(max_iter=9),
                         np.random.default_rng(2))
             assert res.feasible
-            assert len(built) == len(res.plans)
-            assert sorted(map(id, built)) == \
-                sorted(map(id, res.plans.values()))
+            assert sorted(res.plans) == sorted(m.user.id for m in members)
+            for m in members:
+                plan = res.plans[m.user.id]
+                assert type(plan) is tuple and len(plan) == m.size
+                assert all(sid in cands for sid, (_, _, cands)
+                           in zip(plan, m.iter_occurrences()))

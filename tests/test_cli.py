@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,26 @@ def test_errors_report_to_stderr_with_exit_code_two(tmp_path, capsys):
     assert "users" in err
     assert main(["--scenario", str(tmp_path / "missing.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"annealing": {"max_iter": -1}},
+    {"annealing": {"radius_start_cells": -1}},
+    {"repetitions": 1.5},
+])
+def test_a_bad_scenario_file_exits_two_without_a_traceback(tmp_path, bad):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tieralloc", "--scenario",
+         _scenario_file(tmp_path, **bad)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("tieralloc: error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_module_entry_point_exists():

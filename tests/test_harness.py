@@ -8,14 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from tieralloc import (CSV_COLUMNS, AllocationResult, CapacityLedger,
-                       CloudNode, ExecutionPlan, LTW, LTWEntry, LocationMap,
+from tieralloc import (CSV_COLUMNS, AllocationResult, AnnealingParams,
+                       CapacityLedger, CloudNode, LTW, LTWEntry, LocationMap,
                        MetricsRow, MobileUser, ProfileSet, Scenario,
                        ScenarioError, Service, ServiceDirectory, Trajectory,
-                       TrajectoryEntry, UserInstance, carry_plans,
-                       compute_throughput, compute_two_tier_gain,
-                       emit_results, gain_pct, leaf, rows_to_csv,
-                       rows_to_table, run_experiment, summarize)
+                       TrajectoryEntry, UserInstance, allocate_greedy,
+                       allocate_music, allocate_rsa, build_deployment,
+                       build_population, carry_plans, compute_throughput,
+                       compute_two_tier_gain, emit_results, gain_pct, leaf,
+                       rows_to_csv, rows_to_table, run_experiment, summarize)
+from tieralloc.allocation import clouds_without_room
 from tieralloc.errors import (TooLargeForEnumeration, UndefinedGain,
                               UndefinedThroughput)
 
@@ -84,7 +86,7 @@ def _carry_world():
 def test_carry_keeps_the_plan_when_prediction_was_exact():
     instance = _carry_world()
     inst = instance(LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),)))
-    plan = ExecutionPlan({(0, 0): 100})
+    plan = (100,)
     res = AllocationResult({0: plan}, 1.0, True)
     out = carry_plans(res, {0: inst}, {0: inst}, np.random.default_rng(0), None)
     assert out[0] is plan
@@ -97,18 +99,18 @@ def test_carry_keeps_surviving_entries_and_redraws_mispredicted_ones():
                               LTWEntry(0, 60.0, leaf("f", 2048.0)))))
     true = instance(LTW((LTWEntry(3, 60.0, shared),  # moved, same request
                          LTWEntry(0, 60.0, leaf("f", 1024.0)))))  # new request
-    plan = ExecutionPlan({(0, 0): 100, (1, 0): 100})
+    plan = (100, 100)
     ledger = CapacityLedger({1: 1, 2: 1})
     assert ledger.try_admit(1)  # the allocator admitted the predicted plan
     res = AllocationResult({0: plan}, 1.0, True)
     out = carry_plans(res, {0: predicted}, {0: true},
                       np.random.default_rng(1), ledger)
     mapped = out[0]
-    assert mapped.assignments[(0, 0)] == 100  # surviving workflow keeps its pick
-    redrawn = mapped.assignments[(1, 0)]
+    assert mapped[0] == 100  # surviving workflow keeps its pick
+    redrawn = mapped[1]
     assert redrawn in (100, 101, 102)
     # ledger reflects what actually runs
-    used = true.plan_clouds(mapped)
+    used = true.local_clouds(mapped)
     for cid in (1, 2):
         assert ledger.count(cid) == (1 if cid in used else 0)
 
@@ -117,29 +119,28 @@ def test_carry_redraw_respects_availability_and_survives_full_clouds():
     instance = _carry_world()
     predicted = instance(LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),)))
     true = instance(LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),)))
-    plan = ExecutionPlan({(0, 0): 102})
-    res = AllocationResult({0: plan}, 1.0, True)
+    res = AllocationResult({0: (102,)}, 1.0, True)
 
     # local cloud 2 is closed: it has no room at all
     for seed in range(20):
         out = carry_plans(res, {0: predicted}, {0: true},
                           np.random.default_rng(seed),
                           CapacityLedger({1: 1, 2: 0}))
-        assert out[0].assignments[(0, 0)] in (100, 102)
+        assert out[0] in ((100,), (102,))
 
     # with every cloud closed or full the request still runs somewhere
     ledger = CapacityLedger({1: 1, 2: 1, 9: 0})
     assert ledger.try_admit(1) and ledger.try_admit(2)  # other users fill up
     out = carry_plans(res, {0: predicted}, {0: true},
                       np.random.default_rng(3), ledger)
-    assert out[0].assignments[(0, 0)] in (100, 101, 102)
+    assert out[0] in ((100,), (101,), (102,))
 
 
 def test_carry_redraw_may_reuse_the_clouds_the_plan_holds():
     instance = _carry_world()
     predicted = instance(LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),)))
     true = instance(LTW((LTWEntry(0, 60.0, leaf("f", 1024.0)),)))
-    res = AllocationResult({0: ExecutionPlan({(0, 0): 100})}, 1.0, True)
+    res = AllocationResult({0: (100,)}, 1.0, True)
     picks = set()
     for seed in range(20):
         # the plan holds cloud 1's only slot; another user fills cloud 2
@@ -147,10 +148,111 @@ def test_carry_redraw_may_reuse_the_clouds_the_plan_holds():
         assert ledger.try_admit(1) and ledger.try_admit(2)
         out = carry_plans(res, {0: predicted}, {0: true},
                           np.random.default_rng(seed), ledger)
-        picks.add(out[0].assignments[(0, 0)])
-        assert (ledger.count(1), ledger.count(2)) == (
-            int(out[0].assignments[(0, 0)] == 100), 1)
+        (pick,) = out[0]
+        picks.add(pick)
+        assert (ledger.count(1), ledger.count(2)) == (int(pick == 100), 1)
     assert picks == {100, 102}
+
+
+def _dict_carry_plans(plans, predicted, true, rng, ledger):
+    """carry_plans as it carried plans keyed by (entry, occurrence index):
+    a surviving entry reads its picks by key, a mispredicted one draws
+    uniformly among the true candidates with room."""
+    effective = {}
+    for uid in sorted(plans):
+        pred_inst, true_inst = predicted[uid], true[uid]
+        plan = plans[uid]
+        if pred_inst.ltw is true_inst.ltw:
+            effective[uid] = plan
+            continue
+        held = pred_inst.local_clouds(list(plan.values()))
+        blocked = clouds_without_room(ledger, held=held)
+        out = {}
+        for e, t_entry in enumerate(true_inst.ltw.entries):
+            for occ in true_inst.entries[e].occs:
+                if pred_inst.ltw.entries[e].workflow is t_entry.workflow:
+                    out[(e, occ.index)] = plan[(e, occ.index)]
+                    continue
+                cands = true_inst.entries[e].cands[occ.index]
+                ids = [sid for sid in cands
+                       if (node := true_inst.hosts[sid]) is None
+                       or node not in blocked] or cands
+                out[(e, occ.index)] = ids[int(rng.integers(len(ids)))]
+        effective[uid] = out
+        if ledger is not None:
+            used = true_inst.local_clouds(list(out.values()))
+            for cid in sorted(held - used):
+                ledger.release(cid)
+            for cid in sorted(used - held):
+                ledger.try_admit(cid)
+    return effective
+
+
+def _keyed(inst, picks):
+    return {(e, occ.index): sid
+            for (e, occ, _), sid in zip(inst.iter_occurrences(), picks)}
+
+
+def _shifted_survivor(pred_inst, true_inst):
+    """Whether a mispredicted entry with another occurrence count than its
+    true entry comes before a surviving entry, so the survivor's picks sit
+    at different offsets in the predicted and the true pick tuples."""
+    shifted = False
+    for p, t in zip(pred_inst.entries, true_inst.entries):
+        if p.workflow is t.workflow:
+            if shifted:
+                return True
+        elif len(p.occs) != len(t.occs):
+            shifted = True
+    return False
+
+
+@pytest.mark.parametrize("mode", ["location", "service", "both"])
+@pytest.mark.parametrize("pct", [30.0, 100.0])
+def test_carry_on_pick_tuples_equals_the_dict_keyed_carry(pct, mode):
+    from tieralloc import harness
+    shifted = 0
+    for seed in range(3):
+        sc = Scenario(users=16, local_capacity=2, workflows_per_user=3,
+                      uncertainty_pct=pct, uncertainty_mode=mode,
+                      enumeration_cap=1, repetitions=1, seed=seed)
+        dep = build_deployment(sc)
+        pop = build_population(sc, dep, 0)
+        true, predicted = harness._population_instances(dep, pop)
+        for alg in ("music", "rsa", "greedy"):
+            def allocate(ledger):
+                rng = np.random.default_rng(seed)
+                if alg == "music":
+                    res = allocate_music(predicted, sc.constraints(),
+                                         AnnealingParams(max_iter=2), rng,
+                                         ledger=ledger)
+                elif alg == "rsa":
+                    res = allocate_rsa(predicted, sc.constraints(), rng, ledger)
+                else:
+                    res = allocate_greedy(predicted, rng, ledger)
+                return res, rng
+
+            ledger, old_ledger = dep.fresh_ledger(), dep.fresh_ledger()
+            res, rng = allocate(ledger)
+            old_res, old_rng = allocate(old_ledger)
+            assert res.plans == old_res.plans
+            got = carry_plans(res, predicted, true, rng, ledger)
+            old = _dict_carry_plans(
+                {u: _keyed(predicted[u], p) for u, p in old_res.plans.items()},
+                predicted, true, old_rng, old_ledger)
+            assert {u: _keyed(true[u], p) for u, p in got.items()} == old
+            assert {cid: ledger.count(cid) for cid in ledger.capacities()} == \
+                {cid: old_ledger.count(cid)
+                 for cid in old_ledger.capacities()}
+            assert rng.bit_generator.state == old_rng.bit_generator.state
+            shifted += sum(_shifted_survivor(predicted[u], true[u])
+                           for u in res.plans)
+    # location noise keeps every workflow and service noise at 100 %
+    # replaces every one, so neither leaves a survivor behind a shift
+    if mode == "location" or (mode == "service" and pct == 100.0):
+        assert shifted == 0
+    else:
+        assert shifted > 0
 
 
 # --- experiment runs ----------------------------------------------------------------------

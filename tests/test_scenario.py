@@ -46,10 +46,34 @@ def test_default_scenario_is_valid():
     ("enumeration_cap", 0, "enumeration_cap"),
     ("annealing", {"warp": 1}, "annealing"),
     ("annealing", {"t0": 0.1}, "annealing"),
+    ("annealing", {"max_iter": -1}, "annealing: need max_iter >= 0"),
+    ("annealing", {"max_expansions": 0}, "annealing: need max_iter >= 0"),
+    ("annealing", {"radius_start_cells": -1}, "annealing: radii must be >= 0"),
+    ("annealing", {"radius_step_cells": "1"}, "annealing: radius_step_cells"),
+    ("annealing", {"max_iter": 2.5}, "annealing: max_iter must be an integer"),
+    ("annealing", {"max_expansions": 3.0}, "annealing: max_expansions"),
+    ("grid_width", 10.0, "grid_width"),
+    ("grid_height", 10.5, "grid_height"),
+    ("local_clouds", 2.0, "local_clouds"),
+    ("local_capacity", 1.5, "local_capacity"),
+    ("public_instances", 1.0, "public_instances"),
+    ("users", 2.5, "users"),
+    ("groups", 1.5, "groups"),
+    ("workflows_per_user", 1.5, "workflows_per_user"),
+    ("repetitions", 1.5, "repetitions"),
+    ("enumeration_cap", 1e6, "enumeration_cap"),
 ])
 def test_validation_errors_name_the_offending_field(field, value, named):
     with pytest.raises(ScenarioError, match=named):
         Scenario(**{field: value})
+
+
+def test_integer_fields_take_numpy_integers():
+    sc = Scenario(users=np.int64(3), groups=np.int32(1),
+                  repetitions=np.int64(1), enumeration_cap=np.int64(10),
+                  annealing={"max_iter": np.int64(2),
+                             "max_expansions": np.int16(4)})
+    assert sc.annealing_params().max_iter == 2
 
 
 def test_grouped_annealing_requires_groups():

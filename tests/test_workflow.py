@@ -7,13 +7,12 @@ import pytest
 
 import numpy as np
 
-from tieralloc import (And, ExecutionPlan, IncompletePlan, InvalidWorkflow,
-                       LTW, LTWEntry, Leaf, Loop, QoSExtrema, QoSTriple,
-                       Scenario, Seq, UserInstance, Xor, aggregate_qos,
-                       build_deployment, build_population, fold_qos,
-                       intercloud_hop_ms, leaf, normalize_qos,
-                       normalize_service, occurrences, par, seq,
-                       workflow_extrema, xor)
+from tieralloc import (And, IncompletePlan, InvalidWorkflow, LTW, LTWEntry,
+                       Leaf, Loop, QoSExtrema, QoSTriple, Scenario, Seq,
+                       UserInstance, Xor, aggregate_qos, build_deployment,
+                       build_population, fold_qos, intercloud_hop_ms, leaf,
+                       normalize_qos, normalize_service, occurrences, par,
+                       seq, workflow_extrema, xor)
 from tieralloc.errors import ExtremaMismatch
 from tieralloc.workflow import ZERO_QOS, compile_fold
 
@@ -350,11 +349,12 @@ def test_fold_qos_reads_one_triple_per_leaf_in_preorder():
 
 
 def _reference_evaluate(inst, plan):
-    """UserInstance.evaluate as per-entry reference walks with the hop cost."""
+    """UserInstance.evaluate as per-entry reference walks with the hop cost,
+    over a plan keyed by (entry, occurrence index)."""
     host = inst.directory.host_cloud
     total = ZERO_QOS
     for i, entry in enumerate(inst.ltw.entries):
-        sub = {occ: sid for (e, occ), sid in plan.assignments.items() if e == i}
+        sub = {occ: sid for (e, occ), sid in plan.items() if e == i}
 
         def cost(sid, occ_idx, fn, prev_sid, _i=i):
             q = Q(*inst.entries[_i].base[occ_idx][sid])
@@ -391,18 +391,17 @@ def test_evaluate_equals_the_reference_walk_on_xor_and_loop_entries():
                             dep.profiles, dep.grid)
         seen |= set().union(*(_kinds(e.workflow) for e in entries))
         for _ in range(10):
-            plan = ExecutionPlan({
-                (e, occ.index): cands[int(rng.integers(len(cands)))]
-                for e, occ, cands in inst.iter_occurrences()})
-            picks = inst.picks_of(plan)
-            assert inst.plan_of(picks) == plan
+            plan = {(e, occ.index): cands[int(rng.integers(len(cands)))]
+                    for e, occ, cands in inst.iter_occurrences()}
+            picks = tuple(plan[(e, occ.index)]
+                          for e, occ, _ in inst.iter_occurrences())
             assert inst.evaluate(picks) == _reference_evaluate(inst, plan)
-            assert 0.0 <= inst.utility(plan) <= 1.0
+            assert 0.0 <= inst.utility(picks) <= 1.0
             hops += sum(
                 1 for e, occ, _ in inst.iter_occurrences()
                 if occ.prev is not None and intercloud_hop_ms(
-                    dep.directory.host_cloud(plan.assignments[(e, occ.index)]),
-                    dep.directory.host_cloud(plan.assignments[(e, occ.prev)]),
+                    dep.directory.host_cloud(plan[(e, occ.index)]),
+                    dep.directory.host_cloud(plan[(e, occ.prev)]),
                     occ.fn.input_kb, dep.profiles) > 0)
     assert hops > 0 and seen >= {And, Xor, Loop}
 
