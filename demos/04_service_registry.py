@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from tieralloc import (LOCAL, PUBLIC, CapacityLedger, CloudNode, LocationMap,
-                       RTree, Service, ServiceDirectory)
+                       RTree, Service, ServiceDirectory, clouds_without_room)
 
 # The raw R-tree: insert labeled points, query discs, delete, re-query.
 rng = np.random.default_rng(5)
@@ -71,7 +71,8 @@ ledger = CapacityLedger.for_clouds(clouds)
 print(f"\nledger capacities: {ledger.capacities()}")
 admitted = [ledger.try_admit(1) for _ in range(3)]
 print(f"three admissions to cloud 1 (capacity 2): {admitted}")
-print(f"full clouds now: {sorted(ledger.full_clouds())}")
+print(f"clouds without room now: {sorted(clouds_without_room(ledger))}")
 ledger.release(1)
-print(f"after one release, cloud 1 has room again: {ledger.has_room(1)}")
+print("after one release, cloud 1 has room again: "
+      f"{1 not in clouds_without_room(ledger)}")
 print(f"public cloud 9 always admits: {ledger.try_admit(9)}")

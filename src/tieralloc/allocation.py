@@ -956,22 +956,18 @@ def allocate_music(instances: Mapping[int, UserInstance],
 
 # --- exhaustive optimum ----------------------------------------------------------
 
-def _space_size(instance: UserInstance, cap: int) -> int:
-    """Size of a user's plan space from candidate counts; raises as it
-    exceeds cap."""
-    count = 1
-    for _, _, cands in instance.iter_occurrences():
-        count *= len(cands)
-        if count > cap:
-            raise TooLargeForEnumeration(
-                f"user {instance.user.id}: plan space exceeds {cap}")
-    return count
-
-
-def _pools(instance: UserInstance) -> list[list[int]]:
-    """Candidate ids per occurrence; the product of the pools, in
-    itertools.product order, is the user's plan space as pick tuples."""
-    return [cands for _, _, cands in instance.iter_occurrences()]
+def _pools(instance: UserInstance, blocked: frozenset[int], cap: int
+           ) -> tuple[list[list[int]], int]:
+    """The user's candidate ids per occurrence that may run (see
+    _allowed_candidates), and the size of their product: in
+    itertools.product order, the user's plan space as pick tuples. Raises
+    TooLargeForEnumeration when the size exceeds cap."""
+    pools = [ids for _, _, ids in _allowed_candidates(instance, blocked)]
+    size = math.prod(len(ids) for ids in pools)
+    if size > cap:
+        raise TooLargeForEnumeration(
+            f"user {instance.user.id}: plan space exceeds {cap}")
+    return pools, size
 
 
 _SCORE_CHUNK = 1 << 16
@@ -1023,30 +1019,36 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
                         cap: int = 1_000_000) -> AllocationResult:
     """Exact optimum by enumeration, for small instances.
 
-    When budgets are unconstrained and capacity cannot bind, users decompose
-    and each is optimized independently (per-user spaces still respect cap).
-    Otherwise every combination of the joint product space is scored at
-    once (see _joint_scores), and the combinations are checked in
-    descending score order, ties in product order, until one keeps every
-    capacity and the budget means over the fleet (per group when groups
-    are given): the first best feasible combination. Raises
-    TooLargeForEnumeration when the space to enumerate exceeds cap.
+    A candidate on a cloud without room (see clouds_without_room) is left
+    out of the pools, which is exact: any combination using it breaks that
+    cloud's capacity. When budgets are unconstrained and no cloud left can
+    bind, users decompose and each is optimized independently (per-user
+    spaces still respect cap). Otherwise every combination of the joint
+    product space is scored at once (see _joint_scores), and the
+    combinations are checked in descending score order, ties in product
+    order, until one keeps every capacity and the budget means over the
+    fleet (per group when groups are given): the first best feasible
+    combination. Raises TooLargeForEnumeration when the space to enumerate
+    exceeds cap, and NoFeasibleCandidates when some occurrence has no
+    candidate with room.
     """
     if not isinstance(constraints, ConstraintVector):
         raise ValueError("exhaustive search takes one shared constraint vector")
     uids = sorted(instances)
+    no_room = clouds_without_room(ledger)
     caps_bind = ledger is not None and any(
         capacity - ledger.count(cid) < len(uids)
-        for cid, capacity in ledger.capacities().items())
+        for cid, capacity in ledger.capacities().items()
+        if cid not in no_room)
     if not constraints.bounded() and not caps_bind:
         plans: dict[int, tuple[int, ...]] = {}
         utils: dict[int, float] = {}
         for uid in uids:
             inst = instances[uid]
-            _space_size(inst, cap)
+            pools, _ = _pools(inst, no_room, cap)
             best, best_u = None, -math.inf
             evaluate, utility_of = inst.evaluate, inst.utility_of
-            for picks in itertools.product(*_pools(inst)):
+            for picks in itertools.product(*pools):
                 u = utility_of(evaluate(picks))
                 if u > best_u:
                     best, best_u = picks, u
@@ -1054,9 +1056,11 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         return AllocationResult(plans, fleet_utility(utils, uids, groups),
                                 True)
 
+    pools_of: dict[int, list[list[int]]] = {}
     total = 1
     for uid in uids:
-        total *= _space_size(instances[uid], cap)
+        pools_of[uid], size = _pools(instances[uid], no_room, cap)
+        total *= size
         if total > cap:
             raise TooLargeForEnumeration(f"joint plan space exceeds {cap}")
     spaces: dict[int, list[tuple[tuple[int, ...], QoSTriple, float,
@@ -1064,7 +1068,7 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
     for uid in uids:
         inst = instances[uid]
         rows = []
-        for picks in itertools.product(*_pools(inst)):
+        for picks in itertools.product(*pools_of[uid]):
             raw = inst.evaluate(picks)
             rows.append((picks, raw, inst.utility_of(raw),
                          inst.local_clouds(picks)))

@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "table"), default="csv",
                    help="results format (default: csv)")
     p.add_argument("--public-only", action="store_true",
-                   help="deploy cloud services on public instances only")
+                   help="give every local cloud capacity 0 (local_capacity "
+                        "0), so work runs on public instances and devices")
     p.add_argument("--dump-profiles", action="store_true",
                    help="print the deployment's cost profile tables and exit")
     return p
@@ -57,7 +58,7 @@ def scenario_from_args(args: argparse.Namespace) -> Scenario:
         if value is not None:
             changes[fieldname] = value
     if args.public_only:
-        changes["public_only"] = True
+        changes["local_capacity"] = 0
     if changes:
         sc = dataclasses.replace(sc, **changes)
     return sc

@@ -364,13 +364,6 @@ class CapacityLedger:
     def count(self, cloud_id: int) -> int:
         return self._counts.get(cloud_id, 0)
 
-    def has_room(self, cloud_id: int) -> bool:
-        """True when one more admission would be within capacity. Clouds the
-        ledger does not track are unbounded."""
-        if cloud_id not in self._caps:
-            return True
-        return self._counts[cloud_id] < self._caps[cloud_id]
-
     def try_admit(self, cloud_id: int) -> bool:
         """Claim one slot; False when the cloud is full."""
         if cloud_id not in self._caps:
@@ -386,6 +379,3 @@ class CapacityLedger:
         if self._counts[cloud_id] == 0:
             raise LedgerUnderflow(f"release on empty ledger for cloud {cloud_id}")
         self._counts[cloud_id] -= 1
-
-    def full_clouds(self) -> set[int]:
-        return {cid for cid, n in self._counts.items() if n >= self._caps[cid]}

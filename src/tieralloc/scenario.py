@@ -98,7 +98,19 @@ def make_templates(names: Sequence[str], kb_min: float,
 # fields that count something; Scenario.validate refuses a non-integer value
 _INTEGER_FIELDS = ("grid_width", "grid_height", "local_clouds",
                    "local_capacity", "public_instances", "users", "groups",
-                   "workflows_per_user", "repetitions", "enumeration_cap")
+                   "workflows_per_user", "repetitions", "seed",
+                   "enumeration_cap")
+# fields that measure something; Scenario.validate refuses a non-number
+_REAL_FIELDS = ("cell_size_m", "coverage_radius_cells", "data_kb_min",
+                "data_kb_max", "device_service_rate", "local_function_rate",
+                "compute_jitter", "rwp_fraction", "duration_s", "speed_min",
+                "speed_max", "pause_max_s", "uncertainty_pct")
+
+
+def _is_real(v) -> bool:
+    """A finite number, and not a bool (JSON true/false)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) \
+        and math.isfinite(v)
 
 
 @dataclass
@@ -136,7 +148,6 @@ class Scenario:
     algorithm: str = "music"
     repetitions: int = 15
     seed: int = 0
-    public_only: bool = False
     fixed_dimension: Optional[str] = None
     enumeration_cap: int = 1_000_000
     profiles: dict = field(default_factory=dict)
@@ -150,8 +161,12 @@ class Scenario:
             raise ScenarioError(f"{name}: {why}")
 
         for name in _INTEGER_FIELDS:
-            if not isinstance(getattr(self, name), numbers.Integral):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
                 bad(name, "must be an integer")
+        for name in _REAL_FIELDS:
+            if not _is_real(getattr(self, name)):
+                bad(name, "must be a finite number")
         if self.grid_width < 1 or self.grid_height < 1:
             bad("grid_width/grid_height", "must be >= 1")
         if self.cell_size_m <= 0:
@@ -168,6 +183,11 @@ class Scenario:
             bad("public_instances", "must be >= 0")
         if self.local_clouds + self.public_instances < 1:
             bad("local_clouds/public_instances", "need at least one cloud")
+        if self.public_instances == 0 and self.local_capacity == 0 \
+                and self.device_service_rate < 1.0:
+            bad("public_instances/local_capacity",
+                "both 0 leave a function missing from a device without a "
+                "host (unless device_service_rate is 1)")
         if self.users < 1:
             bad("users", "must be >= 1")
         if not 0 <= self.groups <= self.users:
@@ -202,7 +222,7 @@ class Scenario:
             bad("uncertainty_mode", f"unknown mode {self.uncertainty_mode!r}")
         for name in ("budget_price", "budget_power", "budget_delay"):
             v = getattr(self, name)
-            if v is not None and (not isinstance(v, (int, float)) or v <= 0):
+            if v is not None and (not _is_real(v) or v <= 0):
                 bad(name, "must be positive or null")
         if self.algorithm not in ALGORITHMS:
             bad("algorithm", f"unknown algorithm {self.algorithm!r}")
@@ -210,8 +230,8 @@ class Scenario:
             bad("algorithm", "gmusic needs groups > 0")
         if self.repetitions < 1:
             bad("repetitions", "must be >= 1")
-        if not isinstance(self.seed, int):
-            bad("seed", "must be an integer")
+        if self.seed < 0:
+            bad("seed", "must be >= 0")
         if self.fixed_dimension is not None and \
                 self.fixed_dimension not in ("price", "power", "delay"):
             bad("fixed_dimension", "must be price, power, delay, or null")
@@ -373,14 +393,12 @@ def build_deployment(sc: Scenario) -> Deployment:
                                  host_user=host_user, compute_ref=ref))
         sid += 1
 
-    # draws happen for skipped services too, so a public-only deployment of
-    # the same scenario keeps identical profiles for the services it shares
     for cid in range(sc.local_clouds):
         for fn in functions:
             hosted = sc.local_function_rate >= 1.0 \
                 or rng.random() < sc.local_function_rate
             mult = jitter()
-            if hosted and not sc.public_only:
+            if hosted:
                 deploy(fn, mult, host_cloud=cid, base="local")
     for j in range(sc.public_instances):
         for fn in functions:

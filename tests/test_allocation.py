@@ -726,6 +726,97 @@ def test_enumeration_cap_is_enforced():
         brute_force_optimal(instances, ConstraintVector(price=1e9), cap=3)
 
 
+def _joint_reference(instances, constraints, ledger, groups=None):
+    """The first best feasible combination of the users' full plan spaces
+    in itertools.product order, scored by fleet_utility: (plans by user,
+    value), or (None, -inf) when no combination keeps every capacity and
+    every budget mean (per group when groups are given)."""
+    uids = sorted(instances)
+    spaces = [_plan_rows(instances[u]) for u in uids]
+    parts = [uids] if groups is None else [sorted(g.members) for g in groups]
+    best, best_val = None, -math.inf
+    for combo in itertools.product(*spaces):
+        usage = {}
+        for r in combo:
+            for cid in r[3]:
+                usage[cid] = usage.get(cid, 0) + 1
+        row = dict(zip(uids, combo))
+        if check_constraints([], UNLIMITED, usage, ledger) or any(
+                check_constraints([row[u][1] for u in part], constraints)
+                for part in parts):
+            continue
+        val = fleet_utility({u: r[2] for u, r in row.items()}, uids, groups)
+        if val > best_val:
+            best, best_val = {u: r[0] for u, r in row.items()}, val
+    return best, best_val
+
+
+def _ledger(capacities, admitted=()):
+    ledger = CapacityLedger(capacities)
+    for cid in admitted:
+        assert ledger.try_admit(cid)
+    return ledger
+
+
+def test_enumeration_under_clouds_without_room_equals_the_joint_reference():
+    """Candidates on clouds without room leave the pools; the optimum is the
+    full joint space's first best feasible combination all the same, and
+    the filtered spaces are what the cap measures."""
+    ledgers = (({0: 0, 1: 2, 2: 2}, ()),   # decomposes: no cloud left binds
+               ({0: 0, 1: 1, 2: 2}, ()),   # cloud 1 binds: joint path
+               ({0: 1, 1: 2, 2: 0}, (0,)),  # cloud 0 full by its count
+               ({0: 0, 1: 0, 2: 0}, ()))   # public only
+    moved = infeasible = 0
+    for seed, groups in ((0, 0), (1, 2), (3, 1)):
+        dep, pop, instances = _fleet(users=2, groups=groups, seed=seed)
+        free, _ = _joint_reference(instances, UNLIMITED, None)
+        least = np.mean([min(r[1].delay for r in _plan_rows(instances[u]))
+                         for u in instances])
+        reached = np.mean([instances[u].evaluate(free[u]).delay
+                           for u in instances])
+        budget = ConstraintVector(delay=0.5 * (least + reached))
+        for (caps, admitted), constraints in itertools.product(
+                ledgers, (UNLIMITED, budget)):
+            expect, value = _joint_reference(
+                instances, constraints, _ledger(caps, admitted), pop.groups)
+            res = brute_force_optimal(instances, constraints,
+                                      _ledger(caps, admitted), pop.groups)
+            if expect is None:
+                infeasible += 1
+                assert not res.feasible and res.plans == {}
+                continue
+            moved += expect != free
+            assert res.feasible and res.utility == value
+            assert res.plans == expect
+    assert moved and infeasible  # ledgers and budgets bind
+
+    # closing local clouds shrinks each space below a cap that the full
+    # spaces exceed, on the decomposed and (a budget) on the joint path
+    dep, pop, instances = _fleet(users=2, seed=1)
+    for caps, constraints in (({0: 0, 1: 0, 2: 0}, UNLIMITED),
+                              ({0: 0, 1: 1, 2: 0}, ConstraintVector(
+                                  delay=1e9))):
+        ledger = _ledger(caps)
+        blocked = clouds_without_room(ledger)
+        sizes = [math.prod(len(with_room(c, instances[u].hosts, blocked))
+                           for _, _, c in instances[u].iter_occurrences())
+                 for u in sorted(instances)]
+        cap = max(sizes) if constraints is UNLIMITED else math.prod(sizes)
+        with pytest.raises(TooLargeForEnumeration):
+            brute_force_optimal(instances, constraints, None, cap=cap)
+        expect, value = _joint_reference(instances, constraints, ledger)
+        res = brute_force_optimal(instances, constraints, ledger, cap=cap)
+        assert res.utility == value and res.plans == expect
+
+
+def test_enumeration_names_an_occurrence_left_without_room():
+    inst = _instance("g")  # g runs only on local clouds 1 and 2
+    with pytest.raises(NoFeasibleCandidates, match="user 0.*'g'"):
+        brute_force_optimal({0: inst}, UNLIMITED, CapacityLedger({1: 0, 2: 0}))
+    res = brute_force_optimal({0: inst}, UNLIMITED, CapacityLedger({1: 0}))
+    assert res.plans == {0: (201,)}
+
+
 def test_zero_local_capacity_pushes_work_off_the_locals():
     dep, pop, instances = _fleet(users=3, seed=3)
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]

@@ -39,7 +39,7 @@ def test_defaults_and_overrides_compose():
     sc = scenario_from_args(args)
     assert (sc.users, sc.seed, sc.algorithm) == (7, 9, "rsa")
     assert (sc.uncertainty_pct, sc.repetitions, sc.groups) == (25.0, 2, 2)
-    assert sc.public_only
+    assert sc.local_capacity == 0  # --public-only closes every local cloud
 
 
 def test_file_values_yield_to_explicit_flags(tmp_path):
@@ -107,6 +107,9 @@ def test_errors_report_to_stderr_with_exit_code_two(tmp_path, capsys):
     {"annealing": {"max_iter": -1}},
     {"annealing": {"radius_start_cells": -1}},
     {"repetitions": 1.5},
+    {"seed": -1},
+    {"cell_size_m": "100"},
+    {"public_instances": 0, "local_capacity": 0},
 ])
 def test_a_bad_scenario_file_exits_two_without_a_traceback(tmp_path, bad):
     src = Path(__file__).resolve().parents[1] / "src"
@@ -121,6 +124,23 @@ def test_a_bad_scenario_file_exits_two_without_a_traceback(tmp_path, bad):
     assert proc.stderr.startswith("tieralloc: error:")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_public_only_is_a_file_with_local_capacity_zero(tmp_path, capsys):
+    path = _scenario_file(tmp_path, algorithm="all")
+    assert main(["--scenario", path, "--public-only"]) == 0
+    flagged = capsys.readouterr().out
+    assert main(["--scenario", _scenario_file(tmp_path, algorithm="all",
+                                              local_capacity=0)]) == 0
+    assert flagged == capsys.readouterr().out
+    rows = {r["algorithm"]: r for r in csv.DictReader(io.StringIO(flagged))}
+    assert float(rows["bruteforce"]["throughput_pct"]) == 100.0
+    # with no public instance either, a device without the function is
+    # left with no host: refused before any run
+    path = _scenario_file(tmp_path, public_instances=0)
+    assert main(["--scenario", path, "--public-only"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tieralloc: error: public_instances/local_capacity")
 
 
 def test_module_entry_point_exists():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from tieralloc import (CSV_COLUMNS, AllocationResult, AnnealingParams,
-                       CapacityLedger, CloudNode, LTW, LTWEntry, LocationMap,
-                       MetricsRow, MobileUser, ProfileSet, Scenario,
+                       CapacityLedger, CloudNode, ConstraintVector, LTW,
+                       LTWEntry, LocationMap, MetricsRow, MobileUser, ProfileSet, Scenario,
                        ScenarioError, Service, ServiceDirectory, Trajectory,
                        TrajectoryEntry, UserInstance, allocate_greedy,
                        allocate_music, allocate_rsa, build_deployment,
@@ -320,6 +320,31 @@ def test_fixed_dimension_rejects_bruteforce():
                                  fixed_dimension="price"))
     with pytest.raises(ScenarioError, match="bruteforce"):
         run_experiment(_scenario(algorithm="all", fixed_dimension="price"))
+
+
+@pytest.mark.parametrize("pct", [0.0, 30.0])
+@pytest.mark.parametrize("alg", ["music", "rsa", "greedy", "gmusic"])
+def test_public_only_pass_equals_the_gain_study_baseline_pass(alg, pct):
+    """--public-only is local capacity 0: its placement pass on a fresh
+    ledger returns the raws of the gain study's baseline pass, which runs
+    on the two-tier deployment with a ledger whose local clouds have no
+    room."""
+    from tieralloc import harness
+    sc = _scenario(users=8, groups=2, uncertainty_pct=pct, repetitions=1,
+                   local_capacity=2)
+    raws = []
+    for scen, closed in ((dataclasses.replace(sc, local_capacity=0), False),
+                         (sc, True)):
+        dep = build_deployment(scen)
+        pop = build_population(scen, dep, 0)
+        true, predicted = harness._population_instances(dep, pop)
+        ledger = dep.fresh_ledger()
+        if closed:
+            ledger = CapacityLedger(dict.fromkeys(ledger.capacities(), 0))
+        raws.append(harness._pass(alg, scen, pop, true, predicted,
+                                  ConstraintVector.unlimited(),
+                                  np.random.default_rng(7), ledger))
+    assert raws[0] and raws[0] == raws[1]
 
 
 def test_uncertain_predictions_still_produce_full_rows():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tieralloc import (LOCAL, PUBLIC, CapacityLedger, CloudNode, IdError,
-                       LocationMap, RTree, Service, ServiceDirectory)
+                       LocationMap, RTree, Service, ServiceDirectory,
+                       clouds_without_room)
 from tieralloc.errors import LedgerUnderflow
 
 
@@ -149,11 +150,9 @@ def test_ledger_admits_up_to_capacity_and_releases():
     assert ledger.try_admit(1) is True
     assert ledger.try_admit(1) is False
     assert ledger.count(1) == 2
-    assert ledger.has_room(1) is False
-    assert ledger.full_clouds() == {1, 2}
+    assert clouds_without_room(ledger) == {1, 2}
     ledger.release(1)
-    assert ledger.has_room(1) is True
-    assert ledger.full_clouds() == {2}
+    assert clouds_without_room(ledger) == {2}
     assert ledger.try_admit(2) is False  # zero capacity admits nobody
 
 

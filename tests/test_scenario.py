@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from tieralloc import (LOCAL, PUBLIC, LocationMap, Scenario, ScenarioError,
-                       build_deployment, build_population, derive_rng,
-                       derive_seed, load_scenario, make_templates, occurrences)
+                       build_deployment, build_population, clouds_without_room,
+                       derive_rng, derive_seed, load_scenario, make_templates,
+                       occurrences, run_experiment)
 from tieralloc.scenario import wifi_association
 
 
@@ -62,18 +63,49 @@ def test_default_scenario_is_valid():
     ("workflows_per_user", 1.5, "workflows_per_user"),
     ("repetitions", 1.5, "repetitions"),
     ("enumeration_cap", 1e6, "enumeration_cap"),
+    ("seed", -1, "seed: must be >= 0"),
+    ("seed", 1.5, "seed: must be an integer"),
+    ("seed", "3", "seed: must be an integer"),
+    ("cell_size_m", "100", "cell_size_m: must be a finite number"),
+    ("uncertainty_pct", "30", "uncertainty_pct: must be a finite number"),
+    ("rwp_fraction", None, "rwp_fraction: must be a finite number"),
+    ("duration_s", True, "duration_s: must be a finite number"),
+    ("data_kb_max", [4096], "data_kb_max: must be a finite number"),
+    ("budget_price", True, "budget_price"),
+    ("budget_delay", "5", "budget_delay"),
+    # several fields at once: value holds them all
+    (None, {"public_instances": 0, "local_capacity": 0},
+     "public_instances/local_capacity"),
+    ("users", True, "users: must be an integer"),
+    ("cell_size_m", math.nan, "cell_size_m: must be a finite number"),
+    ("duration_s", math.inf, "duration_s: must be a finite number"),
+    ("budget_power", math.nan, "budget_power"),
 ])
 def test_validation_errors_name_the_offending_field(field, value, named):
     with pytest.raises(ScenarioError, match=named):
-        Scenario(**{field: value})
+        Scenario(**(value if field is None else {field: value}))
 
 
 def test_integer_fields_take_numpy_integers():
     sc = Scenario(users=np.int64(3), groups=np.int32(1),
                   repetitions=np.int64(1), enumeration_cap=np.int64(10),
+                  seed=np.int64(3),
                   annealing={"max_iter": np.int64(2),
                              "max_expansions": np.int16(4)})
     assert sc.annealing_params().max_iter == 2
+    assert derive_seed(sc.seed, 1) == derive_seed(3, 1)
+    assert Scenario(cell_size_m=np.float64(50.0), budget_price=np.int64(2),
+                    seed=0).constraints().price == 2.0
+
+
+def test_devices_alone_may_host_when_no_cloud_has_room():
+    rows = run_experiment(_small(public_instances=0, local_capacity=0,
+                                 device_service_rate=1.0, algorithm="all",
+                                 repetitions=1))
+    assert [r.algorithm for r in rows] == ["music", "rsa", "greedy",
+                                           "bruteforce"]
+    for row in rows:  # every user placed, on its own device
+        assert row.throughput_pct is not None and row.mean_price_usd == 0.0
 
 
 def test_grouped_annealing_requires_groups():
@@ -274,27 +306,22 @@ def test_deployment_is_seed_deterministic():
     assert a.profiles.to_dict() == b.profiles.to_dict()
 
 
-def test_public_only_removes_locals_but_keeps_shared_profiles():
+def test_zero_local_capacity_keeps_the_catalog_and_closes_every_local(tmp_path):
+    """Public-only is local capacity 0: the deployment keeps every service
+    and cost table, and the room rule closes every local cloud."""
     full = build_deployment(_small())
-    stripped = build_deployment(_small(public_only=True))
-    assert stripped.directory.services, "public deployment is empty"
-    for svc in stripped.directory.services.values():
-        if svc.host_cloud is not None:
-            assert stripped.clouds[svc.host_cloud].tier == PUBLIC
-
-    def host_profiles(dep):
-        """Compute tables keyed by host and function (ids may renumber)."""
-        out = {}
-        for svc in dep.directory.services.values():
-            if svc.host_cloud is not None and \
-                    dep.clouds[svc.host_cloud].tier == LOCAL:
-                continue
-            key = (svc.host_cloud, svc.host_user, svc.function_id)
-            out[key] = dep.profiles.compute[svc.compute_ref]
-        return out
-
-    # every non-local service survives with an identical cost table
-    assert host_profiles(stripped) == host_profiles(full)
+    closed = build_deployment(_small(local_capacity=0))
+    assert closed.directory.hosts == full.directory.hosts
+    assert closed.profiles.to_dict() == full.profiles.to_dict()
+    locals_ = {cid for cid, c in closed.clouds.items() if c.tier == LOCAL}
+    assert locals_ and all(closed.clouds[c].capacity == 0 for c in locals_)
+    assert clouds_without_room(closed.fresh_ledger()) == locals_
+    assert clouds_without_room(full.fresh_ledger()) == frozenset()
+    # the stripping flag is gone: a file that sets it names it as unknown
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"public_only": True}))
+    with pytest.raises(ScenarioError, match="unknown field 'public_only'"):
+        load_scenario(path)
 
 
 def test_service_rates_control_catalog_composition():
