@@ -183,15 +183,10 @@ def roulette_index(totals: Sequence[float], draw: float) -> int:
 
 
 def check_constraints(per_user_raw: Sequence[QoSTriple],
-                      constraints: ConstraintVector,
-                      usage: Optional[Mapping[int, int]] = None,
-                      ledger: Optional[CapacityLedger] = None) -> list[str]:
-    """Violation messages for budget and capacity constraints (empty = ok).
-
-    Budgets bound the mean raw QoS over the given users, boundary inclusive.
-    usage maps cloud id to the number of users placed on it and is checked
-    against the ledger's capacities.
-    """
+                      constraints: ConstraintVector) -> list[str]:
+    """Violation messages for the budgets (empty = ok): each bounds the mean
+    raw QoS over the given users, boundary inclusive. Capacity is the
+    ledger's room (see CapacityLedger.room)."""
     out: list[str] = []
     if per_user_raw:
         for dim in DIMS:
@@ -201,11 +196,6 @@ def check_constraints(per_user_raw: Sequence[QoSTriple],
             mean = float(np.mean([t.get(dim) for t in per_user_raw]))
             if mean > budget:
                 out.append(f"mean {dim} {mean:.6g} exceeds budget {budget:.6g}")
-    if usage and ledger is not None:
-        for cid, n in sorted(usage.items()):
-            if ledger.tracked(cid) and n > ledger.capacity(cid):
-                out.append(f"cloud {cid} serves {n} users over capacity "
-                           f"{ledger.capacity(cid)}")
     return out
 
 
@@ -218,15 +208,15 @@ def clouds_without_room(ledger: Optional[CapacityLedger],
     """The room rule: the clouds a candidate cannot be placed on.
 
     A candidate's room depends only on its host cloud. A tracked cloud has
-    none when capacity - count - tentative usage (cloud id -> users placed
-    on it) is <= 0, unless the caller already holds it; untracked clouds,
-    and every cloud without a ledger, always have room.
+    none when the ledger's room minus tentative usage (cloud id -> users
+    placed on it) is <= 0, unless the caller already holds it; untracked
+    clouds, and every cloud without a ledger, always have room.
     """
     if ledger is None:
         return _NO_CLOUDS
     taken = usage or {}
-    return frozenset([cid for cid, cap in ledger.capacities().items()
-                      if cap - ledger.count(cid) - taken.get(cid, 0) <= 0
+    return frozenset([cid for cid in ledger.capacities()
+                      if ledger.room(cid) - taken.get(cid, 0) <= 0
                       and cid not in held])
 
 
@@ -1026,8 +1016,9 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
     spaces still respect cap). Otherwise every combination of the joint
     product space is scored at once (see _joint_scores), and the
     combinations are checked in descending score order, ties in product
-    order, until one keeps every capacity and the budget means over the
-    fleet (per group when groups are given): the first best feasible
+    order, until one places no more users on a cloud than its room
+    (CapacityLedger.room) and keeps the budget means over the fleet (per
+    group when groups are given): the first best feasible
     combination. Raises TooLargeForEnumeration when the space to enumerate
     exceeds cap, and NoFeasibleCandidates when some occurrence has no
     candidate with room.
@@ -1035,11 +1026,11 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
     if not isinstance(constraints, ConstraintVector):
         raise ValueError("exhaustive search takes one shared constraint vector")
     uids = sorted(instances)
+    if ledger is None:
+        ledger = CapacityLedger({})
     no_room = clouds_without_room(ledger)
-    caps_bind = ledger is not None and any(
-        capacity - ledger.count(cid) < len(uids)
-        for cid, capacity in ledger.capacities().items()
-        if cid not in no_room)
+    caps_bind = any(0 < ledger.room(cid) < len(uids)
+                    for cid in ledger.capacities())
     if not constraints.bounded() and not caps_bind:
         plans: dict[int, tuple[int, ...]] = {}
         utils: dict[int, float] = {}
@@ -1075,28 +1066,26 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         spaces[uid] = rows
 
     by_id = None if groups is None else sorted(groups, key=lambda x: x.id)
-    group_index: Optional[dict[int, int]] = None
+    # the positions in uids of each budget group's members, in uid order;
+    # an ungrouped run is one group of all users
+    budget_groups: list[list[int]] = [list(range(len(uids)))]
     if by_id is not None:
-        group_index = {}
-        for gi, g in enumerate(by_id):
-            for m in g.members:
-                group_index[m] = gi
+        group_of = {m: gi for gi, g in enumerate(by_id) for m in g.members}
+        positions: dict[int, list[int]] = {}
+        for i, uid in enumerate(uids):
+            positions.setdefault(group_of[uid], []).append(i)
+        budget_groups = list(positions.values())
 
     def feasible(chosen: Sequence[tuple]) -> bool:
         usage: dict[int, int] = {}
         for row in chosen:
             for cid in row[3]:
                 usage[cid] = usage.get(cid, 0) + 1
-        if group_index is None:
-            return not check_constraints([row[1] for row in chosen],
-                                         constraints, usage, ledger)
-        if check_constraints([], constraints, usage, ledger):
+        if any(n > ledger.room(cid) for cid, n in usage.items()):
             return False
-        by_group: dict[int, list[QoSTriple]] = {}
-        for uid, row in zip(uids, chosen):
-            by_group.setdefault(group_index[uid], []).append(row[1])
-        return not any(check_constraints(raws, constraints)
-                       for raws in by_group.values())
+        return not any(check_constraints([chosen[i][1] for i in members],
+                                         constraints)
+                       for members in budget_groups)
 
     sizes = [len(spaces[uid]) for uid in uids]
     scores = _joint_scores([[row[2] for row in spaces[uid]] for uid in uids],

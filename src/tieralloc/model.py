@@ -9,7 +9,7 @@ dwell-weighted mean of the positions they visit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -175,11 +175,11 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class MobileUser:
-    """A device owner: trajectory plus the ids of services hosted on-device."""
+    """A device owner and its trajectory; the directory knows which
+    services the device hosts (ServiceDirectory.device_services_for)."""
 
     id: int
     trajectory: Trajectory
-    device_services: frozenset[int] = field(default_factory=frozenset)
 
 
 @dataclass(frozen=True)

@@ -352,25 +352,24 @@ class CapacityLedger:
         return cls({cid: c.capacity for cid, c in clouds.items()
                     if c.tier == LOCAL and c.capacity is not None})
 
-    def tracked(self, cloud_id: int) -> bool:
-        return cloud_id in self._caps
-
     def capacities(self) -> dict[int, int]:
         return dict(self._caps)
-
-    def capacity(self, cloud_id: int) -> int:
-        return self._caps[cloud_id]
 
     def count(self, cloud_id: int) -> int:
         return self._counts.get(cloud_id, 0)
 
+    def room(self, cloud_id: int) -> float:
+        """How many more users the cloud can take: capacity - count, and
+        unbounded (inf) for an untracked cloud."""
+        cap = self._caps.get(cloud_id)
+        return math.inf if cap is None else cap - self._counts[cloud_id]
+
     def try_admit(self, cloud_id: int) -> bool:
-        """Claim one slot; False when the cloud is full."""
-        if cloud_id not in self._caps:
-            return True
-        if self._counts[cloud_id] >= self._caps[cloud_id]:
+        """Claim one slot; False when the cloud has no room."""
+        if self.room(cloud_id) <= 0:
             return False
-        self._counts[cloud_id] += 1
+        if cloud_id in self._counts:
+            self._counts[cloud_id] += 1
         return True
 
     def release(self, cloud_id: int) -> None:

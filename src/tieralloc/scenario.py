@@ -107,6 +107,11 @@ _REAL_FIELDS = ("cell_size_m", "coverage_radius_cells", "data_kb_min",
                 "speed_max", "pause_max_s", "uncertainty_pct")
 
 
+def _is_integer(v) -> bool:
+    """An integer, and not a bool (JSON true/false)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _is_real(v) -> bool:
     """A finite number, and not a bool (JSON true/false)."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool) \
@@ -161,8 +166,7 @@ class Scenario:
             raise ScenarioError(f"{name}: {why}")
 
         for name in _INTEGER_FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            if not _is_integer(getattr(self, name)):
                 bad(name, "must be an integer")
         for name in _REAL_FIELDS:
             if not _is_real(getattr(self, name)):
@@ -206,8 +210,9 @@ class Scenario:
         for name, w in self.template_mix.items():
             if name not in _TEMPLATE_SHAPES:
                 bad("template_mix", f"unknown template {name!r}")
-            if not isinstance(w, (int, float)) or w < 0:
-                bad("template_mix", f"weight for {name!r} must be >= 0")
+            if not _is_real(w) or w < 0:
+                bad("template_mix",
+                    f"weight for {name!r} must be a finite number >= 0")
         if sum(self.template_mix.values()) <= 0:
             bad("template_mix", "weights must sum to > 0")
         if self.duration_s <= 0:
@@ -246,10 +251,11 @@ class Scenario:
         for key, v in self.annealing.items():
             if key not in known:
                 bad("annealing", f"unknown parameter {key!r}")
-            if key.startswith("max_") and not isinstance(v, numbers.Integral):
-                bad("annealing", f"{key} must be an integer")
-            if not isinstance(v, numbers.Real):
-                bad("annealing", f"{key} must be a number")
+            if key.startswith("max_"):
+                if not _is_integer(v):
+                    bad("annealing", f"{key} must be an integer")
+            elif not _is_real(v):
+                bad("annealing", f"{key} must be a finite number")
         try:
             self.annealing_params()
         except ValueError as exc:
@@ -460,10 +466,7 @@ def build_population(sc: Scenario, dep: Deployment, rep: int) -> Population:
                                     workflow=tpl.instantiate(wf_rng),
                                     template=tpl.name))
         ltw = LTW(tuple(entries))
-        device = frozenset(
-            s for fn in {f for t in templates for f in t.functions}
-            for s in dep.directory.device_services_for(uid, fn))
-        users[uid] = MobileUser(id=uid, trajectory=traj, device_services=device)
+        users[uid] = MobileUser(id=uid, trajectory=traj)
         true_ltws[uid] = ltw
         if sc.uncertainty_pct > 0:
             spec = UncertaintySpec(rate=sc.uncertainty_pct / 100.0,

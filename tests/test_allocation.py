@@ -173,12 +173,17 @@ def test_budget_check_bounds_the_mean_boundary_inclusive():
 
 
 def test_capacity_check_reads_the_ledger():
-    ledger = CapacityLedger({1: 2})
-    assert check_constraints([], UNLIMITED, usage={1: 2}, ledger=ledger) == []
-    msgs = check_constraints([], UNLIMITED, usage={1: 3}, ledger=ledger)
-    assert len(msgs) == 1 and "capacity" in msgs[0]
+    ledger = CapacityLedger({1: 2, 2: 0})
+    assert ledger.room(1) == 2 and ledger.room(2) == 0
+    assert ledger.try_admit(1)
+    assert ledger.room(1) == 1
+    assert ledger.try_admit(1) and not ledger.try_admit(1)
+    assert ledger.room(1) == 0
+    ledger.release(1)
+    assert ledger.room(1) == 1
     # untracked clouds are unbounded
-    assert check_constraints([], UNLIMITED, usage={9: 99}, ledger=ledger) == []
+    assert ledger.room(9) == math.inf
+    assert ledger.try_admit(9) and ledger.room(9) == math.inf
 
 
 def test_constraints_resolution_shared_or_per_user():
@@ -206,12 +211,9 @@ def _world(device_g=False):
     directory.insert(Service(102, "f", host_cloud=9, compute_ref="public"))
     directory.insert(Service(200, "g", host_cloud=1, compute_ref="local"))
     directory.insert(Service(201, "g", host_cloud=2, compute_ref="local"))
-    device_ids = frozenset()
     if device_g:
         directory.insert(Service(300, "g", host_user=0, compute_ref="device"))
-        device_ids = frozenset({300})
-    user = MobileUser(0, trajectory_from_pairs([(0, 60.0)]),
-                      device_services=device_ids)
+    user = MobileUser(0, trajectory_from_pairs([(0, 60.0)]))
     return grid, directory, user
 
 
@@ -664,6 +666,15 @@ def test_decomposed_and_joint_enumeration_agree():
             instances[uid].utility(slow.plans[uid]), rel=1e-12)
 
 
+def _overfills(ledger, usage):
+    """Whether usage (cloud id -> users placed on it) exceeds some tracked
+    cloud's capacity - count; untracked clouds, and every cloud without a
+    ledger, are unbounded."""
+    caps = {} if ledger is None else ledger.capacities()
+    return any(n > caps[cid] - ledger.count(cid)
+               for cid, n in usage.items() if cid in caps)
+
+
 def _plan_rows(inst):
     """(plan, raw QoS, utility, local clouds) of every plan of the user's
     space, in itertools.product order over the occurrences' candidates."""
@@ -693,7 +704,8 @@ def test_joint_enumeration_returns_the_first_best_feasible_combination():
         for r in combo:
             for cid in r[3]:
                 usage[cid] = usage.get(cid, 0) + 1
-        if check_constraints([r[1] for r in combo], budget, usage, ledger):
+        if _overfills(ledger, usage) or check_constraints(
+                [r[1] for r in combo], budget):
             beaten += val > free.utility - 1e-12
             continue
         if val > best_val:
@@ -741,7 +753,7 @@ def _joint_reference(instances, constraints, ledger, groups=None):
             for cid in r[3]:
                 usage[cid] = usage.get(cid, 0) + 1
         row = dict(zip(uids, combo))
-        if check_constraints([], UNLIMITED, usage, ledger) or any(
+        if _overfills(ledger, usage) or any(
                 check_constraints([row[u][1] for u in part], constraints)
                 for part in parts):
             continue
@@ -765,7 +777,8 @@ def test_enumeration_under_clouds_without_room_equals_the_joint_reference():
     ledgers = (({0: 0, 1: 2, 2: 2}, ()),   # decomposes: no cloud left binds
                ({0: 0, 1: 1, 2: 2}, ()),   # cloud 1 binds: joint path
                ({0: 1, 1: 2, 2: 0}, (0,)),  # cloud 0 full by its count
-               ({0: 0, 1: 0, 2: 0}, ()))   # public only
+               ({0: 0, 1: 0, 2: 0}, ()),   # public only
+               ({0: 2, 1: 2, 2: 2}, (0, 1, 2)))  # one slot left on each
     moved = infeasible = 0
     for seed, groups in ((0, 0), (1, 2), (3, 1)):
         dep, pop, instances = _fleet(users=2, groups=groups, seed=seed)
@@ -951,10 +964,11 @@ def _old_room_for(directory, ledger, base=None, usage=None, held=frozenset()):
         if ledger is None:
             return True
         node = directory.host_cloud(sid)
-        if node is None or not ledger.tracked(node) or node in held:
+        caps = ledger.capacities()
+        if node is None or node not in caps or node in held:
             return True
         taken = usage.get(node, 0) if usage else 0
-        return ledger.capacity(node) - ledger.count(node) - taken > 0
+        return caps[node] - ledger.count(node) - taken > 0
     return ok
 
 
@@ -1424,15 +1438,11 @@ def _random_cost_world(rng, profiles):
                                          compute_ref=ref()))
     users = []
     for uid in range(4):
-        own = set()
         for fn in "abc":
             for _ in range(int(rng.integers(0, 3))):
-                sid = next(ids)
-                directory.insert(Service(sid, fn, host_user=uid,
+                directory.insert(Service(next(ids), fn, host_user=uid,
                                          compute_ref=ref()))
-                own.add(sid)
-        users.append(MobileUser(uid, trajectory_from_pairs([(0, 60.0)]),
-                                device_services=frozenset(own)))
+        users.append(MobileUser(uid, trajectory_from_pairs([(0, 60.0)])))
     return grid, directory, users
 
 
@@ -1539,7 +1549,8 @@ def test_joint_enumeration_keeps_the_first_of_tied_feasible_maxima():
         for r in combo:
             for cid in r[3]:
                 usage[cid] = usage.get(cid, 0) + 1
-        if check_constraints([r[1] for r in combo], budget, usage, ledger):
+        if _overfills(ledger, usage) or check_constraints(
+                [r[1] for r in combo], budget):
             continue
         val = fleet_utility({u: r[2] for u, r in zip(uids, combo)}, uids)
         ties += val == best_val

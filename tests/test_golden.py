@@ -49,6 +49,9 @@ GOLDEN = {
                  "b4755db7d3c3d4caf96cddc26a9ddf10b15451e8bae379d82e5eef206d2cb447"),
     "gain-greedy": (dict(GAIN_SEQ, algorithm="greedy"),
                     "4a51c7e12a2b40c4caa1b556525d2a6c1b0168e7a2d79b00f9fb527aba2f0c95"),
+    # every repetition's optimum takes the joint path (capacity binds)
+    "desk-capacity-1": (dict(DESK, local_capacity=1),
+                        "957e421d7f06c6edfe979eaf8cd83992f0c59b98d1786f907f12931fabddc566"),
 }
 
 # reads {name: scenario kwargs} on stdin, prints {name: sha256} on stdout

@@ -164,7 +164,7 @@ def test_ledger_underflow_and_untracked_clouds():
     assert ledger.try_admit(99) is True
     ledger.release(99)
     assert ledger.count(99) == 0
-    assert ledger.tracked(1) and not ledger.tracked(99)
+    assert ledger.room(1) == 1 and ledger.room(99) == math.inf
     with pytest.raises(ValueError):
         CapacityLedger({1: -1})
 
@@ -174,5 +174,5 @@ def test_ledger_for_clouds_tracks_only_capacity_bound_locals():
               9: CloudNode(9, PUBLIC)}
     ledger = CapacityLedger.for_clouds(clouds)
     assert ledger.capacities() == {1: 3}
-    assert ledger.capacity(1) == 3
+    assert ledger.room(1) == 3
     assert ledger.try_admit(9) is True  # public tier is never counted

@@ -80,6 +80,18 @@ def test_default_scenario_is_valid():
     ("cell_size_m", math.nan, "cell_size_m: must be a finite number"),
     ("duration_s", math.inf, "duration_s: must be a finite number"),
     ("budget_power", math.nan, "budget_power"),
+    ("template_mix", {"file_sync": True}, "template_mix: weight for 'file_sync'"),
+    ("template_mix", {"file_sync": math.nan},
+     "template_mix: weight for 'file_sync'"),
+    ("template_mix", {"file_sync": 1.0, "video_stream": math.inf},
+     "template_mix: weight for 'video_stream'"),
+    ("annealing", {"radius_start_cells": True},
+     "annealing: radius_start_cells must be a finite number"),
+    ("annealing", {"radius_start_cells": math.nan},
+     "annealing: radius_start_cells must be a finite number"),
+    ("annealing", {"radius_step_cells": math.inf},
+     "annealing: radius_step_cells must be a finite number"),
+    ("annealing", {"max_iter": True}, "annealing: max_iter must be an integer"),
 ])
 def test_validation_errors_name_the_offending_field(field, value, named):
     with pytest.raises(ScenarioError, match=named):
