@@ -8,6 +8,10 @@ QoS, then checked against the budget constraints and repaired per violated
 dimension. MuSIC draws max_iter + 1 such proposals independently and keeps
 the first one of highest utility.
 
+Every planner filters candidates per cloud through _allowed_candidates: a
+local cloud is closed when it has no room (clouds_without_room) and, in
+MuSIC's search, when it lies outside the radius.
+
 Utilities follow the minimum rule: a user's satisfaction is the worst of its
 normalized price / power / delay, the fleet objective is the mean over users
 (over groups of member means in grouped mode). Local-cloud capacity is
@@ -549,7 +553,7 @@ class SearchMemo:
 
     find_service fills it lazily; later proposals reuse what earlier ones
     built:
-    - near: range_query's local hits per (function, radius index);
+    - far: per radius index, the local clouds out of reach (see _radius);
     - radii: per (user id, radius index, blocked clouds), None when that
       radius is skipped, else its table (see _radius). The blocked clouds
       are the room rule's set for the call (see clouds_without_room), so
@@ -559,7 +563,7 @@ class SearchMemo:
     """
 
     def __init__(self):
-        self.near: dict[tuple[str, int], frozenset[int]] = {}
+        self.far: dict[int, frozenset[int]] = {}
         self.radii: dict[tuple[int, int, frozenset[int]],
                          Optional[list[tuple]]] = {}
 
@@ -573,43 +577,32 @@ def _radius(instance: UserInstance, center: tuple[float, float],
     occurrence, allowed ids, the ids in roulette order -- ascending total
     normalized QoS, then id --, their cumulative weights).
 
-    On-device services are always in reach and public ones at any radius;
-    local-cloud services must fall inside the radius. An id in reach is
-    allowed when it has room (see with_room). None when some occurrence has
-    no id in reach or none allowed, or when the optimistic minima over the
+    Reach is a per-cloud rule, like room: every local service is indexed
+    at its cloud's cell center, so one range query per radius gives the
+    local clouds out of reach. They join blocked, and the allowed ids are
+    the baselines' filter over both (see _allowed_candidates), which
+    on-device and public services pass at any radius. None when some
+    occurrence has no id allowed, or when the optimistic minima over the
     allowed ids break a budget (see _optimistic_fit).
     """
-    directory = instance.directory
-    hosts, clouds = instance.hosts, instance.clouds
-    radius = params.radius_start_m + i * params.radius_step_m
-    reach = []
-    for e, occ, cands in instance.iter_occurrences():
-        fn = occ.fn.function_id
-        near = memo.near.get((fn, i))
-        if near is None:
-            near = memo.near[(fn, i)] = frozenset(
-                directory.range_query(center, radius, fn))
-        ids = [sid for sid in cands
-               if (node := hosts[sid]) is None or clouds[node].tier != LOCAL
-               or sid in near]
-        if not ids:
-            return None
-        reach.append((e, occ.index, ids))
-    # every occurrence's reach is settled before the room rule, so which
-    # ranges are queried does not depend on blocked
-    table = []
-    for e, j, ids in reach:
-        allowed = tuple(with_room(ids, hosts, blocked))
-        if not allowed:
-            return None
-        table.append((e, j, allowed))
+    far = memo.far.get(i)
+    if far is None:
+        hits = instance.directory.range_query(
+            center, params.radius_start_m + i * params.radius_step_m)
+        near = {instance.hosts[sid] for sid in hits}
+        far = memo.far[i] = frozenset([cid for cid, c in instance.clouds.items()
+                                       if c.tier == LOCAL and cid not in near])
+    try:
+        table = _allowed_candidates(instance, blocked | far)
+    except NoFeasibleCandidates:
+        return None
     if constraints.bounded() and not _optimistic_fit(instance, table,
                                                      constraints):
         return None
     for k, (e, j, allowed) in enumerate(table):
         snorm = instance.entries[e].snorm[j]
         order = sorted(allowed, key=lambda s: (snorm[s], s))
-        table[k] = (e, j, allowed, order,
+        table[k] = (e, j, tuple(allowed), order,
                     _roulette_wheel([snorm[s] for s in order]))
     return table
 
@@ -658,24 +651,24 @@ def find_service(instance: UserInstance, center: tuple[float, float],
     list (see UserInstance.evaluate) and its raw LTW QoS.
 
     Widens the search radius in steps (radius_start_m + i * radius_step_m,
-    i < max_expansions). On-device services are always in reach and public
-    ones at any radius; local-cloud services must fall inside the radius.
-    Room is decided per cloud: a cloud-hosted candidate must sit on a cloud
-    outside blocked, the clouds without room for this call (see
-    clouds_without_room). At the first radius where every occurrence has a
-    candidate and the optimistic per-dimension minima fit the budgets, a
-    plan is drawn by roulette over total normalized QoS, with one
-    rng.random(n) call for the n occurrences (the same doubles as n scalar
-    draws). If the drawn plan busts a budget, one deterministic repair per
-    violated dimension (the per-occurrence minimum of that dimension) is
-    tried, in DIMS order, before widening. Each plan drawn or repaired is
-    evaluated once.
+    i < max_expansions). Reach and room are decided per cloud: a
+    cloud-hosted candidate must sit on a cloud outside blocked, the clouds
+    without room for this call (see clouds_without_room), and, when the
+    cloud is local, inside the radius (see _radius). On-device and public
+    services are in reach at any radius. At the first radius where every
+    occurrence has a candidate and the optimistic per-dimension minima fit
+    the budgets, a plan is drawn by roulette over total normalized QoS,
+    with one rng.random(n) call for the n occurrences (the same doubles as
+    n scalar draws). If the drawn plan busts a budget, one deterministic
+    repair per violated dimension (the per-occurrence minimum of that
+    dimension) is tried, in DIMS order, before widening. Each plan drawn or
+    repaired is evaluated once.
 
-    memo carries the range queries and the search table of each radius
-    across calls that share the center, params and budgets (see SearchMemo
-    and _radius); a table is built only when no earlier call with the same
-    blocked clouds built it. None means a fresh memo, so a single call
-    builds everything it needs itself.
+    memo carries the clouds out of reach and the search table of each
+    radius across calls that share the center, params and budgets (see
+    SearchMemo and _radius); a table is built only when no earlier call
+    with the same blocked clouds built it. None means a fresh memo, so a
+    single call builds everything it needs itself.
 
     Raises NoFeasibleCandidates when every radius fails.
     """
@@ -728,9 +721,10 @@ def music(target, constraints, params: AnnealingParams,
     checked, from the raw QoS that find_service returns with each pick
     list; the winning proposal's lists become the members' pick tuples.
 
-    One SearchMemo serves every proposal of the call, so the range queries
-    around the center, and each member's search table per radius and set
-    of clouds without room, are built once and only the draws repeat.
+    One SearchMemo serves every proposal of the call, so the range query
+    around the center per radius, and each member's search table per radius
+    and set of clouds without room, are built once and only the draws
+    repeat.
     Before each member's search the room rule gives the clouds without
     room. The ledger holds still during the call, so only the tentative
     usage of earlier members of the same proposal can change that set.
@@ -787,7 +781,8 @@ def music(target, constraints, params: AnnealingParams,
 
 def _allowed_candidates(instance: UserInstance, blocked: frozenset[int]
                         ) -> list[tuple[int, int, list[int]]]:
-    """(entry, occurrence, allowed ids) rows in iter_occurrences order;
+    """(entry, occurrence, allowed ids) rows in iter_occurrences order, the
+    ids that may run with the clouds in blocked closed (see with_room);
     raises when a set runs empty."""
     out = []
     for e, occ, cands in instance.iter_occurrences():

@@ -22,7 +22,8 @@ table can resolve each service once and still get the same floats.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import LOCAL, PUBLIC, THREEG, WIFI, CloudNode, LocationMap, Service
@@ -60,8 +61,11 @@ class ComputeProfile:
     billing: str = BILL_COMPUTE
 
     def __post_init__(self):
-        if self.billing not in (BILL_COMPUTE, BILL_STREAMING, BILL_STORAGE):
+        if self.billing not in _BILLING:
             raise ValueError(f"unknown billing class {self.billing!r}")
+
+
+_BILLING = (BILL_COMPUTE, BILL_STREAMING, BILL_STORAGE)
 
 
 @dataclass(frozen=True)
@@ -126,21 +130,61 @@ class ProfileSet:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ProfileSet":
-        """Defaults overridden by the given (partial) table dict."""
+        """Defaults overridden by the given (partial) table dict.
+
+        Its sections are links (keyed link_tier), intercloud, compute (only
+        the none, device, local and public profiles: services are built
+        from them) and price; each row overrides fields of one table.
+        Raises KeyError for an unknown section, link or compute profile,
+        and ValueError for a section or row that is not a mapping, an
+        unknown field, a rate that is not a finite number >= 0 or an
+        unknown billing class.
+        """
+        unknown = sorted(set(data) - {"links", "intercloud", "compute",
+                                      "price"})
+        if unknown:
+            raise KeyError(f"unknown section {unknown[0]!r}")
+        for section in ("links", "compute"):
+            if not isinstance(data.get(section, {}), Mapping):
+                raise ValueError(f"{section} must be a mapping")
         ps = cls.defaults()
         for key, row in data.get("links", {}).items():
             link, _, tier = key.partition("_")
             if (link, tier) not in ps.links:
                 raise KeyError(f"unknown link profile {key!r}")
-            ps.links[(link, tier)] = replace(ps.links[(link, tier)], **row)
+            ps.links[(link, tier)] = _override(ps.links[(link, tier)], row,
+                                               f"links.{key}")
         if "intercloud" in data:
-            ps.intercloud = replace(ps.intercloud, **data["intercloud"])
+            ps.intercloud = _override(ps.intercloud, data["intercloud"],
+                                      "intercloud")
         for ref, row in data.get("compute", {}).items():
-            base = ps.compute.get(ref, ComputeProfile(0.0))
-            ps.compute[ref] = replace(base, **row)
+            if ref not in _DEFAULT_COMPUTE:
+                raise KeyError(f"unknown compute profile {ref!r}: services "
+                               f"read none, device, local and public")
+            ps.compute[ref] = _override(ps.compute[ref], row, f"compute.{ref}")
         if "price" in data:
-            ps.price = replace(ps.price, **data["price"])
+            ps.price = _override(ps.price, data["price"], "price")
         return ps
+
+
+def _override(table, row, where: str):
+    """The table with the fields in row replaced. Raises ValueError, naming
+    where and the field, unless row maps known fields to finite rates >= 0
+    (not bools) or, for billing, to a billing class."""
+    if not isinstance(row, Mapping):
+        raise ValueError(f"{where} must be a field mapping")
+    known = {f.name for f in fields(table)}
+    for key, v in row.items():
+        if key not in known:
+            raise ValueError(f"{where}: unknown field {key!r}")
+        if key == "billing":
+            if v not in _BILLING:
+                raise ValueError(f"{where}.billing: unknown billing class "
+                                 f"{v!r}")
+        elif not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                  and math.isfinite(v) and v >= 0):
+            raise ValueError(f"{where}.{key} must be a finite number >= 0")
+    return replace(table, **row)
 
 
 @dataclass(frozen=True)

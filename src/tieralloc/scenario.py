@@ -165,6 +165,8 @@ class Scenario:
         def bad(name, why):
             raise ScenarioError(f"{name}: {why}")
 
+        if not isinstance(self.scenario_id, str) or not self.scenario_id:
+            bad("scenario_id", "must be a non-empty string")
         for name in _INTEGER_FIELDS:
             if not _is_integer(getattr(self, name)):
                 bad(name, "must be an integer")
@@ -244,6 +246,10 @@ class Scenario:
             bad("enumeration_cap", "must be >= 1")
         if not isinstance(self.profiles, dict):
             bad("profiles", "must be a table-override mapping")
+        try:
+            ProfileSet.from_dict(self.profiles)
+        except (KeyError, ValueError) as exc:
+            bad("profiles", exc.args[0])
         if not isinstance(self.annealing, dict):
             bad("annealing", "must be a parameter mapping")
         known = {"max_iter", "max_expansions", "radius_start_cells",

@@ -172,6 +172,16 @@ def test_budget_check_bounds_the_mean_boundary_inclusive():
     assert check_constraints([], ConstraintVector(price=0.0)) == []
 
 
+def test_a_group_mean_can_break_a_budget_each_member_fits():
+    """Why music keeps the group budget check after find_service fit each
+    member: the float mean of three prices of 0.1 is 0.10000000000000002."""
+    budget = ConstraintVector(price=0.1)
+    raws = [QoSTriple(0.1, 0.0, 0.0)] * 3
+    assert all(budget.admits(raw) for raw in raws)
+    msgs = check_constraints(raws, budget)
+    assert len(msgs) == 1 and msgs[0].startswith("mean price")
+
+
 def test_capacity_check_reads_the_ledger():
     ledger = CapacityLedger({1: 2, 2: 0})
     assert ledger.room(1) == 2 and ledger.room(2) == 0
@@ -526,7 +536,7 @@ def test_grouped_music_builds_each_search_table_once(monkeypatch):
     assert len(searches) > len({(uid, b) for uid, _, b in built})
 
 
-def test_music_queries_each_radius_once_per_function():
+def test_music_queries_each_radius_once():
     inst = _instance("g")
     calls = []
     query = inst.directory.range_query
@@ -540,8 +550,8 @@ def test_music_queries_each_radius_once_per_function():
     res = music(inst, UNLIMITED, _params(max_iter=20), np.random.default_rng(4),
                 ledger=CapacityLedger({1: 0}))
     assert res.plans[0] == (201,)
-    assert sorted(calls) == [("g", 10.0), ("g", 110.0), ("g", 210.0),
-                             ("g", 310.0)]
+    assert sorted(calls) == [(None, 10.0), (None, 110.0), (None, 210.0),
+                             (None, 310.0)]
 
 
 def _reference_group_music(target, constraints, params, rng, ledger):
@@ -628,11 +638,12 @@ def test_annealing_params_validation():
 
 # --- fleet comparisons against the exact optimum ----------------------------------------
 
-def _fleet(users=4, groups=0, seed=0):
+def _fleet(users=4, groups=0, seed=0, public_instances=1, **overrides):
     sc = Scenario(scenario_id="unit", grid_width=6, grid_height=6,
-                  local_clouds=3, public_instances=1, users=users,
-                  groups=groups, workflows_per_user=1, duration_s=120.0,
-                  template_mix={"file_sync": 1.0}, seed=seed)
+                  local_clouds=3, public_instances=public_instances,
+                  users=users, groups=groups, workflows_per_user=1,
+                  duration_s=120.0, template_mix={"file_sync": 1.0},
+                  seed=seed, **overrides)
     dep = build_deployment(sc)
     pop = build_population(sc, dep, 0)
     instances = {uid: UserInstance(pop.users[uid], pop.true_ltws[uid],
@@ -1032,9 +1043,23 @@ def _random_room_case(rng, clouds):
 def test_room_for_equals_the_room_tests_it_replaced():
     """The per-cloud room rule against the per-candidate room test: the
     search memo's allowed ids, the baselines' candidate filter and the
-    carry-over fallback."""
+    carry-over fallback. The second fleet has no public instance and a
+    delay budget, so at small radii some occurrence has nothing in reach
+    and some table breaks the budget's optimistic fit."""
+    fleet = _fleet(users=4, seed=9)
+    _room_rule_case(*fleet, UNLIMITED)
+    fleet = _fleet(users=4, seed=2, public_instances=0, local_capacity=2)
+    out_of_reach, unfit = _room_rule_case(*fleet,
+                                          ConstraintVector(delay=10000.0))
+    assert out_of_reach > 100 and unfit > 100
+
+
+def _room_rule_case(dep, pop, instances, budget):
+    """The body of test_room_for_equals_the_room_tests_it_replaced for one
+    fleet and budget; returns how many compared radii had an occurrence
+    with nothing in reach, and how many broke the budget's optimistic fit."""
     from tieralloc.harness import _fallback_pick
-    dep, pop, instances = _fleet(users=4, seed=9)
+    out_of_reach = unfit = 0
     directory = dep.directory
     sids = sorted({s for inst in instances.values()
                    for _, _, cands in inst.iter_occurrences() for s in cands})
@@ -1061,7 +1086,7 @@ def test_room_for_equals_the_room_tests_it_replaced():
             for uid, inst in instances.items():
                 center, memo = inst.center_point(), memos[uid]
                 try:
-                    find_service(inst, center, UNLIMITED, params,
+                    find_service(inst, center, budget, params,
                                  np.random.default_rng(0), memo, blocked)
                 except NoFeasibleCandidates:
                     pass
@@ -1075,10 +1100,16 @@ def test_room_for_equals_the_room_tests_it_replaced():
                     table = memo.radii[key]
                     stopped = table is not None
                     old_rows = _old_reach(inst, center, params, i)
+                    allowed = (None if old_rows is None
+                               else _old_available(old_rows, ok))
+                    out_of_reach += old_rows is None
+                    if allowed is not None and budget.bounded() and \
+                            not _old_optimistic_fit(inst, old_rows, allowed,
+                                                    budget):
+                        allowed = None
+                        unfit += 1
                     assert (None if table is None else
-                            tuple(row[2] for row in table)) == \
-                        (None if old_rows is None
-                         else _old_available(old_rows, ok))
+                            tuple(row[2] for row in table)) == allowed
                     compared += 1
             # the baselines' filter (no tentative usage, nothing held)
             ok = _old_room_for(directory, ledger, base)
@@ -1097,6 +1128,7 @@ def test_room_for_equals_the_room_tests_it_replaced():
                             _old_fallback_pick(inst, e, occ.index, held,
                                                ledger, base, draw)
     assert compared > 1000 and blocked_seen > 100
+    return out_of_reach, unfit
 
 
 def _old_optimistic_fit(instance, rows, allowed, constraints):

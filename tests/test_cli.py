@@ -110,6 +110,7 @@ def test_errors_report_to_stderr_with_exit_code_two(tmp_path, capsys):
     {"seed": -1},
     {"cell_size_m": "100"},
     {"public_instances": 0, "local_capacity": 0},
+    {"profiles": {"links": {"wifi_local": {"delay": 1}}}},
 ])
 def test_a_bad_scenario_file_exits_two_without_a_traceback(tmp_path, bad):
     src = Path(__file__).resolve().parents[1] / "src"

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from tieralloc import (LOCAL, PUBLIC, LocationMap, Scenario, ScenarioError,
-                       build_deployment, build_population, clouds_without_room,
-                       derive_rng, derive_seed, load_scenario, make_templates,
-                       occurrences, run_experiment)
+from tieralloc import (LOCAL, PUBLIC, LocationMap, ProfileSet, Scenario,
+                       ScenarioError, build_deployment, build_population,
+                       clouds_without_room, derive_rng, derive_seed,
+                       load_scenario, make_templates, occurrences,
+                       run_experiment)
 from tieralloc.scenario import wifi_association
 
 
@@ -92,6 +93,30 @@ def test_default_scenario_is_valid():
     ("annealing", {"radius_step_cells": math.inf},
      "annealing: radius_step_cells must be a finite number"),
     ("annealing", {"max_iter": True}, "annealing: max_iter must be an integer"),
+    ("profiles", {"links": {"wifi_local": {"delay": 1}}},
+     "profiles: links.wifi_local: unknown field 'delay'"),
+    ("profiles", {"links": {"bogus": {}}},
+     "profiles: unknown link profile 'bogus'"),
+    ("profiles", {"links": []}, "profiles: links must be a mapping"),
+    ("profiles", {"price": {"transfer_usd_per_gb": "0.1"}},
+     "profiles: price.transfer_usd_per_gb must be a finite number"),
+    ("profiles", {"compute": {"local": {"billing": "gold"}}},
+     "profiles: compute.local.billing: unknown billing class 'gold'"),
+    ("profiles", {"price": {"cellular_usd_per_gb": -5}},
+     "profiles: price.cellular_usd_per_gb must be a finite number >= 0"),
+    ("profiles", {"link": {"wifi_local": {"delay_ms_per_100kb": 1.0}}},
+     "profiles: unknown section 'link'"),
+    ("profiles", {"intercloud": {"delay_ms_per_100kb": math.nan}},
+     "profiles: intercloud.delay_ms_per_100kb must be a finite number"),
+    ("profiles", {"compute": {"svc3": {"delay_ms_per_100kb": 1.0}}},
+     "profiles: unknown compute profile 'svc3'"),
+    ("profiles", {"compute": {"device": {"energy_mj_per_100kb": True}}},
+     "profiles: compute.device.energy_mj_per_100kb must be a finite number"),
+    ("profiles", {"intercloud": 5},
+     "profiles: intercloud must be a field mapping"),
+    ("scenario_id", None, "scenario_id: must be a non-empty string"),
+    ("scenario_id", ["a"], "scenario_id: must be a non-empty string"),
+    ("scenario_id", "", "scenario_id: must be a non-empty string"),
 ])
 def test_validation_errors_name_the_offending_field(field, value, named):
     with pytest.raises(ScenarioError, match=named):
@@ -353,6 +378,10 @@ def test_profile_overrides_reach_the_deployment():
     sc = _small(profiles={"intercloud": {"delay_ms_per_100kb": 400.0}})
     dep = build_deployment(sc)
     assert dep.profiles.intercloud.delay_ms_per_100kb == 400.0
+    # every default table, in every section, is an accepted override
+    full = ProfileSet.defaults().to_dict()
+    assert build_deployment(_small(profiles=full)).profiles == \
+        build_deployment(_small()).profiles
 
 
 # --- population generation --------------------------------------------------------------------
