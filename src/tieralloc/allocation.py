@@ -145,19 +145,44 @@ def fleet_utility(utils: Mapping[int, float], users: Sequence[int],
         for g in groups]))
 
 
-def _roulette_wheel(weights) -> Optional[list[float]]:
+def _pairwise_sum(v: Sequence[float], lo: int, n: int) -> float:
+    """numpy's float64 sum of v[lo:lo + n], in its order (pairwise_sum in
+    numpy's loops_utils.h): under 8 values a sequential sum from -0.0; up
+    to 128, eight strided sequential sums combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder;
+    above that, the sums of two halves split at a multiple of 8."""
+    if n < 8:
+        s = -0.0
+        for i in range(lo, lo + n):
+            s += v[i]
+        return s
+    if n <= 128:
+        end = lo + n - n % 8
+        r = v[lo:lo + 8]
+        for i in range(lo + 8, end, 8):
+            r = [a + b for a, b in zip(r, v[i:i + 8])]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            s += v[i]
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(v, lo, half) + _pairwise_sum(v, lo + half, n - half)
+
+
+def _roulette_wheel(weights: Sequence[float]) -> Optional[list[float]]:
     """Inner slice ends of a roulette over weights: the cumulative sums of
     the normalized weights but the last. None when every weight is zero
     (the wheel then picks uniformly).
 
-    The sum must stay numpy's: from 8 weights on it adds pairwise, and a
-    sequential sum differs in the last bit often enough to flip picks.
+    The arithmetic is numpy's, np.cumsum(w / w.sum()), in plain Python:
+    the total must add pairwise (a sequential sum differs in the last bit
+    often enough to flip picks), and the cumulative sum is sequential.
     """
-    arr = np.asarray(weights, dtype=float)
-    s = arr.sum()
+    s = _pairwise_sum(weights, 0, len(weights))
     if s == 0.0:
         return None
-    return np.cumsum(arr / s).tolist()[:-1]
+    return list(itertools.accumulate([w / s for w in weights]))[:-1]
 
 
 def _roulette_spin(cum: Optional[list[float]], n: int, draw: float) -> int:
@@ -183,7 +208,7 @@ def roulette_index(totals: Sequence[float], draw: float) -> int:
     arr = np.asarray(totals, dtype=float)
     if np.any(arr < 0):
         raise ValueError("weights must be >= 0")
-    return _roulette_spin(_roulette_wheel(arr), len(arr), draw)
+    return _roulette_spin(_roulette_wheel(arr.tolist()), len(arr), draw)
 
 
 def check_constraints(per_user_raw: Sequence[QoSTriple],

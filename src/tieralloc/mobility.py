@@ -11,14 +11,28 @@ emit a Trajectory of (cell, dwell seconds) visits:
                    turn left/right with 0.25 each, renormalized where walls
                    remove options.
 
-A leg (one walk between two cell centers) is walked whole: a scalar loop
-counts its 1 s strides, sequential float adds give the positions, and once
-the trajectory is complete one vectorized floor-and-clamp maps every
-position to its cell and numpy run-length encodes the cells. The positions
-and so the visits equal those of a stride-by-stride walk bit for bit, and
-the random draws come in the same order: per leg the target (or heading,
-drawn with weighted_pick, which consumes the stream like Generator.choice),
-the speed and, for random waypoint, the pause.
+A leg (one walk between two cell centers) goes straight to its target in
+1 s strides, the last of which stops on the target. It is walked as runs
+of cells, never as per-second positions:
+
+  - a scalar rest -= speed loop counts the strides;
+  - an axis the leg moves along gets its stride positions from sequential
+    float adds, the values a stride-by-stride walk reaches; an axis it does
+    not move along keeps its coordinate;
+  - the stride at which a moving axis enters the next column (row) is a
+    bisect of those monotone positions against that column's edge, the
+    least double v with int(v / cell_size_m) >= column, so the cells agree
+    bit for bit with the truncate-and-clamp rule of LocationMap.cell_at;
+  - the last stride's cell is the target's own, looked up directly, as
+    the stride before it can round past the target.
+
+A run that stays in the trajectory's last cell extends it. The edges, the
+centers and Manhattan's turn table at each column, row and heading (the
+moves and their cdf) are built once per grid geometry.
+
+The random draws come in a fixed order: per leg the target (or heading,
+drawn with weighted_pick, which consumes the stream like
+Generator.choice), the speed and, for random waypoint, the pause.
 
 Uncertainty perturbs a predicted location-time workflow: each entry is
 independently rewritten with the given probability, moving it to a different
@@ -27,10 +41,12 @@ cell or swapping its workflow for a fresh instance of another template.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -102,19 +118,128 @@ def uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
+def _edges(n: int, size: float) -> tuple[float, ...]:
+    """Edges of n lanes of the given size along one axis: edges[c - 1] is
+    the least double v with int(v / size) >= c, for lanes c = 1..n-1. The
+    count of edges <= v is then min(max(int(v / size), 0), n - 1), the
+    column (row) LocationMap.cell_at gives v."""
+    edges = []
+    for c in range(1, n):
+        v = c * size
+        while int(v / size) < c:
+            v = math.nextafter(v, math.inf)
+        while int(math.nextafter(v, -math.inf) / size) >= c:
+            v = math.nextafter(v, -math.inf)
+        edges.append(v)
+    return tuple(edges)
+
+
+_TURNS = ((0.5, lambda d: d),                       # straight
+          (0.25, lambda d: (-d[1], d[0])),          # left
+          (0.25, lambda d: (d[1], -d[0])))          # right
+
+
 @lru_cache(maxsize=None)
-def _turn_cdf(weights: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(choice_cdf(np.array(weights) / sum(weights)))
+def _turn_choices(heading: tuple[int, int], open_turns: tuple[bool, ...]
+                  ) -> tuple[tuple, tuple[float, ...]]:
+    """The moves of _TURNS that open_turns marks open, turned from heading,
+    and the choice_cdf of their renormalized weights; a dead end forces a
+    u-turn. A few dozen tables serve every grid."""
+    moves = tuple(rot(heading) for (_, rot), ok in zip(_TURNS, open_turns)
+                  if ok)
+    weights = [w for (w, _), ok in zip(_TURNS, open_turns) if ok]
+    if not moves:
+        moves, weights = ((-heading[0], -heading[1]),), [1.0]
+    return moves, tuple(choice_cdf(np.array(weights) / sum(weights)))
 
 
-def _leg(x: float, y: float, tx: float, ty: float, speed: float
-         ) -> tuple[list[float], list[float]]:
-    """Coordinates after each 1 s step walking straight from (x, y) to
-    (tx, ty) at speed; the last step stops on the target. Empty when
-    already there.
+class _Lanes:
+    """Tables of one grid geometry (width, height, cell size): the column
+    and row edges, the cell centers, and Manhattan's turn tables."""
 
-    The scalar dist -= speed loop counts the strides and each coordinate is
-    a run of sequential float adds, so every position equals the one a
+    def __init__(self, grid: LocationMap):
+        self.width, self.height = grid.width, grid.height
+        self.col_edges = _edges(grid.width, grid.cell_size_m)
+        self.row_edges = _edges(grid.height, grid.cell_size_m)
+        self.centers = [tuple(c) for c in grid.centers().tolist()]
+        self._turns: dict[tuple, tuple[tuple, tuple[float, ...]]] = {}
+
+    def cell_at(self, x: float, y: float) -> int:
+        """LocationMap.cell_at(x, y).id."""
+        return (bisect_right(self.row_edges, y) * self.width
+                + bisect_right(self.col_edges, x))
+
+    def in_grid(self, col: int, row: int) -> bool:
+        return 0 <= col < self.width and 0 <= row < self.height
+
+    def turn_table(self, col: int, row: int, heading: tuple[int, int]
+                   ) -> tuple[tuple, tuple[float, ...]]:
+        """_turn_choices at the intersection (col, row) entered along
+        heading, with the turns that stay in the grid open."""
+        key = (col, row, heading)
+        table = self._turns.get(key)
+        if table is None:
+            table = self._turns[key] = _turn_choices(heading, tuple(
+                self.in_grid(col + d[0], row + d[1])
+                for d in (rot(heading) for _, rot in _TURNS)))
+        return table
+
+
+_LANES: dict[tuple[int, int, float], _Lanes] = {}
+
+
+def _lanes(grid: LocationMap) -> _Lanes:
+    """The tables of grid's geometry, built on its first use in the
+    process and kept."""
+    key = (grid.width, grid.height, grid.cell_size_m)
+    lanes = _LANES.get(key)
+    if lanes is None:
+        lanes = _LANES[key] = _Lanes(grid)
+    return lanes
+
+
+def _lane_changes(edges: tuple[float, ...], v: float, step: float,
+                  strides: int) -> tuple[int, list[tuple[int, int]]]:
+    """The lane of v, and (stride, lane) wherever the lane of the positions
+    v + step, v + 2 step, ... (sequential adds, strides of them) changes,
+    in stride order, the stride counted from 1."""
+    lane = bisect_right(edges, v)
+    changes: list[tuple[int, int]] = []
+    if strides and step > 0.0:
+        vs = list(accumulate(repeat(step, strides), initial=v))
+        for c in range(lane, len(edges)):  # at edges[c] lane c + 1 starts
+            i = bisect_left(vs, edges[c], 1)
+            if i > strides:
+                break
+            changes.append((i, c + 1))
+    elif strides and step < 0.0:
+        # negation is exact, so these are the positions negated, ascending
+        vs = list(accumulate(repeat(-step, strides), initial=-v))
+        for c in range(lane - 1, -1, -1):  # below edges[c] lane c starts
+            i = bisect_right(vs, -edges[c], 1)
+            if i > strides:
+                break
+            changes.append((i, c))
+    return lane, changes
+
+
+def _extend(cells: list[int], secs: list[int], cell: int, n: int) -> None:
+    """Add n seconds in cell to the (cells, secs) runs."""
+    if cells and cells[-1] == cell:
+        secs[-1] += n
+    else:
+        cells.append(cell)
+        secs.append(n)
+
+
+def _leg(lanes: _Lanes, cells: list[int], secs: list[int], x: float,
+         y: float, tx: float, ty: float, speed: float) -> int:
+    """Walk straight from (x, y) to (tx, ty) at speed in 1 s strides, the
+    last stopping on the target, and append the cells of the strides as
+    (cells, secs) runs. Returns the seconds walked, 0 when already there.
+
+    The scalar rest -= speed loop counts the strides and each moving axis
+    is a run of sequential float adds, so every stride's cell is the one a
     stride-by-stride walk reaches.
     """
     dx, dy = tx - x, ty - y
@@ -126,58 +251,82 @@ def _leg(x: float, y: float, tx: float, ty: float, speed: float
     else:
         dist = float(np.hypot(dx, dy))
     if dist == 0.0:
-        return [], []
+        return 0
     strides = 0
     rest = dist
     while speed < rest:
         rest -= speed
         strides += 1
-    sx, sy = dx / dist * speed, dy / dist * speed
-    xs = list(accumulate(repeat(sx, strides), initial=x))
-    ys = list(accumulate(repeat(sy, strides), initial=y))
-    return xs[1:] + [tx], ys[1:] + [ty]
+    col, col_changes = _lane_changes(lanes.col_edges, x, dx / dist * speed,
+                                     strides)
+    row, row_changes = _lane_changes(lanes.row_edges, y, dy / dist * speed,
+                                     strides)
+    width = lanes.width
+    cell = row * width + col
+    if not row_changes:
+        changes = [(i, cell - col + c) for i, c in col_changes]
+    elif not col_changes:
+        changes = [(i, cell + (r - row) * width) for i, r in row_changes]
+    else:  # diagonal: a stable sort by stride keeps each axis's order
+        changes = []
+        for i, is_row, lane in sorted([(i, 0, c) for i, c in col_changes]
+                                      + [(i, 1, r) for i, r in row_changes],
+                                      key=itemgetter(0)):
+            if is_row:
+                row = lane
+            else:
+                col = lane
+            changes.append((i, row * width + col))
+    # of several changes at one stride, the last holds
+    at = 1
+    for i, next_cell in changes:
+        if i > at:
+            _extend(cells, secs, cell, i - at)
+            at = i
+        cell = next_cell
+    if strides >= at:
+        _extend(cells, secs, cell, strides + 1 - at)
+    _extend(cells, secs, lanes.cell_at(tx, ty), 1)
+    return strides + 1
 
 
-def _trajectory(grid: LocationMap, xs: list[float], ys: list[float]
-                ) -> Trajectory:
-    """Run-length encoded cells of the 1 s positions."""
-    ids = grid.cell_ids_at(np.array(xs), np.array(ys))
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(ids)) + 1,
-                             [len(ids)]))
-    return Trajectory(tuple(
-        TrajectoryEntry(cell, float(dwell))
-        for cell, dwell in zip(ids[bounds[:-1]].tolist(),
-                               np.diff(bounds).tolist())))
+def _visits(cells: list[int], secs: list[int], over: int) -> Trajectory:
+    """Trajectory of the runs, less their last over seconds."""
+    while over:
+        if secs[-1] > over:
+            secs[-1] -= over
+            break
+        over -= secs.pop()
+        cells.pop()
+    return Trajectory(tuple(TrajectoryEntry(cell, float(n))
+                            for cell, n in zip(cells, secs)))
 
 
 def generate_random_waypoint(params: MobilityParams, grid: LocationMap) -> Trajectory:
     """Random-waypoint trajectory over the grid, 1 s resolution."""
     rng = np.random.default_rng(params.seed)
     steps = max(1, int(round(params.duration_s)))
-    centers = grid.centers()
-    x, y = centers[rng.integers(len(centers))].tolist()
+    lanes = _lanes(grid)
+    centers = lanes.centers
+    x, y = centers[rng.integers(len(centers))]
     if len(centers) == 1:
         return Trajectory((TrajectoryEntry(0, float(steps)),))
-    xs, ys = [x], [y]
-    while len(xs) < steps:
-        # at a waypoint: draw the next target (never the current cell)
-        cur = grid.cell_at(x, y).id
+    cells, secs = [lanes.cell_at(x, y)], [1]
+    walked = 1
+    while walked < steps:
+        # at a waypoint, the last run's cell: draw the next target (never
+        # the current cell)
         target_cell = int(rng.integers(len(centers)))
-        while target_cell == cur:
+        while target_cell == cells[-1]:
             target_cell = int(rng.integers(len(centers)))
         speed = uniform(rng, params.speed_min, params.speed_max)
-        tx, ty = centers[target_cell].tolist()
-        leg_x, leg_y = _leg(x, y, tx, ty, speed)
+        tx, ty = centers[target_cell]
+        walked += _leg(lanes, cells, secs, x, y, tx, ty, speed)
         pause = int(round(uniform(rng, 0.0, params.pause_max_s)))
-        xs += leg_x + [tx] * pause
-        ys += leg_y + [ty] * pause
+        secs[-1] += pause  # the last run is the target's cell
+        walked += pause
         x, y = tx, ty
-    return _trajectory(grid, xs[:steps], ys[:steps])
-
-
-_TURNS = ((0.5, lambda d: d),                       # straight
-          (0.25, lambda d: (-d[1], d[0])),          # left
-          (0.25, lambda d: (d[1], -d[0])))          # right
+    return _visits(cells, secs, walked - steps)
 
 
 def generate_manhattan(params: MobilityParams, grid: LocationMap) -> Trajectory:
@@ -188,39 +337,27 @@ def generate_manhattan(params: MobilityParams, grid: LocationMap) -> Trajectory:
     steps = max(1, int(round(params.duration_s)))
     if len(grid) == 1:
         return Trajectory((TrajectoryEntry(0, float(steps)),))
-
-    def in_grid(col: int, row: int) -> bool:
-        return 0 <= col < grid.width and 0 <= row < grid.height
-
-    centers = grid.centers()
+    lanes = _lanes(grid)
+    width, size = grid.width, grid.cell_size_m
     col = int(rng.integers(grid.width))
     row = int(rng.integers(grid.height))
     options = [d for d in ((1, 0), (-1, 0), (0, 1), (0, -1))
-               if in_grid(col + d[0], row + d[1])]
+               if lanes.in_grid(col + d[0], row + d[1])]
     heading = options[rng.integers(len(options))]
-    x, y = centers[row * grid.width + col].tolist()
-    xs, ys = [x], [y]
-    while len(xs) < steps:
+    x, y = lanes.centers[row * width + col]
+    cells, secs = [lanes.cell_at(x, y)], [1]
+    walked = 1
+    while walked < steps:
         # at an intersection: pick the next heading, then the next lane
-        col = int(x / grid.cell_size_m)
-        row = int(y / grid.cell_size_m)
-        moves, weights = [], []
-        for w, rot in _TURNS:
-            d = rot(heading)
-            if in_grid(col + d[0], row + d[1]):
-                moves.append(d)
-                weights.append(w)
-        if not moves:
-            moves, weights = [(-heading[0], -heading[1])], [1.0]
-        heading = moves[weighted_pick(_turn_cdf(tuple(weights)), rng)]
-        tx, ty = centers[(row + heading[1]) * grid.width
-                         + (col + heading[0])].tolist()
+        col = int(x / size)
+        row = int(y / size)
+        moves, cdf = lanes.turn_table(col, row, heading)
+        heading = moves[weighted_pick(cdf, rng)]
+        tx, ty = lanes.centers[(row + heading[1]) * width + col + heading[0]]
         speed = uniform(rng, params.speed_min, params.speed_max)
-        leg_x, leg_y = _leg(x, y, tx, ty, speed)
-        xs += leg_x
-        ys += leg_y
+        walked += _leg(lanes, cells, secs, x, y, tx, ty, speed)
         x, y = tx, ty
-    return _trajectory(grid, xs[:steps], ys[:steps])
+    return _visits(cells, secs, walked - steps)
 
 
 _GENERATORS = {RANDOM_WAYPOINT: generate_random_waypoint,

@@ -79,13 +79,6 @@ class LocationMap:
         row = max(row, 0)
         return self.cells[row * self.width + col]
 
-    def cell_ids_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Ids of the cells containing the points (xs[i], ys[i]), clamped
-        like cell_at."""
-        col = np.clip((xs / self.cell_size_m).astype(np.int64), 0, self.width - 1)
-        row = np.clip((ys / self.cell_size_m).astype(np.int64), 0, self.height - 1)
-        return row * self.width + col
-
     def nearest_cell(self, point: Sequence[float]) -> Cell:
         """Cell whose center is nearest to point; ties go to the lowest id."""
         d2 = np.sum((self._centers - np.asarray(point, dtype=float)) ** 2, axis=1)

@@ -362,7 +362,11 @@ def wifi_association(centers: np.ndarray, cloud_cells: Sequence[int],
 
 
 def build_deployment(sc: Scenario) -> Deployment:
-    """Generate grid, clouds, coverage, catalog, and cost tables."""
+    """Generate grid, clouds, coverage, catalog, and cost tables.
+
+    Raises ScenarioError when a function that no cloud hosts is missing
+    from some user's device: that user's workflows could not be placed.
+    """
     rng = derive_rng(sc.seed, _STRUCTURE)
     n_cells = sc.grid_width * sc.grid_height
     base_grid = LocationMap(sc.grid_width, sc.grid_height, sc.cell_size_m)
@@ -415,12 +419,19 @@ def build_deployment(sc: Scenario) -> Deployment:
     for j in range(sc.public_instances):
         for fn in functions:
             deploy(fn, jitter(), host_cloud=sc.local_clouds + j, base="public")
+    hostless = {fn for fn in functions if not directory.cloud_services_for(fn)}
     for uid in range(sc.users):
         for fn in functions:
             owns = rng.random() < sc.device_service_rate
             mult = jitter()
             if owns:
                 deploy(fn, mult, host_user=uid, base="device")
+            elif fn in hostless:
+                raise ScenarioError(
+                    f"public_instances/local_function_rate: no cloud hosts "
+                    f"{fn!r} (public_instances {sc.public_instances}, "
+                    f"local_function_rate {sc.local_function_rate}) and user "
+                    f"{uid} has no device service for it")
 
     return Deployment(grid=grid, clouds=clouds, directory=directory,
                       profiles=profiles, templates=templates)

@@ -27,7 +27,8 @@ from tieralloc import (LOCAL, PUBLIC, And, AnnealingParams, CapacityLedger,
                        roulette_index, rsa_plan, seq, xor)
 from tieralloc import allocation
 from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
-                                  _roulette_spin, _roulette_wheel,
+                                  _pairwise_sum, _roulette_spin,
+                                  _roulette_wheel,
                                   clouds_without_room, with_room)
 from tieralloc.errors import (AdmissionRefused, ExtremaMismatch, InvalidGroup,
                               TierAllocError)
@@ -125,6 +126,22 @@ def test_memoized_wheel_matches_roulette_index_bit_for_bit():
             expect = _searchsorted_index(v, float(d))
             assert roulette_index(v.tolist(), float(d)) == expect
             assert _roulette_spin(cum, len(v), float(d)) == expect
+
+
+def test_plain_python_wheel_adds_in_numpys_order():
+    # lengths 1-299 cross each branch of numpy's pairwise sum: sequential
+    # under 8, eight accumulators up to 128, halves above
+    rng = np.random.default_rng(16)
+    for _ in range(30_000):
+        n = int(rng.integers(1, 300))
+        w = rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        w[rng.random(n) < 0.1] = 0.0
+        v = w.tolist()
+        assert _pairwise_sum(v, 0, n) == w.sum()
+        s = w.sum()
+        assert _roulette_wheel(v) == (np.cumsum(w / s).tolist()[:-1]
+                                      if s else None)
+    assert _roulette_wheel([0.0, 0.0]) is None
 
 
 def test_find_service_wheels_pick_as_roulette_pick_does():

@@ -144,5 +144,22 @@ def test_public_only_is_a_file_with_local_capacity_zero(tmp_path, capsys):
     assert err.startswith("tieralloc: error: public_instances/local_capacity")
 
 
+def test_a_function_left_without_any_host_names_the_fields(tmp_path, capsys):
+    # desk's local_function_rate 0.4 leaves 'edit' on no local cloud; with
+    # no public instance either, a user without it on the device has no host
+    desk = Path(__file__).resolve().parents[1] / "demos/scenarios/desk.json"
+    data = json.loads(desk.read_text())
+    data.update(public_instances=0, local_capacity=2, seed=0)
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps(data))
+    assert main(["--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tieralloc: error:")
+    assert "public_instances" in captured.err
+    assert "local_function_rate" in captured.err
+    assert "'edit'" in captured.err
+
+
 def test_module_entry_point_exists():
     import tieralloc.__main__  # noqa: F401  (import must not execute main)

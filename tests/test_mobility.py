@@ -7,7 +7,8 @@ from tieralloc import (LTW, LTWEntry, LocationMap, MobilityParams,
                        UncertaintySpec, generate_manhattan,
                        generate_random_waypoint, generate_trajectory,
                        inject_uncertainty, leaf, seq)
-from tieralloc.mobility import _leg, choice_cdf, uniform, weighted_pick
+from tieralloc.mobility import (_lanes, _leg, choice_cdf, uniform,
+                                weighted_pick)
 from tieralloc.model import Trajectory, TrajectoryEntry
 
 GRID = LocationMap(10, 10, 50.0)
@@ -52,13 +53,44 @@ def test_single_cell_grid_yields_one_stationary_entry(model):
     assert (traj.entries[0].cell_id, traj.entries[0].dwell_s) == (0, 42.0)
 
 
+def _leg_runs(grid, x, y, tx, ty, speed):
+    """The (cell, seconds) runs _leg appends for one leg over grid."""
+    cells, secs = [], []
+    walked = _leg(_lanes(grid), cells, secs, x, y, tx, ty, speed)
+    assert walked == sum(secs)
+    return list(zip(cells, secs))
+
+
+def _runs_of(grid, positions):
+    """Run-length encoded LocationMap.cell_at cells of 1 s positions."""
+    runs = []
+    for px, py in positions:
+        cell = grid.cell_at(px, py).id
+        if runs and runs[-1][0] == cell:
+            runs[-1] = (cell, runs[-1][1] + 1)
+        else:
+            runs.append((cell, 1))
+    return runs
+
+
 def test_walk_steps_cover_the_leg_in_one_second_strides():
-    assert _leg(0.0, 0.0, 10.0, 0.0, speed=3.0) == ([3.0, 6.0, 9.0, 10.0],
-                                                     [0.0, 0.0, 0.0, 0.0])
-    assert _leg(0.0, 0.0, 10.0, 0.0, speed=5.0) == ([5.0, 10.0], [0.0, 0.0])
-    # overshoot clamps to the target in a single stride
-    assert _leg(0.0, 0.0, 2.0, 0.0, speed=9.0) == ([2.0], [0.0])
-    assert _leg(0.0, 0.0, 0.0, 0.0, speed=5.0) == ([], [])
+    metre = LocationMap(12, 1, 1.0)  # a position's cell is its whole metres
+    coarse = LocationMap(3, 1, 4.0)
+    cases = [((0.0, 0.0, 10.0, 0.0, 3.0), [(3.0, 0.0), (6.0, 0.0),
+                                           (9.0, 0.0), (10.0, 0.0)]),
+             ((0.0, 0.0, 10.0, 0.0, 5.0), [(5.0, 0.0), (10.0, 0.0)]),
+             # overshoot clamps to the target in a single stride
+             ((0.0, 0.0, 2.0, 0.0, 9.0), [(2.0, 0.0)]),
+             ((10.0, 0.0, 0.0, 0.0, 3.0), [(7.0, 0.0), (4.0, 0.0),
+                                           (1.0, 0.0), (0.0, 0.0)]),
+             ((0.0, 0.0, 0.0, 0.0, 5.0), [])]
+    for leg, positions in cases:
+        for grid in (metre, coarse):
+            assert _leg_runs(grid, *leg) == _runs_of(grid, positions)
+    assert _leg_runs(metre, 0.0, 0.0, 10.0, 0.0, 3.0) == [
+        (3, 1), (6, 1), (9, 1), (10, 1)]
+    assert _leg_runs(coarse, 0.0, 0.0, 10.0, 0.0, 3.0) == [
+        (0, 1), (1, 1), (2, 2)]
 
 
 def test_uniform_draws_like_generator_uniform():
@@ -72,6 +104,10 @@ def test_uniform_draws_like_generator_uniform():
 
 
 def test_axis_aligned_legs_measure_like_hypot():
+    # lanes of 12.5 m, of 77.7 m (clamping past 700 m), and of 3.3 m, which
+    # a stride can cross several of; negative positions clamp to lane 0
+    grids = (LocationMap(70, 70, 12.5), LocationMap(9, 9, 77.7),
+             LocationMap(250, 250, 3.3))
     rng = np.random.default_rng(8)
     for k in range(2000):
         x, y = (float(v) for v in rng.uniform(-500.0, 500.0, 2))
@@ -81,19 +117,40 @@ def test_axis_aligned_legs_measure_like_hypot():
             # the reference leg: np.hypot distance, the same stride loop
             dx, dy = tx - x, ty - y
             dist = float(np.hypot(dx, dy))
-            if dist == 0.0:
-                assert _leg(x, y, tx, ty, speed) == ([], [])
-                continue
             steps, rest = [], dist
             px, py = x, y
-            while speed < rest:
-                rest -= speed
-                px += dx / dist * speed
-                py += dy / dist * speed
-                steps.append((px, py))
-            steps.append((tx, ty))
-            leg_x, leg_y = _leg(x, y, tx, ty, speed)
-            assert list(zip(leg_x, leg_y)) == steps
+            if dist:
+                while speed < rest:
+                    rest -= speed
+                    px += dx / dist * speed
+                    py += dy / dist * speed
+                    steps.append((px, py))
+                steps.append((tx, ty))
+            for grid in grids:
+                assert _leg_runs(grid, x, y, tx, ty, speed) == \
+                    _runs_of(grid, steps)
+
+
+def test_diagonal_legs_cross_lanes_like_the_stride_walk():
+    # lanes narrower than a stride: one stride can cross several columns
+    # and rows at once, in either direction
+    grids = (LocationMap(120, 120, 2.5), LocationMap(40, 40, 7.7))
+    rng = np.random.default_rng(9)
+    for _ in range(1000):
+        x, y, tx, ty = (float(v) for v in rng.uniform(0.0, 300.0, 4))
+        speed = float(rng.uniform(0.5, 15.0))
+        dx, dy = tx - x, ty - y
+        dist = float(np.hypot(dx, dy))
+        steps, rest, px, py = [], dist, x, y
+        while speed < rest:
+            rest -= speed
+            px += dx / dist * speed
+            py += dy / dist * speed
+            steps.append((px, py))
+        steps.append((tx, ty))
+        for grid in grids:
+            assert _leg_runs(grid, x, y, tx, ty, speed) == \
+                _runs_of(grid, steps)
 
 
 # --- whole-leg walks against the stride-by-stride walk they replaced -----------------
@@ -224,6 +281,61 @@ def test_whole_leg_walks_equal_the_stride_by_stride_reference(width, height):
                 assert all(type(e.cell_id) is int for e in got.entries)
                 cases += 1
     assert cases == 96
+
+
+def test_lane_edges_are_the_least_doubles_of_each_lane():
+    # c * size misses the edge by an ulp either way for some sizes: 3 * 77.7
+    # lies above 233.1, whose quotient already truncates to 3; 3 * 3.3 lies
+    # below 9.9, and its own quotient truncates to 2
+    for size in (100.0, 33.3, 77.7, 3.3, 0.1, 0.3, 100.0 / 3.0, 7.7):
+        grid = LocationMap(150, 3, size)
+        lanes = _lanes(grid)
+        for edges, n in ((lanes.col_edges, 150), (lanes.row_edges, 3)):
+            assert len(edges) == n - 1
+            for c, v in enumerate(edges, start=1):
+                assert int(v / size) >= c
+                assert int(np.nextafter(v, -np.inf) / size) < c
+        for v in (*lanes.col_edges, *np.nextafter(lanes.col_edges, 0.0),
+                  -1.0, 0.0, 150 * size, 1e9):
+            assert lanes.cell_at(float(v), 1.5 * size) == \
+                grid.cell_at(float(v), 1.5 * size).id
+    assert 3 * 77.7 > 233.1 and int(233.1 / 77.7) == 3
+    assert _lanes(LocationMap(9, 9, 77.7)).cell_at(233.1, 0.0) == 3
+    assert int(3 * 3.3 / 3.3) == 2
+    assert _lanes(LocationMap(9, 9, 3.3)).cell_at(3 * 3.3, 0.0) == 2
+
+
+def test_default_scale_walks_equal_the_reference_per_grid_geometry():
+    grid = LocationMap(15, 15, 100.0)
+    for model, ref in (("random_waypoint", _ref_random_waypoint),
+                       ("manhattan", _ref_manhattan)):
+        for seed in range(100):
+            params = MobilityParams(model, duration_s=600.0, seed=seed)
+            assert generate_trajectory(params, grid).entries == \
+                ref(params, grid).entries, params
+    # grids that differ in one dimension or in cell size, walked in turn in
+    # one process, each keep their own edges and turn tables
+    grids = [grid, LocationMap(15, 15, 50.0), LocationMap(14, 15, 100.0),
+             LocationMap(15, 14, 100.0), LocationMap(15, 15, 100.0 + 1e-9)]
+    for seed in range(20):
+        for g in grids:
+            for model, ref in (("random_waypoint", _ref_random_waypoint),
+                               ("manhattan", _ref_manhattan)):
+                params = MobilityParams(model, duration_s=600.0, seed=seed)
+                assert generate_trajectory(params, g).entries == \
+                    ref(params, g).entries, (g.width, g.height, params)
+    tables = [_lanes(g) for g in grids]
+    assert len({id(t) for t in tables}) == len(grids)
+    for g, t in zip(grids, tables):
+        assert (len(t.col_edges), len(t.row_edges)) == (g.width - 1,
+                                                        g.height - 1)
+        assert t.col_edges[0] == g.cell_size_m  # exact for these sizes
+    # straight on from column 13 leaves a 14-wide grid, not a 15-wide one
+    east = (1, 0)
+    assert east in tables[0].turn_table(13, 7, east)[0]
+    assert east not in tables[2].turn_table(13, 7, east)[0]
+    # only the geometry keys the tables: a coverage map does not
+    assert _lanes(grid.with_wifi({0: 0})) is tables[0]
 
 
 def _turn_weight_subsets():
