@@ -11,9 +11,8 @@ reproducible experiment harness.
 from .allocation import (AllocationResult, AnnealingParams, ConstraintVector,
                          GroupInstance, UserInstance, allocate_greedy,
                          allocate_music, allocate_rsa, brute_force_optimal,
-                         check_constraints, clouds_without_room,
-                         constraints_for, find_service, fleet_utility,
-                         greedy_plan, music,
+                         clouds_without_room, constraints_for, find_service,
+                         fleet_utility, greedy_plan, music,
                          objective_from_plans, random_plan, roulette_index,
                          rsa_plan)
 from .errors import (AdmissionRefused, IdError, IncompletePlan, InvalidGroup,

@@ -12,6 +12,12 @@ Every planner filters candidates per cloud through _allowed_candidates: a
 local cloud is closed when it has no room (clouds_without_room) and, in
 MuSIC's search, when it lies outside the radius.
 
+A budget bounds each placed user's raw QoS, boundary inclusive
+(ConstraintVector.admits), in a group as alone. MuSIC and the exhaustive
+optimum keep only plans it admits; a user left with none is unplaced and
+scores 0. rsa resamples until a plan is admitted, at most max_tries times;
+greedy ignores budgets.
+
 Utilities follow the minimum rule: a user's satisfaction is the worst of its
 normalized price / power / delay, the fleet objective is the mean over users
 (over groups of member means in grouped mode). Local-cloud capacity is
@@ -209,23 +215,6 @@ def roulette_index(totals: Sequence[float], draw: float) -> int:
     if np.any(arr < 0):
         raise ValueError("weights must be >= 0")
     return _roulette_spin(_roulette_wheel(arr.tolist()), len(arr), draw)
-
-
-def check_constraints(per_user_raw: Sequence[QoSTriple],
-                      constraints: ConstraintVector) -> list[str]:
-    """Violation messages for the budgets (empty = ok): each bounds the mean
-    raw QoS over the given users, boundary inclusive. Capacity is the
-    ledger's room (see CapacityLedger.room)."""
-    out: list[str] = []
-    if per_user_raw:
-        for dim in DIMS:
-            budget = constraints.get(dim)
-            if not math.isfinite(budget):
-                continue
-            mean = float(np.mean([t.get(dim) for t in per_user_raw]))
-            if mean > budget:
-                out.append(f"mean {dim} {mean:.6g} exceeds budget {budget:.6g}")
-    return out
 
 
 _NO_CLOUDS: frozenset[int] = frozenset()
@@ -742,9 +731,11 @@ def music(target, constraints, params: AnnealingParams,
     skipped. For a GroupInstance one proposal re-plans every member and the
     objective is the group mean utility; members of one proposal see each
     other's tentative capacity usage, read from their pick lists, on top of
-    the shared ledger. Proposals are scored, and a group's shared budget
-    checked, from the raw QoS that find_service returns with each pick
-    list; the winning proposal's lists become the members' pick tuples.
+    the shared ledger. find_service holds each member to its own budget,
+    so a proposal keeps every budget member by member (see the module
+    docstring). Proposals are scored from the raw QoS that find_service
+    returns with each pick list; the winning proposal's lists become the
+    members' pick tuples.
 
     One SearchMemo serves every proposal of the call, so the range query
     around the center per radius, and each member's search table per radius
@@ -757,7 +748,6 @@ def music(target, constraints, params: AnnealingParams,
     single = isinstance(target, UserInstance)
     members = [target] if single else target.members
     center = target.center_point()
-    shared_cv = constraints if isinstance(constraints, ConstraintVector) else None
     uids = [m.user.id for m in members]
     memo = SearchMemo()
     no_room = clouds_without_room(ledger)
@@ -779,9 +769,6 @@ def music(target, constraints, params: AnnealingParams,
             if k < len(members):  # only later members read the usage
                 for cid in m.local_clouds(mine):
                     usage[cid] = usage.get(cid, 0) + 1
-        if not single and shared_cv is not None and shared_cv.bounded():
-            if check_constraints(raws, shared_cv):
-                return None
         return picks, raws
 
     best_picks = None
@@ -1029,19 +1016,25 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
                         cap: int = 1_000_000) -> AllocationResult:
     """Exact optimum by enumeration, for small instances.
 
-    A candidate on a cloud without room (see clouds_without_room) is left
-    out of the pools, which is exact: any combination using it breaks that
-    cloud's capacity. When budgets are unconstrained and no cloud left can
-    bind, users decompose and each is optimized independently (per-user
-    spaces still respect cap). Otherwise every combination of the joint
-    product space is scored at once (see _joint_scores), and the
-    combinations are checked in descending score order, ties in product
-    order, until one places no more users on a cloud than its room
-    (CapacityLedger.room) and keeps the budget means over the fleet (per
-    group when groups are given): the first best feasible
-    combination. Raises TooLargeForEnumeration when the space to enumerate
-    exceeds cap, and NoFeasibleCandidates when some occurrence has no
-    candidate with room.
+    A user's plans are those its pools allow (see _pools), kept when the
+    budgets admit their raw QoS (see the module docstring). Leaving out a
+    candidate on a cloud without room (see clouds_without_room) is exact:
+    any combination using it breaks that cloud's capacity. A user with no
+    admissible plan is unplaced and scores 0, as in music; feasible says
+    whether every user got a plan.
+
+    When no cloud left can bind, users decompose and each takes the first
+    best of its own admissible plans (per-user spaces still respect cap).
+    Otherwise the users' admissible plans are combined, an unplaced user
+    being one row of utility 0 and no clouds; every combination is scored
+    at once (see _joint_scores), and the combinations are checked in
+    descending score order, ties in product order, until one places no
+    more users on a cloud than its room (CapacityLedger.room): the first
+    best feasible combination. A placeable user is never left out to make
+    room, so room and budgets together can leave no feasible combination.
+    Raises TooLargeForEnumeration when the space to enumerate exceeds cap,
+    and NoFeasibleCandidates when some occurrence has no candidate with
+    room.
     """
     if not isinstance(constraints, ConstraintVector):
         raise ValueError("exhaustive search takes one shared constraint vector")
@@ -1051,7 +1044,9 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
     no_room = clouds_without_room(ledger)
     caps_bind = any(0 < ledger.room(cid) < len(uids)
                     for cid in ledger.capacities())
-    if not constraints.bounded() and not caps_bind:
+    # QoSTriple values are finite, so unbounded budgets always hold
+    bounded = constraints.bounded()
+    if not caps_bind:
         plans: dict[int, tuple[int, ...]] = {}
         utils: dict[int, float] = {}
         for uid in uids:
@@ -1060,12 +1055,16 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
             best, best_u = None, -math.inf
             evaluate, utility_of = inst.evaluate, inst.utility_of
             for picks in itertools.product(*pools):
-                u = utility_of(evaluate(picks))
+                raw = evaluate(picks)
+                if bounded and not constraints.admits(raw):
+                    continue
+                u = utility_of(raw)
                 if u > best_u:
                     best, best_u = picks, u
-            plans[uid], utils[uid] = best, best_u
+            if best is not None:
+                plans[uid], utils[uid] = best, best_u
         return AllocationResult(plans, fleet_utility(utils, uids, groups),
-                                True)
+                                len(plans) == len(uids))
 
     pools_of: dict[int, list[list[int]]] = {}
     total = 1
@@ -1074,49 +1073,39 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         total *= size
         if total > cap:
             raise TooLargeForEnumeration(f"joint plan space exceeds {cap}")
-    spaces: dict[int, list[tuple[tuple[int, ...], QoSTriple, float,
-                                 set[int]]]] = {}
+    # per user, in uid order: (picks, utility, local clouds) of each
+    # admissible plan, in product order, or the one unplaced row
+    spaces: list[list[tuple[Optional[tuple[int, ...]], float,
+                            AbstractSet[int]]]] = []
     for uid in uids:
         inst = instances[uid]
         rows = []
         for picks in itertools.product(*pools_of[uid]):
             raw = inst.evaluate(picks)
-            rows.append((picks, raw, inst.utility_of(raw),
-                         inst.local_clouds(picks)))
-        spaces[uid] = rows
+            if not bounded or constraints.admits(raw):
+                rows.append((picks, inst.utility_of(raw),
+                             inst.local_clouds(picks)))
+        spaces.append(rows or [(None, 0.0, _NO_CLOUDS)])
+
+    def fits(chosen: Sequence[tuple]) -> bool:
+        usage: dict[int, int] = {}
+        for _, _, clouds in chosen:
+            for cid in clouds:
+                usage[cid] = usage.get(cid, 0) + 1
+        return all(n <= ledger.room(cid) for cid, n in usage.items())
 
     by_id = None if groups is None else sorted(groups, key=lambda x: x.id)
-    # the positions in uids of each budget group's members, in uid order;
-    # an ungrouped run is one group of all users
-    budget_groups: list[list[int]] = [list(range(len(uids)))]
-    if by_id is not None:
-        group_of = {m: gi for gi, g in enumerate(by_id) for m in g.members}
-        positions: dict[int, list[int]] = {}
-        for i, uid in enumerate(uids):
-            positions.setdefault(group_of[uid], []).append(i)
-        budget_groups = list(positions.values())
-
-    def feasible(chosen: Sequence[tuple]) -> bool:
-        usage: dict[int, int] = {}
-        for row in chosen:
-            for cid in row[3]:
-                usage[cid] = usage.get(cid, 0) + 1
-        if any(n > ledger.room(cid) for cid, n in usage.items()):
-            return False
-        return not any(check_constraints([chosen[i][1] for i in members],
-                                         constraints)
-                       for members in budget_groups)
-
-    sizes = [len(spaces[uid]) for uid in uids]
-    scores = _joint_scores([[row[2] for row in spaces[uid]] for uid in uids],
+    sizes = [len(rows) for rows in spaces]
+    scores = _joint_scores([[row[1] for row in rows] for rows in spaces],
                            uids, by_id)
     # the first feasible combination in descending score order, ties in
     # product order: the first best feasible one
     for k in np.argsort(-scores, kind="stable"):
-        chosen = tuple(spaces[uid][i] for uid, i in
-                       zip(uids, np.unravel_index(k, sizes)))
-        if feasible(chosen):
-            plans = {uid: row[0] for uid, row in zip(uids, chosen)}
-            return AllocationResult(plans, float(scores[k]), True)
+        chosen = [rows[i] for rows, i in
+                  zip(spaces, np.unravel_index(k, sizes))]
+        if fits(chosen):
+            plans = {uid: row[0] for uid, row in zip(uids, chosen)
+                     if row[0] is not None}
+            return AllocationResult(plans, float(scores[k]),
+                                    len(plans) == len(uids))
     return AllocationResult({}, 0.0, False, note="no feasible joint assignment")
-

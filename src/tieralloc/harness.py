@@ -47,8 +47,9 @@ class MetricsRow:
     """One algorithm x repetition result, one-to-one with the CSV schema.
 
     A metric left None is a blank CSV cell: throughput_pct without a proven
-    optimum, the mean_* columns when no user got a plan, the gains outside
-    a fixed-dimension study."""
+    optimum or when some placed user breaks the budgets (the optimum keeps
+    them), the mean_* columns when no user got a plan, the gains outside a
+    fixed-dimension study."""
 
     scenario_id: str
     algorithm: str
@@ -247,6 +248,7 @@ def _standard_rows(sc: Scenario, dep: Deployment, pop: Population,
                    predicted: Mapping[int, UserInstance],
                    algorithms: Sequence[str], rep: int) -> list[MetricsRow]:
     opt = _enumerate_optimal(sc, dep, true, pop.groups)
+    budgets = sc.constraints()
     rows = []
     for alg in algorithms:
         if alg == "bruteforce":
@@ -259,13 +261,14 @@ def _standard_rows(sc: Scenario, dep: Deployment, pop: Population,
             raws = {uid: true[uid].evaluate(p)
                     for uid, p in opt.plans.items()}
         else:
-            raws = _pass(alg, sc, pop, true, predicted, sc.constraints(),
+            raws = _pass(alg, sc, pop, true, predicted, budgets,
                          derive_rng(sc.seed, _ALLOCATION, rep,
                                     ALGORITHM_STREAMS[alg]),
                          dep.fresh_ledger())
         utility = _fleet_score(true, raws, pop.groups)
         throughput = None
-        if opt is not None and opt.utility > 0:
+        if opt is not None and opt.utility > 0 and all(
+                map(budgets.admits, raws.values())):
             throughput = compute_throughput(utility, opt.utility)
         rows.append(_metrics_row(sc, alg, rep, utility, throughput, raws))
     return rows

@@ -120,7 +120,12 @@ def _is_real(v) -> bool:
 
 @dataclass
 class Scenario:
-    """Complete experiment description; field names are the JSON schema."""
+    """Complete experiment description; field names are the JSON schema.
+
+    budget_price, budget_power and budget_delay each bound every placed
+    user's raw QoS, boundary inclusive. Under music, gmusic and the
+    optimum a user with no plan inside the budgets is unplaced and scores
+    0; greedy ignores budgets, and rsa can end on a plan that breaks one."""
 
     scenario_id: str = "default"
     grid_width: int = 15

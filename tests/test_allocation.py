@@ -19,7 +19,7 @@ from tieralloc import (LOCAL, PUBLIC, And, AnnealingParams, CapacityLedger,
                        TooLargeForEnumeration, UserGroup, UserInstance,
                        allocate_greedy, allocate_music, allocate_rsa,
                        brute_force_optimal, build_deployment,
-                       build_population, check_constraints, constraints_for,
+                       build_population, constraints_for,
                        candidate_services, find_service, fleet_utility,
                        fold_qos, greedy_plan, intercloud_hop_ms, leaf,
                        load_scenario, music, normalize_service,
@@ -177,26 +177,6 @@ def test_fleet_utility_is_mean_of_worst_dimensions():
         fleet_utility({}, [])
     with pytest.raises(InvalidGroup):
         fleet_utility(worst, [0, 1], [])
-
-
-def test_budget_check_bounds_the_mean_boundary_inclusive():
-    from tieralloc import QoSTriple as Q
-    raws = [Q(2.0, 0.0, 10.0), Q(4.0, 0.0, 30.0)]
-    assert check_constraints(raws, ConstraintVector(price=3.0)) == []
-    msgs = check_constraints(raws, ConstraintVector(price=2.9))
-    assert len(msgs) == 1 and "price" in msgs[0]
-    assert check_constraints(raws, ConstraintVector(delay=19.0)) != []
-    assert check_constraints([], ConstraintVector(price=0.0)) == []
-
-
-def test_a_group_mean_can_break_a_budget_each_member_fits():
-    """Why music keeps the group budget check after find_service fit each
-    member: the float mean of three prices of 0.1 is 0.10000000000000002."""
-    budget = ConstraintVector(price=0.1)
-    raws = [QoSTriple(0.1, 0.0, 0.0)] * 3
-    assert all(budget.admits(raw) for raw in raws)
-    msgs = check_constraints(raws, budget)
-    assert len(msgs) == 1 and msgs[0].startswith("mean price")
 
 
 def test_capacity_check_reads_the_ledger():
@@ -590,9 +570,6 @@ def _reference_group_music(target, constraints, params, rng, ledger):
                     usage[cid] = usage.get(cid, 0) + 1
         except NoFeasibleCandidates:
             continue
-        raws = [m.evaluate(plans[m.user.id]) for m in target.members]
-        if check_constraints(raws, constraints):
-            continue
         val = fleet_utility({m.user.id: m.utility(plans[m.user.id])
                              for m in target.members},
                             [m.user.id for m in target.members])
@@ -684,14 +661,34 @@ def test_no_heuristic_beats_the_enumerated_optimum():
         assert objective_from_plans(instances, res.plans) <= best.utility + 1e-9
 
 
-def test_decomposed_and_joint_enumeration_agree():
+def test_decomposed_and_joint_enumeration_agree(monkeypatch):
     dep, pop, instances = _fleet(users=3, seed=1)
-    fast = brute_force_optimal(instances, UNLIMITED)  # per-user decomposition
-    slow = brute_force_optimal(instances, ConstraintVector(price=1e9))  # joint
-    assert fast.utility == pytest.approx(slow.utility, rel=1e-12)
-    for uid in instances:
-        assert instances[uid].utility(fast.plans[uid]) == pytest.approx(
-            instances[uid].utility(slow.plans[uid]), rel=1e-12)
+    locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
+    joint = _counted(monkeypatch, allocation, "_joint_scores")
+    # the users' least delays are distinct, so a budget at their median
+    # leaves the slowest user unplaced and admits another's least-delay
+    # plan on its boundary
+    least = [min(r[1].delay for r in _plan_rows(instances[u]))
+             for u in sorted(instances)]
+    for budget in (UNLIMITED, ConstraintVector(delay=float(np.median(least)))):
+        fast = brute_force_optimal(instances, budget)  # per-user decomposition
+        assert joint == []
+        # room for two of the three users on each local cloud sends the
+        # search down the joint path; it binds no user's own optimum
+        used = [c for u, p in fast.plans.items()
+                for c in instances[u].local_clouds(p)]
+        assert all(used.count(c) <= 2 for c in locals_)
+        slow = brute_force_optimal(
+            instances, budget, CapacityLedger(dict.fromkeys(locals_, 2)))
+        assert len(joint) == 1
+        joint.clear()
+        assert fast.feasible == slow.feasible
+        assert fast.plans.keys() == slow.plans.keys()
+        assert fast.utility == pytest.approx(slow.utility, rel=1e-12)
+        for uid in fast.plans:
+            assert instances[uid].utility(fast.plans[uid]) == pytest.approx(
+                instances[uid].utility(slow.plans[uid]), rel=1e-12)
+    assert len(slow.plans) == 2 and not slow.feasible
 
 
 def _overfills(ledger, usage):
@@ -711,6 +708,18 @@ def _plan_rows(inst):
             for p in itertools.product(*pools)]
 
 
+_UNPLACED = (None, None, 0.0, frozenset())
+
+
+def _admitted(rows, constraints, ledger=None):
+    """The rows, in order, whose raw QoS every budget admits and whose
+    local clouds all have room; or, when none is, the one row of an
+    unplaced user: no plan, utility 0, no clouds."""
+    return [r for r in rows if constraints.admits(r[1])
+            and not _overfills(ledger, dict.fromkeys(r[3], 1))] \
+        or [_UNPLACED]
+
+
 def test_joint_enumeration_returns_the_first_best_feasible_combination():
     # both users' unconstrained optima use local cloud 1
     dep, pop, instances = _fleet(users=2, seed=0)
@@ -718,42 +727,50 @@ def test_joint_enumeration_returns_the_first_best_feasible_combination():
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
     free = brute_force_optimal(instances, UNLIMITED)
     rows = [_plan_rows(instances[u]) for u in uids]
-    # a delay budget halfway between the least fleet mean and the
-    # unconstrained optimum's, and one slot per local cloud
-    least = np.mean([min(r[1].delay for r in space) for space in rows])
-    reached = np.mean([instances[u].evaluate(free.plans[u]).delay
-                       for u in uids])
-    budget = ConstraintVector(delay=0.5 * (least + reached))
+    # one slot per local cloud, and a delay budget at the larger delay of
+    # the users' own optima: it admits both (boundary inclusive), so they
+    # still crowd cloud 1, and cuts plans a user would move to
+    budget = ConstraintVector(delay=max(
+        instances[u].evaluate(free.plans[u]).delay for u in uids))
     ledger = CapacityLedger({cid: 1 for cid in locals_})
-    best, best_val, beaten = None, -math.inf, 0
-    for combo in itertools.product(*rows):
+    spaces = [_admitted(space, budget) for space in rows]
+    assert sum(map(len, spaces)) < sum(map(len, rows))
+    best, best_val, crowded = None, -math.inf, []
+    for combo in itertools.product(*spaces):
         val = float(np.mean([r[2] for r in combo]))
         usage = {}
         for r in combo:
             for cid in r[3]:
                 usage[cid] = usage.get(cid, 0) + 1
-        if _overfills(ledger, usage) or check_constraints(
-                [r[1] for r in combo], budget):
-            beaten += val > free.utility - 1e-12
+        if _overfills(ledger, usage):
+            crowded.append(val)
             continue
         if val > best_val:
             best, best_val = combo, val
-    assert beaten and best is not None  # the constraints bind
+    assert best is not None and max(crowded) > best_val  # the ledger binds
     res = brute_force_optimal(instances, budget, ledger)
-    assert res.feasible and res.utility == best_val
-    assert [res.plans[u] for u in uids] == [r[0] for r in best]
+    # the budget binds on top of the ledger
+    assert res.utility == best_val < brute_force_optimal(
+        instances, UNLIMITED, ledger).utility
+    assert res.plans == {u: r[0] for u, r in zip(uids, best)
+                         if r[0] is not None}
+    assert res.feasible == (len(res.plans) == len(uids))
 
 
 def test_joint_space_over_the_cap_is_refused_before_any_evaluation(
         monkeypatch):
     dep, pop, instances = _fleet(users=3, seed=1)
+    locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
     sizes = [math.prod(len(c) for _, _, c in instances[u].iter_occurrences())
              for u in sorted(instances)]
     assert min(sizes) > 1
     calls = _counted(monkeypatch, UserInstance, "evaluate")
-    # every user's own space fits; the first two together do not
+    # every user's own space fits; the first two together do not. Room for
+    # two of the three users on each local cloud closes no cloud but can
+    # bind, which takes the joint path
     with pytest.raises(TooLargeForEnumeration, match="joint"):
-        brute_force_optimal(instances, ConstraintVector(price=1e9),
+        brute_force_optimal(instances, UNLIMITED,
+                            CapacityLedger(dict.fromkeys(locals_, 2)),
                             cap=sizes[0] * sizes[1] - 1)
     assert calls == []
 
@@ -767,27 +784,26 @@ def test_enumeration_cap_is_enforced():
 
 
 def _joint_reference(instances, constraints, ledger, groups=None):
-    """The first best feasible combination of the users' full plan spaces
-    in itertools.product order, scored by fleet_utility: (plans by user,
-    value), or (None, -inf) when no combination keeps every capacity and
-    every budget mean (per group when groups are given)."""
+    """The first best feasible combination of the users' admitted plans
+    (see _admitted) in itertools.product order, scored by fleet_utility:
+    (plans of the placed users, value), or (None, -inf) when no
+    combination keeps every capacity."""
     uids = sorted(instances)
-    spaces = [_plan_rows(instances[u]) for u in uids]
-    parts = [uids] if groups is None else [sorted(g.members) for g in groups]
+    spaces = [_admitted(_plan_rows(instances[u]), constraints, ledger)
+              for u in uids]
     best, best_val = None, -math.inf
     for combo in itertools.product(*spaces):
         usage = {}
         for r in combo:
             for cid in r[3]:
                 usage[cid] = usage.get(cid, 0) + 1
-        row = dict(zip(uids, combo))
-        if _overfills(ledger, usage) or any(
-                check_constraints([row[u][1] for u in part], constraints)
-                for part in parts):
+        if _overfills(ledger, usage):
             continue
+        row = dict(zip(uids, combo))
         val = fleet_utility({u: r[2] for u, r in row.items()}, uids, groups)
         if val > best_val:
-            best, best_val = {u: r[0] for u, r in row.items()}, val
+            best = {u: r[0] for u, r in row.items() if r[0] is not None}
+            best_val = val
     return best, best_val
 
 
@@ -807,7 +823,7 @@ def test_enumeration_under_clouds_without_room_equals_the_joint_reference():
                ({0: 1, 1: 2, 2: 0}, (0,)),  # cloud 0 full by its count
                ({0: 0, 1: 0, 2: 0}, ()),   # public only
                ({0: 2, 1: 2, 2: 2}, (0, 1, 2)))  # one slot left on each
-    moved = infeasible = 0
+    moved = unplaced = 0
     for seed, groups in ((0, 0), (1, 2), (3, 1)):
         dep, pop, instances = _fleet(users=2, groups=groups, seed=seed)
         free, _ = _joint_reference(instances, UNLIMITED, None)
@@ -823,31 +839,169 @@ def test_enumeration_under_clouds_without_room_equals_the_joint_reference():
             res = brute_force_optimal(instances, constraints,
                                       _ledger(caps, admitted), pop.groups)
             if expect is None:
-                infeasible += 1
                 assert not res.feasible and res.plans == {}
                 continue
             moved += expect != free
-            assert res.feasible and res.utility == value
+            unplaced += len(expect) < len(instances)
+            assert res.feasible == (len(expect) == len(instances))
+            assert res.utility == value
             assert res.plans == expect
-    assert moved and infeasible  # ledgers and budgets bind
+    # ledgers and budgets bind; a budget leaves a user unplaced (see
+    # test_room_and_budgets_can_leave_no_joint_assignment for a ledger
+    # that, with budgets, leaves no combination)
+    assert moved and unplaced
 
     # closing local clouds shrinks each space below a cap that the full
-    # spaces exceed, on the decomposed and (a budget) on the joint path
+    # spaces exceed, on the decomposed and (room for one of the two users
+    # on cloud 1) on the joint path; the full spaces are measured under a
+    # ledger that takes the same path and closes no cloud
     dep, pop, instances = _fleet(users=2, seed=1)
-    for caps, constraints in (({0: 0, 1: 0, 2: 0}, UNLIMITED),
-                              ({0: 0, 1: 1, 2: 0}, ConstraintVector(
-                                  delay=1e9))):
+    for caps, open_caps in (({0: 0, 1: 0, 2: 0}, {}),
+                            ({0: 0, 1: 1, 2: 0}, {1: 1})):
         ledger = _ledger(caps)
         blocked = clouds_without_room(ledger)
         sizes = [math.prod(len(with_room(c, instances[u].hosts, blocked))
                            for _, _, c in instances[u].iter_occurrences())
                  for u in sorted(instances)]
-        cap = max(sizes) if constraints is UNLIMITED else math.prod(sizes)
+        cap = math.prod(sizes) if open_caps else max(sizes)
         with pytest.raises(TooLargeForEnumeration):
-            brute_force_optimal(instances, constraints, None, cap=cap)
-        expect, value = _joint_reference(instances, constraints, ledger)
-        res = brute_force_optimal(instances, constraints, ledger, cap=cap)
+            brute_force_optimal(instances, UNLIMITED, _ledger(open_caps),
+                                cap=cap)
+        expect, value = _joint_reference(instances, UNLIMITED, ledger)
+        res = brute_force_optimal(instances, UNLIMITED, ledger, cap=cap)
         assert res.utility == value and res.plans == expect
+
+
+def test_room_and_budgets_can_leave_no_joint_assignment():
+    """Only a user with no plan within its budgets is unplaced: two users
+    whose one plan within budget needs the one slot of cloud 1 get no
+    joint assignment, though either alone is placed."""
+    grid, directory, user = _world()
+    other = MobileUser(1, trajectory_from_pairs([(0, 60.0)]))
+    ltw = LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),))
+    instances = {u.id: UserInstance(u, ltw, directory, ProfileSet.defaults(),
+                                    grid)
+                 for u in (user, other)}
+    budget = ConstraintVector(delay=instances[0].evaluate((100,)).delay)
+    for inst in instances.values():
+        assert [r[0] for r in _admitted(_plan_rows(inst), budget)] == [(100,)]
+    res = brute_force_optimal(instances, budget, CapacityLedger({1: 1}))
+    assert (res.plans, res.utility, res.feasible, res.note) == (
+        {}, 0.0, False, "no feasible joint assignment")
+    assert _joint_reference(instances, budget, CapacityLedger({1: 1})) == \
+        (None, -math.inf)
+    assert brute_force_optimal(instances, UNLIMITED,
+                               CapacityLedger({1: 1})).feasible
+    alone = brute_force_optimal({0: instances[0]}, budget,
+                                CapacityLedger({1: 1}))
+    assert alone.feasible and alone.plans == {0: (100,)}
+
+
+def _per_user_optimum(rows, constraints, ledger, groups=None):
+    """The optimum under the per-user budget rule, rows[uid] being
+    _plan_rows of the user: the best fleet_utility over one option per
+    user that keeps every cloud's room, and whether every user has an
+    option. A user's options are, per set of local clouds, the best
+    utility of its admitted plans (see _admitted); a set's best dominates
+    the rest, since room depends only on the set and the fleet score never
+    falls as one utility rises. A user with none is unplaced and scores 0.
+    None when no combination keeps the room."""
+    uids = sorted(rows)
+    options, placeable = [], True
+    for u in uids:
+        best = {}
+        for _, raw, util, clouds in _admitted(rows[u], constraints, ledger):
+            if raw is not None:
+                key = frozenset(clouds)
+                best[key] = max(best.get(key, -math.inf), util)
+        placeable = placeable and bool(best)
+        options.append(list(best.items()) or [(frozenset(), 0.0)])
+    top = None
+    for combo in itertools.product(*options):
+        usage = {}
+        for clouds, _ in combo:
+            for cid in clouds:
+                usage[cid] = usage.get(cid, 0) + 1
+        if not _overfills(ledger, usage):
+            val = fleet_utility({u: util for u, (_, util) in zip(uids, combo)},
+                                uids, groups)
+            top = val if top is None else max(top, val)
+    return top, placeable
+
+
+def _check_per_user_optimum(instances, rows, constraints, ledger, groups):
+    """brute_force_optimal against _per_user_optimum; its plans must keep
+    the budgets and the room and score its utility. Returns its result."""
+    expect, placeable = _per_user_optimum(rows, constraints, ledger, groups)
+    res = brute_force_optimal(instances, constraints, ledger, groups)
+    if expect is None:
+        assert not res.feasible and res.plans == {}
+        return res
+    assert res.utility == expect
+    assert res.feasible == placeable == (len(res.plans) == len(instances))
+    usage = {}
+    for uid, plan in res.plans.items():
+        assert constraints.admits(instances[uid].evaluate(plan))
+        for cid in instances[uid].local_clouds(plan):
+            usage[cid] = usage.get(cid, 0) + 1
+    assert not _overfills(ledger, usage)
+    assert objective_from_plans(instances, res.plans, groups) == expect
+    return res
+
+
+def _desk_fleet(sc, rep):
+    """The deployment, population, true instances and _plan_rows by user
+    of one desk repetition."""
+    dep = build_deployment(sc)
+    pop = build_population(sc, dep, rep)
+    instances = {uid: UserInstance(pop.users[uid], pop.true_ltws[uid],
+                                   dep.directory, dep.profiles, dep.grid)
+                 for uid in pop.users}
+    rows = {uid: _plan_rows(inst) for uid, inst in instances.items()}
+    return dep, pop, instances, rows
+
+
+def test_the_optimum_equals_a_per_user_enumeration_on_desk_fleets():
+    """Desk fleets at local capacity 1 and 2 (the joint path) and 15 (the
+    per-user path), ungrouped and in two groups, under delay, price and
+    power budgets at the median and at the greatest of the users' least
+    values: the median leaves users with no plan within budget."""
+    desk = load_scenario(DEMO_SCENARIOS / "desk.json")
+    cases = {"unplaced": 0, "joint": 0, "grouped": 0}
+    for capacity, groups, seed in itertools.product((1, 2, 15), (0, 2),
+                                                    (0, 1)):
+        sc = replace(desk, local_capacity=capacity, groups=groups, seed=seed)
+        for rep in range(sc.repetitions):
+            dep, pop, instances, rows = _desk_fleet(sc, rep)
+            for dim in ("price", "power", "delay"):
+                least = sorted(min(r[1].get(dim) for r in space)
+                               for space in rows.values())
+                for budget in (least[len(least) // 2], least[-1]):
+                    res = _check_per_user_optimum(
+                        instances, rows, ConstraintVector(**{dim: budget}),
+                        dep.fresh_ledger(), pop.groups)
+                    cases["unplaced"] += len(res.plans) < len(instances)
+                    cases["joint"] += capacity < sc.users
+                    cases["grouped"] += groups > 0
+    assert all(cases.values()), cases
+
+
+@pytest.mark.parametrize("budget, rep, utility, placed", [
+    (9000.0, 1, 0.0, []),  # no user has a plan under 9000 ms
+    (9000.0, 2, 0.6509782223911318, [0, 2, 3, 4]),
+    (12000.0, 1, 0.6, [0, 3, 4]),
+])
+def test_desk_budget_reproducers_score_the_per_user_optimum(budget, rep,
+                                                            utility, placed):
+    """Desk under a delay budget scores the per-user optimum: at 9000 ms one
+    user of repetition 2 has no plan within the budget, and at 12000 ms
+    two users of repetition 1 have none."""
+    sc = replace(load_scenario(DEMO_SCENARIOS / "desk.json"),
+                 budget_delay=budget)
+    dep, pop, instances, rows = _desk_fleet(sc, rep)
+    res = _check_per_user_optimum(instances, rows, sc.constraints(),
+                                  dep.fresh_ledger(), pop.groups)
+    assert res.utility == utility and sorted(res.plans) == placed
 
 
 def test_enumeration_names_an_occurrence_left_without_room():
@@ -1591,15 +1745,14 @@ def test_joint_enumeration_keeps_the_first_of_tied_feasible_maxima():
     ledger = CapacityLedger({1: 1, 2: 0})
     budget = ConstraintVector(price=1e9)
     uids = sorted(instances)
-    spaces = [_plan_rows(instances[u]) for u in uids]
+    spaces = [_admitted(_plan_rows(instances[u]), budget) for u in uids]
     best, best_val, ties = None, -math.inf, 0
     for combo in itertools.product(*spaces):
         usage = {}
         for r in combo:
             for cid in r[3]:
                 usage[cid] = usage.get(cid, 0) + 1
-        if _overfills(ledger, usage) or check_constraints(
-                [r[1] for r in combo], budget):
+        if _overfills(ledger, usage):
             continue
         val = fleet_utility({u: r[2] for u, r in zip(uids, combo)}, uids)
         ties += val == best_val
@@ -1828,7 +1981,6 @@ def _dict_music(target, constraints, params, rng, ledger, paths):
     single = isinstance(target, UserInstance)
     members = [target] if single else target.members
     center = target.center_point()
-    shared = constraints if isinstance(constraints, ConstraintVector) else None
     memo = SearchMemo()
     best, best_val = None, -math.inf
     for _ in range(params.max_iter + 1):
@@ -1845,9 +1997,6 @@ def _dict_music(target, constraints, params, rng, ledger, paths):
                 for cid in _dict_local_clouds(m, plan):
                     usage[cid] = usage.get(cid, 0) + 1
         except NoFeasibleCandidates:
-            continue
-        if not single and shared is not None and shared.bounded() and \
-                check_constraints(raws, shared):
             continue
         val = fleet_utility({m.user.id: m.utility_of(raw)
                              for m, raw in zip(members, raws)},

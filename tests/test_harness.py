@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tieralloc import (CSV_COLUMNS, AllocationResult, AnnealingParams,
                        allocate_music, allocate_rsa, build_deployment,
                        build_population, carry_plans, compute_throughput,
                        compute_two_tier_gain, emit_results, gain_pct, leaf,
-                       rows_to_csv, rows_to_table, run_experiment, summarize)
+                       load_scenario, rows_to_csv, rows_to_table, run_experiment, summarize)
 from tieralloc.allocation import clouds_without_room
 from tieralloc.errors import (TooLargeForEnumeration, UndefinedGain,
                               UndefinedThroughput)
@@ -301,6 +302,23 @@ def test_enumeration_cap_skips_or_raises_per_request():
     with pytest.raises(TooLargeForEnumeration):
         run_experiment(_scenario(algorithm="bruteforce", enumeration_cap=1,
                                  repetitions=1))
+
+
+def test_a_row_whose_plans_break_a_budget_has_no_throughput():
+    """Desk under a 9000 ms delay budget. In repetition 2 greedy puts a user
+    over the budget, so the optimum, which keeps it, does not bound greedy:
+    its throughput is blank. Music's plans keep the budget and score the
+    optimum."""
+    desk = Path(__file__).resolve().parents[1] / "demos/scenarios/desk.json"
+    sc = dataclasses.replace(load_scenario(desk), budget_delay=9000.0)
+    rows = run_experiment(sc)
+    records = [dict(zip(CSV_COLUMNS, r))
+               for r in csv.reader(io.StringIO(rows_to_csv(rows)))][1:]
+    assert all(float(r["throughput_pct"] or 0.0) <= 100.0 for r in records)
+    third = {r["algorithm"]: r["throughput_pct"] for r in records
+             if r["repetition"] == "2"}
+    assert third["greedy"] == ""
+    assert third["music"] == third["bruteforce"] == "100.000000"
 
 
 def test_fixed_dimension_study_reports_gains():
