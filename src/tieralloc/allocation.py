@@ -23,6 +23,10 @@ normalized price / power / delay, the fleet objective is the mean over users
 (over groups of member means in grouped mode). Local-cloud capacity is
 enforced at admission time through the shared ledger, first come first
 served in a seeded random order.
+
+The exhaustive optimum takes one path: each user's best plan per set of
+binding clouds, combined once (brute_force_optimal). Its cap bounds each
+user's plan space and that option product, before any plan is evaluated.
 """
 
 from __future__ import annotations
@@ -953,21 +957,17 @@ def allocate_music(instances: Mapping[int, UserInstance],
 
 # --- exhaustive optimum ----------------------------------------------------------
 
-def _pools(instance: UserInstance, blocked: frozenset[int], cap: int
-           ) -> tuple[list[list[int]], int]:
-    """The user's candidate ids per occurrence that may run (see
-    _allowed_candidates), and the size of their product: in
-    itertools.product order, the user's plan space as pick tuples. Raises
-    TooLargeForEnumeration when the size exceeds cap."""
-    pools = [ids for _, _, ids in _allowed_candidates(instance, blocked)]
-    size = math.prod(len(ids) for ids in pools)
-    if size > cap:
-        raise TooLargeForEnumeration(
-            f"user {instance.user.id}: plan space exceeds {cap}")
-    return pools, size
-
-
 _SCORE_CHUNK = 1 << 16
+
+
+def _unravel(flat, sizes: Sequence[int]) -> list:
+    """np.unravel_index(flat, sizes) for any number of axes (numpy's stops at
+    64): the C-order index along each axis of flat, an int or an int array."""
+    picks = []
+    for size in reversed(sizes):
+        picks.append(flat % size)
+        flat = flat // size
+    return picks[::-1]
 
 
 def _joint_scores(utils: Sequence[Sequence[float]], users: Sequence[int],
@@ -991,8 +991,8 @@ def _joint_scores(utils: Sequence[Sequence[float]], users: Sequence[int],
     total = math.prod(sizes)
     scores = np.empty(total)
     for start in range(0, total, _SCORE_CHUNK):
-        picks = np.unravel_index(np.arange(start, min(start + _SCORE_CHUNK,
-                                                      total)), sizes)
+        picks = _unravel(np.arange(start, min(start + _SCORE_CHUNK, total)),
+                         sizes)
         table = np.empty((len(picks[0]), len(users)))
         for i, (column, pick) in enumerate(zip(columns, picks)):
             table[:, i] = column[pick]
@@ -1016,25 +1016,28 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
                         cap: int = 1_000_000) -> AllocationResult:
     """Exact optimum by enumeration, for small instances.
 
-    A user's plans are those its pools allow (see _pools), kept when the
-    budgets admit their raw QoS (see the module docstring). Leaving out a
-    candidate on a cloud without room (see clouds_without_room) is exact:
-    any combination using it breaks that cloud's capacity. A user with no
-    admissible plan is unplaced and scores 0, as in music; feasible says
-    whether every user got a plan.
+    A user's plans are the pick tuples its candidates allow (see
+    _allowed_candidates), kept when the budgets admit their raw QoS (see
+    the module docstring). Leaving out a candidate on a cloud without room
+    (see clouds_without_room) is exact: any combination using it breaks
+    that cloud's capacity. A user with no admissible plan is unplaced and
+    scores 0, as in music; feasible says whether every user got a plan.
 
-    When no cloud left can bind, users decompose and each takes the first
-    best of its own admissible plans (per-user spaces still respect cap).
-    Otherwise the users' admissible plans are combined, an unplaced user
-    being one row of utility 0 and no clouds; every combination is scored
-    at once (see _joint_scores), and the combinations are checked in
-    descending score order, ties in product order, until one places no
-    more users on a cloud than its room (CapacityLedger.room): the first
-    best feasible combination. A placeable user is never left out to make
-    room, so room and budgets together can leave no feasible combination.
-    Raises TooLargeForEnumeration when the space to enumerate exceeds cap,
-    and NoFeasibleCandidates when some occurrence has no candidate with
-    room.
+    Only a binding cloud (room in (0, users)) can overfill, and room
+    depends only on the clouds a plan uses. So each user's plans are walked
+    once and reduced to options: per set of binding clouds used, the first
+    best plan, ordered by its place in the product (an unplaced user has
+    one option: utility 0, no clouds). Every combination of options is
+    scored (see _joint_scores) and checked in descending score order, ties
+    in product order, until one keeps every cloud's room
+    (CapacityLedger.room). When nothing binds, one combination is scored.
+    A placeable user is never left out to make room, so room and budgets
+    together can leave no feasible combination.
+
+    cap bounds each user's plan space and, before any plan is evaluated,
+    the product over users of min(plan space, 2 ** binding clouds hosting
+    one of its candidates); TooLargeForEnumeration when either exceeds it.
+    NoFeasibleCandidates when an occurrence has no candidate with room.
     """
     if not isinstance(constraints, ConstraintVector):
         raise ValueError("exhaustive search takes one shared constraint vector")
@@ -1042,50 +1045,46 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
     if ledger is None:
         ledger = CapacityLedger({})
     no_room = clouds_without_room(ledger)
-    caps_bind = any(0 < ledger.room(cid) < len(uids)
-                    for cid in ledger.capacities())
-    # QoSTriple values are finite, so unbounded budgets always hold
-    bounded = constraints.bounded()
-    if not caps_bind:
-        plans: dict[int, tuple[int, ...]] = {}
-        utils: dict[int, float] = {}
-        for uid in uids:
-            inst = instances[uid]
-            pools, _ = _pools(inst, no_room, cap)
-            best, best_u = None, -math.inf
-            evaluate, utility_of = inst.evaluate, inst.utility_of
-            for picks in itertools.product(*pools):
-                raw = evaluate(picks)
-                if bounded and not constraints.admits(raw):
-                    continue
-                u = utility_of(raw)
-                if u > best_u:
-                    best, best_u = picks, u
-            if best is not None:
-                plans[uid], utils[uid] = best, best_u
-        return AllocationResult(plans, fleet_utility(utils, uids, groups),
-                                len(plans) == len(uids))
-
+    binding = frozenset(cid for cid in ledger.capacities()
+                        if 0 < ledger.room(cid) < len(uids))
     pools_of: dict[int, list[list[int]]] = {}
-    total = 1
-    for uid in uids:
-        pools_of[uid], size = _pools(instances[uid], no_room, cap)
-        total *= size
-        if total > cap:
-            raise TooLargeForEnumeration(f"joint plan space exceeds {cap}")
-    # per user, in uid order: (picks, utility, local clouds) of each
-    # admissible plan, in product order, or the one unplaced row
-    spaces: list[list[tuple[Optional[tuple[int, ...]], float,
-                            AbstractSet[int]]]] = []
+    bound = 1
     for uid in uids:
         inst = instances[uid]
-        rows = []
-        for picks in itertools.product(*pools_of[uid]):
-            raw = inst.evaluate(picks)
-            if not bounded or constraints.admits(raw):
-                rows.append((picks, inst.utility_of(raw),
-                             inst.local_clouds(picks)))
-        spaces.append(rows or [(None, 0.0, _NO_CLOUDS)])
+        # per occurrence, the ids that may run: the plan space is their product
+        pools = pools_of[uid] = [ids for _, _, ids in
+                                 _allowed_candidates(inst, no_room)]
+        size = math.prod(map(len, pools))
+        if size > cap:
+            raise TooLargeForEnumeration(
+                f"user {inst.user.id}: plan space exceeds {cap}")
+        reach = binding.intersection(inst.hosts[sid] for ids in pools
+                                     for sid in ids)
+        bound *= min(size, 2 ** len(reach))
+        if bound > cap:
+            raise TooLargeForEnumeration(f"joint option space exceeds {cap}")
+    # QoSTriple values are finite, so unbounded budgets always hold
+    bounded = constraints.bounded()
+    # per user, in uid order: (picks, utility, binding clouds used) of each
+    # option, or the one unplaced row
+    spaces: list[list[tuple]] = []
+    for uid in uids:
+        inst = instances[uid]
+        evaluate, utility_of = inst.evaluate, inst.utility_of
+        # binding clouds used -> (product index, picks, utility, clouds)
+        best: dict[AbstractSet[int], tuple] = {}
+        key = _NO_CLOUDS
+        for i, picks in enumerate(itertools.product(*pools_of[uid])):
+            raw = evaluate(picks)
+            if bounded and not constraints.admits(raw):
+                continue
+            u = utility_of(raw)
+            if binding:
+                key = binding.intersection(inst.local_clouds(picks))
+            if key not in best or u > best[key][2]:
+                best[key] = (i, picks, u, key)
+        spaces.append([row[1:] for row in sorted(best.values())]
+                      or [(None, 0.0, _NO_CLOUDS)])
 
     def fits(chosen: Sequence[tuple]) -> bool:
         usage: dict[int, int] = {}
@@ -1101,8 +1100,7 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
     # the first feasible combination in descending score order, ties in
     # product order: the first best feasible one
     for k in np.argsort(-scores, kind="stable"):
-        chosen = [rows[i] for rows, i in
-                  zip(spaces, np.unravel_index(k, sizes))]
+        chosen = [rows[i] for rows, i in zip(spaces, _unravel(k, sizes))]
         if fits(chosen):
             plans = {uid: row[0] for uid, row in zip(uids, chosen)
                      if row[0] is not None}

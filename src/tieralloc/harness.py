@@ -239,7 +239,10 @@ def _enumerate_optimal(sc: Scenario, dep: Deployment,
     try:
         return brute_force_optimal(true, sc.constraints(), dep.fresh_ledger(),
                                    groups, cap=sc.enumeration_cap)
-    except TooLargeForEnumeration:
+    except TooLargeForEnumeration as exc:
+        if sc.algorithm == "bruteforce":  # asked for, so refuse loudly
+            raise TooLargeForEnumeration(f"scenario {sc.scenario_id!r}: "
+                                         f"{exc} (enumeration_cap)") from exc
         return None
 
 
@@ -253,10 +256,6 @@ def _standard_rows(sc: Scenario, dep: Deployment, pop: Population,
     for alg in algorithms:
         if alg == "bruteforce":
             if opt is None:
-                if sc.algorithm == "bruteforce":
-                    raise TooLargeForEnumeration(
-                        f"scenario {sc.scenario_id!r}: joint plan space "
-                        f"exceeds {sc.enumeration_cap}")
                 continue
             raws = {uid: true[uid].evaluate(p)
                     for uid, p in opt.plans.items()}

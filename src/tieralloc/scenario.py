@@ -125,7 +125,10 @@ class Scenario:
     budget_price, budget_power and budget_delay each bound every placed
     user's raw QoS, boundary inclusive. Under music, gmusic and the
     optimum a user with no plan inside the budgets is unplaced and scores
-    0; greedy ignores budgets, and rsa can end on a plan that breaks one."""
+    0; greedy ignores budgets, and rsa can end on a plan that breaks one.
+    enumeration_cap is the optimum's cap (see brute_force_optimal): a run
+    over it has no bruteforce row, so 1 leaves the optimum out wherever a
+    user has two plans."""
 
     scenario_id: str = "default"
     grid_width: int = 15

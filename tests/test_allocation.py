@@ -662,6 +662,8 @@ def test_no_heuristic_beats_the_enumerated_optimum():
 
 
 def test_decomposed_and_joint_enumeration_agree(monkeypatch):
+    """A ledger that binds no user's own optimum leaves the optimum as it is
+    with no ledger, where nothing binds and each user has one option."""
     dep, pop, instances = _fleet(users=3, seed=1)
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
     joint = _counted(monkeypatch, allocation, "_joint_scores")
@@ -671,24 +673,20 @@ def test_decomposed_and_joint_enumeration_agree(monkeypatch):
     least = [min(r[1].delay for r in _plan_rows(instances[u]))
              for u in sorted(instances)]
     for budget in (UNLIMITED, ConstraintVector(delay=float(np.median(least)))):
-        fast = brute_force_optimal(instances, budget)  # per-user decomposition
-        assert joint == []
-        # room for two of the three users on each local cloud sends the
-        # search down the joint path; it binds no user's own optimum
-        used = [c for u, p in fast.plans.items()
+        free = brute_force_optimal(instances, budget)
+        # one option per user: one combination is scored
+        assert [list(map(len, utils)) for utils in joint] == [[1, 1, 1]]
+        # room for two of the three users on each local cloud makes every
+        # local cloud bind; it binds no user's own optimum
+        used = [c for u, p in free.plans.items()
                 for c in instances[u].local_clouds(p)]
         assert all(used.count(c) <= 2 for c in locals_)
-        slow = brute_force_optimal(
+        bound = brute_force_optimal(
             instances, budget, CapacityLedger(dict.fromkeys(locals_, 2)))
-        assert len(joint) == 1
+        assert len(joint) == 2 and max(map(len, joint[1])) > 1
         joint.clear()
-        assert fast.feasible == slow.feasible
-        assert fast.plans.keys() == slow.plans.keys()
-        assert fast.utility == pytest.approx(slow.utility, rel=1e-12)
-        for uid in fast.plans:
-            assert instances[uid].utility(fast.plans[uid]) == pytest.approx(
-                instances[uid].utility(slow.plans[uid]), rel=1e-12)
-    assert len(slow.plans) == 2 and not slow.feasible
+        assert bound == free
+    assert len(free.plans) == 2 and not free.feasible
 
 
 def _overfills(ledger, usage):
@@ -757,22 +755,54 @@ def test_joint_enumeration_returns_the_first_best_feasible_combination():
     assert res.feasible == (len(res.plans) == len(uids))
 
 
+def _option_bound(instances, ledger):
+    """The bound on the optimum's option product: over users, the least of
+    the plan space with clouds without room closed and 2 ** the number of
+    binding clouds (room in (0, users)) hosting one of its candidates."""
+    blocked = clouds_without_room(ledger)
+    binding = {cid for cid in ledger.capacities()
+               if 0 < ledger.room(cid) < len(instances)}
+    bound = 1
+    for inst in instances.values():
+        pools = [with_room(c, inst.hosts, blocked)
+                 for _, _, c in inst.iter_occurrences()]
+        hosts = {inst.hosts[sid] for ids in pools for sid in ids}
+        bound *= min(math.prod(map(len, pools)), 2 ** len(binding & hosts))
+    return bound
+
+
 def test_joint_space_over_the_cap_is_refused_before_any_evaluation(
         monkeypatch):
+    """cap bounds the option product as _option_bound measures it: one
+    below it is refused before any plan is evaluated, and at it the optimum
+    is solved. Three users with room for two on each local cloud, whose
+    plan spaces lie below the bound and whose product lies far above it;
+    and two users of g, whose two plans each lie below 2 ** 2 binding
+    clouds."""
     dep, pop, instances = _fleet(users=3, seed=1)
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
     sizes = [math.prod(len(c) for _, _, c in instances[u].iter_occurrences())
              for u in sorted(instances)]
-    assert min(sizes) > 1
+    grid, directory, user = _world()
+    other = MobileUser(1, trajectory_from_pairs([(0, 60.0)]))
+    ltw = LTW((LTWEntry(0, 60.0, leaf("g", 2048.0)),))
+    pair = {u.id: UserInstance(u, ltw, directory, ProfileSet.defaults(), grid)
+            for u in (user, other)}
+    cases = [(instances, lambda: CapacityLedger(dict.fromkeys(locals_, 2))),
+             (pair, lambda: CapacityLedger({1: 1, 2: 1}))]
+    bound = _option_bound(instances, cases[0][1]())
+    assert 1 < max(sizes) < bound < math.prod(sizes)
+    assert _option_bound(pair, cases[1][1]()) == 4
     calls = _counted(monkeypatch, UserInstance, "evaluate")
-    # every user's own space fits; the first two together do not. Room for
-    # two of the three users on each local cloud closes no cloud but can
-    # bind, which takes the joint path
-    with pytest.raises(TooLargeForEnumeration, match="joint"):
-        brute_force_optimal(instances, UNLIMITED,
-                            CapacityLedger(dict.fromkeys(locals_, 2)),
-                            cap=sizes[0] * sizes[1] - 1)
-    assert calls == []
+    for fleet, ledger in cases:
+        bound = _option_bound(fleet, ledger())
+        with pytest.raises(TooLargeForEnumeration, match="joint"):
+            brute_force_optimal(fleet, UNLIMITED, ledger(), cap=bound - 1)
+        assert calls == []
+        res = brute_force_optimal(fleet, UNLIMITED, ledger(), cap=bound)
+        assert res.feasible
+        assert res == brute_force_optimal(fleet, UNLIMITED, ledger())
+        calls.clear()
 
 
 def test_enumeration_cap_is_enforced():
@@ -817,9 +847,9 @@ def _ledger(capacities, admitted=()):
 def test_enumeration_under_clouds_without_room_equals_the_joint_reference():
     """Candidates on clouds without room leave the pools; the optimum is the
     full joint space's first best feasible combination all the same, and
-    the filtered spaces are what the cap measures."""
-    ledgers = (({0: 0, 1: 2, 2: 2}, ()),   # decomposes: no cloud left binds
-               ({0: 0, 1: 1, 2: 2}, ()),   # cloud 1 binds: joint path
+    the filtered pools are what the cap measures."""
+    ledgers = (({0: 0, 1: 2, 2: 2}, ()),   # no cloud left binds
+               ({0: 0, 1: 1, 2: 2}, ()),   # cloud 1 binds
                ({0: 1, 1: 2, 2: 0}, (0,)),  # cloud 0 full by its count
                ({0: 0, 1: 0, 2: 0}, ()),   # public only
                ({0: 2, 1: 2, 2: 2}, (0, 1, 2)))  # one slot left on each
@@ -851,25 +881,35 @@ def test_enumeration_under_clouds_without_room_equals_the_joint_reference():
     # that, with budgets, leaves no combination)
     assert moved and unplaced
 
-    # closing local clouds shrinks each space below a cap that the full
-    # spaces exceed, on the decomposed and (room for one of the two users
-    # on cloud 1) on the joint path; the full spaces are measured under a
-    # ledger that takes the same path and closes no cloud
+    # closing local clouds shrinks what the cap measures below a cap that
+    # the open ledger exceeds: the plan spaces, when nothing binds (all
+    # closed against no ledger), and the option bound (see _option_bound),
+    # when closing cloud 0 leaves two of three binding clouds for three
+    # users whose plan spaces lie within the cap either way
     dep, pop, instances = _fleet(users=2, seed=1)
-    for caps, open_caps in (({0: 0, 1: 0, 2: 0}, {}),
-                            ({0: 0, 1: 1, 2: 0}, {1: 1})):
-        ledger = _ledger(caps)
-        blocked = clouds_without_room(ledger)
-        sizes = [math.prod(len(with_room(c, instances[u].hosts, blocked))
-                           for _, _, c in instances[u].iter_occurrences())
-                 for u in sorted(instances)]
-        cap = math.prod(sizes) if open_caps else max(sizes)
-        with pytest.raises(TooLargeForEnumeration):
-            brute_force_optimal(instances, UNLIMITED, _ledger(open_caps),
-                                cap=cap)
-        expect, value = _joint_reference(instances, UNLIMITED, ledger)
-        res = brute_force_optimal(instances, UNLIMITED, ledger, cap=cap)
-        assert res.utility == value and res.plans == expect
+    ledger = _ledger({0: 0, 1: 0, 2: 0})
+    blocked = clouds_without_room(ledger)
+    cap = max(math.prod(len(with_room(c, instances[u].hosts, blocked))
+                        for _, _, c in instances[u].iter_occurrences())
+              for u in sorted(instances))
+    with pytest.raises(TooLargeForEnumeration, match="plan space"):
+        brute_force_optimal(instances, UNLIMITED, _ledger({}), cap=cap)
+    expect, value = _joint_reference(instances, UNLIMITED, ledger)
+    res = brute_force_optimal(instances, UNLIMITED, ledger, cap=cap)
+    assert res.utility == value and res.plans == expect
+
+    dep, pop, instances = _fleet(users=3, seed=1)
+    cap = max(math.prod(len(c) for _, _, c in instances[u].iter_occurrences())
+              for u in sorted(instances))
+    closed, open_ = {0: 0, 1: 2, 2: 2}, {0: 2, 1: 2, 2: 2}
+    assert _option_bound(instances, _ledger(closed)) <= cap \
+        < _option_bound(instances, _ledger(open_))
+    with pytest.raises(TooLargeForEnumeration, match="joint"):
+        brute_force_optimal(instances, UNLIMITED, _ledger(open_), cap=cap)
+    rows = {uid: _plan_rows(inst) for uid, inst in instances.items()}
+    res = brute_force_optimal(instances, UNLIMITED, _ledger(closed), cap=cap)
+    assert res == _check_per_user_optimum(instances, rows, UNLIMITED,
+                                          _ledger(closed), None)
 
 
 def test_room_and_budgets_can_leave_no_joint_assignment():
@@ -962,8 +1002,8 @@ def _desk_fleet(sc, rep):
 
 
 def test_the_optimum_equals_a_per_user_enumeration_on_desk_fleets():
-    """Desk fleets at local capacity 1 and 2 (the joint path) and 15 (the
-    per-user path), ungrouped and in two groups, under delay, price and
+    """Desk fleets at local capacity 1 and 2 (capacity binds) and 15
+    (nothing binds), ungrouped and in two groups, under delay, price and
     power budgets at the median and at the greatest of the users' least
     values: the median leaves users with no plan within budget."""
     desk = load_scenario(DEMO_SCENARIOS / "desk.json")
@@ -984,6 +1024,107 @@ def test_the_optimum_equals_a_per_user_enumeration_on_desk_fleets():
                     cases["joint"] += capacity < sc.users
                     cases["grouped"] += groups > 0
     assert all(cases.values()), cases
+
+
+def test_the_optimum_equals_the_raw_joint_enumeration_on_small_fleets():
+    """brute_force_optimal against _joint_reference, which combines every
+    admitted plan in product order: the same plans and the same float
+    utility, on fleets of 2 and 3 users at local capacity 1 and 2, in 0, 1
+    and 2 groups, unbudgeted and under a delay budget at the users' median
+    least delay."""
+    cases = {"binds": 0, "unplaced": 0, "grouped": 0}
+    for (users, seed), capacity, groups in itertools.product(
+            ((2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 3)), (1, 2),
+            (0, 1, 2)):
+        dep, pop, instances = _fleet(users=users, groups=groups, seed=seed,
+                                     local_capacity=capacity,
+                                     local_function_rate=0.4)
+        least = sorted(min(r[1].delay for r in _plan_rows(inst))
+                       for inst in instances.values())
+        for budget in (UNLIMITED, ConstraintVector(delay=least[users // 2])):
+            expect, value = _joint_reference(instances, budget,
+                                             dep.fresh_ledger(), pop.groups)
+            res = brute_force_optimal(instances, budget, dep.fresh_ledger(),
+                                      pop.groups)
+            if expect is None:
+                assert (res.plans, res.feasible) == ({}, False)
+                continue
+            assert (res.plans, res.utility) == (expect, value)
+            assert res.feasible == (len(expect) == users)
+            free = brute_force_optimal(instances, budget, groups=pop.groups)
+            cases["binds"] += res.utility < free.utility
+            cases["unplaced"] += len(expect) < users
+            cases["grouped"] += groups > 0
+    assert all(cases.values()), cases
+
+
+class _TableInstance:
+    """A stand-in for UserInstance whose plans score from a table: pools[k]
+    lists the candidate ids of occurrence k, hosts maps an id to its local
+    cloud (None elsewhere), and utils maps a plan to its utility."""
+
+    def __init__(self, uid, pools, hosts, utils):
+        self.user = SimpleNamespace(id=uid)
+        self.pools, self.hosts, self.utils = pools, hosts, utils
+
+    def iter_occurrences(self):
+        for k, ids in enumerate(self.pools):
+            yield 0, SimpleNamespace(index=k), ids
+
+    def evaluate(self, picks):
+        return tuple(picks)
+
+    def utility_of(self, raw):
+        return self.utils[raw]
+
+    def utility(self, picks):
+        return self.utility_of(self.evaluate(picks))
+
+    def local_clouds(self, picks):
+        return {self.hosts[sid] for sid in picks} - {None}
+
+
+def test_the_optimum_keeps_the_first_best_combination_among_tied_options():
+    """Plans scored from a few values tie often, within a set of clouds and
+    across sets: brute_force_optimal returns _joint_reference's first best
+    feasible combination in product order all the same."""
+    rng = np.random.default_rng(5)
+    values = (0.25, 0.5, 0.75, 1.0)
+    moved = 0
+    for case in range(150):
+        users = int(rng.integers(2, 4))
+        instances = {}
+        for uid in range(users):
+            pools = [[10 * k + j for j in range(int(rng.integers(2, 4)))]
+                     for k in range(2)]
+            hosts = {sid: [1, 2, 3, None][int(rng.integers(4))]
+                     for ids in pools for sid in ids}
+            utils = {p: values[int(rng.integers(len(values)))]
+                     for p in itertools.product(*pools)}
+            instances[uid] = _TableInstance(uid, pools, hosts, utils)
+        ledger = CapacityLedger({1: 1, 2: 1, 3: users})
+        expect, value = _joint_reference(instances, UNLIMITED, ledger)
+        res = brute_force_optimal(instances, UNLIMITED, ledger)
+        if expect is None:
+            assert (res.plans, res.feasible) == ({}, False)
+            continue
+        assert (res.plans, res.utility) == (expect, value)
+        moved += expect != _joint_reference(instances, UNLIMITED, None)[0]
+    assert moved
+
+
+def test_a_budgeted_run_with_a_small_admitted_space_is_solved():
+    """Desk with 7 users at local capacity 2 under a 12000 ms delay budget,
+    seed 2, repetition 0: the raw joint product of the users' plan spaces
+    is 1,492,992, over the default cap, but with desk's two local clouds
+    the option bound is at most 4 ** 7, so the optimum is solved."""
+    sc = replace(load_scenario(DEMO_SCENARIOS / "desk.json"), users=7,
+                 local_capacity=2, budget_delay=12000.0, seed=2)
+    dep, pop, instances, rows = _desk_fleet(sc, 0)
+    assert math.prod(map(len, rows.values())) == 1_492_992
+    res = _check_per_user_optimum(instances, rows, sc.constraints(),
+                                  dep.fresh_ledger(), pop.groups)
+    assert res.plans and res.utility > 0
 
 
 @pytest.mark.parametrize("budget, rep, utility, placed", [
@@ -1703,9 +1844,11 @@ def test_joint_scores_equal_fleet_utility_per_combination(monkeypatch):
     rng = np.random.default_rng(4)
     # chunks of 7 combinations, so chunk boundaries fall inside the product
     monkeypatch.setattr(allocation, "_SCORE_CHUNK", 7)
-    for case in range(60):
-        n_users = int(rng.integers(1, 12))
-        users = sorted(rng.choice(30, size=n_users, replace=False).tolist())
+    # the last cases have 70 users, more axes than np.unravel_index takes
+    for case in range(64):
+        n_users = int(rng.integers(1, 12)) if case < 60 else 70
+        users = sorted(rng.choice(30 if n_users < 30 else 100, size=n_users,
+                                  replace=False).tolist())
         sizes = [int(rng.integers(1, 4)) for _ in users]
         while math.prod(sizes) > 300:
             sizes[sizes.index(max(sizes))] -= 1

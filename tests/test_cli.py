@@ -127,6 +127,29 @@ def test_a_bad_scenario_file_exits_two_without_a_traceback(tmp_path, bad):
     assert proc.stdout == ""
 
 
+def test_a_fleet_of_more_than_64_users_runs_without_a_traceback(tmp_path):
+    """70 users whose one plan each needs the one local cloud, with room for
+    65: the optimum scores a product over 70 users (more axes than
+    np.unravel_index takes) and finds no feasible joint assignment."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({
+        "users": 70, "local_clouds": 1, "public_instances": 0,
+        "local_capacity": 65, "device_service_rate": 0.0,
+        "workflows_per_user": 1, "template_mix": {"file_sync": 1.0},
+        "duration_s": 120.0, "algorithm": "greedy", "repetitions": 1}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tieralloc", "--scenario", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert [r["algorithm"] for r in rows] == ["greedy"]
+
+
 def test_public_only_is_a_file_with_local_capacity_zero(tmp_path, capsys):
     path = _scenario_file(tmp_path, algorithm="all")
     assert main(["--scenario", path, "--public-only"]) == 0
