@@ -40,15 +40,16 @@ from typing import AbstractSet, Container, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (AdmissionRefused, IncompletePlan, InvalidGroup,
-                     NoFeasibleCandidates, TooLargeForEnumeration)
+                     NoFeasibleCandidates, NoRealizingService,
+                     TooLargeForEnumeration)
 from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
                     center_of_group_mobility, center_of_mobility)
-from .profiles import (ProfileSet, Rates, candidate_rows, intercloud_ms,
+from .profiles import (ProfileSet, Rates, _costs, intercloud_ms,
                        service_rates)
 from .registry import CapacityLedger, ServiceDirectory
-from .workflow import (DIMS, LTW, FoldFn, LeafCost, QoSExtrema, QoSTriple,
-                       WorkflowNode, candidate_services, compile_fold,
-                       dim_bounds, normalize_within, occurrences, trusted_qos)
+from .workflow import (DIMS, LTW, FoldFn, LeafCost, Occurrence, QoSExtrema,
+                       QoSTriple, WorkflowNode, compile_fold, dim_bounds,
+                       normalize_within, occurrences, trusted_qos)
 
 
 def constraints_for(constraints, uid: int) -> "ConstraintVector":
@@ -275,16 +276,31 @@ def _hop_extremes(hosts: AbstractSet[Optional[int]],
     return min(extras), max(0.0, max(extras))
 
 
-class CostMemo:
-    """What the planning tables of one population share.
+# rows costed per array pass: enough to spread numpy's per-call cost, few
+# enough that the pass's own lists and arrays stay small next to the tables
+_PASS_ROWS = 2048
 
-    - per (function id, user id): the candidate ids (candidate_services)
-      and the set of their host clouds (None: on the device);
-    - per cloud service id and WiFi owner of the entry's cell, and per
-      device service id (a device run uses no link, so coverage plays no
-      part): the service's resolved cost (profiles.service_rates);
+
+class CostMemo:
+    """What the planning tables of one population share, and the pass that
+    costs them.
+
+    - per (function id, user id, WiFi owner of the entry's cell), and per
+      (function id, WiFi owner) for the cloud candidates alone: the
+      candidate ids (candidate_services), the set of their host clouds
+      (None: on the device) and the column of each one's resolved cost in
+      rate_table;
+    - per cloud service id and WiFi owner, and per device service id (a
+      device run uses no link, so coverage plays no part): the column of
+      the service's resolved cost (profiles.service_rates);
     - per (user id, workflow object, WiFi owner of the entry's cell): the
       entry's planning tables (see tables_of).
+
+    expect queues an LTW's entries. The first tables_of that misses costs
+    every queued entry, in queue order, in numpy passes over about
+    _PASS_ROWS (entry, occurrence, candidate) rows each (see _cost_block),
+    so a caller that queues a whole population first has it costed at
+    once.
 
     Each entry is read from the directory and the profile set when it is
     first needed, and is right only while they do not change. So one memo
@@ -293,65 +309,214 @@ class CostMemo:
     """
 
     __slots__ = ("directory", "profiles", "candidates", "host_sets", "rates",
-                 "tables")
+                 "new_rates", "rate_table", "tables", "queued")
 
     def __init__(self, directory: ServiceDirectory, profiles: ProfileSet):
         self.directory = directory
         self.profiles = profiles
-        self.candidates: dict[tuple[str, int],
-                              tuple[list[int], frozenset[Optional[int]]]] = {}
+        self.candidates: dict[tuple, tuple[list[int],
+                                           frozenset[Optional[int]],
+                                           list[int]]] = {}
         self.host_sets: dict[frozenset[Optional[int]],
                              frozenset[Optional[int]]] = {}
         # keyed by (service id, WiFi owner) for cloud services, by service
         # id for device services
-        self.rates: dict[object, Rates] = {}
+        self.rates: dict[object, int] = {}
+        # one column per resolved cost, one row per Rates field; and the
+        # costs resolved since the last pass, which appends them
+        self.rate_table: Optional[np.ndarray] = None
+        self.new_rates: list[Rates] = []
         self.tables: dict[tuple[int, int, Optional[int]], _EntryTables] = {}
+        self.queued: dict[tuple[int, int, Optional[int]],
+                          tuple[MobileUser, WorkflowNode, Optional[int]]] = {}
 
-    def tables_of(self, user: MobileUser, workflow: WorkflowNode,
-                  covered_by: Optional[int]) -> "_EntryTables":
-        """The planning tables of the user's entry running workflow from a
-        cell whose WiFi access point belongs to cloud covered_by (None: no
-        coverage). Entries of the same user, workflow object and WiFi owner
-        share one object, in one instance or across the true and the
-        predicted ones. The tables hold their workflow, so its id cannot
-        name another object while the memo lives."""
-        key = (user.id, id(workflow), covered_by)
-        tables = self.tables.get(key)
-        if tables is None:
-            tables = self.tables[key] = _EntryTables(user, workflow,
-                                                     covered_by, self)
-        return tables
+    def expect(self, user: MobileUser, ltw: LTW, grid: LocationMap
+               ) -> list[tuple[int, int, Optional[int]]]:
+        """Queue the entries of the user's LTW that have no tables yet, and
+        return every entry's key (user id, workflow object id, WiFi owner
+        of its cell)."""
+        keys = []
+        for entry in ltw.entries:
+            covered_by = grid.cell(entry.cell_id).wifi_covered_by
+            key = (user.id, id(entry.workflow), covered_by)
+            if key not in self.tables and key not in self.queued:
+                self.queued[key] = (user, entry.workflow, covered_by)
+            keys.append(key)
+        return keys
 
-    def candidates_of(self, function_id: str, user: MobileUser
-                      ) -> tuple[list[int], frozenset[Optional[int]]]:
-        """The user's candidate ids for the function and their host set."""
-        key = (function_id, user.id)
+    def tables_of(self, user: MobileUser, ltw: LTW, grid: LocationMap
+                  ) -> list["_EntryTables"]:
+        """The planning tables of each entry of the user's LTW, costing
+        every queued entry first when one is missing. Entries of the same
+        user, workflow object and WiFi owner at the cell share one object,
+        in one instance or across the true and the predicted ones. The
+        tables hold their workflow, so its id cannot name another object
+        while the memo lives."""
+        keys = self.expect(user, ltw, grid)
+        if self.queued:
+            self._cost_queued()
+        return [self.tables[key] for key in keys]
+
+    def candidates_of(self, function_id: str, user: MobileUser,
+                      covered_by: Optional[int]
+                      ) -> tuple[list[int], frozenset[Optional[int]],
+                                 list[int]]:
+        """The user's candidate ids for the function (candidate_services),
+        their host set and the rate_table column of each one, run from a cell
+        whose WiFi access point belongs to cloud covered_by (None: no
+        coverage): the function's cloud candidates there, which every user
+        shares, merged with the user's device services."""
+        key = (function_id, user.id, covered_by)
         found = self.candidates.get(key)
         if found is None:
-            ids = candidate_services(function_id, user, self.directory)
-            hosts = self.directory.hosts
-            # few distinct host sets exist; keep one object of each
-            host_set = frozenset([hosts[sid] for sid in ids])
-            host_set = self.host_sets.setdefault(host_set, host_set)
-            found = self.candidates[key] = (ids, host_set)
+            cloud = self.candidates.get((function_id, covered_by))
+            if cloud is None:
+                ids = sorted(self.directory.cloud_services_for(function_id))
+                cloud = self.candidates[(function_id, covered_by)] = (
+                    ids, self._host_set(ids),
+                    [self._rate_column(sid, covered_by) for sid in ids])
+            found = cloud
+            device = self.directory.device_services_for(user.id, function_id)
+            if device:
+                pairs = sorted([*zip(cloud[0], cloud[2]),
+                                *((sid, self._rate_column(sid, None))
+                                  for sid in device)])
+                ids = [sid for sid, _ in pairs]
+                found = (ids, self._host_set(ids),
+                         [column for _, column in pairs])
+            elif not cloud[0]:
+                raise NoRealizingService(
+                    f"no service realizes {function_id!r}")
+            self.candidates[key] = found
         return found
 
-    def rates_of(self, ids: list[int], covered_by: Optional[int]
-                 ) -> list[Rates]:
-        """The resolved cost of each id, run from a cell whose WiFi access
-        point belongs to cloud covered_by (None: no coverage)."""
-        directory, known = self.directory, self.rates
-        hosts = directory.hosts
-        out = []
-        for sid in ids:
-            key = sid if hosts[sid] is None else (sid, covered_by)
-            rates = known.get(key)
-            if rates is None:
-                rates = known[key] = service_rates(
-                    directory.service(sid), covered_by, directory.clouds,
-                    self.profiles)
-            out.append(rates)
-        return out
+    def _host_set(self, ids: list[int]) -> frozenset[Optional[int]]:
+        """The host clouds of ids (None: on the device), one object per
+        distinct set: few exist."""
+        hosts = self.directory.hosts
+        host_set = frozenset([hosts[sid] for sid in ids])
+        return self.host_sets.setdefault(host_set, host_set)
+
+    def _rate_column(self, sid: int, covered_by: Optional[int]) -> int:
+        """The rate_table column of service sid's resolved cost from a cell
+        whose WiFi access point belongs to cloud covered_by."""
+        directory = self.directory
+        key = sid if directory.hosts[sid] is None else (sid, covered_by)
+        column = self.rates.get(key)
+        if column is None:
+            column = self.rates[key] = len(self.rates)
+            self.new_rates.append(service_rates(
+                directory.service(sid), covered_by, directory.clouds,
+                self.profiles))
+        return column
+
+    def _cost_queued(self) -> None:
+        """Build the tables of every queued entry, in queue order, one
+        _cost_block per _PASS_ROWS rows or so (whole entries each)."""
+        queued, self.queued = self.queued, {}
+        block: list[tuple] = []
+        kbs: list[float] = []
+        starts: list[int] = []
+        counts: list[int] = []
+        columns: list[int] = []
+        for key, (user, workflow, covered_by) in queued.items():
+            occs = occurrences(workflow)
+            sets = []
+            for occ in occs:
+                found = self.candidates_of(occ.fn.function_id, user,
+                                           covered_by)
+                sets.append(found)
+                kbs.append(occ.fn.input_kb)
+                starts.append(len(columns))
+                counts.append(len(found[0]))
+                columns += found[2]
+            block.append((key, workflow, occs, sets))
+            if len(columns) >= _PASS_ROWS:
+                self._cost_block(block, kbs, starts, counts, columns)
+                block, kbs, starts, counts, columns = [], [], [], [], []
+        if block:
+            self._cost_block(block, kbs, starts, counts, columns)
+
+    def _cost_block(self, block: list[tuple], kbs: list[float],
+                    starts: list[int], counts: list[int],
+                    columns: list[int]) -> None:
+        """One array pass: cost every (entry, occurrence, candidate) row of
+        the block's entries (profiles._costs), check the rows, take each
+        occurrence's envelope and total normalized QoS, and cut the columns
+        back into per-entry tables.
+
+        The rows enter checked: when every component is finite and none is
+        negative they are used as they are; otherwise each row goes through
+        the QoSTriple constructor, in build order, so the first bad row
+        raises its ValueError. The total normalized QoS of a candidate is
+        sqrt(n_p ** 2 + n_w ** 2 + n_d ** 2), n being (hi - value) / (hi -
+        lo) within its occurrence's candidates, or 1.0 when hi == lo; the
+        squares are libm's pow, as Python's ** takes them, through
+        np.float_power.
+        """
+        if self.new_rates:
+            new = np.array(self.new_rates, dtype=float).T
+            self.rate_table = (new if self.rate_table is None else
+                               np.concatenate((self.rate_table, new), axis=1))
+            self.new_rates = []
+        counts_a = np.array(counts)
+        # row i runs under the resolved cost in rate_table column columns[i]
+        cols = _costs([field.take(columns) for field in self.rate_table],
+                      np.repeat(np.array(kbs, dtype=float), counts_a))
+        lows = [np.minimum.reduceat(c, starts) for c in cols]
+        highs = [np.maximum.reduceat(c, starts) for c in cols]
+        # a NaN survives both reductions and fails both tests
+        if not (all(lo.min() >= 0.0 for lo in lows)
+                and all(hi.max() < math.inf for hi in highs)):
+            for row in zip(*(c.tolist() for c in cols)):
+                QoSTriple(*row)
+        total = None
+        for c, lo, hi in zip(cols, lows, highs):
+            span = np.repeat(hi - lo, counts_a)
+            flat = span == 0.0
+            # each ratio lies in [0, 1], since lo <= value <= hi; a zero
+            # span never reaches the division
+            span[flat] = 1.0
+            norm = np.repeat(hi, counts_a)
+            norm -= c
+            norm /= span
+            norm[flat] = 1.0
+            np.float_power(norm, 2.0, out=norm)
+            if total is None:
+                total = norm
+            else:
+                total += norm
+        snorm = iter(np.sqrt(total, out=total).tolist())
+        costed = zip(*(c.tolist() for c in cols))
+        envelopes = zip(zip(*(a.tolist() for a in lows)),
+                        zip(*(a.tolist() for a in highs)))
+        profiles = self.profiles
+        for key, workflow, occs, sets in block:
+            tables = self.tables[key] = _EntryTables(workflow, occs)
+            cands, base, snorms, steps = (tables.cands, tables.base,
+                                          tables.snorm, tables.steps)
+            env_lo: list[LeafCost] = []
+            env_hi: list[LeafCost] = []
+            for occ, (ids, hosts, _), (lo, hi) in zip(occs, sets, envelopes):
+                lo_hop = hi_hop = hop = 0.0
+                if occ.prev is not None:
+                    kb = occ.fn.input_kb
+                    lo_hop, hi_hop = _hop_extremes(hosts, sets[occ.prev][1],
+                                                   kb, profiles)
+                    hop = intercloud_ms(kb, profiles)
+                env_lo.append((lo[0], lo[1], lo[2] + lo_hop))
+                env_hi.append((hi[0], hi[1], hi[2] + hi_hop))
+                # zip stops at the end of ids, taking len(ids) rows
+                table = dict(zip(ids, costed))
+                cands.append(ids)
+                base.append(table)
+                snorms.append(dict(zip(ids, snorm)))
+                steps.append((occ.index, table, occ.prev if hop else None,
+                              hop))
+            # every fold rule is monotone per dimension, so folding the
+            # envelopes bounds what any plan of the entry can reach
+            tables.lo = tables.fold(env_lo)
+            tables.hi = tables.fold(env_hi)
 
 
 class _EntryTables:
@@ -359,67 +524,30 @@ class _EntryTables:
 
     They depend only on the user, the entry's workflow object and the WiFi
     owner of its cell, and the population's CostMemo keeps one object per
-    such key (see CostMemo.tables_of). Per occurrence, in preorder: the
-    realizing candidate ids, their raw QoS rows as plain (price, power,
-    delay) float tuples, their total normalized QoS within the set, and a
-    step (occurrence index, rows, predecessor index, hop) for the plan
-    evaluator. The predecessor index is None when the occurrence has no Seq
-    predecessor or the hop costs nothing; hop is intercloud_ms(kb), paid
-    only between two different clouds. lo and hi are the entry's folded
-    envelopes. Candidate ids and resolved costs come from the CostMemo.
+    such key, filled by its costing pass (see CostMemo._cost_block). Per
+    occurrence, in preorder: the realizing candidate ids, their raw QoS
+    rows as plain (price, power, delay) float tuples, their total
+    normalized QoS within the set, and a step (occurrence index, rows,
+    predecessor index, hop) for the plan evaluator. The predecessor index
+    is None when the occurrence has no Seq predecessor or the hop costs
+    nothing; hop is intercloud_ms(kb), paid only between two different
+    clouds. lo and hi are the entry's folded envelopes.
     """
 
     __slots__ = ("workflow", "occs", "cands", "base", "snorm", "steps",
                  "fold", "lo", "hi")
 
-    def __init__(self, user: MobileUser, workflow: WorkflowNode,
-                 covered_by: Optional[int], memo: CostMemo):
+    def __init__(self, workflow: WorkflowNode, occs: list[Occurrence]):
         self.workflow = workflow
-        self.occs = occurrences(workflow)
+        self.occs = occs
         self.cands: list[list[int]] = []
         self.base: list[dict[int, LeafCost]] = []
         self.snorm: list[dict[int, float]] = []
         self.steps: list[tuple[int, dict[int, LeafCost], Optional[int],
                                float]] = []
-        profiles = memo.profiles
-        occ_hosts: list[frozenset[Optional[int]]] = []
-        env_lo: list[LeafCost] = []
-        env_hi: list[LeafCost] = []
-        for occ in self.occs:
-            kb = occ.fn.input_kb
-            ids, hosts = memo.candidates_of(occ.fn.function_id, user)
-            rows, (prices, powers, delays) = candidate_rows(
-                memo.rates_of(ids, covered_by), kb)
-            lo_p, lo_w, lo_d = min(prices), min(powers), min(delays)
-            hi_p, hi_w, hi_d = max(prices), max(powers), max(delays)
-            span_p, span_w, span_d = hi_p - lo_p, hi_w - lo_w, hi_d - lo_d
-            # total normalized QoS within the candidate set; each ratio
-            # already lies in [0, 1], since lo <= value <= hi
-            snorm = {}
-            for sid, p, w, d in zip(ids, prices, powers, delays):
-                n_p = (hi_p - p) / span_p if span_p else 1.0
-                n_w = (hi_w - w) / span_w if span_w else 1.0
-                n_d = (hi_d - d) / span_d if span_d else 1.0
-                snorm[sid] = math.sqrt(n_p ** 2 + n_w ** 2 + n_d ** 2)
-            occ_hosts.append(hosts)
-            lo_hop = hi_hop = hop = 0.0
-            if occ.prev is not None:
-                lo_hop, hi_hop = _hop_extremes(hosts, occ_hosts[occ.prev], kb,
-                                               profiles)
-                hop = intercloud_ms(kb, profiles)
-            env_lo.append((lo_p, lo_w, lo_d + lo_hop))
-            env_hi.append((hi_p, hi_w, hi_d + hi_hop))
-            table = dict(zip(ids, rows))
-            self.cands.append(ids)
-            self.base.append(table)
-            self.snorm.append(snorm)
-            self.steps.append((occ.index, table,
-                               occ.prev if hop else None, hop))
         self.fold: FoldFn = compile_fold(workflow)
-        # every fold rule is monotone per dimension, so folding the
-        # envelopes bounds what any plan of the entry can reach
-        self.lo = self.fold(env_lo)
-        self.hi = self.fold(env_hi)
+        self.lo: LeafCost = (0.0, 0.0, 0.0)
+        self.hi: LeafCost = (0.0, 0.0, 0.0)
 
 
 class UserInstance:
@@ -462,13 +590,10 @@ class UserInstance:
         self.grid = grid
         self.clouds = directory.clouds
         self.hosts = directory.hosts
-        self.entries: list[_EntryTables] = []
+        self.entries = memo.tables_of(user, ltw, grid)
         self.size = 0
         lo_p = lo_w = lo_d = hi_p = hi_w = hi_d = 0.0
-        for entry in ltw.entries:
-            tables = memo.tables_of(
-                user, entry.workflow, grid.cell(entry.cell_id).wifi_covered_by)
-            self.entries.append(tables)
+        for tables in self.entries:
             self.size += len(tables.steps)
             lo_p += tables.lo[0]
             lo_w += tables.lo[1]

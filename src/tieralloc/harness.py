@@ -113,8 +113,12 @@ def _population_instances(dep: Deployment, pop: Population
     CostMemo serves both and is dropped on return, so a predicted entry
     takes the tables that a true entry of the same user, workflow object
     and WiFi owner already built; a user whose whole LTW was predicted
-    right shares its true instance."""
+    right shares its true instance. Every entry is queued first, so the
+    first instance's build costs the whole population in array passes."""
     memo = CostMemo(dep.directory, dep.profiles)
+    for ltws in (pop.true_ltws, pop.predicted_ltws):
+        for uid in sorted(pop.users):
+            memo.expect(pop.users[uid], ltws[uid], dep.grid)
     true = _user_instances(dep, pop, pop.true_ltws, memo)
     predicted = {
         uid: (true[uid] if pop.predicted_ltws[uid] is pop.true_ltws[uid]

@@ -14,9 +14,11 @@ per-GB traffic charges; local clouds are user-owned and bill nothing, while
 any 3G transfer pays the cellular data plan rate.
 
 Costing has two steps: _rates resolves what one (tier, link, compute
-profile) charges per unit into a plain tuple, and _costs applies resolved
-rates to a data size. Every cost goes through that pair, so a planning
-table can resolve each service once and still get the same floats.
+profile) charges per unit into a row of floats, and _costs applies resolved
+rates to data sizes, as numpy columns with one row per invocation. Every
+cost goes through that pair: a planning table costs a whole population's
+candidates in a few array passes, and service_qos one invocation as one
+row, with the same floats.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .model import LOCAL, PUBLIC, THREEG, WIFI, CloudNode, LocationMap, Service
 from .workflow import LeafCost, QoSTriple
@@ -245,12 +249,13 @@ def invocation_context(service: Service, user_cell: int, data_kb: float,
 
 
 # A resolved cost, what the costing formula needs of one (tier, link,
-# compute profile): (compute ms per 100 KB, energy mJ per 100 KB -- the
-# device's compute energy or the link's radio energy --, link ms per 100 KB
-# or None on the device, hourly USD rate on compute time or None, per-GB USD
-# rates in the order they are added)
-Rates = tuple[float, float, Optional[float], Optional[float],
-              tuple[float, ...]]
+# compute profile), as one row of floats: compute ms per 100 KB, energy mJ per
+# 100 KB (the device's compute energy or the link's radio energy), link ms per
+# 100 KB, hourly USD rate on compute time, three per-GB USD rates in the order
+# they are added, then 1.0 when a link is used (0.0 on the device), 1.0 when
+# the hourly rate is billed, and how many per-GB rates apply. Unused rates
+# are 0.0.
+Rates = tuple[float, ...]
 
 
 def _rates(tier: str, link: Optional[str], compute_ref: str,
@@ -264,11 +269,11 @@ def _rates(tier: str, link: Optional[str], compute_ref: str,
     """
     comp = profiles.compute_profile(compute_ref)
     if tier == DEVICE:
-        return (comp.delay_ms_per_100kb, comp.energy_mj_per_100kb, None, None,
-                ())
+        return (comp.delay_ms_per_100kb, comp.energy_mj_per_100kb, 0.0, 0.0,
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     transfer = profiles.links[(link, tier)]
     book = profiles.price
-    hourly = None
+    hourly = 0.0
     per_gb: list[float] = []
     if tier == PUBLIC:
         hourly = (book.streaming_usd_per_hour if comp.billing == BILL_STREAMING
@@ -278,8 +283,11 @@ def _rates(tier: str, link: Optional[str], compute_ref: str,
             per_gb.append(book.storage_usd_per_gb)
     if link == THREEG:
         per_gb.append(book.cellular_usd_per_gb)
+    n_gb = float(len(per_gb))
+    per_gb += [0.0] * (3 - len(per_gb))
     return (comp.delay_ms_per_100kb, transfer.energy_mj_per_100kb,
-            transfer.delay_ms_per_100kb, hourly, tuple(per_gb))
+            transfer.delay_ms_per_100kb, hourly, *per_gb, 1.0,
+            float(tier == PUBLIC), n_gb)
 
 
 def service_rates(service: Service, covered_by: Optional[int],
@@ -291,61 +299,41 @@ def service_rates(service: Service, covered_by: Optional[int],
     return _rates(tier, link, service.compute_ref, profiles)
 
 
-def _costs(rates: Iterable[Rates], kb: float) -> list[LeafCost]:
-    """(price, power, delay) of one invocation on kb per resolved cost; the
-    arithmetic step of the only costing formula (see _rates).
+def _costs(rates: Sequence[np.ndarray], kb: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(price, power, delay) columns of invocations, the i-th on kb[i] under
+    the resolved cost whose Rates fields are rates[0][i], rates[1][i], ...;
+    the arithmetic step of the only costing formula (see _rates).
 
     Delay is compute time plus link transfer. Power is on-device compute
     energy, or the radio energy of the transfer. Price starts at 0.0 and
     adds the hourly rate times the compute hours, then each per-GB rate
     times the GB moved, in order. Per-100 KB tables scale as rate * kb /
-    100.0.
+    100.0. Each column takes the float operations of that formula in that
+    order, so row i holds the floats scalar arithmetic gives; a term that
+    does not apply is selected away, never added as 0.0. Non-finite values
+    pass through silently: callers check the rows.
     """
-    gb = kb / KB_PER_GB
-    out = []
-    for comp_ms, energy, link_ms, hourly, per_gb in rates:
+    comp_ms, energy, link_ms, hourly, *per_gb, linked, billed, n_gb = rates
+    with np.errstate(over="ignore", invalid="ignore"):
         compute_ms = comp_ms * kb / 100.0
-        if link_ms is None:
-            out.append((0.0, energy * kb / 100.0, compute_ms))
-            continue
-        price = 0.0
-        if hourly is not None:
-            price += hourly * (compute_ms / MS_PER_HOUR)
-        for rate in per_gb:
-            price += rate * gb
-        out.append((price, energy * kb / 100.0,
-                    compute_ms + link_ms * kb / 100.0))
-    return out
-
-
-def candidate_rows(rates: Sequence[Rates], kb: float
-                   ) -> tuple[list[LeafCost], tuple[tuple[float, ...], ...]]:
-    """(price, power, delay) of running each resolved cost on kb, as plain
-    float triples (the same floats service_qos gives for each invocation's
-    context), and the same numbers as (prices, powers, delays) columns.
-
-    The rows are checked where they enter, as one occurrence: when every
-    component is finite and none is negative they are returned without a
-    per-row check; otherwise each row goes through the QoSTriple
-    constructor, so the first bad row raises its ValueError.
-    """
-    rows = _costs(rates, kb)
-    columns = tuple(zip(*rows))
-    prices, powers, delays = columns
-    # a NaN or an infinity makes the sum non-finite (so can an overflow of
-    # finite values, which then only costs the per-row check); without
-    # them min is exact
-    if not (math.isfinite(sum(prices) + sum(powers) + sum(delays))
-            and min(prices) >= 0 and min(powers) >= 0 and min(delays) >= 0):
-        for row in rows:
-            QoSTriple(*row)
-    return rows, columns
+        gb = kb / KB_PER_GB
+        price = np.zeros_like(compute_ms)
+        price = np.where(billed > 0.0,
+                         price + hourly * (compute_ms / MS_PER_HOUR), price)
+        for k, rate in enumerate(per_gb):
+            price = np.where(n_gb > k, price + rate * gb, price)
+        delay = np.where(linked > 0.0, compute_ms + link_ms * kb / 100.0,
+                         compute_ms)
+        return price, energy * kb / 100.0, delay
 
 
 def _context_cost(ctx: InvocationContext, profiles: ProfileSet) -> LeafCost:
     """(price, power, delay) of one invocation (see _rates and _costs)."""
-    return _costs((_rates(ctx.host_tier, ctx.link, ctx.compute_ref,
-                          profiles),), ctx.data_kb)[0]
+    rates = np.array([_rates(ctx.host_tier, ctx.link, ctx.compute_ref,
+                             profiles)]).T
+    price, power, delay = _costs(rates, np.array([float(ctx.data_kb)]))
+    return price.item(), power.item(), delay.item()
 
 
 def service_qos(ctx: InvocationContext, profiles: ProfileSet) -> QoSTriple:

@@ -456,11 +456,16 @@ class Population:
 
 
 def _pick_entries(traj: Trajectory, k: int) -> list[int]:
-    """Evenly spaced trajectory entry indices (all when fewer than k)."""
+    """Evenly spaced trajectory entry indices (all when fewer than k): the
+    rounded points of np.linspace(0, n - 1, k), in its arithmetic (i *
+    step, the last point n - 1) on plain floats."""
     n = len(traj.entries)
     if n <= k:
         return list(range(n))
-    return sorted({int(round(x)) for x in np.linspace(0, n - 1, k)})
+    if k == 1:
+        return [0]
+    step = (n - 1) / (k - 1)
+    return sorted({round(i * step) for i in range(k - 1)} | {n - 1})
 
 
 def build_population(sc: Scenario, dep: Deployment, rep: int) -> Population:

@@ -38,11 +38,11 @@ class QoSTriple:
 
     Numbers are validated where they enter: the public constructor rejects
     a negative or non-finite component, and candidate cost rows, kept as
-    plain (price, power, delay) tuples, pass the same rule where they are
-    costed (profiles.candidate_rows). The arithmetic below (sums, scaling,
-    componentwise min/max) and fold_qos / normalize_qos build their results
-    with trusted_qos, which skips the check: their inputs already passed
-    it.
+    plain (price, power, delay) tuples, pass the same rule in the array
+    pass that costs them (allocation.CostMemo). The arithmetic below
+    (sums, scaling, componentwise min/max) and fold_qos / normalize_qos
+    build their results with trusted_qos, which skips the check: their
+    inputs already passed it.
     """
 
     price: float

@@ -21,10 +21,11 @@ from tieralloc import (LOCAL, PUBLIC, And, AnnealingParams, CapacityLedger,
                        brute_force_optimal, build_deployment,
                        build_population, constraints_for,
                        candidate_services, find_service, fleet_utility,
-                       fold_qos, greedy_plan, intercloud_hop_ms, leaf,
+                       fold_qos, greedy_plan, intercloud_hop_ms,
+                       invocation_context, leaf,
                        load_scenario, music, normalize_service,
                        objective_from_plans, occurrences, par,
-                       roulette_index, rsa_plan, seq, xor)
+                       roulette_index, rsa_plan, seq, service_qos, xor)
 from tieralloc import allocation
 from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
                                   _pairwise_sum, _roulette_spin,
@@ -1608,12 +1609,13 @@ def _old_service_qos(svc, cell, kb, grid, profiles, clouds):
 
 
 def _old_tables(inst):
-    """base, snorm and extrema as UserInstance once built them: a checked
-    triple and a normalize_service triple per candidate, emin/emax for the
-    occurrence envelope, and the hop envelope from intercloud_hop_ms over
-    every pair of candidate hosts."""
+    """cands, base, snorm and extrema as UserInstance once built them:
+    candidate_services per occurrence, a checked triple and a
+    normalize_service triple per candidate, emin/emax for the occurrence
+    envelope, and the hop envelope from intercloud_hop_ms over every pair
+    of candidate hosts."""
     user, directory, profiles = inst.user, inst.directory, inst.profiles
-    base, snorm = [], []
+    cands, base, snorm = [], [], []
     lo_total = hi_total = QoSTriple(0.0, 0.0, 0.0)
     for entry in inst.ltw.entries:
         e_cands, e_base, e_snorm, env_lo, env_hi = [], [], [], [], []
@@ -1644,11 +1646,12 @@ def _old_tables(inst):
                 hi = QoSTriple(hi.price, hi.power, hi.delay + hi_extra)
             env_lo.append(lo)
             env_hi.append(hi)
+        cands.append(e_cands)
         base.append(e_base)
         snorm.append(e_snorm)
         lo_total = lo_total + fold_qos(entry.workflow, env_lo)
         hi_total = hi_total + fold_qos(entry.workflow, env_hi)
-    return base, snorm, QoSExtrema(lo=lo_total, hi=hi_total)
+    return cands, base, snorm, QoSExtrema(lo=lo_total, hi=hi_total)
 
 
 def _triples(inst):
@@ -1658,31 +1661,45 @@ def _triples(inst):
 
 
 def _assert_tables_equal_the_old_costing(inst):
-    base, snorm, extrema = _old_tables(inst)
+    cands, base, snorm, extrema = _old_tables(inst)
+    assert [tables.cands for tables in inst.entries] == cands
     assert _triples(inst) == base
     assert [tables.snorm for tables in inst.entries] == snorm
     assert inst.extrema == extrema
 
 
 def test_candidate_tables_equal_the_old_per_candidate_costing():
+    from tieralloc import harness
     desk = load_scenario(DEMO_SCENARIOS / "desk.json")
     rng = np.random.default_rng(21)
-    checked = 0
+    checked = single = 0
     for k in range(12):
         seed = int(rng.integers(2**31))
-        if k % 2:
+        if k % 3 == 1:
             sc = replace(desk, seed=seed)
-        else:  # default scale, with device services and mispredictions
+        elif k % 3 == 0:  # default scale, with device services and mispredictions
             sc = Scenario(users=4, repetitions=1, uncertainty_pct=50.0,
                           seed=seed)
+        else:  # sparse: many occurrences have one candidate, every span 0
+            sc = Scenario(users=4, repetitions=1, uncertainty_pct=50.0,
+                          public_instances=1, local_function_rate=0.1,
+                          device_service_rate=0.1, seed=seed)
         dep = build_deployment(sc)
         pop = build_population(sc, dep, 0)
+        # the whole population queued in one memo, so one pass costs the
+        # entries of every user, true and predicted, back to back
+        batched = harness._population_instances(dep, pop)
         for uid in pop.users:
-            for ltw in (pop.true_ltws[uid], pop.predicted_ltws[uid]):
+            for ltw, built in zip((pop.true_ltws[uid], pop.predicted_ltws[uid]),
+                                  batched):
                 _assert_tables_equal_the_old_costing(UserInstance(
                     pop.users[uid], ltw, dep.directory, dep.profiles, dep.grid))
+                _assert_tables_equal_the_old_costing(built[uid])
+                single += sum(len(c) == 1 for t in built[uid].entries
+                              for c in t.cands)
                 checked += 1
-    assert checked == 108
+    assert checked == 104
+    assert single > 20
 
 
 def test_snorm_squares_like_the_scalar_reference():
@@ -1736,6 +1753,32 @@ def test_candidate_rows_are_checked_where_they_enter():
                                  transfer_usd_per_gb=math.nan)
     with pytest.raises(ValueError, match="price must be finite"):
         UserInstance(user, ltw, directory, not_a_number, grid)
+    # a batched pass: user 1's device runs f at a negative delay and g at a
+    # NaN power
+    profiles = ProfileSet.defaults()
+    profiles.compute["slow"] = ComputeProfile(-1.0)
+    profiles.compute["drain"] = ComputeProfile(1.0, math.nan)
+    directory.insert(Service(400, "f", host_user=1, compute_ref="slow"))
+    directory.insert(Service(401, "g", host_user=1, compute_ref="drain"))
+    other = MobileUser(1, user.trajectory)
+    # in build order the delay row comes first; scanning price, then
+    # power, then delay over all rows would meet the power first
+    bad = LTW((LTWEntry(1, 30.0, leaf("f", 2048.0)),
+               LTWEntry(3, 30.0, leaf("g", 1024.0))))
+    # service_qos raises what QoSTriple(*row) raises for the scalar row
+    with pytest.raises(ValueError) as expected:
+        service_qos(invocation_context(directory.service(400), 1, 2048.0,
+                                       grid, directory.clouds), profiles)
+    assert "delay must be finite" in str(expected.value)
+    memo = allocation.CostMemo(directory, profiles)
+    memo.expect(user, ltw, grid)
+    memo.expect(other, bad, grid)
+    # the first instance's build costs the second user's queued entries too
+    with pytest.raises(ValueError) as raised:
+        UserInstance(user, ltw, directory, profiles, grid, memo=memo)
+    assert str(raised.value) == str(expected.value)
+    # alone, the first user's tables are fine
+    UserInstance(user, ltw, directory, profiles, grid)
 
 
 # --- one cost memo per population ------------------------------------------------------
@@ -1808,28 +1851,36 @@ def _random_ltw(rng):
                      for _ in range(int(rng.integers(2, 6)))))
 
 
-def test_shared_cost_memo_tables_equal_fresh_builds_and_the_old_costing():
+def test_shared_cost_memo_tables_equal_fresh_builds_and_the_old_costing(
+        monkeypatch):
     rng = np.random.default_rng(23)
     rows = 0
-    for _ in range(25):
+    for case in range(25):
+        # 7 rows per pass cuts a population into many passes
+        monkeypatch.setattr(allocation, "_PASS_ROWS",
+                            7 if case % 4 < 2 else 2048)
         profiles = _random_profiles(rng)
         grid, directory, users = _random_cost_world(rng, profiles)
         memo = allocation.CostMemo(directory, profiles)
-        for user in users:
-            for _ in range(2):
-                ltw = _random_ltw(rng)
-                inst = UserInstance(user, ltw, directory, profiles, grid,
-                                    memo=memo)
-                fresh = UserInstance(user, ltw, directory, profiles, grid)
-                assert inst.extrema == fresh.extrema
-                for got, built in zip(inst.entries, fresh.entries):
-                    for name in ("cands", "base", "snorm"):
-                        assert getattr(got, name) == getattr(built, name)
-                    assert got.steps == built.steps
-                    assert (got.lo, got.hi) == (built.lo, built.hi)
-                _assert_tables_equal_the_old_costing(inst)
-                rows += sum(len(t) for tables in inst.entries
-                            for t in tables.base)
+        ltws = [(user, _random_ltw(rng)) for user in users for _ in range(2)]
+        if case % 2:  # the whole population queued before the first build
+            for user, ltw in ltws:
+                memo.expect(user, ltw, grid)
+        for k, (user, ltw) in enumerate(ltws):
+            inst = UserInstance(user, ltw, directory, profiles, grid,
+                                memo=memo)
+            if case % 2 and k == 0:
+                assert not memo.queued and len(memo.tables) >= len(ltws)
+            fresh = UserInstance(user, ltw, directory, profiles, grid)
+            assert inst.extrema == fresh.extrema
+            for got, built in zip(inst.entries, fresh.entries):
+                for name in ("cands", "base", "snorm"):
+                    assert getattr(got, name) == getattr(built, name)
+                assert got.steps == built.steps
+                assert (got.lo, got.hi) == (built.lo, built.hi)
+            _assert_tables_equal_the_old_costing(inst)
+            rows += sum(len(t) for tables in inst.entries
+                        for t in tables.base)
         # every kind of (service, WiFi owner) was costed
         keys = memo.rates.keys()
         assert any(type(k) is int for k in keys)

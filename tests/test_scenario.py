@@ -412,6 +412,19 @@ def test_population_workflow_counts_and_windows():
             assert entry.template == "file_sync"
 
 
+def test_picked_entries_equal_the_rounded_linspace():
+    from types import SimpleNamespace
+
+    from tieralloc.scenario import _pick_entries
+    for n in range(3000):
+        traj = SimpleNamespace(entries=[None] * n)
+        for k in range(1, 12):
+            expect = (list(range(n)) if n <= k else
+                      sorted({int(round(x))
+                              for x in np.linspace(0, n - 1, k)}))
+            assert _pick_entries(traj, k) == expect, (n, k)
+
+
 def test_certain_predictions_share_the_true_workflow_object():
     sc = _small(uncertainty_pct=0.0)
     dep = build_deployment(sc)
