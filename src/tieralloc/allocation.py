@@ -48,8 +48,8 @@ from .profiles import (ProfileSet, Rates, _costs, intercloud_ms,
                        service_rates)
 from .registry import CapacityLedger, ServiceDirectory
 from .workflow import (DIMS, LTW, FoldFn, LeafCost, Occurrence, QoSExtrema,
-                       QoSTriple, WorkflowNode, compile_fold, dim_bounds,
-                       normalize_within, occurrences, trusted_qos)
+                       QoSTriple, WorkflowNode, dim_bounds, fold_of,
+                       normalize_within, outline, trusted_qos)
 
 
 def constraints_for(constraints, uid: int) -> "ConstraintVector":
@@ -420,7 +420,7 @@ class CostMemo:
         counts: list[int] = []
         columns: list[int] = []
         for key, (user, workflow, covered_by) in queued.items():
-            occs = occurrences(workflow)
+            occs, shape = outline(workflow)
             sets = []
             for occ in occs:
                 found = self.candidates_of(occ.fn.function_id, user,
@@ -430,7 +430,7 @@ class CostMemo:
                 starts.append(len(columns))
                 counts.append(len(found[0]))
                 columns += found[2]
-            block.append((key, workflow, occs, sets))
+            block.append((key, workflow, occs, shape, sets))
             if len(columns) >= _PASS_ROWS:
                 self._cost_block(block, kbs, starts, counts, columns)
                 block, kbs, starts, counts, columns = [], [], [], [], []
@@ -460,8 +460,10 @@ class CostMemo:
                                np.concatenate((self.rate_table, new), axis=1))
             self.new_rates = []
         counts_a = np.array(counts)
-        # row i runs under the resolved cost in rate_table column columns[i]
-        cols = _costs([field.take(columns) for field in self.rate_table],
+        # row i runs under the resolved cost in rate_table column columns[i];
+        # one field at a time, so no (fields x rows) block is allocated
+        index = np.array(columns)
+        cols = _costs([field.take(index) for field in self.rate_table],
                       np.repeat(np.array(kbs, dtype=float), counts_a))
         lows = [np.minimum.reduceat(c, starts) for c in cols]
         highs = [np.maximum.reduceat(c, starts) for c in cols]
@@ -491,8 +493,9 @@ class CostMemo:
         envelopes = zip(zip(*(a.tolist() for a in lows)),
                         zip(*(a.tolist() for a in highs)))
         profiles = self.profiles
-        for key, workflow, occs, sets in block:
-            tables = self.tables[key] = _EntryTables(workflow, occs)
+        for key, workflow, occs, shape, sets in block:
+            tables = self.tables[key] = _EntryTables(workflow, occs,
+                                                     fold_of(shape))
             cands, base, snorms, steps = (tables.cands, tables.base,
                                           tables.snorm, tables.steps)
             env_lo: list[LeafCost] = []
@@ -537,7 +540,8 @@ class _EntryTables:
     __slots__ = ("workflow", "occs", "cands", "base", "snorm", "steps",
                  "fold", "lo", "hi")
 
-    def __init__(self, workflow: WorkflowNode, occs: list[Occurrence]):
+    def __init__(self, workflow: WorkflowNode, occs: list[Occurrence],
+                 fold: FoldFn):
         self.workflow = workflow
         self.occs = occs
         self.cands: list[list[int]] = []
@@ -545,7 +549,7 @@ class _EntryTables:
         self.snorm: list[dict[int, float]] = []
         self.steps: list[tuple[int, dict[int, LeafCost], Optional[int],
                                float]] = []
-        self.fold: FoldFn = compile_fold(workflow)
+        self.fold = fold
         self.lo: LeafCost = (0.0, 0.0, 0.0)
         self.hi: LeafCost = (0.0, 0.0, 0.0)
 

@@ -12,19 +12,45 @@ emit a Trajectory of (cell, dwell seconds) visits:
                    remove options.
 
 A leg (one walk between two cell centers) goes straight to its target in
-1 s strides, the last of which stops on the target. It is walked as runs
-of cells, never as per-second positions:
+1 s strides, the last of which stops on the target. It is walked in closed
+form, as runs of cells, never as per-second positions: O(1) work per leg
+plus O(1) per lane it crosses.
 
-  - a scalar rest -= speed loop counts the strides;
-  - an axis the leg moves along gets its stride positions from sequential
-    float adds, the values a stride-by-stride walk reaches; an axis it does
-    not move along keeps its coordinate;
-  - the stride at which a moving axis enters the next column (row) is a
-    bisect of those monotone positions against that column's edge, the
-    least double v with int(v / cell_size_m) >= column, so the cells agree
-    bit for bit with the truncate-and-clamp rule of LocationMap.cell_at;
+  - the stride count is that of the loop rest -= speed while speed < rest:
+    with q = dist / speed, ceil(q) - 1, floored at 0;
+  - an axis the leg moves along has the stride positions of sequential
+    float adds v + step + step + ..., the values a stride-by-stride walk
+    reaches; an axis it does not move along keeps its coordinate;
+  - the first stride at which a moving axis enters the next column (row)
+    is floor(t) + 1, t = (edge - v) / step, the edge being the least
+    double e with int(e / cell_size_m) >= column: moving up the first
+    stride reaching the edge, ceil(t), moving down the first stride below
+    it, floor(t) + 1, which are one number when t is not an integer. So
+    the cells agree bit for bit with the truncate-and-clamp rule of
+    LocationMap.cell_at;
   - the last stride's cell is the target's own, looked up directly, as
     the stride before it can round past the target.
+
+The bound. A float add errs by at most 2**-53 of its result, so after i
+adds a position lies within i * 2**-53 * M of its real value v + i *
+step, M = |v| + (strides + 1) * |step| bounding every |position| of the
+leg, and the rest of the count loop within i * 2**-53 * dist of dist - i *
+speed; the divisions giving q and t add two more such errors. A count or
+a crossing is trusted only when q lies farther than _SLACK * q from an
+integer, or t farther than _SLACK * M / |step| strides, and the leg has at
+most _MAX_STRIDES strides: the drift is then at most (1e5 + 3) * 2**-53 * M
+< 1.2e-11 * M, over 80 times less than the slack, so the float walk falls
+on the same side of every edge, and of the target, as the real one. A q
+above limit + 1 needs no such test: the rest then stays above speed for
+limit rounds. Where the bound is not met (an integer speed that divides
+the leg, a leg starting on an edge), the count, or that axis, falls back
+to the sequential walk: the rest -= speed loop, and the positions as a
+list of adds, bisected.
+
+A leg walks at most the seconds the trajectory still needs (limit), the
+fallback too. The last leg's later seconds would be cut anyway, so the
+output is the same, and a tiny speed costs O(duration_s), not O(leg length
+/ speed).
 
 A run that stays in the trajectory's last cell extends it. The edges, the
 centers and Manhattan's turn table at each column, row and heading (the
@@ -47,7 +73,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -198,11 +224,61 @@ def _lanes(grid: LocationMap) -> _Lanes:
     return lanes
 
 
+# the closed form trusts a count or crossing only on legs of at most
+# _MAX_STRIDES strides and farther than _SLACK (relative) from an integer;
+# see the module docstring for the bound
+_MAX_STRIDES = 100_000
+_SLACK = 1e-9
+
+
+def _strides(dist: float, speed: float, limit: int) -> Optional[int]:
+    """min(strides, limit), strides being the count of the loop rest -=
+    speed while speed < rest from rest = dist: ceil(dist / speed) - 1,
+    floored at 0. None where the closed form cannot vouch for it."""
+    q = dist / speed  # inf for a speed far below dist's ulp
+    if q > limit + 1:
+        n = limit
+    else:
+        n = int(q)
+        if q - n <= _SLACK * q or n + 1 - q <= _SLACK * q:
+            return None
+    return n if n <= _MAX_STRIDES else None
+
+
+def _crossings(edges: tuple[float, ...], v: float, step: float, strides: int
+               ) -> Optional[tuple[int, list[tuple[int, int]]]]:
+    """_lane_changes in closed form: one division per edge crossed, and one
+    for the first edge beyond the walk. None where a crossing lies within
+    the slack of a stride, or the leg is too long to vouch for."""
+    lane = bisect_right(edges, v)
+    changes: list[tuple[int, int]] = []
+    if not strides or step == 0.0:
+        return lane, changes
+    if strides > _MAX_STRIDES:
+        return None
+    # _SLACK * M / |step|, M = |v| + (strides + 1) * |step|
+    slack = _SLACK * (abs(v / step) + strides + 1)
+    if step > 0.0:  # at edges[c] lane c + 1 starts
+        ahead, shift = range(lane, len(edges)), 1
+    else:  # below edges[c] lane c starts
+        ahead, shift = range(lane - 1, -1, -1), 0
+    for c in ahead:
+        t = (edges[c] - v) / step
+        if t > strides + slack:
+            break
+        i = int(t)
+        if t - i <= slack or i + 1 - t <= slack:
+            return None
+        changes.append((i + 1, c + shift))
+    return lane, changes
+
+
 def _lane_changes(edges: tuple[float, ...], v: float, step: float,
                   strides: int) -> tuple[int, list[tuple[int, int]]]:
     """The lane of v, and (stride, lane) wherever the lane of the positions
     v + step, v + 2 step, ... (sequential adds, strides of them) changes,
-    in stride order, the stride counted from 1."""
+    in stride order, the stride counted from 1. The sequential walk that
+    _crossings falls back to."""
     lane = bisect_right(edges, v)
     changes: list[tuple[int, int]] = []
     if strides and step > 0.0:
@@ -233,14 +309,20 @@ def _extend(cells: list[int], secs: list[int], cell: int, n: int) -> None:
 
 
 def _leg(lanes: _Lanes, cells: list[int], secs: list[int], x: float,
-         y: float, tx: float, ty: float, speed: float) -> int:
+         y: float, tx: float, ty: float, speed: float, limit: int) -> int:
     """Walk straight from (x, y) to (tx, ty) at speed in 1 s strides, the
-    last stopping on the target, and append the cells of the strides as
-    (cells, secs) runs. Returns the seconds walked, 0 when already there.
+    last stopping on the target, for at most limit (>= 1) seconds, and
+    append the cells of the strides as (cells, secs) runs. Returns the
+    seconds walked, 0 when already there.
 
-    The scalar rest -= speed loop counts the strides and each moving axis
-    is a run of sequential float adds, so every stride's cell is the one a
-    stride-by-stride walk reaches.
+    Every stride's cell is the one a stride-by-stride walk reaches. The
+    stride count, ceil(dist / speed) - 1 floored at 0, and each moving
+    axis's lane changes, at strides floor((edge - v) / step) + 1, come in
+    closed form (_strides, _crossings), trusted only within the bound of
+    the module docstring. Where it is not met, the count is the scalar
+    rest -= speed loop and the axis a run of sequential float adds
+    (_lane_changes), both cut at limit. So the work is O(1) per leg and
+    per lane crossed, or at most O(limit) on the fallback.
     """
     dx, dy = tx - x, ty - y
     # hypot(d, +-0.0) is |d| exactly; only a diagonal leg needs the call
@@ -252,15 +334,18 @@ def _leg(lanes: _Lanes, cells: list[int], secs: list[int], x: float,
         dist = float(np.hypot(dx, dy))
     if dist == 0.0:
         return 0
-    strides = 0
-    rest = dist
-    while speed < rest:
-        rest -= speed
-        strides += 1
-    col, col_changes = _lane_changes(lanes.col_edges, x, dx / dist * speed,
-                                     strides)
-    row, row_changes = _lane_changes(lanes.row_edges, y, dy / dist * speed,
-                                     strides)
+    strides = _strides(dist, speed, limit)
+    if strides is None:
+        strides = 0
+        rest = dist
+        while speed < rest and strides < limit:
+            rest -= speed
+            strides += 1
+    sx, sy = dx / dist * speed, dy / dist * speed
+    col, col_changes = (_crossings(lanes.col_edges, x, sx, strides)
+                        or _lane_changes(lanes.col_edges, x, sx, strides))
+    row, row_changes = (_crossings(lanes.row_edges, y, sy, strides)
+                        or _lane_changes(lanes.row_edges, y, sy, strides))
     width = lanes.width
     cell = row * width + col
     if not row_changes:
@@ -286,6 +371,8 @@ def _leg(lanes: _Lanes, cells: list[int], secs: list[int], x: float,
         cell = next_cell
     if strides >= at:
         _extend(cells, secs, cell, strides + 1 - at)
+    if strides == limit:  # the target's second lies past the limit
+        return limit
     _extend(cells, secs, lanes.cell_at(tx, ty), 1)
     return strides + 1
 
@@ -321,9 +408,12 @@ def generate_random_waypoint(params: MobilityParams, grid: LocationMap) -> Traje
             target_cell = int(rng.integers(len(centers)))
         speed = uniform(rng, params.speed_min, params.speed_max)
         tx, ty = centers[target_cell]
-        walked += _leg(lanes, cells, secs, x, y, tx, ty, speed)
+        walked += _leg(lanes, cells, secs, x, y, tx, ty, speed,
+                       steps - walked)
         pause = int(round(uniform(rng, 0.0, params.pause_max_s)))
-        secs[-1] += pause  # the last run is the target's cell
+        # the last run is the target's cell, or, after a leg cut at the
+        # limit, a run whose pause _visits cuts again
+        secs[-1] += pause
         walked += pause
         x, y = tx, ty
     return _visits(cells, secs, walked - steps)
@@ -355,7 +445,8 @@ def generate_manhattan(params: MobilityParams, grid: LocationMap) -> Trajectory:
         heading = moves[weighted_pick(cdf, rng)]
         tx, ty = lanes.centers[(row + heading[1]) * width + col + heading[0]]
         speed = uniform(rng, params.speed_min, params.speed_max)
-        walked += _leg(lanes, cells, secs, x, y, tx, ty, speed)
+        walked += _leg(lanes, cells, secs, x, y, tx, ty, speed,
+                       steps - walked)
         x, y = tx, ty
     return _visits(cells, secs, walked - steps)
 

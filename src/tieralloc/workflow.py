@@ -13,8 +13,8 @@ into the workflow total:
 fold_qos compiles each workflow shape into one Python function once
 (compile_fold), so a plan evaluator folds plain floats without walking the
 tree. A leaf's cost may depend on its Seq predecessor's service (the
-inter-cloud hop); occurrences() is the only code that resolves that
-predecessor.
+inter-cloud hop); outline() is the only code that resolves that
+predecessor, in the same walk that finds the shape the fold is keyed by.
 
 Normalization rescales each dimension into [0, 1] against extrema so that
 lower raw cost maps to higher normalized value.
@@ -209,51 +209,50 @@ class Occurrence:
     prev: Optional[int]
 
 
-def occurrences(node: WorkflowNode) -> list[Occurrence]:
-    """Leaf occurrences in preorder with their Seq predecessors.
+def outline(node: WorkflowNode) -> tuple[list[Occurrence], tuple]:
+    """Leaf occurrences in preorder with their Seq predecessors, and the
+    tree's shape, from one walk.
 
     This is the only code that threads predecessors: Seq hands the exit of
-    each child to the next, And/Xor fan the incoming predecessor out to every
-    branch and expose no exit, Loop passes through its child's exit.
+    each child to the next, And/Xor fan the incoming predecessor out to
+    every branch and expose no exit, Loop passes through its child's exit.
+
+    The shape is what fold_qos depends on: the node kinds, the child counts
+    and the Loop counts, without the data sizes. Trees of one shape fold
+    alike, so the shape keys the compiled folds (see fold_of).
     """
     out: list[Occurrence] = []
 
-    def walk(n: WorkflowNode, idx: int, prev: Optional[int]) -> tuple[int, Optional[int]]:
+    def walk(n: WorkflowNode, idx: int, prev: Optional[int]
+             ) -> tuple[int, Optional[int], tuple]:
         if isinstance(n, Leaf):
             out.append(Occurrence(idx, n.fn, prev))
-            return idx + 1, idx
+            return idx + 1, idx, ()
         if isinstance(n, Seq):
+            shape: list = ["seq"]
             cur = prev
             for child in n.children:
-                idx, cur = walk(child, idx, cur)
-            return idx, cur
+                idx, cur, kid = walk(child, idx, cur)
+                shape.append(kid)
+            return idx, cur, tuple(shape)
         if isinstance(n, (And, Xor)):
+            shape = ["and" if isinstance(n, And) else "xor"]
             for child in n.children:
-                idx, _ = walk(child, idx, prev)
-            return idx, None
+                idx, _, kid = walk(child, idx, prev)
+                shape.append(kid)
+            return idx, None, tuple(shape)
         if isinstance(n, Loop):
-            return walk(n.child, idx, prev)
+            idx, cur, kid = walk(n.child, idx, prev)
+            return idx, cur, ("loop", n.count, kid)
         raise InvalidWorkflow(f"unknown node type {type(n).__name__}")
 
-    walk(node, 0, None)
-    return out
+    return out, walk(node, 0, None)[2]
 
 
-def workflow_shape(node: WorkflowNode) -> tuple:
-    """What fold_qos depends on in a tree: the node kinds, the child counts
-    and the Loop counts, without the data sizes. Trees of one shape fold
-    alike."""
-    if isinstance(node, Leaf):
-        return ()
-    if isinstance(node, Seq):
-        return ("seq", *map(workflow_shape, node.children))
-    if isinstance(node, And):
-        return ("and", *map(workflow_shape, node.children))
-    if isinstance(node, Xor):
-        return ("xor", *map(workflow_shape, node.children))
-    if isinstance(node, Loop):
-        return ("loop", node.count, workflow_shape(node.child))
-    raise InvalidWorkflow(f"unknown node type {type(node).__name__}")
+def occurrences(node: WorkflowNode) -> list[Occurrence]:
+    """Leaf occurrences in preorder with their Seq predecessors (see
+    outline)."""
+    return outline(node)[0]
 
 
 LeafCost = tuple[float, float, float]
@@ -299,17 +298,21 @@ def _fold_source(shape: tuple) -> str:
                       f"    return ({p}, {w}, {d})"]) + "\n"
 
 
-def compile_fold(node: WorkflowNode) -> FoldFn:
-    """The fold of node's shape as one compiled function: it maps per-leaf
-    (price, power, delay) tuples, one per leaf in preorder, to the workflow
-    total. Each shape compiles once, on its first fold."""
-    shape = workflow_shape(node)
+def fold_of(shape: tuple) -> FoldFn:
+    """The fold of one shape (see outline) as one compiled function: it
+    maps per-leaf (price, power, delay) tuples, one per leaf in preorder,
+    to the workflow total. Each shape compiles once, on its first fold."""
     fold = _FOLDS.get(shape)
     if fold is None:
         namespace: dict = {}
         exec(_fold_source(shape), namespace)
         fold = _FOLDS[shape] = namespace["fold"]
     return fold
+
+
+def compile_fold(node: WorkflowNode) -> FoldFn:
+    """The compiled fold of node's shape (see fold_of)."""
+    return fold_of(outline(node)[1])
 
 
 def fold_qos(node: WorkflowNode, leaf_qos: Sequence[QoSTriple]) -> QoSTriple:

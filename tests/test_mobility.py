@@ -1,17 +1,26 @@
 """Mobility generators: determinism, timing, turn statistics, uncertainty."""
 
+import hashlib
+import time
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tieralloc import (LTW, LTWEntry, LocationMap, MobilityParams,
-                       UncertaintySpec, generate_manhattan,
-                       generate_random_waypoint, generate_trajectory,
-                       inject_uncertainty, leaf, seq)
+from tieralloc import (LTW, LTWEntry, LocationMap, MobilityParams, Scenario,
+                       UncertaintySpec, build_deployment, build_population,
+                       generate_manhattan, generate_random_waypoint,
+                       generate_trajectory, inject_uncertainty, leaf,
+                       load_scenario, seq)
+from tieralloc import mobility
 from tieralloc.mobility import (_lanes, _leg, choice_cdf, uniform,
                                 weighted_pick)
 from tieralloc.model import Trajectory, TrajectoryEntry
 
 GRID = LocationMap(10, 10, 50.0)
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
 def _params(model, **kw):
@@ -53,10 +62,10 @@ def test_single_cell_grid_yields_one_stationary_entry(model):
     assert (traj.entries[0].cell_id, traj.entries[0].dwell_s) == (0, 42.0)
 
 
-def _leg_runs(grid, x, y, tx, ty, speed):
+def _leg_runs(grid, x, y, tx, ty, speed, limit=10**9):
     """The (cell, seconds) runs _leg appends for one leg over grid."""
     cells, secs = [], []
-    walked = _leg(_lanes(grid), cells, secs, x, y, tx, ty, speed)
+    walked = _leg(_lanes(grid), cells, secs, x, y, tx, ty, speed, limit)
     assert walked == sum(secs)
     return list(zip(cells, secs))
 
@@ -103,6 +112,22 @@ def test_uniform_draws_like_generator_uniform():
         assert ours.bit_generator.state == numpy.bit_generator.state
 
 
+def _stride_positions(x, y, tx, ty, speed):
+    """The 1 s positions of a leg walked stride by stride: the np.hypot
+    distance, the rest -= speed loop, sequential adds, the target last."""
+    dx, dy = tx - x, ty - y
+    dist = float(np.hypot(dx, dy))
+    steps, rest, px, py = [], dist, x, y
+    if dist:
+        while speed < rest:
+            rest -= speed
+            px += dx / dist * speed
+            py += dy / dist * speed
+            steps.append((px, py))
+        steps.append((tx, ty))
+    return steps
+
+
 def test_axis_aligned_legs_measure_like_hypot():
     # lanes of 12.5 m, of 77.7 m (clamping past 700 m), and of 3.3 m, which
     # a stride can cross several of; negative positions clamp to lane 0
@@ -114,18 +139,7 @@ def test_axis_aligned_legs_measure_like_hypot():
         d = float(rng.uniform(-300.0, 300.0)) if k % 10 else 0.0
         speed = float(rng.uniform(0.5, 15.0))
         for tx, ty in ((x + d, y), (x, y + d)):
-            # the reference leg: np.hypot distance, the same stride loop
-            dx, dy = tx - x, ty - y
-            dist = float(np.hypot(dx, dy))
-            steps, rest = [], dist
-            px, py = x, y
-            if dist:
-                while speed < rest:
-                    rest -= speed
-                    px += dx / dist * speed
-                    py += dy / dist * speed
-                    steps.append((px, py))
-                steps.append((tx, ty))
+            steps = _stride_positions(x, y, tx, ty, speed)
             for grid in grids:
                 assert _leg_runs(grid, x, y, tx, ty, speed) == \
                     _runs_of(grid, steps)
@@ -139,18 +153,174 @@ def test_diagonal_legs_cross_lanes_like_the_stride_walk():
     for _ in range(1000):
         x, y, tx, ty = (float(v) for v in rng.uniform(0.0, 300.0, 4))
         speed = float(rng.uniform(0.5, 15.0))
-        dx, dy = tx - x, ty - y
-        dist = float(np.hypot(dx, dy))
-        steps, rest, px, py = [], dist, x, y
-        while speed < rest:
-            rest -= speed
-            px += dx / dist * speed
-            py += dy / dist * speed
-            steps.append((px, py))
-        steps.append((tx, ty))
+        steps = _stride_positions(x, y, tx, ty, speed)
         for grid in grids:
             assert _leg_runs(grid, x, y, tx, ty, speed) == \
                 _runs_of(grid, steps)
+
+
+@pytest.fixture
+def walk_spy(monkeypatch):
+    """Counts how legs were walked: counts and axes in closed form, and
+    counts and axes that fell back to the sequential walk."""
+    seen = {"closed counts": 0, "loop counts": 0, "closed axes": 0,
+            "sequential axes": 0}
+    strides, crossings = mobility._strides, mobility._crossings
+    lane_changes = mobility._lane_changes
+
+    def spy_strides(*args):
+        n = strides(*args)
+        seen["closed counts" if n is not None else "loop counts"] += 1
+        return n
+
+    def spy_crossings(*args):
+        found = crossings(*args)
+        if found is not None and found[1]:
+            seen["closed axes"] += 1
+        return found
+
+    def spy_lane_changes(*args):
+        seen["sequential axes"] += 1
+        return lane_changes(*args)
+
+    monkeypatch.setattr(mobility, "_strides", spy_strides)
+    monkeypatch.setattr(mobility, "_crossings", spy_crossings)
+    monkeypatch.setattr(mobility, "_lane_changes", spy_lane_changes)
+    return seen
+
+
+def _near_boundary_legs():
+    """(grid, leg) pairs whose strides land on or next to lane edges."""
+    rng = np.random.default_rng(21)
+    ten, narrow = LocationMap(12, 12, 10.0), LocationMap(120, 120, 2.5)
+    centers = [5.0 + 10.0 * c for c in range(12)]
+    # integer speeds that divide the cell size, center to center: strides
+    # land exactly on edges, and the leg is a whole number of strides
+    for speed in (1.0, 2.0, 5.0, 10.0):
+        for _ in range(40):
+            x, y, tx, ty = (float(rng.choice(centers)) for _ in range(4))
+            for leg in ((x, y, tx, y), (x, y, x, ty), (x, y, tx, ty)):
+                yield ten, (*leg, speed)
+    # decimal speeds that divide the cell size in real numbers: the float
+    # adds land within an ulp or so of an edge, on either side of it
+    for speed in (0.1, 0.3, 0.7, 1.1, 2.2, 3.3, 0.4, 0.6):
+        for _ in range(10):
+            x, y, tx, ty = (float(rng.choice(centers)) for _ in range(4))
+            for leg in ((x, y, tx, y), (x, y, x, ty), (x, y, tx, ty)):
+                yield ten, (*leg, speed)
+    # legs that start on an edge, up or down, along or across the grid
+    for _ in range(200):
+        x = 10.0 * float(rng.integers(1, 12))
+        y = float(rng.uniform(0.0, 120.0))
+        tx, ty = (float(v) for v in rng.uniform(-20.0, 140.0, 2))
+        speed = float(rng.choice([2.5, 5.0, float(rng.uniform(0.5, 15.0))]))
+        yield ten, (x, y, tx, y, speed)
+        yield ten, (x, y, tx, ty, speed)
+        yield ten, (y, x, y, ty, speed)
+    # negative coordinates: walks within, into and out of lane 0's clamp
+    for _ in range(200):
+        x, y = (float(v) for v in rng.uniform(-200.0, 0.0, 2))
+        tx, ty = (float(v) for v in rng.uniform(-200.0, 150.0, 2))
+        speed = float(rng.uniform(0.5, 15.0))
+        yield ten, (x, y, tx, ty, speed)
+        yield ten, (x, y, tx, y, speed)
+    # lanes narrower than a stride, at drawn and at whole speeds
+    for _ in range(200):
+        x, y, tx, ty = (float(v) for v in rng.uniform(-10.0, 310.0, 4))
+        speed = float(rng.choice([5.0, 7.5, float(rng.uniform(2.6, 15.0))]))
+        yield narrow, (x, y, tx, ty, speed)
+        yield narrow, (x, y, x, ty, speed)
+
+
+def test_near_boundary_legs_equal_the_stride_walk(walk_spy):
+    for grid, leg in _near_boundary_legs():
+        steps = _stride_positions(*leg)
+        assert _leg_runs(grid, *leg) == _runs_of(grid, steps), leg
+        # cut at the seconds a trajectory still needs, the same runs as
+        # the first limit seconds of the whole leg
+        for limit in {1, max(1, len(steps) // 2), len(steps) - 1}:
+            if limit:
+                assert _leg_runs(grid, *leg, limit=limit) == \
+                    _runs_of(grid, steps[:limit]), (leg, limit)
+    # both the closed form and its sequential fallback were exercised
+    assert walk_spy["closed counts"] > 100 and walk_spy["loop counts"] > 100
+    assert walk_spy["closed axes"] > 100 and walk_spy["sequential axes"] > 100
+
+
+def test_legs_past_the_stride_bound_take_the_capped_sequential_walk(
+        walk_spy):
+    # 100 m at 0.41 mm/s is some 244k strides, more than the closed form
+    # vouches for: the count loop and the adds walk it, cut at the limit
+    grid = LocationMap(12, 12, 10.0)
+    leg = (7.5, 5.0, 107.5, 5.0, 4.1e-4)
+    steps = _stride_positions(*leg)
+    limit = 150_000
+    assert len(steps) > limit > mobility._MAX_STRIDES
+    assert _leg_runs(grid, *leg, limit=limit) == \
+        _runs_of(grid, steps[:limit])
+    assert walk_spy["loop counts"] == 1
+    assert walk_spy["sequential axes"] == 1
+
+
+def test_tiny_speeds_walk_only_the_seconds_the_trajectory_keeps():
+    # build the grid's tables outside the traced span
+    for model in ("random_waypoint", "manhattan"):
+        generate_trajectory(_params(model, duration_s=60.0), GRID)
+    # at 1 mm/s a random-waypoint leg is some 10^5 strides, far past the
+    # 60 s kept: walking it whole took megabytes
+    slow = dict(duration_s=60.0, speed_min=1e-3, speed_max=1e-3)
+    tracemalloc.start()
+    try:
+        for model in ("random_waypoint", "manhattan"):
+            generate_trajectory(_params(model, **slow), GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # at 1 um/s: one stationary entry of the whole duration, fast
+    tiny = dict(duration_s=60.0, speed_min=1e-6, speed_max=1e-6)
+    start = time.perf_counter()
+    for model in ("random_waypoint", "manhattan"):
+        for seed in range(5):
+            traj = generate_trajectory(_params(model, seed=seed, **tiny),
+                                       GRID)
+            assert len(traj.entries) == 1
+            assert traj.entries[0].dwell_s == 60.0
+    assert time.perf_counter() - start < 1.0
+    sc = replace(load_scenario(DEMO_SCENARIOS / "desk.json"),
+                 speed_min=1e-6, speed_max=1e-6)
+    pop = build_population(sc, build_deployment(sc), 0)
+    assert [len(u.trajectory.entries) for u in pop.users.values()] == \
+        [1] * sc.users
+
+
+# sha256 of every trajectory (repetition, user id, cell, dwell) of each
+# repetition of the default and group_trend scenarios, pinned from the
+# stride-by-stride walk
+TRAJECTORY_DIGESTS = {
+    ("default", 0): "d76759a6a39aa46efb4f46dfbb94c8db96658e76dff6340d7ab4b1b6747e3c26",
+    ("default", 1): "2b6642648788aec5b8cd9f4490b10fafa79c9a6da776d70ab747038a81acbf85",
+    ("default", 2): "7d6191a478f9440ebd2c06b3d48c280bd9c950840ca1a182f6ff67abe6db7d6a",
+    ("group_trend", 0): "93b6cd61676df16cc715304bec7bfc3e501a9b22aba9410da619b8945ec151bd",
+    ("group_trend", 1): "5719174dc72d8ab4aa2ed616c67baad6d71025c4f28691c9e63de9e07d3ba36f",
+    ("group_trend", 2): "1ccf1d9600e746a5695152b663e6c99ca74e518c97d8e4ec3dfce89499f45342",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(TRAJECTORY_DIGESTS))
+def test_population_trajectories_match_the_pinned_digests(name, seed):
+    base = (Scenario() if name == "default"
+            else load_scenario(DEMO_SCENARIOS / "group_trend.json"))
+    sc = replace(base, seed=seed)
+    dep = build_deployment(sc)
+    digest = hashlib.sha256()
+    for rep in range(sc.repetitions):
+        users = build_population(sc, dep, rep).users
+        for uid in sorted(users):
+            for e in users[uid].trajectory.entries:
+                digest.update(f"{rep} {uid} {e.cell_id} {e.dwell_s!r}\n"
+                              .encode())
+    assert digest.hexdigest() == TRAJECTORY_DIGESTS[(name, seed)]
 
 
 # --- whole-leg walks against the stride-by-stride walk they replaced -----------------
