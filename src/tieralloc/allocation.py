@@ -35,7 +35,8 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet, Container, Mapping, Optional, Sequence
+from typing import (AbstractSet, Callable, Container, Mapping, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -141,19 +142,24 @@ def fleet_utility(utils: Mapping[int, float], users: Sequence[int],
     """Fleet objective from per-user utilities; a user without one scores 0.
 
     Ungrouped: the mean over users, in the given order. Grouped: the mean
-    over groups, in the given order, of the mean over members by id.
+    over groups, in the given order, of the mean over members by id. Each
+    mean is np.mean's float in plain Python: numpy's pairwise summation
+    order (see _pairwise_sum), then one division by the count.
     """
     if groups is None:
         if not users:
             raise ValueError("objective over no users")
-        if len(users) == 1:  # the mean of one value is that value
-            return float(utils.get(users[0], 0.0))
-        return float(np.mean([utils.get(u, 0.0) for u in users]))
+        return _mean([utils.get(u, 0.0) for u in users])
     if not groups:
         raise InvalidGroup("objective over no groups")
-    return float(np.mean([
-        float(np.mean([utils.get(u, 0.0) for u in sorted(g.members)]))
-        for g in groups]))
+    return _mean([_mean([utils.get(u, 0.0) for u in sorted(g.members)])
+                  for g in groups])
+
+
+def _mean(vals: list[float]) -> float:
+    """float(np.mean(vals)) of a non-empty list of floats."""
+    n = len(vals)
+    return _pairwise_sum(vals, 0, n) / n
 
 
 def _pairwise_sum(v: Sequence[float], lo: int, n: int) -> float:
@@ -235,12 +241,32 @@ def clouds_without_room(ledger: Optional[CapacityLedger],
     placed on it) is <= 0, unless the caller already holds it; untracked
     clouds, and every cloud without a ledger, always have room.
     """
+    return room_rule(ledger, held)(usage or {})
+
+
+def room_rule(ledger: Optional[CapacityLedger],
+              held: Container[int] = _NO_CLOUDS
+              ) -> Callable[[Mapping[int, int]], frozenset[int]]:
+    """clouds_without_room over one reading of the ledger: reads the room
+    of each tracked cloud once and returns usage -> the clouds without
+    room. Right while the ledger holds still, as it does in a music call.
+    A call scans only the clouds in usage; with none in it, the one set the
+    reading gives is returned."""
     if ledger is None:
-        return _NO_CLOUDS
-    taken = usage or {}
-    return frozenset([cid for cid in ledger.capacities()
-                      if ledger.room(cid) - taken.get(cid, 0) <= 0
-                      and cid not in held])
+        return lambda usage: _NO_CLOUDS
+    rooms = {cid: ledger.room(cid) for cid in ledger.capacities()
+             if cid not in held}
+
+    def closed(taken: Mapping[int, int]) -> list[int]:
+        return [cid for cid, n in taken.items()
+                if cid in rooms and rooms[cid] - n <= 0]
+
+    full = frozenset(closed(dict.fromkeys(rooms, 0)))
+
+    def blocked(usage: Mapping[int, int]) -> frozenset[int]:
+        return full.union(closed(usage)) if usage else full
+
+    return blocked
 
 
 def with_room(ids: Sequence[int], hosts: Mapping[int, Optional[int]],
@@ -285,11 +311,15 @@ class CostMemo:
     """What the planning tables of one population share, and the pass that
     costs them.
 
-    - per (function id, user id, WiFi owner of the entry's cell), and per
-      (function id, WiFi owner) for the cloud candidates alone: the
-      candidate ids (candidate_services), the set of their host clouds
-      (None: on the device) and the column of each one's resolved cost in
-      rate_table;
+    - per (function id, WiFi owner of the entry's cell): the function's
+      cloud candidate ids, the set of their host clouds and the column of
+      each one's resolved cost in rate_table, which every user without a
+      device service for the function takes (candidate_services);
+    - per (function id, user id), for a user with device services for the
+      function (merged): those services merged with the cloud candidates,
+      in id order, and their host set (None: on the device); and per
+      (function id, user id, WiFi owner), the merged ids and host set with
+      that owner's columns, the only part that depends on the owner;
     - per cloud service id and WiFi owner, and per device service id (a
       device run uses no link, so coverage plays no part): the column of
       the service's resolved cost (profiles.service_rates);
@@ -308,8 +338,9 @@ class CostMemo:
     repetition, and is dropped once they are built.
     """
 
-    __slots__ = ("directory", "profiles", "candidates", "host_sets", "rates",
-                 "new_rates", "rate_table", "tables", "queued")
+    __slots__ = ("directory", "profiles", "candidates", "merged",
+                 "host_sets", "rates", "new_rates", "rate_table", "tables",
+                 "queued")
 
     def __init__(self, directory: ServiceDirectory, profiles: ProfileSet):
         self.directory = directory
@@ -317,6 +348,8 @@ class CostMemo:
         self.candidates: dict[tuple, tuple[list[int],
                                            frozenset[Optional[int]],
                                            list[int]]] = {}
+        self.merged: dict[tuple[str, int],
+                          tuple[list[int], frozenset[Optional[int]]]] = {}
         self.host_sets: dict[frozenset[Optional[int]],
                              frozenset[Optional[int]]] = {}
         # keyed by (service id, WiFi owner) for cloud services, by service
@@ -366,28 +399,29 @@ class CostMemo:
         whose WiFi access point belongs to cloud covered_by (None: no
         coverage): the function's cloud candidates there, which every user
         shares, merged with the user's device services."""
+        cloud = self.candidates.get((function_id, covered_by))
+        if cloud is None:
+            ids = sorted(self.directory.cloud_services_for(function_id))
+            cloud = self.candidates[(function_id, covered_by)] = (
+                ids, self._host_set(ids),
+                [self._rate_column(sid, covered_by) for sid in ids])
+        merged = self.merged.get((function_id, user.id))
+        if merged is None:
+            device = self.directory.device_services_for(user.id, function_id)
+            if not device:
+                if not cloud[0]:
+                    raise NoRealizingService(
+                        f"no service realizes {function_id!r}")
+                return cloud
+            ids = sorted([*cloud[0], *device])
+            merged = self.merged[(function_id, user.id)] = (
+                ids, self._host_set(ids))
         key = (function_id, user.id, covered_by)
         found = self.candidates.get(key)
         if found is None:
-            cloud = self.candidates.get((function_id, covered_by))
-            if cloud is None:
-                ids = sorted(self.directory.cloud_services_for(function_id))
-                cloud = self.candidates[(function_id, covered_by)] = (
-                    ids, self._host_set(ids),
-                    [self._rate_column(sid, covered_by) for sid in ids])
-            found = cloud
-            device = self.directory.device_services_for(user.id, function_id)
-            if device:
-                pairs = sorted([*zip(cloud[0], cloud[2]),
-                                *((sid, self._rate_column(sid, None))
-                                  for sid in device)])
-                ids = [sid for sid, _ in pairs]
-                found = (ids, self._host_set(ids),
-                         [column for _, column in pairs])
-            elif not cloud[0]:
-                raise NoRealizingService(
-                    f"no service realizes {function_id!r}")
-            self.candidates[key] = found
+            found = self.candidates[key] = (
+                *merged, [self._rate_column(sid, covered_by)
+                          for sid in merged[0]])
         return found
 
     def _host_set(self, ids: list[int]) -> frozenset[Optional[int]]:
@@ -651,11 +685,21 @@ class UserInstance:
         return trusted_qos(price, power, delay)
 
     def utility_of(self, raw: QoSTriple) -> float:
-        """Worst normalized dimension of a raw LTW QoS, in [0, 1]."""
-        price, power, delay = self._bounds
-        return min(normalize_within(raw.price, price, "price"),
-                   normalize_within(raw.power, power, "power"),
-                   normalize_within(raw.delay, delay, "delay"))
+        """Worst normalized dimension of a raw LTW QoS, in [0, 1]: the min
+        over DIMS of normalize_within, in one pass. A dimension's value is
+        (hi - value) / span where that lies in (0, 1), else the bound it
+        passes; out of range, normalize_within raises."""
+        worst = 1.0
+        for value, (lo, hi, span, low, high), what in zip(
+                (raw.price, raw.power, raw.delay), self._bounds, DIMS):
+            if span == 0:
+                continue
+            if value < low or value > high:
+                normalize_within(value, (lo, hi, span, low, high), what)
+            u = (hi - value) / span
+            if u < worst:
+                worst = u if u > 0.0 else 0.0
+        return worst
 
     def utility(self, picks: Sequence[int]) -> float:
         """Worst normalized dimension of a pick list's LTW QoS, in [0, 1]."""
@@ -875,15 +919,19 @@ def music(target, constraints, params: AnnealingParams,
     and set of clouds without room, are built once and only the draws
     repeat.
     Before each member's search the room rule gives the clouds without
-    room. The ledger holds still during the call, so only the tentative
-    usage of earlier members of the same proposal can change that set.
+    room. The ledger holds still during the call, so its room is read once,
+    when the call starts (see room_rule), and only the tentative usage of
+    earlier members of the same proposal can change that set.
+
+    A proposal is valued at the mean of its members' utilities, in member
+    order: fleet_utility's float, summed in numpy's order (see
+    _pairwise_sum) and divided by the member count.
     """
     single = isinstance(target, UserInstance)
     members = [target] if single else target.members
     center = target.center_point()
-    uids = [m.user.id for m in members]
     memo = SearchMemo()
-    no_room = clouds_without_room(ledger)
+    blocked = room_rule(ledger)
 
     def propose() -> Optional[tuple[list[list[int]], list[QoSTriple]]]:
         usage: dict[int, int] = {}
@@ -893,8 +941,7 @@ def music(target, constraints, params: AnnealingParams,
             try:
                 mine, raw = find_service(
                     m, center, constraints_for(constraints, m.user.id),
-                    params, rng, memo,
-                    clouds_without_room(ledger, usage) if usage else no_room)
+                    params, rng, memo, blocked(usage))
             except NoFeasibleCandidates:
                 return None
             picks.append(mine)
@@ -911,8 +958,7 @@ def music(target, constraints, params: AnnealingParams,
         if proposal is None:
             continue
         picks, raws = proposal
-        val = fleet_utility({m.user.id: m.utility_of(raw)
-                             for m, raw in zip(members, raws)}, uids)
+        val = _mean([m.utility_of(raw) for m, raw in zip(members, raws)])
         if val > best_val:
             best_picks, best_val = picks, val
     if best_picks is None:

@@ -30,7 +30,7 @@ from tieralloc import allocation
 from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
                                   _pairwise_sum, _roulette_spin,
                                   _roulette_wheel,
-                                  clouds_without_room, with_room)
+                                  clouds_without_room, room_rule, with_room)
 from tieralloc.errors import (AdmissionRefused, ExtremaMismatch, InvalidGroup,
                               TierAllocError)
 
@@ -178,6 +178,101 @@ def test_fleet_utility_is_mean_of_worst_dimensions():
         fleet_utility({}, [])
     with pytest.raises(InvalidGroup):
         fleet_utility(worst, [0, 1], [])
+
+
+def test_fleet_utility_equals_np_mean_in_every_pairwise_branch():
+    """Each mean is np.mean's float: ungrouped lengths 1-300 cross numpy's
+    sequential sum (under 8), its eight accumulators (8-128) and its split
+    halves (above 128); groups hold 1-30 members."""
+    rng = np.random.default_rng(31)
+    pool = [0.0, 1.0, 1 / 3, 0.1, 0.7]
+
+    def draw(n):
+        vals = rng.random(n) * 10.0 ** rng.uniform(-3.0, 0.0, n)
+        return [pool[int(rng.integers(len(pool)))] if rng.random() < 0.2
+                else v for v in vals.tolist()]
+
+    for n in range(1, 301):
+        users = rng.permutation(n + 3).tolist()
+        # the last three users have no utility and score 0
+        utils = dict(zip(users[:n], draw(n)))
+        assert fleet_utility(utils, users[:n]) == \
+            float(np.mean([utils[u] for u in users[:n]]))
+        assert fleet_utility(utils, users) == \
+            float(np.mean([utils.get(u, 0.0) for u in users]))
+    for _ in range(300):
+        sizes = rng.integers(1, 31, int(rng.integers(1, 12))).tolist()
+        uids = rng.permutation(sum(sizes) + 2).tolist()
+        utils = dict(zip(uids[:-2], draw(len(uids) - 2)))
+        cuts = np.cumsum([0, *sizes]).tolist()
+        groups = [UserGroup(int(gid), frozenset(uids[a:b]))
+                  for gid, a, b in zip(rng.permutation(50), cuts, cuts[1:])]
+        expect = float(np.mean([
+            float(np.mean([utils.get(u, 0.0) for u in sorted(g.members)]))
+            for g in groups]))
+        assert fleet_utility(utils, uids, groups) == expect
+
+
+def _scan_without_room(ledger, usage, held=frozenset()):
+    """clouds_without_room as one scan of every tracked cloud's room."""
+    if ledger is None:
+        return frozenset()
+    return frozenset(c for c in ledger.capacities()
+                     if ledger.room(c) - usage.get(c, 0) <= 0
+                     and c not in held)
+
+
+def test_one_room_reading_gives_the_room_rule_for_any_usage():
+    """room_rule reads each tracked cloud's room once; for any later usage
+    its set equals clouds_without_room and a full scan of the ledger, over
+    random and partly filled ledgers, no ledger, held clouds, and usage
+    that names untracked clouds."""
+    rng = np.random.default_rng(12)
+    clouds = list(range(1, 9))
+    seen = {"none": 0, "grew": 0, "untracked": 0, "held": 0}
+    for _ in range(400):
+        ledger, _, held = _random_room_case(rng, clouds)
+        reads = []
+        if ledger is not None:
+            room = ledger.room
+            ledger.room = lambda cid: reads.append(cid) or room(cid)
+        rule, rule_held = room_rule(ledger), room_rule(ledger, held)
+        tracked = [] if ledger is None else list(ledger.capacities())
+        assert sorted(reads) == sorted(tracked + [c for c in tracked
+                                                  if c not in held])
+        reads.clear()
+        seen["none"] += ledger is None
+        for _ in range(6):
+            # clouds 20 and 21 are never tracked
+            usage = {c: int(rng.integers(0, 4)) for c in [*clouds, 20, 21]
+                     if rng.random() < 0.4}
+            got, got_held = rule(usage), rule_held(usage)
+            assert not reads
+            assert got == clouds_without_room(ledger, usage) == \
+                _scan_without_room(ledger, usage)
+            assert got_held == clouds_without_room(ledger, usage, held) == \
+                _scan_without_room(ledger, usage, held)
+            reads.clear()
+            seen["grew"] += got != rule({})
+            seen["untracked"] += bool({20, 21} & usage.keys())
+            seen["held"] += got_held != got
+        assert rule({}) == clouds_without_room(ledger)
+    assert min(seen.values()) > 30, seen
+
+
+def test_music_reads_the_ledger_once_per_call():
+    dep, pop, instances = _fleet(users=8, groups=2, seed=8)
+    locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
+    for grp in pop.groups:
+        target = GroupInstance(grp, [instances[u] for u in sorted(grp.members)])
+        ledger = CapacityLedger({c: 1 for c in locals_})
+        reads = []
+        room = ledger.room
+        ledger.room = lambda cid: reads.append(cid) or room(cid)
+        res = music(target, UNLIMITED, AnnealingParams(max_iter=15),
+                    np.random.default_rng(3), ledger=ledger)
+        assert res.feasible
+        assert sorted(reads) == sorted(locals_)
 
 
 def test_capacity_check_reads_the_ledger():
@@ -1889,6 +1984,38 @@ def test_shared_cost_memo_tables_equal_fresh_builds_and_the_old_costing(
     other = ProfileSet.defaults()
     with pytest.raises(ValueError, match="one profile set"):
         UserInstance(users[0], ltw, directory, other, grid, memo=memo)
+
+
+def test_candidate_ids_are_merged_once_per_function_and_user():
+    """The candidate ids and host set of a user with device services for a
+    function are merged once and shared across WiFi owners; each owner's
+    rate column resolves that service's cost from a cell under that
+    owner."""
+    from tieralloc.profiles import service_rates
+    rng = np.random.default_rng(29)
+    merged = 0
+    for _ in range(10):
+        profiles = _random_profiles(rng)
+        grid, directory, users = _random_cost_world(rng, profiles)
+        memo = allocation.CostMemo(directory, profiles)
+        for user in users:
+            for fn in "abc":
+                device = directory.device_services_for(user.id, fn)
+                first = None
+                for owner in (None, 1, 2, None):
+                    ids, hosts, columns = memo.candidates_of(fn, user, owner)
+                    assert ids == sorted([*directory.cloud_services_for(fn),
+                                          *device])
+                    assert hosts == {directory.hosts[sid] for sid in ids}
+                    assert [memo.new_rates[c] for c in columns] == [
+                        service_rates(directory.service(sid), owner,
+                                      directory.clouds, profiles)
+                        for sid in ids]
+                    first = first or (ids, hosts)
+                    if device:
+                        assert ids is first[0] and hosts is first[1]
+                merged += bool(device)
+    assert merged > 20
 
 
 def test_joint_scores_equal_fleet_utility_per_combination(monkeypatch):

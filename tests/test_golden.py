@@ -53,6 +53,11 @@ GOLDEN = {
     # options per user
     "desk-capacity-1": (dict(DESK, local_capacity=1),
                         "957e421d7f06c6edfe979eaf8cd83992f0c59b98d1786f907f12931fabddc566"),
+    # 25 members per group, so a proposal's mean takes numpy's pairwise
+    # branch; at capacity 2, most member searches that see earlier members'
+    # tentative usage find a cloud it closed
+    "grouped-capacity-2": (dict(GROUPED, groups=4, local_capacity=2),
+                           "7d671c1dfdd6500f3123acd20a44107c6e9324fb2614c3292705b9d87f2161ac"),
 }
 
 # reads {name: scenario kwargs} on stdin, prints {name: sha256} on stdout
