@@ -27,6 +27,10 @@ served in a seeded random order.
 The exhaustive optimum takes one path: each user's best plan per set of
 binding clouds, combined once (brute_force_optimal). Its cap bounds each
 user's plan space and that option product, before any plan is evaluated.
+
+Many plans of one user are scored at once by PlanArrays, with the float
+operations of the scalar evaluator: all of a user's MuSIC proposals, and
+the optimum's plan spaces.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from .profiles import (ProfileSet, Rates, _costs, intercloud_ms,
                        service_rates)
 from .registry import CapacityLedger, ServiceDirectory
 from .workflow import (DIMS, LTW, FoldFn, LeafCost, Occurrence, QoSExtrema,
-                       QoSTriple, WorkflowNode, dim_bounds, fold_of,
-                       normalize_within, outline, trusted_qos)
+                       QoSTriple, WorkflowNode, _fold_source, dim_bounds,
+                       fold_of, normalize_within, outline, trusted_qos)
 
 
 def constraints_for(constraints, uid: int) -> "ConstraintVector":
@@ -241,7 +245,28 @@ def clouds_without_room(ledger: Optional[CapacityLedger],
     placed on it) is <= 0, unless the caller already holds it; untracked
     clouds, and every cloud without a ledger, always have room.
     """
-    return room_rule(ledger, held)(usage or {})
+    if ledger is None:
+        return _NO_CLOUDS
+    rooms = _rooms(ledger, held)
+    taken = dict.fromkeys(rooms, 0)
+    if usage:
+        taken.update(usage)
+    return frozenset(_without_room(rooms, taken))
+
+
+def _rooms(ledger: CapacityLedger, held: Container[int]) -> dict[int, float]:
+    """One reading of the ledger: the room of each tracked cloud not held."""
+    return {cid: ledger.room(cid) for cid in ledger.capacities()
+            if cid not in held}
+
+
+def _without_room(rooms: Mapping[int, float],
+                  taken: Mapping[int, int]) -> list[int]:
+    """The room rule over one reading of the ledger: the tracked clouds in
+    taken (cloud id -> users placed on it) whose room minus that count is
+    <= 0."""
+    return [cid for cid, n in taken.items()
+            if cid in rooms and rooms[cid] - n <= 0]
 
 
 def room_rule(ledger: Optional[CapacityLedger],
@@ -250,23 +275,14 @@ def room_rule(ledger: Optional[CapacityLedger],
     """clouds_without_room over one reading of the ledger: reads the room
     of each tracked cloud once and returns usage -> the clouds without
     room. Right while the ledger holds still, as it does in a music call.
-    A call scans only the clouds in usage; with none in it, the one set the
-    reading gives is returned."""
+    A call tests only the clouds in usage, the others being those the
+    reading leaves full; with no usage, that one set is returned."""
     if ledger is None:
         return lambda usage: _NO_CLOUDS
-    rooms = {cid: ledger.room(cid) for cid in ledger.capacities()
-             if cid not in held}
-
-    def closed(taken: Mapping[int, int]) -> list[int]:
-        return [cid for cid, n in taken.items()
-                if cid in rooms and rooms[cid] - n <= 0]
-
-    full = frozenset(closed(dict.fromkeys(rooms, 0)))
-
-    def blocked(usage: Mapping[int, int]) -> frozenset[int]:
-        return full.union(closed(usage)) if usage else full
-
-    return blocked
+    rooms = _rooms(ledger, held)
+    full = frozenset(_without_room(rooms, dict.fromkeys(rooms, 0)))
+    return lambda usage: (full.union(_without_room(rooms, usage))
+                          if usage else full)
 
 
 def with_room(ids: Sequence[int], hosts: Mapping[int, Optional[int]],
@@ -528,8 +544,7 @@ class CostMemo:
                         zip(*(a.tolist() for a in highs)))
         profiles = self.profiles
         for key, workflow, occs, shape, sets in block:
-            tables = self.tables[key] = _EntryTables(workflow, occs,
-                                                     fold_of(shape))
+            tables = self.tables[key] = _EntryTables(workflow, occs, shape)
             cands, base, snorms, steps = (tables.cands, tables.base,
                                           tables.snorm, tables.steps)
             env_lo: list[LeafCost] = []
@@ -568,14 +583,15 @@ class _EntryTables:
     predecessor index, hop) for the plan evaluator. The predecessor index
     is None when the occurrence has no Seq predecessor or the hop costs
     nothing; hop is intercloud_ms(kb), paid only between two different
-    clouds. lo and hi are the entry's folded envelopes.
+    clouds. shape keys the entry's compiled folds (see outline); lo and hi
+    are its folded envelopes.
     """
 
     __slots__ = ("workflow", "occs", "cands", "base", "snorm", "steps",
-                 "fold", "lo", "hi")
+                 "shape", "fold", "lo", "hi")
 
     def __init__(self, workflow: WorkflowNode, occs: list[Occurrence],
-                 fold: FoldFn):
+                 shape: tuple):
         self.workflow = workflow
         self.occs = occs
         self.cands: list[list[int]] = []
@@ -583,7 +599,8 @@ class _EntryTables:
         self.snorm: list[dict[int, float]] = []
         self.steps: list[tuple[int, dict[int, LeafCost], Optional[int],
                                float]] = []
-        self.fold = fold
+        self.shape = shape
+        self.fold = fold_of(shape)
         self.lo: LeafCost = (0.0, 0.0, 0.0)
         self.hi: LeafCost = (0.0, 0.0, 0.0)
 
@@ -720,6 +737,129 @@ class UserInstance:
             for occ, cands in zip(tables.occs, tables.cands):
                 yield e, occ, cands
 
+    def plan_arrays(self, lists: Sequence[Sequence[int]]) -> "PlanArrays":
+        """The array evaluator of plans that pick from lists (see
+        PlanArrays)."""
+        return PlanArrays(self, lists)
+
+
+# array folds by shape, compiled as shapes are first scored in arrays
+_ARRAY_FOLDS: dict[tuple, FoldFn] = {}
+
+
+def _array_fold(shape: tuple) -> FoldFn:
+    """The fold of one shape over arrays of plans: fold_of's source with max
+    bound to np.maximum, so each plan takes the scalar fold's operations."""
+    fold = _ARRAY_FOLDS.get(shape)
+    if fold is None:
+        namespace = {"max": np.maximum}
+        exec(_fold_source(shape), namespace)
+        fold = _ARRAY_FOLDS[shape] = namespace["fold"]
+    return fold
+
+
+class PlanArrays:
+    """One user's plans over fixed candidate lists, scored in array passes.
+
+    lists[k] holds the ids that occurrence k (in iter_occurrences order)
+    picks from. A batch of plans is a (occurrences x plans) matrix of
+    positions into those lists: column r is plan r. raw gives each plan's
+    LTW QoS as UserInstance.evaluate does, with the same float operations:
+    a paid hop is np.where(paid, d + hop, d), each entry folds through its
+    shape's array fold, and entries are summed from 0.0 in order. utility
+    is utility_of's clamp-and-min on those columns. So every value is ==
+    the scalar one.
+    """
+
+    __slots__ = ("instance", "starts", "cols", "codes", "code_of", "pays",
+                 "hops", "folds")
+
+    def __init__(self, instance: UserInstance,
+                 lists: Sequence[Sequence[int]]):
+        self.instance = instance
+        hosts = instance.hosts
+        # host codes: 0 on the device, one per cloud from 1
+        code_of: dict[Optional[int], int] = {None: 0}
+        rows: list[LeafCost] = []
+        codes: list[int] = []
+        starts: list[int] = []
+        hops: list[tuple[int, int, float]] = []
+        self.folds: list[tuple[int, int, FoldFn]] = []
+        k = 0
+        for tables in instance.entries:
+            for j, table, prev, hop in tables.steps:
+                ids = lists[k + j]
+                starts.append(len(codes))
+                rows += [table[sid] for sid in ids]
+                codes += [code_of.setdefault(hosts[sid], len(code_of))
+                          for sid in ids]
+                if prev is not None:
+                    hops.append((k + j, k + prev, hop))
+            self.folds.append((k, k + len(tables.steps),
+                               _array_fold(tables.shape)))
+            k += len(tables.steps)
+        self.starts = np.array(starts)[:, None]
+        # (price, power, delay) rows of every candidate, by dimension
+        self.cols = np.array(rows).T.copy()
+        self.codes = np.array(codes)
+        self.code_of = code_of
+        self.hops = None
+        if hops:
+            at, before, hop = zip(*hops)
+            self.hops = (list(at), list(before), np.array(hop)[:, None])
+            # pays[a, b]: hosts a and b are clouds, and different ones
+            known = np.arange(len(code_of))
+            self.pays = (known[:, None] != known) & (known[:, None] != 0) \
+                & (known != 0)
+
+    def raw(self, positions) -> list[np.ndarray]:
+        """The price, power and delay column of each plan's LTW QoS."""
+        flat = np.asarray(positions) + self.starts
+        price, power, delay = self.cols[:, flat]
+        if self.hops is not None:
+            at, before, hop = self.hops
+            paid = self.pays[self.codes[flat[at]], self.codes[flat[before]]]
+            d = delay[at]
+            delay[at] = np.where(paid, d + hop, d)
+        totals = [0.0, 0.0, 0.0]
+        for a, b, fold in self.folds:
+            entry = fold(zip(price[a:b], power[a:b], delay[a:b]))
+            totals = [t + x for t, x in zip(totals, entry)]
+        return totals
+
+    def utility(self, raw: Sequence[np.ndarray],
+                rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """utility_of of each plan's raw QoS. Among the plans in rows (a
+        mask; None: every plan), the first with a value outside its
+        dimension's bounds raises utility_of's ExtremaMismatch."""
+        worst = np.ones(len(raw[0]))
+        stray = None
+        for value, (lo, hi, span, low, high) in zip(raw,
+                                                    self.instance._bounds):
+            if span == 0:
+                continue
+            out = (value < low) | (value > high)
+            stray = out if stray is None else stray | out
+            np.minimum(worst, (hi - value) / span, out=worst)
+        if stray is not None:
+            if rows is not None:
+                stray &= rows
+            if stray.any():
+                r = int(stray.argmax())
+                self.instance.utility_of(trusted_qos(*(float(v[r])
+                                                       for v in raw)))
+        return np.maximum(worst, 0.0, out=worst)
+
+    def clouds_used(self, positions, clouds: Sequence[int]) -> np.ndarray:
+        """A (clouds x plans) mask: whether each plan places work on each
+        of the clouds that is local (see UserInstance.local_clouds)."""
+        codes = self.codes[np.asarray(positions) + self.starts]
+        known = self.instance.clouds
+        return np.array([
+            (codes == self.code_of[cid]).any(axis=0)
+            if cid in self.code_of and known[cid].tier == LOCAL
+            else np.zeros(codes.shape[1], dtype=bool) for cid in clouds])
+
 
 class GroupInstance:
     """A user group planned jointly around its center of mobility."""
@@ -836,24 +976,33 @@ def find_service(instance: UserInstance, center: tuple[float, float],
                  constraints: ConstraintVector, params: AnnealingParams,
                  rng: np.random.Generator,
                  memo: Optional[SearchMemo] = None,
-                 blocked: frozenset[int] = _NO_CLOUDS
-                 ) -> tuple[list[int], QoSTriple]:
-    """Assemble one candidate plan around a center point; returns its pick
-    list (see UserInstance.evaluate) and its raw LTW QoS.
+                 blocked: frozenset[int] = _NO_CLOUDS,
+                 proposals: int = 1) -> tuple[list[int], QoSTriple]:
+    """Assemble candidate plans around a center point; returns the pick
+    list (see UserInstance.evaluate) and raw LTW QoS of the first one of
+    highest utility among proposals independent ones (with one proposal,
+    that one).
 
-    Widens the search radius in steps (radius_start_m + i * radius_step_m,
-    i < max_expansions). Reach and room are decided per cloud: a
-    cloud-hosted candidate must sit on a cloud outside blocked, the clouds
-    without room for this call (see clouds_without_room), and, when the
-    cloud is local, inside the radius (see _radius). On-device and public
-    services are in reach at any radius. At the first radius where every
-    occurrence has a candidate and the optimistic per-dimension minima fit
-    the budgets, a plan is drawn by roulette over total normalized QoS,
-    with one rng.random(n) call for the n occurrences (the same doubles as
-    n scalar draws). If the drawn plan busts a budget, one deterministic
-    repair per violated dimension (the per-occurrence minimum of that
-    dimension) is tried, in DIMS order, before widening. Each plan drawn or
-    repaired is evaluated once.
+    A proposal widens the search radius in steps (radius_start_m + i *
+    radius_step_m, i < max_expansions). Reach and room are decided per
+    cloud: a cloud-hosted candidate must sit on a cloud outside blocked,
+    the clouds without room for this call (see clouds_without_room), and,
+    when the cloud is local, inside the radius (see _radius). On-device and
+    public services are in reach at any radius. At the first radius where
+    every occurrence has a candidate and the optimistic per-dimension
+    minima fit the budgets, a plan is drawn by roulette over total
+    normalized QoS, with one rng.random(n) call for the n occurrences (the
+    same doubles as n scalar draws). If the drawn plan busts a budget, one
+    deterministic repair per violated dimension (the per-occurrence
+    minimum of that dimension) is tried, in DIMS order, before widening.
+    Each plan drawn or repaired is evaluated once.
+
+    Several proposals start at the same radius, since the tables do not
+    depend on the draws, and are drawn and scored there in one array pass
+    (see _first_best). When some proposal there would widen, the generator
+    is set back and the proposals run one call at a time, an infeasible one
+    being skipped. Either way the plans, and the generator state after the
+    call, are those of proposals calls in a row.
 
     memo carries the clouds out of reach and the search table of each
     radius across calls that share the center, params and budgets (see
@@ -861,7 +1010,7 @@ def find_service(instance: UserInstance, center: tuple[float, float],
     with the same blocked clouds built it. None means a fresh memo, so a
     single call builds everything it needs itself.
 
-    Raises NoFeasibleCandidates when every radius fails.
+    Raises NoFeasibleCandidates when every radius fails for every proposal.
     """
     if memo is None:
         memo = SearchMemo()
@@ -875,6 +1024,17 @@ def find_service(instance: UserInstance, center: tuple[float, float],
                                               blocked, constraints, memo)
         if table is None:
             continue
+        if proposals > 1:
+            # tables are built without a draw: nothing was drawn so far
+            state = rng.bit_generator.state if bounded else None
+            found = _first_best(instance, table, constraints, rng, proposals)
+            if found is None:
+                rng.bit_generator.state = state
+                found = _one_at_a_time(instance, center, constraints, params,
+                                       rng, memo, blocked, proposals)
+            if found is not None:
+                return found
+            break
         draws = rng.random(len(table)).tolist()
         # the weighted case of _roulette_spin, inlined: a call per
         # occurrence is a large share of a proposal's cost
@@ -895,6 +1055,77 @@ def find_service(instance: UserInstance, center: tuple[float, float],
         f"{params.max_expansions} radius expansions")
 
 
+def _first_best(instance: UserInstance, table: list[tuple],
+                constraints: ConstraintVector, rng: np.random.Generator,
+                proposals: int) -> Optional[tuple[list[int], QoSTriple]]:
+    """The first best of proposals plans drawn at one search table (see
+    find_service), in one array pass; None when some proposal's draw and
+    every repair tried for it break a budget, so that it would widen.
+
+    One rng.random(proposals * n) call gives the doubles of proposals
+    rng.random(n) calls. A draw lands where bisect_right puts it: on the
+    count of the wheel's slice ends (padded with inf) at or below it; an
+    all-zero wheel picks min(int(draw * len), len - 1). Every plan is
+    scored by PlanArrays, each repair is evaluated once, and np.argmax
+    keeps the first best.
+    """
+    orders = [row[3] for row in table]
+    draws = rng.random(proposals * len(table)).reshape(proposals, -1).T
+    width = max(map(len, orders)) - 1
+    wheels = np.array([(cum or []) + [math.inf] * (width - len(cum or []))
+                       for *_, cum in table])
+    pos = (wheels[:, None, :] <= draws[:, :, None]).sum(axis=2)
+    for k, (_, _, _, order, cum) in enumerate(table):
+        if cum is None:
+            pos[k] = np.minimum((draws[k] * len(order)).astype(np.intp),
+                                len(order) - 1)
+    arrays = instance.plan_arrays(orders)
+    raw = arrays.raw(pos)
+    repairs = []
+    if constraints.bounded():
+        over = [(d, raw[DIMS.index(d)] > budget)
+                for d, budget in constraints._finite]
+        pending = np.logical_or.reduce([o for _, o in over])
+        for dim, broke in over:
+            broke &= pending
+            if not broke.any():
+                continue
+            fixed = _repair(instance, table, dim)
+            fixed_raw = instance.evaluate(fixed)
+            if constraints.admits(fixed_raw):
+                for column, v in zip(raw, fixed_raw.as_tuple()):
+                    column[broke] = v
+                repairs.append((broke, fixed))
+                pending &= ~broke
+        if pending.any():
+            return None
+    r = int(arrays.utility(raw).argmax())
+    picks = next((fixed for broke, fixed in repairs if broke[r]), None)
+    if picks is None:
+        picks = [order[p] for order, p in zip(orders, pos[:, r].tolist())]
+    return picks, trusted_qos(*(float(column[r]) for column in raw))
+
+
+def _one_at_a_time(instance: UserInstance, center: tuple[float, float],
+                   constraints: ConstraintVector, params: AnnealingParams,
+                   rng: np.random.Generator, memo: SearchMemo,
+                   blocked: frozenset[int], proposals: int
+                   ) -> Optional[tuple[list[int], QoSTriple]]:
+    """find_service's first best of proposals, one find_service call per
+    proposal; an infeasible proposal is skipped. None when every one is."""
+    best, best_val = None, -math.inf
+    for _ in range(proposals):
+        try:
+            picks, raw = find_service(instance, center, constraints, params,
+                                      rng, memo, blocked)
+        except NoFeasibleCandidates:
+            continue
+        val = instance.utility_of(raw)
+        if val > best_val:
+            best, best_val = (picks, raw), val
+    return best
+
+
 # --- MuSIC allocation ---------------------------------------------------------
 
 def music(target, constraints, params: AnnealingParams,
@@ -905,14 +1136,18 @@ def music(target, constraints, params: AnnealingParams,
     Draws max_iter + 1 independent proposals via find_service (roulette
     selection with budget repair) around the target's center of mobility
     and returns the first one of highest utility; infeasible proposals are
-    skipped. For a GroupInstance one proposal re-plans every member and the
-    objective is the group mean utility; members of one proposal see each
-    other's tentative capacity usage, read from their pick lists, on top of
-    the shared ledger. find_service holds each member to its own budget,
-    so a proposal keeps every budget member by member (see the module
-    docstring). Proposals are scored from the raw QoS that find_service
-    returns with each pick list; the winning proposal's lists become the
-    members' pick tuples.
+    skipped. For one user, that is one find_service call, which draws and
+    scores the proposals in one array pass unless one of them would widen
+    the radius (see find_service).
+
+    For a GroupInstance one proposal re-plans every member, one
+    find_service call each, and the objective is the group mean utility;
+    members of one proposal see each other's tentative capacity usage, read
+    from their pick lists, on top of the shared ledger. find_service holds
+    each member to its own budget, so a proposal keeps every budget member
+    by member (see the module docstring). Proposals are scored from the raw
+    QoS that find_service returns with each pick list; the winning
+    proposal's lists become the members' pick tuples.
 
     One SearchMemo serves every proposal of the call, so the range query
     around the center per radius, and each member's search table per radius
@@ -925,42 +1160,54 @@ def music(target, constraints, params: AnnealingParams,
 
     A proposal is valued at the mean of its members' utilities, in member
     order: fleet_utility's float, summed in numpy's order (see
-    _pairwise_sum) and divided by the member count.
+    _pairwise_sum) and divided by the member count; for one user, its
+    utility.
     """
-    single = isinstance(target, UserInstance)
-    members = [target] if single else target.members
     center = target.center_point()
     memo = SearchMemo()
-    blocked = room_rule(ledger)
-
-    def propose() -> Optional[tuple[list[list[int]], list[QoSTriple]]]:
-        usage: dict[int, int] = {}
-        picks: list[list[int]] = []
-        raws: list[QoSTriple] = []
-        for k, m in enumerate(members, 1):
-            try:
-                mine, raw = find_service(
-                    m, center, constraints_for(constraints, m.user.id),
-                    params, rng, memo, blocked(usage))
-            except NoFeasibleCandidates:
-                return None
-            picks.append(mine)
-            raws.append(raw)
-            if k < len(members):  # only later members read the usage
-                for cid in m.local_clouds(mine):
-                    usage[cid] = usage.get(cid, 0) + 1
-        return picks, raws
-
     best_picks = None
     best_val = -math.inf
-    for _ in range(params.max_iter + 1):
-        proposal = propose()
-        if proposal is None:
-            continue
-        picks, raws = proposal
-        val = _mean([m.utility_of(raw) for m, raw in zip(members, raws)])
-        if val > best_val:
-            best_picks, best_val = picks, val
+    if isinstance(target, UserInstance):
+        members = [target]
+        try:
+            picks, raw = find_service(
+                target, center, constraints_for(constraints, target.user.id),
+                params, rng, memo, clouds_without_room(ledger),
+                params.max_iter + 1)
+        except NoFeasibleCandidates:
+            pass
+        else:
+            best_picks, best_val = [picks], target.utility_of(raw)
+    else:
+        members = target.members
+        blocked = room_rule(ledger)
+
+        def propose() -> Optional[tuple[list[list[int]], list[QoSTriple]]]:
+            usage: dict[int, int] = {}
+            picks: list[list[int]] = []
+            raws: list[QoSTriple] = []
+            for k, m in enumerate(members, 1):
+                try:
+                    mine, raw = find_service(
+                        m, center, constraints_for(constraints, m.user.id),
+                        params, rng, memo, blocked(usage))
+                except NoFeasibleCandidates:
+                    return None
+                picks.append(mine)
+                raws.append(raw)
+                if k < len(members):  # only later members read the usage
+                    for cid in m.local_clouds(mine):
+                        usage[cid] = usage.get(cid, 0) + 1
+            return picks, raws
+
+        for _ in range(params.max_iter + 1):
+            proposal = propose()
+            if proposal is None:
+                continue
+            picks, raws = proposal
+            val = _mean([m.utility_of(raw) for m, raw in zip(members, raws)])
+            if val > best_val:
+                best_picks, best_val = picks, val
     if best_picks is None:
         return AllocationResult({}, 0.0, False, note="no feasible proposal")
     return AllocationResult({m.user.id: tuple(mine)
@@ -1132,6 +1379,8 @@ def allocate_music(instances: Mapping[int, UserInstance],
 
 # --- exhaustive optimum ----------------------------------------------------------
 
+# positions (plans times occurrences), or combinations of options, scored
+# per array pass
 _SCORE_CHUNK = 1 << 16
 
 
@@ -1184,6 +1433,58 @@ def _joint_scores(utils: Sequence[Sequence[float]], users: Sequence[int],
     return scores
 
 
+def _options(instance: UserInstance, pools: list[list[int]],
+             constraints: ConstraintVector, reach: Sequence[int]
+             ) -> list[tuple]:
+    """One user's options for brute_force_optimal: per set of the binding
+    clouds in reach that a plan admitted by the budgets uses, (picks,
+    utility, that set) of the first best such plan, ordered by that plan's
+    place in the product of pools; [] when no plan is admitted.
+
+    The plans are walked in itertools.product order, in chunks of at most
+    _SCORE_CHUNK positions (plans times occurrences) scored by PlanArrays;
+    a chunk's first best plan per set replaces an earlier one only when it
+    scores higher.
+    """
+    sizes = [len(ids) for ids in pools]
+    total = math.prod(sizes)
+    # at most _SCORE_CHUNK positions, so a chunk's arrays stay small
+    step = max(1, _SCORE_CHUNK // len(pools))
+    arrays = instance.plan_arrays(pools)
+    budgets = [(DIMS.index(d), budget) for d, budget in constraints._finite]
+    # binding clouds used -> (product index, utility) of the best plan
+    best: dict[frozenset[int], tuple[int, float]] = {}
+    for start in range(0, total, step):
+        positions = _unravel(np.arange(start, min(start + step, total)), sizes)
+        raw = arrays.raw(positions)
+        admitted = None
+        if budgets:
+            admitted = np.logical_and.reduce([raw[k] <= budget
+                                              for k, budget in budgets])
+        utils = arrays.utility(raw, admitted)
+        if admitted is not None:
+            utils[~admitted] = -math.inf
+        sets: list[tuple[frozenset[int], Optional[np.ndarray]]] = [
+            (_NO_CLOUDS, None)]
+        if reach:
+            used, which = np.unique(arrays.clouds_used(positions, reach),
+                                    axis=1, return_inverse=True)
+            sets = [(frozenset(c for c, on in zip(reach, col) if on),
+                     which.ravel() == g)
+                    for g, col in enumerate(used.T.tolist())]
+        for key, rows in sets:
+            scores = utils if rows is None else np.where(rows, utils,
+                                                         -math.inf)
+            r = int(scores.argmax())
+            u = float(scores[r])
+            if u > best.get(key, (0, -math.inf))[1]:
+                best[key] = (start + r, u)
+    return [(tuple(ids[i] for ids, i in zip(pools, _unravel(index, sizes))),
+             u, key)
+            for key, (index, u) in sorted(best.items(),
+                                          key=lambda item: item[1][0])]
+
+
 def brute_force_optimal(instances: Mapping[int, UserInstance],
                         constraints: ConstraintVector,
                         ledger: Optional[CapacityLedger] = None,
@@ -1202,7 +1503,9 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
     depends only on the clouds a plan uses. So each user's plans are walked
     once and reduced to options: per set of binding clouds used, the first
     best plan, ordered by its place in the product (an unplaced user has
-    one option: utility 0, no clouds). Every combination of options is
+    one option: utility 0, no clouds). The walk scores the plan space in
+    itertools.product order, in chunks, by PlanArrays, whose values equal
+    evaluate's and utility_of's (see _options). Every combination of options is
     scored (see _joint_scores) and checked in descending score order, ties
     in product order, until one keeps every cloud's room
     (CapacityLedger.room). When nothing binds, one combination is scored.
@@ -1222,13 +1525,13 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
     no_room = clouds_without_room(ledger)
     binding = frozenset(cid for cid in ledger.capacities()
                         if 0 < ledger.room(cid) < len(uids))
-    pools_of: dict[int, list[list[int]]] = {}
+    # per user, in uid order: its pools (per occurrence, the ids that may
+    # run: the plan space is their product) and the binding clouds they reach
+    walks: list[tuple[UserInstance, list[list[int]], list[int]]] = []
     bound = 1
     for uid in uids:
         inst = instances[uid]
-        # per occurrence, the ids that may run: the plan space is their product
-        pools = pools_of[uid] = [ids for _, _, ids in
-                                 _allowed_candidates(inst, no_room)]
+        pools = [ids for _, _, ids in _allowed_candidates(inst, no_room)]
         size = math.prod(map(len, pools))
         if size > cap:
             raise TooLargeForEnumeration(
@@ -1238,28 +1541,11 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
         bound *= min(size, 2 ** len(reach))
         if bound > cap:
             raise TooLargeForEnumeration(f"joint option space exceeds {cap}")
-    # QoSTriple values are finite, so unbounded budgets always hold
-    bounded = constraints.bounded()
+        walks.append((inst, pools, sorted(reach)))
     # per user, in uid order: (picks, utility, binding clouds used) of each
     # option, or the one unplaced row
-    spaces: list[list[tuple]] = []
-    for uid in uids:
-        inst = instances[uid]
-        evaluate, utility_of = inst.evaluate, inst.utility_of
-        # binding clouds used -> (product index, picks, utility, clouds)
-        best: dict[AbstractSet[int], tuple] = {}
-        key = _NO_CLOUDS
-        for i, picks in enumerate(itertools.product(*pools_of[uid])):
-            raw = evaluate(picks)
-            if bounded and not constraints.admits(raw):
-                continue
-            u = utility_of(raw)
-            if binding:
-                key = binding.intersection(inst.local_clouds(picks))
-            if key not in best or u > best[key][2]:
-                best[key] = (i, picks, u, key)
-        spaces.append([row[1:] for row in sorted(best.values())]
-                      or [(None, 0.0, _NO_CLOUDS)])
+    spaces = [_options(inst, pools, constraints, reach)
+              or [(None, 0.0, _NO_CLOUDS)] for inst, pools, reach in walks]
 
     def fits(chosen: Sequence[tuple]) -> bool:
         usage: dict[int, int] = {}

@@ -33,6 +33,7 @@ from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
                                   clouds_without_room, room_rule, with_room)
 from tieralloc.errors import (AdmissionRefused, ExtremaMismatch, InvalidGroup,
                               TierAllocError)
+from tieralloc.workflow import DIMS, dim_bounds
 
 UNLIMITED = ConstraintVector.unlimited()
 DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -527,26 +528,34 @@ def _counted(monkeypatch, owner, name):
 
 
 def test_music_zero_iterations_takes_the_first_proposal(monkeypatch):
+    """max_iter 0 is one find_service call for one proposal: the plan that
+    a call with the same generator draws."""
     inst = _instance("f")
     proposals = _counted(monkeypatch, allocation, "find_service")
     res = music(inst, UNLIMITED, _params(max_iter=0), np.random.default_rng(3))
     assert res.feasible
     assert len(proposals) == 1
-    assert set(res.plans) == {0}
-    assert res.utility == pytest.approx(inst.utility(res.plans[0]))
+    picks, raw = find_service(inst, inst.center_point(), UNLIMITED,
+                              _params(max_iter=0), np.random.default_rng(3))
+    assert res.plans == {0: tuple(picks)}
+    assert res.utility == inst.utility_of(raw)
 
 
 def test_music_best_seen_never_degrades_with_more_iterations(monkeypatch):
+    """A single target is one find_service call at any max_iter, and more
+    proposals from the same generator never score lower."""
     inst = _instance("f")
     proposals = _counted(monkeypatch, allocation, "find_service")
     short = music(inst, UNLIMITED, _params(max_iter=0), np.random.default_rng(7))
     assert len(proposals) == 1
     long = music(inst, UNLIMITED, _params(max_iter=40), np.random.default_rng(7))
-    assert len(proposals) == 1 + 41
-    assert long.utility >= short.utility - 1e-12
+    assert len(proposals) == 2
+    assert long.utility >= short.utility
 
 
 def test_music_returns_the_first_best_of_independent_proposals(monkeypatch):
+    """One find_service call per single target returns the first best of
+    k + 1 proposals that one-proposal calls draw in a row."""
     dep, pop, instances = _fleet(users=2)
     inst = instances[0]
     # music's own searches go through the module; the reference draws below
@@ -557,12 +566,12 @@ def test_music_returns_the_first_best_of_independent_proposals(monkeypatch):
             params = AnnealingParams(max_iter=k)
             before = len(proposals)
             res = music(inst, UNLIMITED, params, np.random.default_rng(seed))
-            assert len(proposals) - before == k + 1
+            assert len(proposals) - before == 1
             rng = np.random.default_rng(seed)
             draws = [find_service(inst, inst.center_point(), UNLIMITED,
                                   params, rng)[0]
                      for _ in range(k + 1)]
-            assert len(proposals) - before == k + 1
+            assert len(proposals) - before == 1
             utils = [inst.utility_of(inst.evaluate(p)) for p in draws]
             first_best = draws[utils.index(max(utils))]
             assert res.plans[0] == tuple(first_best)
@@ -570,6 +579,8 @@ def test_music_returns_the_first_best_of_independent_proposals(monkeypatch):
 
 
 def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
+    """The draws are scored once, in one array pass, and a repair once per
+    search table and dimension, however many draws it serves."""
     inst = _instance("f")
     delays = {sid: QoSTriple(*q).delay
               for sid, q in inst.entries[0].base[0].items()}
@@ -579,12 +590,13 @@ def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
     budget = ConstraintVector(delay=delays[100])
     draws = _counted(monkeypatch, allocation, "find_service")
     repairs = _counted(monkeypatch, allocation, "_repair")
+    scored = _counted(monkeypatch, allocation.PlanArrays, "raw")
     evaluated = _counted(monkeypatch, UserInstance, "evaluate")
     res = music(inst, budget, _params(max_iter=30), np.random.default_rng(9))
     assert res.feasible and res.plans[0] == (100,)
-    assert len(draws) == 31  # every proposal fits at its first radius
-    assert repairs
-    assert len(evaluated) == len(draws) + len(repairs)
+    assert len(draws) == 1 and len(scored) == 1
+    assert len(repairs) == 1
+    assert len(evaluated) == len(repairs)
 
 
 def test_grouped_music_scores_and_budgets_from_one_evaluation(monkeypatch):
@@ -1178,6 +1190,31 @@ class _TableInstance:
 
     def local_clouds(self, picks):
         return {self.hosts[sid] for sid in picks} - {None}
+
+    def plan_arrays(self, lists):
+        return _TablePlans(self, lists)
+
+
+class _TablePlans:
+    """_TableInstance's stand-in for PlanArrays: a batch of plans, as
+    positions into lists, scores from the instance's table."""
+
+    def __init__(self, inst, lists):
+        self.inst, self.lists = inst, lists
+
+    def _plans(self, positions):
+        return [tuple(ids[i] for ids, i in zip(self.lists, col))
+                for col in zip(*(p.tolist() for p in positions))]
+
+    def raw(self, positions):
+        return self._plans(positions)
+
+    def utility(self, raw, rows=None):
+        return np.array([self.inst.utility_of(p) for p in raw])
+
+    def clouds_used(self, positions, clouds):
+        used = [self.inst.local_clouds(p) for p in self._plans(positions)]
+        return np.array([[cid in u for u in used] for cid in clouds])
 
 
 def test_the_optimum_keeps_the_first_best_combination_among_tied_options():
@@ -2400,3 +2437,256 @@ def test_music_returns_one_pick_tuple_per_member():
                 assert type(plan) is tuple and len(plan) == m.size
                 assert all(sid in cands for sid, (_, _, cands)
                            in zip(plan, m.iter_occurrences()))
+
+
+# --- plans scored in array passes, against the scalar evaluator -------------------------
+
+def _columns(arrays_raw, r):
+    return QoSTriple(*(float(c[r]) for c in arrays_raw))
+
+
+def test_plan_arrays_score_as_evaluate_and_utility_of():
+    """Random LTWs nesting Seq, And, Xor and Loop nodes, over candidate
+    lists of any length (one candidate included), and instances whose
+    envelopes have span 0: every raw value and utility is == the scalar
+    one."""
+    rng = np.random.default_rng(52)
+    paid = plans = 0
+    kinds = set()
+    instances = []
+    for _ in range(12):
+        profiles = _random_profiles(rng)
+        grid, directory, users = _random_cost_world(rng, profiles)
+        for user in users:
+            ltw = _random_composite_ltw(rng)
+            kinds |= {type(e.workflow) for e in ltw.entries}
+            instances.append(UserInstance(user, ltw, directory, profiles,
+                                          grid))
+    single = _instance("g")
+    single.directory.remove(201)
+    single = UserInstance(single.user, single.ltw, single.directory,
+                          single.profiles, single.grid)
+    assert single.extrema.lo == single.extrema.hi
+    spans = 0
+    for inst in [*instances, single]:
+        cands = [c for _, _, c in inst.iter_occurrences()]
+        for _ in range(3):
+            # a random non-empty sublist per occurrence, in a random order
+            lists = [[c[i] for i in rng.permutation(len(c))[
+                :int(rng.integers(1, len(c) + 1))]] for c in cands]
+            arrays = inst.plan_arrays(lists)
+            m = int(rng.integers(1, 40))
+            positions = np.array([rng.integers(len(ids), size=m)
+                                  for ids in lists])
+            raw = arrays.raw(positions)
+            utils = arrays.utility(raw)
+            for r in range(m):
+                picks = [ids[i] for ids, i in zip(lists, positions[:, r])]
+                expect = inst.evaluate(picks)
+                assert _columns(raw, r) == expect
+                assert utils[r] == inst.utility_of(expect)
+                paid += _paid_hops(inst, _keyed(inst, picks))
+                plans += 1
+        spans += any(b[2] == 0 for b in inst._bounds)
+    assert kinds >= {Seq, And, Xor, Loop}
+    assert paid > 50 and plans > 1000 and spans
+
+
+def test_plan_arrays_raise_the_first_stray_plans_extrema_mismatch():
+    """With an envelope narrowed under some plans' values, the array
+    utility raises utility_of's ExtremaMismatch for the first stray plan
+    among the rows asked for, and none when no asked row strays."""
+    dep, pop, instances = _fleet(users=4, seed=3)
+    rng = np.random.default_rng(8)
+    raised = 0
+    for inst in instances.values():
+        lists = [c for _, _, c in inst.iter_occurrences()]
+        arrays = inst.plan_arrays(lists)
+        positions = np.array([rng.integers(len(ids), size=60)
+                              for ids in lists])
+        raw = arrays.raw(positions)
+        dim = int(rng.integers(3))
+        lo, hi = inst.extrema.lo.as_tuple(), inst.extrema.hi.as_tuple()
+        cut = float(np.median(raw[dim]))
+        bounds = list(inst._bounds)
+        bounds[dim] = dim_bounds(lo[dim], cut)
+        inst._bounds = tuple(bounds)
+        for rows in (None, rng.random(60) < 0.5):
+            stray = [r for r in range(60) if (rows is None or rows[r])
+                     and raw[dim][r] > bounds[dim][4]]
+            if not stray:
+                arrays.utility(raw, rows)
+                continue
+            with pytest.raises(ExtremaMismatch) as expect:
+                inst.utility_of(_columns(raw, stray[0]))
+            with pytest.raises(ExtremaMismatch) as got:
+                arrays.utility(raw, rows)
+            assert str(got.value) == str(expect.value)
+            raised += 1
+    assert raised >= 4
+
+
+def _one_proposal_at_a_time(inst, constraints, params, rng, ledger=None):
+    """Single-target music as max_iter + 1 one-proposal find_service calls:
+    (plan, utility) of the first best, or (None, -inf)."""
+    memo, blocked = SearchMemo(), clouds_without_room(ledger)
+    best, best_val = None, -math.inf
+    for _ in range(params.max_iter + 1):
+        try:
+            picks, raw = find_service(inst, inst.center_point(), constraints,
+                                      params, rng, memo, blocked)
+        except NoFeasibleCandidates:
+            continue
+        val = inst.utility_of(raw)
+        if val > best_val:
+            best, best_val = tuple(picks), val
+    return best, best_val
+
+
+def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
+    """Plans, utility and the generator state after the call equal
+    max_iter + 1 one-proposal calls in a row: unbudgeted and budgeted,
+    with and without room, at max_iter 0, on targets whose proposals
+    would widen (the call falls back to one proposal at a time), on
+    infeasible targets (nothing is drawn), and with all-zero wheels."""
+    # a costly inter-cloud hop: a repair to the least delays can still pay
+    # hops that break a delay budget the optimistic minima fit
+    dep, pop, instances = _fleet(
+        users=6, seed=0, profiles={"intercloud": {"delay_ms_per_100kb": 400.0}})
+    locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
+    fallbacks = _counted(monkeypatch, allocation, "_one_at_a_time")
+    wheel = allocation._roulette_wheel
+    rng = np.random.default_rng(13)
+    seen = {"fallback": 0, "infeasible": 0, "budgeted": 0, "zero": 0,
+            "uniform": 0}
+    for case in range(150):
+        inst = instances[sorted(instances)[case % len(instances)]]
+        dim = ("delay", "delay", "price", "power")[case % 4]
+        lo, hi = inst.extrema.lo.get(dim), inst.extrema.hi.get(dim)
+        budget = (UNLIMITED if case % 5 == 0 else ConstraintVector(
+            **{dim: lo + float(rng.uniform(-0.05, 0.5)) * (hi - lo)}))
+        params = AnnealingParams(
+            max_iter=(0, 1, 7, 20)[case % 7 % 4], radius_start_m=0.0,
+            radius_step_m=float(rng.choice([100.0, 250.0])),
+            max_expansions=int(rng.integers(1, 5)))
+        room = (None, 0, 1)[case % 3]
+        # every third case spins some occurrences' wheels as all-zero
+        uniform = case % 3 == 1
+        monkeypatch.setattr(allocation, "_roulette_wheel",
+                            (lambda w: None if len(w) % 2 else wheel(w))
+                            if uniform else wheel)
+        seed = int(rng.integers(2**32))
+        got_rng, ref_rng = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+        before = len(fallbacks)
+        res = music(inst, budget, params, got_rng, ledger=None if room is None
+                    else CapacityLedger(dict.fromkeys(locals_, room)))
+        plan, val = _one_proposal_at_a_time(
+            inst, budget, params, ref_rng, None if room is None
+            else CapacityLedger(dict.fromkeys(locals_, room)))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert res.feasible == (plan is not None)
+        if plan is None:
+            assert (res.plans, res.utility) == ({}, 0.0)
+            seen["infeasible"] += 1
+            seen["zero"] += got_rng.bit_generator.state == \
+                np.random.default_rng(seed).bit_generator.state
+            continue
+        assert res.plans == {inst.user.id: plan}
+        assert res.utility == val
+        seen["fallback"] += len(fallbacks) > before
+        seen["budgeted"] += budget.bounded()
+        seen["uniform"] += uniform
+    assert min(seen.values()) > 2, seen
+    # two public services that cost the same tie, and the locals are full:
+    # the first proposal keeps its plan
+    grid, directory, user = _world()
+    directory.insert(Service(103, "f", host_cloud=9, compute_ref="public"))
+    tied = UserInstance(user, LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),)),
+                        directory, ProfileSet.defaults(), grid)
+    won = set()
+    for seed in range(10):
+        res = music(tied, UNLIMITED, _params(), np.random.default_rng(seed),
+                    ledger=CapacityLedger({1: 0, 2: 0}))
+        plan, val = _one_proposal_at_a_time(
+            tied, UNLIMITED, _params(), np.random.default_rng(seed),
+            CapacityLedger({1: 0, 2: 0}))
+        assert (res.plans, res.utility) == ({0: plan}, val)
+        won.add(plan)
+    assert won == {(102,), (103,)}
+
+
+def _product_options(inst, pools, constraints, reach):
+    """brute_force_optimal's per-user walk as it fed itertools.product
+    tuples to evaluate one at a time: per set of the binding clouds in
+    reach used, (picks, utility, set) of the first best admitted plan,
+    ordered by that plan's place in the product."""
+    best = {}
+    for i, picks in enumerate(itertools.product(*pools)):
+        raw = inst.evaluate(picks)
+        if not constraints.admits(raw):
+            continue
+        u = inst.utility_of(raw)
+        key = frozenset(reach).intersection(inst.local_clouds(picks))
+        if key not in best or u > best[key][2]:
+            best[key] = (i, picks, u, key)
+    return [row[1:] for row in sorted(best.values())]
+
+
+def _check_options(instances, constraints, ledger):
+    """allocation._options against _product_options for every user, with
+    the pools and reach brute_force_optimal gives them; returns how many
+    users had more than one option."""
+    blocked = clouds_without_room(ledger)
+    binding = {cid for cid in ledger.capacities()
+               if 0 < ledger.room(cid) < len(instances)}
+    several = 0
+    for inst in instances.values():
+        pools = [ids for _, _, ids in allocation._allowed_candidates(
+            inst, blocked)]
+        reach = sorted(binding.intersection(
+            inst.hosts[sid] for ids in pools for sid in ids))
+        expect = _product_options(inst, pools, constraints, reach)
+        assert allocation._options(inst, pools, constraints, reach) == expect
+        several += len(expect) > 1
+    return several
+
+
+def test_the_optimums_options_equal_the_product_walk_on_criterion_06():
+    """Criterion 06's population (100 users, 3 repetitions), unbudgeted
+    and with no ledger, as its optimum runs."""
+    sc = Scenario(scenario_id="grouped", users=100, local_capacity=8,
+                  workflows_per_user=1, duration_s=300.0,
+                  template_mix={"file_sync": 1.0},
+                  annealing={"radius_start_cells": 3.0}, algorithm="gmusic",
+                  repetitions=3, seed=7, groups=4)
+    dep = build_deployment(sc)
+    for rep in range(sc.repetitions):
+        pop = build_population(sc, dep, rep)
+        instances = {uid: UserInstance(pop.users[uid], pop.true_ltws[uid],
+                                       dep.directory, dep.profiles, dep.grid)
+                     for uid in pop.users}
+        _check_options(instances, UNLIMITED, CapacityLedger({}))
+
+
+def test_the_optimums_options_equal_the_product_walk_on_desk(monkeypatch):
+    """Desk at local capacity 1 and 2 (clouds bind), unbudgeted and under
+    delay budgets, in chunks of at most 20 positions (a few plans), so
+    chunk ends fall inside every plan space."""
+    monkeypatch.setattr(allocation, "_SCORE_CHUNK", 20)
+    desk = load_scenario(DEMO_SCENARIOS / "desk.json")
+    several = 0
+    for capacity, seed in itertools.product((1, 2), (0, 1)):
+        sc = replace(desk, local_capacity=capacity, seed=seed)
+        for rep in range(sc.repetitions):
+            dep = build_deployment(sc)
+            pop = build_population(sc, dep, rep)
+            instances = {uid: UserInstance(pop.users[uid],
+                                           pop.true_ltws[uid], dep.directory,
+                                           dep.profiles, dep.grid)
+                         for uid in pop.users}
+            for budget in (UNLIMITED, ConstraintVector(delay=12000.0),
+                           ConstraintVector(delay=9000.0)):
+                several += _check_options(instances, budget,
+                                          dep.fresh_ledger())
+    assert several > 10

@@ -58,6 +58,10 @@ GOLDEN = {
     # tentative usage find a cloud it closed
     "grouped-capacity-2": (dict(GROUPED, groups=4, local_capacity=2),
                            "7d671c1dfdd6500f3123acd20a44107c6e9324fb2614c3292705b9d87f2161ac"),
+    # two single-user searches draw a proposal whose draw and repairs all
+    # break its budget, so they replay their proposals one at a time
+    "gain-seed-3": (dict(GAIN, seed=3),
+                    "7f8493937bbb7b79d69850cfcd1bef48caaa5bf811912d23f00326a0d4ad7711"),
 }
 
 # reads {name: scenario kwargs} on stdin, prints {name: sha256} on stdout
