@@ -22,15 +22,17 @@ Utilities follow the minimum rule: a user's satisfaction is the worst of its
 normalized price / power / delay, the fleet objective is the mean over users
 (over groups of member means in grouped mode). Local-cloud capacity is
 enforced at admission time through the shared ledger, first come first
-served in a seeded random order.
+served in a seeded random order: one driver (_sequential) places the targets
+of every fleet allocator, users for greedy and rsa, users or groups for
+music.
 
 The exhaustive optimum takes one path: each user's best plan per set of
 binding clouds, combined once (brute_force_optimal). Its cap bounds each
 user's plan space and that option product, before any plan is evaluated.
 
 Many plans of one user are scored at once by PlanArrays, with the float
-operations of the scalar evaluator: all of a user's MuSIC proposals, and
-the optimum's plan spaces.
+operations of the scalar evaluator: all the MuSIC proposals of a target with
+one member, and the optimum's plan spaces.
 """
 
 from __future__ import annotations
@@ -238,51 +240,39 @@ _NO_CLOUDS: frozenset[int] = frozenset()
 def clouds_without_room(ledger: Optional[CapacityLedger],
                         usage: Optional[Mapping[int, int]] = None,
                         held: Container[int] = _NO_CLOUDS) -> frozenset[int]:
-    """The room rule: the clouds a candidate cannot be placed on.
-
-    A candidate's room depends only on its host cloud. A tracked cloud has
-    none when the ledger's room minus tentative usage (cloud id -> users
-    placed on it) is <= 0, unless the caller already holds it; untracked
-    clouds, and every cloud without a ledger, always have room.
-    """
-    if ledger is None:
-        return _NO_CLOUDS
-    rooms = _rooms(ledger, held)
-    taken = dict.fromkeys(rooms, 0)
-    if usage:
-        taken.update(usage)
-    return frozenset(_without_room(rooms, taken))
-
-
-def _rooms(ledger: CapacityLedger, held: Container[int]) -> dict[int, float]:
-    """One reading of the ledger: the room of each tracked cloud not held."""
-    return {cid: ledger.room(cid) for cid in ledger.capacities()
-            if cid not in held}
-
-
-def _without_room(rooms: Mapping[int, float],
-                  taken: Mapping[int, int]) -> list[int]:
-    """The room rule over one reading of the ledger: the tracked clouds in
-    taken (cloud id -> users placed on it) whose room minus that count is
-    <= 0."""
-    return [cid for cid, n in taken.items()
-            if cid in rooms and rooms[cid] - n <= 0]
+    """The clouds a candidate cannot be placed on under tentative usage
+    (cloud id -> users placed on it): the room rule over a fresh reading of
+    the ledger (see room_rule)."""
+    return room_rule(ledger, held)(usage or {})
 
 
 def room_rule(ledger: Optional[CapacityLedger],
               held: Container[int] = _NO_CLOUDS
               ) -> Callable[[Mapping[int, int]], frozenset[int]]:
-    """clouds_without_room over one reading of the ledger: reads the room
-    of each tracked cloud once and returns usage -> the clouds without
-    room. Right while the ledger holds still, as it does in a music call.
-    A call tests only the clouds in usage, the others being those the
-    reading leaves full; with no usage, that one set is returned."""
+    """The room rule over one reading of the ledger: usage -> the clouds
+    without room.
+
+    A candidate's room depends only on its host cloud. A tracked cloud has
+    none when the ledger's room minus tentative usage (cloud id -> users
+    placed on it) is <= 0, unless the caller already holds it; untracked
+    clouds, and every cloud without a ledger, always have room.
+
+    The room of each tracked cloud is read once, so the rule is right while
+    the ledger holds still, as it does in a music call. A call tests only
+    the clouds in usage, the others being those the reading leaves full;
+    with no usage, that one set is returned.
+    """
     if ledger is None:
         return lambda usage: _NO_CLOUDS
-    rooms = _rooms(ledger, held)
-    full = frozenset(_without_room(rooms, dict.fromkeys(rooms, 0)))
-    return lambda usage: (full.union(_without_room(rooms, usage))
-                          if usage else full)
+    rooms = {cid: ledger.room(cid) for cid in ledger.capacities()
+             if cid not in held}
+
+    def without_room(usage: Mapping[int, int]) -> list[int]:
+        return [cid for cid, n in usage.items()
+                if cid in rooms and rooms[cid] - n <= 0]
+
+    full = frozenset(without_room(dict.fromkeys(rooms, 0)))
+    return lambda usage: full.union(without_room(usage)) if usage else full
 
 
 def with_room(ids: Sequence[int], hosts: Mapping[int, Optional[int]],
@@ -977,11 +967,12 @@ def find_service(instance: UserInstance, center: tuple[float, float],
                  rng: np.random.Generator,
                  memo: Optional[SearchMemo] = None,
                  blocked: frozenset[int] = _NO_CLOUDS,
-                 proposals: int = 1) -> tuple[list[int], QoSTriple]:
+                 proposals: int = 1
+                 ) -> Optional[tuple[list[int], QoSTriple]]:
     """Assemble candidate plans around a center point; returns the pick
     list (see UserInstance.evaluate) and raw LTW QoS of the first one of
     highest utility among proposals independent ones (with one proposal,
-    that one).
+    that one); None when they must run one call at a time (see below).
 
     A proposal widens the search radius in steps (radius_start_m + i *
     radius_step_m, i < max_expansions). Reach and room are decided per
@@ -999,10 +990,11 @@ def find_service(instance: UserInstance, center: tuple[float, float],
 
     Several proposals start at the same radius, since the tables do not
     depend on the draws, and are drawn and scored there in one array pass
-    (see _first_best). When some proposal there would widen, the generator
-    is set back and the proposals run one call at a time, an infeasible one
-    being skipped. Either way the plans, and the generator state after the
-    call, are those of proposals calls in a row.
+    (see _first_best): the plan, and the generator state after the call,
+    are those of the first best of proposals one-proposal calls in a row.
+    When some proposal there would widen, the generator is set back and
+    None is returned; the caller then makes those calls itself, as music's
+    proposal loop does.
 
     memo carries the clouds out of reach and the search table of each
     radius across calls that share the center, params and budgets (see
@@ -1010,7 +1002,8 @@ def find_service(instance: UserInstance, center: tuple[float, float],
     with the same blocked clouds built it. None means a fresh memo, so a
     single call builds everything it needs itself.
 
-    Raises NoFeasibleCandidates when every radius fails for every proposal.
+    Raises NoFeasibleCandidates when every radius fails, so that every
+    proposal would.
     """
     if memo is None:
         memo = SearchMemo()
@@ -1030,11 +1023,7 @@ def find_service(instance: UserInstance, center: tuple[float, float],
             found = _first_best(instance, table, constraints, rng, proposals)
             if found is None:
                 rng.bit_generator.state = state
-                found = _one_at_a_time(instance, center, constraints, params,
-                                       rng, memo, blocked, proposals)
-            if found is not None:
-                return found
-            break
+            return found
         draws = rng.random(len(table)).tolist()
         # the weighted case of _roulette_spin, inlined: a call per
         # occurrence is a large share of a proposal's cost
@@ -1106,26 +1095,6 @@ def _first_best(instance: UserInstance, table: list[tuple],
     return picks, trusted_qos(*(float(column[r]) for column in raw))
 
 
-def _one_at_a_time(instance: UserInstance, center: tuple[float, float],
-                   constraints: ConstraintVector, params: AnnealingParams,
-                   rng: np.random.Generator, memo: SearchMemo,
-                   blocked: frozenset[int], proposals: int
-                   ) -> Optional[tuple[list[int], QoSTriple]]:
-    """find_service's first best of proposals, one find_service call per
-    proposal; an infeasible proposal is skipped. None when every one is."""
-    best, best_val = None, -math.inf
-    for _ in range(proposals):
-        try:
-            picks, raw = find_service(instance, center, constraints, params,
-                                      rng, memo, blocked)
-        except NoFeasibleCandidates:
-            continue
-        val = instance.utility_of(raw)
-        if val > best_val:
-            best, best_val = (picks, raw), val
-    return best
-
-
 # --- MuSIC allocation ---------------------------------------------------------
 
 def music(target, constraints, params: AnnealingParams,
@@ -1136,18 +1105,22 @@ def music(target, constraints, params: AnnealingParams,
     Draws max_iter + 1 independent proposals via find_service (roulette
     selection with budget repair) around the target's center of mobility
     and returns the first one of highest utility; infeasible proposals are
-    skipped. For one user, that is one find_service call, which draws and
-    scores the proposals in one array pass unless one of them would widen
-    the radius (see find_service).
+    skipped. The target's members are the user itself, or the group's
+    member instances.
 
-    For a GroupInstance one proposal re-plans every member, one
-    find_service call each, and the objective is the group mean utility;
-    members of one proposal see each other's tentative capacity usage, read
-    from their pick lists, on top of the shared ledger. find_service holds
-    each member to its own budget, so a proposal keeps every budget member
-    by member (see the module docstring). Proposals are scored from the raw
+    One proposal plans every member, one find_service call each; members
+    of one proposal see each other's tentative capacity usage, read from
+    their pick lists, on top of the shared ledger. find_service holds each
+    member to its own budget, so a proposal keeps every budget member by
+    member (see the module docstring). Proposals are scored from the raw
     QoS that find_service returns with each pick list; the winning
     proposal's lists become the members' pick tuples.
+
+    A target of one member, a user or a one-member group, first makes one
+    find_service call for all the proposals, which draws and scores them in
+    one array pass. When one of them would widen the radius, that call sets
+    the generator back and returns None, and the proposal loop above runs
+    them; either way the outcome is the loop's (see find_service).
 
     One SearchMemo serves every proposal of the call, so the range query
     around the center per radius, and each member's search table per radius
@@ -1160,51 +1133,43 @@ def music(target, constraints, params: AnnealingParams,
 
     A proposal is valued at the mean of its members' utilities, in member
     order: fleet_utility's float, summed in numpy's order (see
-    _pairwise_sum) and divided by the member count; for one user, its
+    _pairwise_sum) and divided by the member count; for one member, its
     utility.
     """
+    members = [target] if isinstance(target, UserInstance) else target.members
     center = target.center_point()
+    budgets = [constraints_for(constraints, m.user.id) for m in members]
     memo = SearchMemo()
-    best_picks = None
-    best_val = -math.inf
-    if isinstance(target, UserInstance):
-        members = [target]
+    blocked = room_rule(ledger)
+    best_picks, best_val = None, -math.inf
+    proposals = params.max_iter + 1
+    if len(members) == 1:
+        # one call draws and scores every proposal; None when one of them
+        # would widen, and the loop below runs them (see find_service)
         try:
-            picks, raw = find_service(
-                target, center, constraints_for(constraints, target.user.id),
-                params, rng, memo, clouds_without_room(ledger),
-                params.max_iter + 1)
+            found = find_service(members[0], center, budgets[0], params, rng,
+                                 memo, blocked({}), proposals)
         except NoFeasibleCandidates:
-            pass
+            found, proposals = None, 0  # no radius has a table to draw at
+        if found is not None:
+            best_picks, best_val = [found[0]], members[0].utility_of(found[1])
+            proposals = 0
+    for _ in range(proposals):
+        usage: dict[int, int] = {}
+        picks: list[list[int]] = []
+        raws: list[QoSTriple] = []
+        for k, (m, budget) in enumerate(zip(members, budgets), 1):
+            try:
+                mine, raw = find_service(m, center, budget, params, rng, memo,
+                                         blocked(usage))
+            except NoFeasibleCandidates:
+                break
+            picks.append(mine)
+            raws.append(raw)
+            if k < len(members):  # only later members read the usage
+                for cid in m.local_clouds(mine):
+                    usage[cid] = usage.get(cid, 0) + 1
         else:
-            best_picks, best_val = [picks], target.utility_of(raw)
-    else:
-        members = target.members
-        blocked = room_rule(ledger)
-
-        def propose() -> Optional[tuple[list[list[int]], list[QoSTriple]]]:
-            usage: dict[int, int] = {}
-            picks: list[list[int]] = []
-            raws: list[QoSTriple] = []
-            for k, m in enumerate(members, 1):
-                try:
-                    mine, raw = find_service(
-                        m, center, constraints_for(constraints, m.user.id),
-                        params, rng, memo, blocked(usage))
-                except NoFeasibleCandidates:
-                    return None
-                picks.append(mine)
-                raws.append(raw)
-                if k < len(members):  # only later members read the usage
-                    for cid in m.local_clouds(mine):
-                        usage[cid] = usage.get(cid, 0) + 1
-            return picks, raws
-
-        for _ in range(params.max_iter + 1):
-            proposal = propose()
-            if proposal is None:
-                continue
-            picks, raws = proposal
             val = _mean([m.utility_of(raw) for m, raw in zip(members, raws)])
             if val > best_val:
                 best_picks, best_val = picks, val
@@ -1286,58 +1251,66 @@ def objective_from_plans(instances: Mapping[int, UserInstance],
     return fleet_utility(utils, sorted(instances), groups)
 
 
-def _admit_plan(instance: UserInstance, plan: Sequence[int],
-                ledger: Optional[CapacityLedger]) -> None:
-    if ledger is None:
-        return
-    for cid in sorted(instance.local_clouds(plan)):
-        if not ledger.try_admit(cid):
-            raise AdmissionRefused(f"cloud {cid} filled up mid-admission")
-
-
-def _sequential(instances: Mapping[int, UserInstance], plan_fn,
+def _sequential(instances: Mapping[int, UserInstance], targets: Sequence,
+                plan: Callable[..., Mapping[int, tuple[int, ...]]],
                 rng: np.random.Generator,
                 ledger: Optional[CapacityLedger]) -> AllocationResult:
-    """Allocate per user in seeded random order, admitting capacity as we go.
+    """The one fleet driver: places targets (users or groups) in seeded
+    random order, admitting capacity as it goes.
 
-    plan_fn(instance, blocked) plans one user, blocked being the clouds
-    without room at that user's turn."""
-    uids = sorted(instances)
-    order = [uids[i] for i in rng.permutation(len(uids))]
+    One rng.permutation(len(targets)) orders the targets, and plan(target)
+    is called in that order. It returns the target's pick tuples by user
+    id; when it raises NoFeasibleCandidates, the target stays unplaced and
+    the message becomes a note. After each placed target, each placed
+    user's local clouds (instances[uid].local_clouds) are admitted to the
+    ledger in sorted order, so the next target plans against them; a
+    refused admission raises AdmissionRefused. feasible says whether every
+    target was placed.
+    """
     plans: dict[int, tuple[int, ...]] = {}
     notes = []
-    for uid in order:
-        inst = instances[uid]
+    for i in rng.permutation(len(targets)):
         try:
-            plan = plan_fn(inst, clouds_without_room(ledger))
+            placed = plan(targets[i])
         except NoFeasibleCandidates as exc:
             notes.append(str(exc))
             continue
-        plans[uid] = plan
-        _admit_plan(inst, plan, ledger)
-    return AllocationResult(plans, None, len(plans) == len(instances),
-                            note="; ".join(notes))
+        plans.update(placed)
+        if ledger is None:
+            continue
+        for uid, picks in placed.items():
+            for cid in sorted(instances[uid].local_clouds(picks)):
+                if not ledger.try_admit(cid):
+                    raise AdmissionRefused(
+                        f"cloud {cid} filled up mid-admission")
+    return AllocationResult(plans, None, not notes, note="; ".join(notes))
 
 
 def allocate_rsa(instances: Mapping[int, UserInstance],
                  constraints, rng: np.random.Generator,
                  ledger: Optional[CapacityLedger] = None) -> AllocationResult:
-    """Random-selection baseline over the fleet, user by user; see rsa_plan
-    for how a user's plan can still break its budget."""
+    """Random-selection baseline over the fleet, user by user (see
+    _sequential); see rsa_plan for how a user's plan can still break its
+    budget."""
     return _sequential(
-        instances,
-        lambda inst, blocked: rsa_plan(
-            inst, constraints_for(constraints, inst.user.id), rng,
-            blocked=blocked),
+        instances, sorted(instances),
+        lambda uid: {uid: rsa_plan(
+            instances[uid], constraints_for(constraints, uid), rng,
+            blocked=clouds_without_room(ledger))},
         rng, ledger)
 
 
 def allocate_greedy(instances: Mapping[int, UserInstance],
                     rng: np.random.Generator,
                     ledger: Optional[CapacityLedger] = None) -> AllocationResult:
-    """Greedy argmax baseline over the fleet, user by user (rng orders the
-    users only). Greedy plans are budget-blind."""
-    return _sequential(instances, greedy_plan, rng, ledger)
+    """Greedy argmax baseline over the fleet, user by user (see
+    _sequential; rng orders the users only). Greedy plans are
+    budget-blind."""
+    return _sequential(
+        instances, sorted(instances),
+        lambda uid: {uid: greedy_plan(instances[uid],
+                                      clouds_without_room(ledger))},
+        rng, ledger)
 
 
 def allocate_music(instances: Mapping[int, UserInstance],
@@ -1346,35 +1319,27 @@ def allocate_music(instances: Mapping[int, UserInstance],
                    ledger: Optional[CapacityLedger] = None,
                    groups: Optional[Sequence[UserGroup]] = None
                    ) -> AllocationResult:
-    """MuSIC allocation over the fleet.
+    """MuSIC allocation over the fleet, one music call per target.
 
-    Without groups each user runs its own best-of-N search (its own center);
-    with groups each group searches jointly around the group center. Targets
-    are processed in seeded random order and admit their capacity before the
-    next target plans.
+    Without groups each user, in id order, runs its own best-of-N search
+    (its own center); with groups each group, in id order, searches jointly
+    around the group center. _sequential places the targets in seeded
+    random order, and each target admits its capacity before the next one
+    plans; an infeasible target's note is music's.
     """
     if groups is None:
         targets = [instances[uid] for uid in sorted(instances)]
     else:
         targets = [GroupInstance(grp, [instances[m] for m in sorted(grp.members)])
                    for grp in sorted(groups, key=lambda x: x.id)]
-    order = rng.permutation(len(targets))
-    plans: dict[int, tuple[int, ...]] = {}
-    notes = []
-    all_feasible = True
-    for idx in order:
-        target = targets[idx]
+
+    def plan(target) -> dict[int, tuple[int, ...]]:
         res = music(target, constraints, params, rng, ledger=ledger)
         if not res.feasible:
-            all_feasible = False
-            notes.append(res.note)
-            continue
-        members = [target] if isinstance(target, UserInstance) else target.members
-        for m in members:
-            plan = res.plans[m.user.id]
-            plans[m.user.id] = plan
-            _admit_plan(m, plan, ledger)
-    return AllocationResult(plans, None, all_feasible, note="; ".join(notes))
+            raise NoFeasibleCandidates(res.note)
+        return res.plans
+
+    return _sequential(instances, targets, plan, rng, ledger)
 
 
 # --- exhaustive optimum ----------------------------------------------------------

@@ -27,8 +27,9 @@ from tieralloc import (LOCAL, PUBLIC, And, AnnealingParams, CapacityLedger,
                        objective_from_plans, occurrences, par,
                        roulette_index, rsa_plan, seq, service_qos, xor)
 from tieralloc import allocation
-from tieralloc.allocation import (GroupInstance, SearchMemo, _admit_plan,
-                                  _pairwise_sum, _roulette_spin,
+from tieralloc.allocation import (AllocationResult, GroupInstance,
+                                  SearchMemo, _pairwise_sum, _sequential,
+                                  _roulette_spin,
                                   _roulette_wheel,
                                   clouds_without_room, room_rule, with_room)
 from tieralloc.errors import (AdmissionRefused, ExtremaMismatch, InvalidGroup,
@@ -1306,7 +1307,8 @@ def test_zero_local_capacity_pushes_work_off_the_locals():
 def test_admitting_into_a_full_cloud_is_a_package_error():
     inst = _instance("f")
     with pytest.raises(AdmissionRefused) as err:
-        _admit_plan(inst, (100,), CapacityLedger({1: 0}))
+        _sequential({0: inst}, [0], lambda uid: {uid: (100,)},
+                    np.random.default_rng(0), CapacityLedger({1: 0}))
     assert isinstance(err.value, TierAllocError)
     assert "cloud 1" in str(err.value)
 
@@ -2526,21 +2528,40 @@ def test_plan_arrays_raise_the_first_stray_plans_extrema_mismatch():
     assert raised >= 4
 
 
-def _one_proposal_at_a_time(inst, constraints, params, rng, ledger=None):
-    """Single-target music as max_iter + 1 one-proposal find_service calls:
-    (plan, utility) of the first best, or (None, -inf)."""
+def _one_proposal_at_a_time(inst, constraints, params, rng, ledger=None,
+                            center=None):
+    """Single-target music as max_iter + 1 one-proposal find_service calls
+    around center (None: the user's own): (plan, utility) of the first
+    best, or (None, -inf)."""
     memo, blocked = SearchMemo(), clouds_without_room(ledger)
+    center = inst.center_point() if center is None else center
     best, best_val = None, -math.inf
     for _ in range(params.max_iter + 1):
         try:
-            picks, raw = find_service(inst, inst.center_point(), constraints,
-                                      params, rng, memo, blocked)
+            picks, raw = find_service(inst, center, constraints, params, rng,
+                                      memo, blocked)
         except NoFeasibleCandidates:
             continue
         val = inst.utility_of(raw)
         if val > best_val:
             best, best_val = tuple(picks), val
     return best, best_val
+
+
+def _music_case(rng, case, inst):
+    """Case number case of a music search by inst: a budget on one
+    dimension (none every fifth case) that can lie below what any plan
+    reaches, search params whose radii can miss every local cloud, and the
+    room of each local cloud (None: no ledger)."""
+    dim = ("delay", "delay", "price", "power")[case % 4]
+    lo, hi = inst.extrema.lo.get(dim), inst.extrema.hi.get(dim)
+    budget = (UNLIMITED if case % 5 == 0 else ConstraintVector(
+        **{dim: lo + float(rng.uniform(-0.05, 0.5)) * (hi - lo)}))
+    params = AnnealingParams(
+        max_iter=(0, 1, 7, 20)[case % 7 % 4], radius_start_m=0.0,
+        radius_step_m=float(rng.choice([100.0, 250.0])),
+        max_expansions=int(rng.integers(1, 5)))
+    return budget, params, (None, 0, 1)[case % 3]
 
 
 def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
@@ -2554,22 +2575,14 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
     dep, pop, instances = _fleet(
         users=6, seed=0, profiles={"intercloud": {"delay_ms_per_100kb": 400.0}})
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
-    fallbacks = _counted(monkeypatch, allocation, "_one_at_a_time")
+    searches = _counted(monkeypatch, allocation, "find_service")
     wheel = allocation._roulette_wheel
     rng = np.random.default_rng(13)
     seen = {"fallback": 0, "infeasible": 0, "budgeted": 0, "zero": 0,
             "uniform": 0}
     for case in range(150):
         inst = instances[sorted(instances)[case % len(instances)]]
-        dim = ("delay", "delay", "price", "power")[case % 4]
-        lo, hi = inst.extrema.lo.get(dim), inst.extrema.hi.get(dim)
-        budget = (UNLIMITED if case % 5 == 0 else ConstraintVector(
-            **{dim: lo + float(rng.uniform(-0.05, 0.5)) * (hi - lo)}))
-        params = AnnealingParams(
-            max_iter=(0, 1, 7, 20)[case % 7 % 4], radius_start_m=0.0,
-            radius_step_m=float(rng.choice([100.0, 250.0])),
-            max_expansions=int(rng.integers(1, 5)))
-        room = (None, 0, 1)[case % 3]
+        budget, params, room = _music_case(rng, case, inst)
         # every third case spins some occurrences' wheels as all-zero
         uniform = case % 3 == 1
         monkeypatch.setattr(allocation, "_roulette_wheel",
@@ -2578,7 +2591,7 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
         seed = int(rng.integers(2**32))
         got_rng, ref_rng = (np.random.default_rng(seed),
                             np.random.default_rng(seed))
-        before = len(fallbacks)
+        before = len(searches)
         res = music(inst, budget, params, got_rng, ledger=None if room is None
                     else CapacityLedger(dict.fromkeys(locals_, room)))
         plan, val = _one_proposal_at_a_time(
@@ -2594,7 +2607,8 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
             continue
         assert res.plans == {inst.user.id: plan}
         assert res.utility == val
-        seen["fallback"] += len(fallbacks) > before
+        # the batched call gave None, and the proposals ran one at a time
+        seen["fallback"] += len(searches) - before > 1
         seen["budgeted"] += budget.bounded()
         seen["uniform"] += uniform
     assert min(seen.values()) > 2, seen
@@ -2614,6 +2628,204 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
         assert (res.plans, res.utility) == ({0: plan}, val)
         won.add(plan)
     assert won == {(102,), (103,)}
+
+
+def test_a_one_member_group_is_planned_like_its_user(monkeypatch):
+    """music on a one-member group makes the batched find_service call a
+    user makes. Around the group's center (center_of_group_mobility),
+    plans, utility and the generator state after the call equal max_iter
+    + 1 one-proposal calls in a row: unbudgeted and budgeted, with room 0,
+    1 or no ledger, and on targets whose proposals would widen (the call
+    gives None, and music's proposal loop runs them)."""
+    dep, pop, instances = _fleet(
+        users=6, seed=0, profiles={"intercloud": {"delay_ms_per_100kb": 400.0}})
+    locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
+    searches = _counted(monkeypatch, allocation, "find_service")
+    rng = np.random.default_rng(14)
+    seen = {"batched": 0, "fallback": 0, "infeasible": 0, "budgeted": 0}
+    for case in range(120):
+        uid = sorted(instances)[case % len(instances)]
+        inst = instances[uid]
+        target = GroupInstance(UserGroup(uid, frozenset({uid})), [inst])
+        budget, params, room = _music_case(rng, case, inst)
+        seed = int(rng.integers(2**32))
+        got_rng, ref_rng = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+        before = len(searches)
+        res = music(target, budget, params, got_rng, ledger=None
+                    if room is None
+                    else CapacityLedger(dict.fromkeys(locals_, room)))
+        calls = len(searches) - before
+        plan, val = _one_proposal_at_a_time(
+            inst, budget, params, ref_rng, None if room is None
+            else CapacityLedger(dict.fromkeys(locals_, room)),
+            center=target.center_point())
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert res.feasible == (plan is not None)
+        if plan is None:
+            assert (res.plans, res.utility) == ({}, 0.0)
+            seen["infeasible"] += 1
+            continue
+        assert res.plans == {uid: plan}
+        assert res.utility == val
+        seen["batched"] += calls == 1 and params.max_iter > 0
+        seen["fallback"] += calls > 1
+        seen["budgeted"] += budget.bounded()
+    assert min(seen.values()) > 2, seen
+
+
+# --- the fleet driver, against the three loops it replaced ----------------------
+# _admit_plan, _sequential and allocate_music's loop over targets as they
+# were before one driver replaced them, kept verbatim as the oracle
+
+def _parent_admit_plan(instance, plan, ledger):
+    if ledger is None:
+        return
+    for cid in sorted(instance.local_clouds(plan)):
+        if not ledger.try_admit(cid):
+            raise AdmissionRefused(f"cloud {cid} filled up mid-admission")
+
+
+def _parent_sequential(instances, plan_fn, rng, ledger):
+    """Allocate per user in seeded random order, admitting capacity as we go.
+
+    plan_fn(instance, blocked) plans one user, blocked being the clouds
+    without room at that user's turn."""
+    uids = sorted(instances)
+    order = [uids[i] for i in rng.permutation(len(uids))]
+    plans = {}
+    notes = []
+    for uid in order:
+        inst = instances[uid]
+        try:
+            plan = plan_fn(inst, clouds_without_room(ledger))
+        except NoFeasibleCandidates as exc:
+            notes.append(str(exc))
+            continue
+        plans[uid] = plan
+        _parent_admit_plan(inst, plan, ledger)
+    return AllocationResult(plans, None, len(plans) == len(instances),
+                            note="; ".join(notes))
+
+
+def _parent_allocate_music(instances, constraints, params, rng, ledger=None,
+                           groups=None):
+    """allocate_music with its own loop over targets."""
+    if groups is None:
+        targets = [instances[uid] for uid in sorted(instances)]
+    else:
+        targets = [GroupInstance(grp, [instances[m] for m in sorted(grp.members)])
+                   for grp in sorted(groups, key=lambda x: x.id)]
+    order = rng.permutation(len(targets))
+    plans = {}
+    notes = []
+    all_feasible = True
+    for idx in order:
+        target = targets[idx]
+        res = music(target, constraints, params, rng, ledger=ledger)
+        if not res.feasible:
+            all_feasible = False
+            notes.append(res.note)
+            continue
+        members = [target] if isinstance(target, UserInstance) else target.members
+        for m in members:
+            plan = res.plans[m.user.id]
+            plans[m.user.id] = plan
+            _parent_admit_plan(m, plan, ledger)
+    return AllocationResult(plans, None, all_feasible, note="; ".join(notes))
+
+
+def _drive(run, ledger, seed):
+    """Run one driver on a fresh generator: (its result or the message of
+    the AdmissionRefused it raised, every ledger count, generator state)."""
+    rng = np.random.default_rng(seed)
+    try:
+        res = run(rng, ledger)
+        out = (list(res.plans.items()), res.utility, res.feasible, res.note)
+    except AdmissionRefused as exc:
+        out = str(exc)
+    counts = None if ledger is None else {c: ledger.count(c)
+                                          for c in ledger.capacities()}
+    return out, counts, rng.bit_generator.state
+
+
+def test_one_fleet_driver_equals_the_loops_it_replaced():
+    """allocate_greedy, allocate_rsa and allocate_music (with and without
+    groups) against the parent's _sequential, _admit_plan and
+    allocate_music loop: plans in order, feasible, note, every ledger count
+    and the generator state are equal. Random fleets with and without a
+    public cloud, ledgers with room 0, 1 or none, budgets, groups that
+    cover every user or only some, and stale plans that a full cloud
+    refuses part-way through a plan's admissions."""
+    rng = np.random.default_rng(23)
+    seen = {"infeasible": 0, "partial": 0, "admitted": 0, "budgeted": 0}
+    for case in range(30):
+        users = int(rng.integers(2, 7))
+        dep, pop, instances = _fleet(
+            users=users, seed=int(rng.integers(100)),
+            public_instances=int(case % 3 != 0))
+        locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
+        uids = sorted(instances)
+        cut = int(rng.integers(1, users + 1))
+        groups = [UserGroup(g, frozenset(int(u) for u in chunk))
+                  for g, chunk in enumerate(np.array_split(
+                      rng.permutation(uids)[:cut], int(rng.integers(1, cut + 1))))]
+        inst = instances[uids[0]]
+        budget = (UNLIMITED if case % 2 else ConstraintVector(
+            delay=float(np.mean([inst.extrema.lo.delay,
+                                 inst.extrema.hi.delay]))))
+        params = AnnealingParams(max_iter=int(rng.integers(0, 6)))
+        pairs = [
+            (lambda r, lg: allocate_greedy(instances, r, lg),
+             lambda r, lg: _parent_sequential(instances, greedy_plan, r, lg)),
+            (lambda r, lg: allocate_rsa(instances, budget, r, lg),
+             lambda r, lg: _parent_sequential(
+                 instances, lambda i, blocked: rsa_plan(
+                     i, constraints_for(budget, i.user.id), r,
+                     blocked=blocked), r, lg)),
+            (lambda r, lg: allocate_music(instances, budget, params, r, lg),
+             lambda r, lg: _parent_allocate_music(instances, budget, params,
+                                                  r, lg)),
+            (lambda r, lg: allocate_music(instances, budget, params, r, lg,
+                                          groups),
+             lambda r, lg: _parent_allocate_music(instances, budget, params,
+                                                  r, lg, groups))]
+        partial = sum(len(g.members) for g in groups) < users
+        for room in (None, 0, 1):
+            for k, (got_run, ref_run) in enumerate(pairs):
+                seed = int(rng.integers(2**32))
+                got, ref = (_drive(run, None if room is None else CapacityLedger(
+                    dict.fromkeys(locals_, room)), seed)
+                    for run in (got_run, ref_run))
+                assert got == ref
+                res, counts, _ = got
+                seen["infeasible"] += not res[2]
+                seen["admitted"] += bool(counts) and any(counts.values())
+                seen["budgeted"] += budget.bounded()
+                # a feasible grouped run that leaves users without a plan
+                seen["partial"] += k == 3 and partial and res[2]
+    assert min(seen.values()) > 2, seen
+    # local clouds 1 and 8 (a set of them iterates 8 first) behind a full
+    # cloud 8: a plan made without a look at the ledger is refused
+    # part-way, after cloud 1 took it
+    grid = LocationMap(9, 1, 100.0)
+    clouds = {1: CloudNode(1, LOCAL, location=0, capacity=2),
+              8: CloudNode(8, LOCAL, location=8, capacity=1)}
+    directory = ServiceDirectory(grid, clouds)
+    directory.insert(Service(10, "f", host_cloud=8, compute_ref="local"))
+    directory.insert(Service(11, "g", host_cloud=1, compute_ref="local"))
+    ltw = LTW((LTWEntry(0, 60.0, seq(leaf("f", 64.0), leaf("g", 64.0))),))
+    instances = {u: UserInstance(MobileUser(u, trajectory_from_pairs(
+        [(0, 60.0)])), ltw, directory, ProfileSet.defaults(), grid)
+        for u in (0, 1)}
+    assert list(instances[0].local_clouds((10, 11))) == [8, 1]
+    got, ref = (_drive(run, CapacityLedger({1: 2, 8: 1}), 0) for run in (
+        lambda r, lg: _sequential(instances, [0, 1], lambda u: {
+            u: greedy_plan(instances[u])}, r, lg),
+        lambda r, lg: _parent_sequential(
+            instances, lambda i, blocked: greedy_plan(i), r, lg)))
+    assert got == ref
+    assert got[:2] == ("cloud 8 filled up mid-admission", {1: 2, 8: 1})
 
 
 def _product_options(inst, pools, constraints, reach):
