@@ -30,9 +30,10 @@ The exhaustive optimum takes one path: each user's best plan per set of
 binding clouds, combined once (brute_force_optimal). Its cap bounds each
 user's plan space and that option product, before any plan is evaluated.
 
-Many plans of one user are scored at once by PlanArrays, with the float
-operations of the scalar evaluator: all the MuSIC proposals of a target with
-one member, and the optimum's plan spaces.
+Many plans of one user are scored at once by PlanArrays, by the scalar
+evaluator's rules run on columns of plans: all the MuSIC proposals of a target
+with one member, and the optimum's plan spaces, whose combinations
+fleet_utility scores over columns. So each rule is stated once.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from .profiles import (ProfileSet, Rates, _costs, intercloud_ms,
                        service_rates)
 from .registry import CapacityLedger, ServiceDirectory
 from .workflow import (DIMS, LTW, FoldFn, LeafCost, Occurrence, QoSExtrema,
-                       QoSTriple, WorkflowNode, _fold_source, dim_bounds,
-                       fold_of, normalize_within, outline, trusted_qos)
+                       QoSTriple, WorkflowNode, dim_bounds, fold_of,
+                       normalize_within, outline, trusted_qos)
 
 
 def constraints_for(constraints, uid: int) -> "ConstraintVector":
@@ -150,7 +151,9 @@ def fleet_utility(utils: Mapping[int, float], users: Sequence[int],
     Ungrouped: the mean over users, in the given order. Grouped: the mean
     over groups, in the given order, of the mean over members by id. Each
     mean is np.mean's float in plain Python: numpy's pairwise summation
-    order (see _pairwise_sum), then one division by the count.
+    order (see _pairwise_sum), then one division by the count. Utilities
+    may be floats or equal-length arrays (see _joint_scores), whose
+    elements are the floats that the same utilities as floats give.
     """
     if groups is None:
         if not users:
@@ -290,22 +293,20 @@ def _hop_extremes(hosts: AbstractSet[Optional[int]],
                   kb: float, profiles: ProfileSet) -> tuple[float, float]:
     """Least and greatest inter-cloud hop delay of kb over every pair of a
     candidate's host and a predecessor candidate's host (None: on the
-    device), the greatest being at least 0.0.
+    device).
 
     A pair pays nothing when either side is on the device or both share a
-    cloud, and otherwise the one value intercloud_ms(kb).
+    cloud (free), and otherwise intercloud_ms(kb) (paid). Two non-empty
+    host sets have a free or a paid pair: with no device and no shared
+    cloud, both hold clouds only, and any pair is two different clouds.
     """
     clouds, prev_clouds = hosts - {None}, prev_hosts - {None}
     free = (None in hosts or None in prev_hosts
             or not clouds.isdisjoint(prev_clouds))
     paid = (bool(clouds) and bool(prev_clouds)
             and not (len(clouds) == 1 and clouds == prev_clouds))
-    extras = []
-    if free:
-        extras.append(0.0)
-    if paid:
-        extras.append(intercloud_ms(kb, profiles))
-    return min(extras), max(0.0, max(extras))
+    hop = intercloud_ms(kb, profiles)
+    return (0.0 if free else hop, hop if paid else 0.0)
 
 
 # rows costed per array pass: enough to spread numpy's per-call cost, few
@@ -733,36 +734,22 @@ class UserInstance:
         return PlanArrays(self, lists)
 
 
-# array folds by shape, compiled as shapes are first scored in arrays
-_ARRAY_FOLDS: dict[tuple, FoldFn] = {}
-
-
-def _array_fold(shape: tuple) -> FoldFn:
-    """The fold of one shape over arrays of plans: fold_of's source with max
-    bound to np.maximum, so each plan takes the scalar fold's operations."""
-    fold = _ARRAY_FOLDS.get(shape)
-    if fold is None:
-        namespace = {"max": np.maximum}
-        exec(_fold_source(shape), namespace)
-        fold = _ARRAY_FOLDS[shape] = namespace["fold"]
-    return fold
-
-
 class PlanArrays:
     """One user's plans over fixed candidate lists, scored in array passes.
 
     lists[k] holds the ids that occurrence k (in iter_occurrences order)
     picks from. A batch of plans is a (occurrences x plans) matrix of
     positions into those lists: column r is plan r. raw gives each plan's
-    LTW QoS as UserInstance.evaluate does, with the same float operations:
-    a paid hop is np.where(paid, d + hop, d), each entry folds through its
-    shape's array fold, and entries are summed from 0.0 in order. utility
-    is utility_of's clamp-and-min on those columns. So every value is ==
-    the scalar one.
+    LTW QoS by UserInstance.evaluate's rules on columns: a hop is paid
+    where both host codes (0 on the device, clouds from 1) are clouds and
+    differ, as np.where(paid, d + hop, d); each entry folds through
+    fold_of(shape, np.maximum); entries are summed from 0.0 in order.
+    utility is utility_of's clamp-and-min on those columns. So every value
+    is == the scalar one.
     """
 
-    __slots__ = ("instance", "starts", "cols", "codes", "code_of", "pays",
-                 "hops", "folds")
+    __slots__ = ("instance", "starts", "cols", "codes", "code_of", "hops",
+                 "folds")
 
     def __init__(self, instance: UserInstance,
                  lists: Sequence[Sequence[int]]):
@@ -786,7 +773,7 @@ class PlanArrays:
                 if prev is not None:
                     hops.append((k + j, k + prev, hop))
             self.folds.append((k, k + len(tables.steps),
-                               _array_fold(tables.shape)))
+                               fold_of(tables.shape, np.maximum)))
             k += len(tables.steps)
         self.starts = np.array(starts)[:, None]
         # (price, power, delay) rows of every candidate, by dimension
@@ -797,10 +784,6 @@ class PlanArrays:
         if hops:
             at, before, hop = zip(*hops)
             self.hops = (list(at), list(before), np.array(hop)[:, None])
-            # pays[a, b]: hosts a and b are clouds, and different ones
-            known = np.arange(len(code_of))
-            self.pays = (known[:, None] != known) & (known[:, None] != 0) \
-                & (known != 0)
 
     def raw(self, positions) -> list[np.ndarray]:
         """The price, power and delay column of each plan's LTW QoS."""
@@ -808,7 +791,9 @@ class PlanArrays:
         price, power, delay = self.cols[:, flat]
         if self.hops is not None:
             at, before, hop = self.hops
-            paid = self.pays[self.codes[flat[at]], self.codes[flat[before]]]
+            node, prev = self.codes[flat[at]], self.codes[flat[before]]
+            # evaluate's test: both on clouds, and on different ones
+            paid = (node > 0) & (prev > 0) & (node != prev)
             d = delay[at]
             delay[at] = np.where(paid, d + hop, d)
         totals = [0.0, 0.0, 0.0]
@@ -1134,7 +1119,9 @@ def music(target, constraints, params: AnnealingParams,
     A proposal is valued at the mean of its members' utilities, in member
     order: fleet_utility's float, summed in numpy's order (see
     _pairwise_sum) and divided by the member count; for one member, its
-    utility.
+    utility. When no proposal plans every member, the note is the call's
+    last NoFeasibleCandidates, which names the user, after "group <id>: "
+    for a group.
     """
     members = [target] if isinstance(target, UserInstance) else target.members
     center = target.center_point()
@@ -1143,14 +1130,16 @@ def music(target, constraints, params: AnnealingParams,
     blocked = room_rule(ledger)
     best_picks, best_val = None, -math.inf
     proposals = params.max_iter + 1
+    failure: Optional[NoFeasibleCandidates] = None
     if len(members) == 1:
         # one call draws and scores every proposal; None when one of them
         # would widen, and the loop below runs them (see find_service)
         try:
             found = find_service(members[0], center, budgets[0], params, rng,
                                  memo, blocked({}), proposals)
-        except NoFeasibleCandidates:
-            found, proposals = None, 0  # no radius has a table to draw at
+        except NoFeasibleCandidates as exc:
+            # no radius has a table to draw at
+            found, proposals, failure = None, 0, exc
         if found is not None:
             best_picks, best_val = [found[0]], members[0].utility_of(found[1])
             proposals = 0
@@ -1162,7 +1151,8 @@ def music(target, constraints, params: AnnealingParams,
             try:
                 mine, raw = find_service(m, center, budget, params, rng, memo,
                                          blocked(usage))
-            except NoFeasibleCandidates:
+            except NoFeasibleCandidates as exc:
+                failure = exc
                 break
             picks.append(mine)
             raws.append(raw)
@@ -1174,7 +1164,10 @@ def music(target, constraints, params: AnnealingParams,
             if val > best_val:
                 best_picks, best_val = picks, val
     if best_picks is None:
-        return AllocationResult({}, 0.0, False, note="no feasible proposal")
+        note = str(failure)
+        if isinstance(target, GroupInstance):
+            note = f"group {target.group.id}: {note}"
+        return AllocationResult({}, 0.0, False, note=note)
     return AllocationResult({m.user.id: tuple(mine)
                              for m, mine in zip(members, best_picks)},
                             best_val, True)
@@ -1364,37 +1357,24 @@ def _joint_scores(utils: Sequence[Sequence[float]], users: Sequence[int],
     """fleet_utility of every combination of one utility per user (utils[i]
     lists users[i]'s), in itertools.product order.
 
-    Combinations are scored in chunks of a C-contiguous (combinations x
-    users) array. np.mean along axis 1 of such an array equals np.mean of
-    each row, so every score is the float fleet_utility returns: the mean
-    over users, or over groups (in the given order) of the mean over
-    members by id.
+    Combinations are scored in chunks of at most _SCORE_CHUNK, each by one
+    fleet_utility call over columns: users[i]'s utility in every
+    combination of the chunk. fleet_utility's means apply +, += and / n
+    to the columns element-wise, in the order they apply them to floats,
+    and a member without a utility adds the scalar 0.0 to every element.
+    So every score is the float fleet_utility returns for its combination.
     """
-    if not users:
-        return np.array([fleet_utility({}, users, groups)])
-    if groups is not None and not groups:
-        raise InvalidGroup("objective over no groups")
     sizes = [len(u) for u in utils]
     columns = [np.asarray(u, dtype=float) for u in utils]
-    index = {uid: i for i, uid in enumerate(users)}
     total = math.prod(sizes)
     scores = np.empty(total)
     for start in range(0, total, _SCORE_CHUNK):
-        picks = _unravel(np.arange(start, min(start + _SCORE_CHUNK, total)),
-                         sizes)
-        table = np.empty((len(picks[0]), len(users)))
-        for i, (column, pick) in enumerate(zip(columns, picks)):
-            table[:, i] = column[pick]
-        if groups is None:
-            chunk = table[:, 0] if len(users) == 1 else table.mean(axis=1)
-        else:
-            # a member without an instance scores 0, as in fleet_utility
-            chunk = np.stack([
-                np.stack([table[:, index[m]] if m in index
-                          else np.zeros(len(table))
-                          for m in sorted(g.members)], axis=1).mean(axis=1)
-                for g in groups], axis=1).mean(axis=1)
-        scores[start:start + len(chunk)] = chunk
+        stop = min(start + _SCORE_CHUNK, total)
+        picks = _unravel(np.arange(start, stop), sizes)
+        scores[start:stop] = fleet_utility(
+            {uid: column[pick]
+             for uid, column, pick in zip(users, columns, picks)},
+            users, groups)
     return scores
 
 

@@ -12,7 +12,8 @@ into the workflow total:
 
 fold_qos compiles each workflow shape into one Python function once
 (compile_fold), so a plan evaluator folds plain floats without walking the
-tree. A leaf's cost may depend on its Seq predecessor's service (the
+tree; fold_of compiles them, with np.maximum for max for the array
+evaluator. A leaf's cost may depend on its Seq predecessor's service (the
 inter-cloud hop); outline() is the only code that resolves that
 predecessor, in the same walk that finds the shape the fold is keyed by.
 
@@ -258,8 +259,8 @@ def occurrences(node: WorkflowNode) -> list[Occurrence]:
 LeafCost = tuple[float, float, float]
 FoldFn = Callable[[Sequence[LeafCost]], LeafCost]
 
-# compiled folds by shape, filled as shapes are first folded
-_FOLDS: dict[tuple, FoldFn] = {}
+# compiled folds by (shape, maximum), filled as shapes are first folded
+_FOLDS: dict[tuple[tuple, Callable], FoldFn] = {}
 
 
 def _fold_source(shape: tuple) -> str:
@@ -298,15 +299,18 @@ def _fold_source(shape: tuple) -> str:
                       f"    return ({p}, {w}, {d})"]) + "\n"
 
 
-def fold_of(shape: tuple) -> FoldFn:
+def fold_of(shape: tuple, maximum: Callable = max) -> FoldFn:
     """The fold of one shape (see outline) as one compiled function: it
     maps per-leaf (price, power, delay) tuples, one per leaf in preorder,
-    to the workflow total. Each shape compiles once, on its first fold."""
-    fold = _FOLDS.get(shape)
+    to the workflow total. The fold calls maximum for max: the builtin
+    folds floats, np.maximum arrays of plans, element by element alike
+    (allocation.PlanArrays). This is the one fold compiler; each (shape,
+    maximum) compiles once, on its first fold."""
+    fold = _FOLDS.get((shape, maximum))
     if fold is None:
-        namespace: dict = {}
+        namespace: dict = {"max": maximum}
         exec(_fold_source(shape), namespace)
-        fold = _FOLDS[shape] = namespace["fold"]
+        fold = _FOLDS[(shape, maximum)] = namespace["fold"]
     return fold
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -726,6 +728,32 @@ def test_music_reports_infeasible_when_nothing_fits():
     assert not res.feasible
     assert res.plans == {}
     assert res.utility == 0.0
+    assert res.note == "user 0: no feasible plan within 4 radius expansions"
+
+
+def test_an_unplaced_music_target_is_named_once_in_the_fleet_note():
+    """At a delay budget that no plan keeps, every MuSIC target is left
+    unplaced, and the fleet note names each user, or each group and the
+    member whose search failed, exactly once, with the search's reason."""
+    dep, pop, instances = _fleet(users=6, groups=2, seed=6)
+    reason = "no feasible plan within 15 radius expansions"
+    for groups in (None, pop.groups):
+        res = allocate_music(instances, ConstraintVector(delay=1.0),
+                             AnnealingParams(max_iter=4),
+                             np.random.default_rng(3), groups=groups)
+        assert not res.feasible and res.plans == {}
+        named = []
+        for note in res.note.split("; "):
+            if groups is None:
+                uid, = re.fullmatch(rf"user (\d+): {reason}", note).groups()
+                named.append(int(uid))
+            else:
+                gid, uid = re.fullmatch(rf"group (\d+): user (\d+): {reason}",
+                                        note).groups()
+                assert int(uid) in {g.id: g.members for g in groups}[int(gid)]
+                named.append(int(gid))
+        expect = instances if groups is None else [g.id for g in groups]
+        assert sorted(named) == sorted(expect)
 
 
 def test_annealing_params_validation():
@@ -2261,6 +2289,24 @@ def _paid_hops(inst, plan):
     return paid
 
 
+def _hop_cases(inst, plan):
+    """The hop case of each occurrence of the plan with a Seq predecessor
+    and a hop to pay if both run on clouds: "device here" or "device
+    before" when a side runs on the device, else "same cloud" or "two
+    clouds"."""
+    hosts = inst.hosts
+    for e, tables in enumerate(inst.entries):
+        for j, _, prev, _ in tables.steps:
+            if prev is not None:
+                node, before = hosts[plan[(e, j)]], hosts[plan[(e, prev)]]
+                if node is None:
+                    yield "device here"
+                elif before is None:
+                    yield "device before"
+                else:
+                    yield "same cloud" if node == before else "two clouds"
+
+
 def test_positional_evaluate_equals_the_dict_keyed_evaluate():
     rng = np.random.default_rng(31)
     paid = 0
@@ -2454,6 +2500,7 @@ def test_plan_arrays_score_as_evaluate_and_utility_of():
     one."""
     rng = np.random.default_rng(52)
     paid = plans = 0
+    hops = Counter()
     kinds = set()
     instances = []
     for _ in range(12):
@@ -2487,11 +2534,17 @@ def test_plan_arrays_score_as_evaluate_and_utility_of():
                 expect = inst.evaluate(picks)
                 assert _columns(raw, r) == expect
                 assert utils[r] == inst.utility_of(expect)
-                paid += _paid_hops(inst, _keyed(inst, picks))
+                keyed = _keyed(inst, picks)
+                paid += _paid_hops(inst, keyed)
+                hops.update(_hop_cases(inst, keyed))
                 plans += 1
         spans += any(b[2] == 0 for b in inst._bounds)
     assert kinds >= {Seq, And, Xor, Loop}
     assert paid > 50 and plans > 1000 and spans
+    # every case of evaluate's hop test: a device on either side, one cloud
+    # on both sides, and two different clouds
+    assert set(hops) == {"device here", "device before", "same cloud",
+                         "two clouds"}, hops
 
 
 def test_plan_arrays_raise_the_first_stray_plans_extrema_mismatch():

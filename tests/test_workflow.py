@@ -14,7 +14,7 @@ from tieralloc import (And, IncompletePlan, InvalidWorkflow, LTW, LTWEntry,
                        normalize_qos, normalize_service, occurrences, par,
                        seq, workflow_extrema, xor)
 from tieralloc.errors import ExtremaMismatch
-from tieralloc.workflow import ZERO_QOS, compile_fold
+from tieralloc.workflow import ZERO_QOS, compile_fold, fold_of, outline
 
 Q = QoSTriple
 
@@ -340,6 +340,31 @@ def test_compiled_folds_are_shared_by_shape_only():
         assert fold_qos(other, given) == _reference_fold(other, given)
     assert fold_qos(base, leaves) == _reference_fold(base, leaves)
     assert fold_qos(others[0], leaves) != fold_qos(base, leaves)
+
+
+def test_array_folds_equal_the_scalar_fold_per_column():
+    """fold_of(shape, np.maximum) folds columns of plans, one per element,
+    to the floats fold_of(shape) gives each plan, ties and zeros included;
+    each (shape, maximum) compiles once, and the two folds are apart."""
+    rng = np.random.default_rng(77)
+    seen_kinds = set()
+    for _ in range(60):
+        wf = _random_tree(rng)
+        seen_kinds |= _kinds(wf)
+        shape = outline(wf)[1]
+        # (leaves x dimensions x plans), about 30 % of the values from a small
+        # set, so max meets ties
+        size = (len(occurrences(wf)), 3, int(rng.integers(1, 12)))
+        cols = rng.random(size) * 10.0 ** rng.integers(-3, 4, size=size)
+        ties = rng.random(size) < 0.3
+        cols[ties] = rng.choice([0.0, 0.5, 3.0], size=int(ties.sum()))
+        folded = fold_of(shape, np.maximum)([tuple(q) for q in cols])
+        for r in range(size[2]):
+            expect = fold_of(shape)([tuple(q[:, r].tolist()) for q in cols])
+            assert tuple(float(c[r]) for c in folded) == expect
+        assert fold_of(shape, np.maximum) is fold_of(shape, np.maximum)
+        assert fold_of(shape, np.maximum) is not fold_of(shape)
+    assert seen_kinds == {Seq, And, Xor, Loop}
 
 
 def test_fold_qos_reads_one_triple_per_leaf_in_preorder():
