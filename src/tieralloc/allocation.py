@@ -54,7 +54,7 @@ from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
                     center_of_group_mobility, center_of_mobility)
 from .profiles import (ProfileSet, Rates, _costs, intercloud_ms,
                        service_rates)
-from .registry import CapacityLedger, ServiceDirectory
+from .registry import NO_LEDGER, CapacityLedger, ServiceDirectory
 from .workflow import (DIMS, LTW, FoldFn, LeafCost, Occurrence, QoSExtrema,
                        QoSTriple, WorkflowNode, dim_bounds, fold_of,
                        normalize_within, outline, trusted_qos)
@@ -79,7 +79,8 @@ class ConstraintVector:
         # the vector is frozen, so its finite budgets are fixed; a finite
         # raw value never exceeds an infinite one
         object.__setattr__(self, "_finite", tuple(
-            (d, self.get(d)) for d in DIMS if math.isfinite(self.get(d))))
+            (k, d, self.get(d)) for k, d in enumerate(DIMS)
+            if math.isfinite(self.get(d))))
 
     def get(self, dim: str) -> float:
         return getattr(self, dim)
@@ -87,13 +88,21 @@ class ConstraintVector:
     def bounded(self) -> bool:
         return bool(self._finite)
 
+    def breaches(self, raw: Sequence) -> list[tuple[str, object]]:
+        """The budget test: (dimension, raw value > budget) per finite
+        budget, in DIMS order. raw holds price, power and delay: the floats
+        of one plan, giving bools, or equal-length arrays with one element
+        per plan (PlanArrays.raw), giving masks."""
+        return [(d, raw[k] > budget) for k, d, budget in self._finite]
+
     def violated(self, raw: QoSTriple) -> list[str]:
         """Dimensions, in DIMS order, on which raw QoS exceeds its budget."""
-        return [d for d, budget in self._finite if getattr(raw, d) > budget]
+        return [d for d, over in self.breaches(raw.as_tuple()) if over]
 
     def admits(self, raw: QoSTriple) -> bool:
-        """Whether raw QoS fits every budget, boundary inclusive."""
-        return not self.violated(raw)
+        """Whether raw QoS fits every budget, boundary inclusive. QoS is
+        finite, so it fits when no budget is."""
+        return not self._finite or not self.violated(raw)
 
     @classmethod
     def unlimited(cls) -> "ConstraintVector":
@@ -240,7 +249,7 @@ def roulette_index(totals: Sequence[float], draw: float) -> int:
 _NO_CLOUDS: frozenset[int] = frozenset()
 
 
-def clouds_without_room(ledger: Optional[CapacityLedger],
+def clouds_without_room(ledger: CapacityLedger,
                         usage: Optional[Mapping[int, int]] = None,
                         held: Container[int] = _NO_CLOUDS) -> frozenset[int]:
     """The clouds a candidate cannot be placed on under tentative usage
@@ -249,7 +258,7 @@ def clouds_without_room(ledger: Optional[CapacityLedger],
     return room_rule(ledger, held)(usage or {})
 
 
-def room_rule(ledger: Optional[CapacityLedger],
+def room_rule(ledger: CapacityLedger,
               held: Container[int] = _NO_CLOUDS
               ) -> Callable[[Mapping[int, int]], frozenset[int]]:
     """The room rule over one reading of the ledger: usage -> the clouds
@@ -258,15 +267,14 @@ def room_rule(ledger: Optional[CapacityLedger],
     A candidate's room depends only on its host cloud. A tracked cloud has
     none when the ledger's room minus tentative usage (cloud id -> users
     placed on it) is <= 0, unless the caller already holds it; untracked
-    clouds, and every cloud without a ledger, always have room.
+    clouds always have room, so under the empty ledger (NO_LEDGER) every
+    cloud has.
 
     The room of each tracked cloud is read once, so the rule is right while
     the ledger holds still, as it does in a music call. A call tests only
     the clouds in usage, the others being those the reading leaves full;
     with no usage, that one set is returned.
     """
-    if ledger is None:
-        return lambda usage: _NO_CLOUDS
     rooms = {cid: ledger.room(cid) for cid in ledger.capacities()
              if cid not in held}
 
@@ -728,11 +736,6 @@ class UserInstance:
             for occ, cands in zip(tables.occs, tables.cands):
                 yield e, occ, cands
 
-    def plan_arrays(self, lists: Sequence[Sequence[int]]) -> "PlanArrays":
-        """The array evaluator of plans that pick from lists (see
-        PlanArrays)."""
-        return PlanArrays(self, lists)
-
 
 class PlanArrays:
     """One user's plans over fixed candidate lists, scored in array passes.
@@ -1016,8 +1019,7 @@ def find_service(instance: UserInstance, center: tuple[float, float],
                        else _roulette_spin(cum, len(order), draw)]
                  for (_, _, _, order, cum), draw in zip(table, draws)]
         raw = instance.evaluate(picks)
-        # QoSTriple values are finite, so unbounded budgets always hold
-        if not bounded or constraints.admits(raw):
+        if constraints.admits(raw):
             return picks, raw
         for dim in constraints.violated(raw):
             fixed = _repair(instance, table, dim)
@@ -1053,12 +1055,11 @@ def _first_best(instance: UserInstance, table: list[tuple],
         if cum is None:
             pos[k] = np.minimum((draws[k] * len(order)).astype(np.intp),
                                 len(order) - 1)
-    arrays = instance.plan_arrays(orders)
+    arrays = PlanArrays(instance, orders)
     raw = arrays.raw(pos)
     repairs = []
     if constraints.bounded():
-        over = [(d, raw[DIMS.index(d)] > budget)
-                for d, budget in constraints._finite]
+        over = constraints.breaches(raw)
         pending = np.logical_or.reduce([o for _, o in over])
         for dim, broke in over:
             broke &= pending
@@ -1084,7 +1085,7 @@ def _first_best(instance: UserInstance, table: list[tuple],
 
 def music(target, constraints, params: AnnealingParams,
           rng: np.random.Generator,
-          ledger: Optional[CapacityLedger] = None) -> AllocationResult:
+          ledger: CapacityLedger = NO_LEDGER) -> AllocationResult:
     """Best-of-N plan search for one user or one group.
 
     Draws max_iter + 1 independent proposals via find_service (roulette
@@ -1247,7 +1248,7 @@ def objective_from_plans(instances: Mapping[int, UserInstance],
 def _sequential(instances: Mapping[int, UserInstance], targets: Sequence,
                 plan: Callable[..., Mapping[int, tuple[int, ...]]],
                 rng: np.random.Generator,
-                ledger: Optional[CapacityLedger]) -> AllocationResult:
+                ledger: CapacityLedger) -> AllocationResult:
     """The one fleet driver: places targets (users or groups) in seeded
     random order, admitting capacity as it goes.
 
@@ -1269,8 +1270,6 @@ def _sequential(instances: Mapping[int, UserInstance], targets: Sequence,
             notes.append(str(exc))
             continue
         plans.update(placed)
-        if ledger is None:
-            continue
         for uid, picks in placed.items():
             for cid in sorted(instances[uid].local_clouds(picks)):
                 if not ledger.try_admit(cid):
@@ -1281,7 +1280,7 @@ def _sequential(instances: Mapping[int, UserInstance], targets: Sequence,
 
 def allocate_rsa(instances: Mapping[int, UserInstance],
                  constraints, rng: np.random.Generator,
-                 ledger: Optional[CapacityLedger] = None) -> AllocationResult:
+                 ledger: CapacityLedger = NO_LEDGER) -> AllocationResult:
     """Random-selection baseline over the fleet, user by user (see
     _sequential); see rsa_plan for how a user's plan can still break its
     budget."""
@@ -1295,7 +1294,7 @@ def allocate_rsa(instances: Mapping[int, UserInstance],
 
 def allocate_greedy(instances: Mapping[int, UserInstance],
                     rng: np.random.Generator,
-                    ledger: Optional[CapacityLedger] = None) -> AllocationResult:
+                    ledger: CapacityLedger = NO_LEDGER) -> AllocationResult:
     """Greedy argmax baseline over the fleet, user by user (see
     _sequential; rng orders the users only). Greedy plans are
     budget-blind."""
@@ -1309,7 +1308,7 @@ def allocate_greedy(instances: Mapping[int, UserInstance],
 def allocate_music(instances: Mapping[int, UserInstance],
                    constraints, params: AnnealingParams,
                    rng: np.random.Generator,
-                   ledger: Optional[CapacityLedger] = None,
+                   ledger: CapacityLedger = NO_LEDGER,
                    groups: Optional[Sequence[UserGroup]] = None
                    ) -> AllocationResult:
     """MuSIC allocation over the fleet, one music call per target.
@@ -1395,17 +1394,16 @@ def _options(instance: UserInstance, pools: list[list[int]],
     total = math.prod(sizes)
     # at most _SCORE_CHUNK positions, so a chunk's arrays stay small
     step = max(1, _SCORE_CHUNK // len(pools))
-    arrays = instance.plan_arrays(pools)
-    budgets = [(DIMS.index(d), budget) for d, budget in constraints._finite]
+    arrays = PlanArrays(instance, pools)
     # binding clouds used -> (product index, utility) of the best plan
     best: dict[frozenset[int], tuple[int, float]] = {}
     for start in range(0, total, step):
         positions = _unravel(np.arange(start, min(start + step, total)), sizes)
         raw = arrays.raw(positions)
         admitted = None
-        if budgets:
-            admitted = np.logical_and.reduce([raw[k] <= budget
-                                              for k, budget in budgets])
+        if constraints.bounded():
+            admitted = ~np.logical_or.reduce(
+                [o for _, o in constraints.breaches(raw)])
         utils = arrays.utility(raw, admitted)
         if admitted is not None:
             utils[~admitted] = -math.inf
@@ -1432,7 +1430,7 @@ def _options(instance: UserInstance, pools: list[list[int]],
 
 def brute_force_optimal(instances: Mapping[int, UserInstance],
                         constraints: ConstraintVector,
-                        ledger: Optional[CapacityLedger] = None,
+                        ledger: CapacityLedger = NO_LEDGER,
                         groups: Optional[Sequence[UserGroup]] = None,
                         cap: int = 1_000_000) -> AllocationResult:
     """Exact optimum by enumeration, for small instances.
@@ -1465,8 +1463,6 @@ def brute_force_optimal(instances: Mapping[int, UserInstance],
     if not isinstance(constraints, ConstraintVector):
         raise ValueError("exhaustive search takes one shared constraint vector")
     uids = sorted(instances)
-    if ledger is None:
-        ledger = CapacityLedger({})
     no_room = clouds_without_room(ledger)
     binding = frozenset(cid for cid in ledger.capacities()
                         if 0 < ledger.room(cid) < len(uids))

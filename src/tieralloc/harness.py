@@ -22,7 +22,7 @@ from .allocation import (AllocationResult, ConstraintVector, CostMemo,
                          clouds_without_room, fleet_utility, with_room)
 from .errors import (ScenarioError, TooLargeForEnumeration, UndefinedGain,
                      UndefinedThroughput)
-from .registry import CapacityLedger
+from .registry import NO_LEDGER, CapacityLedger
 from .scenario import (Deployment, Population, Scenario, build_deployment,
                        build_population, derive_rng)
 from .workflow import DIMS, QoSTriple
@@ -49,7 +49,8 @@ class MetricsRow:
     A metric left None is a blank CSV cell: throughput_pct without a proven
     optimum or when some placed user breaks the budgets (the optimum keeps
     them), the mean_* columns when no user got a plan, the gains outside a
-    fixed-dimension study."""
+    fixed-dimension study and where the public-only mean is 0 (see
+    gain_pct)."""
 
     scenario_id: str
     algorithm: str
@@ -97,15 +98,6 @@ def compute_two_tier_gain(two_tier: QoSTriple, public_only: QoSTriple,
 
 # --- plan execution -------------------------------------------------------------
 
-def _user_instances(dep: Deployment, pop: Population,
-                    ltws: Mapping[int, "object"],
-                    memo: Optional[CostMemo] = None
-                    ) -> dict[int, UserInstance]:
-    return {uid: UserInstance(pop.users[uid], ltws[uid], dep.directory,
-                              dep.profiles, dep.grid, memo=memo)
-            for uid in sorted(pop.users)}
-
-
 def _population_instances(dep: Deployment, pop: Population
                           ) -> tuple[dict[int, UserInstance],
                                      dict[int, UserInstance]]:
@@ -119,7 +111,10 @@ def _population_instances(dep: Deployment, pop: Population
     for ltws in (pop.true_ltws, pop.predicted_ltws):
         for uid in sorted(pop.users):
             memo.expect(pop.users[uid], ltws[uid], dep.grid)
-    true = _user_instances(dep, pop, pop.true_ltws, memo)
+    true = {uid: UserInstance(pop.users[uid], pop.true_ltws[uid],
+                              dep.directory, dep.profiles, dep.grid,
+                              memo=memo)
+            for uid in sorted(pop.users)}
     predicted = {
         uid: (true[uid] if pop.predicted_ltws[uid] is pop.true_ltws[uid]
               else UserInstance(pop.users[uid], pop.predicted_ltws[uid],
@@ -144,7 +139,8 @@ def carry_plans(result: AllocationResult,
                 predicted: Mapping[int, UserInstance],
                 true: Mapping[int, UserInstance],
                 rng: np.random.Generator,
-                ledger: Optional[CapacityLedger]) -> dict[int, tuple[int, ...]]:
+                ledger: CapacityLedger = NO_LEDGER
+                ) -> dict[int, tuple[int, ...]]:
     """Map planned pick tuples onto the true workflows for scoring.
 
     Entries whose predicted workflow object survives into the true one keep
@@ -152,7 +148,8 @@ def carry_plans(result: AllocationResult,
     at different cost); they sit in the predicted tuple at the predicted
     instance's offsets. Entries whose workflow was mispredicted are
     re-drawn uniformly at run time among capacity-available candidates.
-    Ledger slots are moved to match what actually runs.
+    Ledger slots are moved to match what actually runs; the empty ledger
+    (NO_LEDGER) tracks no cloud, so it has room everywhere and stays empty.
     """
     effective: dict[int, tuple[int, ...]] = {}
     for uid in sorted(result.plans):
@@ -175,12 +172,11 @@ def carry_plans(result: AllocationResult,
                           for occ in t_tables.occs]
             base += n
         effective[uid] = tuple(picks)
-        if ledger is not None:
-            used = true_inst.local_clouds(picks)
-            for cid in sorted(held - used):
-                ledger.release(cid)
-            for cid in sorted(used - held):
-                ledger.try_admit(cid)
+        used = true_inst.local_clouds(picks)
+        for cid in sorted(held - used):
+            ledger.release(cid)
+        for cid in sorted(used - held):
+            ledger.try_admit(cid)
     return effective
 
 
@@ -292,7 +288,8 @@ def _gain_rows(sc: Scenario, dep: Deployment, pop: Population,
     """Fixed-dimension study: a public-only baseline pass sets per-user
     budgets on the fixed dimension, then the two-tier pass must hold that
     dimension while the other two improve. Gains compare the fleet mean QoS
-    of the two passes.
+    of the two passes, over the users both placed; a dimension whose
+    public-only mean is 0 has no gain, and its cell stays blank.
 
     The baseline pass runs against a ledger in which every local cloud has
     capacity 0, so the room rule keeps its work on the public cloud and the
@@ -317,9 +314,12 @@ def _gain_rows(sc: Scenario, dep: Deployment, pop: Population,
         if shared:
             base_mean = _mean_triple(base_raw, shared)
             treat_mean = _mean_triple(raws, shared)
-            gains = compute_two_tier_gain(treat_mean, base_mean, fixed)
-            gains[fixed] = gain_pct(treat_mean.get(fixed),
-                                    base_mean.get(fixed))
+            for dim in DIMS:
+                try:
+                    gains[dim] = gain_pct(treat_mean.get(dim),
+                                          base_mean.get(dim))
+                except UndefinedGain:
+                    pass  # a zero baseline mean: the cell stays blank
         utility = _fleet_score(true, raws, pop.groups)
         rows.append(_metrics_row(sc, alg, rep, utility, None, raws, gains))
     return rows

@@ -378,3 +378,9 @@ class CapacityLedger:
         if self._counts[cloud_id] == 0:
             raise LedgerUnderflow(f"release on empty ledger for cloud {cloud_id}")
         self._counts[cloud_id] -= 1
+
+
+# the ledger of a caller that passes none: it tracks no cloud, so every cloud
+# has room, try_admit always admits and release does nothing, and no call
+# can change it
+NO_LEDGER = CapacityLedger({})

@@ -10,12 +10,12 @@ into the workflow total:
     Xor   componentwise max over branches (worst case path)
     Loop  child total scaled by the iteration count
 
-fold_qos compiles each workflow shape into one Python function once
-(compile_fold), so a plan evaluator folds plain floats without walking the
-tree; fold_of compiles them, with np.maximum for max for the array
-evaluator. A leaf's cost may depend on its Seq predecessor's service (the
-inter-cloud hop); outline() is the only code that resolves that
-predecessor, in the same walk that finds the shape the fold is keyed by.
+fold_of compiles each workflow shape into one Python function once, so
+fold_qos and the plan evaluators fold plain floats without walking the
+tree, and the array evaluator folds arrays with np.maximum for max. A
+leaf's cost may depend on its Seq predecessor's service (the inter-cloud
+hop); outline() is the only code that resolves that predecessor, in the
+same walk that finds the shape the fold is keyed by.
 
 Normalization rescales each dimension into [0, 1] against extrema so that
 lower raw cost maps to higher normalized value.
@@ -314,21 +314,16 @@ def fold_of(shape: tuple, maximum: Callable = max) -> FoldFn:
     return fold
 
 
-def compile_fold(node: WorkflowNode) -> FoldFn:
-    """The compiled fold of node's shape (see fold_of)."""
-    return fold_of(outline(node)[1])
-
-
 def fold_qos(node: WorkflowNode, leaf_qos: Sequence[QoSTriple]) -> QoSTriple:
     """Fold per-occurrence QoS triples, one per leaf in preorder, into the
     workflow total (Seq sum, And sum/max, Xor max, Loop scale).
 
-    The fold runs compiled per workflow shape (see compile_fold):
+    The fold runs compiled per workflow shape (see fold_of):
     accumulators start at 0.0, Seq sums, And sums price and power and takes
     max(delay, q), Xor takes max(acc, q) per dimension, Loop scales by its
     count.
     """
-    return trusted_qos(*compile_fold(node)(
+    return trusted_qos(*fold_of(outline(node)[1])(
         [(q.price, q.power, q.delay) for q in leaf_qos]))
 
 

@@ -30,12 +30,14 @@ from tieralloc import (LOCAL, PUBLIC, And, AnnealingParams, CapacityLedger,
                        roulette_index, rsa_plan, seq, service_qos, xor)
 from tieralloc import allocation
 from tieralloc.allocation import (AllocationResult, GroupInstance,
-                                  SearchMemo, _pairwise_sum, _sequential,
+                                  PlanArrays, SearchMemo, _pairwise_sum,
+                                  _sequential,
                                   _roulette_spin,
                                   _roulette_wheel,
                                   clouds_without_room, room_rule, with_room)
 from tieralloc.errors import (AdmissionRefused, ExtremaMismatch, InvalidGroup,
                               TierAllocError)
+from tieralloc.registry import NO_LEDGER
 from tieralloc.workflow import DIMS, dim_bounds
 
 UNLIMITED = ConstraintVector.unlimited()
@@ -219,8 +221,6 @@ def test_fleet_utility_equals_np_mean_in_every_pairwise_branch():
 
 def _scan_without_room(ledger, usage, held=frozenset()):
     """clouds_without_room as one scan of every tracked cloud's room."""
-    if ledger is None:
-        return frozenset()
     return frozenset(c for c in ledger.capacities()
                      if ledger.room(c) - usage.get(c, 0) <= 0
                      and c not in held)
@@ -229,23 +229,22 @@ def _scan_without_room(ledger, usage, held=frozenset()):
 def test_one_room_reading_gives_the_room_rule_for_any_usage():
     """room_rule reads each tracked cloud's room once; for any later usage
     its set equals clouds_without_room and a full scan of the ledger, over
-    random and partly filled ledgers, no ledger, held clouds, and usage
-    that names untracked clouds."""
+    random and partly filled ledgers, the empty ledger, held clouds, and
+    usage that names untracked clouds."""
     rng = np.random.default_rng(12)
     clouds = list(range(1, 9))
     seen = {"none": 0, "grew": 0, "untracked": 0, "held": 0}
     for _ in range(400):
         ledger, _, held = _random_room_case(rng, clouds)
         reads = []
-        if ledger is not None:
-            room = ledger.room
-            ledger.room = lambda cid: reads.append(cid) or room(cid)
+        room = ledger.room
+        ledger.room = lambda cid: reads.append(cid) or room(cid)
         rule, rule_held = room_rule(ledger), room_rule(ledger, held)
-        tracked = [] if ledger is None else list(ledger.capacities())
+        tracked = list(ledger.capacities())
         assert sorted(reads) == sorted(tracked + [c for c in tracked
                                                   if c not in held])
         reads.clear()
-        seen["none"] += ledger is None
+        seen["none"] += not tracked
         for _ in range(6):
             # clouds 20 and 21 are never tracked
             usage = {c: int(rng.integers(0, 4)) for c in [*clouds, 20, 21]
@@ -1220,9 +1219,6 @@ class _TableInstance:
     def local_clouds(self, picks):
         return {self.hosts[sid] for sid in picks} - {None}
 
-    def plan_arrays(self, lists):
-        return _TablePlans(self, lists)
-
 
 class _TablePlans:
     """_TableInstance's stand-in for PlanArrays: a batch of plans, as
@@ -1246,10 +1242,12 @@ class _TablePlans:
         return np.array([[cid in u for u in used] for cid in clouds])
 
 
-def test_the_optimum_keeps_the_first_best_combination_among_tied_options():
+def test_the_optimum_keeps_the_first_best_combination_among_tied_options(
+        monkeypatch):
     """Plans scored from a few values tie often, within a set of clouds and
     across sets: brute_force_optimal returns _joint_reference's first best
     feasible combination in product order all the same."""
+    monkeypatch.setattr(allocation, "PlanArrays", _TablePlans)
     rng = np.random.default_rng(5)
     values = (0.25, 0.5, 0.75, 1.0)
     moved = 0
@@ -1500,11 +1498,12 @@ def _old_fallback_pick(inst, entry, occ_idx, held, ledger, availability, rng):
 
 
 def _random_room_case(rng, clouds):
-    """A random ledger (or None), tentative usage and held clouds."""
+    """A random ledger (or the empty one), tentative usage and held
+    clouds."""
     def subset(items, p):
         return {x for x in items if rng.random() < p}
 
-    ledger = None
+    ledger = CapacityLedger({})
     if rng.random() < 0.85:
         ledger = CapacityLedger({c: int(rng.integers(0, 4))
                                  for c in subset(clouds, 0.8)})
@@ -2445,8 +2444,8 @@ def test_music_on_pick_lists_equals_the_execution_plan_search():
         room = (None, 0, 1)[case % 4 % 3]
 
         def ledger():
-            return None if room is None else CapacityLedger(
-                {cid: room for cid in locals_})
+            return CapacityLedger({} if room is None else
+                                  {cid: room for cid in locals_})
 
         seed = int(rng.integers(2**32))
         got_rng, ref_rng = (np.random.default_rng(seed),
@@ -2493,12 +2492,29 @@ def _columns(arrays_raw, r):
     return QoSTriple(*(float(c[r]) for c in arrays_raw))
 
 
+def _random_budget(rng, raw):
+    """A budget per dimension over raw columns: none (inf), one plan's
+    value (a plan on the boundary), or a value within the column's range."""
+    out = {}
+    for d, column in zip(DIMS, raw):
+        kind = int(rng.integers(3))
+        if kind == 1:
+            out[d] = float(column[int(rng.integers(len(column)))])
+        elif kind == 2:
+            out[d] = float(rng.uniform(column.min(), column.max()))
+    return ConstraintVector(**out)
+
+
 def test_plan_arrays_score_as_evaluate_and_utility_of():
     """Random LTWs nesting Seq, And, Xor and Loop nodes, over candidate
     lists of any length (one candidate included), and instances whose
     envelopes have span 0: every raw value and utility is == the scalar
-    one."""
+    one. Under a random budget over the columns, with plans on its
+    boundary and infinite dimensions, each plan's breaches give the
+    scalar violated and admits of its raw QoS."""
     rng = np.random.default_rng(52)
+    budget_rng = np.random.default_rng(53)
+    budgets = Counter()
     paid = plans = 0
     hops = Counter()
     kinds = set()
@@ -2523,17 +2539,28 @@ def test_plan_arrays_score_as_evaluate_and_utility_of():
             # a random non-empty sublist per occurrence, in a random order
             lists = [[c[i] for i in rng.permutation(len(c))[
                 :int(rng.integers(1, len(c) + 1))]] for c in cands]
-            arrays = inst.plan_arrays(lists)
+            arrays = PlanArrays(inst, lists)
             m = int(rng.integers(1, 40))
             positions = np.array([rng.integers(len(ids), size=m)
                                   for ids in lists])
             raw = arrays.raw(positions)
             utils = arrays.utility(raw)
+            budget = _random_budget(budget_rng, raw)
+            over = budget.breaches(raw)
+            budgets["unbounded"] += not budget.bounded()
+            budgets["partly infinite"] += budget.bounded() and any(
+                budget.get(d) == math.inf for d in DIMS)
             for r in range(m):
                 picks = [ids[i] for ids, i in zip(lists, positions[:, r])]
                 expect = inst.evaluate(picks)
                 assert _columns(raw, r) == expect
                 assert utils[r] == inst.utility_of(expect)
+                broke = [d for d, mask in over if mask[r]]
+                assert broke == budget.violated(expect)
+                assert budget.admits(expect) == (not broke)
+                budgets["broke"] += bool(broke)
+                budgets["boundary"] += any(expect.get(d) == budget.get(d)
+                                           for d in DIMS)
                 keyed = _keyed(inst, picks)
                 paid += _paid_hops(inst, keyed)
                 hops.update(_hop_cases(inst, keyed))
@@ -2541,6 +2568,7 @@ def test_plan_arrays_score_as_evaluate_and_utility_of():
         spans += any(b[2] == 0 for b in inst._bounds)
     assert kinds >= {Seq, And, Xor, Loop}
     assert paid > 50 and plans > 1000 and spans
+    assert min(budgets.values()) > 2, budgets
     # every case of evaluate's hop test: a device on either side, one cloud
     # on both sides, and two different clouds
     assert set(hops) == {"device here", "device before", "same cloud",
@@ -2556,7 +2584,7 @@ def test_plan_arrays_raise_the_first_stray_plans_extrema_mismatch():
     raised = 0
     for inst in instances.values():
         lists = [c for _, _, c in inst.iter_occurrences()]
-        arrays = inst.plan_arrays(lists)
+        arrays = PlanArrays(inst, lists)
         positions = np.array([rng.integers(len(ids), size=60)
                               for ids in lists])
         raw = arrays.raw(positions)
@@ -2581,7 +2609,7 @@ def test_plan_arrays_raise_the_first_stray_plans_extrema_mismatch():
     assert raised >= 4
 
 
-def _one_proposal_at_a_time(inst, constraints, params, rng, ledger=None,
+def _one_proposal_at_a_time(inst, constraints, params, rng, ledger=NO_LEDGER,
                             center=None):
     """Single-target music as max_iter + 1 one-proposal find_service calls
     around center (None: the user's own): (plan, utility) of the first
@@ -2601,11 +2629,17 @@ def _one_proposal_at_a_time(inst, constraints, params, rng, ledger=None,
     return best, best_val
 
 
+def _room_ledger(clouds, room):
+    """A ledger that gives each of the clouds room, or the empty ledger
+    when room is None."""
+    return CapacityLedger({} if room is None else dict.fromkeys(clouds, room))
+
+
 def _music_case(rng, case, inst):
     """Case number case of a music search by inst: a budget on one
     dimension (none every fifth case) that can lie below what any plan
     reaches, search params whose radii can miss every local cloud, and the
-    room of each local cloud (None: no ledger)."""
+    room of each local cloud (None: the empty ledger)."""
     dim = ("delay", "delay", "price", "power")[case % 4]
     lo, hi = inst.extrema.lo.get(dim), inst.extrema.hi.get(dim)
     budget = (UNLIMITED if case % 5 == 0 else ConstraintVector(
@@ -2645,11 +2679,10 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
         got_rng, ref_rng = (np.random.default_rng(seed),
                             np.random.default_rng(seed))
         before = len(searches)
-        res = music(inst, budget, params, got_rng, ledger=None if room is None
-                    else CapacityLedger(dict.fromkeys(locals_, room)))
-        plan, val = _one_proposal_at_a_time(
-            inst, budget, params, ref_rng, None if room is None
-            else CapacityLedger(dict.fromkeys(locals_, room)))
+        res = music(inst, budget, params, got_rng,
+                    ledger=_room_ledger(locals_, room))
+        plan, val = _one_proposal_at_a_time(inst, budget, params, ref_rng,
+                                            _room_ledger(locals_, room))
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         assert res.feasible == (plan is not None)
         if plan is None:
@@ -2688,7 +2721,7 @@ def test_a_one_member_group_is_planned_like_its_user(monkeypatch):
     user makes. Around the group's center (center_of_group_mobility),
     plans, utility and the generator state after the call equal max_iter
     + 1 one-proposal calls in a row: unbudgeted and budgeted, with room 0,
-    1 or no ledger, and on targets whose proposals would widen (the call
+    1 or the empty ledger, and on targets whose proposals would widen (the call
     gives None, and music's proposal loop runs them)."""
     dep, pop, instances = _fleet(
         users=6, seed=0, profiles={"intercloud": {"delay_ms_per_100kb": 400.0}})
@@ -2705,13 +2738,11 @@ def test_a_one_member_group_is_planned_like_its_user(monkeypatch):
         got_rng, ref_rng = (np.random.default_rng(seed),
                             np.random.default_rng(seed))
         before = len(searches)
-        res = music(target, budget, params, got_rng, ledger=None
-                    if room is None
-                    else CapacityLedger(dict.fromkeys(locals_, room)))
+        res = music(target, budget, params, got_rng,
+                    ledger=_room_ledger(locals_, room))
         calls = len(searches) - before
         plan, val = _one_proposal_at_a_time(
-            inst, budget, params, ref_rng, None if room is None
-            else CapacityLedger(dict.fromkeys(locals_, room)),
+            inst, budget, params, ref_rng, _room_ledger(locals_, room),
             center=target.center_point())
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         assert res.feasible == (plan is not None)
@@ -2807,7 +2838,7 @@ def test_one_fleet_driver_equals_the_loops_it_replaced():
     groups) against the parent's _sequential, _admit_plan and
     allocate_music loop: plans in order, feasible, note, every ledger count
     and the generator state are equal. Random fleets with and without a
-    public cloud, ledgers with room 0, 1 or none, budgets, groups that
+    public cloud, ledgers with room 0, 1 or empty, budgets, groups that
     cover every user or only some, and stale plans that a full cloud
     refuses part-way through a plan's admissions."""
     rng = np.random.default_rng(23)
@@ -2847,9 +2878,8 @@ def test_one_fleet_driver_equals_the_loops_it_replaced():
         for room in (None, 0, 1):
             for k, (got_run, ref_run) in enumerate(pairs):
                 seed = int(rng.integers(2**32))
-                got, ref = (_drive(run, None if room is None else CapacityLedger(
-                    dict.fromkeys(locals_, room)), seed)
-                    for run in (got_run, ref_run))
+                got, ref = (_drive(run, _room_ledger(locals_, room), seed)
+                            for run in (got_run, ref_run))
                 assert got == ref
                 res, counts, _ = got
                 seen["infeasible"] += not res[2]

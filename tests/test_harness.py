@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import io
 import math
 from pathlib import Path
@@ -14,10 +15,11 @@ from tieralloc import (CSV_COLUMNS, AllocationResult, AnnealingParams,
                        LTWEntry, LocationMap, MetricsRow, MobileUser, ProfileSet, Scenario,
                        ScenarioError, Service, ServiceDirectory, Trajectory,
                        TrajectoryEntry, UserInstance, allocate_greedy,
-                       allocate_music, allocate_rsa, build_deployment,
-                       build_population, carry_plans, compute_throughput,
-                       compute_two_tier_gain, emit_results, gain_pct, leaf,
-                       load_scenario, rows_to_csv, rows_to_table, run_experiment, summarize)
+                       allocate_music, allocate_rsa, brute_force_optimal,
+                       build_deployment, build_population, carry_plans,
+                       compute_throughput, compute_two_tier_gain, emit_results,
+                       gain_pct, leaf, load_scenario, music, rows_to_csv,
+                       rows_to_table, run_experiment, summarize)
 from tieralloc.allocation import clouds_without_room
 from tieralloc.errors import (TooLargeForEnumeration, UndefinedGain,
                               UndefinedThroughput)
@@ -89,7 +91,7 @@ def test_carry_keeps_the_plan_when_prediction_was_exact():
     inst = instance(LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),)))
     plan = (100,)
     res = AllocationResult({0: plan}, 1.0, True)
-    out = carry_plans(res, {0: inst}, {0: inst}, np.random.default_rng(0), None)
+    out = carry_plans(res, {0: inst}, {0: inst}, np.random.default_rng(0))
     assert out[0] is plan
 
 
@@ -256,6 +258,55 @@ def test_carry_on_pick_tuples_equals_the_dict_keyed_carry(pct, mode):
         assert shifted > 0
 
 
+def test_an_absent_ledger_is_the_empty_ledger():
+    """Each planner, and carry-over of its plans, run once with the ledger
+    omitted and once with an empty CapacityLedger: plans, utility,
+    feasible, note, the carried plans and the generator state are equal.
+    The plans place work on local clouds, which the shared default ledger
+    admits without tracking them: it still tracks no cloud afterwards."""
+    from tieralloc import harness
+    from tieralloc.registry import NO_LEDGER
+    for fn in (music, allocate_music, allocate_rsa, allocate_greedy,
+               brute_force_optimal, carry_plans):
+        assert inspect.signature(fn).parameters["ledger"].default \
+            is NO_LEDGER
+    desk = Path(__file__).resolve().parents[1] / "demos/scenarios/desk.json"
+    sc = dataclasses.replace(load_scenario(desk), groups=2,
+                             uncertainty_pct=50.0, budget_delay=12000.0)
+    budget = sc.constraints()
+    params = sc.annealing_params()
+    planners = {
+        "music": lambda pred, rng, **kw: allocate_music(
+            pred, budget, params, rng, **kw),
+        "gmusic": lambda pred, rng, **kw: allocate_music(
+            pred, budget, params, rng, groups=pop.groups, **kw),
+        "rsa": lambda pred, rng, **kw: allocate_rsa(pred, budget, rng, **kw),
+        "greedy": lambda pred, rng, **kw: allocate_greedy(pred, rng, **kw),
+        "bruteforce": lambda pred, rng, **kw: brute_force_optimal(
+            pred, budget, groups=pop.groups, **kw)}
+    dep = build_deployment(sc)
+    local = [cid for cid, c in dep.clouds.items() if c.tier == "local"]
+    placed_locally = redrawn = 0
+    for rep in range(sc.repetitions):
+        pop = build_population(sc, dep, rep)
+        true, predicted = harness._population_instances(dep, pop)
+        for name, plan in planners.items():
+            runs = []
+            for kw in ({}, {"ledger": CapacityLedger({})}):
+                rng = np.random.default_rng(rep)
+                res = plan(predicted, rng, **kw)
+                carried = carry_plans(res, predicted, true, rng, **kw)
+                runs.append((res.plans, res.utility, res.feasible, res.note,
+                             carried, rng.bit_generator.state))
+            assert runs[0] == runs[1], name
+            placed_locally += any(predicted[u].local_clouds(p)
+                                  for u, p in res.plans.items())
+            redrawn += carried != res.plans
+        assert NO_LEDGER.capacities() == {}
+        assert all(NO_LEDGER.room(cid) == math.inf for cid in local)
+    assert placed_locally > 5 and redrawn > 5
+
+
 # --- experiment runs ----------------------------------------------------------------------
 
 def _scenario(**kw):
@@ -332,6 +383,25 @@ def test_fixed_dimension_study_reports_gains():
         assert val is not None and math.isfinite(val)
 
 
+def test_a_zero_baseline_mean_leaves_its_gain_blank():
+    """The gain study with no public instance, local capacity 5 and power
+    held fixed: the public-only baseline places few users, each on its
+    device, so over the users both passes placed the baseline's mean price
+    is 0, and so is the two-tier one. That gain is undefined and its cell
+    is blank; the run goes on and fills the other two gains."""
+    study = Path(__file__).resolve().parents[1] / \
+        "demos/scenarios/gain_study.json"
+    sc = dataclasses.replace(load_scenario(study), users=10, repetitions=2,
+                             public_instances=0, local_capacity=5,
+                             fixed_dimension="power")
+    records = [dict(zip(CSV_COLUMNS, r)) for r in csv.reader(
+        io.StringIO(rows_to_csv(run_experiment(sc))))][1:]
+    assert [r["repetition"] for r in records] == ["0", "1"]
+    for r in records:
+        assert r["gain_price_pct"] == ""
+        assert r["gain_power_pct"] and r["gain_delay_pct"]
+
+
 def test_fixed_dimension_rejects_bruteforce():
     with pytest.raises(ScenarioError, match="bruteforce"):
         run_experiment(_scenario(algorithm="bruteforce",
@@ -400,8 +470,13 @@ def test_rows_evaluate_each_effective_plan_once(monkeypatch, fixed):
                    repetitions=1, enumeration_cap=1, fixed_dimension=fixed)
     dep = build_deployment(sc)
     pop = build_population(sc, dep, 0)
-    true = harness._user_instances(dep, pop, pop.true_ltws)
-    predicted = harness._user_instances(dep, pop, pop.predicted_ltws)
+
+    def instances(ltws):
+        return {uid: UserInstance(pop.users[uid], ltws[uid], dep.directory,
+                                  dep.profiles, dep.grid)
+                for uid in sorted(pop.users)}
+
+    true, predicted = instances(pop.true_ltws), instances(pop.predicted_ltws)
     carried = []
     carry = harness.carry_plans
     monkeypatch.setattr(harness, "carry_plans",

@@ -14,7 +14,7 @@ from tieralloc import (And, IncompletePlan, InvalidWorkflow, LTW, LTWEntry,
                        normalize_qos, normalize_service, occurrences, par,
                        seq, workflow_extrema, xor)
 from tieralloc.errors import ExtremaMismatch
-from tieralloc.workflow import ZERO_QOS, compile_fold, fold_of, outline
+from tieralloc.workflow import ZERO_QOS, fold_of, outline
 
 Q = QoSTriple
 
@@ -302,7 +302,7 @@ def test_aggregate_and_extrema_equal_the_reference_walk_bit_for_bit():
         leaves = [_random_q(rng) for _ in range(n)]
         ref = _reference_fold(wf, leaves)
         assert fold_qos(wf, leaves) == ref
-        assert compile_fold(wf)([q.as_tuple() for q in leaves]) == \
+        assert fold_of(outline(wf)[1])([q.as_tuple() for q in leaves]) == \
             ref.as_tuple()
 
         got_calls, ref_calls = [], []
@@ -329,13 +329,16 @@ def test_compiled_folds_are_shared_by_shape_only():
     base = tree()
     # same kinds, child counts and Loop counts: one compiled fold, whatever
     # the functions and data sizes
-    assert compile_fold(tree(kb=64.0)) is compile_fold(base)
+    def compiled(node):
+        return fold_of(outline(node)[1])
+
+    assert compiled(tree(kb=64.0)) is compiled(base)
     leaves = [Q(1.5, 2.25, 3.0), Q(0.1, 0.7, 9.5), Q(4.0, 0.3, 2.5)]
     others = [tree(count=3), tree(kids=3), tree(inner=xor),
               seq(Loop(par(leaf("b", 1.0), leaf("c", 1.0)), count=2),
                   leaf("a", 1.0))]
     for other in others:
-        assert compile_fold(other) is not compile_fold(base)
+        assert compiled(other) is not compiled(base)
         given = leaves + [Q(2.0, 2.0, 2.0)] * (len(occurrences(other)) - 3)
         assert fold_qos(other, given) == _reference_fold(other, given)
     assert fold_qos(base, leaves) == _reference_fold(base, leaves)
