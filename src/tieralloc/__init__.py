@@ -21,9 +21,8 @@ from .errors import (AdmissionRefused, IdError, IncompletePlan, InvalidGroup,
                      TierAllocError, TooLargeForEnumeration, UndefinedGain,
                      UndefinedThroughput)
 from .harness import (ALGORITHM_STREAMS, CSV_COLUMNS, MetricsRow, carry_plans,
-                      compute_throughput, compute_two_tier_gain, emit_results,
-                      gain_pct, rows_to_csv, rows_to_table, run_experiment,
-                      summarize)
+                      compute_throughput, emit_results, gain_pct, rows_to_csv,
+                      rows_to_table, run_experiment, summarize)
 from .mobility import (MANHATTAN, RANDOM_WAYPOINT, MobilityParams,
                        UncertaintySpec, generate_manhattan,
                        generate_random_waypoint, generate_trajectory,

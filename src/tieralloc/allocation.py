@@ -30,27 +30,28 @@ The exhaustive optimum takes one path: each user's best plan per set of
 binding clouds, combined once (brute_force_optimal). Its cap bounds each
 user's plan space and that option product, before any plan is evaluated.
 
-Many plans of one user are scored at once by PlanArrays, by the scalar
-evaluator's rules run on columns of plans: all the MuSIC proposals of a target
-with one member, and the optimum's plan spaces, whose combinations
-fleet_utility scores over columns. So each rule is stated once.
+Many plans are scored at once by PlanArrays, by the scalar evaluator's rules
+run on columns of plans: every member of every MuSIC proposal of a target,
+and the optimum's plan spaces, whose combinations fleet_utility scores over
+columns. So each rule is stated once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import (AbstractSet, Callable, Container, Mapping, Optional,
-                    Sequence)
+from typing import (AbstractSet, Callable, Container, Iterator, Mapping,
+                    Optional, Sequence)
 
 import numpy as np
 
 from .errors import (AdmissionRefused, IncompletePlan, InvalidGroup,
                      NoFeasibleCandidates, NoRealizingService,
                      TooLargeForEnumeration)
-from .model import (LOCAL, LocationMap, MobileUser, UserGroup,
+from .model import (LOCAL, LocationMap, MobileUser, UserGroup, _pairwise_sum,
                     center_of_group_mobility, center_of_mobility)
 from .profiles import (ProfileSet, Rates, _costs, intercloud_ms,
                        service_rates)
@@ -180,31 +181,6 @@ def _mean(vals: list[float]) -> float:
     return _pairwise_sum(vals, 0, n) / n
 
 
-def _pairwise_sum(v: Sequence[float], lo: int, n: int) -> float:
-    """numpy's float64 sum of v[lo:lo + n], in its order (pairwise_sum in
-    numpy's loops_utils.h): under 8 values a sequential sum from -0.0; up
-    to 128, eight strided sequential sums combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder;
-    above that, the sums of two halves split at a multiple of 8."""
-    if n < 8:
-        s = -0.0
-        for i in range(lo, lo + n):
-            s += v[i]
-        return s
-    if n <= 128:
-        end = lo + n - n % 8
-        r = v[lo:lo + 8]
-        for i in range(lo + 8, end, 8):
-            r = [a + b for a, b in zip(r, v[i:i + 8])]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            s += v[i]
-        return s
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(v, lo, half) + _pairwise_sum(v, lo + half, n - half)
-
-
 def _roulette_wheel(weights: Sequence[float]) -> Optional[list[float]]:
     """Inner slice ends of a roulette over weights: the cumulative sums of
     the normalized weights but the last. None when every weight is zero
@@ -259,10 +235,9 @@ def clouds_without_room(ledger: CapacityLedger,
 
 
 def room_rule(ledger: CapacityLedger,
-              held: Container[int] = _NO_CLOUDS
-              ) -> Callable[[Mapping[int, int]], frozenset[int]]:
-    """The room rule over one reading of the ledger: usage -> the clouds
-    without room.
+              held: Container[int] = _NO_CLOUDS) -> "RoomRule":
+    """The room rule over one reading of the ledger: a RoomRule holding the
+    room of each tracked cloud the caller does not hold.
 
     A candidate's room depends only on its host cloud. A tracked cloud has
     none when the ledger's room minus tentative usage (cloud id -> users
@@ -271,19 +246,37 @@ def room_rule(ledger: CapacityLedger,
     cloud has.
 
     The room of each tracked cloud is read once, so the rule is right while
-    the ledger holds still, as it does in a music call. A call tests only
-    the clouds in usage, the others being those the reading leaves full;
-    with no usage, that one set is returned.
+    the ledger holds still, as it does in a music call.
     """
-    rooms = {cid: ledger.room(cid) for cid in ledger.capacities()
-             if cid not in held}
+    return RoomRule({cid: ledger.room(cid) for cid in ledger.capacities()
+                     if cid not in held})
 
-    def without_room(usage: Mapping[int, int]) -> list[int]:
-        return [cid for cid, n in usage.items()
-                if cid in rooms and rooms[cid] - n <= 0]
 
-    full = frozenset(without_room(dict.fromkeys(rooms, 0)))
-    return lambda usage: full.union(without_room(usage)) if usage else full
+class RoomRule:
+    """One reading of the ledger's room, and the room rule over it.
+
+    rooms maps each cloud that tentative usage can fill to its room at the
+    reading; full holds the clouds without room at the reading, those with
+    room <= 0 and any closed ones given. Called with tentative usage, the
+    rule gives the clouds without room under it: full, and each cloud of
+    rooms that the usage leaves with room - usage <= 0. A call tests only
+    the clouds in usage; with no usage, full itself is returned.
+    """
+
+    __slots__ = ("rooms", "full")
+
+    def __init__(self, rooms: Mapping[int, float],
+                 closed: AbstractSet[int] = _NO_CLOUDS):
+        self.rooms = rooms
+        self.full = frozenset(closed).union(
+            [cid for cid, room in rooms.items() if room <= 0])
+
+    def __call__(self, usage: Mapping[int, int]) -> frozenset[int]:
+        if not usage:
+            return self.full
+        rooms = self.rooms
+        return self.full.union([cid for cid, n in usage.items()
+                                if cid in rooms and rooms[cid] - n <= 0])
 
 
 def with_room(ids: Sequence[int], hosts: Mapping[int, Optional[int]],
@@ -738,46 +731,77 @@ class UserInstance:
 
 
 class PlanArrays:
-    """One user's plans over fixed candidate lists, scored in array passes.
+    """Plans of one user, or of several users side by side, over fixed
+    candidate lists, scored in array passes.
 
-    lists[k] holds the ids that occurrence k (in iter_occurrences order)
-    picks from. A batch of plans is a (occurrences x plans) matrix of
-    positions into those lists: column r is plan r. raw gives each plan's
-    LTW QoS by UserInstance.evaluate's rules on columns: a hop is paid
-    where both host codes (0 on the device, clouds from 1) are clouds and
-    differ, as np.where(paid, d + hop, d); each entry folds through
-    fold_of(shape, np.maximum); entries are summed from 0.0 in order.
-    utility is utility_of's clamp-and-min on those columns. So every value
-    is == the scalar one.
+    instance is one UserInstance, or a list of them (the members). lists[k]
+    holds the ids that occurrence k picks from, in iter_occurrences order,
+    member after member. A batch of plans is a (occurrences x plans) matrix
+    of positions into those lists: column r is plan r of every member. raw
+    gives each plan's LTW QoS by UserInstance.evaluate's rules on columns:
+    a hop is paid where both host codes (0 on the device, clouds from 1)
+    are clouds and differ, as np.where(paid, d + hop, d); each entry folds
+    through fold_of(shape, np.maximum), all the entries of one shape in one
+    call; each member's entries are summed from 0.0 in order (a member with
+    fewer entries than another adds 0.0, which changes no sum). utility is
+    utility_of's clamp-and-min on those columns. So every value is == the
+    scalar one. For one instance a column holds one value per plan; for a
+    list, one row per member.
     """
 
-    __slots__ = ("instance", "starts", "cols", "codes", "code_of", "hops",
-                 "folds")
+    __slots__ = ("members", "single", "starts", "cols", "codes", "code_of",
+                 "hops", "folds", "sums", "firsts")
 
-    def __init__(self, instance: UserInstance,
-                 lists: Sequence[Sequence[int]]):
-        self.instance = instance
-        hosts = instance.hosts
+    def __init__(self, instance, lists: Sequence[Sequence[int]]):
+        self.single = isinstance(instance, UserInstance)
+        self.members = [instance] if self.single else list(instance)
         # host codes: 0 on the device, one per cloud from 1
         code_of: dict[Optional[int], int] = {None: 0}
         rows: list[LeafCost] = []
         codes: list[int] = []
         starts: list[int] = []
         hops: list[tuple[int, int, float]] = []
-        self.folds: list[tuple[int, int, FoldFn]] = []
+        # per fold: its index, its leaf count and the first occurrence of
+        # each entry it folds; per member, the (fold index, row among the
+        # fold's entries) of each of its entries
+        shapes: dict[FoldFn, tuple[int, int, list[int]]] = {}
+        entries: list[list[tuple[int, int]]] = []
+        self.firsts: list[int] = []
         k = 0
-        for tables in instance.entries:
-            for j, table, prev, hop in tables.steps:
-                ids = lists[k + j]
-                starts.append(len(codes))
-                rows += [table[sid] for sid in ids]
-                codes += [code_of.setdefault(hosts[sid], len(code_of))
-                          for sid in ids]
-                if prev is not None:
-                    hops.append((k + j, k + prev, hop))
-            self.folds.append((k, k + len(tables.steps),
-                               fold_of(tables.shape, np.maximum)))
-            k += len(tables.steps)
+        for member in self.members:
+            hosts = member.hosts
+            self.firsts.append(k)
+            mine = []
+            for tables in member.entries:
+                for j, table, prev, hop in tables.steps:
+                    ids = lists[k + j]
+                    starts.append(len(codes))
+                    rows += [table[sid] for sid in ids]
+                    codes += [code_of.setdefault(hosts[sid], len(code_of))
+                              for sid in ids]
+                    if prev is not None:
+                        hops.append((k + j, k + prev, hop))
+                fold = fold_of(tables.shape, np.maximum)
+                shape = shapes.get(fold)
+                if shape is None:
+                    shape = shapes[fold] = (len(shapes), len(tables.steps),
+                                            [])
+                mine.append((shape[0], len(shape[2])))
+                shape[2].append(k)
+                k += len(tables.steps)
+            entries.append(mine)
+        # per fold, the index of its leaves' occurrence rows: (leaves x
+        # entries), or a (leaves x 1) view for a fold of one entry
+        self.folds = [(fold, (slice(firsts[0], firsts[0] + n), None)
+                       if len(firsts) == 1 else _leaf_rows(n, tuple(firsts)))
+                      for fold, (_, n, firsts) in shapes.items()]
+        if self.single:
+            self.sums = entries[0]
+        elif len(entries) == 1:
+            self.sums = [(f, slice(r, r + 1)) for f, r in entries[0]]
+        else:
+            self.sums = _member_rows(entries, [len(f) for _, _, f in
+                                               shapes.values()])
         self.starts = np.array(starts)[:, None]
         # (price, power, delay) rows of every candidate, by dimension
         self.cols = np.array(rows).T.copy()
@@ -786,7 +810,8 @@ class PlanArrays:
         self.hops = None
         if hops:
             at, before, hop = zip(*hops)
-            self.hops = (list(at), list(before), np.array(hop)[:, None])
+            self.hops = (np.array(at), np.array(before),
+                         np.array(hop)[:, None])
 
     def raw(self, positions) -> list[np.ndarray]:
         """The price, power and delay column of each plan's LTW QoS."""
@@ -799,44 +824,117 @@ class PlanArrays:
             paid = (node > 0) & (prev > 0) & (node != prev)
             d = delay[at]
             delay[at] = np.where(paid, d + hop, d)
+        # per fold, the (entries x plans) columns of its entries' totals
+        folded = [fold(zip(price[leaves], power[leaves], delay[leaves]))
+                  for fold, leaves in self.folds]
         totals = [0.0, 0.0, 0.0]
-        for a, b, fold in self.folds:
-            entry = fold(zip(price[a:b], power[a:b], delay[a:b]))
-            totals = [t + x for t, x in zip(totals, entry)]
+        stacked = None
+        for f, rows in self.sums:
+            if f is None:
+                # one row per member, taken from every fold's rows and a
+                # last row of 0.0
+                if stacked is None:
+                    zero = np.zeros((1, flat.shape[1]))
+                    stacked = [np.concatenate([*(t[d] for t in folded), zero])
+                               for d in range(3)]
+                part = [column[rows] for column in stacked]
+            else:
+                part = [column[rows] for column in folded[f]]
+            totals = [t + x for t, x in zip(totals, part)]
         return totals
 
     def utility(self, raw: Sequence[np.ndarray],
                 rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """utility_of of each plan's raw QoS. Among the plans in rows (a
-        mask; None: every plan), the first with a value outside its
-        dimension's bounds raises utility_of's ExtremaMismatch."""
-        worst = np.ones(len(raw[0]))
+        """utility_of of each plan's raw QoS, with each member's bounds.
+        Among the plans in rows (a mask shaped like the values; None: every
+        plan), the first with a value outside its dimension's bounds, plan
+        by plan and member by member within a plan, raises utility_of's
+        ExtremaMismatch."""
+        worst = np.ones(raw[0].shape)
         stray = None
-        for value, (lo, hi, span, low, high) in zip(raw,
-                                                    self.instance._bounds):
-            if span == 0:
-                continue
+        for d, value in enumerate(raw):
+            flat = None
+            if len(self.members) == 1:
+                _, hi, span, low, high = self.members[0]._bounds[d]
+                if span == 0:
+                    continue
+            else:
+                # a member whose span is 0 skips the dimension: its ratio
+                # is 1.0 and no value of it strays
+                _, hi, span, low, high = np.array(
+                    [m._bounds[d] for m in self.members]).T[:, :, None]
+                flat = span == 0
+                if flat.all():
+                    continue
+                if flat.any():
+                    span = np.where(flat, 1.0, span)
+                    low = np.where(flat, -math.inf, low)
+                    high = np.where(flat, math.inf, high)
+                else:
+                    flat = None
             out = (value < low) | (value > high)
             stray = out if stray is None else stray | out
-            np.minimum(worst, (hi - value) / span, out=worst)
+            ratio = (hi - value) / span
+            if flat is not None:
+                ratio[np.broadcast_to(flat, ratio.shape)] = 1.0
+            np.minimum(worst, ratio, out=worst)
         if stray is not None:
             if rows is not None:
                 stray &= rows
             if stray.any():
-                r = int(stray.argmax())
-                self.instance.utility_of(trusted_qos(*(float(v[r])
-                                                       for v in raw)))
+                r, m = (int(stray.argmax()), 0) if self.single else \
+                    np.argwhere(stray.T)[0].tolist()
+                at = r if self.single else (m, r)
+                self.members[m].utility_of(trusted_qos(*(float(v[at])
+                                                         for v in raw)))
         return np.maximum(worst, 0.0, out=worst)
 
     def clouds_used(self, positions, clouds: Sequence[int]) -> np.ndarray:
-        """A (clouds x plans) mask: whether each plan places work on each
-        of the clouds that is local (see UserInstance.local_clouds)."""
+        """A (clouds x plans) mask, or for a list of members a (clouds x
+        members x plans) one: whether each plan places work on each of the
+        clouds that is local (see UserInstance.local_clouds)."""
         codes = self.codes[np.asarray(positions) + self.starts]
-        known = self.instance.clouds
-        return np.array([
-            (codes == self.code_of[cid]).any(axis=0)
-            if cid in self.code_of and known[cid].tier == LOCAL
-            else np.zeros(codes.shape[1], dtype=bool) for cid in clouds])
+        known = self.members[0].clouds
+        used = np.zeros((len(clouds), len(self.members), codes.shape[1]),
+                        dtype=bool)
+        for c, cid in enumerate(clouds):
+            if cid in self.code_of and known[cid].tier == LOCAL:
+                used[c] = np.logical_or.reduceat(
+                    codes == self.code_of[cid], self.firsts, axis=0)
+        return used[:, 0] if self.single else used
+
+
+@functools.lru_cache(maxsize=4096)
+def _leaf_rows(leaves: int, firsts: tuple[int, ...]) -> np.ndarray:
+    """The (leaves x entries) occurrence rows of entries that start at
+    firsts; few patterns recur, so each is built once (read-only)."""
+    rows = np.arange(leaves)[:, None] + np.array(firsts)
+    rows.flags.writeable = False
+    return rows
+
+
+def _member_rows(entries: list[list[tuple[int, int]]],
+                 sizes: list[int]) -> list[tuple[Optional[int], object]]:
+    """Where PlanArrays.raw finds, per entry depth, one row per member: the
+    folded totals of each member's entry at that depth. entries[m] lists
+    member m's entries as (fold index, row among that fold's entries), and
+    sizes gives each fold's entry count. A depth whose entries are rows a,
+    a + 1, ... of one fold, in member order, reads a slice of that fold's
+    totals (f, slice); any other depth reads an index array into every
+    fold's rows stacked, in fold order, then a row of 0.0 for a member
+    without an entry there (None, index)."""
+    offsets = [0, *itertools.accumulate(sizes)]
+    out = []
+    for e in range(max(map(len, entries))):
+        at = [mine[e] if e < len(mine) else None for mine in entries]
+        f, a = at[0] or (None, 0)
+        if f is not None and at == [(f, a + m) for m in range(len(at))]:
+            out.append((f, slice(a, a + len(at))))
+        else:
+            out.append((None, np.array([offsets[-1] if x is None
+                                        else offsets[x[0]] + x[1]
+                                        for x in at])))
+    return out
 
 
 class GroupInstance:
@@ -848,11 +946,11 @@ class GroupInstance:
         self.group = group
         self.members = list(members)
         users = {m.user.id: m.user for m in members}
-        self._center_vec, _ = center_of_group_mobility(group, users,
-                                                       members[0].grid)
+        center, _ = center_of_group_mobility(group, users, members[0].grid)
+        self._center = (float(center[0]), float(center[1]))
 
     def center_point(self) -> tuple[float, float]:
-        return (float(self._center_vec[0]), float(self._center_vec[1]))
+        return self._center
 
 
 # --- candidate search ---------------------------------------------------------
@@ -910,7 +1008,9 @@ def _radius(instance: UserInstance, center: tuple[float, float],
         return None
     for k, (e, j, allowed) in enumerate(table):
         snorm = instance.entries[e].snorm[j]
-        order = sorted(allowed, key=lambda s: (snorm[s], s))
+        # the allowed ids come in id order, so the stable sort breaks ties
+        # to the lower id
+        order = sorted(allowed, key=snorm.__getitem__)
         table[k] = (e, j, tuple(allowed), order,
                     _roulette_wheel([snorm[s] for s in order]))
     return table
@@ -950,38 +1050,92 @@ def _repair(instance: UserInstance, table: list[tuple],
 _UNSEEN = object()
 
 
-def find_service(instance: UserInstance, center: tuple[float, float],
-                 constraints: ConstraintVector, params: AnnealingParams,
-                 rng: np.random.Generator,
+def _tables(instance: UserInstance, center: tuple[float, float],
+            constraints: ConstraintVector, params: AnnealingParams,
+            memo: SearchMemo, blocked: frozenset[int]
+            ) -> Iterator[list[tuple]]:
+    """The search tables of the radii a search draws at, radius by radius
+    (radius_start_m + i * radius_step_m, i < max_expansions), skipping the
+    radii that have none; each (user, radius, blocked clouds) table is
+    built once per memo (see _radius)."""
+    uid = instance.user.id
+    for i in range(params.max_expansions):
+        key = (uid, i, blocked)
+        table = memo.radii.get(key, _UNSEEN)
+        if table is _UNSEEN:
+            table = memo.radii[key] = _radius(instance, center, params, i,
+                                              blocked, constraints, memo)
+        if table is not None:
+            yield table
+
+
+def _settle(instance: UserInstance, table: list[tuple],
+            constraints: ConstraintVector, draws: Sequence[float]
+            ) -> Optional[tuple[list[int], QoSTriple]]:
+    """The plan that draws, one double per occurrence, spin at a search
+    table, when the budgets admit it; else its first repair they admit, one
+    per violated dimension in DIMS order (the per-occurrence minimum of that
+    dimension). None when the draw and every repair break a budget, so the
+    search widens. Each plan drawn or repaired is evaluated once."""
+    # the weighted case of _roulette_spin, inlined: a call per occurrence
+    # is a large share of a proposal's cost
+    picks = [order[bisect_right(cum, draw) if cum is not None
+                   else _roulette_spin(cum, len(order), draw)]
+             for (*_, order, cum), draw in zip(table, draws)]
+    raw = instance.evaluate(picks)
+    if constraints.admits(raw):
+        return picks, raw
+    for dim in constraints.violated(raw):
+        fixed = _repair(instance, table, dim)
+        fixed_raw = instance.evaluate(fixed)
+        if constraints.admits(fixed_raw):
+            return fixed, fixed_raw
+    return None
+
+
+def _no_plan(instance: UserInstance,
+             params: AnnealingParams) -> NoFeasibleCandidates:
+    return NoFeasibleCandidates(
+        f"user {instance.user.id}: no feasible plan within "
+        f"{params.max_expansions} radius expansions")
+
+
+def find_service(target: UserInstance | Sequence[UserInstance],
+                 center: tuple[float, float], constraints,
+                 params: AnnealingParams, rng: np.random.Generator,
                  memo: Optional[SearchMemo] = None,
-                 blocked: frozenset[int] = _NO_CLOUDS,
-                 proposals: int = 1
-                 ) -> Optional[tuple[list[int], QoSTriple]]:
-    """Assemble candidate plans around a center point; returns the pick
-    list (see UserInstance.evaluate) and raw LTW QoS of the first one of
-    highest utility among proposals independent ones (with one proposal,
-    that one); None when they must run one call at a time (see below).
+                 blocked: AbstractSet[int] | RoomRule = _NO_CLOUDS,
+                 proposals: int = 1) -> Optional[tuple]:
+    """Assemble candidate plans around a center point and return the first
+    one of highest utility among proposals independent ones (with one
+    proposal, that one). target is one user's UserInstance, which gets its
+    pick list (see UserInstance.evaluate) and raw LTW QoS; or a list of
+    member instances planned jointly, which get a list of each. None when
+    the proposals must run one call at a time (see below). constraints is
+    a shared budget vector or one per user id (see constraints_for).
 
     A proposal widens the search radius in steps (radius_start_m + i *
     radius_step_m, i < max_expansions). Reach and room are decided per
     cloud: a cloud-hosted candidate must sit on a cloud outside blocked,
-    the clouds without room for this call (see clouds_without_room), and,
-    when the cloud is local, inside the radius (see _radius). On-device and
-    public services are in reach at any radius. At the first radius where
-    every occurrence has a candidate and the optimistic per-dimension
-    minima fit the budgets, a plan is drawn by roulette over total
-    normalized QoS, with one rng.random(n) call for the n occurrences (the
-    same doubles as n scalar draws). If the drawn plan busts a budget, one
-    deterministic repair per violated dimension (the per-occurrence
-    minimum of that dimension) is tried, in DIMS order, before widening.
-    Each plan drawn or repaired is evaluated once.
+    the clouds without room for this call (a set, or the full set of a
+    RoomRule, see room_rule), and, when the cloud is local, inside the
+    radius (see _radius). On-device and public services are in reach at
+    any radius. At the first radius where every occurrence has a candidate
+    and the optimistic per-dimension minima fit the budgets, a plan is
+    drawn by roulette over total normalized QoS, with one rng.random(n)
+    call for the n occurrences (the same doubles as n scalar draws). If
+    the drawn plan busts a budget, one deterministic repair per violated
+    dimension is tried, in DIMS order, before widening (see _settle).
 
-    Several proposals start at the same radius, since the tables do not
-    depend on the draws, and are drawn and scored there in one array pass
-    (see _first_best): the plan, and the generator state after the call,
-    are those of the first best of proposals one-proposal calls in a row.
-    When some proposal there would widen, the generator is set back and
-    None is returned; the caller then makes those calls itself, as music's
+    A joint proposal plans every member in order, each member under the
+    clouds without room after the earlier members' tentative usage (the
+    RoomRule's call on it; a plain blocked set closes nothing more). Several
+    proposals, or several members, are drawn and scored in one array pass
+    (see _first_best): the plans, and the generator state after the call,
+    are those of the first best of proposals one-proposal calls in a row,
+    each making one single-user call per member. When some member would
+    widen, or would have no table, the generator is set back and None is
+    returned; the caller then makes those calls itself, as music's
     proposal loop does.
 
     memo carries the clouds out of reach and the search table of each
@@ -990,95 +1144,187 @@ def find_service(instance: UserInstance, center: tuple[float, float],
     with the same blocked clouds built it. None means a fresh memo, so a
     single call builds everything it needs itself.
 
-    Raises NoFeasibleCandidates when every radius fails, so that every
-    proposal would.
+    Raises NoFeasibleCandidates when every radius fails for the (first)
+    member, so that every proposal would.
     """
     if memo is None:
         memo = SearchMemo()
-    uid = instance.user.id
-    bounded = constraints.bounded()
-    for i in range(params.max_expansions):
-        key = (uid, i, blocked)
-        table = memo.radii.get(key, _UNSEEN)
-        if table is _UNSEEN:
-            table = memo.radii[key] = _radius(instance, center, params, i,
-                                              blocked, constraints, memo)
+    single = isinstance(target, UserInstance)
+    if single and proposals == 1:
+        budget = constraints_for(constraints, target.user.id)
+        full = blocked.full if isinstance(blocked, RoomRule) else blocked
+        for table in _tables(target, center, budget, params, memo, full):
+            found = _settle(target, table, budget,
+                            rng.random(len(table)).tolist())
+            if found is not None:
+                return found
+        raise _no_plan(target, params)
+    room = blocked if isinstance(blocked, RoomRule) else RoomRule({}, blocked)
+    members = [target] if single else list(target)
+    budgets = [constraints_for(constraints, m.user.id) for m in members]
+
+    def first_table(j: int, closed: frozenset[int]) -> Optional[list[tuple]]:
+        return next(_tables(members[j], center, budgets[j], params, memo,
+                            closed), None)
+
+    tables = []
+    for j, m in enumerate(members):
+        table = first_table(j, room.full)
         if table is None:
-            continue
-        if proposals > 1:
-            # tables are built without a draw: nothing was drawn so far
-            state = rng.bit_generator.state if bounded else None
-            found = _first_best(instance, table, constraints, rng, proposals)
-            if found is None:
-                rng.bit_generator.state = state
-            return found
-        draws = rng.random(len(table)).tolist()
-        # the weighted case of _roulette_spin, inlined: a call per
-        # occurrence is a large share of a proposal's cost
-        picks = [order[bisect_right(cum, draw) if cum is not None
-                       else _roulette_spin(cum, len(order), draw)]
-                 for (_, _, _, order, cum), draw in zip(table, draws)]
-        raw = instance.evaluate(picks)
-        if constraints.admits(raw):
-            return picks, raw
-        for dim in constraints.violated(raw):
-            fixed = _repair(instance, table, dim)
-            fixed_raw = instance.evaluate(fixed)
-            if constraints.admits(fixed_raw):
-                return fixed, fixed_raw
-    raise NoFeasibleCandidates(
-        f"user {instance.user.id}: no feasible plan within "
-        f"{params.max_expansions} radius expansions")
+            if j:
+                # the earlier members draw before this one fails
+                return None
+            raise _no_plan(m, params)
+        tables.append(table)
+    found = _first_best(members, tables, budgets, rng, proposals, room,
+                        first_table)
+    if found is None or not single:
+        return found
+    return found[0][0], found[1][0]
 
 
-def _first_best(instance: UserInstance, table: list[tuple],
-                constraints: ConstraintVector, rng: np.random.Generator,
-                proposals: int) -> Optional[tuple[list[int], QoSTriple]]:
-    """The first best of proposals plans drawn at one search table (see
-    find_service), in one array pass; None when some proposal's draw and
-    every repair tried for it break a budget, so that it would widen.
+def _first_best(members: list[UserInstance], tables: list[list[tuple]],
+                budgets: list[ConstraintVector], rng: np.random.Generator,
+                proposals: int, room: RoomRule,
+                first_table: Callable[[int, frozenset[int]],
+                                      Optional[list[tuple]]]
+                ) -> Optional[tuple[list[list[int]], list[QoSTriple]]]:
+    """The members' pick lists and raw QoS in the first best of proposals
+    joint proposals, drawn and scored in one array pass (see find_service).
+    tables[j] is member j's first search table under room.full, and
+    first_table(j, closed) its first one under other closed clouds.
 
-    One rng.random(proposals * n) call gives the doubles of proposals
-    rng.random(n) calls. A draw lands where bisect_right puts it: on the
-    count of the wheel's slice ends (padded with inf) at or below it; an
-    all-zero wheel picks min(int(draw * len), len - 1). Every plan is
-    scored by PlanArrays, each repair is evaluated once, and np.argmax
-    keeps the first best.
+    One rng.random(proposals * S) call gives the doubles of the loop, S
+    being the members' summed occurrence counts: proposal by proposal,
+    member by member, one double per occurrence. A draw lands where
+    bisect_right puts it: on the count of the wheel's slice ends (padded
+    with inf) at or below it; an all-zero wheel picks min(int(draw * len),
+    len - 1). Every member's plans are scored by one PlanArrays over all
+    the members, each repair is evaluated once, a proposal's value is
+    _pairwise_sum over the member utility rows, divided by the member
+    count (fleet_utility's float), and np.argmax keeps the first best.
+
+    Tentative usage is checked on the columns. A member's table is the
+    loop's unless the clouds that earlier members of the proposal use
+    close one (room - usage <= 0) hosting one of its allowed ids; that
+    member and the later ones of the proposal are then re-scored one at a
+    time by the scalar rules (_settle), on their doubles already drawn.
+    None, with the generator set back, when the loop would draw a
+    different number of doubles: a member that the loop reaches would
+    widen, or a re-scored member has no table.
     """
-    orders = [row[3] for row in table]
-    draws = rng.random(proposals * len(table)).reshape(proposals, -1).T
+    rows = [row for table in tables for row in table]
+    orders = [row[3] for row in rows]
+    offsets = [0, *itertools.accumulate(map(len, tables))]
+    n = len(members)
+    # only a budget (widening) or tentative usage (re-scoring) can set the
+    # generator back
+    state = (rng.bit_generator.state
+             if room.rooms and n > 1 or any(b.bounded() for b in budgets)
+             else None)
+    draws = rng.random(proposals * len(rows)).reshape(proposals, -1).T
     width = max(map(len, orders)) - 1
     wheels = np.array([(cum or []) + [math.inf] * (width - len(cum or []))
-                       for *_, cum in table])
+                       for *_, cum in rows])
     pos = (wheels[:, None, :] <= draws[:, :, None]).sum(axis=2)
-    for k, (_, _, _, order, cum) in enumerate(table):
+    for k, (_, _, _, order, cum) in enumerate(rows):
         if cum is None:
             pos[k] = np.minimum((draws[k] * len(order)).astype(np.intp),
                                 len(order) - 1)
-    arrays = PlanArrays(instance, orders)
+    arrays = PlanArrays(members, orders)
     raw = arrays.raw(pos)
-    repairs = []
-    if constraints.bounded():
-        over = constraints.breaches(raw)
+    # (member, plans whose draw broke the budget, admitted repair), and
+    # (member, plans whose draw and every repair break it)
+    repairs: list[tuple[int, np.ndarray, list[int]]] = []
+    widen: list[tuple[int, np.ndarray]] = []
+    for j, budget in enumerate(budgets):
+        if not budget.bounded():
+            continue
+        mine = [column[j] for column in raw]
+        over = budget.breaches(mine)
         pending = np.logical_or.reduce([o for _, o in over])
         for dim, broke in over:
             broke &= pending
             if not broke.any():
                 continue
-            fixed = _repair(instance, table, dim)
-            fixed_raw = instance.evaluate(fixed)
-            if constraints.admits(fixed_raw):
-                for column, v in zip(raw, fixed_raw.as_tuple()):
+            fixed = _repair(members[j], tables[j], dim)
+            fixed_raw = members[j].evaluate(fixed)
+            if budget.admits(fixed_raw):
+                for column, v in zip(mine, fixed_raw.as_tuple()):
                     column[broke] = v
-                repairs.append((broke, fixed))
+                repairs.append((j, broke, fixed))
                 pending &= ~broke
         if pending.any():
-            return None
-    r = int(arrays.utility(raw).argmax())
-    picks = next((fixed for broke, fixed in repairs if broke[r]), None)
-    if picks is None:
-        picks = [order[p] for order, p in zip(orders, pos[:, r].tolist())]
-    return picks, trusted_qos(*(float(column[r]) for column in raw))
+            widen.append((j, pending))
+
+    def plan(j: int, p: int) -> list[int]:
+        """Member j's plan in proposal p, as drawn or repaired."""
+        for m, broke, fixed in repairs:
+            if m == j and broke[p]:
+                return fixed
+        return [order[i] for order, i in zip(
+            orders[offsets[j]:offsets[j + 1]],
+            pos[offsets[j]:offsets[j + 1], p].tolist())]
+
+    # per proposal, the first member whose table tentative usage changes
+    # (n: none); None when no proposal has one
+    first = None
+    closing = [cid for cid, r in room.rooms.items() if 0 < r < n]
+    if closing:
+        used = arrays.clouds_used(pos, closing)
+        for j, broke, fixed in repairs:
+            local = members[j].local_clouds(fixed)
+            for c, cid in enumerate(closing):
+                used[c, j, broke] = cid in local
+        before = np.cumsum(used, axis=1) - used
+        rooms = np.array([room.rooms[cid] for cid in closing])
+        hosts = [{m.hosts[sid] for row in table for sid in row[2]}
+                 for m, table in zip(members, tables)]
+        hosted = np.array([[cid in mine for mine in hosts]
+                           for cid in closing])
+        clash = ((rooms[:, None, None] - before <= 0)
+                 & hosted[:, :, None]).any(axis=0)
+        if clash.any():
+            first = np.where(clash.any(axis=0), clash.argmax(axis=0), n)
+    if any(first is None or (pending & (j < first)).any()
+           for j, pending in widen):
+        rng.bit_generator.state = state
+        return None
+    rescored: dict[tuple[int, int], tuple[list[int], QoSTriple]] = {}
+    for p in [] if first is None else np.flatnonzero(first < n).tolist():
+        usage: dict[int, int] = {}
+        for j in range(n):
+            if j < first[p]:
+                picks = plan(j, p)
+            else:
+                table = first_table(j, room(usage))
+                found = None if table is None else _settle(
+                    members[j], table, budgets[j],
+                    draws[offsets[j]:offsets[j + 1], p].tolist())
+                if found is None:
+                    rng.bit_generator.state = state
+                    return None
+                picks = found[0]
+                rescored[j, p] = found
+            for cid in members[j].local_clouds(picks):
+                usage[cid] = usage.get(cid, 0) + 1
+    utils = arrays.utility(raw, None if first is None
+                           else np.arange(n)[:, None] < first)
+    for (j, p), (_, r) in rescored.items():
+        utils[j, p] = members[j].utility_of(r)
+    # the mean of one member's utility is that utility
+    best = int((utils[0] if n == 1 else _pairwise_sum(utils, 0, n) / n)
+               .argmax())
+    picks, raws = [], []
+    for j in range(n):
+        if (j, best) in rescored:
+            mine, r = rescored[j, best]
+        else:
+            mine = plan(j, best)
+            r = trusted_qos(*(float(column[j, best]) for column in raw))
+        picks.append(mine)
+        raws.append(r)
+    return picks, raws
 
 
 # --- MuSIC allocation ---------------------------------------------------------
@@ -1088,70 +1334,67 @@ def music(target, constraints, params: AnnealingParams,
           ledger: CapacityLedger = NO_LEDGER) -> AllocationResult:
     """Best-of-N plan search for one user or one group.
 
-    Draws max_iter + 1 independent proposals via find_service (roulette
-    selection with budget repair) around the target's center of mobility
-    and returns the first one of highest utility; infeasible proposals are
+    Draws max_iter + 1 independent proposals around the target's center of
+    mobility (roulette selection with budget repair, see find_service) and
+    returns the first one of highest utility; infeasible proposals are
     skipped. The target's members are the user itself, or the group's
     member instances.
 
-    One proposal plans every member, one find_service call each; members
-    of one proposal see each other's tentative capacity usage, read from
-    their pick lists, on top of the shared ledger. find_service holds each
-    member to its own budget, so a proposal keeps every budget member by
-    member (see the module docstring). Proposals are scored from the raw
-    QoS that find_service returns with each pick list; the winning
-    proposal's lists become the members' pick tuples.
+    One proposal plans every member, in order; members of one proposal see
+    each other's tentative capacity usage, read from their pick lists, on
+    top of the shared ledger. Each member is held to its own budget, so a
+    proposal keeps every budget member by member (see the module
+    docstring). A proposal is valued at the mean of its members' utilities,
+    in member order: fleet_utility's float, summed in numpy's order (see
+    _pairwise_sum) and divided by the member count; for one member, its
+    utility. The winning proposal's lists become the members' pick tuples.
 
-    A target of one member, a user or a one-member group, first makes one
-    find_service call for all the proposals, which draws and scores them in
-    one array pass. When one of them would widen the radius, that call sets
-    the generator back and returns None, and the proposal loop above runs
-    them; either way the outcome is the loop's (see find_service).
+    One find_service call draws and scores every proposal of the target in
+    one array pass. A proposal whose tentative usage closes a cloud that a
+    member's table draws from is re-scored from that member on, one member
+    at a time, on the doubles already drawn. When a member would widen the
+    radius, or would have no table, that call sets the generator back and
+    returns None, and the proposal loop runs the proposals one
+    find_service call per member; either way the outcome is the loop's.
 
     One SearchMemo serves every proposal of the call, so the range query
     around the center per radius, and each member's search table per radius
     and set of clouds without room, are built once and only the draws
-    repeat.
-    Before each member's search the room rule gives the clouds without
-    room. The ledger holds still during the call, so its room is read once,
-    when the call starts (see room_rule), and only the tentative usage of
-    earlier members of the same proposal can change that set.
+    repeat. The ledger holds still during the call, so its room is read
+    once, when the call starts (see room_rule), and only the tentative
+    usage of earlier members of the same proposal can change the clouds
+    without room.
 
-    A proposal is valued at the mean of its members' utilities, in member
-    order: fleet_utility's float, summed in numpy's order (see
-    _pairwise_sum) and divided by the member count; for one member, its
-    utility. When no proposal plans every member, the note is the call's
-    last NoFeasibleCandidates, which names the user, after "group <id>: "
-    for a group.
+    When no proposal plans every member, the note is the call's last
+    NoFeasibleCandidates, which names the user, after "group <id>: " for a
+    group.
     """
     members = [target] if isinstance(target, UserInstance) else target.members
     center = target.center_point()
-    budgets = [constraints_for(constraints, m.user.id) for m in members]
     memo = SearchMemo()
-    blocked = room_rule(ledger)
+    room = room_rule(ledger)
     best_picks, best_val = None, -math.inf
     proposals = params.max_iter + 1
     failure: Optional[NoFeasibleCandidates] = None
-    if len(members) == 1:
-        # one call draws and scores every proposal; None when one of them
-        # would widen, and the loop below runs them (see find_service)
-        try:
-            found = find_service(members[0], center, budgets[0], params, rng,
-                                 memo, blocked({}), proposals)
-        except NoFeasibleCandidates as exc:
-            # no radius has a table to draw at
-            found, proposals, failure = None, 0, exc
-        if found is not None:
-            best_picks, best_val = [found[0]], members[0].utility_of(found[1])
-            proposals = 0
+    try:
+        found = find_service(members, center, constraints, params, rng, memo,
+                             room, proposals)
+    except NoFeasibleCandidates as exc:
+        # no radius has a table for the first member to draw at
+        found, proposals, failure = None, 0, exc
+    if found is not None:
+        best_picks = found[0]
+        best_val = _mean([m.utility_of(raw)
+                          for m, raw in zip(members, found[1])])
+        proposals = 0
     for _ in range(proposals):
         usage: dict[int, int] = {}
         picks: list[list[int]] = []
         raws: list[QoSTriple] = []
-        for k, (m, budget) in enumerate(zip(members, budgets), 1):
+        for k, m in enumerate(members, 1):
             try:
-                mine, raw = find_service(m, center, budget, params, rng, memo,
-                                         blocked(usage))
+                mine, raw = find_service(m, center, constraints, params, rng,
+                                         memo, room(usage))
             except NoFeasibleCandidates as exc:
                 failure = exc
                 break

@@ -87,15 +87,6 @@ def gain_pct(two_tier: float, public_only: float) -> float:
     return 100.0 * (public_only - two_tier) / public_only
 
 
-def compute_two_tier_gain(two_tier: QoSTriple, public_only: QoSTriple,
-                          held_fixed: str) -> dict[str, float]:
-    """Gains in the non-fixed dimensions of a fixed-dimension study."""
-    if held_fixed not in DIMS:
-        raise ValueError(f"unknown dimension {held_fixed!r}")
-    return {d: gain_pct(two_tier.get(d), public_only.get(d))
-            for d in DIMS if d != held_fixed}
-
-
 # --- plan execution -------------------------------------------------------------
 
 def _population_instances(dep: Deployment, pop: Population

@@ -5,10 +5,15 @@ cell and cover a WiFi neighbourhood around it; the public cloud lives outside
 the map. Users move over the grid and are summarized, for planning purposes,
 by their center of mobility: the cell whose center is nearest to the
 dwell-weighted mean of the positions they visit.
+
+Centers are computed in plain floats, in the order of the numpy formulas
+they stand for (see mean_position, LocationMap.nearest_cell and
+center_of_group_mobility), so each value is the float numpy gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -81,8 +86,33 @@ class LocationMap:
 
     def nearest_cell(self, point: Sequence[float]) -> Cell:
         """Cell whose center is nearest to point; ties go to the lowest id."""
-        d2 = np.sum((self._centers - np.asarray(point, dtype=float)) ** 2, axis=1)
-        return self.cells[int(np.argmin(d2))]
+        return self.cells[self._nearest(float(point[0]), float(point[1]))]
+
+    def _nearest(self, x: float, y: float) -> int:
+        """Id of the cell nearest (x, y): np.argmin of np.sum((centers -
+        point) ** 2, axis=1), whose distances are dx * dx + dy * dy.
+
+        The nearest center lies within one cell of the cell that holds the
+        point, clamped into the grid, so only those (at most 9) cells are
+        compared, in id order, and the first minimum is kept. A point that
+        is not finite is compared against every cell."""
+        if not (math.isfinite(x) and math.isfinite(y)):
+            d2 = np.sum((self._centers - np.array([x, y])) ** 2, axis=1)
+            return int(np.argmin(d2))
+        size, width, height = self.cell_size_m, self.width, self.height
+        col = max(min(int(x / size), width - 1), 0)
+        row = max(min(int(y / size), height - 1), 0)
+        cells = self.cells
+        best, best_d2 = -1, math.inf
+        for r in range(max(row - 1, 0), min(row + 2, height)):
+            for c in range(max(col - 1, 0), min(col + 2, width)):
+                cid = r * width + c
+                cx, cy = cells[cid].center
+                dx, dy = cx - x, cy - y
+                d2 = dx * dx + dy * dy
+                if d2 < best_d2:
+                    best, best_d2 = cid, d2
+        return best
 
     def with_wifi(self, wifi: Mapping[int, int]) -> "LocationMap":
         """Copy of this map with the given cell id -> cloud id coverage."""
@@ -185,14 +215,57 @@ class UserGroup:
             raise InvalidGroup(f"group {self.id} has no members")
 
 
-def mean_position(trajectory: Trajectory, grid: LocationMap) -> np.ndarray:
-    """Dwell-weighted mean of the visited cell centers, in meters."""
+def _pairwise_sum(v: Sequence[float], lo: int, n: int) -> float:
+    """numpy's float64 sum of v[lo:lo + n], in its order (pairwise_sum in
+    numpy's loops_utils.h): under 8 values a sequential sum from -0.0; up
+    to 128, eight strided sequential sums combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder;
+    above that, the sums of two halves split at a multiple of 8. The values
+    may also be equal-length arrays, summed element by element in that
+    order."""
+    if n < 8:
+        s = -0.0
+        for i in range(lo, lo + n):
+            s += v[i]
+        return s
+    if n <= 128:
+        end = lo + n - n % 8
+        r = v[lo:lo + 8]
+        for i in range(lo + 8, end, 8):
+            r = [a + b for a, b in zip(r, v[i:i + 8])]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            s += v[i]
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(v, lo, half) + _pairwise_sum(v, lo + half, n - half)
+
+
+def _mean_point(trajectory: Trajectory, grid: LocationMap
+                ) -> tuple[float, float]:
+    """mean_position as two floats: (w[:, None] * points).sum(axis=0), a
+    sequential sum from the first row, over w.sum(), numpy's pairwise
+    sum."""
     if not isinstance(trajectory, Trajectory) or not trajectory.entries:
         raise InvalidTrajectory("trajectory has no entries")
-    centers = grid.centers()
-    weights = np.array([e.dwell_s for e in trajectory.entries], dtype=float)
-    points = centers[[e.cell_id for e in trajectory.entries]]
-    return (weights[:, None] * points).sum(axis=0) / weights.sum()
+    cells = grid.cells
+    weights = [float(e.dwell_s) for e in trajectory.entries]
+    sx = sy = None
+    for w, e in zip(weights, trajectory.entries):
+        cx, cy = cells[e.cell_id].center
+        if sx is None:
+            sx, sy = w * cx, w * cy
+        else:
+            sx += w * cx
+            sy += w * cy
+    total = _pairwise_sum(weights, 0, len(weights))
+    return sx / total, sy / total
+
+
+def mean_position(trajectory: Trajectory, grid: LocationMap) -> np.ndarray:
+    """Dwell-weighted mean of the visited cell centers, in meters."""
+    return np.array(_mean_point(trajectory, grid))
 
 
 def center_of_mobility(trajectory: Trajectory, grid: LocationMap) -> int:
@@ -200,7 +273,7 @@ def center_of_mobility(trajectory: Trajectory, grid: LocationMap) -> int:
 
     Distance ties resolve to the lowest cell id, so the result is unique.
     """
-    return grid.nearest_cell(mean_position(trajectory, grid)).id
+    return grid._nearest(*_mean_point(trajectory, grid))
 
 
 def center_of_group_mobility(group: UserGroup, users: Mapping[int, MobileUser],
@@ -212,8 +285,13 @@ def center_of_group_mobility(group: UserGroup, users: Mapping[int, MobileUser],
     missing = [m for m in group.members if m not in users]
     if missing:
         raise InvalidGroup(f"group {group.id} references unknown users {sorted(missing)}")
-    member_cells = [center_of_mobility(users[m].trajectory, grid)
-                    for m in sorted(group.members)]
-    pts = grid.centers()[member_cells]
-    mean = pts.mean(axis=0)
-    return mean, grid.nearest_cell(mean).id
+    # pts.mean(axis=0) of the member cells' centers: a sequential sum from
+    # the first row, over the member count
+    points = [grid.cells[center_of_mobility(users[m].trajectory, grid)].center
+              for m in sorted(group.members)]
+    sx, sy = points[0]
+    for x, y in points[1:]:
+        sx += x
+        sy += y
+    mx, my = sx / len(points), sy / len(points)
+    return np.array([mx, my]), grid._nearest(mx, my)

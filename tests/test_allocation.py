@@ -602,28 +602,42 @@ def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
 
 
 def test_grouped_music_scores_and_budgets_from_one_evaluation(monkeypatch):
+    """A shared budget that no member's draw breaks repairs nothing, and
+    every proposal is still checked: plans, utility and the generator state
+    after the call equal the member loop's, whose proposals are valued at
+    the group mean of the members' evaluated utilities."""
     dep, pop, instances = _fleet(users=6, groups=2, seed=6)
     grp = pop.groups[0]
     target = GroupInstance(grp, [instances[u] for u in sorted(grp.members)])
-    # a shared budget no member's draw breaks: no repairs, yet the group
-    # mean is still checked on every proposal
     budget = ConstraintVector(delay=1e12)
+    params = AnnealingParams(max_iter=9)
     repairs = _counted(monkeypatch, allocation, "_repair")
-    evaluated = _counted(monkeypatch, UserInstance, "evaluate")
-    res = music(target, budget, AnnealingParams(max_iter=9),
-                np.random.default_rng(3))
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    res = music(target, budget, params, rng)
     assert res.feasible and not repairs
-    assert sorted(m.user.id for m in evaluated) == sorted([*grp.members] * 10)
+    plans, val, _ = _reference_group_music(target, budget, params, ref_rng,
+                                           NO_LEDGER)
+    # nor does the loop repair: no draw breaks the budget
+    assert not repairs
+    assert (res.plans, res.utility) == (plans, val)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert res.utility == fleet_utility(
+        {uid: instances[uid].utility_of(instances[uid].evaluate(p))
+         for uid, p in res.plans.items()}, sorted(grp.members))
 
 
 def test_grouped_music_builds_each_search_table_once(monkeypatch):
+    """One search table per (member, radius, clouds without room): the
+    joint pass builds each member's table under the call's full clouds,
+    and a proposal whose earlier members' tentative usage closes a cloud
+    re-scores the later members under the larger set, reusing any table
+    an earlier proposal built for it. The outcome is the member loop's."""
     dep, pop, instances = _fleet(users=6, groups=2, seed=6)
     grp = pop.groups[0]
     target = GroupInstance(grp, [instances[u] for u in sorted(grp.members)])
     # one slot per local cloud, so a member's tentative usage fills clouds
     # for the members after it and the blocked sets vary across proposals
-    ledger = CapacityLedger({cid: 1 for cid, node in dep.clouds.items()
-                             if node.tier == LOCAL})
+    locals_ = [cid for cid, node in dep.clouds.items() if node.tier == LOCAL]
     built = []
     radius = allocation._radius
 
@@ -632,15 +646,20 @@ def test_grouped_music_builds_each_search_table_once(monkeypatch):
         return radius(instance, center, params, i, blocked, *rest)
 
     monkeypatch.setattr(allocation, "_radius", counted)
-    searches = _counted(monkeypatch, allocation, "find_service")
-    res = music(target, UNLIMITED, AnnealingParams(max_iter=19),
-                np.random.default_rng(3), ledger=ledger)
+    params = AnnealingParams(max_iter=19)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    res = music(target, UNLIMITED, params, rng,
+                ledger=CapacityLedger(dict.fromkeys(locals_, 1)))
     assert res.feasible
     assert len(built) == len(set(built))
     assert len({blocked for _, _, blocked in built}) > 1
-    # later searches of a member with the same blocked clouds reuse tables
-    assert len(searches) == 20 * len(grp.members)
-    assert len(searches) > len({(uid, b) for uid, _, b in built})
+    assert {uid for uid, _, blocked in built if not blocked} == grp.members
+    monkeypatch.setattr(allocation, "_radius", radius)
+    plans, val, _ = _reference_group_music(
+        target, UNLIMITED, params, ref_rng,
+        CapacityLedger(dict.fromkeys(locals_, 1)))
+    assert (res.plans, res.utility) == (plans, val)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_music_queries_each_radius_once():
@@ -663,8 +682,10 @@ def test_music_queries_each_radius_once():
 
 def _reference_group_music(target, constraints, params, rng, ledger):
     """music() on a group as a loop of memo-less find_service calls, each
-    blocking the clouds the ledger and earlier members leave without room."""
-    best, best_val = None, -math.inf
+    blocking the clouds the ledger and earlier members leave without room:
+    (plans, utility) of the first best proposal, or (None, -inf), and the
+    note music gives when no proposal plans every member."""
+    best, best_val, note = None, -math.inf, None
     for _ in range(params.max_iter + 1):
         usage = {}
         plans = {}
@@ -674,18 +695,21 @@ def _reference_group_music(target, constraints, params, rng, ledger):
                     c for c, cap in ledger.capacities().items()
                     if cap - ledger.count(c) - usage.get(c, 0) <= 0)
                 picks, _ = find_service(m, target.center_point(),
-                                        constraints, params, rng, blocked=full)
+                                        constraints_for(constraints,
+                                                        m.user.id),
+                                        params, rng, blocked=full)
                 plans[m.user.id] = tuple(picks)
                 for cid in m.local_clouds(picks):
                     usage[cid] = usage.get(cid, 0) + 1
-        except NoFeasibleCandidates:
+        except NoFeasibleCandidates as exc:
+            note = f"group {target.group.id}: {exc}"
             continue
         val = fleet_utility({m.user.id: m.utility(plans[m.user.id])
                              for m in target.members},
                             [m.user.id for m in target.members])
         if val > best_val:
             best, best_val = plans, val
-    return best, best_val
+    return best, best_val, note
 
 
 def test_grouped_music_matches_memo_less_proposals_under_tight_capacity():
@@ -698,11 +722,14 @@ def test_grouped_music_matches_memo_less_proposals_under_tight_capacity():
         for budget in (UNLIMITED, ConstraintVector(delay=15000.0),
                        ConstraintVector(power=60000.0)):
             for seed in range(4):
-                res = music(target, budget, params, np.random.default_rng(seed),
+                rng, ref_rng = (np.random.default_rng(seed),
+                                np.random.default_rng(seed))
+                res = music(target, budget, params, rng,
                             ledger=CapacityLedger({c: 1 for c in locals_}))
-                plans, val = _reference_group_music(
-                    target, budget, params, np.random.default_rng(seed),
+                plans, val, _ = _reference_group_music(
+                    target, budget, params, ref_rng,
                     CapacityLedger({c: 1 for c in locals_}))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
                 assert res.feasible == (plans is not None)
                 if plans is None:
                     continue
@@ -710,6 +737,97 @@ def test_grouped_music_matches_memo_less_proposals_under_tight_capacity():
                 assert res.utility == val
                 assert res.plans == plans
     assert checked
+
+
+def _joint_fleets():
+    """Grouped fleets for the joint-pass test: per member count, two fleets
+    of two groups, with one to three workflows of mixed templates per
+    user; with an odd member count, one of them has no public instance.
+    One of them has a costly inter-cloud hop, so a repair to the least
+    delays can still break a delay budget that the optimistic minima fit,
+    and the search widens."""
+    fleets = []
+    for members in (1, 2, 5, 8, 25):
+        for k in range(2):
+            sc = Scenario(scenario_id="unit", grid_width=6, grid_height=6,
+                          local_clouds=3,
+                          public_instances=int(k or members % 2 == 0),
+                          users=2 * members, groups=2,
+                          workflows_per_user=1 + (members + k) % 3,
+                          duration_s=120.0, seed=members * 10 + k,
+                          profiles={"intercloud": {
+                              "delay_ms_per_100kb": 100.0 + 300.0 * k}})
+            dep = build_deployment(sc)
+            pop = build_population(sc, dep, 0)
+            instances = {uid: UserInstance(pop.users[uid], pop.true_ltws[uid],
+                                           dep.directory, dep.profiles,
+                                           dep.grid)
+                         for uid in pop.users}
+            locals_ = [c for c, node in dep.clouds.items()
+                       if node.tier == LOCAL]
+            fleets.append([GroupInstance(g, [instances[u]
+                                             for u in sorted(g.members)])
+                           for g in pop.groups] + [locals_])
+    return fleets
+
+
+def test_joint_music_pass_equals_the_member_loop(monkeypatch):
+    """music's one joint pass over a target's members against the member
+    loop of memo-less find_service calls, over random cases: 1, 2, 5, 8
+    and 25 members, each local cloud with room 0 to 3 (or the empty
+    ledger), no budget or a delay or power budget at a random level, and
+    max_iter 0 to 7. Plans, utility, note and the generator state after
+    the call are equal, on targets scored by the joint pass alone, on
+    targets with re-scored proposals, on targets fallen back to the loop,
+    on budgeted targets and on infeasible ones."""
+    fleets = _joint_fleets()
+    searches = _counted(monkeypatch, allocation, "find_service")
+    settled = _counted(monkeypatch, allocation, "_settle")
+    rng = np.random.default_rng(26)
+    seen = {"joint": 0, "re-scored": 0, "fallen back": 0, "budgeted": 0,
+            "infeasible": 0}
+    sizes = Counter()
+    for case in range(200):
+        *targets, locals_ = fleets[case % len(fleets)]
+        target = targets[int(rng.integers(len(targets)))]
+        sizes[len(target.members)] += 1
+        ledger = (lambda: NO_LEDGER) if case % 6 == 0 else (
+            lambda rooms=rng.integers(0, 4, len(locals_)).tolist():
+            CapacityLedger(dict(zip(locals_, rooms))))
+        budget = UNLIMITED
+        if case % 3:
+            dim = ("delay", "power")[case % 2]
+            f = float(rng.uniform(-0.1, 0.5))
+            budget = ConstraintVector(**{dim: max(
+                m.extrema.lo.get(dim) + f * (m.extrema.hi.get(dim)
+                                             - m.extrema.lo.get(dim))
+                for m in target.members)})
+        params = AnnealingParams(max_iter=int(rng.integers(0, 8)),
+                                 radius_start_m=float(rng.choice([0.0,
+                                                                  300.0])),
+                                 radius_step_m=float(rng.choice([100.0,
+                                                                 250.0])),
+                                 max_expansions=int(rng.integers(1, 5)))
+        seed = int(rng.integers(2**32))
+        got_rng, ref_rng = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+        before = len(searches), len(settled)
+        res = music(target, budget, params, got_rng, ledger=ledger())
+        calls, settles = len(searches) - before[0], len(settled) - before[1]
+        plans, val, note = _reference_group_music(target, budget, params,
+                                                  ref_rng, ledger())
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert res.feasible == (plans is not None)
+        seen["fallen back" if calls > 1 else
+             "re-scored" if settles else "joint"] += 1
+        seen["budgeted"] += budget.bounded()
+        if plans is None:
+            assert (res.plans, res.utility, res.note) == ({}, 0.0, note)
+            seen["infeasible"] += 1
+            continue
+        assert (res.plans, res.utility) == (plans, val)
+    assert min(seen.values()) > 2, seen
+    assert set(sizes) == {1, 2, 5, 8, 25}, sizes
 
 
 def test_music_respects_ledger_room():
@@ -2607,6 +2725,88 @@ def test_plan_arrays_raise_the_first_stray_plans_extrema_mismatch():
             assert str(got.value) == str(expect.value)
             raised += 1
     assert raised >= 4
+
+
+def test_plan_arrays_over_members_score_each_member_as_its_own():
+    """PlanArrays over several members, whose LTWs have one to three
+    entries of mixed shapes (so some entry depths read one fold's rows and
+    others the stacked rows of every fold), give each member the raw
+    rows, utility rows and per-cloud usage masks of that member's own
+    PlanArrays, == evaluate and utility_of, a member with a span-0
+    dimension included. With bounds narrowed under some plans' values, the
+    first stray plan among the rows asked for raises, plan by plan and then
+    member by member."""
+    rng = np.random.default_rng(61)
+    seen = {"stacked": 0, "one fold": 0, "span 0": 0, "raised": 0}
+    for _ in range(40):
+        profiles = _random_profiles(rng)
+        grid, directory, users = _random_cost_world(rng, profiles)
+        members = [UserInstance(u, _random_composite_ltw(rng), directory,
+                                profiles, grid)
+                   for u in users[:int(rng.integers(1, 5))]]
+        if rng.random() < 0.3:
+            m = members[int(rng.integers(len(members)))]
+            lo = m.extrema.lo.as_tuple()
+            d = int(rng.integers(3))
+            m._bounds = tuple(dim_bounds(lo[k], lo[k]) if k == d else b
+                              for k, b in enumerate(m._bounds))
+            seen["span 0"] += 1
+        own_lists = [[[c[i] for i in rng.permutation(len(c))[
+            :int(rng.integers(1, len(c) + 1))]]
+            for _, _, c in m.iter_occurrences()] for m in members]
+        lists = [ids for mine in own_lists for ids in mine]
+        arrays = PlanArrays(members, lists)
+        for f, _ in arrays.sums:
+            seen["stacked" if f is None else "one fold"] += 1
+        plans = int(rng.integers(1, 30))
+        positions = np.array([rng.integers(len(ids), size=plans)
+                              for ids in lists])
+        raw = arrays.raw(positions)
+        utils = arrays.utility(raw)
+        used = arrays.clouds_used(positions, [1, 2, 7])
+        k = 0
+        for m, (inst, mine) in enumerate(zip(members, own_lists)):
+            own = PlanArrays(inst, mine)
+            at = positions[k:k + len(mine)]
+            own_raw = own.raw(at)
+            assert [c[m].tolist() for c in raw] == \
+                [c.tolist() for c in own_raw]
+            assert utils[m].tolist() == own.utility(own_raw).tolist()
+            assert used[:, m].tolist() == \
+                own.clouds_used(at, [1, 2, 7]).tolist()
+            for r in range(plans):
+                picks = [ids[i] for ids, i in zip(mine, at[:, r])]
+                assert _columns([c[m] for c in raw], r) == \
+                    inst.evaluate(picks)
+                assert utils[m, r] == inst.utility(picks)
+            k += len(mine)
+        # narrow one dimension's bounds under the median value, for every
+        # member whose span there is not 0
+        d = int(rng.integers(3))
+        cut = float(np.median(raw[d]))
+        for inst in members:
+            lo, hi, span, _, _ = inst._bounds[d]
+            if span:
+                inst._bounds = tuple(dim_bounds(lo, max(lo, cut))
+                                     if k == d else b
+                                     for k, b in enumerate(inst._bounds))
+        rows = rng.random(raw[d].shape) < 0.5
+        stray = [(r, m) for r in range(plans)
+                 for m, inst in enumerate(members)
+                 if rows[m, r] and inst._bounds[d][2]
+                 and not (inst._bounds[d][3] <= raw[d][m, r]
+                          <= inst._bounds[d][4])]
+        if not stray:
+            arrays.utility(raw, rows)
+            continue
+        r, m = stray[0]
+        with pytest.raises(ExtremaMismatch) as expect:
+            members[m].utility_of(_columns([c[m] for c in raw], r))
+        with pytest.raises(ExtremaMismatch) as got:
+            arrays.utility(raw, rows)
+        assert str(got.value) == str(expect.value)
+        seen["raised"] += 1
+    assert min(seen.values()) > 5, seen
 
 
 def _one_proposal_at_a_time(inst, constraints, params, rng, ledger=NO_LEDGER,

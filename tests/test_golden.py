@@ -62,6 +62,11 @@ GOLDEN = {
     # break its budget, so they replay their proposals one at a time
     "gain-seed-3": (dict(GAIN, seed=3),
                     "7f8493937bbb7b79d69850cfcd1bef48caaa5bf811912d23f00326a0d4ad7711"),
+    # grouped members under a delay budget at capacity 1: a member's cloud
+    # closes that cloud for the later members of the same proposal
+    "desk-grouped-budget": (dict(DESK, groups=2, local_capacity=1,
+                                 budget_delay=12000.0),
+                            "751544bd386dbd45b5d9e31cf46ca55c348a7bafaf5ed346bdf33ae8f7d1d63e"),
 }
 
 # reads {name: scenario kwargs} on stdin, prints {name: sha256} on stdout

@@ -17,9 +17,9 @@ from tieralloc import (CSV_COLUMNS, AllocationResult, AnnealingParams,
                        TrajectoryEntry, UserInstance, allocate_greedy,
                        allocate_music, allocate_rsa, brute_force_optimal,
                        build_deployment, build_population, carry_plans,
-                       compute_throughput, compute_two_tier_gain, emit_results,
-                       gain_pct, leaf, load_scenario, music, rows_to_csv,
-                       rows_to_table, run_experiment, summarize)
+                       compute_throughput, emit_results, gain_pct, leaf,
+                       load_scenario, music, rows_to_csv, rows_to_table,
+                       run_experiment, summarize)
 from tieralloc.allocation import clouds_without_room
 from tieralloc.errors import (TooLargeForEnumeration, UndefinedGain,
                               UndefinedThroughput)
@@ -52,18 +52,6 @@ def test_gain_is_percent_reduction_from_the_baseline():
     assert gain_pct(120.0, 100.0) == pytest.approx(-20.0)
     with pytest.raises(UndefinedGain):
         gain_pct(5.0, 0.0)
-
-
-def test_two_tier_gain_covers_the_unfixed_dimensions():
-    from tieralloc import QoSTriple as Q
-    treat = Q(0.8, 90.0, 950.0)
-    base = Q(1.0, 100.0, 1000.0)
-    gains = compute_two_tier_gain(treat, base, "delay")
-    assert set(gains) == {"price", "power"}
-    assert gains["price"] == pytest.approx(20.0)
-    assert gains["power"] == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        compute_two_tier_gain(treat, base, "cost")
 
 
 # --- plan carrying ----------------------------------------------------------------------

@@ -60,6 +60,72 @@ def test_nearest_cell_matches_linear_scan_with_low_id_ties():
     assert grid.nearest_cell(midpoint).id == 0
 
 
+def _numpy_nearest(grid, point):
+    """The nearest cell by numpy's formula: np.argmin over every cell."""
+    d2 = np.sum((grid.centers() - np.asarray(point, dtype=float)) ** 2,
+                axis=1)
+    return int(np.argmin(d2))
+
+
+def test_centers_equal_the_numpy_formulas():
+    """The plain-float centers against the numpy formulas they stand for,
+    bit for bit: mean_position against (w[:, None] * points).sum(axis=0)
+    / w.sum() for trajectories of 1 to 300 visits, nearest_cell and
+    center_of_mobility against np.argmin of the squared distances to every
+    cell (random points, exact midpoints between cells, corners, points
+    outside the grid), and center_of_group_mobility against the members'
+    cell centers' pts.mean(axis=0), on random grids from 1 x 1 to 20 x 20
+    at several cell sizes."""
+    rng = np.random.default_rng(21)
+    seen = {"tie": 0, "outside": 0, "group": 0}
+    for case in range(300):
+        w, h = (int(v) for v in rng.integers(1, 21, 2))
+        size = float(rng.choice([0.1, 1.0, 3.0, 7.5, 100.0, 333.3]))
+        grid = LocationMap(w, h, size)
+        centers = grid.centers()
+        n = (1, 7, 8, 9, 128, 129, 300)[case % 7]
+        cells = rng.integers(len(grid), size=n)
+        dwell = rng.uniform(0.1, 500.0, n)
+        traj = Trajectory(tuple(TrajectoryEntry(int(c), float(d))
+                                for c, d in zip(cells, dwell)))
+        expect = (dwell[:, None] * centers[cells]).sum(axis=0) / dwell.sum()
+        got = mean_position(traj, grid)
+        assert isinstance(got, np.ndarray) and got.tolist() == expect.tolist()
+        assert center_of_mobility(traj, grid) == _numpy_nearest(grid, expect)
+        col, row = int(rng.integers(w)), int(rng.integers(h))
+        points = [(rng.uniform(-2 * size, (w + 2) * size),
+                   rng.uniform(-2 * size, (h + 2) * size)),
+                  # between two columns, two rows, and four cells
+                  ((col + 1.0) * size, (row + 0.5) * size),
+                  ((col + 0.5) * size, (row + 1.0) * size),
+                  ((col + 1.0) * size, (row + 1.0) * size),
+                  (0.0, 0.0), (w * size, h * size), (w * size, 0.0),
+                  (-size, (h + 3) * size)]
+        for point in points:
+            expect_id = _numpy_nearest(grid, point)
+            assert grid.nearest_cell(point).id == expect_id
+            assert grid.nearest_cell(np.array(point)).id == expect_id
+            d2 = np.sum((centers - np.asarray(point)) ** 2, axis=1)
+            seen["tie"] += int((d2 == d2.min()).sum() > 1)
+            seen["outside"] += not (0 <= point[0] < w * size
+                                    and 0 <= point[1] < h * size)
+        members = int(rng.integers(1, 9))
+        users = {u: MobileUser(u, Trajectory(tuple(
+            TrajectoryEntry(int(c), float(d)) for c, d in zip(
+                rng.integers(len(grid), size=int(rng.integers(1, 10))),
+                rng.uniform(0.1, 500.0, 10)))))
+            for u in range(members)}
+        vec, cell = center_of_group_mobility(
+            UserGroup(0, frozenset(users)), users, grid)
+        pts = centers[[center_of_mobility(users[u].trajectory, grid)
+                       for u in sorted(users)]]
+        mean = pts.mean(axis=0)
+        assert isinstance(vec, np.ndarray) and vec.tolist() == mean.tolist()
+        assert cell == _numpy_nearest(grid, mean)
+        seen["group"] += members > 1
+    assert min(seen.values()) > 30, seen
+
+
 def test_wifi_coverage_is_attached_to_cells():
     grid = LocationMap(2, 1, 1.0, wifi={0: 7})
     assert grid.cell(0).wifi_covered_by == 7
