@@ -44,7 +44,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (AbstractSet, Callable, Container, Iterator, Mapping,
-                    Optional, Sequence)
+                    NamedTuple, Optional, Sequence)
 
 import numpy as np
 
@@ -310,29 +310,103 @@ def _hop_extremes(hosts: AbstractSet[Optional[int]],
     return (0.0 if free else hop, hop if paid else 0.0)
 
 
-# rows costed per array pass: enough to spread numpy's per-call cost, few
-# enough that the pass's own lists and arrays stay small next to the tables
-_PASS_ROWS = 2048
+# rows costed per array pass: enough to spread numpy's per-call cost over
+# a fleet's rows, few enough that the pass's temporary arrays stay small
+_PASS_ROWS = 4096
+
+# the host code of a device service in CostStore.codes; a cloud's is its id
+_ON_DEVICE = -(1 << 63)
+
+# the host set of device services
+_DEVICE_HOST: frozenset[Optional[int]] = frozenset([None])
+
+
+class CostStore:
+    """A population's costed candidate rows, in flat columns.
+
+    Row i is one (entry, occurrence, candidate) of the costing passes, in
+    build order: the candidate's raw price, power and delay at the entry's
+    cell, its total normalized QoS within the occurrence's candidates
+    (snorm) and its host code (the host cloud's id, or _ON_DEVICE). An
+    occurrence's candidates take consecutive rows, in id order, from its
+    start (see _EntryTables). The scalar readers index the float lists
+    price, power, delay and snorm one row at a time; PlanArrays gathers
+    from the arrays cols (price, power and delay by row) and codes in one
+    fancy index. Both forms hold the same floats. A pass appends its rows,
+    and rows never move.
+    """
+
+    __slots__ = ("price", "power", "delay", "snorm", "_cols", "_codes")
+
+    def __init__(self):
+        self.price: list[float] = []
+        self.power: list[float] = []
+        self.delay: list[float] = []
+        self.snorm: list[float] = []
+        # one (3 x rows) and one rows-long block per pass, joined on demand
+        self._cols: list[np.ndarray] = []
+        self._codes: list[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return len(self.price)
+
+    def append(self, cols: Sequence[np.ndarray], snorm: np.ndarray,
+               codes: np.ndarray) -> None:
+        """Add one pass's rows: its price, power and delay columns, their
+        total normalized QoS and host codes."""
+        for column, values in zip((self.price, self.power, self.delay,
+                                   self.snorm), (*cols, snorm)):
+            column += values.tolist()
+        self._cols.append(np.array(cols))
+        self._codes.append(codes)
+
+    @property
+    def cols(self) -> np.ndarray:
+        """The (3 x rows) array of every row's price, power and delay."""
+        if len(self._cols) > 1:
+            self._cols = [np.concatenate(self._cols, axis=1)]
+        return self._cols[0]
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Every row's host code (see CostStore)."""
+        if len(self._codes) > 1:
+            self._codes = [np.concatenate(self._codes)]
+        return self._codes[0]
+
+
+def _positions(ids: list[int]) -> dict[int, int]:
+    """Each id's position in ids."""
+    return {sid: k for k, sid in enumerate(ids)}
 
 
 class CostMemo:
-    """What the planning tables of one population share, and the pass that
-    costs them.
+    """What the planning tables of one population share, the pass that
+    costs them, and the store that holds their rows (see CostStore).
 
-    - per (function id, WiFi owner of the entry's cell): the function's
-      cloud candidate ids, the set of their host clouds and the column of
-      each one's resolved cost in rate_table, which every user without a
-      device service for the function takes (candidate_services);
+    - per function id: its cloud candidate ids, in id order, the set of
+      their host clouds and each id's position among them; per (function
+      id, WiFi owner of the entry's cell), those with the rate_table column
+      of each one's resolved cost, which every user without a device
+      service for the function takes (candidate_services);
     - per (function id, user id), for a user with device services for the
       function (merged): those services merged with the cloud candidates,
-      in id order, and their host set (None: on the device); and per
-      (function id, user id, WiFi owner), the merged ids and host set with
-      that owner's columns, the only part that depends on the owner;
+      in id order, their host set (None: on the device), their positions,
+      where each merged id sits among the cloud ids then the device ones,
+      and the device services' rate_table columns;
+    - per (function id, user id, WiFi owner), for such a user: the merged
+      candidates with rate_table columns spliced from that owner's cloud
+      columns and the user's device columns, the only part that depends on
+      the owner;
     - per cloud service id and WiFi owner, and per device service id (a
-      device run uses no link, so coverage plays no part): the column of
-      the service's resolved cost (profiles.service_rates);
+      device run uses no link, so coverage plays no part): the rate_table
+      column of the service's resolved cost (profiles.service_rates) and
+      its host code;
     - per (user id, workflow object, WiFi owner of the entry's cell): the
-      entry's planning tables (see tables_of).
+      entry's planning tables (see tables_of), whose rows sit in store.
+
+    So users with the same candidate set share one id list and one
+    position map, and no candidate row is held outside the store.
 
     expect queues an LTW's entries. The first tables_of that misses costs
     every queued entry, in queue order, in numpy passes over about
@@ -343,33 +417,40 @@ class CostMemo:
     Each entry is read from the directory and the profile set when it is
     first needed, and is right only while they do not change. So one memo
     serves one population, the true and the predicted instances of one
-    repetition, and is dropped once they are built.
+    repetition, and is dropped once they are built; its store lives on in
+    the instances.
     """
 
-    __slots__ = ("directory", "profiles", "candidates", "merged",
-                 "host_sets", "rates", "new_rates", "rate_table", "tables",
-                 "queued")
+    __slots__ = ("directory", "profiles", "cloud_ids", "clouds", "merged",
+                 "candidates", "host_sets", "rates", "new_rates",
+                 "new_codes", "rate_table", "rate_codes", "tables", "queued",
+                 "store")
 
     def __init__(self, directory: ServiceDirectory, profiles: ProfileSet):
         self.directory = directory
         self.profiles = profiles
-        self.candidates: dict[tuple, tuple[list[int],
-                                           frozenset[Optional[int]],
-                                           list[int]]] = {}
-        self.merged: dict[tuple[str, int],
-                          tuple[list[int], frozenset[Optional[int]]]] = {}
+        self.cloud_ids: dict[str, tuple[list[int], frozenset[Optional[int]],
+                                        dict[int, int]]] = {}
+        self.clouds: dict[tuple[str, Optional[int]], _Candidates] = {}
+        self.merged: dict[tuple[str, int], tuple] = {}
+        self.candidates: dict[tuple[str, int, Optional[int]],
+                              _Candidates] = {}
         self.host_sets: dict[frozenset[Optional[int]],
                              frozenset[Optional[int]]] = {}
         # keyed by (service id, WiFi owner) for cloud services, by service
         # id for device services
         self.rates: dict[object, int] = {}
-        # one column per resolved cost, one row per Rates field; and the
-        # costs resolved since the last pass, which appends them
+        # one column per resolved cost, one row per Rates field, and each
+        # column's host code; and the costs resolved since the last pass,
+        # which appends them
         self.rate_table: Optional[np.ndarray] = None
+        self.rate_codes: Optional[np.ndarray] = None
         self.new_rates: list[Rates] = []
+        self.new_codes: list[int] = []
         self.tables: dict[tuple[int, int, Optional[int]], _EntryTables] = {}
         self.queued: dict[tuple[int, int, Optional[int]],
                           tuple[MobileUser, WorkflowNode, Optional[int]]] = {}
+        self.store = CostStore()
 
     def expect(self, user: MobileUser, ltw: LTW, grid: LocationMap
                ) -> list[tuple[int, int, Optional[int]]]:
@@ -399,57 +480,68 @@ class CostMemo:
         return [self.tables[key] for key in keys]
 
     def candidates_of(self, function_id: str, user: MobileUser,
-                      covered_by: Optional[int]
-                      ) -> tuple[list[int], frozenset[Optional[int]],
-                                 list[int]]:
-        """The user's candidate ids for the function (candidate_services),
-        their host set and the rate_table column of each one, run from a cell
-        whose WiFi access point belongs to cloud covered_by (None: no
-        coverage): the function's cloud candidates there, which every user
-        shares, merged with the user's device services."""
-        cloud = self.candidates.get((function_id, covered_by))
+                      covered_by: Optional[int]) -> "_Candidates":
+        """The user's candidates for the function (candidate_services) run
+        from a cell whose WiFi access point belongs to cloud covered_by
+        (None: no coverage): the function's cloud candidates there, which
+        every user shares, merged with the user's device services, whose
+        columns are spliced from the cloud columns and the device ones."""
+        cloud = self.clouds.get((function_id, covered_by))
         if cloud is None:
-            ids = sorted(self.directory.cloud_services_for(function_id))
-            cloud = self.candidates[(function_id, covered_by)] = (
-                ids, self._host_set(ids),
-                [self._rate_column(sid, covered_by) for sid in ids])
+            found = self.cloud_ids.get(function_id)
+            if found is None:
+                ids = sorted(self.directory.cloud_services_for(function_id))
+                hosts = self.directory.hosts
+                found = self.cloud_ids[function_id] = (
+                    ids, self._host_set(frozenset([hosts[sid]
+                                                   for sid in ids])),
+                    _positions(ids))
+            cloud = self.clouds[(function_id, covered_by)] = _Candidates(
+                *found, [self._rate_column(sid, covered_by)
+                         for sid in found[0]])
         merged = self.merged.get((function_id, user.id))
         if merged is None:
             device = self.directory.device_services_for(user.id, function_id)
             if not device:
-                if not cloud[0]:
+                if not cloud.ids:
                     raise NoRealizingService(
                         f"no service realizes {function_id!r}")
                 return cloud
-            ids = sorted([*cloud[0], *device])
+            both = [*cloud.ids, *device]
+            take = sorted(range(len(both)), key=both.__getitem__)
+            ids = [both[k] for k in take]
             merged = self.merged[(function_id, user.id)] = (
-                ids, self._host_set(ids))
+                ids, self._host_set(cloud.hosts | _DEVICE_HOST),
+                _positions(ids), take,
+                [self._rate_column(sid, covered_by) for sid in device])
         key = (function_id, user.id, covered_by)
         found = self.candidates.get(key)
         if found is None:
-            found = self.candidates[key] = (
-                *merged, [self._rate_column(sid, covered_by)
-                          for sid in merged[0]])
+            ids, hosts, where, take, device_columns = merged
+            columns = [*cloud.columns, *device_columns]
+            found = self.candidates[key] = _Candidates(
+                ids, hosts, where, [columns[k] for k in take])
         return found
 
-    def _host_set(self, ids: list[int]) -> frozenset[Optional[int]]:
-        """The host clouds of ids (None: on the device), one object per
-        distinct set: few exist."""
-        hosts = self.directory.hosts
-        host_set = frozenset([hosts[sid] for sid in ids])
+    def _host_set(self, host_set: frozenset[Optional[int]]
+                  ) -> frozenset[Optional[int]]:
+        """One object per distinct set of host clouds (None: on the
+        device): few exist."""
         return self.host_sets.setdefault(host_set, host_set)
 
     def _rate_column(self, sid: int, covered_by: Optional[int]) -> int:
         """The rate_table column of service sid's resolved cost from a cell
         whose WiFi access point belongs to cloud covered_by."""
         directory = self.directory
-        key = sid if directory.hosts[sid] is None else (sid, covered_by)
+        host = directory.hosts[sid]
+        key = sid if host is None else (sid, covered_by)
         column = self.rates.get(key)
         if column is None:
             column = self.rates[key] = len(self.rates)
             self.new_rates.append(service_rates(
                 directory.service(sid), covered_by, directory.clouds,
                 self.profiles))
+            self.new_codes.append(_ON_DEVICE if host is None else host)
         return column
 
     def _cost_queued(self) -> None:
@@ -458,7 +550,6 @@ class CostMemo:
         queued, self.queued = self.queued, {}
         block: list[tuple] = []
         kbs: list[float] = []
-        starts: list[int] = []
         counts: list[int] = []
         columns: list[int] = []
         for key, (user, workflow, covered_by) in queued.items():
@@ -469,39 +560,43 @@ class CostMemo:
                                            covered_by)
                 sets.append(found)
                 kbs.append(occ.fn.input_kb)
-                starts.append(len(columns))
-                counts.append(len(found[0]))
-                columns += found[2]
+                counts.append(len(found.ids))
+                columns += found.columns
             block.append((key, workflow, occs, shape, sets))
             if len(columns) >= _PASS_ROWS:
-                self._cost_block(block, kbs, starts, counts, columns)
-                block, kbs, starts, counts, columns = [], [], [], [], []
+                self._cost_block(block, kbs, counts, columns)
+                block, kbs, counts, columns = [], [], [], []
         if block:
-            self._cost_block(block, kbs, starts, counts, columns)
+            self._cost_block(block, kbs, counts, columns)
 
     def _cost_block(self, block: list[tuple], kbs: list[float],
-                    starts: list[int], counts: list[int],
-                    columns: list[int]) -> None:
+                    counts: list[int], columns: list[int]) -> None:
         """One array pass: cost every (entry, occurrence, candidate) row of
         the block's entries (profiles._costs), check the rows, take each
-        occurrence's envelope and total normalized QoS, and cut the columns
-        back into per-entry tables.
+        occurrence's envelope and total normalized QoS, append the rows to
+        the store and give each entry its tables over them.
 
         The rows enter checked: when every component is finite and none is
         negative they are used as they are; otherwise each row goes through
         the QoSTriple constructor, in build order, so the first bad row
-        raises its ValueError. The total normalized QoS of a candidate is
-        sqrt(n_p ** 2 + n_w ** 2 + n_d ** 2), n being (hi - value) / (hi -
-        lo) within its occurrence's candidates, or 1.0 when hi == lo; the
-        squares are libm's pow, as Python's ** takes them, through
-        np.float_power.
+        raises its ValueError and the store takes none of the block. The
+        total normalized QoS of a candidate is sqrt(n_p ** 2 + n_w ** 2 +
+        n_d ** 2), n being (hi - value) / (hi - lo) within its occurrence's
+        candidates, or 1.0 when hi == lo; the squares are libm's pow, as
+        Python's ** takes them, through np.float_power.
         """
         if self.new_rates:
             new = np.array(self.new_rates, dtype=float).T
-            self.rate_table = (new if self.rate_table is None else
-                               np.concatenate((self.rate_table, new), axis=1))
-            self.new_rates = []
+            codes = np.array(self.new_codes, dtype=np.int64)
+            if self.rate_table is None:
+                self.rate_table, self.rate_codes = new, codes
+            else:
+                self.rate_table = np.concatenate((self.rate_table, new),
+                                                 axis=1)
+                self.rate_codes = np.concatenate((self.rate_codes, codes))
+            self.new_rates, self.new_codes = [], []
         counts_a = np.array(counts)
+        starts = [0, *itertools.accumulate(counts)][:-1]
         # row i runs under the resolved cost in rate_table column columns[i];
         # one field at a time, so no (fields x rows) block is allocated
         index = np.array(columns)
@@ -530,37 +625,46 @@ class CostMemo:
                 total = norm
             else:
                 total += norm
-        snorm = iter(np.sqrt(total, out=total).tolist())
-        costed = zip(*(c.tolist() for c in cols))
+        store = self.store
+        first = len(store)
+        store.append(cols, np.sqrt(total, out=total),
+                     self.rate_codes.take(index))
         envelopes = zip(zip(*(a.tolist() for a in lows)),
-                        zip(*(a.tolist() for a in highs)))
+                        zip(*(a.tolist() for a in highs)),
+                        starts)
         profiles = self.profiles
         for key, workflow, occs, shape, sets in block:
             tables = self.tables[key] = _EntryTables(workflow, occs, shape)
-            cands, base, snorms, steps = (tables.cands, tables.base,
-                                          tables.snorm, tables.steps)
+            cands, steps = tables.cands, tables.steps
             env_lo: list[LeafCost] = []
             env_hi: list[LeafCost] = []
-            for occ, (ids, hosts, _), (lo, hi) in zip(occs, sets, envelopes):
+            for occ, found, (lo, hi, start) in zip(occs, sets, envelopes):
                 lo_hop = hi_hop = hop = 0.0
                 if occ.prev is not None:
                     kb = occ.fn.input_kb
-                    lo_hop, hi_hop = _hop_extremes(hosts, sets[occ.prev][1],
-                                                   kb, profiles)
+                    lo_hop, hi_hop = _hop_extremes(
+                        found.hosts, sets[occ.prev].hosts, kb, profiles)
                     hop = intercloud_ms(kb, profiles)
                 env_lo.append((lo[0], lo[1], lo[2] + lo_hop))
                 env_hi.append((hi[0], hi[1], hi[2] + hi_hop))
-                # zip stops at the end of ids, taking len(ids) rows
-                table = dict(zip(ids, costed))
-                cands.append(ids)
-                base.append(table)
-                snorms.append(dict(zip(ids, snorm)))
-                steps.append((occ.index, table, occ.prev if hop else None,
-                              hop))
+                cands.append(found.ids)
+                steps.append((first + start, found.where,
+                              occ.prev if hop else None, hop))
             # every fold rule is monotone per dimension, so folding the
             # envelopes bounds what any plan of the entry can reach
             tables.lo = tables.fold(env_lo)
             tables.hi = tables.fold(env_hi)
+
+
+class _Candidates(NamedTuple):
+    """One candidate set of a CostMemo: the ids, in id order, their host
+    set (None: on the device), each id's position among them, and the
+    rate_table column of each one's resolved cost."""
+
+    ids: list[int]
+    hosts: frozenset[Optional[int]]
+    where: dict[int, int]
+    columns: list[int]
 
 
 class _EntryTables:
@@ -569,32 +673,38 @@ class _EntryTables:
     They depend only on the user, the entry's workflow object and the WiFi
     owner of its cell, and the population's CostMemo keeps one object per
     such key, filled by its costing pass (see CostMemo._cost_block). Per
-    occurrence, in preorder: the realizing candidate ids, their raw QoS
-    rows as plain (price, power, delay) float tuples, their total
-    normalized QoS within the set, and a step (occurrence index, rows,
-    predecessor index, hop) for the plan evaluator. The predecessor index
-    is None when the occurrence has no Seq predecessor or the hop costs
-    nothing; hop is intercloud_ms(kb), paid only between two different
-    clouds. shape keys the entry's compiled folds (see outline); lo and hi
-    are its folded envelopes.
+    occurrence, in preorder, cands holds the realizing candidate ids, in
+    id order, and steps a step (start, where, predecessor index, hop):
+    candidate sid's row in the memo's store (see CostStore) is start +
+    where[sid], where being the position map that every user with the same
+    candidate set shares. No candidate's costs are held here. The
+    predecessor index is None when the occurrence has no Seq predecessor or
+    the hop costs nothing; hop is intercloud_ms(kb), paid only between two
+    different clouds. shape keys the entry's compiled folds (see outline);
+    lo and hi are its folded envelopes.
     """
 
-    __slots__ = ("workflow", "occs", "cands", "base", "snorm", "steps",
-                 "shape", "fold", "lo", "hi")
+    __slots__ = ("workflow", "occs", "cands", "steps", "shape", "fold",
+                 "lo", "hi")
 
     def __init__(self, workflow: WorkflowNode, occs: list[Occurrence],
                  shape: tuple):
         self.workflow = workflow
         self.occs = occs
         self.cands: list[list[int]] = []
-        self.base: list[dict[int, LeafCost]] = []
-        self.snorm: list[dict[int, float]] = []
-        self.steps: list[tuple[int, dict[int, LeafCost], Optional[int],
+        self.steps: list[tuple[int, dict[int, int], Optional[int],
                                float]] = []
         self.shape = shape
         self.fold = fold_of(shape)
         self.lo: LeafCost = (0.0, 0.0, 0.0)
         self.hi: LeafCost = (0.0, 0.0, 0.0)
+
+    def values(self, j: int, ids: Sequence[int],
+               column: list[float]) -> list[float]:
+        """A store column's values (CostStore.price, ..., snorm) at
+        occurrence j's candidates ids, in order."""
+        start, where, _, _ = self.steps[j]
+        return [column[start + where[sid]] for sid in ids]
 
 
 class UserInstance:
@@ -602,12 +712,14 @@ class UserInstance:
 
     entries[e] holds entry e's planning tables (see _EntryTables): per
     function occurrence, in preorder (occurrence indices equal preorder
-    positions), the realizing candidate ids, each candidate's raw QoS at
-    the entry's cell as a plain (price, power, delay) float tuple and its
-    total normalized QoS within that candidate set; and the entry's
-    compiled fold, hop values and envelope. So a table is read as
-    entries[e].<table>[j], and evaluate and utility_of work on plain
-    floats. extrema sums the entry envelopes for whole-LTW normalization.
+    positions), the realizing candidate ids and where their rows sit in
+    store, the population's CostStore; and the entry's compiled fold, hop
+    values and envelope. Candidate sid of entry e's occurrence j has its
+    raw QoS at the entry's cell and its total normalized QoS within that
+    candidate set in store row start + where[sid] of entries[e].steps[j],
+    so evaluate and utility_of work on plain floats read from the store's
+    lists.
+    extrema sums the entry envelopes for whole-LTW normalization.
 
     A plan is a pick list: one service id per occurrence, in
     iter_occurrences order (entry by entry, preorder within an entry), so
@@ -617,9 +729,10 @@ class UserInstance:
 
     memo is the CostMemo of the population being built, over the same
     directory and profiles; it lives for that one population and no
-    instance keeps it. Instances built through one memo share the tables
-    of entries with the same user, workflow object and WiFi owner at the
-    cell. None builds a memo for this instance alone.
+    instance keeps it, only its store. Instances built through one memo
+    share the tables of entries with the same user, workflow object and
+    WiFi owner at the cell, and one store. None builds a memo, and a
+    store, for this instance alone.
     """
 
     def __init__(self, user: MobileUser, ltw: LTW, directory: ServiceDirectory,
@@ -638,6 +751,7 @@ class UserInstance:
         self.clouds = directory.clouds
         self.hosts = directory.hosts
         self.entries = memo.tables_of(user, ltw, grid)
+        self.store = memo.store
         self.size = 0
         lo_p = lo_w = lo_d = hi_p = hi_w = hi_d = 0.0
         for tables in self.entries:
@@ -671,21 +785,23 @@ class UserInstance:
             raise IncompletePlan(f"{len(picks)} picks for {self.size} "
                                  f"occurrences")
         hosts = self.hosts
+        store = self.store
+        prices, powers, delays = store.price, store.power, store.delay
         price = power = delay = 0.0
         base = 0
         for tables in self.entries:
             leaves = []
-            for j, rows, prev, hop in tables.steps:
+            for j, (start, where, prev, hop) in enumerate(tables.steps):
                 sid = picks[base + j]
-                q = rows[sid]
+                i = start + where[sid]
+                d = delays[i]
                 if prev is not None:
                     node = hosts[sid]
                     prev_node = hosts[picks[base + prev]]
                     if (node is not None and prev_node is not None
                             and node != prev_node):
-                        leaves.append((q[0], q[1], q[2] + hop))
-                        continue
-                leaves.append(q)
+                        d += hop
+                leaves.append((prices[i], powers[i], d))
             p, w, d = tables.fold(leaves)
             price += p
             power += w
@@ -739,27 +855,31 @@ class PlanArrays:
     member after member. A batch of plans is a (occurrences x plans) matrix
     of positions into those lists: column r is plan r of every member. raw
     gives each plan's LTW QoS by UserInstance.evaluate's rules on columns:
-    a hop is paid where both host codes (0 on the device, clouds from 1)
-    are clouds and differ, as np.where(paid, d + hop, d); each entry folds
+    a hop is paid where both host codes (see CostStore) are clouds and
+    differ, as np.where(paid, d + hop, d); each entry folds
     through fold_of(shape, np.maximum), all the entries of one shape in one
     call; each member's entries are summed from 0.0 in order (a member with
     fewer entries than another adds 0.0, which changes no sum). utility is
     utility_of's clamp-and-min on those columns. So every value is == the
     scalar one. For one instance a column holds one value per plan; for a
     list, one row per member.
+
+    The candidates' costs and host codes are gathered from the members'
+    stores in one fancy index per store: members built through one
+    CostMemo share one, and others, such as instances built with memo=None,
+    each gather from their own.
     """
 
-    __slots__ = ("members", "single", "starts", "cols", "codes", "code_of",
-                 "hops", "folds", "sums", "firsts")
+    __slots__ = ("members", "single", "starts", "cols", "codes", "hops",
+                 "folds", "sums", "firsts")
 
     def __init__(self, instance, lists: Sequence[Sequence[int]]):
         self.single = isinstance(instance, UserInstance)
         self.members = [instance] if self.single else list(instance)
-        # host codes: 0 on the device, one per cloud from 1
-        code_of: dict[Optional[int], int] = {None: 0}
-        rows: list[LeafCost] = []
-        codes: list[int] = []
-        starts: list[int] = []
+        # per run of members with one store: the store and the rows to
+        # gather; and each occurrence's list length
+        segments: list[tuple[CostStore, list[int]]] = []
+        sizes: list[int] = []
         hops: list[tuple[int, int, float]] = []
         # per fold: its index, its leaf count and the first occurrence of
         # each entry it folds; per member, the (fold index, row among the
@@ -769,16 +889,16 @@ class PlanArrays:
         self.firsts: list[int] = []
         k = 0
         for member in self.members:
-            hosts = member.hosts
+            if not segments or segments[-1][0] is not member.store:
+                segments.append((member.store, []))
+            rows = segments[-1][1]
             self.firsts.append(k)
             mine = []
             for tables in member.entries:
-                for j, table, prev, hop in tables.steps:
+                for j, (start, where, prev, hop) in enumerate(tables.steps):
                     ids = lists[k + j]
-                    starts.append(len(codes))
-                    rows += [table[sid] for sid in ids]
-                    codes += [code_of.setdefault(hosts[sid], len(code_of))
-                              for sid in ids]
+                    sizes.append(len(ids))
+                    rows += [start + where[sid] for sid in ids]
                     if prev is not None:
                         hops.append((k + j, k + prev, hop))
                 fold = fold_of(tables.shape, np.maximum)
@@ -802,11 +922,18 @@ class PlanArrays:
         else:
             self.sums = _member_rows(entries, [len(f) for _, _, f in
                                                shapes.values()])
-        self.starts = np.array(starts)[:, None]
-        # (price, power, delay) rows of every candidate, by dimension
-        self.cols = np.array(rows).T.copy()
-        self.codes = np.array(codes)
-        self.code_of = code_of
+        self.starts = np.array([0, *itertools.accumulate(sizes)][:-1])[:, None]
+        # (price, power, delay) of every candidate, by dimension, and its
+        # host code
+        if len(segments) == 1:
+            store, rows = segments[0]
+            self.cols = store.cols[:, rows]
+            self.codes = store.codes[rows]
+        else:
+            self.cols = np.concatenate(
+                [store.cols[:, rows] for store, rows in segments], axis=1)
+            self.codes = np.concatenate(
+                [store.codes[rows] for store, rows in segments])
         self.hops = None
         if hops:
             at, before, hop = zip(*hops)
@@ -821,7 +948,8 @@ class PlanArrays:
             at, before, hop = self.hops
             node, prev = self.codes[flat[at]], self.codes[flat[before]]
             # evaluate's test: both on clouds, and on different ones
-            paid = (node > 0) & (prev > 0) & (node != prev)
+            paid = ((node != _ON_DEVICE) & (prev != _ON_DEVICE)
+                    & (node != prev))
             d = delay[at]
             delay[at] = np.where(paid, d + hop, d)
         # per fold, the (entries x plans) columns of its entries' totals
@@ -898,9 +1026,9 @@ class PlanArrays:
         used = np.zeros((len(clouds), len(self.members), codes.shape[1]),
                         dtype=bool)
         for c, cid in enumerate(clouds):
-            if cid in self.code_of and known[cid].tier == LOCAL:
-                used[c] = np.logical_or.reduceat(
-                    codes == self.code_of[cid], self.firsts, axis=0)
+            if cid in known and known[cid].tier == LOCAL:
+                used[c] = np.logical_or.reduceat(codes == cid, self.firsts,
+                                                 axis=0)
         return used[:, 0] if self.single else used
 
 
@@ -1006,13 +1134,14 @@ def _radius(instance: UserInstance, center: tuple[float, float],
     if constraints.bounded() and not _optimistic_fit(instance, table,
                                                      constraints):
         return None
+    snorm = instance.store.snorm
     for k, (e, j, allowed) in enumerate(table):
-        snorm = instance.entries[e].snorm[j]
+        weights = instance.entries[e].values(j, allowed, snorm)
         # the allowed ids come in id order, so the stable sort breaks ties
         # to the lower id
-        order = sorted(allowed, key=snorm.__getitem__)
-        table[k] = (e, j, tuple(allowed), order,
-                    _roulette_wheel([snorm[s] for s in order]))
+        ranks = sorted(range(len(allowed)), key=weights.__getitem__)
+        table[k] = (e, j, tuple(allowed), [allowed[r] for r in ranks],
+                    _roulette_wheel([weights[r] for r in ranks]))
     return table
 
 
@@ -1021,11 +1150,13 @@ def _optimistic_fit(instance: UserInstance, table: list[tuple],
     """Whether the per-occurrence minima over a search table's allowed ids,
     folded through each entry's workflow, fit every budget."""
     entries = instance.entries
+    store = instance.store
     minima: list[list[LeafCost]] = [[] for _ in entries]
     for e, j, ids, *_ in table:
-        base = entries[e].base[j]
-        prices, powers, delays = zip(*[base[sid] for sid in ids])
-        minima[e].append((min(prices), min(powers), min(delays)))
+        tables = entries[e]
+        minima[e].append((min(tables.values(j, ids, store.price)),
+                          min(tables.values(j, ids, store.power)),
+                          min(tables.values(j, ids, store.delay))))
     price = power = delay = 0.0
     for tables, leaves in zip(entries, minima):
         p, w, d = tables.fold(leaves)
@@ -1038,12 +1169,13 @@ def _optimistic_fit(instance: UserInstance, table: list[tuple],
 def _repair(instance: UserInstance, table: list[tuple],
             dim: str) -> list[int]:
     """The picks of per-occurrence minima of one dimension over a search
-    table's allowed ids, ties to the lowest id."""
-    k = DIMS.index(dim)
+    table's allowed ids, ties to the lowest id (the ids come in id order,
+    and index finds the first minimum)."""
+    column = getattr(instance.store, dim)
     picks = []
     for e, j, ids, *_ in table:
-        base = instance.entries[e].base[j]
-        picks.append(min(ids, key=lambda s: (base[s][k], s)))
+        values = instance.entries[e].values(j, ids, column)
+        picks.append(ids[values.index(min(values))])
     return picks
 
 
@@ -1466,10 +1598,12 @@ def greedy_plan(instance: UserInstance,
 
     Budgets play no part: the plan can break any of them.
     """
+    snorm = instance.store.snorm
     picks = []
-    for e, occ_idx, ids in _allowed_candidates(instance, blocked):
-        norms = instance.entries[e].snorm[occ_idx]
-        picks.append(max(ids, key=lambda s: (norms[s], -s)))
+    for e, j, ids in _allowed_candidates(instance, blocked):
+        # the ids come in id order, and index finds the first maximum
+        values = instance.entries[e].values(j, ids, snorm)
+        picks.append(ids[values.index(max(values))])
     return tuple(picks)
 
 

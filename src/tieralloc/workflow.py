@@ -23,9 +23,10 @@ lower raw cost maps to higher normalized value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (ExtremaMismatch, IncompletePlan, InvalidWorkflow,
                      NoRealizingService)
@@ -223,31 +224,36 @@ def outline(node: WorkflowNode) -> tuple[list[Occurrence], tuple]:
     alike, so the shape keys the compiled folds (see fold_of).
     """
     out: list[Occurrence] = []
+    return out, _walk(node, 0, None, out)[2]
 
-    def walk(n: WorkflowNode, idx: int, prev: Optional[int]
-             ) -> tuple[int, Optional[int], tuple]:
-        if isinstance(n, Leaf):
-            out.append(Occurrence(idx, n.fn, prev))
-            return idx + 1, idx, ()
-        if isinstance(n, Seq):
-            shape: list = ["seq"]
-            cur = prev
-            for child in n.children:
-                idx, cur, kid = walk(child, idx, cur)
-                shape.append(kid)
-            return idx, cur, tuple(shape)
-        if isinstance(n, (And, Xor)):
-            shape = ["and" if isinstance(n, And) else "xor"]
-            for child in n.children:
-                idx, _, kid = walk(child, idx, prev)
-                shape.append(kid)
-            return idx, None, tuple(shape)
-        if isinstance(n, Loop):
-            idx, cur, kid = walk(n.child, idx, prev)
-            return idx, cur, ("loop", n.count, kid)
-        raise InvalidWorkflow(f"unknown node type {type(n).__name__}")
 
-    return out, walk(node, 0, None)[2]
+def _walk(n: WorkflowNode, idx: int, prev: Optional[int],
+          out: list[Occurrence]) -> tuple[int, Optional[int], tuple]:
+    """outline's walk below node n, whose first leaf has preorder index idx
+    and whose data comes from occurrence prev: appends n's occurrences to
+    out and returns the next index, n's exit and n's shape. A module
+    function, not a closure over itself, so a call leaves no reference
+    cycle behind."""
+    if isinstance(n, Leaf):
+        out.append(Occurrence(idx, n.fn, prev))
+        return idx + 1, idx, ()
+    if isinstance(n, Seq):
+        shape: list = ["seq"]
+        cur = prev
+        for child in n.children:
+            idx, cur, kid = _walk(child, idx, cur, out)
+            shape.append(kid)
+        return idx, cur, tuple(shape)
+    if isinstance(n, (And, Xor)):
+        shape = ["and" if isinstance(n, And) else "xor"]
+        for child in n.children:
+            idx, _, kid = _walk(child, idx, prev, out)
+            shape.append(kid)
+        return idx, None, tuple(shape)
+    if isinstance(n, Loop):
+        idx, cur, kid = _walk(n.child, idx, prev, out)
+        return idx, cur, ("loop", n.count, kid)
+    raise InvalidWorkflow(f"unknown node type {type(n).__name__}")
 
 
 def occurrences(node: WorkflowNode) -> list[Occurrence]:
@@ -268,35 +274,38 @@ def _fold_source(shape: tuple) -> str:
     node, each accumulator starting at 0.0 and taking its children in
     order, so every float operation is the one the rules define."""
     lines: list[str] = []
-    n_leaves = 0
-
-    def emit(s: tuple) -> tuple[str, str, str]:
-        nonlocal n_leaves
-        if not s:
-            i = n_leaves
-            n_leaves += 1
-            return f"p{i}", f"w{i}", f"d{i}"
-        if s[0] == "loop":
-            dims = [f"{x} * {s[1]}" for x in emit(s[2])]
-        else:
-            kids = [emit(k) for k in s[1:]]
-            dims = []
-            for dim in range(3):
-                acc = "0.0"
-                for kid in kids:
-                    if s[0] == "xor" or (s[0] == "and" and dim == 2):
-                        acc = f"max({acc}, {kid[dim]})"
-                    else:
-                        acc = f"{acc} + {kid[dim]}"
-                dims.append(acc)
-        t = len(lines)
-        lines.append(f"    P{t}, W{t}, D{t} = {dims[0]}, {dims[1]}, {dims[2]}")
-        return f"P{t}", f"W{t}", f"D{t}"
-
-    p, w, d = emit(shape)
+    leaves = itertools.count()
+    p, w, d = _emit(shape, lines, leaves)
+    n_leaves = next(leaves)
     unpack = "".join(f"(p{i}, w{i}, d{i}), " for i in range(n_leaves))
     return "\n".join(["def fold(leaves):", f"    {unpack}= leaves", *lines,
                       f"    return ({p}, {w}, {d})"]) + "\n"
+
+
+def _emit(s: tuple, lines: list[str], leaves: Iterator[int]
+          ) -> tuple[str, str, str]:
+    """_fold_source's statements for shape s, appended to lines, and the
+    names of s's price, power and delay; leaves numbers the leaves in
+    preorder. A module function, like _walk, so it leaves no cycle."""
+    if not s:
+        i = next(leaves)
+        return f"p{i}", f"w{i}", f"d{i}"
+    if s[0] == "loop":
+        dims = [f"{x} * {s[1]}" for x in _emit(s[2], lines, leaves)]
+    else:
+        kids = [_emit(k, lines, leaves) for k in s[1:]]
+        dims = []
+        for dim in range(3):
+            acc = "0.0"
+            for kid in kids:
+                if s[0] == "xor" or (s[0] == "and" and dim == 2):
+                    acc = f"max({acc}, {kid[dim]})"
+                else:
+                    acc = f"{acc} + {kid[dim]}"
+            dims.append(acc)
+    t = len(lines)
+    lines.append(f"    P{t}, W{t}, D{t} = {dims[0]}, {dims[1]}, {dims[2]}")
+    return f"P{t}", f"W{t}", f"D{t}"
 
 
 def fold_of(shape: tuple, maximum: Callable = max) -> FoldFn:

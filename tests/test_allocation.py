@@ -44,6 +44,41 @@ UNLIMITED = ConstraintVector.unlimited()
 DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
+def _rows(tables, j, ids):
+    """The store rows of occurrence j's candidates ids (see _EntryTables)."""
+    start, where, _, _ = tables.steps[j]
+    return [start + where[sid] for sid in ids]
+
+
+def _base(inst, e, j):
+    """{sid: (price, power, delay)} of entry e's occurrence j, read through
+    the instance's store."""
+    tables, store = inst.entries[e], inst.store
+    ids = tables.cands[j]
+    return {sid: (store.price[i], store.power[i], store.delay[i])
+            for sid, i in zip(ids, _rows(tables, j, ids))}
+
+
+def _snorm(inst, e, j):
+    """{sid: total normalized QoS} of entry e's occurrence j, read through
+    the instance's store."""
+    tables = inst.entries[e]
+    ids = tables.cands[j]
+    return {sid: inst.store.snorm[i]
+            for sid, i in zip(ids, _rows(tables, j, ids))}
+
+
+def _entry(inst, e, of=_base):
+    """_base (or _snorm) of every occurrence of entry e."""
+    return [of(inst, e, j) for j in range(len(inst.entries[e].cands))]
+
+
+def _hops(tables):
+    """(predecessor index, hop) of each step: the part of a step that does
+    not depend on where its rows sit in a store."""
+    return [(prev, hop) for _, _, prev, hop in tables.steps]
+
+
 def trajectory_from_pairs(pairs):
     """A trajectory of (cell id, dwell seconds) visits."""
     return Trajectory(tuple(TrajectoryEntry(c, d) for c, d in pairs))
@@ -162,8 +197,7 @@ def test_find_service_wheels_pick_as_roulette_pick_does():
               if table is not None for row in table]
     assert tables
     for uid, (e, j, ids, order, cum) in tables:
-        pairs = [(sid, instances[uid].entries[e].snorm[j][sid])
-                 for sid in ids]
+        pairs = [(sid, _snorm(instances[uid], e, j)[sid]) for sid in ids]
         for d in rng.random(50):
             draw = SimpleNamespace(random=lambda: float(d))
             assert order[_roulette_spin(cum, len(order), float(d))] == \
@@ -395,8 +429,8 @@ def test_evaluate_charges_the_hop_only_between_two_clouds():
 
     def extra_delay(f_sid, g_sid):
         raw = inst.evaluate([f_sid, g_sid])
-        bare = (QoSTriple(*inst.entries[0].base[0][f_sid])
-                + QoSTriple(*inst.entries[0].base[1][g_sid]))
+        bare = (QoSTriple(*_base(inst, 0, 0)[f_sid])
+                + QoSTriple(*_base(inst, 0, 1)[g_sid]))
         assert (raw.price, raw.power) == (bare.price, bare.power)
         return raw.delay - bare.delay
 
@@ -471,17 +505,17 @@ def test_predicted_instances_share_the_true_entry_tables():
     true = UserInstance(user, true_ltw, directory, profiles, grid, memo=memo)
     pred = UserInstance(user, pred_ltw, directory, profiles, grid, memo=memo)
     fresh = UserInstance(user, pred_ltw, directory, profiles, grid)
-    tables = ("occs", "cands", "base", "snorm")
     for e in (0, 1):
         assert pred.entries[e] is true.entries[e]
     for e in (2, 3):
         assert all(pred.entries[e] is not t for t in true.entries)
     # entries of one instance share too: same workflow object, same cell
     assert true.entries[3] is true.entries[0]
-    for got, built in zip(pred.entries, fresh.entries):
-        for name in tables:
-            assert getattr(got, name) == getattr(built, name)
-        assert got.steps == built.steps and got.fold is built.fold
+    for e, (got, built) in enumerate(zip(pred.entries, fresh.entries)):
+        assert (got.occs, got.cands) == (built.occs, built.cands)
+        for of in (_base, _snorm):
+            assert _entry(pred, e, of) == _entry(fresh, e, of)
+        assert _hops(got) == _hops(built) and got.fold is built.fold
         assert (got.lo, got.hi) == (built.lo, built.hi)
     assert pred.extrema == fresh.extrema
     _assert_tables_equal_the_old_costing(pred)
@@ -495,8 +529,8 @@ def test_predicted_instances_share_the_true_entry_tables():
     alone = UserInstance(stranger, pred_ltw, directory, profiles, grid)
     for e, mine in enumerate(theirs.entries):
         assert all(mine is not t for t in (*true.entries, *pred.entries))
-        assert mine.base == alone.entries[e].base
-    assert theirs.entries[0].base != pred.entries[0].base
+        assert _entry(theirs, e) == _entry(alone, e)
+    assert _entry(theirs, 0) != _entry(pred, 0)
 
 
 def test_greedy_choice_is_invariant_to_rescaling_a_dimension():
@@ -585,7 +619,7 @@ def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
     search table and dimension, however many draws it serves."""
     inst = _instance("f")
     delays = {sid: QoSTriple(*q).delay
-              for sid, q in inst.entries[0].base[0].items()}
+              for sid, q in _base(inst, 0, 0).items()}
     assert min(delays, key=delays.get) == 100
     # the fastest service meets the delay budget exactly, so every draw
     # either fits or is repaired to it; a proposal is one draw
@@ -1728,7 +1762,7 @@ def _old_optimistic_fit(instance, rows, allowed, constraints):
     minima folded through each entry's workflow, summed over entries."""
     minima = [[] for _ in instance.entries]
     for (e, j, _), ids in zip(rows, allowed):
-        base = instance.entries[e].base[j]
+        base = _base(instance, e, j)
         minima[e].append(QoSTriple(*(min(base[sid][k] for sid in ids)
                                      for k in range(3))))
     total = QoSTriple(0.0, 0.0, 0.0)
@@ -1743,7 +1777,7 @@ def _old_repair(instance, rows, allowed, dim):
     k = ("price", "power", "delay").index(dim)
     plan = {}
     for (e, j, _), ids in zip(rows, allowed):
-        base = instance.entries[e].base[j]
+        base = _base(instance, e, j)
         plan[(e, j)] = min(ids, key=lambda s: (base[s][k], s))
     return plan
 
@@ -1767,7 +1801,7 @@ def _reference_find_service(instance, center, constraints, params, rng, ok):
             continue
         plan = {}
         for (e, j, _), ids in zip(rows, allowed):
-            snorm = instance.entries[e].snorm[j]
+            snorm = _snorm(instance, e, j)
             order = sorted(ids, key=lambda s: (snorm[s], s))
             plan[(e, j)] = order[roulette_index(
                 [snorm[s] for s in order], rng.random())]
@@ -1934,16 +1968,17 @@ def _old_tables(inst):
 
 
 def _triples(inst):
-    """entries[e].base[j][sid] rows, read as QoSTriples."""
+    """Each entry's _base rows, read as QoSTriples."""
     return [[{sid: QoSTriple(*row) for sid, row in rows.items()}
-             for rows in tables.base] for tables in inst.entries]
+             for rows in _entry(inst, e)] for e in range(len(inst.entries))]
 
 
 def _assert_tables_equal_the_old_costing(inst):
     cands, base, snorm, extrema = _old_tables(inst)
     assert [tables.cands for tables in inst.entries] == cands
     assert _triples(inst) == base
-    assert [tables.snorm for tables in inst.entries] == snorm
+    assert [_entry(inst, e, _snorm)
+            for e in range(len(inst.entries))] == snorm
     assert inst.extrema == extrema
 
 
@@ -1999,7 +2034,7 @@ def test_snorm_squares_like_the_scalar_reference():
         norm.append((hi - rows[102].get(dim)) / (hi - lo))
     p, w, d = norm
     assert p ** 2 != p * p
-    snorm = inst.entries[0].snorm[0]
+    snorm = _snorm(inst, 0, 0)
     assert snorm[102] == math.sqrt(p ** 2 + w ** 2 + d ** 2)
     assert snorm[102] != float(np.sqrt(np.sum(np.array(norm) ** 2)))
 
@@ -2152,14 +2187,16 @@ def test_shared_cost_memo_tables_equal_fresh_builds_and_the_old_costing(
                 assert not memo.queued and len(memo.tables) >= len(ltws)
             fresh = UserInstance(user, ltw, directory, profiles, grid)
             assert inst.extrema == fresh.extrema
-            for got, built in zip(inst.entries, fresh.entries):
-                for name in ("cands", "base", "snorm"):
-                    assert getattr(got, name) == getattr(built, name)
-                assert got.steps == built.steps
+            for e, (got, built) in enumerate(zip(inst.entries,
+                                                 fresh.entries)):
+                assert got.cands == built.cands
+                for of in (_base, _snorm):
+                    assert _entry(inst, e, of) == _entry(fresh, e, of)
+                assert _hops(got) == _hops(built)
                 assert (got.lo, got.hi) == (built.lo, built.hi)
             _assert_tables_equal_the_old_costing(inst)
             rows += sum(len(t) for tables in inst.entries
-                        for t in tables.base)
+                        for t in tables.cands)
         # every kind of (service, WiFi owner) was costed
         keys = memo.rates.keys()
         assert any(type(k) is int for k in keys)
@@ -2187,19 +2224,124 @@ def test_candidate_ids_are_merged_once_per_function_and_user():
                 device = directory.device_services_for(user.id, fn)
                 first = None
                 for owner in (None, 1, 2, None):
-                    ids, hosts, columns = memo.candidates_of(fn, user, owner)
+                    ids, hosts, where, columns = memo.candidates_of(
+                        fn, user, owner)
                     assert ids == sorted([*directory.cloud_services_for(fn),
                                           *device])
                     assert hosts == {directory.hosts[sid] for sid in ids}
+                    assert where == {sid: k for k, sid in enumerate(ids)}
                     assert [memo.new_rates[c] for c in columns] == [
                         service_rates(directory.service(sid), owner,
                                       directory.clouds, profiles)
                         for sid in ids]
-                    first = first or (ids, hosts)
+                    first = first or (ids, hosts, where)
                     if device:
-                        assert ids is first[0] and hosts is first[1]
+                        assert (ids is first[0] and hosts is first[1]
+                                and where is first[2])
                 merged += bool(device)
     assert merged > 20
+
+
+def test_cost_store_rows_equal_the_per_candidate_costing(monkeypatch):
+    """Over random populations cut into several costing passes, every row
+    of the store (price, power, delay, total normalized QoS and host code,
+    in its lists and its arrays) equals the per-candidate costing, for
+    cloud-only users and for users whose device services are spliced into
+    the cloud candidates at every WiFi owner. PlanArrays over members of
+    two memos, interleaved, and of no shared memo, gathers each member's
+    rows from its own store."""
+    from tieralloc.allocation import _ON_DEVICE
+    rng = np.random.default_rng(31)
+    seen = {"passes": 0, "spliced": set(), "cloud only": 0, "mixed": 0}
+    for case in range(12):
+        monkeypatch.setattr(allocation, "_PASS_ROWS",
+                            int(rng.integers(5, 60)))
+        profiles = _random_profiles(rng)
+        grid, directory, users = _random_cost_world(rng, profiles)
+        memos = [allocation.CostMemo(directory, profiles) for _ in range(2)]
+        ltws = [(user, _random_ltw(rng)) for user in users for _ in range(3)]
+        for user, ltw in ltws:
+            memos[0].expect(user, ltw, grid)
+        insts = [UserInstance(user, ltw, directory, profiles, grid,
+                              memo=memos[k % 2])
+                 for k, (user, ltw) in enumerate(ltws)]
+        seen["passes"] = max(seen["passes"], len(memos[0].store._cols))
+        for inst in insts:
+            store = inst.store
+            cands, base, snorm, _ = _old_tables(inst)
+            assert [t.cands for t in inst.entries] == cands
+            for e, (tables, entry) in enumerate(zip(inst.entries,
+                                                    inst.ltw.entries)):
+                owner = grid.cell(entry.cell_id).wifi_covered_by
+                for j, ids in enumerate(tables.cands):
+                    device = [s for s in ids if directory.hosts[s] is None]
+                    if device and len(device) < len(ids):
+                        seen["spliced"].add(owner)
+                    seen["cloud only"] += not device
+                    for sid, i in zip(ids, _rows(tables, j, ids)):
+                        row = (store.price[i], store.power[i],
+                               store.delay[i])
+                        assert QoSTriple(*row) == base[e][j][sid]
+                        assert store.snorm[i] == snorm[e][j][sid]
+                        assert store.cols[:, i].tolist() == list(row)
+                        host = directory.hosts[sid]
+                        assert store.codes[i] == (
+                            _ON_DEVICE if host is None else host)
+        # members of both memos and of none, side by side
+        members = [insts[0], insts[1],
+                   UserInstance(users[0], ltws[0][1], directory, profiles,
+                                grid), insts[2]]
+        lists = [[c[i] for i in rng.permutation(len(c))]
+                 for m in members for _, _, c in m.iter_occurrences()]
+        positions = np.array([rng.integers(len(ids), size=7)
+                              for ids in lists])
+        arrays = PlanArrays(members, lists)
+        raw = arrays.raw(positions)
+        k = 0
+        for m, inst in enumerate(members):
+            mine = lists[k:k + inst.size]
+            own = PlanArrays(inst, mine)
+            assert [c[m].tolist() for c in raw] == \
+                [c.tolist() for c in own.raw(positions[k:k + inst.size])]
+            for r in range(7):
+                picks = [ids[i] for ids, i in
+                         zip(mine, positions[k:k + inst.size, r])]
+                assert _columns([c[m] for c in raw], r) == \
+                    inst.evaluate(picks)
+            k += inst.size
+        seen["mixed"] += 1
+    assert seen["passes"] >= 2
+    assert seen["spliced"] == {None, 1, 2}
+    assert seen["cloud only"] > 20 and seen["mixed"] == 12
+
+
+def test_the_first_bad_row_raises_across_a_pass_boundary(monkeypatch):
+    """With one entry per costing pass, the checked-rows ValueError is the
+    one of the first bad row in build order, in a later pass than the good
+    rows, and the store keeps only the passes before it."""
+    # one entry per pass
+    monkeypatch.setattr(allocation, "_PASS_ROWS", 1)
+    grid, directory, user = _world()
+    profiles = ProfileSet.defaults()
+    profiles.compute["slow"] = ComputeProfile(-1.0)
+    profiles.compute["drain"] = ComputeProfile(1.0, math.nan)
+    directory.insert(Service(400, "f", host_user=1, compute_ref="slow"))
+    directory.insert(Service(401, "g", host_user=1, compute_ref="drain"))
+    other = MobileUser(1, user.trajectory)
+    good = LTW((LTWEntry(0, 60.0, leaf("f", 2048.0)),))
+    f_bad, g_bad = (LTWEntry(1, 30.0, leaf("f", 2048.0)),
+                    LTWEntry(3, 30.0, leaf("g", 1024.0)))
+    for entries, message in (((f_bad, g_bad), "delay must be finite"),
+                             ((g_bad, f_bad), "power must be finite")):
+        memo = allocation.CostMemo(directory, profiles)
+        memo.expect(user, good, grid)
+        memo.expect(other, LTW(entries), grid)
+        with pytest.raises(ValueError, match=message):
+            UserInstance(user, good, directory, profiles, grid, memo=memo)
+        # the good entry's pass was stored, and nothing after it
+        alone = UserInstance(user, good, directory, profiles, grid)
+        assert len(memo.store) == len(alone.store)
+        assert memo.store.price == alone.store.price
 
 
 def test_joint_scores_equal_fleet_utility_per_combination(monkeypatch):
@@ -2350,7 +2492,8 @@ def _dict_evaluate(inst, plan):
     price = power = delay = 0.0
     for e, tables in enumerate(inst.entries):
         leaves = []
-        for j, rows, prev, hop in tables.steps:
+        for j, (_, _, prev, hop) in enumerate(tables.steps):
+            rows = _base(inst, e, j)
             sid = plan.get((e, j))
             if sid is None:
                 raise IncompletePlan(f"no assignment for occurrence {(e, j)}")
@@ -2398,7 +2541,7 @@ def _paid_hops(inst, plan):
     predecessor: both run on clouds, and on different ones."""
     hosts, paid = inst.hosts, 0
     for e, tables in enumerate(inst.entries):
-        for j, _, prev, _ in tables.steps:
+        for j, (_, _, prev, _) in enumerate(tables.steps):
             if prev is not None:
                 node = hosts[plan[(e, j)]]
                 before = hosts[plan[(e, prev)]]
@@ -2413,7 +2556,7 @@ def _hop_cases(inst, plan):
     clouds"."""
     hosts = inst.hosts
     for e, tables in enumerate(inst.entries):
-        for j, _, prev, _ in tables.steps:
+        for j, (_, _, prev, _) in enumerate(tables.steps):
             if prev is not None:
                 node, before = hosts[plan[(e, j)]], hosts[plan[(e, prev)]]
                 if node is None:
@@ -2477,7 +2620,7 @@ def _dict_find_service(instance, center, constraints, params, rng, memo,
         draws = rng.random(len(table)).tolist()
         plan = {}
         for (e, j, _, order, _), draw in zip(table, draws):
-            snorm = instance.entries[e].snorm[j]
+            snorm = _snorm(instance, e, j)
             plan[(e, j)] = order[_searchsorted_index(
                 [snorm[s] for s in order], draw)]
         raw = _dict_evaluate(instance, plan)
@@ -2488,7 +2631,7 @@ def _dict_find_service(instance, center, constraints, params, rng, memo,
             k = ("price", "power", "delay").index(dim)
             fixed = {}
             for e, j, ids, *_ in table:
-                base = instance.entries[e].base[j]
+                base = _base(instance, e, j)
                 fixed[(e, j)] = min(
                     ids, key=lambda s: (base[s][k], s))
             fixed_raw = _dict_evaluate(instance, fixed)

@@ -67,6 +67,14 @@ GOLDEN = {
     "desk-grouped-budget": (dict(DESK, groups=2, local_capacity=1,
                                  budget_delay=12000.0),
                             "751544bd386dbd45b5d9e31cf46ca55c348a7bafaf5ed346bdf33ae8f7d1d63e"),
+    # greedy at fleet scale: capacity binds in greedy's argmax
+    "fleet-greedy": (dict(DEFAULT, users=200, algorithm="greedy"),
+                     "5b1046ecab0d32ca13cb7350d84a47250dd1a36c39ffef57185f38f60cf8cc04"),
+    # every allocator at default scale under prediction noise: rsa's
+    # evaluate loop, greedy, music and carry-over
+    "default-all-noisy": (dict(DEFAULT, algorithm="all", uncertainty_pct=30.0,
+                               repetitions=2),
+                          "d852bf5eb2828c3a9157cb32ecca2adf56c213697fcebb8e5680f99dced80332"),
 }
 
 # reads {name: scenario kwargs} on stdin, prints {name: sha256} on stdout

@@ -558,3 +558,37 @@ def test_summary_means_and_deviations_per_setting():
     assert music["throughput_pct_mean"] == pytest.approx(90.0)  # None skipped
     assert by_alg["greedy"]["repetitions"] == 1
     assert "throughput_pct_mean" not in by_alg["greedy"]
+
+
+def test_outline_and_the_population_build_leave_no_cyclic_garbage():
+    """outline walks without a closure over itself, so neither it, on every
+    template shape and on every composite node kind, nor a population's
+    instance build (which outlines each queued entry) leaves a reference
+    cycle for the collector: with the collector off, nothing is left for
+    gc.collect() to free."""
+    import gc
+
+    from tieralloc import harness
+    from tieralloc.scenario import _TEMPLATE_SHAPES, make_templates
+    from tieralloc.workflow import Loop, outline, par, seq, xor
+
+    sc = Scenario(users=6, repetitions=1, uncertainty_pct=30.0)
+    dep = build_deployment(sc)
+    pop = build_population(sc, dep, 0)
+    rng = np.random.default_rng(3)
+    trees = [t.instantiate(rng)
+             for t in make_templates(list(_TEMPLATE_SHAPES), 100.0, 900.0)]
+    trees.append(seq(par(leaf("a", 1.0), xor(leaf("b", 2.0), leaf("c", 3.0))),
+                     Loop(seq(leaf("d", 4.0), leaf("e", 5.0)), 3)))
+    gc.collect()
+    gc.disable()
+    try:
+        for tree in trees:
+            outline(tree)
+        true, predicted = harness._population_instances(dep, pop)
+        assert len(true) == 6 and any(predicted[u] is not true[u]
+                                      for u in true)
+        del true, predicted
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

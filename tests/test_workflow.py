@@ -376,6 +376,12 @@ def test_fold_qos_reads_one_triple_per_leaf_in_preorder():
     assert got == Q(5.0, 7.0, 4.0)
 
 
+def _rows(tables, j, ids):
+    """The store rows of occurrence j's candidates ids (see _EntryTables)."""
+    start, where, _, _ = tables.steps[j]
+    return [start + where[sid] for sid in ids]
+
+
 def _reference_evaluate(inst, plan):
     """UserInstance.evaluate as per-entry reference walks with the hop cost,
     over a plan keyed by (entry, occurrence index)."""
@@ -385,7 +391,10 @@ def _reference_evaluate(inst, plan):
         sub = {occ: sid for (e, occ), sid in plan.items() if e == i}
 
         def cost(sid, occ_idx, fn, prev_sid, _i=i):
-            q = Q(*inst.entries[_i].base[occ_idx][sid])
+            # the candidate's row, read through the store
+            store = inst.store
+            row = _rows(inst.entries[_i], occ_idx, [sid])[0]
+            q = Q(store.price[row], store.power[row], store.delay[row])
             if prev_sid is None:
                 return q
             hop = intercloud_hop_ms(host(sid), host(prev_sid), fn.input_kb,
