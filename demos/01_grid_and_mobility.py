@@ -29,10 +29,10 @@ params = MobilityParams(model=MANHATTAN, duration_s=600.0,
                         speed_min=1.0, speed_max=2.0, pause_max_s=30.0,
                         seed=42)
 walk = generate_trajectory(params, grid)
-print(f"\nmanhattan walk: {len(walk.entries)} dwell entries, "
-      f"{sum(e.dwell_s for e in walk.entries):.0f} s total")
-for entry in walk.entries[:5]:
-    print(f"  cell {entry.cell_id:3d}  dwell {entry.dwell_s:7.1f} s")
+print(f"\nmanhattan walk: {len(walk)} dwell entries, "
+      f"{walk.duration():.0f} s total")
+for cell, dwell in zip(walk.cells[:5], walk.dwells):
+    print(f"  cell {cell:3d}  dwell {dwell:7.1f} s")
 
 # A random-waypoint trace from the same seed for contrast: pick a point,
 # fly to it in a straight line, pause, repeat.
@@ -40,7 +40,7 @@ rwp = generate_trajectory(
     MobilityParams(model=RANDOM_WAYPOINT, duration_s=600.0,
                    speed_min=1.0, speed_max=2.0, pause_max_s=30.0, seed=42),
     grid)
-print(f"random waypoint: {len(rwp.entries)} dwell entries")
+print(f"random waypoint: {len(rwp)} dwell entries")
 
 # The center of mobility is the cell nearest the dwell-weighted mean
 # position. The MuSIC allocator searches for services around it.
@@ -48,21 +48,20 @@ print(f"\ncenter of mobility (manhattan): cell {center_of_mobility(walk, grid)}"
 print(f"center of mobility (waypoint):  cell {center_of_mobility(rwp, grid)}")
 
 # Trajectories are reproducible: regenerating with the same seed gives the
-# same entries, a different seed gives a different walk.
+# same runs, a different seed gives a different walk.
 again = generate_trajectory(params, grid)
 other = generate_trajectory(
     MobilityParams(model=MANHATTAN, duration_s=600.0, speed_min=1.0,
                    speed_max=2.0, pause_max_s=30.0, seed=43), grid)
-same = [(e.cell_id, e.dwell_s) for e in walk.entries] == \
-       [(e.cell_id, e.dwell_s) for e in again.entries]
-differs = [e.cell_id for e in walk.entries] != [e.cell_id for e in other.entries]
+same = walk == again
+differs = walk.cells != other.cells
 print(f"\nseed 42 again reproduces the walk: {same}")
 print(f"seed 43 walks differently:          {differs}")
 
 # Dwell fractions over the five most visited cells.
 totals = {}
-for e in walk.entries:
-    totals[e.cell_id] = totals.get(e.cell_id, 0.0) + e.dwell_s
+for cell, dwell in zip(walk.cells, walk.dwells):
+    totals[cell] = totals.get(cell, 0.0) + dwell
 top = sorted(totals.items(), key=lambda kv: -kv[1])[:5]
 duration = sum(totals.values())
 print("\nmost visited cells:")

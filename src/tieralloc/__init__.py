@@ -28,8 +28,8 @@ from .mobility import (MANHATTAN, RANDOM_WAYPOINT, MobilityParams,
                        generate_random_waypoint, generate_trajectory,
                        inject_uncertainty)
 from .model import (LOCAL, PUBLIC, THREEG, WIFI, Cell, CloudNode, LocationMap,
-                    MobileUser, Service, Trajectory, TrajectoryEntry,
-                    UserGroup, center_of_group_mobility, center_of_mobility)
+                    MobileUser, Service, Trajectory, UserGroup,
+                    center_of_group_mobility, center_of_mobility)
 from .profiles import (ComputeProfile, InvocationContext, LinkProfile,
                        PriceBook, ProfileSet, intercloud_hop_ms,
                        invocation_context, service_delay, service_power,

@@ -389,11 +389,12 @@ class CostMemo:
       id, WiFi owner of the entry's cell), those with the rate_table column
       of each one's resolved cost, which every user without a device
       service for the function takes (candidate_services);
-    - per (function id, user id), for a user with device services for the
-      function (merged): those services merged with the cloud candidates,
-      in id order, their host set (None: on the device), their positions,
-      where each merged id sits among the cloud ids then the device ones,
-      and the device services' rate_table columns;
+    - per (function id, user id) (merged), for a user with device
+      services for the function: those services merged with the cloud
+      candidates, in id order, their host set (None: on the device), their
+      positions, where each merged id sits among the cloud ids then the
+      device ones, and the device services' rate_table columns; for a user
+      with none, (), so the directory is asked once per pair;
     - per (function id, user id, WiFi owner), for such a user: the merged
       candidates with rate_table columns spliced from that owner's cloud
       columns and the user's device columns, the only part that depends on
@@ -502,18 +503,22 @@ class CostMemo:
         merged = self.merged.get((function_id, user.id))
         if merged is None:
             device = self.directory.device_services_for(user.id, function_id)
-            if not device:
-                if not cloud.ids:
-                    raise NoRealizingService(
-                        f"no service realizes {function_id!r}")
-                return cloud
-            both = [*cloud.ids, *device]
-            take = sorted(range(len(both)), key=both.__getitem__)
-            ids = [both[k] for k in take]
-            merged = self.merged[(function_id, user.id)] = (
-                ids, self._host_set(cloud.hosts | _DEVICE_HOST),
-                _positions(ids), take,
-                [self._rate_column(sid, covered_by) for sid in device])
+            if device:
+                both = [*cloud.ids, *device]
+                take = sorted(range(len(both)), key=both.__getitem__)
+                ids = [both[k] for k in take]
+                merged = (ids, self._host_set(cloud.hosts | _DEVICE_HOST),
+                          _positions(ids), take,
+                          [self._rate_column(sid, covered_by)
+                           for sid in device])
+            else:
+                merged = ()
+            self.merged[(function_id, user.id)] = merged
+        if not merged:
+            if not cloud.ids:
+                raise NoRealizingService(
+                    f"no service realizes {function_id!r}")
+            return cloud
         key = (function_id, user.id, covered_by)
         found = self.candidates.get(key)
         if found is None:

@@ -6,7 +6,8 @@ class TierAllocError(Exception):
 
 
 class InvalidTrajectory(TierAllocError):
-    """Trajectory is empty or contains non-positive dwell times."""
+    """Trajectory is empty, contains non-positive dwell times, or has cell
+    and dwell columns of unequal length."""
 
 
 class InvalidGroup(TierAllocError):

@@ -1,7 +1,8 @@
 """Mobility models and prediction uncertainty.
 
 Both generators discretize movement into 1 second steps over the grid and
-emit a Trajectory of (cell, dwell seconds) visits:
+emit a Trajectory: its visits as runs, in a column of cells and a column of
+dwell seconds:
 
   random waypoint  pick a uniform random target cell center, walk straight
                    to it at a per-leg uniform speed, pause up to pause_max_s,
@@ -54,11 +55,19 @@ output is the same, and a tiny speed costs O(duration_s), not O(leg length
 
 A run that stays in the trajectory's last cell extends it. The edges, the
 centers and Manhattan's turn table at each column, row and heading (the
-moves and their cdf) are built once per grid geometry.
+moves and their cdf) are built once per grid geometry. Random waypoint
+walks each leg with _leg; a Manhattan leg moves one lane along one axis,
+so generate_manhattan walks it inline on that axis, through the same
+_strides, _crossings and _lane_changes.
 
 The random draws come in a fixed order: per leg the target (or heading,
 drawn with weighted_pick, which consumes the stream like
 Generator.choice), the speed and, for random waypoint, the pause.
+Manhattan reads its doubles in blocks, rng.random(_BLOCK) after its three
+integers draws, from the generator private to the call: the same doubles,
+in the same order, as one rng.random() call each, and those drawn past the
+last leg are never seen. Random waypoint's integer target draws
+interleave with its doubles, so it draws them one at a time.
 
 Uncertainty perturbs a predicted location-time workflow: each entry is
 independently rewritten with the given probability, moving it to a different
@@ -77,7 +86,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import LocationMap, Trajectory, TrajectoryEntry
+from .model import LocationMap, Trajectory
 from .workflow import LTW, LTWEntry
 
 RANDOM_WAYPOINT = "random_waypoint"
@@ -385,8 +394,7 @@ def _visits(cells: list[int], secs: list[int], over: int) -> Trajectory:
             break
         over -= secs.pop()
         cells.pop()
-    return Trajectory(tuple(TrajectoryEntry(cell, float(n))
-                            for cell, n in zip(cells, secs)))
+    return Trajectory(tuple(cells), tuple(map(float, secs)))
 
 
 def generate_random_waypoint(params: MobilityParams, grid: LocationMap) -> Trajectory:
@@ -397,7 +405,7 @@ def generate_random_waypoint(params: MobilityParams, grid: LocationMap) -> Traje
     centers = lanes.centers
     x, y = centers[rng.integers(len(centers))]
     if len(centers) == 1:
-        return Trajectory((TrajectoryEntry(0, float(steps)),))
+        return Trajectory((0,), (float(steps),))
     cells, secs = [lanes.cell_at(x, y)], [1]
     walked = 1
     while walked < steps:
@@ -419,14 +427,25 @@ def generate_random_waypoint(params: MobilityParams, grid: LocationMap) -> Traje
     return _visits(cells, secs, walked - steps)
 
 
+# Manhattan draws its doubles in blocks of this many: an even count, so a
+# leg's two (heading, speed) never straddle two blocks
+_BLOCK = 64
+
+
 def generate_manhattan(params: MobilityParams, grid: LocationMap) -> Trajectory:
     """Manhattan-lane trajectory: straight 0.5, left 0.25, right 0.25 at
     each intersection, restricted to in-grid moves; dead ends force a
-    u-turn."""
+    u-turn.
+
+    Every leg moves one lane along one axis, between adjacent centers, so
+    it is walked here on that axis alone, as _leg would walk it: the same
+    count (_strides, or the rest -= speed loop), the same lane changes
+    (_crossings, or _lane_changes) and the same runs. The other axis keeps
+    its lane, and the target's second is the target's cell."""
     rng = np.random.default_rng(params.seed)
     steps = max(1, int(round(params.duration_s)))
     if len(grid) == 1:
-        return Trajectory((TrajectoryEntry(0, float(steps)),))
+        return Trajectory((0,), (float(steps),))
     lanes = _lanes(grid)
     width, size = grid.width, grid.cell_size_m
     col = int(rng.integers(grid.width))
@@ -434,19 +453,76 @@ def generate_manhattan(params: MobilityParams, grid: LocationMap) -> Trajectory:
     options = [d for d in ((1, 0), (-1, 0), (0, 1), (0, -1))
                if lanes.in_grid(col + d[0], row + d[1])]
     heading = options[rng.integers(len(options))]
-    x, y = lanes.centers[row * width + col]
+    # the doubles weighted_pick and uniform would draw one by one, in the
+    # same order: the generator is the call's own, so those drawn past the
+    # last leg are never seen
+    lo, span = params.speed_min, params.speed_max - params.speed_min
+    draws, at = rng.random(_BLOCK).tolist(), 0
+    centers = lanes.centers
+    col_edges, row_edges = lanes.col_edges, lanes.row_edges
+    x, y = centers[row * width + col]
     cells, secs = [lanes.cell_at(x, y)], [1]
     walked = 1
     while walked < steps:
         # at an intersection: pick the next heading, then the next lane
         col = int(x / size)
         row = int(y / size)
+        if at == _BLOCK:
+            draws, at = rng.random(_BLOCK).tolist(), 0
         moves, cdf = lanes.turn_table(col, row, heading)
-        heading = moves[weighted_pick(cdf, rng)]
-        tx, ty = lanes.centers[(row + heading[1]) * width + col + heading[0]]
-        speed = uniform(rng, params.speed_min, params.speed_max)
-        walked += _leg(lanes, cells, secs, x, y, tx, ty, speed,
-                       steps - walked)
+        heading = moves[bisect_right(cdf, draws[at])]
+        speed = lo + span * draws[at + 1]
+        at += 2
+        target = (row + heading[1]) * width + col + heading[0]
+        tx, ty = centers[target]
+        # the moving axis: its edges, its coordinate and the target's, and
+        # the cell id of its lane 0 with the other axis's lane kept
+        if heading[0]:
+            edges, v, t, unit, base = col_edges, x, tx, 1, row * width
+        else:
+            edges, v, t, unit, base = row_edges, y, ty, width, col
+        dist = abs(t - v)
+        if dist == 0.0:  # a subnormal cell size can round two centers
+            continue     # into one; _leg walks no second then
+        limit = steps - walked
+        strides = _strides(dist, speed, limit)
+        if strides is None:
+            strides = 0
+            rest = dist
+            while speed < rest and strides < limit:
+                rest -= speed
+                strides += 1
+        # (t - v) / dist is +-1.0 exactly
+        step = speed if t > v else -speed
+        lane, changes = (_crossings(edges, v, step, strides)
+                         or _lane_changes(edges, v, step, strides))
+        cell = base + lane * unit
+        # of several changes at one stride, the last holds
+        done = 1
+        for i, c in changes:
+            if i > done:
+                if cells[-1] == cell:
+                    secs[-1] += i - done
+                else:
+                    cells.append(cell)
+                    secs.append(i - done)
+                done = i
+            cell = base + c * unit
+        if strides >= done:
+            if cells[-1] == cell:
+                secs[-1] += strides + 1 - done
+            else:
+                cells.append(cell)
+                secs.append(strides + 1 - done)
+        if strides == limit:  # the target's second lies past the limit
+            walked += limit
+        else:
+            if cells[-1] == target:
+                secs[-1] += 1
+            else:
+                cells.append(target)
+                secs.append(1)
+            walked += strides + 1
         x, y = tx, ty
     return _visits(cells, secs, walked - steps)
 

@@ -14,7 +14,9 @@ center_of_group_mobility), so each value is the float numpy gives.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -170,30 +172,28 @@ class Service:
 
 
 @dataclass(frozen=True)
-class TrajectoryEntry:
-    cell_id: int
-    dwell_s: float
-
-    def __post_init__(self):
-        if self.dwell_s <= 0:
-            raise InvalidTrajectory(f"dwell must be positive, got {self.dwell_s}")
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Ordered (cell, dwell seconds) visits of one user."""
+    """Ordered visits of one user as two columns of runs: run k stays
+    dwells[k] seconds in cell cells[k]."""
 
-    entries: tuple[TrajectoryEntry, ...]
+    cells: tuple[int, ...]
+    dwells: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.entries:
+        if not self.cells:
             raise InvalidTrajectory("trajectory has no entries")
+        if len(self.cells) != len(self.dwells):
+            raise InvalidTrajectory(
+                f"{len(self.cells)} cells but {len(self.dwells)} dwells")
+        if any(map(operator.le, self.dwells, repeat(0))):
+            bad = next(d for d in self.dwells if d <= 0)
+            raise InvalidTrajectory(f"dwell must be positive, got {bad}")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.cells)
 
     def duration(self) -> float:
-        return sum(e.dwell_s for e in self.entries)
+        return sum(self.dwells)
 
 
 @dataclass(frozen=True)
@@ -247,13 +247,13 @@ def _mean_point(trajectory: Trajectory, grid: LocationMap
     """mean_position as two floats: (w[:, None] * points).sum(axis=0), a
     sequential sum from the first row, over w.sum(), numpy's pairwise
     sum."""
-    if not isinstance(trajectory, Trajectory) or not trajectory.entries:
+    if not isinstance(trajectory, Trajectory) or not trajectory.cells:
         raise InvalidTrajectory("trajectory has no entries")
     cells = grid.cells
-    weights = [float(e.dwell_s) for e in trajectory.entries]
+    weights = list(map(float, trajectory.dwells))
     sx = sy = None
-    for w, e in zip(weights, trajectory.entries):
-        cx, cy = cells[e.cell_id].center
+    for w, cell in zip(weights, trajectory.cells):
+        cx, cy = cells[cell].center
         if sx is None:
             sx, sy = w * cx, w * cy
         else:

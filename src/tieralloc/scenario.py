@@ -456,10 +456,10 @@ class Population:
 
 
 def _pick_entries(traj: Trajectory, k: int) -> list[int]:
-    """Evenly spaced trajectory entry indices (all when fewer than k): the
+    """Evenly spaced trajectory run indices (all when fewer than k): the
     rounded points of np.linspace(0, n - 1, k), in its arithmetic (i *
     step, the last point n - 1) on plain floats."""
-    n = len(traj.entries)
+    n = len(traj.cells)
     if n <= k:
         return list(range(n))
     if k == 1:
@@ -490,9 +490,9 @@ def build_population(sc: Scenario, dep: Deployment, rep: int) -> Population:
         wf_rng = derive_rng(sc.seed, _POPULATION, rep, _TEMPLATE, uid)
         entries = []
         for idx in _pick_entries(traj, sc.workflows_per_user):
-            te = traj.entries[idx]
             tpl = by_name[names[weighted_pick(template_cdf, wf_rng)]]
-            entries.append(LTWEntry(cell_id=te.cell_id, window_s=te.dwell_s,
+            entries.append(LTWEntry(cell_id=traj.cells[idx],
+                                    window_s=traj.dwells[idx],
                                     workflow=tpl.instantiate(wf_rng),
                                     template=tpl.name))
         ltw = LTW(tuple(entries))

@@ -17,7 +17,7 @@ from tieralloc import (LOCAL, PUBLIC, And, AnnealingParams, CapacityLedger,
                        LinkProfile, Loop,
                        LTWEntry, LocationMap, MobileUser, NoFeasibleCandidates,
                        PriceBook, ProfileSet, Scenario, Seq, Service,
-                       ServiceDirectory, Trajectory, TrajectoryEntry, Xor,
+                       ServiceDirectory, Trajectory, Xor,
                        TooLargeForEnumeration, UserGroup, UserInstance,
                        allocate_greedy, allocate_music, allocate_rsa,
                        brute_force_optimal, build_deployment,
@@ -38,7 +38,7 @@ from tieralloc.allocation import (AllocationResult, GroupInstance,
 from tieralloc.errors import (AdmissionRefused, ExtremaMismatch, InvalidGroup,
                               TierAllocError)
 from tieralloc.registry import NO_LEDGER
-from tieralloc.workflow import DIMS, dim_bounds
+from tieralloc.workflow import DIMS, dim_bounds, outline
 
 UNLIMITED = ConstraintVector.unlimited()
 DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -81,7 +81,7 @@ def _hops(tables):
 
 def trajectory_from_pairs(pairs):
     """A trajectory of (cell id, dwell seconds) visits."""
-    return Trajectory(tuple(TrajectoryEntry(c, d) for c, d in pairs))
+    return Trajectory(tuple(c for c, _ in pairs), tuple(d for _, d in pairs))
 
 
 # --- roulette selection --------------------------------------------------------------
@@ -2240,6 +2240,38 @@ def test_candidate_ids_are_merged_once_per_function_and_user():
                                 and where is first[2])
                 merged += bool(device)
     assert merged > 20
+
+
+def test_the_directory_is_asked_once_per_function_and_user(monkeypatch):
+    """Costing a population asks the directory for a user's device services
+    once per (function, user) pair, whether it has some or none."""
+    from tieralloc import harness
+    asked = Counter()
+    device_services_for = ServiceDirectory.device_services_for
+
+    def spy(self, user_id, function_id):
+        asked[(function_id, user_id)] += 1
+        return device_services_for(self, user_id, function_id)
+
+    monkeypatch.setattr(ServiceDirectory, "device_services_for", spy)
+    answers = Counter()
+    for seed in range(3):
+        sc = Scenario(users=12, repetitions=1, uncertainty_pct=50.0,
+                      seed=seed)
+        dep = build_deployment(sc)
+        pop = build_population(sc, dep, 0)
+        asked.clear()
+        harness._population_instances(dep, pop)
+        pairs = {(occ.fn.function_id, uid)
+                 for ltws in (pop.true_ltws, pop.predicted_ltws)
+                 for uid, ltw in ltws.items() for entry in ltw.entries
+                 for occ in outline(entry.workflow)[0]}
+        assert set(asked) == pairs
+        assert set(asked.values()) == {1}
+        answers.update(bool(device_services_for(dep.directory, u, f))
+                       for f, u in pairs)
+    # users with device services for a function and users without
+    assert answers[True] > 5 and answers[False] > 50
 
 
 def test_cost_store_rows_equal_the_per_candidate_costing(monkeypatch):

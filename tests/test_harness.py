@@ -14,7 +14,7 @@ from tieralloc import (CSV_COLUMNS, AllocationResult, AnnealingParams,
                        CapacityLedger, CloudNode, ConstraintVector, LTW,
                        LTWEntry, LocationMap, MetricsRow, MobileUser, ProfileSet, Scenario,
                        ScenarioError, Service, ServiceDirectory, Trajectory,
-                       TrajectoryEntry, UserInstance, allocate_greedy,
+                       UserInstance, allocate_greedy,
                        allocate_music, allocate_rsa, brute_force_optimal,
                        build_deployment, build_population, carry_plans,
                        compute_throughput, emit_results, gain_pct, leaf,
@@ -27,7 +27,7 @@ from tieralloc.errors import (TooLargeForEnumeration, UndefinedGain,
 
 def trajectory_from_pairs(pairs):
     """A trajectory of (cell id, dwell seconds) visits."""
-    return Trajectory(tuple(TrajectoryEntry(c, d) for c, d in pairs))
+    return Trajectory(tuple(c for c, _ in pairs), tuple(d for _, d in pairs))
 
 
 LOCAL = "local"

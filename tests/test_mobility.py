@@ -3,6 +3,7 @@
 import hashlib
 import time
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from tieralloc import (LTW, LTWEntry, LocationMap, MobilityParams, Scenario,
 from tieralloc import mobility
 from tieralloc.mobility import (_lanes, _leg, choice_cdf, uniform,
                                 weighted_pick)
-from tieralloc.model import Trajectory, TrajectoryEntry
+from tieralloc.model import Trajectory
 
 GRID = LocationMap(10, 10, 50.0)
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
@@ -37,8 +38,8 @@ def test_trajectories_are_seed_deterministic(model):
     a = generate_trajectory(_params(model), GRID)
     b = generate_trajectory(_params(model), GRID)
     c = generate_trajectory(_params(model, seed=4), GRID)
-    assert a.entries == b.entries
-    assert a.entries != c.entries
+    assert a == b
+    assert a != c
 
 
 @pytest.mark.parametrize("model", ["random_waypoint", "manhattan"])
@@ -46,20 +47,19 @@ def test_dwells_sum_to_duration_and_cells_are_valid(model):
     for seed in range(5):
         traj = generate_trajectory(_params(model, seed=seed, duration_s=300.0), GRID)
         assert traj.duration() == 300.0
-        for entry in traj.entries:
-            assert 0 <= entry.cell_id < len(GRID)
-            assert entry.dwell_s >= 1.0
+        for cell, dwell in zip(traj.cells, traj.dwells):
+            assert 0 <= cell < len(GRID)
+            assert dwell >= 1.0
         # run-length compression leaves no adjacent repeats
-        for prev, cur in zip(traj.entries, traj.entries[1:]):
-            assert prev.cell_id != cur.cell_id
+        for prev, cur in zip(traj.cells, traj.cells[1:]):
+            assert prev != cur
 
 
 @pytest.mark.parametrize("model", ["random_waypoint", "manhattan"])
 def test_single_cell_grid_yields_one_stationary_entry(model):
     tiny = LocationMap(1, 1, 10.0)
     traj = generate_trajectory(_params(model, duration_s=42.0), tiny)
-    assert traj.entries == (traj.entries[0],)
-    assert (traj.entries[0].cell_id, traj.entries[0].dwell_s) == (0, 42.0)
+    assert (traj.cells, traj.dwells) == ((0,), (42.0,))
 
 
 def _leg_runs(grid, x, y, tx, ty, speed, limit=10**9):
@@ -284,13 +284,13 @@ def test_tiny_speeds_walk_only_the_seconds_the_trajectory_keeps():
         for seed in range(5):
             traj = generate_trajectory(_params(model, seed=seed, **tiny),
                                        GRID)
-            assert len(traj.entries) == 1
-            assert traj.entries[0].dwell_s == 60.0
+            assert len(traj) == 1
+            assert traj.dwells[0] == 60.0
     assert time.perf_counter() - start < 1.0
     sc = replace(load_scenario(DEMO_SCENARIOS / "desk.json"),
                  speed_min=1e-6, speed_max=1e-6)
     pop = build_population(sc, build_deployment(sc), 0)
-    assert [len(u.trajectory.entries) for u in pop.users.values()] == \
+    assert [len(u.trajectory) for u in pop.users.values()] == \
         [1] * sc.users
 
 
@@ -317,9 +317,9 @@ def test_population_trajectories_match_the_pinned_digests(name, seed):
     for rep in range(sc.repetitions):
         users = build_population(sc, dep, rep).users
         for uid in sorted(users):
-            for e in users[uid].trajectory.entries:
-                digest.update(f"{rep} {uid} {e.cell_id} {e.dwell_s!r}\n"
-                              .encode())
+            traj = users[uid].trajectory
+            for cell, dwell in zip(traj.cells, traj.dwells):
+                digest.update(f"{rep} {uid} {cell} {dwell!r}\n".encode())
     assert digest.hexdigest() == TRAJECTORY_DIGESTS[(name, seed)]
 
 
@@ -345,16 +345,18 @@ def _ref_walk_steps(pos, target, speed):
 
 
 def _ref_compress(cell_ids):
-    entries = []
+    cells, dwells = [], []
     run_cell, run_len = cell_ids[0], 0
     for cid in cell_ids:
         if cid == run_cell:
             run_len += 1
         else:
-            entries.append(TrajectoryEntry(run_cell, float(run_len)))
+            cells.append(run_cell)
+            dwells.append(float(run_len))
             run_cell, run_len = cid, 1
-    entries.append(TrajectoryEntry(run_cell, float(run_len)))
-    return Trajectory(tuple(entries))
+    cells.append(run_cell)
+    dwells.append(float(run_len))
+    return Trajectory(tuple(cells), tuple(dwells))
 
 
 def _ref_random_waypoint(params, grid):
@@ -364,7 +366,7 @@ def _ref_random_waypoint(params, grid):
     centers = grid.centers()
     pos = centers[rng.integers(len(centers))].copy()
     if len(centers) == 1:
-        return Trajectory((TrajectoryEntry(0, float(steps)),))
+        return Trajectory((0,), (float(steps),))
     cells, pause_left, leg = [], 0, []
     while len(cells) < steps:
         cells.append(grid.cell_at(pos[0], pos[1]).id)
@@ -391,7 +393,7 @@ def _ref_manhattan(params, grid):
     rng = np.random.default_rng(params.seed)
     steps = max(1, int(round(params.duration_s)))
     if len(grid) == 1:
-        return Trajectory((TrajectoryEntry(0, float(steps)),))
+        return Trajectory((0,), (float(steps),))
 
     def in_grid(col, row):
         return 0 <= col < grid.width and 0 <= row < grid.height
@@ -447,10 +449,31 @@ def test_whole_leg_walks_equal_the_stride_by_stride_reference(width, height):
                                         speed_max=speed_max,
                                         pause_max_s=pause, seed=seed)
                 got = generate_trajectory(params, grid)
-                assert got.entries == ref(params, grid).entries, params
-                assert all(type(e.cell_id) is int for e in got.entries)
+                assert got == ref(params, grid), params
+                assert all(type(c) is int for c in got.cells)
                 cases += 1
     assert cases == 96
+
+
+def test_manhattan_walks_boundary_legs_like_the_stride_walk(walk_spy):
+    """generate_manhattan walks its own legs: on 10 m cells at whole
+    speeds that divide the cell (strides land on edges, legs are whole
+    numbers of strides), at decimal speeds that do so in real numbers (the
+    float adds land an ulp or so from an edge), over durations that end
+    mid-leg, and on grids whose walls force u-turns."""
+    for width, height in ((1, 5), (3, 1), (2, 2), (12, 12)):
+        grid = LocationMap(width, height, 10.0)
+        for speed in (1.0, 2.0, 5.0, 10.0, 0.1, 0.3, 1.1, 3.3):
+            for duration in (1.0, 37.0, 250.0, 401.0):
+                for seed in range(3):
+                    params = MobilityParams("manhattan", duration_s=duration,
+                                            speed_min=speed, speed_max=speed,
+                                            seed=seed)
+                    assert generate_manhattan(params, grid) == \
+                        _ref_manhattan(params, grid), params
+    # both the closed form and its sequential fallback were exercised
+    assert walk_spy["closed counts"] > 100 and walk_spy["loop counts"] > 100
+    assert walk_spy["closed axes"] > 100 and walk_spy["sequential axes"] > 100
 
 
 def test_lane_edges_are_the_least_doubles_of_each_lane():
@@ -481,8 +504,8 @@ def test_default_scale_walks_equal_the_reference_per_grid_geometry():
                        ("manhattan", _ref_manhattan)):
         for seed in range(100):
             params = MobilityParams(model, duration_s=600.0, seed=seed)
-            assert generate_trajectory(params, grid).entries == \
-                ref(params, grid).entries, params
+            assert generate_trajectory(params, grid) == \
+                ref(params, grid), params
     # grids that differ in one dimension or in cell size, walked in turn in
     # one process, each keep their own edges and turn tables
     grids = [grid, LocationMap(15, 15, 50.0), LocationMap(14, 15, 100.0),
@@ -492,8 +515,8 @@ def test_default_scale_walks_equal_the_reference_per_grid_geometry():
             for model, ref in (("random_waypoint", _ref_random_waypoint),
                                ("manhattan", _ref_manhattan)):
                 params = MobilityParams(model, duration_s=600.0, seed=seed)
-                assert generate_trajectory(params, g).entries == \
-                    ref(params, g).entries, (g.width, g.height, params)
+                assert generate_trajectory(params, g) == \
+                    ref(params, g), (g.width, g.height, params)
     tables = [_lanes(g) for g in grids]
     assert len({id(t) for t in tables}) == len(grids)
     for g, t in zip(grids, tables):
@@ -532,11 +555,36 @@ def test_weighted_pick_draws_like_generator_choice():
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def test_block_draws_equal_scalar_draws_after_integer_draws():
+    """generate_manhattan reads its doubles from rng.random(64) blocks
+    after its integers draws. That equals successive rng.random() calls, in
+    the values and in the generator state after them, and a heading and a
+    speed read from the block equal weighted_pick's and uniform's."""
+    cdfs = [choice_cdf(np.array(w) / sum(w)) for w in _turn_weight_subsets()]
+    for seed in range(40):
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        # one to five integers draws, some of them 64-bit
+        bounds = [(7, 2**40, 3, 1, 12)[k] for k in range(seed % 5 + 1)]
+        for rng in rngs:
+            for bound in bounds:
+                rng.integers(bound)
+        block, scalar, picks = rngs
+        draws = block.random(64).tolist() + block.random(64).tolist()
+        assert draws == [scalar.random() for _ in range(128)]
+        assert block.bit_generator.state == scalar.bit_generator.state
+        lo, hi = (1.0, 10.0) if seed % 2 else (0.3, 0.3)
+        for k in range(64):
+            cdf = cdfs[k % len(cdfs)]
+            assert bisect_right(cdf, draws[2 * k]) == weighted_pick(cdf, picks)
+            assert lo + (hi - lo) * draws[2 * k + 1] == uniform(picks, lo, hi)
+        assert picks.bit_generator.state == block.bit_generator.state
+
+
 def test_manhattan_moves_along_lanes_between_adjacent_cells():
     traj = generate_manhattan(_params("manhattan", duration_s=2000.0), GRID)
-    for prev, cur in zip(traj.entries, traj.entries[1:]):
-        dc = abs(cur.cell_id % GRID.width - prev.cell_id % GRID.width)
-        dr = abs(cur.cell_id // GRID.width - prev.cell_id // GRID.width)
+    for prev, cur in zip(traj.cells, traj.cells[1:]):
+        dc = abs(cur % GRID.width - prev % GRID.width)
+        dr = abs(cur // GRID.width - prev // GRID.width)
         assert dc + dr == 1
 
 
@@ -548,8 +596,7 @@ def test_manhattan_interior_turn_frequencies():
         traj = generate_manhattan(
             MobilityParams("manhattan", duration_s=12000.0, speed_min=10.0,
                            speed_max=10.0, seed=seed), grid)
-        cells = [e.cell_id for e in traj.entries]
-        rc = [(c % grid.width, c // grid.width) for c in cells]
+        rc = [(c % grid.width, c // grid.width) for c in traj.cells]
         for i in range(1, len(rc) - 1):
             col, row = rc[i]
             if not (0 < col < grid.width - 1 and 0 < row < grid.height - 1):

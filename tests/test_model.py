@@ -7,14 +7,14 @@ import pytest
 
 from tieralloc import (CloudNode, InvalidGroup, InvalidTrajectory,
                        LocationMap, MobileUser, Service, Trajectory,
-                       TrajectoryEntry, UserGroup, center_of_group_mobility,
+                       UserGroup, center_of_group_mobility,
                        center_of_mobility)
 from tieralloc.model import mean_position
 
 
 def trajectory_from_pairs(pairs):
     """A trajectory of (cell id, dwell seconds) visits."""
-    return Trajectory(tuple(TrajectoryEntry(c, d) for c, d in pairs))
+    return Trajectory(tuple(c for c, _ in pairs), tuple(d for _, d in pairs))
 
 
 def test_grid_is_row_major_with_half_cell_centers():
@@ -86,8 +86,7 @@ def test_centers_equal_the_numpy_formulas():
         n = (1, 7, 8, 9, 128, 129, 300)[case % 7]
         cells = rng.integers(len(grid), size=n)
         dwell = rng.uniform(0.1, 500.0, n)
-        traj = Trajectory(tuple(TrajectoryEntry(int(c), float(d))
-                                for c, d in zip(cells, dwell)))
+        traj = Trajectory(tuple(map(int, cells)), tuple(map(float, dwell)))
         expect = (dwell[:, None] * centers[cells]).sum(axis=0) / dwell.sum()
         got = mean_position(traj, grid)
         assert isinstance(got, np.ndarray) and got.tolist() == expect.tolist()
@@ -110,10 +109,9 @@ def test_centers_equal_the_numpy_formulas():
             seen["outside"] += not (0 <= point[0] < w * size
                                     and 0 <= point[1] < h * size)
         members = int(rng.integers(1, 9))
-        users = {u: MobileUser(u, Trajectory(tuple(
-            TrajectoryEntry(int(c), float(d)) for c, d in zip(
-                rng.integers(len(grid), size=int(rng.integers(1, 10))),
-                rng.uniform(0.1, 500.0, 10)))))
+        users = {u: MobileUser(u, trajectory_from_pairs(list(zip(
+            map(int, rng.integers(len(grid), size=int(rng.integers(1, 10)))),
+            map(float, rng.uniform(0.1, 500.0, 10))))))
             for u in range(members)}
         vec, cell = center_of_group_mobility(
             UserGroup(0, frozenset(users)), users, grid)
@@ -159,6 +157,10 @@ def test_trajectory_duration_and_validation():
         trajectory_from_pairs([(0, 0.0)])
     with pytest.raises(InvalidTrajectory):
         trajectory_from_pairs([(0, -1.0)])
+    with pytest.raises(InvalidTrajectory, match="got 0.0"):
+        trajectory_from_pairs([(0, 2.0), (3, 0.0)])
+    with pytest.raises(InvalidTrajectory, match="2 cells but 1 dwells"):
+        Trajectory((0, 3), (2.0,))
 
 
 def test_group_center_averages_member_center_cells():

@@ -394,9 +394,9 @@ def test_population_is_reproducible_and_varies_by_repetition():
     c = build_population(sc, dep, 1)
     assert sorted(a.users) == list(range(4))
     for uid in a.users:
-        assert a.users[uid].trajectory.entries == b.users[uid].trajectory.entries
+        assert a.users[uid].trajectory == b.users[uid].trajectory
         assert a.true_ltws[uid] == b.true_ltws[uid]
-    assert any(a.users[uid].trajectory.entries != c.users[uid].trajectory.entries
+    assert any(a.users[uid].trajectory != c.users[uid].trajectory
                for uid in a.users)
 
 
@@ -406,7 +406,7 @@ def test_population_workflow_counts_and_windows():
     pop = build_population(sc, dep, 0)
     for uid, ltw in pop.true_ltws.items():
         assert 1 <= len(ltw.entries) <= 2
-        traj_cells = {e.cell_id for e in pop.users[uid].trajectory.entries}
+        traj_cells = set(pop.users[uid].trajectory.cells)
         for entry in ltw.entries:
             assert entry.cell_id in traj_cells
             assert entry.template == "file_sync"
@@ -417,7 +417,7 @@ def test_picked_entries_equal_the_rounded_linspace():
 
     from tieralloc.scenario import _pick_entries
     for n in range(3000):
-        traj = SimpleNamespace(entries=[None] * n)
+        traj = SimpleNamespace(cells=[None] * n)
         for k in range(1, 12):
             expect = (list(range(n)) if n <= k else
                       sorted({int(round(x))
