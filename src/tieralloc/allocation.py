@@ -1,12 +1,14 @@
 """Allocation algorithms: MuSIC's best-of-N search, random and greedy
 baselines, and the exhaustive optimum.
 
-Planning happens per user (or per group) around the center of mobility. The
-candidate search widens its radius in fixed steps; at each radius a plan is
-assembled by roulette-wheel selection over the candidates' total normalized
-QoS, then checked against the budget constraints and repaired per violated
-dimension. MuSIC draws max_iter + 1 such proposals independently and keeps
-the first one of highest utility.
+Planning happens per user (or per group) around the center of mobility, in
+one find_service call per target. The candidate search widens its radius in
+fixed steps; at each radius a plan is assembled by roulette-wheel selection
+over the candidates' total normalized QoS, then checked against the budget
+constraints and repaired per violated dimension. find_service draws
+max_iter + 1 such proposals independently and returns the first one of
+highest utility, or raises NoFeasibleCandidates when none plans every
+member.
 
 Every planner filters candidates per cloud through _allowed_candidates: a
 local cloud is closed when it has no room (clouds_without_room) and, in
@@ -226,12 +228,10 @@ _NO_CLOUDS: frozenset[int] = frozenset()
 
 
 def clouds_without_room(ledger: CapacityLedger,
-                        usage: Optional[Mapping[int, int]] = None,
                         held: Container[int] = _NO_CLOUDS) -> frozenset[int]:
-    """The clouds a candidate cannot be placed on under tentative usage
-    (cloud id -> users placed on it): the room rule over a fresh reading of
-    the ledger (see room_rule)."""
-    return room_rule(ledger, held)(usage or {})
+    """The clouds a candidate cannot be placed on: the room rule over a
+    fresh reading of the ledger, with no tentative usage (see room_rule)."""
+    return room_rule(ledger, held).full
 
 
 def room_rule(ledger: CapacityLedger,
@@ -257,19 +257,18 @@ class RoomRule:
 
     rooms maps each cloud that tentative usage can fill to its room at the
     reading; full holds the clouds without room at the reading, those with
-    room <= 0 and any closed ones given. Called with tentative usage, the
-    rule gives the clouds without room under it: full, and each cloud of
-    rooms that the usage leaves with room - usage <= 0. A call tests only
-    the clouds in usage; with no usage, full itself is returned.
+    room <= 0. Called with tentative usage, the rule gives the clouds
+    without room under it: full, and each cloud of rooms that the usage
+    leaves with room - usage <= 0. A call tests only the clouds in usage;
+    with no usage, full itself is returned.
     """
 
     __slots__ = ("rooms", "full")
 
-    def __init__(self, rooms: Mapping[int, float],
-                 closed: AbstractSet[int] = _NO_CLOUDS):
+    def __init__(self, rooms: Mapping[int, float]):
         self.rooms = rooms
-        self.full = frozenset(closed).union(
-            [cid for cid, room in rooms.items() if room <= 0])
+        self.full = frozenset([cid for cid, room in rooms.items()
+                               if room <= 0])
 
     def __call__(self, usage: Mapping[int, int]) -> frozenset[int]:
         if not usage:
@@ -852,12 +851,12 @@ class UserInstance:
 
 
 class PlanArrays:
-    """Plans of one user, or of several users side by side, over fixed
-    candidate lists, scored in array passes.
+    """Plans of one or more users side by side, over fixed candidate lists,
+    scored in array passes.
 
-    instance is one UserInstance, or a list of them (the members). lists[k]
-    holds the ids that occurrence k picks from, in iter_occurrences order,
-    member after member. A batch of plans is a (occurrences x plans) matrix
+    members lists the users' UserInstances. lists[k] holds the ids that
+    occurrence k picks from, in iter_occurrences order, member after
+    member. A batch of plans is a (occurrences x plans) matrix
     of positions into those lists: column r is plan r of every member. raw
     gives each plan's LTW QoS by UserInstance.evaluate's rules on columns:
     a hop is paid where both host codes (see CostStore) are clouds and
@@ -866,8 +865,7 @@ class PlanArrays:
     call; each member's entries are summed from 0.0 in order (a member with
     fewer entries than another adds 0.0, which changes no sum). utility is
     utility_of's clamp-and-min on those columns. So every value is == the
-    scalar one. For one instance a column holds one value per plan; for a
-    list, one row per member.
+    scalar one. A column holds one row per member.
 
     The candidates' costs and host codes are gathered from the members'
     stores in one fancy index per store: members built through one
@@ -875,12 +873,12 @@ class PlanArrays:
     each gather from their own.
     """
 
-    __slots__ = ("members", "single", "starts", "cols", "codes", "hops",
-                 "folds", "sums", "firsts")
+    __slots__ = ("members", "starts", "cols", "codes", "hops", "folds",
+                 "sums", "firsts")
 
-    def __init__(self, instance, lists: Sequence[Sequence[int]]):
-        self.single = isinstance(instance, UserInstance)
-        self.members = [instance] if self.single else list(instance)
+    def __init__(self, members: Sequence[UserInstance],
+                 lists: Sequence[Sequence[int]]):
+        self.members = list(members)
         # per run of members with one store: the store and the rows to
         # gather; and each occurrence's list length
         segments: list[tuple[CostStore, list[int]]] = []
@@ -920,9 +918,7 @@ class PlanArrays:
         self.folds = [(fold, (slice(firsts[0], firsts[0] + n), None)
                        if len(firsts) == 1 else _leaf_rows(n, tuple(firsts)))
                       for fold, (_, n, firsts) in shapes.items()]
-        if self.single:
-            self.sums = entries[0]
-        elif len(entries) == 1:
+        if len(entries) == 1:
             self.sums = [(f, slice(r, r + 1)) for f, r in entries[0]]
         else:
             self.sums = _member_rows(entries, [len(f) for _, _, f in
@@ -1015,17 +1011,15 @@ class PlanArrays:
             if rows is not None:
                 stray &= rows
             if stray.any():
-                r, m = (int(stray.argmax()), 0) if self.single else \
-                    np.argwhere(stray.T)[0].tolist()
-                at = r if self.single else (m, r)
-                self.members[m].utility_of(trusted_qos(*(float(v[at])
+                r, m = np.argwhere(stray.T)[0].tolist()
+                self.members[m].utility_of(trusted_qos(*(float(v[m, r])
                                                          for v in raw)))
         return np.maximum(worst, 0.0, out=worst)
 
     def clouds_used(self, positions, clouds: Sequence[int]) -> np.ndarray:
-        """A (clouds x plans) mask, or for a list of members a (clouds x
-        members x plans) one: whether each plan places work on each of the
-        clouds that is local (see UserInstance.local_clouds)."""
+        """A (clouds x members x plans) mask: whether each member's plan
+        places work on each of the clouds that is local (see
+        UserInstance.local_clouds)."""
         codes = self.codes[np.asarray(positions) + self.starts]
         known = self.members[0].clouds
         used = np.zeros((len(clouds), len(self.members), codes.shape[1]),
@@ -1034,7 +1028,7 @@ class PlanArrays:
             if cid in known and known[cid].tier == LOCAL:
                 used[c] = np.logical_or.reduceat(codes == cid, self.firsts,
                                                  axis=0)
-        return used[:, 0] if self.single else used
+        return used
 
 
 @functools.lru_cache(maxsize=4096)
@@ -1096,10 +1090,10 @@ class SearchMemo:
     - far: per radius index, the local clouds out of reach (see _radius);
     - radii: per (user id, radius index, blocked clouds), None when that
       radius is skipped, else its table (see _radius). The blocked clouds
-      are the room rule's set for the call (see clouds_without_room), so
+      are the room rule's set for the member's search (see room_rule), so
       proposals that see the same full clouds share one table.
     One memo serves one center, one AnnealingParams and one budget vector
-    per user, which is what a music() call holds fixed.
+    per user, which is what a find_service call holds fixed.
     """
 
     def __init__(self):
@@ -1214,10 +1208,7 @@ def _settle(instance: UserInstance, table: list[tuple],
     per violated dimension in DIMS order (the per-occurrence minimum of that
     dimension). None when the draw and every repair break a budget, so the
     search widens. Each plan drawn or repaired is evaluated once."""
-    # the weighted case of _roulette_spin, inlined: a call per occurrence
-    # is a large share of a proposal's cost
-    picks = [order[bisect_right(cum, draw) if cum is not None
-                   else _roulette_spin(cum, len(order), draw)]
+    picks = [order[_roulette_spin(cum, len(order), draw)]
              for (*_, order, cum), draw in zip(table, draws)]
     raw = instance.evaluate(picks)
     if constraints.admits(raw):
@@ -1237,68 +1228,72 @@ def _no_plan(instance: UserInstance,
         f"{params.max_expansions} radius expansions")
 
 
-def find_service(target: UserInstance | Sequence[UserInstance],
+def _search(instance: UserInstance, center: tuple[float, float],
+            constraints: ConstraintVector, params: AnnealingParams,
+            rng: np.random.Generator, memo: SearchMemo,
+            blocked: frozenset[int]) -> tuple[list[int], QoSTriple]:
+    """One member's widening search, the scalar loop's step: at each radius
+    with a table for the clouds without room in blocked (see _tables), draw
+    a plan with one rng.random(n) call for the n occurrences (the same
+    doubles as n scalar draws) and settle it (see _settle); the first plan
+    settled, with its raw QoS. Raises NoFeasibleCandidates when every radius
+    fails."""
+    for table in _tables(instance, center, constraints, params, memo,
+                         blocked):
+        found = _settle(instance, table, constraints,
+                        rng.random(len(table)).tolist())
+        if found is not None:
+            return found
+    raise _no_plan(instance, params)
+
+
+def find_service(members: Sequence[UserInstance],
                  center: tuple[float, float], constraints,
                  params: AnnealingParams, rng: np.random.Generator,
-                 memo: Optional[SearchMemo] = None,
-                 blocked: AbstractSet[int] | RoomRule = _NO_CLOUDS,
-                 proposals: int = 1) -> Optional[tuple]:
-    """Assemble candidate plans around a center point and return the first
-    one of highest utility among proposals independent ones (with one
-    proposal, that one). target is one user's UserInstance, which gets its
-    pick list (see UserInstance.evaluate) and raw LTW QoS; or a list of
-    member instances planned jointly, which get a list of each. None when
-    the proposals must run one call at a time (see below). constraints is
-    a shared budget vector or one per user id (see constraints_for).
+                 ledger: CapacityLedger = NO_LEDGER
+                 ) -> tuple[list[list[int]], list[QoSTriple]]:
+    """MuSIC's FindService for one target: draw max_iter + 1 independent
+    proposals around a center point and return each member's pick list
+    (see UserInstance.evaluate) and raw LTW QoS in the first best one.
+    members are the target's instances, one for a single user; constraints
+    is a shared budget vector or one per user id (see constraints_for).
 
-    A proposal widens the search radius in steps (radius_start_m + i *
-    radius_step_m, i < max_expansions). Reach and room are decided per
-    cloud: a cloud-hosted candidate must sit on a cloud outside blocked,
-    the clouds without room for this call (a set, or the full set of a
-    RoomRule, see room_rule), and, when the cloud is local, inside the
-    radius (see _radius). On-device and public services are in reach at
-    any radius. At the first radius where every occurrence has a candidate
-    and the optimistic per-dimension minima fit the budgets, a plan is
-    drawn by roulette over total normalized QoS, with one rng.random(n)
-    call for the n occurrences (the same doubles as n scalar draws). If
-    the drawn plan busts a budget, one deterministic repair per violated
-    dimension is tried, in DIMS order, before widening (see _settle).
+    A proposal plans every member, in order. A member's search widens its
+    radius in steps (radius_start_m + i * radius_step_m, i <
+    max_expansions). Reach and room are decided per cloud: a cloud-hosted
+    candidate must sit on a cloud with room and, when the cloud is local,
+    inside the radius (see _radius). On-device and public services are in
+    reach at any radius. Room is the ledger's, read once when the call
+    starts (see room_rule), less the tentative usage of the earlier members
+    of the same proposal, read from their pick lists. At the first radius
+    where every occurrence has a candidate and the optimistic
+    per-dimension minima fit the member's budgets, a plan is drawn by
+    roulette over total normalized QoS; if it busts a budget, one
+    deterministic repair per violated dimension is tried, in DIMS order,
+    before widening (see _settle). Each member is held to its own budget.
+    A proposal is valued at the mean of its members' utilities, in member
+    order: fleet_utility's float, summed in numpy's order (see
+    _pairwise_sum) and divided by the member count.
 
-    A joint proposal plans every member in order, each member under the
-    clouds without room after the earlier members' tentative usage (the
-    RoomRule's call on it; a plain blocked set closes nothing more). Several
-    proposals, or several members, are drawn and scored in one array pass
-    (see _first_best): the plans, and the generator state after the call,
-    are those of the first best of proposals one-proposal calls in a row,
-    each making one single-user call per member. When some member would
-    widen, or would have no table, the generator is set back and None is
-    returned; the caller then makes those calls itself, as music's
-    proposal loop does.
+    The proposal loop defines the outcome: proposal after proposal, one
+    _search per member, keeping the first proposal of highest value. Its
+    proposals are first drawn and scored in one array pass over every
+    member (see _first_best), which gives the loop's plans and generator
+    state; when a member would widen, or would have no table, that pass
+    sets the generator back and the loop runs. One SearchMemo serves the
+    call, so the range query per radius, and each member's search table
+    per radius and set of clouds without room, are built once.
 
-    memo carries the clouds out of reach and the search table of each
-    radius across calls that share the center, params and budgets (see
-    SearchMemo and _radius); a table is built only when no earlier call
-    with the same blocked clouds built it. None means a fresh memo, so a
-    single call builds everything it needs itself.
-
-    Raises NoFeasibleCandidates when every radius fails for the (first)
-    member, so that every proposal would.
+    Raises InvalidGroup for no members, and NoFeasibleCandidates, the
+    loop's last failure, when no proposal plans every member.
     """
-    if memo is None:
-        memo = SearchMemo()
-    single = isinstance(target, UserInstance)
-    if single and proposals == 1:
-        budget = constraints_for(constraints, target.user.id)
-        full = blocked.full if isinstance(blocked, RoomRule) else blocked
-        for table in _tables(target, center, budget, params, memo, full):
-            found = _settle(target, table, budget,
-                            rng.random(len(table)).tolist())
-            if found is not None:
-                return found
-        raise _no_plan(target, params)
-    room = blocked if isinstance(blocked, RoomRule) else RoomRule({}, blocked)
-    members = [target] if single else list(target)
+    members = list(members)
+    if not members:
+        raise InvalidGroup("a search needs at least one member")
+    memo = SearchMemo()
+    room = room_rule(ledger)
     budgets = [constraints_for(constraints, m.user.id) for m in members]
+    proposals = params.max_iter + 1
 
     def first_table(j: int, closed: frozenset[int]) -> Optional[list[tuple]]:
         return next(_tables(members[j], center, budgets[j], params, memo,
@@ -1308,16 +1303,41 @@ def find_service(target: UserInstance | Sequence[UserInstance],
     for j, m in enumerate(members):
         table = first_table(j, room.full)
         if table is None:
-            if j:
-                # the earlier members draw before this one fails
-                return None
-            raise _no_plan(m, params)
+            if not j:
+                # every proposal fails at the first member, drawing nothing
+                raise _no_plan(m, params)
+            break
         tables.append(table)
-    found = _first_best(members, tables, budgets, rng, proposals, room,
-                        first_table)
-    if found is None or not single:
-        return found
-    return found[0][0], found[1][0]
+    else:
+        found = _first_best(members, tables, budgets, rng, proposals, room,
+                            first_table)
+        if found is not None:
+            return found
+    best, best_val = None, -math.inf
+    failure: Optional[NoFeasibleCandidates] = None
+    for _ in range(proposals):
+        usage: dict[int, int] = {}
+        picks: list[list[int]] = []
+        raws: list[QoSTriple] = []
+        for k, (m, budget) in enumerate(zip(members, budgets), 1):
+            try:
+                mine, raw = _search(m, center, budget, params, rng, memo,
+                                    room(usage))
+            except NoFeasibleCandidates as exc:
+                failure = exc
+                break
+            picks.append(mine)
+            raws.append(raw)
+            if k < len(members):  # only later members read the usage
+                for cid in m.local_clouds(mine):
+                    usage[cid] = usage.get(cid, 0) + 1
+        else:
+            val = _mean([m.utility_of(raw) for m, raw in zip(members, raws)])
+            if val > best_val:
+                best, best_val = (picks, raws), val
+    if best is None:
+        raise failure
+    return best
 
 
 def _first_best(members: list[UserInstance], tables: list[list[tuple]],
@@ -1469,89 +1489,30 @@ def _first_best(members: list[UserInstance], tables: list[list[tuple]],
 def music(target, constraints, params: AnnealingParams,
           rng: np.random.Generator,
           ledger: CapacityLedger = NO_LEDGER) -> AllocationResult:
-    """Best-of-N plan search for one user or one group.
+    """Best-of-N plan search for one user or one group: one find_service
+    call around the target's center of mobility, whose members are the user
+    itself or the group's member instances. The winning proposal's lists
+    become the members' pick tuples, and its value (the mean of the
+    members' utilities, see find_service) the utility.
 
-    Draws max_iter + 1 independent proposals around the target's center of
-    mobility (roulette selection with budget repair, see find_service) and
-    returns the first one of highest utility; infeasible proposals are
-    skipped. The target's members are the user itself, or the group's
-    member instances.
-
-    One proposal plans every member, in order; members of one proposal see
-    each other's tentative capacity usage, read from their pick lists, on
-    top of the shared ledger. Each member is held to its own budget, so a
-    proposal keeps every budget member by member (see the module
-    docstring). A proposal is valued at the mean of its members' utilities,
-    in member order: fleet_utility's float, summed in numpy's order (see
-    _pairwise_sum) and divided by the member count; for one member, its
-    utility. The winning proposal's lists become the members' pick tuples.
-
-    One find_service call draws and scores every proposal of the target in
-    one array pass. A proposal whose tentative usage closes a cloud that a
-    member's table draws from is re-scored from that member on, one member
-    at a time, on the doubles already drawn. When a member would widen the
-    radius, or would have no table, that call sets the generator back and
-    returns None, and the proposal loop runs the proposals one
-    find_service call per member; either way the outcome is the loop's.
-
-    One SearchMemo serves every proposal of the call, so the range query
-    around the center per radius, and each member's search table per radius
-    and set of clouds without room, are built once and only the draws
-    repeat. The ledger holds still during the call, so its room is read
-    once, when the call starts (see room_rule), and only the tentative
-    usage of earlier members of the same proposal can change the clouds
-    without room.
-
-    When no proposal plans every member, the note is the call's last
+    When no proposal plans every member, the note is find_service's
     NoFeasibleCandidates, which names the user, after "group <id>: " for a
     group.
     """
     members = [target] if isinstance(target, UserInstance) else target.members
-    center = target.center_point()
-    memo = SearchMemo()
-    room = room_rule(ledger)
-    best_picks, best_val = None, -math.inf
-    proposals = params.max_iter + 1
-    failure: Optional[NoFeasibleCandidates] = None
     try:
-        found = find_service(members, center, constraints, params, rng, memo,
-                             room, proposals)
+        picks, raws = find_service(members, target.center_point(),
+                                   constraints, params, rng, ledger)
     except NoFeasibleCandidates as exc:
-        # no radius has a table for the first member to draw at
-        found, proposals, failure = None, 0, exc
-    if found is not None:
-        best_picks = found[0]
-        best_val = _mean([m.utility_of(raw)
-                          for m, raw in zip(members, found[1])])
-        proposals = 0
-    for _ in range(proposals):
-        usage: dict[int, int] = {}
-        picks: list[list[int]] = []
-        raws: list[QoSTriple] = []
-        for k, m in enumerate(members, 1):
-            try:
-                mine, raw = find_service(m, center, constraints, params, rng,
-                                         memo, room(usage))
-            except NoFeasibleCandidates as exc:
-                failure = exc
-                break
-            picks.append(mine)
-            raws.append(raw)
-            if k < len(members):  # only later members read the usage
-                for cid in m.local_clouds(mine):
-                    usage[cid] = usage.get(cid, 0) + 1
-        else:
-            val = _mean([m.utility_of(raw) for m, raw in zip(members, raws)])
-            if val > best_val:
-                best_picks, best_val = picks, val
-    if best_picks is None:
-        note = str(failure)
+        note = str(exc)
         if isinstance(target, GroupInstance):
             note = f"group {target.group.id}: {note}"
         return AllocationResult({}, 0.0, False, note=note)
     return AllocationResult({m.user.id: tuple(mine)
-                             for m, mine in zip(members, best_picks)},
-                            best_val, True)
+                             for m, mine in zip(members, picks)},
+                            _mean([m.utility_of(raw)
+                                   for m, raw in zip(members, raws)]),
+                            True)
 
 
 # --- baseline per-user selectors ----------------------------------------------
@@ -1776,7 +1737,8 @@ def _options(instance: UserInstance, pools: list[list[int]],
     total = math.prod(sizes)
     # at most _SCORE_CHUNK positions, so a chunk's arrays stay small
     step = max(1, _SCORE_CHUNK // len(pools))
-    arrays = PlanArrays(instance, pools)
+    # one member: row 0 of each array
+    arrays = PlanArrays([instance], pools)
     # binding clouds used -> (product index, utility) of the best plan
     best: dict[frozenset[int], tuple[int, float]] = {}
     for start in range(0, total, step):
@@ -1786,13 +1748,13 @@ def _options(instance: UserInstance, pools: list[list[int]],
         if constraints.bounded():
             admitted = ~np.logical_or.reduce(
                 [o for _, o in constraints.breaches(raw)])
-        utils = arrays.utility(raw, admitted)
+        utils = arrays.utility(raw, admitted)[0]
         if admitted is not None:
-            utils[~admitted] = -math.inf
+            utils[~admitted[0]] = -math.inf
         sets: list[tuple[frozenset[int], Optional[np.ndarray]]] = [
             (_NO_CLOUDS, None)]
         if reach:
-            used, which = np.unique(arrays.clouds_used(positions, reach),
+            used, which = np.unique(arrays.clouds_used(positions, reach)[:, 0],
                                     axis=1, return_inverse=True)
             sets = [(frozenset(c for c, on in zip(reach, col) if on),
                      which.ravel() == g)

@@ -31,7 +31,7 @@ from tieralloc import (LOCAL, PUBLIC, And, AnnealingParams, CapacityLedger,
 from tieralloc import allocation
 from tieralloc.allocation import (AllocationResult, GroupInstance,
                                   PlanArrays, SearchMemo, _pairwise_sum,
-                                  _sequential,
+                                  _search, _sequential,
                                   _roulette_spin,
                                   _roulette_wheel,
                                   clouds_without_room, room_rule, with_room)
@@ -186,15 +186,21 @@ def test_plain_python_wheel_adds_in_numpys_order():
     assert _roulette_wheel([0.0, 0.0]) is None
 
 
-def test_find_service_wheels_pick_as_roulette_pick_does():
+def test_find_service_wheels_pick_as_roulette_pick_does(monkeypatch):
     dep, pop, instances = _fleet(users=3, seed=7)
-    memo = SearchMemo()
+    tables = []
+    radius = allocation._radius
+
+    def kept(instance, *args):
+        table = radius(instance, *args)
+        tables.extend((instance.user.id, row) for row in table or ())
+        return table
+
+    monkeypatch.setattr(allocation, "_radius", kept)
     rng = np.random.default_rng(0)
     for inst in instances.values():
-        find_service(inst, inst.center_point(), UNLIMITED, AnnealingParams(),
-                     rng, memo=memo)
-    tables = [(uid, row) for (uid, _, _), table in memo.radii.items()
-              if table is not None for row in table]
+        find_service([inst], inst.center_point(), UNLIMITED,
+                     AnnealingParams(max_iter=0), rng)
     assert tables
     for uid, (e, j, ids, order, cum) in tables:
         pairs = [(sid, _snorm(instances[uid], e, j)[sid]) for sid in ids]
@@ -254,7 +260,7 @@ def test_fleet_utility_equals_np_mean_in_every_pairwise_branch():
 
 
 def _scan_without_room(ledger, usage, held=frozenset()):
-    """clouds_without_room as one scan of every tracked cloud's room."""
+    """The room rule as one scan of every tracked cloud's room."""
     return frozenset(c for c in ledger.capacities()
                      if ledger.room(c) - usage.get(c, 0) <= 0
                      and c not in held)
@@ -262,9 +268,10 @@ def _scan_without_room(ledger, usage, held=frozenset()):
 
 def test_one_room_reading_gives_the_room_rule_for_any_usage():
     """room_rule reads each tracked cloud's room once; for any later usage
-    its set equals clouds_without_room and a full scan of the ledger, over
+    its set equals a fresh reading's and a full scan of the ledger, over
     random and partly filled ledgers, the empty ledger, held clouds, and
-    usage that names untracked clouds."""
+    usage that names untracked clouds. With no usage it is
+    clouds_without_room."""
     rng = np.random.default_rng(12)
     clouds = list(range(1, 9))
     seen = {"none": 0, "grew": 0, "untracked": 0, "held": 0}
@@ -285,15 +292,16 @@ def test_one_room_reading_gives_the_room_rule_for_any_usage():
                      if rng.random() < 0.4}
             got, got_held = rule(usage), rule_held(usage)
             assert not reads
-            assert got == clouds_without_room(ledger, usage) == \
+            assert got == room_rule(ledger)(usage) == \
                 _scan_without_room(ledger, usage)
-            assert got_held == clouds_without_room(ledger, usage, held) == \
+            assert got_held == room_rule(ledger, held)(usage) == \
                 _scan_without_room(ledger, usage, held)
             reads.clear()
             seen["grew"] += got != rule({})
             seen["untracked"] += bool({20, 21} & usage.keys())
             seen["held"] += got_held != got
         assert rule({}) == clouds_without_room(ledger)
+        assert rule_held({}) == clouds_without_room(ledger, held)
     assert min(seen.values()) > 30, seen
 
 
@@ -379,31 +387,31 @@ def test_find_service_widens_radius_until_a_local_is_reachable():
     inst = _instance("g")
     rng = np.random.default_rng(0)
     # cloud 1 sits on the center; close it so only cloud 2 at 300 m remains
-    closed = frozenset({1})
-    picks, raw = find_service(inst, inst.center_point(), UNLIMITED,
-                              _params(max_expansions=4), rng, blocked=closed)
+    closed = CapacityLedger({1: 0})
+    (picks,), (raw,) = find_service([inst], inst.center_point(), UNLIMITED,
+                                    _params(max_expansions=4), rng, closed)
     assert picks == [201]
     assert raw == inst.evaluate(picks)
     # radii 10, 110, 210 never reach 300 m
     with pytest.raises(NoFeasibleCandidates):
-        find_service(inst, inst.center_point(), UNLIMITED,
-                     _params(max_expansions=3), rng, blocked=closed)
+        find_service([inst], inst.center_point(), UNLIMITED,
+                     _params(max_expansions=3), rng, closed)
 
 
 def test_public_and_device_services_ignore_the_radius():
     inst = _instance("f")
     rng = np.random.default_rng(1)
     # both local clouds closed: the public service is in reach at radius 10
-    picks, _ = find_service(inst, inst.center_point(), UNLIMITED,
-                            _params(max_expansions=1), rng,
-                            blocked=frozenset({1, 2}))
+    (picks,), _ = find_service([inst], inst.center_point(), UNLIMITED,
+                               _params(max_expansions=1), rng,
+                               CapacityLedger({1: 0, 2: 0}))
     assert picks == [102]
 
     dev = _instance("g", device_g=True)
     # the room rule never filters on-device runs, even with every cloud closed
-    picks, _ = find_service(dev, dev.center_point(), UNLIMITED,
-                            _params(max_expansions=1), rng,
-                            blocked=frozenset({1, 2, 9}))
+    (picks,), _ = find_service([dev], dev.center_point(), UNLIMITED,
+                               _params(max_expansions=1), rng,
+                               CapacityLedger({1: 0, 2: 0, 9: 0}))
     assert picks == [300]
 
 
@@ -411,13 +419,14 @@ def test_budget_repair_falls_back_to_the_cheapest_candidate():
     inst = _instance("f")
     rng = np.random.default_rng(2)
     # only service 100 is free; any roulette draw must be repaired to it
-    for _ in range(10):
-        picks, raw = find_service(inst, inst.center_point(),
-                                  ConstraintVector(price=0.0), _params(), rng)
+    for max_iter in range(10):
+        (picks,), (raw,) = find_service([inst], inst.center_point(),
+                                        ConstraintVector(price=0.0),
+                                        _params(max_iter=max_iter), rng)
         assert picks == [100]
         assert raw == inst.evaluate(picks)
     with pytest.raises(NoFeasibleCandidates):
-        find_service(inst, inst.center_point(), ConstraintVector(delay=1.0),
+        find_service([inst], inst.center_point(), ConstraintVector(delay=1.0),
                      _params(), rng)
 
 
@@ -571,8 +580,9 @@ def test_music_zero_iterations_takes_the_first_proposal(monkeypatch):
     res = music(inst, UNLIMITED, _params(max_iter=0), np.random.default_rng(3))
     assert res.feasible
     assert len(proposals) == 1
-    picks, raw = find_service(inst, inst.center_point(), UNLIMITED,
-                              _params(max_iter=0), np.random.default_rng(3))
+    (picks,), (raw,) = find_service([inst], inst.center_point(), UNLIMITED,
+                                    _params(max_iter=0),
+                                    np.random.default_rng(3))
     assert res.plans == {0: tuple(picks)}
     assert res.utility == inst.utility_of(raw)
 
@@ -591,7 +601,7 @@ def test_music_best_seen_never_degrades_with_more_iterations(monkeypatch):
 
 def test_music_returns_the_first_best_of_independent_proposals(monkeypatch):
     """One find_service call per single target returns the first best of
-    k + 1 proposals that one-proposal calls draw in a row."""
+    k + 1 proposals that one-proposal (max_iter 0) calls draw in a row."""
     dep, pop, instances = _fleet(users=2)
     inst = instances[0]
     # music's own searches go through the module; the reference draws below
@@ -604,8 +614,8 @@ def test_music_returns_the_first_best_of_independent_proposals(monkeypatch):
             res = music(inst, UNLIMITED, params, np.random.default_rng(seed))
             assert len(proposals) - before == 1
             rng = np.random.default_rng(seed)
-            draws = [find_service(inst, inst.center_point(), UNLIMITED,
-                                  params, rng)[0]
+            draws = [find_service([inst], inst.center_point(), UNLIMITED,
+                                  replace(params, max_iter=0), rng)[0][0]
                      for _ in range(k + 1)]
             assert len(proposals) - before == 1
             utils = [inst.utility_of(inst.evaluate(p)) for p in draws]
@@ -714,36 +724,55 @@ def test_music_queries_each_radius_once():
                              (None, 310.0)]
 
 
-def _reference_group_music(target, constraints, params, rng, ledger):
-    """music() on a group as a loop of memo-less find_service calls, each
-    blocking the clouds the ledger and earlier members leave without room:
-    (plans, utility) of the first best proposal, or (None, -inf), and the
-    note music gives when no proposal plans every member."""
-    best, best_val, note = None, -math.inf, None
+def _scalar_find_service(members, center, constraints, params, rng, ledger):
+    """find_service as its scalar proposal loop: max_iter + 1 proposals,
+    each a memo-less one-member search (_search) per member, in order,
+    blocking the clouds the ledger and earlier members leave without room.
+    Returns each member's picks and raw QoS in the first best proposal, or
+    raises the last NoFeasibleCandidates when no proposal plans every
+    member."""
+    best, best_val, failure = None, -math.inf, None
     for _ in range(params.max_iter + 1):
-        usage = {}
-        plans = {}
+        usage, picks, raws = {}, [], []
         try:
-            for m in target.members:
+            for m in members:
                 full = frozenset(
                     c for c, cap in ledger.capacities().items()
                     if cap - ledger.count(c) - usage.get(c, 0) <= 0)
-                picks, _ = find_service(m, target.center_point(),
-                                        constraints_for(constraints,
-                                                        m.user.id),
-                                        params, rng, blocked=full)
-                plans[m.user.id] = tuple(picks)
-                for cid in m.local_clouds(picks):
+                mine, raw = _search(m, center,
+                                    constraints_for(constraints, m.user.id),
+                                    params, rng, SearchMemo(), full)
+                picks.append(mine)
+                raws.append(raw)
+                for cid in m.local_clouds(mine):
                     usage[cid] = usage.get(cid, 0) + 1
         except NoFeasibleCandidates as exc:
-            note = f"group {target.group.id}: {exc}"
+            failure = exc
             continue
-        val = fleet_utility({m.user.id: m.utility(plans[m.user.id])
-                             for m in target.members},
-                            [m.user.id for m in target.members])
+        val = fleet_utility({m.user.id: m.utility(mine)
+                             for m, mine in zip(members, picks)},
+                            [m.user.id for m in members])
         if val > best_val:
-            best, best_val = plans, val
-    return best, best_val, note
+            best, best_val = (picks, raws), val
+    if best is None:
+        raise failure
+    return best
+
+
+def _reference_group_music(target, constraints, params, rng, ledger):
+    """music() on a group over the scalar proposal loop
+    (_scalar_find_service): (plans, utility, None) of the first best
+    proposal, or (None, -inf, note) with the note music gives when no
+    proposal plans every member."""
+    try:
+        picks, _ = _scalar_find_service(target.members, target.center_point(),
+                                        constraints, params, rng, ledger)
+    except NoFeasibleCandidates as exc:
+        return None, -math.inf, f"group {target.group.id}: {exc}"
+    plans = {m.user.id: tuple(mine) for m, mine in zip(target.members, picks)}
+    return plans, fleet_utility({m.user.id: m.utility(plans[m.user.id])
+                                 for m in target.members},
+                                [m.user.id for m in target.members]), None
 
 
 def test_grouped_music_matches_memo_less_proposals_under_tight_capacity():
@@ -807,7 +836,7 @@ def _joint_fleets():
 
 def test_joint_music_pass_equals_the_member_loop(monkeypatch):
     """music's one joint pass over a target's members against the member
-    loop of memo-less find_service calls, over random cases: 1, 2, 5, 8
+    loop of memo-less one-member searches, over random cases: 1, 2, 5, 8
     and 25 members, each local cloud with room 0 to 3 (or the empty
     ledger), no budget or a delay or power budget at a random level, and
     max_iter 0 to 7. Plans, utility, note and the generator state after
@@ -815,7 +844,8 @@ def test_joint_music_pass_equals_the_member_loop(monkeypatch):
     targets with re-scored proposals, on targets fallen back to the loop,
     on budgeted targets and on infeasible ones."""
     fleets = _joint_fleets()
-    searches = _counted(monkeypatch, allocation, "find_service")
+    # the proposal loop's searches: any one means the joint pass fell back
+    searches = _counted(monkeypatch, allocation, "_search")
     settled = _counted(monkeypatch, allocation, "_settle")
     rng = np.random.default_rng(26)
     seen = {"joint": 0, "re-scored": 0, "fallen back": 0, "budgeted": 0,
@@ -852,7 +882,7 @@ def test_joint_music_pass_equals_the_member_loop(monkeypatch):
                                                   ref_rng, ledger())
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         assert res.feasible == (plans is not None)
-        seen["fallen back" if calls > 1 else
+        seen["fallen back" if calls else
              "re-scored" if settles else "joint"] += 1
         seen["budgeted"] += budget.bounded()
         if plans is None:
@@ -862,6 +892,101 @@ def test_joint_music_pass_equals_the_member_loop(monkeypatch):
         assert (res.plans, res.utility) == (plans, val)
     assert min(seen.values()) > 2, seen
     assert set(sizes) == {1, 2, 5, 8, 25}, sizes
+
+
+def test_find_service_returns_the_scalar_loops_outcome_or_raises(
+        monkeypatch):
+    """find_service against its scalar proposal loop over random cases:
+    single users and groups of 2 to 25 members, no budget or a per-user
+    budget at a random level, each local cloud with room 0 to 2 (or the
+    empty ledger), and radii that can miss every local cloud. It never
+    returns None: it returns each member's picks and raw QoS in the loop's
+    first best proposal, or raises the loop's last NoFeasibleCandidates.
+    The generator state after each call is the loop's, on joint calls and
+    on calls whose joint pass fell back to the loop."""
+    fleets = _joint_fleets()
+    # the proposal loop's searches, and the radius index of each search
+    # table built: tables are built radius by radius as a search widens
+    searches = _counted(monkeypatch, allocation, "_search")
+    widened = []
+    radius = allocation._radius
+
+    def counted(instance, center, params, i, *rest):
+        table = radius(instance, center, params, i, *rest)
+        widened.append(i > 0 and table is not None)
+        return table
+
+    monkeypatch.setattr(allocation, "_radius", counted)
+    rng = np.random.default_rng(29)
+    seen = {"planned": 0, "infeasible": 0, "budgeted": 0, "room-bound": 0,
+            "widened": 0, "fallen back": 0}
+    for case in range(160):
+        *targets, locals_ = fleets[case % len(fleets)]
+        target = targets[int(rng.integers(len(targets)))]
+        members = target.members
+        if case % 2:
+            members = [members[int(rng.integers(len(members)))]]
+        center = (members[0].center_point() if case % 2
+                  else target.center_point())
+        rooms = rng.integers(0, 3, len(locals_)).tolist()
+        ledger = (lambda: NO_LEDGER) if case % 5 == 0 else (
+            lambda: CapacityLedger(dict(zip(locals_, rooms))))
+        budget = UNLIMITED
+        if case % 3:
+            dim = DIMS[case % 3]
+            budget = {m.user.id: ConstraintVector(**{dim: m.extrema.lo.get(dim)
+                      + float(rng.uniform(-0.05, 0.5))
+                      * (m.extrema.hi.get(dim) - m.extrema.lo.get(dim))})
+                      for m in members}
+        params = AnnealingParams(max_iter=int(rng.integers(0, 6)),
+                                 radius_start_m=float(rng.choice([0.0,
+                                                                  300.0])),
+                                 radius_step_m=float(rng.choice([100.0,
+                                                                 250.0])),
+                                 max_expansions=int(rng.integers(1, 5)))
+        seed = int(rng.integers(2**32))
+        got_rng, ref_rng = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+        before = len(searches)
+        widened.clear()
+        try:
+            got = find_service(members, center, budget, params, got_rng,
+                               ledger())
+        except NoFeasibleCandidates as exc:
+            got = exc
+        seen["fallen back"] += len(searches) > before
+        seen["widened"] += any(widened)
+        try:
+            ref = _scalar_find_service(members, center, budget, params,
+                                       ref_rng, ledger())
+        except NoFeasibleCandidates as exc:
+            ref = exc
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert got is not None
+        if isinstance(ref, NoFeasibleCandidates):
+            assert isinstance(got, NoFeasibleCandidates)
+            assert str(got) == str(ref)
+            seen["infeasible"] += 1
+        else:
+            picks, raws = got
+            assert (picks, raws) == ref
+            assert raws == [m.evaluate(mine)
+                            for m, mine in zip(members, picks)]
+            seen["planned"] += 1
+        seen["budgeted"] += case % 3 > 0
+        seen["room-bound"] += ledger() is not NO_LEDGER and \
+            min(rooms) < len(members)
+    assert min(seen.values()) > 2, seen
+
+
+def test_find_service_over_no_members_raises_invalid_group():
+    """A search needs a member: none raises InvalidGroup, the error
+    GroupInstance gives for a group without members, and draws nothing."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidGroup):
+        find_service([], (0.0, 0.0), UNLIMITED, AnnealingParams(), rng)
+    assert rng.bit_generator.state == state
 
 
 def test_music_respects_ledger_room():
@@ -1373,11 +1498,12 @@ class _TableInstance:
 
 
 class _TablePlans:
-    """_TableInstance's stand-in for PlanArrays: a batch of plans, as
-    positions into lists, scores from the instance's table."""
+    """_TableInstance's stand-in for PlanArrays over its one member: a
+    batch of plans, as positions into lists, scores from the instance's
+    table in row 0."""
 
-    def __init__(self, inst, lists):
-        self.inst, self.lists = inst, lists
+    def __init__(self, members, lists):
+        (self.inst,), self.lists = members, lists
 
     def _plans(self, positions):
         return [tuple(ids[i] for ids, i in zip(self.lists, col))
@@ -1387,11 +1513,11 @@ class _TablePlans:
         return self._plans(positions)
 
     def utility(self, raw, rows=None):
-        return np.array([self.inst.utility_of(p) for p in raw])
+        return np.array([[self.inst.utility_of(p) for p in raw]])
 
     def clouds_used(self, positions, clouds):
         used = [self.inst.local_clouds(p) for p in self._plans(positions)]
-        return np.array([[cid in u for u in used] for cid in clouds])
+        return np.array([[[cid in u for u in used]] for cid in clouds])
 
 
 def test_the_optimum_keeps_the_first_best_combination_among_tied_options(
@@ -1702,25 +1828,25 @@ def _room_rule_case(dep, pop, instances, budget):
             closed = frozenset()
         base = lambda s: directory.hosts[s] not in closed
         # one memo per user and set of closed clouds, shared by ledgers that
-        # block different clouds, as in one music() call
+        # block different clouds, as in one find_service call
         memos = {uid: SearchMemo() for uid in instances}
         for _ in range(5):
             ledger, usage, held = _random_room_case(rng, clouds)
-            blocked = clouds_without_room(ledger, usage) | closed
+            blocked = room_rule(ledger)(usage) | closed
             blocked_seen += bool(blocked)
             ok = _old_room_for(directory, ledger, base, usage)
             for uid, inst in instances.items():
                 center, memo = inst.center_point(), memos[uid]
                 try:
-                    find_service(inst, center, budget, params,
-                                 np.random.default_rng(0), memo, blocked)
+                    _search(inst, center, budget, params,
+                            np.random.default_rng(0), memo, blocked)
                 except NoFeasibleCandidates:
                     pass
                 stopped = False
                 for i in range(params.max_expansions):
                     key = (uid, i, blocked)
                     if key not in memo.radii:
-                        # find_service drew its plan at an earlier radius
+                        # the search drew its plan at an earlier radius
                         assert stopped
                         continue
                     table = memo.radii[key]
@@ -1783,7 +1909,8 @@ def _old_repair(instance, rows, allowed, dim):
 
 
 def _reference_find_service(instance, center, constraints, params, rng, ok):
-    """find_service before room was decided per cloud and draws came in one
+    """One proposal of find_service before room was decided per cloud and
+    draws came in one
     call: memo-less, every gated id through an availability callable, one
     scalar rng.random() per occurrence, plans keyed by (entry, occurrence
     index). Also returns the radius index used and whether the plan is a
@@ -1817,14 +1944,15 @@ def _reference_find_service(instance, center, constraints, params, rng, ok):
 
 
 def test_find_service_draws_like_the_scalar_reference():
-    """Plans, raw QoS and the generator state after each call equal the
-    scalar-draw reference on the widen, repair and infeasible paths."""
+    """A one-proposal (max_iter 0) call's plans, raw QoS and the generator
+    state after it equal the scalar-draw reference on the widen, repair and
+    infeasible paths; the clouds without room are the ledger's."""
     dep, pop, instances = _fleet(users=4, seed=9)
     directory = dep.directory
     clouds = sorted(dep.clouds)
     local_clouds = [c for c in clouds if dep.clouds[c].tier == LOCAL]
-    params = AnnealingParams(radius_start_m=0.0, radius_step_m=150.0,
-                             max_expansions=5)
+    params = AnnealingParams(max_iter=0, radius_start_m=0.0,
+                             radius_step_m=150.0, max_expansions=5)
     rng = np.random.default_rng(17)
     paths = {"widen": 0, "repair": 0, "infeasible": 0}
     for case in range(40):
@@ -1841,7 +1969,6 @@ def test_find_service_draws_like_the_scalar_reference():
         if case % 5 == 0:
             closed = frozenset()
         base = lambda s: directory.hosts[s] not in closed
-        memo = SearchMemo()
         seed = int(rng.integers(2**32))
         got_rng, ref_rng = (np.random.default_rng(seed),
                             np.random.default_rng(seed))
@@ -1854,10 +1981,12 @@ def test_find_service_draws_like_the_scalar_reference():
             except NoFeasibleCandidates:
                 ref = None
                 paths["infeasible"] += 1
+            full = room_rule(ledger)(usage) | closed
             try:
-                got = find_service(inst, center, budget, params, got_rng,
-                                   memo,
-                                   clouds_without_room(ledger, usage) | closed)
+                (picks,), (raw,) = find_service(
+                    [inst], center, budget, params, got_rng,
+                    CapacityLedger(dict.fromkeys(full, 0)))
+                got = picks, raw
             except NoFeasibleCandidates:
                 got = None
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -2332,9 +2461,9 @@ def test_cost_store_rows_equal_the_per_candidate_costing(monkeypatch):
         k = 0
         for m, inst in enumerate(members):
             mine = lists[k:k + inst.size]
-            own = PlanArrays(inst, mine)
+            own = PlanArrays([inst], mine)
             assert [c[m].tolist() for c in raw] == \
-                [c.tolist() for c in own.raw(positions[k:k + inst.size])]
+                [c[0].tolist() for c in own.raw(positions[k:k + inst.size])]
             for r in range(7):
                 picks = [ids[i] for ids, i in
                          zip(mine, positions[k:k + inst.size, r])]
@@ -2685,7 +2814,7 @@ def _dict_music(target, constraints, params, rng, ledger, paths):
         usage, plans, raws = {}, {}, []
         try:
             for m in members:
-                blocked = clouds_without_room(ledger, usage)
+                blocked = room_rule(ledger)(usage)
                 paths["filled"] += blocked != clouds_without_room(ledger)
                 plan, raw = _dict_find_service(
                     m, center, constraints_for(constraints, m.user.id),
@@ -2832,12 +2961,14 @@ def test_plan_arrays_score_as_evaluate_and_utility_of():
             # a random non-empty sublist per occurrence, in a random order
             lists = [[c[i] for i in rng.permutation(len(c))[
                 :int(rng.integers(1, len(c) + 1))]] for c in cands]
-            arrays = PlanArrays(inst, lists)
+            arrays = PlanArrays([inst], lists)
             m = int(rng.integers(1, 40))
             positions = np.array([rng.integers(len(ids), size=m)
                                   for ids in lists])
-            raw = arrays.raw(positions)
-            utils = arrays.utility(raw)
+            # one member: row 0 of each array
+            rows = arrays.raw(positions)
+            raw = [c[0] for c in rows]
+            utils = arrays.utility(rows)[0]
             budget = _random_budget(budget_rng, raw)
             over = budget.breaches(raw)
             budgets["unbounded"] += not budget.bounded()
@@ -2877,10 +3008,11 @@ def test_plan_arrays_raise_the_first_stray_plans_extrema_mismatch():
     raised = 0
     for inst in instances.values():
         lists = [c for _, _, c in inst.iter_occurrences()]
-        arrays = PlanArrays(inst, lists)
+        arrays = PlanArrays([inst], lists)
         positions = np.array([rng.integers(len(ids), size=60)
                               for ids in lists])
-        raw = arrays.raw(positions)
+        # one member: row 0 of each array
+        raw = [c[0] for c in arrays.raw(positions)]
         dim = int(rng.integers(3))
         lo, hi = inst.extrema.lo.as_tuple(), inst.extrema.hi.as_tuple()
         cut = float(np.median(raw[dim]))
@@ -2890,13 +3022,14 @@ def test_plan_arrays_raise_the_first_stray_plans_extrema_mismatch():
         for rows in (None, rng.random(60) < 0.5):
             stray = [r for r in range(60) if (rows is None or rows[r])
                      and raw[dim][r] > bounds[dim][4]]
+            asked = None if rows is None else rows[None]
             if not stray:
-                arrays.utility(raw, rows)
+                arrays.utility([c[None] for c in raw], asked)
                 continue
             with pytest.raises(ExtremaMismatch) as expect:
                 inst.utility_of(_columns(raw, stray[0]))
             with pytest.raises(ExtremaMismatch) as got:
-                arrays.utility(raw, rows)
+                arrays.utility([c[None] for c in raw], asked)
             assert str(got.value) == str(expect.value)
             raised += 1
     assert raised >= 4
@@ -2941,14 +3074,14 @@ def test_plan_arrays_over_members_score_each_member_as_its_own():
         used = arrays.clouds_used(positions, [1, 2, 7])
         k = 0
         for m, (inst, mine) in enumerate(zip(members, own_lists)):
-            own = PlanArrays(inst, mine)
+            own = PlanArrays([inst], mine)
             at = positions[k:k + len(mine)]
             own_raw = own.raw(at)
             assert [c[m].tolist() for c in raw] == \
-                [c.tolist() for c in own_raw]
-            assert utils[m].tolist() == own.utility(own_raw).tolist()
+                [c[0].tolist() for c in own_raw]
+            assert utils[m].tolist() == own.utility(own_raw)[0].tolist()
             assert used[:, m].tolist() == \
-                own.clouds_used(at, [1, 2, 7]).tolist()
+                own.clouds_used(at, [1, 2, 7])[:, 0].tolist()
             for r in range(plans):
                 picks = [ids[i] for ids, i in zip(mine, at[:, r])]
                 assert _columns([c[m] for c in raw], r) == \
@@ -2986,22 +3119,16 @@ def test_plan_arrays_over_members_score_each_member_as_its_own():
 
 def _one_proposal_at_a_time(inst, constraints, params, rng, ledger=NO_LEDGER,
                             center=None):
-    """Single-target music as max_iter + 1 one-proposal find_service calls
-    around center (None: the user's own): (plan, utility) of the first
-    best, or (None, -inf)."""
-    memo, blocked = SearchMemo(), clouds_without_room(ledger)
+    """Single-target music over the scalar proposal loop
+    (_scalar_find_service) around center (None: the user's own): (plan,
+    utility) of the first best, or (None, -inf)."""
     center = inst.center_point() if center is None else center
-    best, best_val = None, -math.inf
-    for _ in range(params.max_iter + 1):
-        try:
-            picks, raw = find_service(inst, center, constraints, params, rng,
-                                      memo, blocked)
-        except NoFeasibleCandidates:
-            continue
-        val = inst.utility_of(raw)
-        if val > best_val:
-            best, best_val = tuple(picks), val
-    return best, best_val
+    try:
+        (picks,), (raw,) = _scalar_find_service([inst], center, constraints,
+                                                params, rng, ledger)
+    except NoFeasibleCandidates:
+        return None, -math.inf
+    return tuple(picks), inst.utility_of(raw)
 
 
 def _room_ledger(clouds, room):
@@ -3037,7 +3164,7 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
     dep, pop, instances = _fleet(
         users=6, seed=0, profiles={"intercloud": {"delay_ms_per_100kb": 400.0}})
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
-    searches = _counted(monkeypatch, allocation, "find_service")
+    searches = _counted(monkeypatch, allocation, "_search")
     wheel = allocation._roulette_wheel
     rng = np.random.default_rng(13)
     seen = {"fallback": 0, "infeasible": 0, "budgeted": 0, "zero": 0,
@@ -3068,8 +3195,9 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
             continue
         assert res.plans == {inst.user.id: plan}
         assert res.utility == val
-        # the batched call gave None, and the proposals ran one at a time
-        seen["fallback"] += len(searches) - before > 1
+        # the batched pass set the generator back, and the proposals ran
+        # one at a time
+        seen["fallback"] += len(searches) > before
         seen["budgeted"] += budget.bounded()
         seen["uniform"] += uniform
     assert min(seen.values()) > 2, seen
@@ -3092,16 +3220,17 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
 
 
 def test_a_one_member_group_is_planned_like_its_user(monkeypatch):
-    """music on a one-member group makes the batched find_service call a
-    user makes. Around the group's center (center_of_group_mobility),
-    plans, utility and the generator state after the call equal max_iter
-    + 1 one-proposal calls in a row: unbudgeted and budgeted, with room 0,
-    1 or the empty ledger, and on targets whose proposals would widen (the call
-    gives None, and music's proposal loop runs them)."""
+    """music on a one-member group makes the find_service call a user
+    makes. Around the group's center (center_of_group_mobility), plans,
+    utility and the generator state after the call equal max_iter + 1
+    one-member searches in a row: unbudgeted and budgeted, with room 0, 1
+    or the empty ledger, and on targets whose proposals would widen (the
+    batched pass sets the generator back, and find_service's proposal loop
+    runs them)."""
     dep, pop, instances = _fleet(
         users=6, seed=0, profiles={"intercloud": {"delay_ms_per_100kb": 400.0}})
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
-    searches = _counted(monkeypatch, allocation, "find_service")
+    searches = _counted(monkeypatch, allocation, "_search")
     rng = np.random.default_rng(14)
     seen = {"batched": 0, "fallback": 0, "infeasible": 0, "budgeted": 0}
     for case in range(120):
@@ -3127,8 +3256,8 @@ def test_a_one_member_group_is_planned_like_its_user(monkeypatch):
             continue
         assert res.plans == {uid: plan}
         assert res.utility == val
-        seen["batched"] += calls == 1 and params.max_iter > 0
-        seen["fallback"] += calls > 1
+        seen["batched"] += calls == 0 and params.max_iter > 0
+        seen["fallback"] += calls > 0
         seen["budgeted"] += budget.bounded()
     assert min(seen.values()) > 2, seen
 

@@ -75,6 +75,11 @@ GOLDEN = {
     "default-all-noisy": (dict(DEFAULT, algorithm="all", uncertainty_pct=30.0,
                                repetitions=2),
                           "d852bf5eb2828c3a9157cb32ecca2adf56c213697fcebb8e5680f99dced80332"),
+    # music at default scale under a delay budget: most searches find no
+    # admitted plan at any radius, so their targets stay unplaced
+    "default-budget-delay": (dict(DEFAULT, algorithm="music",
+                                  budget_delay=12000.0, repetitions=2),
+                             "edf1a93ce97479976b2ead6cf8c86239aec44ab6abf2ab6448af1245e5d23a6a"),
 }
 
 # reads {name: scenario kwargs} on stdin, prints {name: sha256} on stdout
