@@ -1111,8 +1111,8 @@ def _radius(instance: UserInstance, center: tuple[float, float],
     occurrence, allowed ids, the ids in roulette order -- ascending total
     normalized QoS, then id --, their cumulative weights).
 
-    Reach is a per-cloud rule, like room: every local service is indexed
-    at its cloud's cell center, so one range query per radius gives the
+    Reach is a per-cloud rule, like room: the directory indexes each local
+    cloud at its cell center, so one range query per radius gives the
     local clouds out of reach. They join blocked, and the allowed ids are
     the baselines' filter over both (see _allowed_candidates), which
     on-device and public services pass at any radius. None when some

@@ -43,6 +43,15 @@ class Cell:
     wifi_covered_by: Optional[int] = None
 
 
+def grid_centers(width: int, height: int, cell_size_m: float) -> np.ndarray:
+    """(width * height, 2) array of the cell centers of a grid, in meters and
+    row-major by cell id: ((col + 0.5) * cell_size_m, (row + 0.5) *
+    cell_size_m)."""
+    xs = (np.arange(width) + 0.5) * float(cell_size_m)
+    ys = (np.arange(height) + 0.5) * float(cell_size_m)
+    return np.column_stack((np.tile(xs, height), np.repeat(ys, width)))
+
+
 class LocationMap:
     """Rectangular grid of square cells, row-major ids starting at 0."""
 
@@ -56,15 +65,11 @@ class LocationMap:
         self.height = int(height)
         self.cell_size_m = float(cell_size_m)
         wifi = dict(wifi) if wifi else {}
-        cells = []
-        for row in range(self.height):
-            for col in range(self.width):
-                cid = row * self.width + col
-                center = ((col + 0.5) * self.cell_size_m,
-                          (row + 0.5) * self.cell_size_m)
-                cells.append(Cell(cid, center, wifi.get(cid)))
-        self.cells: tuple[Cell, ...] = tuple(cells)
-        self._centers = np.array([c.center for c in cells], dtype=float)
+        centers = grid_centers(self.width, self.height, self.cell_size_m)
+        self.cells: tuple[Cell, ...] = tuple(
+            Cell(cid, (x, y), wifi.get(cid))
+            for cid, (x, y) in enumerate(centers.tolist()))
+        self._centers = centers
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -115,10 +120,6 @@ class LocationMap:
                 if d2 < best_d2:
                     best, best_d2 = cid, d2
         return best
-
-    def with_wifi(self, wifi: Mapping[int, int]) -> "LocationMap":
-        """Copy of this map with the given cell id -> cloud id coverage."""
-        return LocationMap(self.width, self.height, self.cell_size_m, wifi)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Spatial service registry: R-tree index, directory views, capacity ledger.
 
-Local-cloud services are indexed by their host cloud's cell center in an
-R-tree (quadratic split) so candidate discovery around a point is a range
-query instead of a scan. Public-cloud services sit outside the map and are
-kept in a side table, as are on-device services per user. The capacity
-ledger counts admitted users per local cloud and refuses admissions beyond
-the configured capacity.
+Reach is a per-cloud rule, so the R-tree (quadratic split) holds one point
+per local cloud, its cell center, and each cloud keeps the list of services
+it hosts: candidate discovery around a point is a range query over the
+clouds instead of a scan over the services. Public-cloud services sit
+outside the map and are kept in a side table, as are on-device services
+per user. The capacity ledger counts admitted users per local cloud and
+refuses admissions beyond the configured capacity.
 """
 
 from __future__ import annotations
@@ -261,9 +262,11 @@ class RTree:
 class ServiceDirectory:
     """Lookup views over the deployed services of one scenario.
 
-    Local-cloud services live in the R-tree keyed by their cloud's cell
-    center; public services and per-user device services are side tables.
+    The R-tree holds one point per local cloud, its cell center, keyed by
+    the cloud id, and each local cloud keeps the ids of the services it
+    hosts; public services and per-user device services are side tables.
     hosts maps each service id to its host cloud, or None on a device.
+    Raises IdError for a local cloud whose location is not a grid cell.
     """
 
     def __init__(self, grid: LocationMap, clouds: Mapping[int, CloudNode]):
@@ -272,9 +275,20 @@ class ServiceDirectory:
         self.services: dict[int, Service] = {}
         self.hosts: dict[int, Optional[int]] = {}
         self.tree = RTree()
+        self._on_cloud: dict[int, list[int]] = {}
         self._local: dict[str, list[int]] = {}
         self._public: dict[str, list[int]] = {}
         self._device: dict[tuple[int, str], list[int]] = {}
+        for cid, cloud in self.clouds.items():
+            if cloud.tier != LOCAL:
+                continue
+            try:
+                center = grid.cell(cloud.location).center
+            except (KeyError, TypeError):
+                raise IdError(f"local cloud {cid} sits at {cloud.location!r}, "
+                              f"which is not a cell of the grid") from None
+            self.tree.insert(cid, center)
+            self._on_cloud[cid] = []
 
     def __len__(self) -> int:
         return len(self.services)
@@ -286,10 +300,13 @@ class ServiceDirectory:
             self._device.setdefault((service.host_user, service.function_id),
                                     []).append(service.id)
         else:
-            cloud = self.clouds[service.host_cloud]
+            cloud = self.clouds.get(service.host_cloud)
+            if cloud is None:
+                raise IdError(f"service {service.id} names host cloud "
+                              f"{service.host_cloud!r}, which the directory "
+                              f"does not know")
             if cloud.tier == LOCAL:
-                center = self.grid.cell(cloud.location).center
-                self.tree.insert(service.id, center)
+                self._on_cloud[service.host_cloud].append(service.id)
                 self._local.setdefault(service.function_id, []).append(service.id)
             else:
                 self._public.setdefault(service.function_id, []).append(service.id)
@@ -304,7 +321,7 @@ class ServiceDirectory:
         if svc.on_device:
             self._device[(svc.host_user, svc.function_id)].remove(service_id)
         elif self.clouds[svc.host_cloud].tier == LOCAL:
-            self.tree.remove(service_id)
+            self._on_cloud[svc.host_cloud].remove(service_id)
             self._local[svc.function_id].remove(service_id)
         else:
             self._public[svc.function_id].remove(service_id)
@@ -325,9 +342,12 @@ class ServiceDirectory:
 
     def range_query(self, point: Iterable[float], radius: float,
                     function_id: Optional[str] = None) -> list[int]:
-        """Local-cloud service ids within radius of point, optionally
-        restricted to one function, in ascending id order."""
-        hits = self.tree.search_disc(point, radius)
+        """Ids of the services on the local clouds within radius of point
+        (boundary inclusive), optionally restricted to one function, in
+        ascending id order."""
+        on_cloud = self._on_cloud
+        hits = [sid for cid in self.tree.search_disc(point, radius)
+                for sid in on_cloud[cid]]
         if function_id is not None:
             hits = [sid for sid in hits
                     if self.services[sid].function_id == function_id]

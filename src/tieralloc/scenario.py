@@ -25,7 +25,7 @@ from .mobility import (BOTH, LOCATION, MANHATTAN, RANDOM_WAYPOINT, SERVICE,
                        generate_trajectory, inject_uncertainty, uniform,
                        weighted_pick)
 from .model import (LOCAL, PUBLIC, CloudNode, LocationMap, MobileUser,
-                    Service, Trajectory, UserGroup)
+                    Service, Trajectory, UserGroup, grid_centers)
 from .profiles import (BILL_COMPUTE, BILL_STORAGE, BILL_STREAMING,
                        ComputeProfile, ProfileSet)
 from .registry import CapacityLedger, ServiceDirectory
@@ -372,13 +372,19 @@ def wifi_association(centers: np.ndarray, cloud_cells: Sequence[int],
 def build_deployment(sc: Scenario) -> Deployment:
     """Generate grid, clouds, coverage, catalog, and cost tables.
 
+    After the cloud cells are chosen, every other double comes from one
+    rng.random block, used in loop order: per local cloud and function,
+    whether it is hosted (only when local_function_rate < 1) and then its
+    jitter; per public instance and function, its jitter; per user and
+    function, whether the device owns it and then its jitter. The block
+    holds exactly that many doubles, and they are the ones that as many
+    scalar rng.random calls would give.
+
     Raises ScenarioError when a function that no cloud hosts is missing
     from some user's device: that user's workflows could not be placed.
     """
     rng = derive_rng(sc.seed, _STRUCTURE)
     n_cells = sc.grid_width * sc.grid_height
-    base_grid = LocationMap(sc.grid_width, sc.grid_height, sc.cell_size_m)
-
     cloud_cells = sorted(int(c) for c in
                          rng.choice(n_cells, size=sc.local_clouds, replace=False))
     clouds: dict[int, CloudNode] = {}
@@ -390,8 +396,9 @@ def build_deployment(sc: Scenario) -> Deployment:
     for j in range(sc.public_instances):
         clouds[sc.local_clouds + j] = CloudNode(id=sc.local_clouds + j, tier=PUBLIC)
 
-    grid = base_grid.with_wifi(wifi_association(base_grid.centers(),
-                                                cloud_cells, radius))
+    centers = grid_centers(sc.grid_width, sc.grid_height, sc.cell_size_m)
+    grid = LocationMap(sc.grid_width, sc.grid_height, sc.cell_size_m,
+                       wifi_association(centers, cloud_cells, radius))
 
     profiles = ProfileSet.from_dict(sc.profiles) if sc.profiles \
         else ProfileSet.defaults()
@@ -399,8 +406,15 @@ def build_deployment(sc: Scenario) -> Deployment:
     functions = sorted({fn for t in templates for fn in t.functions})
     directory = ServiceDirectory(grid, clouds)
 
+    sparse = sc.local_function_rate < 1.0
+    n_draws = len(functions) * (sc.local_clouds * (1 + sparse)
+                                + sc.public_instances + sc.users * 2)
+    draw = iter(rng.random(n_draws).tolist()).__next__
+    # mobility.uniform's arithmetic on each jitter draw
+    lo, hi = 1.0 - sc.compute_jitter, 1.0 + sc.compute_jitter
+
     def jitter() -> float:
-        return uniform(rng, 1.0 - sc.compute_jitter, 1.0 + sc.compute_jitter)
+        return lo + (hi - lo) * draw()
 
     sid = 0
 
@@ -419,8 +433,7 @@ def build_deployment(sc: Scenario) -> Deployment:
 
     for cid in range(sc.local_clouds):
         for fn in functions:
-            hosted = sc.local_function_rate >= 1.0 \
-                or rng.random() < sc.local_function_rate
+            hosted = not sparse or draw() < sc.local_function_rate
             mult = jitter()
             if hosted:
                 deploy(fn, mult, host_cloud=cid, base="local")
@@ -430,7 +443,7 @@ def build_deployment(sc: Scenario) -> Deployment:
     hostless = {fn for fn in functions if not directory.cloud_services_for(fn)}
     for uid in range(sc.users):
         for fn in functions:
-            owns = rng.random() < sc.device_service_rate
+            owns = draw() < sc.device_service_rate
             mult = jitter()
             if owns:
                 deploy(fn, mult, host_user=uid, base="device")

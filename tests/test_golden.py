@@ -80,6 +80,12 @@ GOLDEN = {
     "default-budget-delay": (dict(DEFAULT, algorithm="music",
                                   budget_delay=12000.0, repetitions=2),
                              "edf1a93ce97479976b2ead6cf8c86239aec44ab6abf2ab6448af1245e5d23a6a"),
+    # a sparse deployment at default scale: each (cloud, function) draws
+    # whether it is hosted and then its jitter, and a quarter of the device
+    # services exist, so users lean on the local and public clouds
+    "default-sparse": (dict(DEFAULT, algorithm="all", local_function_rate=0.5,
+                            device_service_rate=0.25, repetitions=2),
+                       "d7d2143fbd21107d45caa8c775ac0d74c29f72ea849922343c123f638c2d4fb9"),
 }
 
 # reads {name: scenario kwargs} on stdin, prints {name: sha256} on stdout

@@ -528,7 +528,8 @@ def test_default_scale_walks_equal_the_reference_per_grid_geometry():
     assert east in tables[0].turn_table(13, 7, east)[0]
     assert east not in tables[2].turn_table(13, 7, east)[0]
     # only the geometry keys the tables: a coverage map does not
-    assert _lanes(grid.with_wifi({0: 0})) is tables[0]
+    assert _lanes(LocationMap(grid.width, grid.height, grid.cell_size_m,
+                              {0: 0})) is tables[0]
 
 
 def _turn_weight_subsets():

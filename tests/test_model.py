@@ -128,7 +128,7 @@ def test_wifi_coverage_is_attached_to_cells():
     grid = LocationMap(2, 1, 1.0, wifi={0: 7})
     assert grid.cell(0).wifi_covered_by == 7
     assert grid.cell(1).wifi_covered_by is None
-    recovered = grid.with_wifi({1: 3})
+    recovered = LocationMap(2, 1, 1.0, wifi={1: 3})
     assert recovered.cell(0).wifi_covered_by is None
     assert recovered.cell(1).wifi_covered_by == 3
 

@@ -176,3 +176,115 @@ def test_ledger_for_clouds_tracks_only_capacity_bound_locals():
     assert ledger.capacities() == {1: 3}
     assert ledger.room(1) == 3
     assert ledger.try_admit(9) is True  # public tier is never counted
+
+
+def test_insert_on_an_unknown_cloud_raises_and_leaves_the_directory_as_it_was():
+    grid, d = _directory()
+    before = (dict(d.services), dict(d.hosts), d.cloud_services_for("ocr"),
+              d.range_query((5.0, 5.0), 1e9), len(d.tree))
+    with pytest.raises(IdError, match=r"service 20 .*host cloud 7"):
+        d.insert(Service(20, "ocr", host_cloud=7))
+    assert (dict(d.services), dict(d.hosts), d.cloud_services_for("ocr"),
+            d.range_query((5.0, 5.0), 1e9), len(d.tree)) == before
+    d.insert(Service(20, "ocr", host_cloud=2))  # the id is still free
+    assert d.range_query((15.0, 15.0), 1.0) == [11, 20]
+
+
+@pytest.mark.parametrize("location", [16, -1, 99])
+def test_a_local_cloud_off_the_grid_is_refused_at_construction(location):
+    grid = LocationMap(4, 4, 10.0)
+    clouds = {1: CloudNode(1, LOCAL, location=0, capacity=2),
+              3: CloudNode(3, LOCAL, location=location, capacity=2)}
+    with pytest.raises(IdError, match=rf"local cloud 3 .*{location}"):
+        ServiceDirectory(grid, clouds)
+
+
+def test_the_index_holds_one_point_per_local_cloud():
+    grid, d = _directory()
+    assert len(d.tree) == 3
+    assert sorted(d.tree.search_disc((0.0, 0.0), math.inf)) == [1, 2, 3]
+    d.remove(10)
+    d.remove(11)
+    assert len(d.tree) == 3 and d.range_query((5.0, 5.0), 15.0) == []
+
+
+def _scan_directory(d, centers, point, radius, function_id):
+    return sorted(sid for sid, svc in d.services.items()
+                  if sid in centers
+                  and (function_id is None or svc.function_id == function_id)
+                  and math.dist(centers[sid], point) <= radius)
+
+
+def test_range_query_equals_a_scan_over_random_directories():
+    """Random grids, clouds (two may share a cell), churned catalogs and
+    radii at and just below a cloud's distance: range_query is the sorted
+    local services of the function whose cloud center lies in the disc."""
+    rng = np.random.default_rng(30)
+    functions = ("ocr", "sync", "stream")
+    exact = 0
+    for case in range(150):
+        width, height = int(rng.integers(1, 21)), int(rng.integers(1, 21))
+        if case < 2:
+            width, height = ((1, 1), (20, 20))[case]
+        size = float(rng.choice([1.0, 33.3, 100.0]))
+        grid = LocationMap(width, height, size)
+        n_local = int(rng.integers(0, 13))
+        cells = rng.integers(0, width * height, size=n_local).tolist()
+        if n_local >= 2 and case % 3 == 0:
+            cells[1] = cells[0]  # two clouds on one cell
+        clouds = {cid: CloudNode(cid, LOCAL, location=cell, capacity=1)
+                  for cid, cell in enumerate(cells)}
+        clouds[n_local] = CloudNode(n_local, PUBLIC)
+        d = ServiceDirectory(grid, clouds)
+        d.tree.check_invariants()
+        centers = {}  # local service id -> its cloud's cell center
+        sid = 0
+
+        def add(host_cloud=None, host_user=None):
+            nonlocal sid
+            fn = functions[int(rng.integers(len(functions)))]
+            d.insert(Service(sid, fn, host_cloud=host_cloud,
+                             host_user=host_user))
+            if host_cloud is not None and host_cloud < n_local:
+                centers[sid] = grid.cell(cells[host_cloud]).center
+            sid += 1
+
+        for _ in range(int(rng.integers(0, 40))):
+            kind = int(rng.integers(0, 4))
+            if kind == 0:
+                add(host_user=int(rng.integers(0, 3)))
+            elif kind == 1 or not n_local:
+                add(host_cloud=n_local)
+            else:
+                add(host_cloud=int(rng.integers(0, n_local)))
+        for step in range(6):
+            if step == 2 and n_local:
+                # empty one cloud, then put services back on it
+                victim = int(rng.integers(0, n_local))
+                for s in [s for s, h in d.hosts.items() if h == victim]:
+                    d.remove(s)
+                    centers.pop(s)
+                assert all(h != victim for h in d.hosts.values())
+                for _ in range(int(rng.integers(0, 3))):
+                    add(host_cloud=victim)
+            elif d.services and step % 2:
+                s = int(rng.choice(sorted(d.services)))
+                d.remove(s)
+                centers.pop(s, None)
+            d.tree.check_invariants()
+            point = (float(rng.uniform(-size, (width + 1) * size)),
+                     float(rng.uniform(-size, (height + 1) * size)))
+            radii = [float(rng.uniform(0.0, 2.0 * size * max(width, height))),
+                     0.0, math.inf]
+            for cell in cells:
+                at = math.dist(grid.cell(cell).center, point)
+                radii += [at, math.nextafter(at, -math.inf)]
+            for radius in radii:
+                for fn in (None, *functions):
+                    want = _scan_directory(d, centers, point, radius, fn)
+                    got = (d.range_query(point, radius) if fn is None
+                           else d.range_query(point, radius, function_id=fn))
+                    assert got == want, (case, step, point, radius, fn)
+                    exact += radius in (math.dist(c, point)
+                                        for c in centers.values())
+    assert exact > 0

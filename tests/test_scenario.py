@@ -11,7 +11,12 @@ from tieralloc import (LOCAL, PUBLIC, LocationMap, ProfileSet, Scenario,
                        clouds_without_room, derive_rng, derive_seed,
                        load_scenario, make_templates, occurrences,
                        run_experiment)
-from tieralloc.scenario import wifi_association
+from tieralloc.mobility import uniform
+from tieralloc.model import CloudNode, Service
+from tieralloc.profiles import BILL_COMPUTE, ComputeProfile
+from tieralloc.registry import ServiceDirectory
+from tieralloc.scenario import (_FUNCTION_BILLING, _STRUCTURE,
+                                wifi_association)
 
 
 def _collect_functions(node):
@@ -328,6 +333,125 @@ def test_wifi_association_equals_the_per_pair_loop():
         {0: 1, 1: 0, 2: 0}
     assert wifi_association(strip.centers(), [], 10.0) == {}
     assert wifi_association(strip.centers(), [1], 0.0) == {1: 0}
+
+
+def _scalar_deployment(sc):
+    """The deployment loop as it was before the block draw: a base map and
+    its WiFi copy, one scalar rng.random call per draw, jitter through
+    mobility.uniform. Returns (cell centers, WiFi coverage, clouds,
+    services, hosts, {compute ref: profile}), or raises its ScenarioError."""
+    rng = derive_rng(sc.seed, _STRUCTURE)
+    n_cells = sc.grid_width * sc.grid_height
+    centers = [((col + 0.5) * sc.cell_size_m, (row + 0.5) * sc.cell_size_m)
+               for row in range(sc.grid_height) for col in range(sc.grid_width)]
+    cloud_cells = sorted(int(c) for c in
+                         rng.choice(n_cells, size=sc.local_clouds, replace=False))
+    clouds = {}
+    radius = sc.coverage_radius_cells * sc.cell_size_m
+    for i, cell in enumerate(cloud_cells):
+        clouds[i] = CloudNode(id=i, tier=LOCAL, location=cell,
+                              capacity=sc.local_capacity,
+                              coverage_radius_m=radius)
+    for j in range(sc.public_instances):
+        clouds[sc.local_clouds + j] = CloudNode(id=sc.local_clouds + j, tier=PUBLIC)
+    wifi = wifi_association(np.array(centers, dtype=float), cloud_cells, radius)
+    grid = LocationMap(sc.grid_width, sc.grid_height, sc.cell_size_m, wifi)
+    profiles = ProfileSet.defaults()
+    functions = sorted({fn for t in sc.templates() for fn in t.functions})
+    directory = ServiceDirectory(grid, clouds)
+
+    def jitter():
+        return uniform(rng, 1.0 - sc.compute_jitter, 1.0 + sc.compute_jitter)
+
+    sid = 0
+
+    def deploy(fn, mult, *, host_cloud=None, host_user=None, base):
+        nonlocal sid
+        ref = f"svc{sid}"
+        tpl = profiles.compute_profile(base)
+        profiles.compute[ref] = ComputeProfile(
+            delay_ms_per_100kb=tpl.delay_ms_per_100kb * mult,
+            energy_mj_per_100kb=tpl.energy_mj_per_100kb * mult,
+            billing=_FUNCTION_BILLING.get(fn, BILL_COMPUTE))
+        directory.insert(Service(id=sid, function_id=fn, host_cloud=host_cloud,
+                                 host_user=host_user, compute_ref=ref))
+        sid += 1
+
+    for cid in range(sc.local_clouds):
+        for fn in functions:
+            hosted = sc.local_function_rate >= 1.0 \
+                or rng.random() < sc.local_function_rate
+            mult = jitter()
+            if hosted:
+                deploy(fn, mult, host_cloud=cid, base="local")
+    for j in range(sc.public_instances):
+        for fn in functions:
+            deploy(fn, jitter(), host_cloud=sc.local_clouds + j, base="public")
+    hostless = {fn for fn in functions if not directory.cloud_services_for(fn)}
+    for uid in range(sc.users):
+        for fn in functions:
+            owns = rng.random() < sc.device_service_rate
+            mult = jitter()
+            if owns:
+                deploy(fn, mult, host_user=uid, base="device")
+            elif fn in hostless:
+                raise ScenarioError(
+                    f"public_instances/local_function_rate: no cloud hosts "
+                    f"{fn!r} (public_instances {sc.public_instances}, "
+                    f"local_function_rate {sc.local_function_rate}) and user "
+                    f"{uid} has no device service for it")
+    return (centers, [c.wifi_covered_by for c in grid.cells], clouds,
+            directory.services, directory.hosts,
+            {s.compute_ref: profiles.compute[s.compute_ref]
+             for s in directory.services.values()})
+
+
+def _deployment_view(dep):
+    return ([c.center for c in dep.grid.cells],
+            [c.wifi_covered_by for c in dep.grid.cells], dep.clouds,
+            dep.directory.services, dep.directory.hosts,
+            {s.compute_ref: dep.profiles.compute[s.compute_ref]
+             for s in dep.directory.services.values()})
+
+
+def test_block_drawn_deployment_equals_the_scalar_draw_loop():
+    rng = np.random.default_rng(30)
+    names = ("file_sync", "text_recognition", "video_stream")
+    outcomes = {"built": 0, "refused": 0, "two draws": 0, "no users": 0}
+    for case in range(240):
+        width, height = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        public = int(rng.integers(0, 3))
+        local = int(rng.integers(1 if public == 0 else 0,
+                                 min(width * height, 6) + 1))
+        mix = [n for n in names if rng.random() < 0.6] or [names[case % 3]]
+        sc = Scenario(
+            scenario_id="draws", grid_width=width, grid_height=height,
+            cell_size_m=float(rng.choice([10.0, 33.3, 100.0])),
+            local_clouds=local, public_instances=public,
+            coverage_radius_cells=float(rng.choice([0.0, 1.5, 2.7])),
+            users=max(1, int(rng.integers(0, 31))),
+            local_function_rate=float(rng.choice([0.0, 0.4, 1.0])),
+            device_service_rate=float(rng.choice([0.0, 0.5, 1.0])),
+            compute_jitter=float(rng.choice([0.0, 0.1, 0.3])),
+            template_mix={n: 1.0 for n in mix},
+            seed=int(rng.integers(0, 2**31)))
+        if case % 10 == 0:
+            # validation asks for a user, but the catalog loop takes none
+            sc.users = 0
+            outcomes["no users"] += 1
+        outcomes["two draws"] += sc.local_clouds > 0 \
+            and sc.local_function_rate < 1.0
+        try:
+            want = _scalar_deployment(sc)
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError) as got:
+                build_deployment(sc)
+            assert got.value.args == exc.args, case
+            outcomes["refused"] += 1
+            continue
+        assert _deployment_view(build_deployment(sc)) == want, case
+        outcomes["built"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_deployment_is_seed_deterministic():
