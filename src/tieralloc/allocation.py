@@ -35,7 +35,9 @@ user's plan space and that option product, before any plan is evaluated.
 Many plans are scored at once by PlanArrays, by the scalar evaluator's rules
 run on columns of plans: every member of every MuSIC proposal of a target,
 and the optimum's plan spaces, whose combinations fleet_utility scores over
-columns. So each rule is stated once.
+columns. Each LTW entry folds into one row of an entry block, and a plan's
+QoS is the sum of its entries' rows, from 0.0 in entry order. So each rule
+is stated once.
 """
 
 from __future__ import annotations
@@ -857,15 +859,20 @@ class PlanArrays:
     members lists the users' UserInstances. lists[k] holds the ids that
     occurrence k picks from, in iter_occurrences order, member after
     member. A batch of plans is a (occurrences x plans) matrix
-    of positions into those lists: column r is plan r of every member. raw
-    gives each plan's LTW QoS by UserInstance.evaluate's rules on columns:
-    a hop is paid where both host codes (see CostStore) are clouds and
-    differ, as np.where(paid, d + hop, d); each entry folds
-    through fold_of(shape, np.maximum), all the entries of one shape in one
-    call; each member's entries are summed from 0.0 in order (a member with
-    fewer entries than another adds 0.0, which changes no sum). utility is
-    utility_of's clamp-and-min on those columns. So every value is == the
-    scalar one. A column holds one row per member.
+    of positions into those lists: column r is plan r of every member.
+
+    Scores follow UserInstance.evaluate's rules on columns, in two stages.
+    entry_raw gives the entry block: one row per LTW entry, member after
+    member, holding that entry's workflow QoS. A hop is paid where both
+    host codes (see CostStore) are clouds and differ, as np.where(paid,
+    d + hop, d), and each entry folds through fold_of(shape, np.maximum),
+    all the entries of one shape in one call. raw then sums each member's
+    entries by one rule: member m's d-th entry is row first_m + d, and the
+    totals start at 0.0 and add each depth's rows in entry order, so each
+    is ((0.0 + e0) + e1) + ... like evaluate's. A member with fewer
+    entries than another reads the block's last row, 0.0, which changes
+    no sum. utility is utility_of's clamp-and-min on those columns. So
+    every value is == the scalar one. A column holds one row per member.
 
     The candidates' costs and host codes are gathered from the members'
     stores in one fancy index per store: members built through one
@@ -874,7 +881,7 @@ class PlanArrays:
     """
 
     __slots__ = ("members", "starts", "cols", "codes", "hops", "folds",
-                 "sums", "firsts")
+                 "depths", "entries", "firsts")
 
     def __init__(self, members: Sequence[UserInstance],
                  lists: Sequence[Sequence[int]]):
@@ -884,19 +891,16 @@ class PlanArrays:
         segments: list[tuple[CostStore, list[int]]] = []
         sizes: list[int] = []
         hops: list[tuple[int, int, float]] = []
-        # per fold: its index, its leaf count and the first occurrence of
-        # each entry it folds; per member, the (fold index, row among the
-        # fold's entries) of each of its entries
-        shapes: dict[FoldFn, tuple[int, int, list[int]]] = {}
-        entries: list[list[tuple[int, int]]] = []
+        # per fold: its leaf count, and the first occurrence and the block
+        # row of each entry it folds
+        shapes: dict[FoldFn, tuple[int, list[int], list[int]]] = {}
         self.firsts: list[int] = []
-        k = 0
+        k = e = 0
         for member in self.members:
             if not segments or segments[-1][0] is not member.store:
                 segments.append((member.store, []))
             rows = segments[-1][1]
             self.firsts.append(k)
-            mine = []
             for tables in member.entries:
                 for j, (start, where, prev, hop) in enumerate(tables.steps):
                     ids = lists[k + j]
@@ -904,25 +908,34 @@ class PlanArrays:
                     rows += [start + where[sid] for sid in ids]
                     if prev is not None:
                         hops.append((k + j, k + prev, hop))
-                fold = fold_of(tables.shape, np.maximum)
-                shape = shapes.get(fold)
-                if shape is None:
-                    shape = shapes[fold] = (len(shapes), len(tables.steps),
-                                            [])
-                mine.append((shape[0], len(shape[2])))
-                shape[2].append(k)
+                _, firsts, at = shapes.setdefault(
+                    fold_of(tables.shape, np.maximum),
+                    (len(tables.steps), [], []))
+                firsts.append(k)
+                at.append(e)
                 k += len(tables.steps)
-            entries.append(mine)
-        # per fold, the index of its leaves' occurrence rows: (leaves x
-        # entries), or a (leaves x 1) view for a fold of one entry
+                e += 1
+        # per fold, the index of its leaves' occurrence rows, (leaves x
+        # entries) or a (leaves x 1) view for a fold of one entry, and its
+        # entries' block rows, a slice where they are consecutive
         self.folds = [(fold, (slice(firsts[0], firsts[0] + n), None)
-                       if len(firsts) == 1 else _leaf_rows(n, tuple(firsts)))
-                      for fold, (_, n, firsts) in shapes.items()]
-        if len(entries) == 1:
-            self.sums = [(f, slice(r, r + 1)) for f, r in entries[0]]
+                       if len(firsts) == 1 else _leaf_rows(n, tuple(firsts)),
+                       slice(at[0], at[-1] + 1)
+                       if at[-1] - at[0] == len(at) - 1 else np.array(at))
+                      for fold, (n, firsts, at) in shapes.items()]
+        self.entries = e
+        # per entry depth, each member's block row: a strided view when
+        # every member has c entries, else an index whose row e (the
+        # block's last, 0.0) stands for a member without an entry there
+        counts = [len(m.entries) for m in self.members]
+        c = counts[0]
+        if counts.count(c) == len(counts):
+            self.depths = [slice(d, e, c) for d in range(c)]
         else:
-            self.sums = _member_rows(entries, [len(f) for _, _, f in
-                                               shapes.values()])
+            first = list(itertools.accumulate(counts, initial=0))
+            self.depths = [np.array([f + d if d < n else e
+                                     for f, n in zip(first, counts)])
+                           for d in range(max(counts))]
         self.starts = np.array([0, *itertools.accumulate(sizes)][:-1])[:, None]
         # (price, power, delay) of every candidate, by dimension, and its
         # host code
@@ -941,8 +954,11 @@ class PlanArrays:
             self.hops = (np.array(at), np.array(before),
                          np.array(hop)[:, None])
 
-    def raw(self, positions) -> list[np.ndarray]:
-        """The price, power and delay column of each plan's LTW QoS."""
+    def entry_raw(self, positions) -> np.ndarray:
+        """The entry block of a batch: a (3 x (entries + 1) x plans) array
+        whose row i holds the price, power and delay of LTW entry i
+        (members' entries in order) under each plan; the last row is
+        0.0."""
         flat = np.asarray(positions) + self.starts
         price, power, delay = self.cols[:, flat]
         if self.hops is not None:
@@ -953,24 +969,21 @@ class PlanArrays:
                     & (node != prev))
             d = delay[at]
             delay[at] = np.where(paid, d + hop, d)
-        # per fold, the (entries x plans) columns of its entries' totals
-        folded = [fold(zip(price[leaves], power[leaves], delay[leaves]))
-                  for fold, leaves in self.folds]
-        totals = [0.0, 0.0, 0.0]
-        stacked = None
-        for f, rows in self.sums:
-            if f is None:
-                # one row per member, taken from every fold's rows and a
-                # last row of 0.0
-                if stacked is None:
-                    zero = np.zeros((1, flat.shape[1]))
-                    stacked = [np.concatenate([*(t[d] for t in folded), zero])
-                               for d in range(3)]
-                part = [column[rows] for column in stacked]
-            else:
-                part = [column[rows] for column in folded[f]]
-            totals = [t + x for t, x in zip(totals, part)]
-        return totals
+        block = np.empty((3, self.entries + 1, flat.shape[1]))
+        block[:, -1] = 0.0
+        for fold, leaves, rows in self.folds:
+            block[:, rows] = fold(zip(price[leaves], power[leaves],
+                                      delay[leaves]))
+        return block
+
+    def raw(self, positions) -> list[np.ndarray]:
+        """The price, power and delay column of each plan's LTW QoS: each
+        member's entries of the entry block, summed from 0.0 in order."""
+        block = self.entry_raw(positions)
+        totals = 0.0
+        for rows in self.depths:
+            totals = totals + block[:, rows]
+        return list(totals)
 
     def utility(self, raw: Sequence[np.ndarray],
                 rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -1038,30 +1051,6 @@ def _leaf_rows(leaves: int, firsts: tuple[int, ...]) -> np.ndarray:
     rows = np.arange(leaves)[:, None] + np.array(firsts)
     rows.flags.writeable = False
     return rows
-
-
-def _member_rows(entries: list[list[tuple[int, int]]],
-                 sizes: list[int]) -> list[tuple[Optional[int], object]]:
-    """Where PlanArrays.raw finds, per entry depth, one row per member: the
-    folded totals of each member's entry at that depth. entries[m] lists
-    member m's entries as (fold index, row among that fold's entries), and
-    sizes gives each fold's entry count. A depth whose entries are rows a,
-    a + 1, ... of one fold, in member order, reads a slice of that fold's
-    totals (f, slice); any other depth reads an index array into every
-    fold's rows stacked, in fold order, then a row of 0.0 for a member
-    without an entry there (None, index)."""
-    offsets = [0, *itertools.accumulate(sizes)]
-    out = []
-    for e in range(max(map(len, entries))):
-        at = [mine[e] if e < len(mine) else None for mine in entries]
-        f, a = at[0] or (None, 0)
-        if f is not None and at == [(f, a + m) for m in range(len(at))]:
-            out.append((f, slice(a, a + len(at))))
-        else:
-            out.append((None, np.array([offsets[-1] if x is None
-                                        else offsets[x[0]] + x[1]
-                                        for x in at])))
-    return out
 
 
 class GroupInstance:

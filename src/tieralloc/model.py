@@ -75,8 +75,13 @@ class LocationMap:
         return len(self.cells)
 
     def cell(self, cell_id: int) -> Cell:
-        if not 0 <= cell_id < len(self.cells):
-            raise KeyError(f"no cell with id {cell_id}")
+        """The cell with this id. Any other value raises KeyError: an id
+        off the grid, and one that is no integer (a bool, a float or a
+        str) alike."""
+        if ((type(cell_id) is not int
+             and not isinstance(cell_id, np.integer))
+                or not 0 <= cell_id < len(self.cells)):
+            raise KeyError(f"no cell with id {cell_id!r}")
         return self.cells[cell_id]
 
     def centers(self) -> np.ndarray:

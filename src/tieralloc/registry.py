@@ -284,7 +284,7 @@ class ServiceDirectory:
                 continue
             try:
                 center = grid.cell(cloud.location).center
-            except (KeyError, TypeError):
+            except KeyError:
                 raise IdError(f"local cloud {cid} sits at {cloud.location!r}, "
                               f"which is not a cell of the grid") from None
             self.tree.insert(cid, center)

@@ -2674,9 +2674,9 @@ def _dict_evaluate(inst, plan):
     return QoSTriple(price, power, delay)
 
 
-def _random_composite_ltw(rng):
+def _random_composite_ltw(rng, entries=None):
     """An LTW over the random cost world's functions whose entries nest
-    Seq, And, Xor and Loop nodes."""
+    Seq, And, Xor and Loop nodes; entries of them (None: one to three)."""
     def kb():
         return float(rng.uniform(1.0, 5000.0))
 
@@ -2692,9 +2692,11 @@ def _random_composite_ltw(rng):
             return Loop(seq(*kids), count=int(rng.integers(1, 4)))
         return (seq, par, xor)[kind](*kids)
 
+    if entries is None:
+        entries = int(rng.integers(1, 4))
     return LTW(tuple(LTWEntry(int(rng.choice([0, 1, 8, 15, 14, 3])), 30.0,
                               tree())
-                     for _ in range(int(rng.integers(1, 4)))))
+                     for _ in range(entries)))
 
 
 def _paid_hops(inst, plan):
@@ -3037,15 +3039,16 @@ def test_plan_arrays_raise_the_first_stray_plans_extrema_mismatch():
 
 def test_plan_arrays_over_members_score_each_member_as_its_own():
     """PlanArrays over several members, whose LTWs have one to three
-    entries of mixed shapes (so some entry depths read one fold's rows and
-    others the stacked rows of every fold), give each member the raw
+    entries of mixed shapes (so some members have fewer entries than
+    others, and some entry depths mix shapes), give each member the raw
     rows, utility rows and per-cloud usage masks of that member's own
     PlanArrays, == evaluate and utility_of, a member with a span-0
     dimension included. With bounds narrowed under some plans' values, the
     first stray plan among the rows asked for raises, plan by plan and then
     member by member."""
     rng = np.random.default_rng(61)
-    seen = {"stacked": 0, "one fold": 0, "span 0": 0, "raised": 0}
+    seen = {"unequal counts": 0, "mixed depth": 0, "one-shape depth": 0,
+            "span 0": 0, "raised": 0}
     for _ in range(40):
         profiles = _random_profiles(rng)
         grid, directory, users = _random_cost_world(rng, profiles)
@@ -3064,8 +3067,12 @@ def test_plan_arrays_over_members_score_each_member_as_its_own():
             for _, _, c in m.iter_occurrences()] for m in members]
         lists = [ids for mine in own_lists for ids in mine]
         arrays = PlanArrays(members, lists)
-        for f, _ in arrays.sums:
-            seen["stacked" if f is None else "one fold"] += 1
+        counts = [len(m.entries) for m in members]
+        seen["unequal counts"] += len(set(counts)) > 1
+        for d in range(max(counts)):
+            shapes = {m.entries[d].shape for m in members
+                      if d < len(m.entries)}
+            seen["mixed depth" if len(shapes) > 1 else "one-shape depth"] += 1
         plans = int(rng.integers(1, 30))
         positions = np.array([rng.integers(len(ids), size=plans)
                               for ids in lists])
@@ -3114,6 +3121,84 @@ def test_plan_arrays_over_members_score_each_member_as_its_own():
             arrays.utility(raw, rows)
         assert str(got.value) == str(expect.value)
         seen["raised"] += 1
+    assert min(seen.values()) > 5, seen
+
+
+def _entry_leaves(inst, picks):
+    """Per entry of a pick list, the per-leaf (price, power, delay) that
+    evaluate folds: each occurrence's store row, with the hop from a Seq
+    predecessor on a different cloud added to its delay."""
+    store, hosts, base = inst.store, inst.hosts, 0
+    for tables in inst.entries:
+        leaves = []
+        for j, (start, where, prev, hop) in enumerate(tables.steps):
+            sid = picks[base + j]
+            i = start + where[sid]
+            d = store.delay[i]
+            if prev is not None:
+                node, before = hosts[sid], hosts[picks[base + prev]]
+                if None not in (node, before) and node != before:
+                    d += hop
+            leaves.append((store.price[i], store.power[i], d))
+        yield leaves
+        base += len(leaves)
+
+
+def test_plan_arrays_entry_block_holds_each_entrys_fold():
+    """The entry block of members whose random LTWs (Seq, And, Xor and
+    Loop, with paid hops) have 1 to 16 entries holds, in row first_m + d,
+    == the fold of member m's d-th entry over the leaves evaluate reads,
+    and 0.0 in its last row; raw sums each member's rows from 0.0 in
+    order, which a pairwise or segmented sum would not match, in batches
+    of one plan and of many."""
+    rng = np.random.default_rng(67)
+    seen = {"one plan": 0, "many plans": 0, "unequal counts": 0,
+            "paid hops": 0, "over 8 entries": 0, "reduceat differs": 0,
+            "axis sum differs": 0}
+    for _ in range(30):
+        profiles = _random_profiles(rng)
+        grid, directory, users = _random_cost_world(rng, profiles)
+        members = [UserInstance(u, _random_composite_ltw(
+            rng, int(rng.integers(1, 17))), directory, profiles, grid)
+                   for u in users[:int(rng.integers(1, 5))]]
+        lists = [c for m in members for _, _, c in m.iter_occurrences()]
+        arrays = PlanArrays(members, lists)
+        plans = 1 if rng.random() < 0.4 else int(rng.integers(2, 40))
+        positions = np.array([rng.integers(len(ids), size=plans)
+                              for ids in lists])
+        block = arrays.entry_raw(positions)
+        entries = sum(len(m.entries) for m in members)
+        assert block.shape == (3, entries + 1, plans)
+        assert not block[:, -1].any()
+        raw = arrays.raw(positions)
+        row = k = 0
+        for m, inst in enumerate(members):
+            for r in range(plans):
+                mine = slice(k, k + inst.size)
+                picks = [ids[i] for ids, i in zip(lists[mine],
+                                                  positions[mine, r])]
+                total = (0.0, 0.0, 0.0)
+                for d, (tables, leaves) in enumerate(
+                        zip(inst.entries, _entry_leaves(inst, picks))):
+                    entry = tables.fold(leaves)
+                    assert block[:, row + d, r].tolist() == list(entry)
+                    total = tuple(t + x for t, x in zip(total, entry))
+                assert _columns([c[m] for c in raw], r) == QoSTriple(*total)
+                assert QoSTriple(*total) == inst.evaluate(picks)
+                seen["paid hops"] += _paid_hops(inst, _keyed(inst, picks)) > 0
+            row += len(inst.entries)
+            k += inst.size
+        seen["one plan" if plans == 1 else "many plans"] += 1
+        seen["unequal counts"] += len({len(m.entries) for m in members}) > 1
+        seen["over 8 entries"] += max(len(m.entries) for m in members) > 8
+        # the sums a shortcut would give, which these batches tell apart
+        counts = [len(m.entries) for m in members]
+        firsts = list(itertools.accumulate(counts, initial=0))[:-1]
+        seen["reduceat differs"] += not np.array_equal(
+            np.add.reduceat(block[:, :-1], firsts, axis=1), raw)
+        seen["axis sum differs"] += not np.array_equal(
+            np.stack([block[:, f:f + n].sum(axis=1)
+                      for f, n in zip(firsts, counts)], axis=1), raw)
     assert min(seen.values()) > 5, seen
 
 

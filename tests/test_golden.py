@@ -86,6 +86,19 @@ GOLDEN = {
     "default-sparse": (dict(DEFAULT, algorithm="all", local_function_rate=0.5,
                             device_service_rate=0.25, repetitions=2),
                        "d7d2143fbd21107d45caa8c775ac0d74c29f72ea849922343c123f638c2d4fb9"),
+    # gmusic at default scale under prediction noise: in 22 of the 24
+    # entry depths of its 8 joint passes, a group's members mix workflow
+    # fold shapes, so that depth's entry rows come from several folds
+    "default-gmusic-noisy": (dict(DEFAULT, groups=4, algorithm="gmusic",
+                                  uncertainty_pct=30.0, repetitions=2),
+                             "755f9529d7e3b38c485f5bfc171e77a1eafab9c2a67f599a2996f5bd71e4bc09"),
+    # gmusic on short trajectories with six workflows each: in 14 of its
+    # 15 joint passes a group's members have unequal entry counts, so a
+    # member with fewer entries adds the zero row at the deeper depths
+    "short-gmusic": (dict(DEFAULT, groups=5, algorithm="gmusic",
+                          workflows_per_user=6, duration_s=60.0,
+                          repetitions=3),
+                     "ee6358e1d086ebedca23dde120d28cfd98fd7e4288f8c045e577b6a2c30f45c5"),
 }
 
 # reads {name: scenario kwargs} on stdin, prints {name: sha256} on stdout

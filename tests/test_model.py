@@ -35,6 +35,18 @@ def test_cell_lookup_rejects_unknown_ids():
         grid.cell(-1)
 
 
+@pytest.mark.parametrize("cell_id", [1.0, 1.5, "3", True])
+def test_cell_lookup_rejects_ids_that_are_no_integer(cell_id):
+    grid = LocationMap(2, 2, 1.0)
+    with pytest.raises(KeyError, match="no cell with id"):
+        grid.cell(cell_id)
+
+
+def test_cell_lookup_takes_a_numpy_integer_id():
+    grid = LocationMap(2, 2, 1.0)
+    assert grid.cell(np.int64(3)) is grid.cell(3)
+
+
 def test_cell_at_matches_arithmetic_oracle_and_clamps():
     grid = LocationMap(4, 3, 7.5)
     rng = np.random.default_rng(0)

@@ -190,7 +190,7 @@ def test_insert_on_an_unknown_cloud_raises_and_leaves_the_directory_as_it_was():
     assert d.range_query((15.0, 15.0), 1.0) == [11, 20]
 
 
-@pytest.mark.parametrize("location", [16, -1, 99])
+@pytest.mark.parametrize("location", [16, -1, 99, 1.0, 1.5, "3", True])
 def test_a_local_cloud_off_the_grid_is_refused_at_construction(location):
     grid = LocationMap(4, 4, 10.0)
     clouds = {1: CloudNode(1, LOCAL, location=0, capacity=2),
