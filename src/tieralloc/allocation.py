@@ -6,9 +6,10 @@ one find_service call per target. The candidate search widens its radius in
 fixed steps; at each radius a plan is assembled by roulette-wheel selection
 over the candidates' total normalized QoS, then checked against the budget
 constraints and repaired per violated dimension. find_service draws
-max_iter + 1 such proposals independently and returns the first one of
-highest utility, or raises NoFeasibleCandidates when none plans every
-member.
+max_iter + 1 such proposals independently, from one block of doubles in
+which each member of each proposal has its own slot, read at every radius,
+and returns the first one of highest utility, or raises
+NoFeasibleCandidates when none plans every member.
 
 Every planner filters candidates per cloud through _allowed_candidates: a
 local cloud is closed when it has no room (clouds_without_room) and, in
@@ -1219,21 +1220,20 @@ def _no_plan(instance: UserInstance,
 
 def _search(instance: UserInstance, center: tuple[float, float],
             constraints: ConstraintVector, params: AnnealingParams,
-            rng: np.random.Generator, memo: SearchMemo,
-            blocked: frozenset[int]) -> tuple[list[int], QoSTriple]:
-    """One member's widening search, the scalar loop's step: at each radius
-    with a table for the clouds without room in blocked (see _tables), draw
-    a plan with one rng.random(n) call for the n occurrences (the same
-    doubles as n scalar draws) and settle it (see _settle); the first plan
-    settled, with its raw QoS. Raises NoFeasibleCandidates when every radius
-    fails."""
+            memo: SearchMemo, blocked: frozenset[int], draws: Sequence[float]
+            ) -> Optional[tuple[list[int], QoSTriple]]:
+    """One member's widening search on its own slot of doubles, one per
+    occurrence: at each radius with a table for the clouds without room in
+    blocked (see _tables), settle the plan the same draws spin (see
+    _settle); the first plan settled, with its raw QoS. A table has one row
+    per occurrence at every radius, so every radius reads the same
+    doubles. None when every radius fails."""
     for table in _tables(instance, center, constraints, params, memo,
                          blocked):
-        found = _settle(instance, table, constraints,
-                        rng.random(len(table)).tolist())
+        found = _settle(instance, table, constraints, draws)
         if found is not None:
             return found
-    raise _no_plan(instance, params)
+    return None
 
 
 def find_service(members: Sequence[UserInstance],
@@ -1264,17 +1264,31 @@ def find_service(members: Sequence[UserInstance],
     order: fleet_utility's float, summed in numpy's order (see
     _pairwise_sum) and divided by the member count.
 
-    The proposal loop defines the outcome: proposal after proposal, one
-    _search per member, keeping the first proposal of highest value. Its
-    proposals are first drawn and scored in one array pass over every
-    member (see _first_best), which gives the loop's plans and generator
-    state; when a member would widen, or would have no table, that pass
-    sets the generator back and the loop runs. One SearchMemo serves the
-    call, so the range query per radius, and each member's search table
-    per radius and set of clouds without room, are built once.
+    The draws: when a member has no search table under the clouds without
+    room at the reading, the call raises the first such member's
+    NoFeasibleCandidates and draws nothing (room only closes clouds, so no
+    proposal could plan it). Otherwise it draws one block,
+    rng.random((max_iter + 1) * S), S being the members' summed occurrence
+    counts: proposal by proposal, member by member, one double per
+    occurrence. Those doubles are the member's slot in that proposal, spun
+    at every radius it tries.
 
-    Raises InvalidGroup for no members, and NoFeasibleCandidates, the
-    loop's last failure, when no proposal plans every member.
+    Every proposal is drawn and scored in one array pass: one PlanArrays
+    over all the members, each repair evaluated once, np.argmax keeping
+    the first best. A draw lands on the count of the wheel's slice ends
+    (padded with inf) at or below it, as bisect_right does; an all-zero
+    wheel picks min(int(draw * len), len - 1). In proposal p, first[p] is
+    the earliest member whose draw and every repair break its budget, or
+    whose table the clouds earlier members use close (room - usage <= 0 on
+    a cloud hosting one of its allowed ids). Members before first[p] keep
+    the pass's plans; from first[p] on, each is settled one at a time by
+    _search under the room the earlier members leave, and a member that
+    fails at every radius scores its proposal -inf. One SearchMemo serves
+    the call, so the range query per radius, and each member's table per
+    radius and set of clouds without room, are built once.
+
+    Raises InvalidGroup for no members, and NoFeasibleCandidates when no
+    proposal plans every member: the failure of the last proposal.
     """
     members = list(members)
     if not members:
@@ -1282,92 +1296,18 @@ def find_service(members: Sequence[UserInstance],
     memo = SearchMemo()
     room = room_rule(ledger)
     budgets = [constraints_for(constraints, m.user.id) for m in members]
-    proposals = params.max_iter + 1
-
-    def first_table(j: int, closed: frozenset[int]) -> Optional[list[tuple]]:
-        return next(_tables(members[j], center, budgets[j], params, memo,
-                            closed), None)
-
     tables = []
-    for j, m in enumerate(members):
-        table = first_table(j, room.full)
+    for m, budget in zip(members, budgets):
+        table = next(_tables(m, center, budget, params, memo, room.full),
+                     None)
         if table is None:
-            if not j:
-                # every proposal fails at the first member, drawing nothing
-                raise _no_plan(m, params)
-            break
+            raise _no_plan(m, params)
         tables.append(table)
-    else:
-        found = _first_best(members, tables, budgets, rng, proposals, room,
-                            first_table)
-        if found is not None:
-            return found
-    best, best_val = None, -math.inf
-    failure: Optional[NoFeasibleCandidates] = None
-    for _ in range(proposals):
-        usage: dict[int, int] = {}
-        picks: list[list[int]] = []
-        raws: list[QoSTriple] = []
-        for k, (m, budget) in enumerate(zip(members, budgets), 1):
-            try:
-                mine, raw = _search(m, center, budget, params, rng, memo,
-                                    room(usage))
-            except NoFeasibleCandidates as exc:
-                failure = exc
-                break
-            picks.append(mine)
-            raws.append(raw)
-            if k < len(members):  # only later members read the usage
-                for cid in m.local_clouds(mine):
-                    usage[cid] = usage.get(cid, 0) + 1
-        else:
-            val = _mean([m.utility_of(raw) for m, raw in zip(members, raws)])
-            if val > best_val:
-                best, best_val = (picks, raws), val
-    if best is None:
-        raise failure
-    return best
-
-
-def _first_best(members: list[UserInstance], tables: list[list[tuple]],
-                budgets: list[ConstraintVector], rng: np.random.Generator,
-                proposals: int, room: RoomRule,
-                first_table: Callable[[int, frozenset[int]],
-                                      Optional[list[tuple]]]
-                ) -> Optional[tuple[list[list[int]], list[QoSTriple]]]:
-    """The members' pick lists and raw QoS in the first best of proposals
-    joint proposals, drawn and scored in one array pass (see find_service).
-    tables[j] is member j's first search table under room.full, and
-    first_table(j, closed) its first one under other closed clouds.
-
-    One rng.random(proposals * S) call gives the doubles of the loop, S
-    being the members' summed occurrence counts: proposal by proposal,
-    member by member, one double per occurrence. A draw lands where
-    bisect_right puts it: on the count of the wheel's slice ends (padded
-    with inf) at or below it; an all-zero wheel picks min(int(draw * len),
-    len - 1). Every member's plans are scored by one PlanArrays over all
-    the members, each repair is evaluated once, a proposal's value is
-    _pairwise_sum over the member utility rows, divided by the member
-    count (fleet_utility's float), and np.argmax keeps the first best.
-
-    Tentative usage is checked on the columns. A member's table is the
-    loop's unless the clouds that earlier members of the proposal use
-    close one (room - usage <= 0) hosting one of its allowed ids; that
-    member and the later ones of the proposal are then re-scored one at a
-    time by the scalar rules (_settle), on their doubles already drawn.
-    None, with the generator set back, when the loop would draw a
-    different number of doubles: a member that the loop reaches would
-    widen, or a re-scored member has no table.
-    """
     rows = [row for table in tables for row in table]
     orders = [row[3] for row in rows]
     offsets = [0, *itertools.accumulate(map(len, tables))]
     n = len(members)
-    # only a budget (widening) or tentative usage (re-scoring) can set the
-    # generator back
-    state = (rng.bit_generator.state
-             if room.rooms and n > 1 or any(b.bounded() for b in budgets)
-             else None)
+    proposals = params.max_iter + 1
     draws = rng.random(proposals * len(rows)).reshape(proposals, -1).T
     width = max(map(len, orders)) - 1
     wheels = np.array([(cum or []) + [math.inf] * (width - len(cum or []))
@@ -1379,10 +1319,10 @@ def _first_best(members: list[UserInstance], tables: list[list[tuple]],
                                 len(order) - 1)
     arrays = PlanArrays(members, orders)
     raw = arrays.raw(pos)
-    # (member, plans whose draw broke the budget, admitted repair), and
-    # (member, plans whose draw and every repair break it)
+    # per proposal, the first member settled one at a time (n: none); and
+    # (member, plans whose draw broke the budget, admitted repair)
+    first = np.full(proposals, n)
     repairs: list[tuple[int, np.ndarray, list[int]]] = []
-    widen: list[tuple[int, np.ndarray]] = []
     for j, budget in enumerate(budgets):
         if not budget.bounded():
             continue
@@ -1400,8 +1340,7 @@ def _first_best(members: list[UserInstance], tables: list[list[tuple]],
                     column[broke] = v
                 repairs.append((j, broke, fixed))
                 pending &= ~broke
-        if pending.any():
-            widen.append((j, pending))
+        first[pending & (first > j)] = j
 
     def plan(j: int, p: int) -> list[int]:
         """Member j's plan in proposal p, as drawn or repaired."""
@@ -1412,9 +1351,6 @@ def _first_best(members: list[UserInstance], tables: list[list[tuple]],
             orders[offsets[j]:offsets[j + 1]],
             pos[offsets[j]:offsets[j + 1], p].tolist())]
 
-    # per proposal, the first member whose table tentative usage changes
-    # (n: none); None when no proposal has one
-    first = None
     closing = [cid for cid, r in room.rooms.items() if 0 < r < n]
     if closing:
         used = arrays.clouds_used(pos, closing)
@@ -1430,41 +1366,42 @@ def _first_best(members: list[UserInstance], tables: list[list[tuple]],
                            for cid in closing])
         clash = ((rooms[:, None, None] - before <= 0)
                  & hosted[:, :, None]).any(axis=0)
-        if clash.any():
-            first = np.where(clash.any(axis=0), clash.argmax(axis=0), n)
-    if any(first is None or (pending & (j < first)).any()
-           for j, pending in widen):
-        rng.bit_generator.state = state
-        return None
-    rescored: dict[tuple[int, int], tuple[list[int], QoSTriple]] = {}
-    for p in [] if first is None else np.flatnonzero(first < n).tolist():
+        np.minimum(first, np.where(clash.any(axis=0), clash.argmax(axis=0),
+                                   n), out=first)
+    settled: dict[tuple[int, int], tuple[list[int], QoSTriple]] = {}
+    failed: dict[int, int] = {}
+    one_at_a_time = np.flatnonzero(first < n).tolist()
+    for p in one_at_a_time:
         usage: dict[int, int] = {}
         for j in range(n):
             if j < first[p]:
                 picks = plan(j, p)
             else:
-                table = first_table(j, room(usage))
-                found = None if table is None else _settle(
-                    members[j], table, budgets[j],
-                    draws[offsets[j]:offsets[j + 1], p].tolist())
+                found = _search(members[j], center, budgets[j], params, memo,
+                                room(usage),
+                                draws[offsets[j]:offsets[j + 1], p].tolist())
                 if found is None:
-                    rng.bit_generator.state = state
-                    return None
+                    failed[p] = j
+                    break
                 picks = found[0]
-                rescored[j, p] = found
+                settled[j, p] = found
             for cid in members[j].local_clouds(picks):
                 usage[cid] = usage.get(cid, 0) + 1
-    utils = arrays.utility(raw, None if first is None
-                           else np.arange(n)[:, None] < first)
-    for (j, p), (_, r) in rescored.items():
+    if len(failed) == proposals:
+        raise _no_plan(members[failed[proposals - 1]], params)
+    utils = arrays.utility(raw, np.arange(n)[:, None] < first
+                           if one_at_a_time else None)
+    for (j, p), (_, r) in settled.items():
         utils[j, p] = members[j].utility_of(r)
     # the mean of one member's utility is that utility
-    best = int((utils[0] if n == 1 else _pairwise_sum(utils, 0, n) / n)
-               .argmax())
+    vals = utils[0] if n == 1 else _pairwise_sum(utils, 0, n) / n
+    if failed:
+        vals[list(failed)] = -math.inf
+    best = int(vals.argmax())
     picks, raws = [], []
     for j in range(n):
-        if (j, best) in rescored:
-            mine, r = rescored[j, best]
+        if (j, best) in settled:
+            mine, r = settled[j, best]
         else:
             mine = plan(j, best)
             r = trusted_qos(*(float(column[j, best]) for column in raw))

@@ -648,8 +648,9 @@ def test_budgeted_music_evaluates_each_draw_and_repair_once(monkeypatch):
 def test_grouped_music_scores_and_budgets_from_one_evaluation(monkeypatch):
     """A shared budget that no member's draw breaks repairs nothing, and
     every proposal is still checked: plans, utility and the generator state
-    after the call equal the member loop's, whose proposals are valued at
-    the group mean of the members' evaluated utilities."""
+    after the call equal the one-proposal-at-a-time reference's, whose
+    proposals are valued at the group mean of the members' evaluated
+    utilities."""
     dep, pop, instances = _fleet(users=6, groups=2, seed=6)
     grp = pop.groups[0]
     target = GroupInstance(grp, [instances[u] for u in sorted(grp.members)])
@@ -675,7 +676,8 @@ def test_grouped_music_builds_each_search_table_once(monkeypatch):
     joint pass builds each member's table under the call's full clouds,
     and a proposal whose earlier members' tentative usage closes a cloud
     re-scores the later members under the larger set, reusing any table
-    an earlier proposal built for it. The outcome is the member loop's."""
+    an earlier proposal built for it. The outcome is the
+    one-proposal-at-a-time reference's."""
     dep, pop, instances = _fleet(users=6, groups=2, seed=6)
     grp = pop.groups[0]
     target = GroupInstance(grp, [instances[u] for u in sorted(grp.members)])
@@ -725,42 +727,54 @@ def test_music_queries_each_radius_once():
 
 
 def _scalar_find_service(members, center, constraints, params, rng, ledger):
-    """find_service as its scalar proposal loop: max_iter + 1 proposals,
-    each a memo-less one-member search (_search) per member, in order,
-    blocking the clouds the ledger and earlier members leave without room.
-    Returns each member's picks and raw QoS in the first best proposal, or
-    raises the last NoFeasibleCandidates when no proposal plans every
+    """find_service one proposal at a time: the first member without a
+    memo-less search table under the ledger's full clouds raises with
+    nothing drawn; else one rng.random((max_iter + 1) * S) block for S
+    occurrences, and max_iter + 1 proposals, each a memo-less search
+    (_search) per member, in order, on its slot of the block, blocking the
+    clouds the ledger and earlier members leave without room. Returns each
+    member's picks and raw QoS in the first best proposal, or raises the
+    last proposal's NoFeasibleCandidates when no proposal plans every
     member."""
+    budgets = [constraints_for(constraints, m.user.id) for m in members]
+
+    def full(usage):
+        return frozenset(c for c, cap in ledger.capacities().items()
+                         if cap - ledger.count(c) - usage.get(c, 0) <= 0)
+
+    for m, budget in zip(members, budgets):
+        if next(allocation._tables(m, center, budget, params, SearchMemo(),
+                                   full({})), None) is None:
+            raise allocation._no_plan(m, params)
+    sizes = [sum(1 for _ in m.iter_occurrences()) for m in members]
+    slots = iter(rng.random((params.max_iter + 1) * sum(sizes)).tolist())
     best, best_val, failure = None, -math.inf, None
     for _ in range(params.max_iter + 1):
         usage, picks, raws = {}, [], []
-        try:
-            for m in members:
-                full = frozenset(
-                    c for c, cap in ledger.capacities().items()
-                    if cap - ledger.count(c) - usage.get(c, 0) <= 0)
-                mine, raw = _search(m, center,
-                                    constraints_for(constraints, m.user.id),
-                                    params, rng, SearchMemo(), full)
-                picks.append(mine)
-                raws.append(raw)
-                for cid in m.local_clouds(mine):
-                    usage[cid] = usage.get(cid, 0) + 1
-        except NoFeasibleCandidates as exc:
-            failure = exc
-            continue
-        val = fleet_utility({m.user.id: m.utility(mine)
-                             for m, mine in zip(members, picks)},
-                            [m.user.id for m in members])
-        if val > best_val:
-            best, best_val = (picks, raws), val
+        draws = [[next(slots) for _ in range(n)] for n in sizes]
+        for m, budget, mine in zip(members, budgets, draws):
+            found = _search(m, center, budget, params, SearchMemo(),
+                            full(usage), mine)
+            if found is None:
+                failure = allocation._no_plan(m, params)
+                break
+            picks.append(found[0])
+            raws.append(found[1])
+            for cid in m.local_clouds(found[0]):
+                usage[cid] = usage.get(cid, 0) + 1
+        else:
+            val = fleet_utility({m.user.id: m.utility(mine)
+                                 for m, mine in zip(members, picks)},
+                                [m.user.id for m in members])
+            if val > best_val:
+                best, best_val = (picks, raws), val
     if best is None:
         raise failure
     return best
 
 
 def _reference_group_music(target, constraints, params, rng, ledger):
-    """music() on a group over the scalar proposal loop
+    """music() on a group over the one-proposal-at-a-time reference
     (_scalar_find_service): (plans, utility, None) of the first best
     proposal, or (None, -inf, note) with the note music gives when no
     proposal plans every member."""
@@ -841,14 +855,15 @@ def test_joint_music_pass_equals_the_member_loop(monkeypatch):
     ledger), no budget or a delay or power budget at a random level, and
     max_iter 0 to 7. Plans, utility, note and the generator state after
     the call are equal, on targets scored by the joint pass alone, on
-    targets with re-scored proposals, on targets fallen back to the loop,
-    on budgeted targets and on infeasible ones."""
+    targets with members settled one at a time, on targets whose searches
+    widen, on budgeted targets and on infeasible ones."""
     fleets = _joint_fleets()
-    # the proposal loop's searches: any one means the joint pass fell back
+    # any search means a member was settled one at a time, and a search
+    # that settles more than one table widened
     searches = _counted(monkeypatch, allocation, "_search")
     settled = _counted(monkeypatch, allocation, "_settle")
     rng = np.random.default_rng(26)
-    seen = {"joint": 0, "re-scored": 0, "fallen back": 0, "budgeted": 0,
+    seen = {"joint": 0, "settled": 0, "widened": 0, "budgeted": 0,
             "infeasible": 0}
     sizes = Counter()
     for case in range(200):
@@ -882,8 +897,8 @@ def test_joint_music_pass_equals_the_member_loop(monkeypatch):
                                                   ref_rng, ledger())
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         assert res.feasible == (plans is not None)
-        seen["fallen back" if calls else
-             "re-scored" if settles else "joint"] += 1
+        seen["settled" if calls else "joint"] += 1
+        seen["widened"] += settles > calls
         seen["budgeted"] += budget.bounded()
         if plans is None:
             assert (res.plans, res.utility, res.note) == ({}, 0.0, note)
@@ -894,33 +909,15 @@ def test_joint_music_pass_equals_the_member_loop(monkeypatch):
     assert set(sizes) == {1, 2, 5, 8, 25}, sizes
 
 
-def test_find_service_returns_the_scalar_loops_outcome_or_raises(
-        monkeypatch):
-    """find_service against its scalar proposal loop over random cases:
-    single users and groups of 2 to 25 members, no budget or a per-user
-    budget at a random level, each local cloud with room 0 to 2 (or the
-    empty ledger), and radii that can miss every local cloud. It never
-    returns None: it returns each member's picks and raw QoS in the loop's
-    first best proposal, or raises the loop's last NoFeasibleCandidates.
-    The generator state after each call is the loop's, on joint calls and
-    on calls whose joint pass fell back to the loop."""
+def _find_service_cases(seed, count):
+    """count random find_service calls over _joint_fleets, as (members,
+    center, budget, params, ledger factory, generator seed): single users
+    and groups of 2 to 25 members, no budget or a per-user budget at a
+    random level, each local cloud with room 0 to 2 (or the empty ledger),
+    and radii that can miss every local cloud."""
     fleets = _joint_fleets()
-    # the proposal loop's searches, and the radius index of each search
-    # table built: tables are built radius by radius as a search widens
-    searches = _counted(monkeypatch, allocation, "_search")
-    widened = []
-    radius = allocation._radius
-
-    def counted(instance, center, params, i, *rest):
-        table = radius(instance, center, params, i, *rest)
-        widened.append(i > 0 and table is not None)
-        return table
-
-    monkeypatch.setattr(allocation, "_radius", counted)
-    rng = np.random.default_rng(29)
-    seen = {"planned": 0, "infeasible": 0, "budgeted": 0, "room-bound": 0,
-            "widened": 0, "fallen back": 0}
-    for case in range(160):
+    rng = np.random.default_rng(seed)
+    for case in range(count):
         *targets, locals_ = fleets[case % len(fleets)]
         target = targets[int(rng.integers(len(targets)))]
         members = target.members
@@ -930,7 +927,8 @@ def test_find_service_returns_the_scalar_loops_outcome_or_raises(
                   else target.center_point())
         rooms = rng.integers(0, 3, len(locals_)).tolist()
         ledger = (lambda: NO_LEDGER) if case % 5 == 0 else (
-            lambda: CapacityLedger(dict(zip(locals_, rooms))))
+            lambda rooms=rooms, locals_=locals_:
+            CapacityLedger(dict(zip(locals_, rooms))))
         budget = UNLIMITED
         if case % 3:
             dim = DIMS[case % 3]
@@ -944,7 +942,51 @@ def test_find_service_returns_the_scalar_loops_outcome_or_raises(
                                  radius_step_m=float(rng.choice([100.0,
                                                                  250.0])),
                                  max_expansions=int(rng.integers(1, 5)))
-        seed = int(rng.integers(2**32))
+        yield (members, center, budget, params, ledger,
+               int(rng.integers(2**32)))
+
+
+def _spied_searches(monkeypatch):
+    """Replace allocation._search by a wrapper that logs (member, blocked
+    clouds, result) of each search."""
+    calls = []
+    search = allocation._search
+
+    def spy(instance, center, constraints, params, memo, blocked, draws):
+        found = search(instance, center, constraints, params, memo, blocked,
+                       draws)
+        calls.append((instance, blocked, found))
+        return found
+
+    monkeypatch.setattr(allocation, "_search", spy)
+    return calls
+
+
+def test_find_service_returns_the_scalar_loops_outcome_or_raises(
+        monkeypatch):
+    """find_service against its one-proposal-at-a-time reference over
+    random cases (see _find_service_cases). It never returns None: it
+    returns each member's picks and raw QoS in the reference's first best
+    proposal, or raises its last NoFeasibleCandidates. The generator state
+    after each call is the reference's, on joint calls and on calls that
+    settle members one at a time."""
+    # the searches of members settled one at a time, and the radius index
+    # of each search table built: tables are built radius by radius as a
+    # search widens
+    searches = _counted(monkeypatch, allocation, "_search")
+    widened = []
+    radius = allocation._radius
+
+    def counted(instance, center, params, i, *rest):
+        table = radius(instance, center, params, i, *rest)
+        widened.append(i > 0 and table is not None)
+        return table
+
+    monkeypatch.setattr(allocation, "_radius", counted)
+    seen = {"planned": 0, "infeasible": 0, "budgeted": 0, "room-bound": 0,
+            "widened": 0, "settled": 0}
+    for members, center, budget, params, ledger, seed in \
+            _find_service_cases(29, 160):
         got_rng, ref_rng = (np.random.default_rng(seed),
                             np.random.default_rng(seed))
         before = len(searches)
@@ -954,7 +996,7 @@ def test_find_service_returns_the_scalar_loops_outcome_or_raises(
                                ledger())
         except NoFeasibleCandidates as exc:
             got = exc
-        seen["fallen back"] += len(searches) > before
+        seen["settled"] += len(searches) > before
         seen["widened"] += any(widened)
         try:
             ref = _scalar_find_service(members, center, budget, params,
@@ -973,10 +1015,140 @@ def test_find_service_returns_the_scalar_loops_outcome_or_raises(
             assert raws == [m.evaluate(mine)
                             for m, mine in zip(members, picks)]
             seen["planned"] += 1
-        seen["budgeted"] += case % 3 > 0
-        seen["room-bound"] += ledger() is not NO_LEDGER and \
-            min(rooms) < len(members)
+        seen["budgeted"] += budget is not UNLIMITED
+        seen["room-bound"] += any(ledger().room(c) < len(members)
+                                  for c in ledger().capacities())
     assert min(seen.values()) > 2, seen
+
+
+def test_find_service_draws_one_block_or_nothing(monkeypatch):
+    """Every find_service call draws rng.random((max_iter + 1) * S), S
+    being the members' summed occurrence counts, or nothing when some
+    member has no search table under the clouds the ledger leaves without
+    room: on joint calls, on calls that settle a member under earlier
+    members' tentative usage, that widen, that have infeasible proposals,
+    and that raise before or after drawing."""
+    searches = _spied_searches(monkeypatch)
+    settles = _counted(monkeypatch, allocation, "_settle")
+    seen = dict.fromkeys(("joint", "under usage", "widened",
+                          "infeasible proposal", "raised before drawing",
+                          "raised after drawing"), 0)
+    for members, center, budget, params, ledger, seed in \
+            _find_service_cases(32, 240):
+        full = room_rule(ledger()).full
+        tableless = any(next(allocation._tables(
+            m, center, constraints_for(budget, m.user.id), params,
+            SearchMemo(), full), None) is None for m in members)
+        drawn = np.random.default_rng(seed)
+        if not tableless:
+            drawn.random((params.max_iter + 1)
+                         * sum(1 for m in members
+                               for _ in m.iter_occurrences()))
+        rng = np.random.default_rng(seed)
+        searches.clear()
+        before = len(settles)
+        try:
+            find_service(members, center, budget, params, rng, ledger())
+            raised = False
+        except NoFeasibleCandidates:
+            raised = True
+        assert rng.bit_generator.state == drawn.bit_generator.state
+        if tableless:
+            assert raised
+            seen["raised before drawing"] += 1
+            continue
+        seen["raised after drawing"] += raised
+        seen["joint"] += not searches
+        seen["under usage"] += any(blocked != full
+                                   for _, blocked, _ in searches)
+        seen["widened"] += len(settles) - before > len(searches)
+        seen["infeasible proposal"] += any(found is None
+                                           for *_, found in searches)
+    assert min(seen.values()) > 2, seen
+
+
+def test_find_service_raises_the_last_proposals_failure(monkeypatch):
+    """When every proposal fails, the call raises the failure of the last
+    one: the NoFeasibleCandidates of its first member that fails at every
+    radius. Each proposal fails once, so the failed searches number
+    max_iter + 1."""
+    searches = _spied_searches(monkeypatch)
+    seen = {"raised": 0, "failures name several members": 0}
+    for members, center, budget, params, ledger, seed in \
+            _find_service_cases(33, 240):
+        searches.clear()
+        try:
+            find_service(members, center, budget, params,
+                         np.random.default_rng(seed), ledger())
+        except NoFeasibleCandidates as exc:
+            failed = [m for m, _, found in searches if found is None]
+            if not failed:
+                continue  # raised before drawing
+            assert len(failed) == params.max_iter + 1
+            assert str(exc) == str(allocation._no_plan(failed[-1], params))
+            seen["raised"] += 1
+            seen["failures name several members"] += \
+                len({m.user.id for m in failed}) > 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_a_later_member_without_a_table_raises_before_drawing():
+    """A member after the first with no search table at any radius (here,
+    a delay budget below its least delay) raises NoFeasibleCandidates
+    naming that member, the first such, and nothing is drawn: tentative
+    usage only closes clouds, so no proposal could plan it."""
+    dep, pop, instances = _fleet(users=3, seed=6)
+    members = [instances[u] for u in sorted(instances)]
+    tight = {m.user.id: ConstraintVector(
+        delay=0.5 * m.extrema.lo.get("delay")) for m in members}
+    for budget, named in (({**tight, members[0].user.id: UNLIMITED},
+                           members[1]),
+                          ({**tight, members[0].user.id: UNLIMITED,
+                            members[1].user.id: UNLIMITED}, members[2])):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(NoFeasibleCandidates,
+                           match=rf"^user {named.user.id}: "):
+            find_service(members, members[0].center_point(), budget,
+                         AnnealingParams(max_iter=5), rng)
+        assert rng.bit_generator.state == state
+
+
+def test_no_table_under_the_full_clouds_means_none_under_any_usage():
+    """Room only closes clouds: on random ledgers and tentative usage, a
+    radius with no search table under the clouds the ledger leaves
+    without room (room.full) has none under room(usage), so a member with
+    no table under room.full has none in any proposal."""
+    rng = np.random.default_rng(31)
+    params = AnnealingParams(radius_start_m=0.0, radius_step_m=150.0,
+                             max_expansions=5)
+    seen = {"usage closes": 0, "no radius table": 0, "no member table": 0}
+    for fleet, budget in (
+            (_fleet(users=4, seed=9), UNLIMITED),
+            (_fleet(users=4, seed=2, public_instances=0, local_capacity=2),
+             ConstraintVector(delay=10000.0))):
+        dep, pop, instances = fleet
+        clouds = sorted(dep.clouds)
+        for _ in range(40):
+            ledger, usage, _ = _random_room_case(rng, clouds)
+            room = room_rule(ledger)
+            seen["usage closes"] += room(usage) != room.full
+            for inst in instances.values():
+                center, memo = inst.center_point(), SearchMemo()
+                for i in range(params.max_expansions):
+                    if allocation._radius(inst, center, params, i, room.full,
+                                          budget, memo) is None:
+                        seen["no radius table"] += 1
+                        assert allocation._radius(
+                            inst, center, params, i, room(usage), budget,
+                            memo) is None
+                if next(allocation._tables(inst, center, budget, params,
+                                           memo, room.full), None) is None:
+                    seen["no member table"] += 1
+                    assert next(allocation._tables(
+                        inst, center, budget, params, memo, room(usage)),
+                        None) is None
+    assert min(seen.values()) > 5, seen
 
 
 def test_find_service_over_no_members_raises_invalid_group():
@@ -1837,11 +2009,9 @@ def _room_rule_case(dep, pop, instances, budget):
             ok = _old_room_for(directory, ledger, base, usage)
             for uid, inst in instances.items():
                 center, memo = inst.center_point(), memos[uid]
-                try:
-                    _search(inst, center, budget, params,
-                            np.random.default_rng(0), memo, blocked)
-                except NoFeasibleCandidates:
-                    pass
+                occurrences = sum(1 for _ in inst.iter_occurrences())
+                _search(inst, center, budget, params, memo, blocked,
+                        np.random.default_rng(0).random(occurrences).tolist())
                 stopped = False
                 for i in range(params.max_expansions):
                     key = (uid, i, blocked)
@@ -1910,12 +2080,13 @@ def _old_repair(instance, rows, allowed, dim):
 
 def _reference_find_service(instance, center, constraints, params, rng, ok):
     """One proposal of find_service before room was decided per cloud and
-    draws came in one
-    call: memo-less, every gated id through an availability callable, one
-    scalar rng.random() per occurrence, plans keyed by (entry, occurrence
-    index). Also returns the radius index used and whether the plan is a
-    repair."""
+    draws came in one call: memo-less, every gated id through an
+    availability callable, plans keyed by (entry, occurrence index). No
+    radius with a table raises with nothing drawn; else one scalar
+    rng.random() per occurrence, spun at each radius with a table in turn.
+    Also returns the radius index used and whether the plan is a repair."""
     bounded = constraints.bounded()
+    radii = []
     for i in range(params.max_expansions):
         rows = _old_reach(instance, center, params, i)
         if rows is None:
@@ -1926,12 +2097,17 @@ def _reference_find_service(instance, center, constraints, params, rng, ok):
         if bounded and not _old_optimistic_fit(instance, rows, allowed,
                                                constraints):
             continue
+        radii.append((i, rows, allowed))
+    if not radii:
+        raise NoFeasibleCandidates("no feasible plan")
+    draws = [rng.random() for _ in radii[0][1]]
+    for i, rows, allowed in radii:
         plan = {}
-        for (e, j, _), ids in zip(rows, allowed):
+        for (e, j, _), ids, draw in zip(rows, allowed, draws):
             snorm = _snorm(instance, e, j)
             order = sorted(ids, key=lambda s: (snorm[s], s))
             plan[(e, j)] = order[roulette_index(
-                [snorm[s] for s in order], rng.random())]
+                [snorm[s] for s in order], draw)]
         raw = _dict_evaluate(instance, plan)
         if not bounded or constraints.admits(raw):
             return plan, raw, i, False
@@ -2765,22 +2941,26 @@ def _dict_local_clouds(inst, plan):
             and inst.clouds[inst.hosts[s]].tier == LOCAL}
 
 
-def _dict_find_service(instance, center, constraints, params, rng, memo,
+def _dict_table(instance, center, constraints, params, memo, i, blocked):
+    """The memo's search table of instance at radius index i for blocked."""
+    key = (instance.user.id, i, blocked)
+    if key not in memo.radii:
+        memo.radii[key] = allocation._radius(
+            instance, center, params, i, blocked, constraints, memo)
+    return memo.radii[key]
+
+
+def _dict_find_service(instance, center, constraints, params, draws, memo,
                        blocked, paths):
     """find_service as it drew plans keyed by (entry, occurrence index),
-    each pick recomputed from the candidates' weights with numpy; counts
-    the radius index of each plan and whether it was repaired into
-    paths."""
-    uid = instance.user.id
+    each pick recomputed from the candidates' weights with numpy, from
+    one member's slot of draws at every radius; counts the radius index of
+    each plan and whether it was repaired into paths."""
     for i in range(params.max_expansions):
-        key = (uid, i, blocked)
-        if key not in memo.radii:
-            memo.radii[key] = allocation._radius(
-                instance, center, params, i, blocked, constraints, memo)
-        table = memo.radii[key]
+        table = _dict_table(instance, center, constraints, params, memo, i,
+                            blocked)
         if table is None:
             continue
-        draws = rng.random(len(table)).tolist()
         plan = {}
         for (e, j, _, order, _), draw in zip(table, draws):
             snorm = _snorm(instance, e, j)
@@ -2806,21 +2986,32 @@ def _dict_find_service(instance, center, constraints, params, rng, memo,
 
 
 def _dict_music(target, constraints, params, rng, ledger, paths):
-    """music() as it scored proposals keyed by (entry, occurrence index)."""
+    """music() as it scored proposals keyed by (entry, occurrence index):
+    nothing drawn when a member has no table under the ledger's full
+    clouds, else one block of draws, each member's slot per proposal."""
     single = isinstance(target, UserInstance)
     members = [target] if single else target.members
     center = target.center_point()
     memo = SearchMemo()
+    budgets = [constraints_for(constraints, m.user.id) for m in members]
+    full = clouds_without_room(ledger)
+    if any(all(_dict_table(m, center, budget, params, memo, i, full) is None
+               for i in range(params.max_expansions))
+           for m, budget in zip(members, budgets)):
+        paths["infeasible"] += 1
+        return None, -math.inf
+    sizes = [sum(1 for _ in m.iter_occurrences()) for m in members]
+    slots = iter(rng.random((params.max_iter + 1) * sum(sizes)).tolist())
     best, best_val = None, -math.inf
     for _ in range(params.max_iter + 1):
         usage, plans, raws = {}, {}, []
+        draws = [[next(slots) for _ in range(n)] for n in sizes]
         try:
-            for m in members:
+            for m, budget, mine in zip(members, budgets, draws):
                 blocked = room_rule(ledger)(usage)
-                paths["filled"] += blocked != clouds_without_room(ledger)
+                paths["filled"] += blocked != full
                 plan, raw = _dict_find_service(
-                    m, center, constraints_for(constraints, m.user.id),
-                    params, rng, memo, blocked, paths)
+                    m, center, budget, params, mine, memo, blocked, paths)
                 plans[m.user.id] = plan
                 raws.append(raw)
                 for cid in _dict_local_clouds(m, plan):
@@ -3204,7 +3395,7 @@ def test_plan_arrays_entry_block_holds_each_entrys_fold():
 
 def _one_proposal_at_a_time(inst, constraints, params, rng, ledger=NO_LEDGER,
                             center=None):
-    """Single-target music over the scalar proposal loop
+    """Single-target music over the one-proposal-at-a-time reference
     (_scalar_find_service) around center (None: the user's own): (plan,
     utility) of the first best, or (None, -inf)."""
     center = inst.center_point() if center is None else center
@@ -3242,7 +3433,7 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
     """Plans, utility and the generator state after the call equal
     max_iter + 1 one-proposal calls in a row: unbudgeted and budgeted,
     with and without room, at max_iter 0, on targets whose proposals
-    would widen (the call falls back to one proposal at a time), on
+    widen (those are settled one at a time, on their own doubles), on
     infeasible targets (nothing is drawn), and with all-zero wheels."""
     # a costly inter-cloud hop: a repair to the least delays can still pay
     # hops that break a delay budget the optimistic minima fit
@@ -3252,7 +3443,7 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
     searches = _counted(monkeypatch, allocation, "_search")
     wheel = allocation._roulette_wheel
     rng = np.random.default_rng(13)
-    seen = {"fallback": 0, "infeasible": 0, "budgeted": 0, "zero": 0,
+    seen = {"widened": 0, "infeasible": 0, "budgeted": 0, "zero": 0,
             "uniform": 0}
     for case in range(150):
         inst = instances[sorted(instances)[case % len(instances)]]
@@ -3280,9 +3471,8 @@ def test_batched_music_equals_one_proposal_at_a_time(monkeypatch):
             continue
         assert res.plans == {inst.user.id: plan}
         assert res.utility == val
-        # the batched pass set the generator back, and the proposals ran
-        # one at a time
-        seen["fallback"] += len(searches) > before
+        # some proposal widened, and was settled one at a time
+        seen["widened"] += len(searches) > before
         seen["budgeted"] += budget.bounded()
         seen["uniform"] += uniform
     assert min(seen.values()) > 2, seen
@@ -3309,15 +3499,14 @@ def test_a_one_member_group_is_planned_like_its_user(monkeypatch):
     makes. Around the group's center (center_of_group_mobility), plans,
     utility and the generator state after the call equal max_iter + 1
     one-member searches in a row: unbudgeted and budgeted, with room 0, 1
-    or the empty ledger, and on targets whose proposals would widen (the
-    batched pass sets the generator back, and find_service's proposal loop
-    runs them)."""
+    or the empty ledger, and on targets whose proposals widen (the
+    batched pass settles them one at a time, on their own doubles)."""
     dep, pop, instances = _fleet(
         users=6, seed=0, profiles={"intercloud": {"delay_ms_per_100kb": 400.0}})
     locals_ = [cid for cid, c in dep.clouds.items() if c.tier == LOCAL]
     searches = _counted(monkeypatch, allocation, "_search")
     rng = np.random.default_rng(14)
-    seen = {"batched": 0, "fallback": 0, "infeasible": 0, "budgeted": 0}
+    seen = {"batched": 0, "widened": 0, "infeasible": 0, "budgeted": 0}
     for case in range(120):
         uid = sorted(instances)[case % len(instances)]
         inst = instances[uid]
@@ -3342,7 +3531,7 @@ def test_a_one_member_group_is_planned_like_its_user(monkeypatch):
         assert res.plans == {uid: plan}
         assert res.utility == val
         seen["batched"] += calls == 0 and params.max_iter > 0
-        seen["fallback"] += calls > 0
+        seen["widened"] += calls > 0
         seen["budgeted"] += budget.bounded()
     assert min(seen.values()) > 2, seen
 

@@ -58,10 +58,11 @@ GOLDEN = {
     # tentative usage find a cloud it closed
     "grouped-capacity-2": (dict(GROUPED, groups=4, local_capacity=2),
                            "7d671c1dfdd6500f3123acd20a44107c6e9324fb2614c3292705b9d87f2161ac"),
-    # two single-user searches draw a proposal whose draw and repairs all
-    # break its budget, so they replay their proposals one at a time
+    # two single-user searches draw proposals whose draw and repairs all
+    # break the budget, so those proposals widen the radius, each spinning
+    # its own slot of the call's one block of doubles at every radius
     "gain-seed-3": (dict(GAIN, seed=3),
-                    "7f8493937bbb7b79d69850cfcd1bef48caaa5bf811912d23f00326a0d4ad7711"),
+                    "a5b8187e44199ca529cf3965560f7c839daed46936078b31e512f8a02d5b6248"),
     # grouped members under a delay budget at capacity 1: a member's cloud
     # closes that cloud for the later members of the same proposal
     "desk-grouped-budget": (dict(DESK, groups=2, local_capacity=1,
