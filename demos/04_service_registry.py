@@ -2,11 +2,13 @@
 Spatial service registry and capacity accounting
 ================================================
 
-Local-cloud services are indexed in an R-tree so the allocator can ask
-"which instances of this function sit within r meters of a point?"
-without scanning the whole catalog. Public and on-device services are
-kept in plain per-tier views because distance never applies to them.
-A capacity ledger tracks concurrent admissions per local cloud.
+Local clouds are indexed in an R-tree at their cell centers, so the
+allocator can ask "which local clouds sit within r meters of a point?"
+without scanning the whole catalog; a function's local instances on those
+clouds are then in reach. Services are kept in plain per-function views
+(local, public, and per user on the device), because distance applies only
+to the clouds. A capacity ledger tracks concurrent admissions per local
+cloud.
 """
 
 import math
@@ -38,9 +40,9 @@ print(f"after removing id {hits[0]}: "
 tree.check_invariants()
 print("tree invariants hold after churn")
 
-# The directory ties services to a grid and its clouds. Local services
-# are spatially indexed at their cloud's cell; public and device ones are
-# not.
+# The directory ties services to a grid and its clouds. Local clouds are
+# spatially indexed at their cells; services, public and device ones
+# included, are listed per function.
 grid = LocationMap(4, 4, 100.0, wifi={0: 1, 15: 2})
 clouds = {1: CloudNode(1, LOCAL, location=0, capacity=2,
                        coverage_radius_m=100.0),
@@ -58,12 +60,15 @@ print(f"\ndirectory: {len(directory)} services")
 print(f"all cloud-hosted ocr:   {directory.cloud_services_for('ocr')}")
 print(f"user 7's device ocr:    {directory.device_services_for(7, 'ocr')}")
 
-# Range queries see only local-cloud services: the public instance (id
-# 12) never appears, regardless of radius.
-near_origin = directory.range_query(grid.cell(0).center, 150.0, "ocr")
-anywhere = directory.range_query(grid.cell(0).center, 10_000.0, "ocr")
-print(f"ocr within 150 m of cell 0: {near_origin}")
-print(f"ocr within 10 km:           {anywhere} (public id 12 is not spatial)")
+# Discovery: a range query gives the local clouds in reach (the public
+# cloud 9 never appears, regardless of radius), and a function's local
+# instances on them are the ones in reach.
+for radius in (150.0, 10_000.0):
+    reach = directory.range_query(grid.cell(0).center, radius)
+    ocr = [sid for sid in directory.cloud_services_for("ocr")
+           if directory.host_cloud(sid) in reach]
+    print(f"within {radius:>6.0f} m of cell 0: clouds {reach}, ocr {ocr}")
+print("public ocr (id 12) is in reach at any radius, outside the index")
 
 # The ledger admits users into capacity-bound clouds and refuses when a
 # cloud is full; public clouds are untracked and never refuse.

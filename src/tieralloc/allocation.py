@@ -1102,8 +1102,8 @@ def _radius(instance: UserInstance, center: tuple[float, float],
     normalized QoS, then id --, their cumulative weights).
 
     Reach is a per-cloud rule, like room: the directory indexes each local
-    cloud at its cell center, so one range query per radius gives the
-    local clouds out of reach. They join blocked, and the allowed ids are
+    cloud at its cell center, and one range query per radius gives the
+    local clouds in reach; the others join blocked, and the allowed ids are
     the baselines' filter over both (see _allowed_candidates), which
     on-device and public services pass at any radius. None when some
     occurrence has no id allowed, or when the optimistic minima over the
@@ -1111,9 +1111,8 @@ def _radius(instance: UserInstance, center: tuple[float, float],
     """
     far = memo.far.get(i)
     if far is None:
-        hits = instance.directory.range_query(
+        near = instance.directory.range_query(
             center, params.radius_start_m + i * params.radius_step_m)
-        near = {instance.hosts[sid] for sid in hits}
         far = memo.far[i] = frozenset([cid for cid, c in instance.clouds.items()
                                        if c.tier == LOCAL and cid not in near])
     try:
@@ -1173,21 +1172,22 @@ _UNSEEN = object()
 
 def _tables(instance: UserInstance, center: tuple[float, float],
             constraints: ConstraintVector, params: AnnealingParams,
-            memo: SearchMemo, blocked: frozenset[int]
-            ) -> Iterator[list[tuple]]:
-    """The search tables of the radii a search draws at, radius by radius
-    (radius_start_m + i * radius_step_m, i < max_expansions), skipping the
-    radii that have none; each (user, radius, blocked clouds) table is
-    built once per memo (see _radius)."""
+            memo: SearchMemo, blocked: frozenset[int], start: int = 0
+            ) -> Iterator[tuple[int, list[tuple]]]:
+    """The radius index and search table of each radius a search draws at,
+    radius by radius from index start (radius_start_m + i * radius_step_m,
+    start <= i < max_expansions), skipping the radii that have none; each
+    (user, radius, blocked clouds) table is built once per memo (see
+    _radius)."""
     uid = instance.user.id
-    for i in range(params.max_expansions):
+    for i in range(start, params.max_expansions):
         key = (uid, i, blocked)
         table = memo.radii.get(key, _UNSEEN)
         if table is _UNSEEN:
             table = memo.radii[key] = _radius(instance, center, params, i,
                                               blocked, constraints, memo)
         if table is not None:
-            yield table
+            yield i, table
 
 
 def _settle(instance: UserInstance, table: list[tuple],
@@ -1220,16 +1220,16 @@ def _no_plan(instance: UserInstance,
 
 def _search(instance: UserInstance, center: tuple[float, float],
             constraints: ConstraintVector, params: AnnealingParams,
-            memo: SearchMemo, blocked: frozenset[int], draws: Sequence[float]
-            ) -> Optional[tuple[list[int], QoSTriple]]:
+            memo: SearchMemo, blocked: frozenset[int], draws: Sequence[float],
+            start: int) -> Optional[tuple[list[int], QoSTriple]]:
     """One member's widening search on its own slot of doubles, one per
-    occurrence: at each radius with a table for the clouds without room in
-    blocked (see _tables), settle the plan the same draws spin (see
-    _settle); the first plan settled, with its raw QoS. A table has one row
-    per occurrence at every radius, so every radius reads the same
-    doubles. None when every radius fails."""
-    for table in _tables(instance, center, constraints, params, memo,
-                         blocked):
+    occurrence, from radius index start: at each radius with a table for
+    the clouds without room in blocked (see _tables), settle the plan the
+    same draws spin (see _settle); the first plan settled, with its raw
+    QoS. A table has one row per occurrence at every radius, so every
+    radius reads the same doubles. None when every radius fails."""
+    for _, table in _tables(instance, center, constraints, params, memo,
+                            blocked, start):
         found = _settle(instance, table, constraints, draws)
         if found is not None:
             return found
@@ -1273,19 +1273,24 @@ def find_service(members: Sequence[UserInstance],
     occurrence. Those doubles are the member's slot in that proposal, spun
     at every radius it tries.
 
-    Every proposal is drawn and scored in one array pass: one PlanArrays
-    over all the members, each repair evaluated once, np.argmax keeping
-    the first best. A draw lands on the count of the wheel's slice ends
-    (padded with inf) at or below it, as bisect_right does; an all-zero
-    wheel picks min(int(draw * len), len - 1). In proposal p, first[p] is
-    the earliest member whose draw and every repair break its budget, or
-    whose table the clouds earlier members use close (room - usage <= 0 on
-    a cloud hosting one of its allowed ids). Members before first[p] keep
-    the pass's plans; from first[p] on, each is settled one at a time by
-    _search under the room the earlier members leave, and a member that
-    fails at every radius scores its proposal -inf. One SearchMemo serves
-    the call, so the range query per radius, and each member's table per
-    radius and set of clouds without room, are built once.
+    Every proposal is drawn and scored in one array pass over one plan
+    table: positions into the members' first tables, their raw QoS from
+    one PlanArrays and one utility pass; an admitted repair, evaluated
+    once, is written over the plans it replaces. np.argmax keeps the first
+    best. A draw lands on the count of the wheel's slice ends (padded with
+    inf) at or below it, as bisect_right does; an all-zero wheel picks
+    min(int(draw * len), len - 1). In proposal p, first[p] is the earliest
+    member whose draw and every repair break its budget, or whose table
+    the clouds earlier members use close (room - usage <= 0 on a cloud
+    hosting one of its allowed ids). From first[p] on, members are settled
+    one at a time by _search under the room the earlier members leave,
+    from their pass radius (none has a table below it; the member at
+    first[p] starts one later when only its budget broke, as its table
+    fails again on the same doubles), and their raw QoS replaces the
+    pass's; one failing at every radius scores its proposal -inf. One
+    SearchMemo serves the call, so the range query per radius, and each
+    member's table per radius and set of clouds without room, are built
+    once.
 
     Raises InvalidGroup for no members, and NoFeasibleCandidates when no
     proposal plans every member: the failure of the last proposal.
@@ -1296,16 +1301,18 @@ def find_service(members: Sequence[UserInstance],
     memo = SearchMemo()
     room = room_rule(ledger)
     budgets = [constraints_for(constraints, m.user.id) for m in members]
-    tables = []
+    # each member's pass radius and table: the first radius with a table
+    firsts = []
     for m, budget in zip(members, budgets):
-        table = next(_tables(m, center, budget, params, memo, room.full),
-                     None)
-        if table is None:
+        firsts.append(next(_tables(m, center, budget, params, memo,
+                                   room.full), None))
+        if firsts[-1] is None:
             raise _no_plan(m, params)
-        tables.append(table)
+    radii, tables = zip(*firsts)
     rows = [row for table in tables for row in table]
     orders = [row[3] for row in rows]
-    offsets = [0, *itertools.accumulate(map(len, tables))]
+    spans = [slice(a, b) for a, b in itertools.pairwise(
+        [0, *itertools.accumulate(map(len, tables))])]
     n = len(members)
     proposals = params.max_iter + 1
     draws = rng.random(proposals * len(rows)).reshape(proposals, -1).T
@@ -1319,10 +1326,9 @@ def find_service(members: Sequence[UserInstance],
                                 len(order) - 1)
     arrays = PlanArrays(members, orders)
     raw = arrays.raw(pos)
-    # per proposal, the first member settled one at a time (n: none); and
-    # (member, plans whose draw broke the budget, admitted repair)
+    # per proposal, the first member whose draw and every repair break its
+    # budget (n: none); an admitted repair is written into pos and raw
     first = np.full(proposals, n)
-    repairs: list[tuple[int, np.ndarray, list[int]]] = []
     for j, budget in enumerate(budgets):
         if not budget.bounded():
             continue
@@ -1338,26 +1344,21 @@ def find_service(members: Sequence[UserInstance],
             if budget.admits(fixed_raw):
                 for column, v in zip(mine, fixed_raw.as_tuple()):
                     column[broke] = v
-                repairs.append((j, broke, fixed))
+                pos[spans[j], broke] = [[order.index(sid)] for order, sid
+                                        in zip(orders[spans[j]], fixed)]
                 pending &= ~broke
         first[pending & (first > j)] = j
 
     def plan(j: int, p: int) -> list[int]:
         """Member j's plan in proposal p, as drawn or repaired."""
-        for m, broke, fixed in repairs:
-            if m == j and broke[p]:
-                return fixed
-        return [order[i] for order, i in zip(
-            orders[offsets[j]:offsets[j + 1]],
-            pos[offsets[j]:offsets[j + 1], p].tolist())]
+        return [order[i] for order, i in zip(orders[spans[j]],
+                                             pos[spans[j], p].tolist())]
 
+    # per proposal, the first member whose table earlier members close
+    clashed = n
     closing = [cid for cid, r in room.rooms.items() if 0 < r < n]
     if closing:
         used = arrays.clouds_used(pos, closing)
-        for j, broke, fixed in repairs:
-            local = members[j].local_clouds(fixed)
-            for c, cid in enumerate(closing):
-                used[c, j, broke] = cid in local
         before = np.cumsum(used, axis=1) - used
         rooms = np.array([room.rooms[cid] for cid in closing])
         hosts = [{m.hosts[sid] for row in table for sid in row[2]}
@@ -1366,48 +1367,45 @@ def find_service(members: Sequence[UserInstance],
                            for cid in closing])
         clash = ((rooms[:, None, None] - before <= 0)
                  & hosted[:, :, None]).any(axis=0)
-        np.minimum(first, np.where(clash.any(axis=0), clash.argmax(axis=0),
-                                   n), out=first)
-    settled: dict[tuple[int, int], tuple[list[int], QoSTriple]] = {}
+        clashed = np.where(clash.any(axis=0), clash.argmax(axis=0), n)
+    # a first member whose budget broke before any clash would settle its
+    # pass table again, on the same doubles, and fail
+    again = first < clashed
+    np.minimum(first, clashed, out=first)
+    # the plans of each proposal settled one at a time; failed: proposal ->
+    # the member that failed at every radius
+    settled: dict[int, list[list[int]]] = {}
     failed: dict[int, int] = {}
-    one_at_a_time = np.flatnonzero(first < n).tolist()
-    for p in one_at_a_time:
+    for p in np.flatnonzero(first < n).tolist():
         usage: dict[int, int] = {}
+        settled[p] = picks = []
         for j in range(n):
             if j < first[p]:
-                picks = plan(j, p)
+                mine = plan(j, p)
             else:
                 found = _search(members[j], center, budgets[j], params, memo,
-                                room(usage),
-                                draws[offsets[j]:offsets[j + 1], p].tolist())
+                                room(usage), draws[spans[j], p].tolist(),
+                                radii[j] + int(j == first[p] and again[p]))
                 if found is None:
                     failed[p] = j
                     break
-                picks = found[0]
-                settled[j, p] = found
-            for cid in members[j].local_clouds(picks):
+                mine = found[0]
+                for column, v in zip(raw, found[1].as_tuple()):
+                    column[j, p] = v
+            picks.append(mine)
+            for cid in members[j].local_clouds(mine):
                 usage[cid] = usage.get(cid, 0) + 1
     if len(failed) == proposals:
         raise _no_plan(members[failed[proposals - 1]], params)
-    utils = arrays.utility(raw, np.arange(n)[:, None] < first
-                           if one_at_a_time else None)
-    for (j, p), (_, r) in settled.items():
-        utils[j, p] = members[j].utility_of(r)
+    utils = arrays.utility(raw)
     # the mean of one member's utility is that utility
     vals = utils[0] if n == 1 else _pairwise_sum(utils, 0, n) / n
     if failed:
         vals[list(failed)] = -math.inf
     best = int(vals.argmax())
-    picks, raws = [], []
-    for j in range(n):
-        if (j, best) in settled:
-            mine, r = settled[j, best]
-        else:
-            mine = plan(j, best)
-            r = trusted_qos(*(float(column[j, best]) for column in raw))
-        picks.append(mine)
-        raws.append(r)
-    return picks, raws
+    return (settled.get(best) or [plan(j, best) for j in range(n)],
+            [trusted_qos(*(float(column[j, best]) for column in raw))
+             for j in range(n)])
 
 
 # --- MuSIC allocation ---------------------------------------------------------

@@ -1,12 +1,12 @@
 """Spatial service registry: R-tree index, directory views, capacity ledger.
 
 Reach is a per-cloud rule, so the R-tree (quadratic split) holds one point
-per local cloud, its cell center, and each cloud keeps the list of services
-it hosts: candidate discovery around a point is a range query over the
-clouds instead of a scan over the services. Public-cloud services sit
-outside the map and are kept in a side table, as are on-device services
-per user. The capacity ledger counts admitted users per local cloud and
-refuses admissions beyond the configured capacity.
+per local cloud, its cell center: a range query around a point gives the
+local clouds in reach, and a candidate is in reach when its host is one of
+them, instead of a scan over the services. Services are kept per function,
+local, public and per user on the device. The capacity ledger counts
+admitted users per local cloud and refuses admissions beyond the configured
+capacity.
 """
 
 from __future__ import annotations
@@ -263,9 +263,9 @@ class ServiceDirectory:
     """Lookup views over the deployed services of one scenario.
 
     The R-tree holds one point per local cloud, its cell center, keyed by
-    the cloud id, and each local cloud keeps the ids of the services it
-    hosts; public services and per-user device services are side tables.
-    hosts maps each service id to its host cloud, or None on a device.
+    the cloud id; services are listed per function (local, public) and per
+    user and function (device). hosts maps each service id to its host
+    cloud, or None on a device.
     Raises IdError for a local cloud whose location is not a grid cell.
     """
 
@@ -275,7 +275,6 @@ class ServiceDirectory:
         self.services: dict[int, Service] = {}
         self.hosts: dict[int, Optional[int]] = {}
         self.tree = RTree()
-        self._on_cloud: dict[int, list[int]] = {}
         self._local: dict[str, list[int]] = {}
         self._public: dict[str, list[int]] = {}
         self._device: dict[tuple[int, str], list[int]] = {}
@@ -288,7 +287,6 @@ class ServiceDirectory:
                 raise IdError(f"local cloud {cid} sits at {cloud.location!r}, "
                               f"which is not a cell of the grid") from None
             self.tree.insert(cid, center)
-            self._on_cloud[cid] = []
 
     def __len__(self) -> int:
         return len(self.services)
@@ -306,7 +304,6 @@ class ServiceDirectory:
                               f"{service.host_cloud!r}, which the directory "
                               f"does not know")
             if cloud.tier == LOCAL:
-                self._on_cloud[service.host_cloud].append(service.id)
                 self._local.setdefault(service.function_id, []).append(service.id)
             else:
                 self._public.setdefault(service.function_id, []).append(service.id)
@@ -321,7 +318,6 @@ class ServiceDirectory:
         if svc.on_device:
             self._device[(svc.host_user, svc.function_id)].remove(service_id)
         elif self.clouds[svc.host_cloud].tier == LOCAL:
-            self._on_cloud[svc.host_cloud].remove(service_id)
             self._local[svc.function_id].remove(service_id)
         else:
             self._public[svc.function_id].remove(service_id)
@@ -340,18 +336,11 @@ class ServiceDirectory:
     def device_services_for(self, user_id: int, function_id: str) -> list[int]:
         return sorted(self._device.get((user_id, function_id), ()))
 
-    def range_query(self, point: Iterable[float], radius: float,
-                    function_id: Optional[str] = None) -> list[int]:
-        """Ids of the services on the local clouds within radius of point
-        (boundary inclusive), optionally restricted to one function, in
-        ascending id order."""
-        on_cloud = self._on_cloud
-        hits = [sid for cid in self.tree.search_disc(point, radius)
-                for sid in on_cloud[cid]]
-        if function_id is not None:
-            hits = [sid for sid in hits
-                    if self.services[sid].function_id == function_id]
-        return sorted(hits)
+    def range_query(self, point: Iterable[float], radius: float) -> list[int]:
+        """Ids of the local clouds whose cell center lies within radius of
+        point (boundary inclusive), in ascending order: the clouds whose
+        services are in reach, whether or not they host any."""
+        return sorted(self.tree.search_disc(point, radius))
 
 
 class CapacityLedger:

@@ -100,6 +100,14 @@ GOLDEN = {
                           workflows_per_user=6, duration_s=60.0,
                           repetitions=3),
                      "ee6358e1d086ebedca23dde120d28cfd98fd7e4288f8c045e577b6a2c30f45c5"),
+    # gmusic at local capacity 2 under price and power budgets: each of
+    # its admitted repairs lands on a cloud with room for some but not all
+    # members, so the later members' clash test reads the repaired plan
+    "default-gmusic-repair-clash": (dict(DEFAULT, groups=5, algorithm="gmusic",
+                                         local_capacity=2, budget_price=0.2,
+                                         budget_power=120000.0,
+                                         repetitions=3),
+                                    "17888d615ebc97e6e9b1c5b495c450db33c937c44e1c64dbbe1b6fd25747e15d"),
 }
 
 # reads {name: scenario kwargs} on stdin, prints {name: sha256} on stdout

@@ -120,21 +120,21 @@ def test_directory_views_split_by_tier_and_function():
 
 def test_directory_range_query_uses_cloud_cell_centers():
     grid, d = _directory()
-    # cloud 1 sits at cell 0 center (5, 5); cloud 2 at cell 5 center (15, 15)
-    assert d.range_query((5.0, 5.0), 1.0) == [10]
-    assert d.range_query((5.0, 5.0), 15.0) == [10, 11]
-    assert d.range_query((5.0, 5.0), 15.0, function_id="sync") == []
-    assert d.range_query((35.0, 35.0), 1.0, function_id="sync") == [13]
-    # public and device services never appear in spatial results
-    assert 12 not in d.range_query((5.0, 5.0), 1e9)
-    assert 14 not in d.range_query((5.0, 5.0), 1e9)
+    # cloud 1 sits at cell 0 center (5, 5); cloud 2 at cell 5 center (15,
+    # 15); cloud 3 at cell 15 center (35, 35)
+    assert d.range_query((5.0, 5.0), 1.0) == [1]
+    assert d.range_query((5.0, 5.0), 15.0) == [1, 2]
+    assert d.range_query((35.0, 35.0), 1.0) == [3]
+    # the public cloud never appears in spatial results
+    assert d.range_query((5.0, 5.0), 1e9) == [1, 2, 3]
 
 
 def test_directory_remove_updates_every_view():
     grid, d = _directory()
     d.remove(11)
     assert d.cloud_services_for("ocr") == [10, 12]
-    assert d.range_query((15.0, 15.0), 1.0) == []
+    # reach is the cloud's, whether or not it hosts a service
+    assert d.range_query((15.0, 15.0), 1.0) == [2]
     d.remove(14)
     assert d.device_services_for(4, "ocr") == []
     assert d.hosts == {10: 1, 12: 9, 13: 3}
@@ -187,7 +187,7 @@ def test_insert_on_an_unknown_cloud_raises_and_leaves_the_directory_as_it_was():
     assert (dict(d.services), dict(d.hosts), d.cloud_services_for("ocr"),
             d.range_query((5.0, 5.0), 1e9), len(d.tree)) == before
     d.insert(Service(20, "ocr", host_cloud=2))  # the id is still free
-    assert d.range_query((15.0, 15.0), 1.0) == [11, 20]
+    assert d.cloud_services_for("ocr") == [10, 11, 20, 12]
 
 
 @pytest.mark.parametrize("location", [16, -1, 99, 1.0, 1.5, "3", True])
@@ -205,20 +205,20 @@ def test_the_index_holds_one_point_per_local_cloud():
     assert sorted(d.tree.search_disc((0.0, 0.0), math.inf)) == [1, 2, 3]
     d.remove(10)
     d.remove(11)
-    assert len(d.tree) == 3 and d.range_query((5.0, 5.0), 15.0) == []
+    assert len(d.tree) == 3 and d.range_query((5.0, 5.0), 15.0) == [1, 2]
 
 
-def _scan_directory(d, centers, point, radius, function_id):
-    return sorted(sid for sid, svc in d.services.items()
-                  if sid in centers
-                  and (function_id is None or svc.function_id == function_id)
-                  and math.dist(centers[sid], point) <= radius)
+def _scan_directory(d, point, radius):
+    return sorted(cid for cid, cloud in d.clouds.items()
+                  if cloud.tier == LOCAL
+                  and math.dist(d.grid.cell(cloud.location).center,
+                                point) <= radius)
 
 
 def test_range_query_equals_a_scan_over_random_directories():
     """Random grids, clouds (two may share a cell), churned catalogs and
     radii at and just below a cloud's distance: range_query is the sorted
-    local services of the function whose cloud center lies in the disc."""
+    local clouds whose cell center lies in the disc, whatever they host."""
     rng = np.random.default_rng(30)
     functions = ("ocr", "sync", "stream")
     exact = 0
@@ -237,7 +237,6 @@ def test_range_query_equals_a_scan_over_random_directories():
         clouds[n_local] = CloudNode(n_local, PUBLIC)
         d = ServiceDirectory(grid, clouds)
         d.tree.check_invariants()
-        centers = {}  # local service id -> its cloud's cell center
         sid = 0
 
         def add(host_cloud=None, host_user=None):
@@ -245,8 +244,6 @@ def test_range_query_equals_a_scan_over_random_directories():
             fn = functions[int(rng.integers(len(functions)))]
             d.insert(Service(sid, fn, host_cloud=host_cloud,
                              host_user=host_user))
-            if host_cloud is not None and host_cloud < n_local:
-                centers[sid] = grid.cell(cells[host_cloud]).center
             sid += 1
 
         for _ in range(int(rng.integers(0, 40))):
@@ -263,14 +260,12 @@ def test_range_query_equals_a_scan_over_random_directories():
                 victim = int(rng.integers(0, n_local))
                 for s in [s for s, h in d.hosts.items() if h == victim]:
                     d.remove(s)
-                    centers.pop(s)
                 assert all(h != victim for h in d.hosts.values())
                 for _ in range(int(rng.integers(0, 3))):
                     add(host_cloud=victim)
             elif d.services and step % 2:
                 s = int(rng.choice(sorted(d.services)))
                 d.remove(s)
-                centers.pop(s, None)
             d.tree.check_invariants()
             point = (float(rng.uniform(-size, (width + 1) * size)),
                      float(rng.uniform(-size, (height + 1) * size)))
@@ -280,11 +275,9 @@ def test_range_query_equals_a_scan_over_random_directories():
                 at = math.dist(grid.cell(cell).center, point)
                 radii += [at, math.nextafter(at, -math.inf)]
             for radius in radii:
-                for fn in (None, *functions):
-                    want = _scan_directory(d, centers, point, radius, fn)
-                    got = (d.range_query(point, radius) if fn is None
-                           else d.range_query(point, radius, function_id=fn))
-                    assert got == want, (case, step, point, radius, fn)
-                    exact += radius in (math.dist(c, point)
-                                        for c in centers.values())
+                got = d.range_query(point, radius)
+                assert got == _scan_directory(d, point, radius), \
+                    (case, step, point, radius)
+                exact += radius in (math.dist(grid.cell(c).center, point)
+                                    for c in cells)
     assert exact > 0
